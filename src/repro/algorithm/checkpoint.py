@@ -119,6 +119,11 @@ def chunk_slices(items: Sequence[Any], chunk: Optional[int]) -> List[List[Any]]:
     return [items[i : i + chunk] for i in range(0, len(items), chunk)]
 
 
+def _covered(intervals: Iterable[Tuple[int, int]]) -> int:
+    """Number of integers in a sequence of disjoint inclusive intervals."""
+    return sum(hi - lo + 1 for lo, hi in intervals)
+
+
 def _evict_oldest(values: Dict[OperationId, Any], retention: Optional[int]) -> Dict[OperationId, Any]:
     """Bound an insertion-ordered (oldest-first) value ledger in place."""
     if retention is not None:
@@ -150,7 +155,7 @@ class OpIdSummary:
             merged = self._normalize(intervals)
             if merged:
                 normalized[client] = merged
-                count += sum(hi - lo + 1 for lo, hi in merged)
+                count += _covered(merged)
         self._ranges = normalized
         self._count = count
 
@@ -232,13 +237,34 @@ class OpIdSummary:
     # -- construction ----------------------------------------------------------
 
     def with_ids(self, ids: Iterable[OperationId]) -> "OpIdSummary":
-        """A new summary additionally covering *ids*."""
-        ranges: Dict[str, List[Tuple[int, int]]] = {
-            client: list(intervals) for client, intervals in self._ranges.items()
-        }
+        """A new summary additionally covering *ids*.
+
+        Only the clients present in *ids* are rebuilt; every other client's
+        interval tuple is shared with this summary.  A seqno that continues
+        a client's last interval — the steady-state fold — extends it
+        without a sort; anything else goes through :meth:`_normalize`.
+        """
+        fresh: Dict[str, List[int]] = {}
         for op_id in ids:
-            ranges.setdefault(op_id.client, []).append((op_id.seqno, op_id.seqno))
-        return OpIdSummary(ranges)
+            fresh.setdefault(op_id.client, []).append(op_id.seqno)
+        ranges = dict(self._ranges)
+        count = self._count
+        for client, seqnos in fresh.items():
+            old = ranges.get(client, ())
+            intervals = list(old)
+            loose: List[Tuple[int, int]] = []
+            for seqno in seqnos:
+                if intervals and seqno == intervals[-1][1] + 1:
+                    intervals[-1] = (intervals[-1][0], seqno)
+                else:
+                    loose.append((seqno, seqno))
+            merged = self._normalize(intervals + loose) if loose else tuple(intervals)
+            ranges[client] = merged
+            count += _covered(merged) - _covered(old)
+        summary = OpIdSummary.__new__(OpIdSummary)
+        summary._ranges = ranges
+        summary._count = count
+        return summary
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OpIdSummary({self._count} ids, {self.interval_count} intervals)"
@@ -250,10 +276,12 @@ class CheckpointAdvert:
     ships in steady state instead of the checkpoint body.
 
     It carries exactly the knowledge a peer needs to decide whether it is
-    caught up: the frontier label, a content digest (to match a later
-    transfer against), the chained fold-order digest (so a receiver can
-    verify its *own* would-be fold order against the advertiser's before
-    absorbing the stability assertion — see
+    caught up: the frontier label, the checkpoint's fold *identity* in the
+    ``digest`` slot (:meth:`Checkpoint.identity` — it names the prefix, it
+    verifies nothing; a transferred body is verified against the content
+    digest its own chunks carry), the chained fold-order digest (so a
+    receiver can verify its *own* would-be fold order against the
+    advertiser's before absorbing the stability assertion — see
     ``ReplicaCore._absorb_coverage``), and the per-client interval summary
     of the folded identifiers.  A receiver that still tracks (or has itself
     compacted) every advertised identifier learns their
@@ -397,14 +425,29 @@ class Checkpoint:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def digest(self) -> str:
-        """A content digest identifying this exact checkpoint (frontier, id
-        summary, base state and retained values, contents included).  Adverts
-        carry it so a puller can match transfer chunks against the advertised
-        content and reject bodies corrupted in flight, and so concurrent
-        compaction at the sender is detectable (the transfer then arrives
-        under a *newer* digest, which is still acceptable — a larger
-        checkpoint is nested over the advertised one)."""
+        """The *integrity* digest: a content hash over frontier, id summary,
+        base state, retained values (contents included) and fold order.
+
+        It costs a pass over the whole body, so it is evaluated only where
+        a body crosses a boundary: the sender stamps it on every transfer
+        chunk and the receiver recomputes it over the assembled checkpoint,
+        rejecting bodies corrupted in flight.  Gossip never asks for it —
+        adverts and pulls name a checkpoint by :meth:`identity`."""
         return self._digest
+
+    def identity(self) -> str:
+        """The fold *identity*: 16 hex digits derived in O(1) from
+        ``(frontier, count, order_digest)``.
+
+        The stable prefix is totally ordered and agreed everywhere
+        (Invariant 7.2, Theorem 5.8), so the fold order — which
+        ``order_digest`` chains one link per operation — determines the
+        checkpoint: replicas that folded the same prefix share an identity
+        however their compaction ticks sliced it, and every further fold
+        changes it.  It says nothing about the body's bytes; that is
+        :meth:`digest`'s job."""
+        material = f"{self.frontier!r}|{self.count}|{self.order_digest}"
+        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     @cached_property
     def _advert(self) -> Optional[CheckpointAdvert]:
@@ -412,7 +455,7 @@ class Checkpoint:
             return None
         return CheckpointAdvert(
             frontier=self.frontier,
-            digest=self.digest(),
+            digest=self.identity(),
             ids=self.ids,
             order_digest=self.order_digest,
         )

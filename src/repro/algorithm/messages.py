@@ -229,10 +229,13 @@ class PullRequestMessage:
     identifiers it neither tracks nor has compacted.
 
     ``requester`` is the behind replica, ``target`` the advertiser it pulls
-    from.  ``digest`` / ``frontier`` echo the advert that triggered the pull;
-    the target answers with its *current* checkpoint (which is nested over
-    the advertised one — compaction only ever extends the frozen prefix), so
-    a digest that has moved on by the time the pull arrives is not an error.
+    from.  ``digest`` / ``frontier`` echo the advert that triggered the pull
+    — ``digest`` is that advert's fold *identity*
+    (:meth:`~repro.algorithm.checkpoint.Checkpoint.identity`), not a content
+    hash; the target answers with its *current* checkpoint (which is nested
+    over the advertised one — compaction only ever extends the frozen
+    prefix) and never compares the echoed identity with anything, so one
+    that has moved on by the time the pull arrives is not an error.
     ``have_frontier`` is the requester's own frontier, carried for
     diagnostics and symmetry with real catch-up protocols.
     """
@@ -259,10 +262,14 @@ class CheckpointTransferMessage:
     The retained-value ledger is split into label-order slices (contiguous
     client-interval ranges of the folded identifiers) of at most the
     sender's configured chunk size; every chunk repeats the transfer
-    identity (``digest``, ``frontier``, ``ids``, ``chunk_count``) so chunks
-    can arrive in any order and partial transfers are resumable across
-    re-pulls, and only the **final** assembly needs the ``base_state`` blob,
-    carried by the last chunk (``chunk_index == chunk_count - 1``).
+    header (``digest``, ``frontier``, ``ids``, ``order_digest``,
+    ``chunk_count``) so chunks can arrive in any order and partial transfers
+    are resumable across re-pulls, and only the **final** assembly needs the
+    ``base_state`` blob, carried by the last chunk
+    (``chunk_index == chunk_count - 1``).  ``digest`` is the sender's
+    *content* digest (:meth:`~repro.algorithm.checkpoint.Checkpoint.digest`,
+    computed when the body is cut into chunks): the receiver recomputes it
+    over the assembled checkpoint and rejects a mismatch.
 
     ``epoch`` is the sender's incarnation at send time: a receiver that
     observes a newer epoch from the sender discards its partial assembly

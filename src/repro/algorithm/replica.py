@@ -77,13 +77,29 @@ class TransferAssembly:
     (keyed per sender; a chunk under a newer digest or sender epoch replaces
     the partial assembly — the newer checkpoint is nested over the older —
     while chunks from an *older* transfer, delayed on the unordered network,
-    are ignored rather than allowed to clobber the newer assembly)."""
+    are ignored rather than allowed to clobber the newer assembly).
+
+    Every chunk repeats the transfer header; one that contradicts the chunks
+    already held (:meth:`agrees_with`) is refused, which is what makes
+    :meth:`assemble`'s indexing total."""
 
     digest: str
     epoch: int
     frontier: Label
     chunk_count: int
     chunks: Dict[int, "CheckpointTransferMessage"] = field(default_factory=dict)
+
+    def agrees_with(self, message: "CheckpointTransferMessage") -> bool:
+        """Whether *message* repeats the header of the chunks already held
+        (``digest`` and ``epoch`` select the assembly and are compared by
+        the caller)."""
+        held = next(iter(self.chunks.values()), message)
+        return (
+            message.chunk_count == self.chunk_count
+            and message.frontier == self.frontier
+            and message.order_digest == held.order_digest
+            and message.ids.ranges == held.ids.ranges
+        )
 
     def complete(self) -> bool:
         return len(self.chunks) == self.chunk_count
@@ -1198,9 +1214,12 @@ state_independent`: its tracked history has a hole below the awaited
     def receive_pull_request(self, message: PullRequestMessage) -> List[CheckpointTransferMessage]:
         """Answer a pull with transfer chunks of our *current* checkpoint.
 
-        The current checkpoint may have advanced past the advertised digest
-        (concurrent compaction); that is fine — checkpoints are nested, so
-        the newer body covers everything the requester asked for.  An empty
+        The pull's ``digest`` echoes the identity of the advert that
+        triggered it and is not compared with anything: the current
+        checkpoint may have advanced past it (concurrent compaction), and
+        that is fine — checkpoints are nested, so the newer body covers
+        everything the requester asked for.  This is where the content
+        digest is computed, once per body cut into chunks.  An empty
         checkpoint (possible after a volatile crash wiped nothing but the
         peer pulled against a stale advert from a previous incarnation — the
         checkpoint itself persists, so in practice only when nothing was
@@ -1230,6 +1249,12 @@ state_independent`: its tracked history has a hole below the awaited
         sender crashed and recovered) replaces the partial assembly — in
         both cases the replacement checkpoint is nested over the abandoned
         one, so nothing is lost beyond the re-pulled chunks.
+
+        The assembled body is verified against the content digest *its own
+        chunks* carry, never against the advert that prompted the pull.  A
+        malformed chunk or a body that fails the check is rejected and
+        re-pulled (``stats.transfer_rejections``); nothing a peer can put in
+        a chunk makes this raise.
         """
         if message.requester != self.replica_id:
             raise SpecificationError(
@@ -1244,7 +1269,20 @@ state_independent`: its tracked history has a hole below the awaited
             or label_sort_key(message.frontier) < label_sort_key(assembly.frontier)
         ):
             return  # delayed straggler from an older, superseded transfer
-        if assembly is None or assembly.digest != message.digest or assembly.epoch != message.epoch:
+        if assembly is not None and (
+            assembly.digest != message.digest or assembly.epoch != message.epoch
+        ):
+            assembly = None  # a newer transfer replaces the partial assembly
+        if not 0 <= message.chunk_index < message.chunk_count or (
+            assembly is not None and not assembly.agrees_with(message)
+        ):
+            # A chunk header corrupted in flight (or hostile): an index no
+            # assembly of ``chunk_count`` chunks has, or a header that
+            # contradicts the chunks already held — there is no telling
+            # which side is the intact one, so the whole assembly goes.
+            self._reject_transfer(message.sender)
+            return
+        if assembly is None:
             assembly = TransferAssembly(
                 digest=message.digest,
                 epoch=message.epoch,
@@ -1255,22 +1293,27 @@ state_independent`: its tracked history has a hole below the awaited
         assembly.chunks[message.chunk_index] = message
         if not assembly.complete():
             return
-        del self._transfer_in[message.sender]
         assembled = assembly.assemble()
         if assembled.digest() != assembly.digest:
             # The body was corrupted in flight: the chunks were sent under
             # the sender's content digest, and the checkpoint reassembled
-            # from them no longer hashes to it.  Discard the assembly and
-            # re-queue the pull right away: waiting for the next advert is
-            # not enough on its own — a cluster that has quiesced (or one
-            # whose compaction stopped advancing) may never advertise again,
-            # and a corrupted *final* transfer would strand the catch-up.
-            self.stats.transfer_rejections += 1
-            if self._await is not None:
-                self._pull_queue[message.sender] = self._await
+            # from them no longer hashes to it.
+            self._reject_transfer(message.sender)
             return
+        del self._transfer_in[message.sender]
         self._merge_checkpoint(assembled)
         self._post_merge()
+
+    def _reject_transfer(self, sender: str) -> None:
+        """Discard *sender*'s assembly and re-queue the pull right away:
+        waiting for the next advert is not enough on its own — a cluster
+        that has quiesced (or one whose compaction stopped advancing) may
+        never advertise again, and a corrupted *final* transfer would strand
+        the catch-up."""
+        self.stats.transfer_rejections += 1
+        self._transfer_in.pop(sender, None)
+        if self._await is not None:
+            self._pull_queue[sender] = self._await
 
     def _merge_checkpoint(self, incoming: Checkpoint) -> None:
         """Merge a checkpoint body ahead of our frontier (eager gossip

@@ -44,9 +44,15 @@ the receiver provably already holds it (see
 :func:`json_frame` is the honest plain-JSON baseline the E13 benchmark
 compares against: the same message content as tagged JSON, compactly dumped.
 
-Digest note: :meth:`repro.algorithm.checkpoint.Checkpoint.digest` (the PR 4
-transfer-integrity digest) is deliberately left on its original material so
-the checked-in conformance corpus stays valid; :func:`message_digest` /
+Digest note: two 16-hex strings ride in the ``digest`` slots, and they do
+different jobs.  Advert and pull frames carry
+:meth:`repro.algorithm.checkpoint.Checkpoint.identity` — an O(1) name for
+the sender's fold prefix that *identifies* a checkpoint and verifies
+nothing.  Transfer frames carry
+:meth:`repro.algorithm.checkpoint.Checkpoint.digest` — the PR 4 content
+hash that *verifies* a transferred body, computed only when one is sent or
+reassembled and deliberately left on its original material so the
+checked-in conformance corpus stays valid.  :func:`message_digest` /
 :func:`frame_digest` are the wire-level counterparts computed over this
 canonical encoding.
 
@@ -58,9 +64,11 @@ Hot-path notes (wire version 2):
 * A :class:`~repro.algorithm.checkpoint.CheckpointAdvert` encodes
   *self-contained* (length-prefixed strings instead of table references),
   which makes its bytes frame-independent — and therefore memoizable keyed
-  by ``(digest, order_digest)``, which the content digest makes a complete
-  key (it covers frontier, id summary and values).  A replica re-advertising
-  an unchanged checkpoint every gossip round hits the memo every time.
+  by ``(digest, order_digest)``: a complete key, because every encoded
+  advert field (frontier, identity, id summary) is a function of the
+  sender's own fold prefix, which ``order_digest`` chains.  A replica
+  re-advertising an unchanged checkpoint every gossip round hits the memo
+  every time.
 * :func:`decode_frame` accepts any bytes-like object and decodes through
   one ``memoryview`` — interior slices (strings, floats, raw runs) are
   views, copied only at the leaves that must own their bytes.
@@ -344,8 +352,10 @@ class _Encoder:
 
 #: Digest-keyed advert encode memo.  An advert encodes self-contained (no
 #: table references), so its bytes are frame-independent and the memo is a
-#: straight lookup; ``(digest, order_digest)`` is a complete key because the
-#: content digest covers the frontier, the id summary and the values.  A
+#: straight lookup; ``(digest, order_digest)`` is a complete key because a
+#: replica only encodes adverts of its own checkpoints, and every encoded
+#: field — frontier, fold identity, id summary — is a function of the fold
+#: prefix that ``order_digest`` chains one link per operation.  A
 #: replica steadily re-advertising an unchanged checkpoint (the common case
 #: between compactions) pays the encode once per checkpoint, not per gossip.
 _ADVERT_CACHE: Dict[Tuple[str, str], bytes] = {}

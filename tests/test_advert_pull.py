@@ -331,11 +331,16 @@ class TestPullCatchup:
         pulls = [m for m in system.gossip_channels[("r3", "r1")].contents()
                  if m.kind == "pull"]
         assert len(pulls) == 1
-        assert pulls[0].digest == system.replicas["r1"].checkpoint.digest()
+        # The pull echoes the advert's fold identity; the content digest
+        # rides on the transfer chunks, where a body actually crosses.
+        advertised = system.replicas["r1"].checkpoint
+        assert pulls[0].digest == advertised.advert().digest == advertised.identity()
+        assert advertised.identity() != advertised.digest()
         deliver_all(system, ("r3", "r1"))
         transfers = [m for m in system.gossip_channels[("r1", "r3")].contents()
                      if m.kind == "transfer"]
         assert len(transfers) == 3  # 6 values in chunks of 2
+        assert all(t.digest == advertised.digest() for t in transfers)
         deliver_all(system, ("r1", "r3"))
         assert system.replicas["r3"].checkpoint.count == 6
         system.drain(rng)

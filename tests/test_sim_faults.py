@@ -3,10 +3,15 @@ scheduling, end-time accounting and observable effect on the cluster, tested
 in isolation (the end-to-end behaviour is covered by the fault-tolerance and
 scenario-fuzz suites)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.algorithm.checkpoint import CompactionPolicy
-from repro.algorithm.messages import PullRequestMessage
+from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy, OpIdSummary
+from repro.algorithm.labels import Label
+from repro.algorithm.messages import PullRequestMessage, checkpoint_transfers
+from repro.common import OperationIdGenerator
+from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.sim.cluster import (
     CORRUPTION_MARKER,
@@ -312,45 +317,139 @@ class TestCorruptTransfers:
         the recovering replica must reject every assembly (never adopting a
         corrupt body) and keep re-pulling off later adverts until the window
         closes, after which it converges with the others."""
-        params = SimulationParams(
-            df=1.0,
-            dg=1.0,
-            gossip_period=1.0,
-            frontend_policy="round_robin",
-            retransmit_interval=4.0,
-            compaction=CompactionPolicy(min_batch=1),
-            compaction_interval=1.0,
-            advert_gossip=True,
-        )
-        cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"], params=params, seed=2)
-        (
-            FaultSchedule()
-            .add(ReplicaCrash("r1", at=8.0, recover_at=13.0, volatile_memory=True))
-            .add(CorruptTransfers(start=8.0, end=19.0, probability=1.0))
-        ).install(cluster)
-        for index in range(24):
-            cluster.submit("c0" if index % 2 == 0 else "c1", CounterType.increment())
-            cluster.run(0.5)
-        cluster.run(25.0)  # past the corruption window plus slack
-        for _ in range(12):  # explicit gossip rounds: let the re-pull heal
-            cluster.run(params.gossip_period + params.dg)
-
-        rejections = sum(
-            replica.stats.transfer_rejections for replica in cluster.replicas.values()
-        )
+        cluster = _corrupted_catchup_run()
         assert cluster.network.counters.corrupted > 0
-        assert rejections > 0, "the corruption window never hit an assembled transfer"
-        # ... and the reject-and-re-pull loop healed once clean bodies flowed:
-        # every replica converges to the same count — all surviving
-        # increments, i.e. the full eventual order (the volatile crash may
-        # cost an increment or two that only r1 had applied; convergence and
-        # agreement with the system-wide order are the guarantees here).
-        states = {
-            replica_id: replica.replayed_state()
-            for replica_id, replica in cluster.replicas.items()
-        }
-        assert len(set(states.values())) == 1, f"replicas diverged: {states}"
-        assert set(states.values()).pop() >= 22  # at most a couple of casualties
+        _assert_rejected_then_healed(cluster)
+
+
+def _corrupted_catchup_run(**param_overrides):
+    """r1 crashes with volatile memory at t=8 and recovers at t=13 inside a
+    100% transfer-corruption window [8, 19); the run continues well past the
+    window so the reject-and-re-pull loop can heal off clean bodies."""
+    params = SimulationParams(
+        df=1.0,
+        dg=1.0,
+        gossip_period=1.0,
+        frontend_policy="round_robin",
+        retransmit_interval=4.0,
+        compaction=CompactionPolicy(min_batch=1),
+        compaction_interval=1.0,
+        advert_gossip=True,
+        **param_overrides,
+    )
+    cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"], params=params, seed=2)
+    (
+        FaultSchedule()
+        .add(ReplicaCrash("r1", at=8.0, recover_at=13.0, volatile_memory=True))
+        .add(CorruptTransfers(start=8.0, end=19.0, probability=1.0))
+    ).install(cluster)
+    for index in range(24):
+        cluster.submit("c0" if index % 2 == 0 else "c1", CounterType.increment())
+        cluster.run(0.5)
+    cluster.run(25.0)  # past the corruption window plus slack
+    for _ in range(12):  # explicit gossip rounds: let the re-pull heal
+        cluster.run(params.gossip_period + params.dg)
+    return cluster
+
+
+def _assert_rejected_then_healed(cluster):
+    rejections = sum(
+        replica.stats.transfer_rejections for replica in cluster.replicas.values()
+    )
+    assert rejections > 0, "the corruption window never hit an assembled transfer"
+    # ... and the reject-and-re-pull loop healed once clean bodies flowed:
+    # every replica converges to the same count — all surviving
+    # increments, i.e. the full eventual order (the volatile crash may
+    # cost an increment or two that only r1 had applied; convergence and
+    # agreement with the system-wide order are the guarantees here).
+    states = {
+        replica_id: replica.replayed_state()
+        for replica_id, replica in cluster.replicas.items()
+    }
+    assert len(set(states.values())) == 1, f"replicas diverged: {states}"
+    assert set(states.values()).pop() >= 22  # at most a couple of casualties
+
+
+def _later(frontier):
+    return Label(frontier.rank + 1, frontier.replica)
+
+
+#: Chunk-header tampers: each maps one chunk of a two-chunk transfer to a
+#: copy whose *header* lies while its values stay intact.
+HEADER_TAMPERS = {
+    "index_past_count": lambda chunk: replace(chunk, chunk_index=5),
+    "zero_chunks": lambda chunk: replace(chunk, chunk_count=0),
+    "chunk_count": lambda chunk: replace(chunk, chunk_count=chunk.chunk_count + 1),
+    "frontier": lambda chunk: replace(chunk, frontier=_later(chunk.frontier)),
+    "ids": lambda chunk: replace(chunk, ids=OpIdSummary({"intruder": [(0, 3)]})),
+    "order_digest": lambda chunk: replace(chunk, order_digest="f" * 16),
+}
+
+
+class TestMalformedTransferHeaders:
+    """A transfer chunk whose header was corrupted in flight (or forged)
+    must cost a retry, never the replica: ``receive_transfer`` used to store
+    chunks under whatever index they claimed, so indexes ``{0, 5}`` under
+    ``chunk_count=2`` "completed" the assembly and ``assemble()`` raised
+    ``KeyError: 1``."""
+
+    def _donor_and_behind_receiver(self):
+        data_type, ids = CounterType(), OperationIdGenerator("c0")
+        prefix = [make_operation(CounterType.increment(), ids.fresh()) for _ in range(4)]
+        labels = {op.id: Label(rank, "r0") for rank, op in enumerate(prefix)}
+        donor, _ = Checkpoint.empty(data_type.initial_state()).extend(
+            prefix, data_type, labels
+        )
+        receiver = SimulatedCluster(
+            data_type, 3, ["c0"], params=SimulationParams(), seed=99
+        ).replicas["r1"]
+        receiver._consider_advert("r0", donor.advert())
+        assert [pull.target for pull in receiver.take_pending_pulls()] == ["r0"]
+        return donor, receiver
+
+    @pytest.mark.parametrize("kind", sorted(HEADER_TAMPERS))
+    def test_tampered_header_is_rejected_and_repulled(self, kind):
+        donor, receiver = self._donor_and_behind_receiver()
+        first, second = checkpoint_transfers(
+            donor, sender="r0", requester="r1", epoch=0, chunk=2
+        )
+        receiver.receive_transfer(first)
+        receiver.receive_transfer(HEADER_TAMPERS[kind](second))  # must not raise
+        assert receiver.stats.transfer_rejections == 1
+        assert receiver.checkpoint.count == 0  # nothing adopted
+        assert "r0" not in receiver._transfer_in  # the assembly is gone ...
+        # ... and the pull is back in the queue without waiting for an advert.
+        assert [pull.target for pull in receiver.take_pending_pulls()] == ["r0"]
+
+        for chunk in (first, second):
+            receiver.receive_transfer(chunk)
+        assert receiver.stats.transfer_rejections == 1
+        assert receiver.checkpoint.digest() == donor.digest()
+
+    def test_malformed_chunk_with_no_open_assembly(self):
+        donor, receiver = self._donor_and_behind_receiver()
+        (only,) = checkpoint_transfers(donor, sender="r0", requester="r1", epoch=0)
+        for tamper in ("zero_chunks", "index_past_count"):
+            receiver.receive_transfer(HEADER_TAMPERS[tamper](only))
+        assert receiver.stats.transfer_rejections == 2
+        assert receiver.checkpoint.count == 0 and not receiver._transfer_in
+
+    def test_header_corrupting_window_rejects_then_heals(self, monkeypatch):
+        """The ``CorruptTransfers`` end-to-end story with the adversary
+        flipping chunk *headers* instead of values: every kind of header
+        lie arrives during catch-up, none raises, and the recovering replica
+        converges once clean chunks flow."""
+        kinds = sorted(HEADER_TAMPERS)
+        sent = []
+
+        def tamper_header(message):
+            sent.append(kinds[len(sent) % len(kinds)])
+            return HEADER_TAMPERS[sent[-1]](message)
+
+        monkeypatch.setattr("repro.sim.cluster._tamper_transfer", tamper_header)
+        cluster = _corrupted_catchup_run(checkpoint_chunk=2)
+        assert set(sent) == set(kinds), f"window too short to try every lie: {sent}"
+        _assert_rejected_then_healed(cluster)
 
 
 class TestFaultSchedule:
