@@ -25,6 +25,7 @@ import os
 import time
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -59,10 +60,14 @@ def run_history(total_ops: int, compaction: bool, seed: int = 1, fast: bool = Fa
     clock moves."""
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
-        delta_gossip=True, incremental_replay=True, batch_gossip=True,
-        fast_core=fast,
-        compaction=POLICY if compaction else None,
-        compaction_interval=COMPACTION_INTERVAL if compaction else None,
+        replica=ReplicaConfig(
+            delta_gossip=True,
+            incremental_replay=True,
+            batch_gossip=True,
+            fast_core=fast,
+            compaction=POLICY if compaction else None,
+            compaction_interval=COMPACTION_INTERVAL if compaction else None,
+        ),
     )
     cluster = SimulatedCluster(CounterType(), NUM_REPLICAS, CLIENTS,
                                params=params, seed=seed)

@@ -37,6 +37,7 @@ import os
 import random
 from bisect import bisect_left
 
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulationParams
 from repro.sim.sharded import ShardedCluster
@@ -57,8 +58,8 @@ READ_FRACTION = 0.3
 
 def make_params() -> SimulationParams:
     return SimulationParams(
-        df=1.0, dg=1.0, gossip_period=2.0, batch_gossip=True,
-        incremental_replay=True,
+        df=1.0, dg=1.0, gossip_period=2.0,
+        replica=ReplicaConfig(batch_gossip=True, incremental_replay=True),
     )
 
 

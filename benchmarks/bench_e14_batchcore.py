@@ -43,6 +43,7 @@ from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.messages import RequestMessage
 from repro.common import OperationIdGenerator
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.net.driver import LoadSpec, run_load
@@ -75,11 +76,18 @@ MIN_NET_OVER_PRIOR_E13 = 2.0
 
 def run_sim(batch: bool, total_ops: int = SIM_OPS, seed: int = 3):
     params = SimulationParams(
-        df=1.0, dg=1.0, gossip_period=2.0, batch_gossip=True,
-        delta_gossip=True, full_state_interval=8, incremental_replay=True,
-        compaction=CompactionPolicy(min_batch=8, value_retention=64),
-        compaction_interval=10.0, advert_gossip=True,
-        fast_core=True, batch_replay=batch,
+        df=1.0, dg=1.0, gossip_period=2.0,
+        replica=ReplicaConfig(
+            batch_gossip=True,
+            delta_gossip=True,
+            full_state_interval=8,
+            incremental_replay=True,
+            compaction=CompactionPolicy(min_batch=8, value_retention=64),
+            compaction_interval=10.0,
+            advert_gossip=True,
+            fast_core=True,
+            batch_replay=batch,
+        ),
     )
     cluster = SimulatedCluster(CounterType(), 3, CLIENTS, params=params, seed=seed)
     spec = WorkloadSpec(operations_per_client=total_ops // len(CLIENTS),
@@ -247,9 +255,15 @@ def test_e14b_long_run_replay_arm():
 # --------------------------------------------------------------------------- #
 
 async def _tcp_run(batch_replay: bool):
-    params = NetParams(gossip_period=0.5, delta_gossip=True,
-                       incremental_replay=True, fast_core=True,
-                       batch_replay=batch_replay)
+    params = NetParams(
+        gossip_period=0.5,
+        replica=ReplicaConfig(
+            delta_gossip=True,
+            incremental_replay=True,
+            fast_core=True,
+            batch_replay=batch_replay,
+        ),
+    )
     cluster = NetCluster(CounterType(), num_replicas=4,
                          client_ids=tuple(f"c{i}" for i in range(16)),
                          params=params, transport="tcp")

@@ -17,6 +17,7 @@ import os
 import time
 
 from repro.baselines.atomic import CentralizedAtomicService
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -63,8 +64,13 @@ def run_wall_clock(fast: bool, seed: int = 3):
     the replica variant as the only difference."""
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
-        delta_gossip=True, incremental_replay=True, batch_gossip=True,
-        frontend_policy="affinity", fast_core=fast,
+        replica=ReplicaConfig(
+            delta_gossip=True,
+            incremental_replay=True,
+            batch_gossip=True,
+            fast_core=fast,
+        ),
+        frontend_policy="affinity",
     )
     clients = [f"c{i}" for i in range(4)]
     cluster = SimulatedCluster(CounterType(), 3, clients, params=params, seed=seed)

@@ -10,6 +10,7 @@ gossip.
 """
 
 from repro.algorithm.messages import incremental_gossip
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -20,8 +21,10 @@ DURATION_OPS = 20
 
 
 def run_replicas(num_replicas: int, seed: int = 0, delta_gossip: bool = False):
-    params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0,
-                              delta_gossip=delta_gossip, full_state_interval=8)
+    params = SimulationParams(
+        df=1.0, dg=1.0, gossip_period=2.0,
+        replica=ReplicaConfig(delta_gossip=delta_gossip, full_state_interval=8),
+    )
     cluster = SimulatedCluster(CounterType(), num_replicas, ["c0", "c1"],
                                params=params, seed=seed)
     spec = WorkloadSpec(operations_per_client=DURATION_OPS, mean_interarrival=1.0,

@@ -14,6 +14,7 @@ count: skew concentrates load on the shard owning the hot keys, visible in
 the per-shard throughput breakdown and the peak-to-mean imbalance metric.
 """
 
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulationParams
 from repro.sim.sharded import ShardedCluster
@@ -34,7 +35,7 @@ def run_shard_count(num_shards: int, seed: int = 0,
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         service_time=SERVICE_TIME, frontend_policy="affinity",
-        batch_gossip=True,
+        replica=ReplicaConfig(batch_gossip=True),
     )
     clients = [f"c{i}" for i in range(CLIENTS_PER_SHARD * num_shards)]
     cluster = ShardedCluster(

@@ -48,6 +48,15 @@ from pathlib import Path
 
 BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
+#: Experiments that emit a ``BENCH_*.json`` artifact but carry no band here,
+#: on purpose: E2-E7 and E9 are the paper's reproductions (the Theorem
+#: 9.3/9.4 bounds, the Section 10 optimisations, the baselines and the shard
+#: scaling shape), and what they promise is asserted inside their own pytest
+#: bodies — a failed promise fails the benchmark run itself, and their
+#: remaining numbers are simulated-time readings with nothing to regress
+#: against.  Any *other* artifact without a baseline still fails the gate.
+UNBANDED = frozenset({"E2", "E3", "E4", "E5", "E6", "E7", "E9"})
+
 
 def lookup(metrics, path):
     node = metrics
@@ -141,11 +150,17 @@ def run(bench_dir: Path, update: bool) -> int:
     # Every produced artifact must be gated: a BENCH file with no matching
     # baseline means an experiment silently escaped the regression gate
     # (usually a new benchmark landed without its BASELINE_*.json).
-    unmatched = sorted(
-        path.name
-        for path in bench_dir.glob("BENCH_E*.json")
-        if path.name[len("BENCH_"):-len(".json")] not in covered
+    produced = sorted(
+        path.name[len("BENCH_"):-len(".json")] for path in bench_dir.glob("BENCH_E*.json")
     )
+    for experiment in produced:
+        if experiment in UNBANDED and experiment not in covered:
+            print(f"  [unbanded] {experiment}: asserted by its own pytest body, no band")
+    unmatched = [
+        f"BENCH_{experiment}.json"
+        for experiment in produced
+        if experiment not in covered and experiment not in UNBANDED
+    ]
     if unmatched:
         known = ", ".join(sorted(covered))
         for name in unmatched:

@@ -33,6 +33,9 @@ Modules:
   (Section 10.1);
 * :mod:`repro.algorithm.commute` — the ``Commute`` replica exploiting
   commutativity (Section 10.3);
+* :mod:`repro.algorithm.node` — the sans-IO replica node: the one place a
+  burst of inbound messages becomes core calls and an outbox, driven by both
+  the simulator and the asyncio runtime;
 * :mod:`repro.algorithm.system` — the complete system ``ESDS-Alg x Users``
   with its derived variables (Section 6.4), driven action-by-action;
 * :mod:`repro.algorithm.automata` — an I/O-automaton wrapper exposing the
@@ -57,11 +60,12 @@ from repro.algorithm.messages import (
 )
 from repro.algorithm.channel import Channel, LossyChannel
 from repro.algorithm.frontend import FrontEndCore
-from repro.algorithm.batchcore import BatchIncrementalReplicaCore, BatchReplicaCore
-from repro.algorithm.fastcore import FastIncrementalReplicaCore, FastReplicaCore
+from repro.algorithm.batchcore import BatchReplicaCore
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.commute import CommuteReplicaCore
+from repro.algorithm.node import ReplicaNode
 from repro.algorithm.system import AlgorithmSystem
 from repro.algorithm.automata import AlgorithmAutomaton
 
@@ -88,11 +92,10 @@ __all__ = [
     "ReplicaCore",
     "IncrementalReplicaCore",
     "FastReplicaCore",
-    "FastIncrementalReplicaCore",
     "BatchReplicaCore",
-    "BatchIncrementalReplicaCore",
     "MemoizedReplicaCore",
     "CommuteReplicaCore",
+    "ReplicaNode",
     "AlgorithmSystem",
     "AlgorithmAutomaton",
 ]

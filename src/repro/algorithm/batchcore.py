@@ -415,12 +415,3 @@ class BatchReplicaCore(FastReplicaCore):
         self._deferred_done = {}
         self._deferred_reorders = {}
         super()._on_crash()
-
-
-class BatchIncrementalReplicaCore(BatchReplicaCore):
-    """The batch kernel with the incremental value-replay cache switched on —
-    the pairing every batch-path benchmark configuration uses."""
-
-    def __init__(self, replica_id, replica_ids, data_type) -> None:
-        super().__init__(replica_id, replica_ids, data_type)
-        self.enable_incremental_replay()

@@ -741,12 +741,3 @@ class FastReplicaCore(ReplicaCore):
         self._absorbed_frontier = None
         self._repr_cache = {}
         self._rebuild_fast_state()
-
-
-class FastIncrementalReplicaCore(FastReplicaCore):
-    """The fast core with the incremental value-replay cache switched on —
-    the pairing every fast-path benchmark configuration uses."""
-
-    def __init__(self, replica_id, replica_ids, data_type) -> None:
-        super().__init__(replica_id, replica_ids, data_type)
-        self.enable_incremental_replay()

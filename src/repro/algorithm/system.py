@@ -27,23 +27,19 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithm.channel import Channel
-from repro.algorithm.checkpoint import CompactionLedger, CompactionPolicy
+from repro.algorithm.checkpoint import CompactionLedger
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.labels import Label, LabelOrInfinity, label_min, label_sort_key
 from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
-from repro.algorithm.batchcore import core_factory
+from repro.algorithm.node import ReplicaFactory, build_replicas
 from repro.algorithm.replica import ReplicaCore
 from repro.common import INFINITY, ConfigurationError, OperationId, SpecificationError
-from repro.config import UNSET, ReplicaConfig, merge_legacy_config
+from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor, client_specified_constraints
 from repro.core.orders import PartialOrder, induced_order, transitive_closure
 from repro.datatypes.base import SerialDataType
 from repro.spec.guarantees import TraceRecord
 from repro.spec.users import Users
-
-#: Factory signature for building replica cores (lets tests and benchmarks
-#: plug in the memoized / commute variants).
-ReplicaFactory = Callable[[str, Sequence[str], SerialDataType], ReplicaCore]
 
 
 class AlgorithmSystem:
@@ -63,38 +59,14 @@ class AlgorithmSystem:
     users:
         Optional pre-built :class:`~repro.spec.users.Users` automaton (e.g. a
         ``SafeUsers`` when using the ``Commute`` replicas).
-    delta_gossip:
-        When true, ``send_gossip`` transmits destination-specific deltas
-        (only knowledge the destination has not acknowledged) instead of the
-        replica's full state; see :mod:`repro.algorithm.delta`.  Delta and
-        full gossip induce identical executions under the same scheduler.
-    full_state_interval:
-        Periodic full-state fallback when delta gossip is enabled: every
-        that-many sends to a peer carry the full state.
-    incremental_replay:
-        When true, replicas cache their last response replay and re-apply
-        only the changed suffix when computing values (observable values are
-        unchanged; only ``stats.value_applications`` drops).
-    compaction:
-        When given, every replica folds its stable-everywhere prefix into a
-        checkpoint under this :class:`CompactionPolicy` and drops the
-        per-operation records (see :mod:`repro.algorithm.checkpoint`).
-        Responses are unchanged; tracked state becomes proportional to the
-        unstable suffix.  The system keeps the agreed compacted prefix in a
-        :class:`CompactionLedger` so eventual-order witnesses and invariant
-        checks still see the full history.
-    advert_gossip:
-        When true, gossip carries a compact checkpoint *advert* (frontier,
-        digest, id-interval summary) instead of the checkpoint body; a
-        replica behind the advertised frontier issues a pull request and the
-        advertiser answers with checkpoint-transfer chunks.  Pull and
-        transfer messages travel on the gossip channels and are dispatched
-        by :meth:`receive_gossip`.  Steady-state payload becomes independent
-        of the history length; executions stay response-identical to eager
-        shipping.
-    checkpoint_chunk:
-        With advert gossip, the maximum number of retained values per
-        transfer chunk (``None`` = one message per transfer).
+    config:
+        The replica features (:class:`~repro.config.ReplicaConfig`; its
+        simulator-only fields are ignored here).  Every switch leaves
+        executions response-identical under the same scheduler.  With
+        compaction the agreed compacted prefix is kept in a
+        :class:`CompactionLedger`, so witnesses and invariant checks still
+        see the full history; with advert gossip, pulls and transfers travel
+        on the gossip channels and :meth:`receive_gossip` dispatches them.
     """
 
     def __init__(
@@ -104,52 +76,29 @@ class AlgorithmSystem:
         client_ids: Sequence[str],
         replica_factory: Optional[ReplicaFactory] = None,
         users: Optional[Users] = None,
-        delta_gossip: bool = UNSET,
-        full_state_interval: int = UNSET,
-        incremental_replay: bool = UNSET,
-        compaction: Optional[CompactionPolicy] = UNSET,
-        advert_gossip: bool = UNSET,
-        checkpoint_chunk: Optional[int] = UNSET,
-        fast_core: bool = UNSET,
-        batch_replay: bool = UNSET,
         config: Optional[ReplicaConfig] = None,
     ) -> None:
         if len(set(replica_ids)) < 2:
             raise ConfigurationError("the algorithm assumes at least two replicas")
         if not client_ids:
             raise ConfigurationError("at least one client is required")
-        self.config = merge_legacy_config(
-            config,
-            dict(
-                delta_gossip=delta_gossip,
-                full_state_interval=full_state_interval,
-                incremental_replay=incremental_replay,
-                compaction=compaction,
-                advert_gossip=advert_gossip,
-                checkpoint_chunk=checkpoint_chunk,
-                fast_core=fast_core,
-                batch_replay=batch_replay,
-            ),
-            "AlgorithmSystem",
-        )
+        self.config = config if config is not None else ReplicaConfig()
         self.config.require_single_policy("AlgorithmSystem")
         self.data_type = data_type
         self.replica_ids: Tuple[str, ...] = tuple(replica_ids)
         self.client_ids: Tuple[str, ...] = tuple(client_ids)
 
-        factory = replica_factory or core_factory(self.config)
         self.users = users if users is not None else Users()
         self.frontends: Dict[str, FrontEndCore] = {
             c: FrontEndCore(c, self.replica_ids) for c in self.client_ids
         }
-        self.replicas: Dict[str, ReplicaCore] = {
-            r: factory(r, self.replica_ids, data_type) for r in self.replica_ids
-        }
+        self.replicas: Dict[str, ReplicaCore] = build_replicas(
+            self.config, self.replica_ids, data_type, replica_factory
+        )
         #: The system-wide compacted stable prefix, tiled (and cross-checked)
         #: from every replica's compaction reports.
         self.compaction_ledger = CompactionLedger()
         for core in self.replicas.values():
-            self.config.configure_core(core)
             core.on_compact = self.compaction_ledger.record
 
         self.request_channels: Dict[Tuple[str, str], Channel[RequestMessage]] = {

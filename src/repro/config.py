@@ -7,10 +7,10 @@ Every deployment harness — :class:`~repro.algorithm.system.AlgorithmSystem`,
 :class:`~repro.sim.sharded.ShardedCluster` and
 :class:`~repro.net.runtime.NetCluster` — switches the same replica-level
 features: the fast core, delta gossip, incremental replay, checkpoint
-compaction, advert/pull gossip.  Historically each entry point re-declared
-them as loose keyword arguments; :class:`ReplicaConfig` is the one shared
-dataclass they all accept (``config=...``), with the loose kwargs kept as a
-deprecation shim (:func:`merge_legacy_config`).
+compaction, advert/pull gossip.  :class:`ReplicaConfig` is the only carrier
+of those ten decisions: the algorithm-level entry points take it as
+``config=...``, and the two harness parameter classes hold it as their
+``replica`` field next to their own timing/transport knobs.
 
 Two of the fields only mean something under the discrete-event simulator
 (``batch_gossip``, ``compaction_interval``); the algorithm-level entry
@@ -21,16 +21,11 @@ entry points; the single-system entry points require a plain policy.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional, Union
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import ConfigurationError
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit default — the
-#: deprecation shims need the distinction to warn only on real legacy usage.
-UNSET: Any = object()
 
 #: Compaction configuration: one policy everywhere, or (sharded entry points
 #: only) a mapping from shard id to policy.
@@ -109,13 +104,7 @@ class ReplicaConfig:
             return self
         policy = self.compaction.get(shard)
         interval = self.compaction_interval if policy is not None else None
-        return ReplicaConfig(
-            **{
-                **self.as_dict(),
-                "compaction": policy,
-                "compaction_interval": interval,
-            }
-        )
+        return replace(self, compaction=policy, compaction_interval=interval)
 
     def configure_core(self, core) -> None:
         """Apply the feature switches to one replica core (the compaction
@@ -128,55 +117,3 @@ class ReplicaConfig:
             core.configure_compaction(self.compaction)
         if self.advert_gossip:
             core.configure_advert_gossip(True, self.checkpoint_chunk)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """All fields as a plain dict (e.g. for SimulationParams overlay)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-#: Field names a legacy shim may collect (subset per entry point).
-LEGACY_FIELD_NAMES = tuple(f.name for f in fields(ReplicaConfig))
-
-#: Entry points that already emitted their deprecation warning this process.
-#: A workload constructing thousands of clusters through a legacy call site
-#: (the fuzzer, the benchmarks) should nag once, not thousands of times.
-_WARNED_OWNERS: set = set()
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which call sites already warned (test isolation)."""
-    _WARNED_OWNERS.clear()
-
-
-def merge_legacy_config(
-    config: Optional[ReplicaConfig],
-    legacy: Dict[str, Any],
-    owner: str,
-    stacklevel: int = 3,
-) -> ReplicaConfig:
-    """Resolve ``config=`` against the deprecated loose kwargs.
-
-    *legacy* maps field names to the received kwarg values, with
-    :data:`UNSET` marking "not passed".  Passing both a config and an
-    explicit legacy kwarg is rejected (silently preferring one would hide a
-    conflicting intent); passing only legacy kwargs warns once per entry
-    point per process (:func:`reset_legacy_warnings` clears the registry)
-    and builds the equivalent :class:`ReplicaConfig`.
-    """
-    provided = {name: value for name, value in legacy.items() if value is not UNSET}
-    if config is not None:
-        if provided:
-            raise ConfigurationError(
-                f"{owner}: pass replica features via config=ReplicaConfig(...) "
-                f"or the legacy kwargs ({', '.join(sorted(provided))}), not both"
-            )
-        return config
-    if provided and owner not in _WARNED_OWNERS:
-        _WARNED_OWNERS.add(owner)
-        warnings.warn(
-            f"{owner}: the loose feature kwargs ({', '.join(sorted(provided))}) are "
-            "deprecated; pass config=ReplicaConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return ReplicaConfig(**provided)

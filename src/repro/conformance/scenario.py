@@ -18,11 +18,11 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import OperationId
-from repro.config import LEGACY_FIELD_NAMES as REPLICA_FIELD_NAMES, ReplicaConfig
+from repro.config import ReplicaConfig
 from repro.conformance.codec import (
     ConformanceError,
     decode_op_list,
@@ -119,13 +119,10 @@ class ScenarioSpec:
     # -- serialization --------------------------------------------------------
 
     def to_doc(self) -> Dict[str, Any]:
-        # The replica-level feature fields serialize as a nested ``replica``
-        # document — the on-disk form of :class:`~repro.config.ReplicaConfig`
-        # — keeping the transport/timing knobs in ``params``.
+        # ``replica`` — the on-disk form of :class:`~repro.config.ReplicaConfig`
+        # — sits beside ``params`` (the transport/timing knobs), not inside it.
         params_doc = dataclasses.asdict(self.params)
-        replica_doc = {
-            name: params_doc.pop(name) for name in REPLICA_FIELD_NAMES
-        }
+        replica_doc = params_doc.pop("replica")
         return {
             "name": self.name,
             "harness": self.harness,
@@ -144,22 +141,10 @@ class ScenarioSpec:
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Any]) -> "ScenarioSpec":
-        params_doc = dict(doc["params"])
-        # Current form: replica-level features in a nested ReplicaConfig
-        # document.  Vectors predating the split carry them flat in
-        # ``params``; both deserialize to the same SimulationParams.
-        replica_doc = dict(doc.get("replica", ()))
-        compaction = replica_doc.get("compaction", params_doc.get("compaction"))
-        if compaction is not None:
-            compaction = CompactionPolicy(**compaction)
-        if replica_doc:
-            replica_doc["compaction"] = compaction
-            params = SimulationParams(
-                **params_doc, replica=ReplicaConfig(**replica_doc)
-            )
-        else:
-            params_doc["compaction"] = compaction
-            params = SimulationParams(**params_doc)
+        replica_doc = dict(doc["replica"])
+        if replica_doc["compaction"] is not None:
+            replica_doc["compaction"] = CompactionPolicy(**replica_doc["compaction"])
+        params = SimulationParams(**doc["params"], replica=ReplicaConfig(**replica_doc))
         return cls(
             name=doc["name"],
             harness=doc["harness"],

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.datatypes.base import Operator
 from repro.net.runtime import NetCluster, NetParams, OperationFailed
 from repro.sim.workload import CLIENT_SEED_STRIDE, zipfian_cdf
@@ -224,12 +225,14 @@ def _build_cluster(args: argparse.Namespace) -> NetCluster:
 
     params = NetParams(
         gossip_period=args.gossip_period,
-        delta_gossip=args.gossip in ("delta", "advert"),
-        advert_gossip=args.gossip == "advert",
-        compaction=CompactionPolicy() if args.gossip == "advert" else None,
-        fast_core=args.fast_core or args.batch_core,
-        batch_replay=args.batch_core,
-        incremental_replay=True,
+        replica=ReplicaConfig(
+            delta_gossip=args.gossip in ("delta", "advert"),
+            advert_gossip=args.gossip == "advert",
+            compaction=CompactionPolicy() if args.gossip == "advert" else None,
+            fast_core=args.fast_core or args.batch_core,
+            batch_replay=args.batch_core,
+            incremental_replay=True,
+        ),
     )
     data_type: Any = KeyedStore(CounterType()) if args.keys else CounterType()
     return NetCluster(

@@ -2,10 +2,9 @@
 
 One asyncio task group per replica speaks the binary codec
 (:mod:`repro.net.codec`) over a duplex stream transport, driving the
-*unchanged* :class:`~repro.algorithm.replica.ReplicaCore` /
-:class:`~repro.algorithm.fastcore.FastReplicaCore` state machines — the same
-variant interface the action-level driver and the seeded simulator use, so
-this is the third harness over one algorithm.
+*unchanged* replica cores through the same sans-IO
+:class:`~repro.algorithm.node.ReplicaNode` the seeded simulator drives: a
+decoded frame goes into ``handle``, the outbox goes onto the send links.
 
 Transports
     ``tcp``
@@ -38,12 +37,11 @@ Loss tolerance
     unanswered requests — so replica crash/recovery needs no connection
     handshake beyond re-dialing.
 
-The cluster exposes the same oracle surface as the simulator (``requested``
-/ ``responded`` / ``trace`` / ``replicas`` / ``compaction_ledger``), so
-:func:`repro.sim.cluster.algorithm_view_of` and
-:func:`~repro.sim.cluster.eventual_order_of` — and with them the Section 7/8
-invariant checker and the serializability oracles — run unmodified against a
-quiesced network deployment.
+The cluster shares :class:`~repro.deployment.Deployment` with the simulator
+(``requested`` / ``responded`` / ``trace`` / ``replicas`` /
+``compaction_ledger``, ``algorithm_view`` / ``eventual_order``), so the
+Section 7/8 invariant checker and the serializability oracles run unmodified
+against a quiesced network deployment.
 """
 
 from __future__ import annotations
@@ -51,25 +49,18 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from dataclasses import InitVar, dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.algorithm.checkpoint import CompactionLedger, CompactionPolicy
-from repro.config import ReplicaConfig
-from repro.algorithm.batchcore import core_factory
-from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.messages import ResponseMessage
-from repro.algorithm.replica import ReplicaCore
-from repro.common import (
-    ConfigurationError,
-    EsdsError,
-    OperationId,
-    OperationIdGenerator,
-)
-from repro.core.operations import OperationDescriptor, make_operation
+from repro.algorithm.node import ReplicaNode
+from repro.common import ConfigurationError, EsdsError, OperationId
+from repro.config import ReplicaConfig
+from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
-from repro.net.codec import decode_frame, encode_frame_detailed
-from repro.spec.guarantees import TraceRecord
+from repro.deployment import Deployment
+from repro.net.codec import FrameError, decode_frame, encode_frame_detailed
 
 #: Upper bound on one frame (a defensive limit, far above any real frame).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -83,31 +74,11 @@ class OperationFailed(EsdsError):
 
 @dataclass
 class NetParams:
-    """Policy knobs of a network deployment.  The gossip-mode flags mirror
-    :class:`~repro.sim.cluster.SimulationParams` (same core configuration
-    calls); the transport knobs are runtime-specific."""
+    """Transport and timing knobs of a network deployment, plus the replica
+    features (``replica``) every harness shares."""
 
     #: Seconds between gossip rounds at each replica.
     gossip_period: float = 0.05
-    #: Ack-based destination deltas instead of full state (Section 10.4).
-    delta_gossip: bool = False
-    #: With delta gossip, full-state fallback every this-many sends per peer.
-    full_state_interval: int = 8
-    #: Advert/pull checkpoint gossip (bounded steady-state payload).
-    advert_gossip: bool = False
-    #: With advert gossip, max retained values per transfer chunk.
-    checkpoint_chunk: Optional[int] = None
-    #: Stability-driven checkpoint compaction policy; ``None`` disables.
-    compaction: Optional[CompactionPolicy] = None
-    #: Suffix-only response replay at the replicas.
-    incremental_replay: bool = False
-    #: Use :class:`~repro.algorithm.fastcore.FastReplicaCore`.
-    fast_core: bool = False
-    #: Use the struct-of-arrays batch replay kernel
-    #: (:class:`~repro.algorithm.batchcore.BatchReplicaCore`) on top of the
-    #: fast core (requires ``fast_core=True``); per-frame gossip batches
-    #: merge through ``receive_gossip_batch``.
-    batch_replay: bool = False
     #: Bounded per-peer send queue length (messages). Full queue = slow peer:
     #: senders block (clients, pulls) or skip the round (gossip).
     send_queue_limit: int = 64
@@ -118,23 +89,12 @@ class NetParams:
     request_retry: float = 1.0
     #: Delay before a broken link re-dials its peer.
     reconnect_delay: float = 0.05
-    #: Unified replica feature configuration: when given, its replica-level
-    #: fields replace the loose per-feature fields above, so one
-    #: :class:`~repro.config.ReplicaConfig` threads through every harness.
-    #: The simulator-only fields (``batch_gossip``, ``compaction_interval``)
-    #: are ignored here, as documented on :mod:`repro.config`.
-    replica: InitVar[Optional[ReplicaConfig]] = None
+    #: The replica-level features — the one :class:`~repro.config.ReplicaConfig`
+    #: every harness takes.  Its simulator-only fields (``batch_gossip``,
+    #: ``compaction_interval``) are ignored here.
+    replica: ReplicaConfig = field(default_factory=ReplicaConfig)
 
-    def __post_init__(self, replica: Optional[ReplicaConfig] = None) -> None:
-        if replica is not None:
-            self.fast_core = replica.fast_core
-            self.batch_replay = replica.batch_replay
-            self.delta_gossip = replica.delta_gossip
-            self.full_state_interval = replica.full_state_interval
-            self.incremental_replay = replica.incremental_replay
-            self.compaction = replica.require_single_policy("NetParams")
-            self.advert_gossip = replica.advert_gossip
-            self.checkpoint_chunk = replica.checkpoint_chunk
+    def __post_init__(self) -> None:
         if self.gossip_period <= 0:
             raise ConfigurationError("gossip_period must be positive")
         if self.send_queue_limit < 1:
@@ -143,24 +103,7 @@ class NetParams:
             raise ConfigurationError("coalesce_limit must be at least 1")
         if self.request_retry <= 0:
             raise ConfigurationError("request_retry must be positive")
-        if self.full_state_interval < 1:
-            raise ConfigurationError("full_state_interval must be at least 1")
-
-    @property
-    def replica_config(self) -> ReplicaConfig:
-        """The replica-level slice of these parameters as the unified
-        :class:`~repro.config.ReplicaConfig` (the loose fields stay the
-        storage; this is the one object the runtime configures cores from)."""
-        return ReplicaConfig(
-            fast_core=self.fast_core,
-            batch_replay=self.batch_replay,
-            delta_gossip=self.delta_gossip,
-            full_state_interval=self.full_state_interval,
-            incremental_replay=self.incremental_replay,
-            compaction=self.compaction,
-            advert_gossip=self.advert_gossip,
-            checkpoint_chunk=self.checkpoint_chunk,
-        )
+        self.replica.require_single_policy("NetParams")
 
 
 @dataclass
@@ -183,6 +126,9 @@ class NetStats:
     )
     #: Gossip rounds skipped because a peer's send queue was full.
     gossip_skipped: int = 0
+    #: Inbound frames that failed to decode or exceeded the size limit; each
+    #: cost its sender the connection.
+    frames_rejected: int = 0
 
     def record_frame(
         self, batch: Sequence[Tuple[str, Any]], frame_len: int, sizes: Sequence[int]
@@ -219,11 +165,21 @@ async def write_frame(writer, frame: bytes) -> None:
     await writer.drain()
 
 
+def _close_quietly(writer) -> None:
+    try:
+        writer.close()
+    except Exception:
+        pass
+
+
 async def _read_hello(reader) -> Optional[str]:
     frame = await read_frame(reader)
     if frame is None:
         return None
-    return frame.decode("utf-8")
+    try:
+        return frame.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError("hello frame is not UTF-8") from exc
 
 
 async def _write_hello(writer, name: str) -> None:
@@ -400,10 +356,7 @@ class _SendLink:
     def close(self) -> None:
         self.task.cancel()
         if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:
-                pass
+            _close_quietly(self._writer)
             self._writer = None
 
     async def _run(self) -> None:
@@ -429,10 +382,7 @@ class _SendLink:
 
     def _drop_connection(self) -> None:
         if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:
-                pass
+            _close_quietly(self._writer)
         self._writer = None
         if not self._dial:
             # An accepted connection cannot be re-dialed from this side;
@@ -452,14 +402,18 @@ class _SendLink:
 
 
 # --------------------------------------------------------------------------- #
-# Nodes                                                                       #
+# Endpoints                                                                   #
 # --------------------------------------------------------------------------- #
 
-class _ReplicaNode:
-    def __init__(self, replica_id: str, core: ReplicaCore) -> None:
-        self.id = replica_id
-        self.core = core
-        self.crashed = False
+class _Endpoint:
+    """The connections and tasks of one incarnation of a replica: its
+    listening server, outgoing links, and the tasks serving what it
+    accepted.  A crash tears the endpoint down; recovery builds a new one
+    (and a new :class:`ReplicaNode`, so tasks of the dead incarnation keep
+    seeing ``crashed``)."""
+
+    def __init__(self, node: ReplicaNode) -> None:
+        self.node = node
         self.server = None
         #: Outgoing replica->replica links.
         self.links: Dict[str, _SendLink] = {}
@@ -469,7 +423,7 @@ class _ReplicaNode:
         self.tasks: Set[asyncio.Task] = set()
 
     def teardown(self) -> None:
-        self.crashed = True
+        self.node.crashed = True
         if self.server is not None:
             self.server.close()
             self.server = None
@@ -487,28 +441,26 @@ class _ReplicaNode:
 class _ClientConn:
     """A client's duplex connection to one replica."""
 
-    def __init__(self, writer, reader_task: asyncio.Task) -> None:
+    def __init__(self, writer) -> None:
         self.writer = writer
-        self.reader_task = reader_task
+        self.reader_task: Optional[asyncio.Task] = None
         self.lock = asyncio.Lock()
         self.dead = False
 
     def close(self) -> None:
         self.dead = True
-        self.reader_task.cancel()
-        try:
-            self.writer.close()
-        except Exception:
-            pass
+        if self.reader_task is not None:
+            self.reader_task.cancel()
+        _close_quietly(self.writer)
 
 
-class NetCluster:
+class NetCluster(Deployment):
     """A full ESDS deployment over asyncio streams.
 
     Usage (an event loop must be running — tests wrap in ``asyncio.run``)::
 
         cluster = NetCluster(Counter(), num_replicas=4, client_ids=("c0",),
-                             params=NetParams(delta_gossip=True), transport="tcp")
+                             config=ReplicaConfig(delta_gossip=True), transport="tcp")
         async with cluster:
             value = await cluster.submit("c0", Operator("add", (5,)))
             await cluster.quiesce()
@@ -527,13 +479,8 @@ class NetCluster:
         transport: str = "memory",
         config: Optional[ReplicaConfig] = None,
     ) -> None:
-        if num_replicas < 2:
-            raise ConfigurationError("the algorithm assumes at least two replicas")
-        self.data_type = data_type
         self.params = params or NetParams()
         if config is not None:
-            # Overlay the unified replica configuration onto the transport
-            # parameters (same precedence as SimulationParams(replica=...)).
             self.params = replace(self.params, replica=config)
         if transport == "memory":
             self.transport = _MemoryTransport()
@@ -541,38 +488,12 @@ class NetCluster:
             self.transport = _TcpTransport()
         else:
             raise ConfigurationError(f"unknown transport {transport!r}")
-
-        self.replica_ids: Tuple[str, ...] = tuple(f"r{i}" for i in range(num_replicas))
-        factory = core_factory(self.params.replica_config)
-        self.replicas: Dict[str, ReplicaCore] = {
-            rid: factory(rid, self.replica_ids, data_type) for rid in self.replica_ids
-        }
-        self.compaction_ledger = CompactionLedger()
-        replica_config = self.params.replica_config
-        for rid, core in self.replicas.items():
-            replica_config.configure_core(core)
-            core.on_compact = self.compaction_ledger.record
-
-        self.client_ids: Tuple[str, ...] = tuple(client_ids)
-        self.frontends: Dict[str, FrontEndCore] = {
-            cid: FrontEndCore(cid, self.replica_ids) for cid in self.client_ids
-        }
-        self.id_generators: Dict[str, OperationIdGenerator] = {
-            cid: OperationIdGenerator(cid) for cid in self.client_ids
-        }
-        self._affinity: Dict[str, str] = {
-            cid: self.replica_ids[i % len(self.replica_ids)]
-            for i, cid in enumerate(self.client_ids)
-        }
-
-        self.trace = TraceRecord()
-        self.requested: Dict[OperationId, OperationDescriptor] = {}
-        self.responded: Dict[OperationId, Any] = {}
-        self.failed: Dict[OperationId, str] = {}
+        super().__init__(data_type, num_replicas, client_ids, self.params.replica)
         self.stats = NetStats()
 
-        self._nodes: Dict[str, _ReplicaNode] = {}
-        self._client_conns: Dict[str, Dict[str, _ClientConn]] = {cid: {} for cid in self.client_ids}
+        self._endpoints: Dict[str, _Endpoint] = {}
+        #: Live client connections, by client then replica; dialed lazily.
+        self._client_conns: Dict[str, Dict[str, _ClientConn]] = defaultdict(dict)
         self._futures: Dict[OperationId, asyncio.Future] = {}
         self._started = False
 
@@ -599,34 +520,36 @@ class NetCluster:
         if not self._started:
             return
         self._started = False
-        for node in self._nodes.values():
-            node.teardown()
+        for endpoint in self._endpoints.values():
+            endpoint.teardown()
         for conns in self._client_conns.values():
-            for conn in conns.values():
+            for conn in list(conns.values()):
                 conn.close()
             conns.clear()
         # Let cancellations unwind before the loop closes.
         await asyncio.sleep(0)
 
     async def _start_replica(self, rid: str) -> None:
-        node = _ReplicaNode(rid, self.replicas[rid])
-        self._nodes[rid] = node
+        endpoint = _Endpoint(self.nodes[rid])
+        self._endpoints[rid] = endpoint
 
         async def serve(reader, writer) -> None:
-            await self._serve_connection(node, reader, writer)
+            await self._serve_connection(endpoint, reader, writer)
 
-        node.server = await self.transport.listen(rid, serve)
+        endpoint.server = await self.transport.listen(rid, serve)
         for dest in self.replica_ids:
             if dest != rid:
-                node.links[dest] = _SendLink(self, rid, dest)
-        task = asyncio.get_running_loop().create_task(self._gossip_loop(node))
-        node.tasks.add(task)
+                endpoint.links[dest] = _SendLink(self, rid, dest)
+        task = asyncio.get_running_loop().create_task(self._gossip_loop(endpoint))
+        endpoint.tasks.add(task)
 
     # -- replica side ----------------------------------------------------------
 
-    async def _serve_connection(self, node: _ReplicaNode, reader, writer) -> None:
+    async def _serve_connection(self, endpoint: _Endpoint, reader, writer) -> None:
         task = asyncio.current_task()
-        node.tasks.add(task)
+        endpoint.tasks.add(task)
+        node = endpoint.node
+        response_link = None
         try:
             sender = await _read_hello(reader)
             if sender is None or node.crashed:
@@ -634,92 +557,56 @@ class NetCluster:
             if sender in self.frontends:
                 # The client's duplex connection doubles as its response
                 # channel; a reconnect replaces any stale link.
-                old = node.client_out.pop(sender, None)
+                old = endpoint.client_out.pop(sender, None)
                 if old is not None:
                     old.close()
-                node.client_out[sender] = _SendLink(self, node.id, sender, writer=writer)
+                response_link = _SendLink(self, node.id, sender, writer=writer)
+                endpoint.client_out[sender] = response_link
             while True:
                 frame = await read_frame(reader)
                 if frame is None or node.crashed:
                     break
                 self.stats.frames_received += 1
                 self.stats.bytes_received += len(frame) + _LEN.size
-                await self._handle_frame(node, decode_frame(frame))
+                await self._handle_frame(endpoint, decode_frame(frame))
+        except EsdsError:
+            # Hostile or corrupt bytes: after one bad frame the stream's
+            # framing cannot be trusted, so the *connection* goes — never the
+            # replica.  Nothing of the frame reached the core.
+            self.stats.frames_rejected += 1
         except asyncio.CancelledError:
             # Replica crash / cluster stop cancels serve tasks; exiting
             # normally keeps asyncio's stream-protocol callback quiet.
             pass
         finally:
-            node.tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:
-                pass
+            endpoint.tasks.discard(task)
+            if response_link is not None and endpoint.client_out.get(sender) is response_link:
+                del endpoint.client_out[sender]
+                response_link.close()
+            _close_quietly(writer)
 
-    async def _handle_frame(self, node: _ReplicaNode, messages: Sequence[Any]) -> None:
-        """Apply one decoded frame's messages to the replica core.
+    async def _handle_frame(self, endpoint: _Endpoint, messages: Sequence[Any]) -> None:
+        """One decoded frame — one sender's wakeup worth of messages — goes
+        through the node as a single burst; its outbox goes onto the links.
+        Pulls, transfers and responses block on a full queue (backpressure).
+        A response for a client with no connection here is lost, exactly
+        like a dropped message; the front end's retry path recovers."""
+        for kind, destination, message in endpoint.node.handle(messages):
+            if kind == "response":
+                link = endpoint.client_out.get(destination)
+            else:
+                link = endpoint.links[destination]
+            if link is not None:
+                await link.send(kind, message)
 
-        A coalesced frame is one sender's wakeup worth of messages, so runs
-        of gossip messages within it merge as a batch through
-        ``receive_gossip_batch`` (the batch kernel defers its order splices
-        across the run), and the post-merge sweep — stale NACKs, the
-        ``do_it`` sweep, ready responses — runs once per frame instead of
-        once per message.  Pull requests only generate transfers and never
-        need the sweep, matching the previous per-message handling."""
-        if node.crashed:
-            return
-        core = node.core
-        swept = True
-        i, n = 0, len(messages)
-        while i < n:
-            message = messages[i]
-            kind = message.kind
-            if kind == "gossip":
-                j = i + 1
-                while j < n and messages[j].kind == "gossip":
-                    j += 1
-                core.receive_gossip_batch(messages[i:j])
-                for pull in core.take_pending_pulls():
-                    await node.links[pull.target].send("pull", pull)
-                swept = False
-                i = j
-                continue
-            if kind == "request":
-                core.receive_request(message)
-                swept = False
-            elif kind == "pull":
-                for transfer in core.receive_pull_request(message):
-                    await node.links[transfer.requester].send("transfer", transfer)
-            elif kind == "transfer":
-                core.receive_transfer(message)
-                swept = False
-            # else: a response frame sent to a replica — ignore
-            i += 1
-        if swept:
-            return
-        for operation in core.take_stale_nacks():
-            await self._send_response(
-                node,
-                ResponseMessage(operation=operation, value=None, stale=True, sender=node.id),
-            )
-        core.do_all_ready()
-        for operation in core.ready_responses():
-            await self._send_response(node, core.make_response(operation))
-
-    async def _send_response(self, node: _ReplicaNode, message: ResponseMessage) -> None:
-        link = node.client_out.get(message.operation.id.client)
-        if link is not None:
-            await link.send("response", message)
-        # No connection from that client: the response is lost, exactly like
-        # a dropped message; the front end's retry path recovers.
-
-    async def _gossip_loop(self, node: _ReplicaNode) -> None:
+    async def _gossip_loop(self, endpoint: _Endpoint) -> None:
         loop = asyncio.get_running_loop()
+        node = endpoint.node
         while True:
             await asyncio.sleep(self.params.gossip_period)
             if node.crashed:
                 return
-            for dest, link in node.links.items():
+            for dest, link in endpoint.links.items():
                 if link.queue.full():
                     # Skip *before* building: under delta gossip a built-
                     # then-dropped message would consume a stream seqno.
@@ -738,41 +625,44 @@ class NetCluster:
             await _write_hello(writer, cid)
         except (ConnectionError, OSError):
             return None
-        task = asyncio.get_running_loop().create_task(self._client_reader(cid, reader))
-        conn = _ClientConn(writer, task)
+        conn = _ClientConn(writer)
+        conn.reader_task = asyncio.get_running_loop().create_task(
+            self._client_reader(cid, rid, conn, reader)
+        )
         self._client_conns[cid][rid] = conn
         return conn
 
-    async def _client_reader(self, cid: str, reader) -> None:
-        while True:
-            frame = await read_frame(reader)
-            if frame is None:
-                return
-            self.stats.frames_received += 1
-            self.stats.bytes_received += len(frame) + _LEN.size
-            for message in decode_frame(frame):
-                if message.kind == "response":
-                    self._deliver_response(cid, message)
+    async def _client_reader(self, cid: str, rid: str, conn: _ClientConn, reader) -> None:
+        try:
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    break
+                self.stats.frames_received += 1
+                self.stats.bytes_received += len(frame) + _LEN.size
+                for message in decode_frame(frame):
+                    if message.kind == "response":
+                        self._deliver_response(cid, message)
+        except EsdsError:
+            self.stats.frames_rejected += 1
+        finally:
+            # EOF, a rejected frame or cancellation: nobody reads this
+            # connection any more, so the next send must re-dial.
+            conn.dead = True
+            _close_quietly(conn.writer)
+            if self._client_conns[cid].get(rid) is conn:
+                del self._client_conns[cid][rid]
 
     def _deliver_response(self, cid: str, message: ResponseMessage) -> None:
-        frontend = self.frontends[cid]
-        op_id = message.operation.id
-        if not frontend.receive_response(message):
-            # A stale NACK may have just tipped the operation into permanent
-            # failure (every replica's retained value aged out).
-            if message.stale and op_id in frontend.failed and op_id not in self.failed:
-                self.failed[op_id] = frontend.failed[op_id]
-                future = self._futures.pop(op_id, None)
-                if future is not None and not future.done():
-                    future.set_exception(OperationFailed(self.failed[op_id]))
+        if not self.accept_response(cid, message):
             return
-        value = frontend.respond(message.operation)
-        self.responded[op_id] = value
-        self.failed.pop(op_id, None)
-        self.trace.record_response(message.operation, value)
+        op_id = message.operation.id
         future = self._futures.pop(op_id, None)
         if future is not None and not future.done():
-            future.set_result(value)
+            if message.stale:
+                future.set_exception(OperationFailed(self.failed[op_id]))
+            else:
+                future.set_result(self.responded[op_id])
 
     async def _send_request(self, cid: str, rid: str, message) -> None:
         conn = self._client_conns[cid].get(rid)
@@ -786,25 +676,10 @@ class NetCluster:
                 await write_frame(conn.writer, frame)
         except (ConnectionError, OSError):
             conn.close()
-            self._client_conns[cid].pop(rid, None)
             return
         self.stats.record_frame([("request", message)], len(frame), sizes)
 
     # -- public client API -----------------------------------------------------
-
-    def ensure_client(self, client_id: str) -> None:
-        """Register *client_id* lazily: a front end, an id counter, an
-        affinity replica.  Used when a foreign composite client identity
-        first appears at this deployment — e.g. a migrated slice being
-        :meth:`ingest`-ed under its original minting identities.  Existing
-        clients are left untouched; connections dial lazily on first send."""
-        if client_id in self.frontends:
-            return
-        self.client_ids = self.client_ids + (client_id,)
-        self.frontends[client_id] = FrontEndCore(client_id, self.replica_ids)
-        self.id_generators[client_id] = OperationIdGenerator(client_id)
-        self._affinity[client_id] = self.replica_ids[len(self._affinity) % len(self.replica_ids)]
-        self._client_conns.setdefault(client_id, {})
 
     async def ingest(
         self, operations: Sequence[OperationDescriptor], timeout: float = 30.0
@@ -823,24 +698,6 @@ class NetCluster:
                 continue
             values[operation.id] = await self.execute(operation, timeout=timeout)
         return values
-
-    def make_operation(
-        self,
-        client: str,
-        operator: Operator,
-        prev: Iterable[OperationId] = (),
-        strict: bool = False,
-    ) -> OperationDescriptor:
-        if client not in self.id_generators:
-            raise ConfigurationError(f"unknown client {client!r}")
-        self.data_type.check_operator(operator)
-        prev_ids = frozenset(prev)
-        unknown = {p for p in prev_ids if p not in self.requested}
-        if unknown:
-            raise ConfigurationError(
-                f"prev references operations never requested: {sorted(map(str, unknown))}"
-            )
-        return make_operation(operator, self.id_generators[client].fresh(), prev_ids, strict)
 
     async def submit(
         self,
@@ -885,7 +742,7 @@ class NetCluster:
                 # Retry, redirected away from replicas that NACKed (the
                 # affinity replica would otherwise be retried forever).
                 nacked = frontend.nacked.get(operation.id, ())
-                live = [rid for rid in self.replica_ids if not self._nodes[rid].crashed]
+                live = self.live_replica_ids()
                 targets = [rid for rid in live if rid not in nacked] or list(self.replica_ids)
 
     # -- faults ----------------------------------------------------------------
@@ -893,11 +750,10 @@ class NetCluster:
     async def crash_replica(self, rid: str, volatile_memory: bool = True) -> None:
         """Crash a replica: its server stops, every connection breaks, its
         volatile state is lost (labels survive in stable storage)."""
-        node = self._nodes[rid]
-        node.teardown()
+        self._endpoints[rid].teardown()
         self.replicas[rid].crash(volatile_memory=volatile_memory)
-        for cid in self.client_ids:
-            conn = self._client_conns[cid].pop(rid, None)
+        for conns in self._client_conns.values():
+            conn = conns.pop(rid, None)
             if conn is not None:
                 conn.close()
         await asyncio.sleep(0)
@@ -907,19 +763,16 @@ class NetCluster:
         (on a fresh port); peers and clients re-dial lazily and the next
         gossip rounds resupply the lost state (Section 9.3)."""
         self.replicas[rid].recover_from_stable_storage()
+        self.nodes[rid] = ReplicaNode(rid, self.replicas[rid])
         await self._start_replica(rid)
 
-    # -- oracles / convergence -------------------------------------------------
+    # -- convergence -----------------------------------------------------------
 
     def fully_converged(self) -> bool:
-        """Has every requested operation become stable at every live
-        replica?  (Compacted operations are stable by construction.)"""
-        requested = set(self.requested.values())
-        return all(
-            all(replica.knows_stable(op) for op in requested)
-            for rid, replica in self.replicas.items()
-            if not self._nodes[rid].crashed
-        )
+        """Has every requested operation become stable at every *live*
+        replica?  A crashed replica learns nothing until it recovers, and a
+        deployment that lost one must still be able to quiesce."""
+        return self._all_stable_at(self.replicas[rid] for rid in self.live_replica_ids())
 
     def outstanding_operations(self) -> int:
         return len(self._futures)
@@ -934,16 +787,3 @@ class NetCluster:
                 return True
             await asyncio.sleep(self.params.gossip_period)
         return False
-
-    def algorithm_view(self):
-        """See :func:`repro.sim.cluster.algorithm_view_of`; faithful once
-        :meth:`quiesce` returned ``True``."""
-        from repro.sim.cluster import algorithm_view_of
-
-        return algorithm_view_of(self)
-
-    def eventual_order(self) -> List[OperationId]:
-        """See :func:`repro.sim.cluster.eventual_order_of`."""
-        from repro.sim.cluster import eventual_order_of
-
-        return eventual_order_of(self)

@@ -26,12 +26,11 @@ shard.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.system import AlgorithmSystem, ReplicaFactory
 from repro.common import ConfigurationError, OperationId, ensure_not_stale
-from repro.config import UNSET, ReplicaConfig, merge_legacy_config
+from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
 from repro.service.keyed import KeyedStore
@@ -61,27 +60,12 @@ class ShardedFrontend:
         ``client@shard`` composite identity, and identifier counters run
         per (client, shard) so each shard's seqnos are contiguous while
         operation identifiers stay globally unique.
-    fast_core:
-        Use the raw-speed replay/ordering core
-        (:class:`~repro.algorithm.fastcore.FastReplicaCore`) in every
-        shard; ignored when *replica_factory* is given.
-    batch_replay:
-        Layer the struct-of-arrays batch replay kernel
-        (:class:`~repro.algorithm.batchcore.BatchReplicaCore`) on the fast
-        core in every shard (requires ``fast_core=True``).
-    delta_gossip / full_state_interval / incremental_replay:
-        Forwarded to every shard's :class:`AlgorithmSystem`.
-    compaction:
-        Checkpoint-compaction configuration, threaded per shard: a single
-        :class:`CompactionPolicy` applied everywhere, or a mapping from
-        shard id to policy (shards absent from the mapping run uncompacted).
-        Bounds each shard's tracked replica state by its unstable suffix.
-    advert_gossip / checkpoint_chunk:
-        Advert/pull checkpoint gossip, forwarded to every shard: gossip
-        carries a compact checkpoint advert instead of the body, and behind
-        replicas pull the body on demand (in ``checkpoint_chunk``-value
-        transfer chunks).  Bounds each shard's steady-state gossip payload
-        the way ``compaction`` bounds its memory.
+    config:
+        The replica features of every shard's :class:`AlgorithmSystem`
+        (:class:`~repro.config.ReplicaConfig`).  Its ``compaction`` may be a
+        mapping from shard id to policy — shards absent from the mapping run
+        uncompacted — so hot shards can compact aggressively while cold
+        ones stay lazy.
     """
 
     def __init__(
@@ -92,15 +76,7 @@ class ShardedFrontend:
         client_ids: Sequence[str] = ("c0",),
         router: Optional[ShardRouter] = None,
         replica_factory: Optional[ReplicaFactory] = None,
-        fast_core: bool = UNSET,
-        batch_replay: bool = UNSET,
-        delta_gossip: bool = UNSET,
-        full_state_interval: int = UNSET,
-        incremental_replay: bool = UNSET,
         virtual_nodes: int = 64,
-        compaction: Union[None, CompactionPolicy, Mapping[str, CompactionPolicy]] = UNSET,
-        advert_gossip: bool = UNSET,
-        checkpoint_chunk: Optional[int] = UNSET,
         config: Optional[ReplicaConfig] = None,
     ) -> None:
         self.base_type = base_type
@@ -108,20 +84,7 @@ class ShardedFrontend:
         self.router = router or ShardRouter.for_count(num_shards, virtual_nodes=virtual_nodes)
         self.shard_ids: Tuple[str, ...] = self.router.shard_ids
         self.client_ids: Tuple[str, ...] = tuple(client_ids)
-        self.config = merge_legacy_config(
-            config,
-            dict(
-                fast_core=fast_core,
-                batch_replay=batch_replay,
-                delta_gossip=delta_gossip,
-                full_state_interval=full_state_interval,
-                incremental_replay=incremental_replay,
-                compaction=compaction,
-                advert_gossip=advert_gossip,
-                checkpoint_chunk=checkpoint_chunk,
-            ),
-            "ShardedFrontend",
-        )
+        self.config = config if config is not None else ReplicaConfig()
         self._replicas_per_shard = replicas_per_shard
         self._replica_factory = replica_factory
 

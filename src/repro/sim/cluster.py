@@ -20,31 +20,19 @@ The cluster exposes two usage styles:
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.algorithm.batchcore import core_factory
-from repro.algorithm.checkpoint import CompactionLedger, CompactionPolicy
-from repro.algorithm.frontend import FrontEndCore
-from repro.algorithm.labels import label_min, label_sort_key
 from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
-from repro.algorithm.replica import ReplicaCore
-from repro.common import (
-    INFINITY,
-    ConfigurationError,
-    OperationId,
-    OperationIdGenerator,
-    ensure_not_stale,
-)
+from repro.algorithm.node import ReplicaFactory
+from repro.common import ConfigurationError, OperationId, ensure_not_stale
 from repro.config import ReplicaConfig
-from repro.core.operations import OperationDescriptor, make_operation
+from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
+from repro.deployment import Deployment
 from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import NetworkModel, SimulatedNetwork
-from repro.spec.guarantees import TraceRecord
-
-ReplicaFactory = Callable[[str, Sequence[str], SerialDataType], ReplicaCore]
 
 #: Marker wrapped around a transfer payload entry tampered in flight by the
 #: corruption adversary — any repr-visible change would do; a distinct tag
@@ -61,82 +49,12 @@ def _tamper_transfer(message):
     mismatch.  One retained value is replaced when the chunk carries any;
     otherwise the base-state blob of the final chunk is tampered.
     """
-    from dataclasses import replace
-
     if message.values_chunk:
         first = next(iter(message.values_chunk))
         tampered = dict(message.values_chunk)
         tampered[first] = (CORRUPTION_MARKER, tampered[first])
         return replace(message, values_chunk=tampered)
     return replace(message, base_state=(CORRUPTION_MARKER, message.base_state))
-
-
-def eventual_order_of(cluster) -> List[OperationId]:
-    """Identifiers of all requested operations ordered by system-wide
-    minimum label (unlabelled operations last, deterministically).
-
-    The compacted stable prefix comes first in its agreed (ledger) order:
-    the labels below the frontier are deliberately forgotten, and every
-    tracked label exceeds them.
-
-    Duck-typed over any harness exposing ``requested``, ``replicas`` and
-    ``compaction_ledger`` — the simulator, the wire harness and the asyncio
-    runtime (:class:`repro.net.runtime.NetCluster`) all share this oracle.
-    """
-    def minlabel(op_id: OperationId):
-        best = INFINITY
-        for replica in cluster.replicas.values():
-            best = label_min(best, replica.label_of(op_id))
-        return best
-
-    compacted = cluster.compaction_ledger.ids
-    prefix = [x.id for x in cluster.compaction_ledger.prefix]
-    labelled = [
-        op_id
-        for op_id in cluster.requested
-        if op_id not in compacted and minlabel(op_id) is not INFINITY
-    ]
-    labelled.sort(key=lambda op_id: label_sort_key(minlabel(op_id)))
-    unlabelled = sorted(
-        (
-            op_id
-            for op_id in cluster.requested
-            if op_id not in compacted and minlabel(op_id) is INFINITY
-        ),
-        key=repr,
-    )
-    return prefix + labelled + unlabelled
-
-
-def algorithm_view_of(cluster) -> "AlgorithmSystem":
-    """An :class:`~repro.algorithm.system.AlgorithmSystem`-shaped view of a
-    quiescent harness, for the Section 7/8 invariant checker and the trace
-    oracles.
-
-    The harness keeps in-flight messages inside its transport (scheduled
-    events or sockets) rather than explicit channels, so the view models
-    every channel as empty — it is faithful exactly when the network is
-    quiet.  Shared by the simulator, the wire harness and the asyncio
-    runtime (same duck-typed surface as :func:`eventual_order_of`).
-    """
-    from repro.algorithm.system import AlgorithmSystem
-    from repro.spec.users import Users
-
-    view = AlgorithmSystem.__new__(AlgorithmSystem)
-    view.data_type = cluster.data_type
-    view.replica_ids = cluster.replica_ids
-    view.client_ids = cluster.client_ids
-    view.users = Users()
-    view.users.requested = set(cluster.requested.values())
-    view.users.responded = dict(cluster.responded)
-    view.frontends = cluster.frontends
-    view.replicas = cluster.replicas
-    view.request_channels = {}
-    view.response_channels = {}
-    view.gossip_channels = {}
-    view.trace = cluster.trace
-    view.compaction_ledger = cluster.compaction_ledger
-    return view
 
 
 def drive_until(
@@ -198,102 +116,22 @@ class SimulationParams:
     #: every this-many time units (the repeated ``send_cr`` the paper allows,
     #: used to mask message loss and partitions).
     retransmit_interval: Optional[float] = None
-    #: Transmit destination-specific gossip deltas instead of full state
-    #: (Section 10.4, made ack-based; see :mod:`repro.algorithm.delta`).
-    delta_gossip: bool = False
-    #: With delta gossip, send a full-state message every this-many sends to
-    #: a peer (the crash-recovery fallback).
-    full_state_interval: int = 8
-    #: Replicas cache their last response replay and re-apply only the
-    #: changed suffix (values are unchanged; replay work drops).
-    incremental_replay: bool = False
-    #: Use the raw-speed replay/ordering core
-    #: (:class:`~repro.algorithm.fastcore.FastReplicaCore`) as the default
-    #: replica variant: interned labels/ids, bitset knowledge mirrors and an
-    #: epoch-tagged replay cache — execution-identical to the base core, just
-    #: faster.  Ignored when an explicit ``replica_factory`` is supplied.
-    fast_core: bool = False
-    #: Use the struct-of-arrays batch replay kernel
-    #: (:class:`~repro.algorithm.batchcore.BatchReplicaCore`) on top of the
-    #: fast core (requires ``fast_core=True``): deferred batch gossip
-    #: splices, a verified-solid compaction prefix and a prev-dependency
-    #: ready queue — execution-identical, faster still.
-    batch_replay: bool = False
-    #: Fast path: buffer gossip messages arriving at a replica within the
-    #: same simulation instant and run the post-merge work (``do_it`` sweep,
-    #: responses, stabilization tracking) once per instant instead of once
-    #: per message.
-    batch_gossip: bool = False
-    #: Stability-driven checkpoint compaction policy; ``None`` disables it.
-    #: With a policy set, replicas fold their stable-everywhere prefix into a
-    #: checkpoint and drop the per-operation records — responses are
-    #: unchanged, tracked state stays bounded by the unstable suffix.
-    compaction: Optional[CompactionPolicy] = None
-    #: Advert/pull checkpoint gossip: full-state (and frontier-advancing
-    #: delta) messages carry a compact advert instead of the checkpoint
-    #: body; a replica behind the advertised frontier pulls the body on
-    #: demand.  Steady-state gossip payload becomes independent of the
-    #: history length (benchmark E11).
-    advert_gossip: bool = False
-    #: With advert gossip, the maximum retained values per checkpoint
-    #: transfer chunk (``None`` = one transfer message).
-    checkpoint_chunk: Optional[int] = None
-    #: With compaction enabled, additionally force a compaction sweep on
-    #: every replica at this simulated-time interval (ignoring the policy's
-    #: ``min_batch`` amortization gate).  ``None`` leaves compaction purely
-    #: opportunistic (after gossip merges).
-    compaction_interval: Optional[float] = None
-    #: Unified replica feature configuration: when given, its fields replace
-    #: the loose per-feature fields above (``SimulationParams(df=2.0,
-    #: replica=ReplicaConfig(fast_core=True, ...))``), so one
-    #: :class:`~repro.config.ReplicaConfig` threads through every harness.
-    replica: InitVar[Optional[ReplicaConfig]] = None
+    #: The replica-level features (core variant, gossip mode, compaction,
+    #: advert/pull, same-instant gossip batching) — the one
+    #: :class:`~repro.config.ReplicaConfig` every harness takes.
+    replica: ReplicaConfig = field(default_factory=ReplicaConfig)
 
-    def __post_init__(self, replica: Optional[ReplicaConfig] = None) -> None:
-        if replica is not None:
-            for name, value in replica.as_dict().items():
-                setattr(self, name, value)
+    def __post_init__(self) -> None:
         if self.request_fanout < 1:
             raise ConfigurationError("request_fanout must be at least 1")
         if self.frontend_policy not in ("affinity", "round_robin", "random"):
             raise ConfigurationError(f"unknown frontend policy {self.frontend_policy!r}")
         if self.gossip_period <= 0:
             raise ConfigurationError("gossip_period must be positive")
-        if self.full_state_interval < 1:
-            raise ConfigurationError("full_state_interval must be at least 1")
-        if self.compaction_interval is not None:
-            if self.compaction is None:
-                raise ConfigurationError("compaction_interval requires a compaction policy")
-            if self.compaction_interval <= 0:
-                raise ConfigurationError("compaction_interval must be positive")
-        if self.checkpoint_chunk is not None and self.checkpoint_chunk < 1:
-            raise ConfigurationError("checkpoint_chunk must be at least 1 or None")
-        if self.compaction is not None and not isinstance(self.compaction, CompactionPolicy):
-            raise ConfigurationError(
-                "SimulationParams.compaction takes a single CompactionPolicy; "
-                "per-shard mappings resolve at the sharded entry points"
-            )
-
-    @property
-    def replica_config(self) -> ReplicaConfig:
-        """The replica-level slice of these parameters as the unified
-        :class:`~repro.config.ReplicaConfig` (the loose fields stay the
-        storage; this is the one object the harnesses configure cores from)."""
-        return ReplicaConfig(
-            fast_core=self.fast_core,
-            batch_replay=self.batch_replay,
-            delta_gossip=self.delta_gossip,
-            full_state_interval=self.full_state_interval,
-            incremental_replay=self.incremental_replay,
-            compaction=self.compaction,
-            advert_gossip=self.advert_gossip,
-            checkpoint_chunk=self.checkpoint_chunk,
-            batch_gossip=self.batch_gossip,
-            compaction_interval=self.compaction_interval,
-        )
+        self.replica.require_single_policy("SimulationParams")
 
 
-class SimulatedCluster:
+class SimulatedCluster(Deployment):
     """A full ESDS deployment under simulated time."""
 
     def __init__(
@@ -307,10 +145,10 @@ class SimulatedCluster:
         simulator: Optional[Simulator] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if num_replicas < 2:
-            raise ConfigurationError("the algorithm assumes at least two replicas")
-        self.data_type = data_type
         self.params = params or SimulationParams()
+        super().__init__(
+            data_type, num_replicas, client_ids, self.params.replica, replica_factory
+        )
         # A shared simulator (and optionally a shared or derived RNG) lets
         # several clusters — the shards of a ShardedCluster — run on one
         # seeded event loop.
@@ -326,46 +164,21 @@ class SimulatedCluster:
             ),
             self.rng,
         )
-
-        self.replica_ids: Tuple[str, ...] = tuple(f"r{i}" for i in range(num_replicas))
-        replica_config = self.params.replica_config
-        factory = replica_factory or core_factory(replica_config)
-        self.replicas: Dict[str, ReplicaCore] = {
-            rid: factory(rid, self.replica_ids, data_type) for rid in self.replica_ids
-        }
-        #: The agreed compacted stable prefix across the whole cluster (the
-        #: replicas themselves forget the order; witnesses and audits need it).
-        self.compaction_ledger = CompactionLedger()
-        for rid, core in self.replicas.items():
-            replica_config.configure_core(core)
-            core.on_compact = self._compaction_recorder(rid)
-        self.client_ids: Tuple[str, ...] = tuple(client_ids)
-        self.frontends: Dict[str, FrontEndCore] = {
-            cid: FrontEndCore(cid, self.replica_ids) for cid in self.client_ids
-        }
-        self.id_generators: Dict[str, OperationIdGenerator] = {
-            cid: OperationIdGenerator(cid) for cid in self.client_ids
-        }
-
         self.metrics = MetricsCollector()
-        self.trace = TraceRecord()
-        #: Values delivered to clients, by operation identifier.
-        self.responded: Dict[OperationId, Any] = {}
-        #: Operations declared unanswerable (stale-value NACK from every
-        #: replica), with the failure reason.
-        self.failed: Dict[OperationId, str] = {}
-        self.requested: Dict[OperationId, OperationDescriptor] = {}
 
-        self._crashed: Set[str] = set()
+        #: Where a message of each kind lands after its network delay.
+        self._deliver: Dict[str, Callable[[str, Any], None]] = {
+            "request": self._deliver_request,
+            "response": self._deliver_response,
+            "gossip": self._deliver_gossip,
+            "pull": self._deliver_catchup,
+            "transfer": self._deliver_catchup,
+        }
         #: Submitted-but-unanswered operation identifiers (kept incrementally
         #: in sync with ``requested`` / ``responded``).
         self._unanswered: Set[OperationId] = set()
         self._replica_busy_until: Dict[str, float] = {rid: 0.0 for rid in self.replica_ids}
         self._round_robin_index = 0
-        self._affinity: Dict[str, str] = {
-            cid: self.replica_ids[i % len(self.replica_ids)]
-            for i, cid in enumerate(self.client_ids)
-        }
         self._gossip_started = False
         #: Set by :meth:`stop` when this cluster is retired (a drained shard
         #: after a live reshard): timers stop rescheduling themselves.
@@ -397,33 +210,35 @@ class SimulatedCluster:
             offset = 0.0
             if self.params.gossip_stagger and len(self.replica_ids) > 1:
                 offset = (index / len(self.replica_ids)) * self.params.gossip_period
-            self.simulator.schedule(offset + self.params.gossip_period, self._gossip_tick(rid))
-        if self.params.compaction_interval is not None:
+            self._every(self.params.gossip_period, rid, self._gossip_round, first=offset)
+        if self.params.replica.compaction_interval is not None:
             for rid in self.replica_ids:
-                self.simulator.schedule(
-                    self.params.compaction_interval, self._compaction_tick(rid)
+                self._every(
+                    self.params.replica.compaction_interval,
+                    rid,
+                    lambda rid: self.replicas[rid].maybe_compact(force=True),
                 )
         self.metrics.started_at = self.simulator.now
 
-    def _compaction_recorder(self, replica: str):
-        """Per-replica ``on_compact`` hook: ledger bookkeeping plus a state
-        sample right after the fold (the memory low-water mark)."""
-        def record(batch, checkpoint) -> None:
-            self.compaction_ledger.record(batch, checkpoint)
-            self.metrics.record_tracked_ops(
-                replica, self.replicas[replica].tracked_op_count()
-            )
-        return record
-
-    def _compaction_tick(self, replica: str) -> Callable[[], None]:
+    def _every(
+        self, period: float, replica: str, action: Callable[[str], Any], first: float = 0.0
+    ) -> None:
+        """Run ``action(replica)`` every *period* (skipping rounds while the
+        replica is crashed) until the cluster is stopped."""
         def tick() -> None:
             if self._stopped:
                 return
-            if replica not in self._crashed:
-                self.replicas[replica].maybe_compact(force=True)
-            self.simulator.schedule(self.params.compaction_interval, tick)
+            if not self.nodes[replica].crashed:
+                action(replica)
+            self.simulator.schedule(period, tick)
 
-        return tick
+        self.simulator.schedule(first + period, tick)
+
+    def _record_compaction(self, replica: str, batch, checkpoint) -> None:
+        """Ledger bookkeeping plus a state sample right after the fold (the
+        memory low-water mark)."""
+        super()._record_compaction(replica, batch, checkpoint)
+        self.metrics.record_tracked_ops(replica, self.replicas[replica].tracked_op_count())
 
     def stop(self) -> None:
         """Permanently silence this cluster's timers (gossip, forced
@@ -473,27 +288,6 @@ class SimulatedCluster:
     # Client interface                                                      #
     # ===================================================================== #
 
-    def make_operation(
-        self,
-        client: str,
-        operator: Operator,
-        prev: Iterable[OperationId] = (),
-        strict: bool = False,
-    ) -> OperationDescriptor:
-        """Build a fresh, well-formed operation descriptor for *client*."""
-        if client not in self.id_generators:
-            raise ConfigurationError(f"unknown client {client!r}")
-        self.data_type.check_operator(operator)
-        prev_ids = frozenset(prev)
-        # Membership probes against the dict, not a per-call set() of all
-        # identifiers ever requested (which made submission O(history)).
-        unknown = {p for p in prev_ids if p not in self.requested}
-        if unknown:
-            raise ConfigurationError(
-                f"prev references operations never requested: {sorted(map(str, unknown))}"
-            )
-        return make_operation(operator, self.id_generators[client].fresh(), prev_ids, strict)
-
     def submit(
         self,
         client: str,
@@ -506,28 +300,11 @@ class SimulatedCluster:
         operation = self.make_operation(client, operator, prev, strict)
         return self._schedule_operation(operation, at)
 
-    def ensure_client(self, client_id: str) -> None:
-        """Admit a client identity after construction (idempotent).
-
-        Live resharding needs this: migrated operations keep their original
-        ``client@shard`` minting identity, so the destination cluster hosts
-        a ghost front end for every such foreign client, and post-flip
-        traffic from relocated keys arrives under identities the destination
-        was not built with."""
-        if client_id in self.frontends:
-            return
-        self.client_ids = self.client_ids + (client_id,)
-        self.frontends[client_id] = FrontEndCore(client_id, self.replica_ids)
-        self.id_generators[client_id] = OperationIdGenerator(client_id)
-        self._affinity[client_id] = self.replica_ids[
-            len(self._affinity) % len(self.replica_ids)
-        ]
-
     def submit_operation(
         self,
         operation: OperationDescriptor,
         at: Optional[float] = None,
-        allow_unknown_prev: Iterable[OperationId] = (),
+        allow_unknown_prev: Collection[OperationId] = (),
     ) -> OperationDescriptor:
         """Submit a pre-built descriptor (used by the sharded service layer,
         which mints identifiers itself so they stay unique across shards).
@@ -548,18 +325,7 @@ class SimulatedCluster:
         self.data_type.check_operator(operation.op)
         if operation.id in self.requested:
             raise ConfigurationError(f"operation identifier {operation.id} reused")
-        allowed = (
-            allow_unknown_prev
-            if isinstance(allow_unknown_prev, (set, frozenset))
-            else frozenset(allow_unknown_prev)
-        )
-        unknown = {
-            p for p in operation.prev if p not in self.requested and p not in allowed
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"prev references operations never requested: {sorted(map(str, unknown))}"
-            )
+        self.require_known(operation.prev, allow_unknown_prev)
         return self._schedule_operation(operation, at)
 
     def inject_operation(self, operation: OperationDescriptor) -> OperationDescriptor:
@@ -572,15 +338,11 @@ class SimulatedCluster:
         its own retry loop regardless of ``retransmit_interval`` — the chain
         must land even in deployments that disable client retransmits.
         Chains are injected in order, so the strict prev check holds link by
-        link."""
+        link (a chain injected out of order fails it)."""
         self.ensure_client(operation.id.client)
         if operation.id in self.requested:
             raise ConfigurationError(f"operation identifier {operation.id} reused")
-        unknown = {p for p in operation.prev if p not in self.requested}
-        if unknown:
-            raise ConfigurationError(
-                f"injected chain out of order; unknown prev: {sorted(map(str, unknown))}"
-            )
+        self.require_known(operation.prev)
         self.start()
         self.requested[operation.id] = operation
         self._unanswered.add(operation.id)
@@ -600,10 +362,7 @@ class SimulatedCluster:
             or operation.id in self.failed
         ):
             return
-        client = operation.id.client
-        for rid in self.replica_ids:
-            if rid not in self._crashed:
-                self._send_request(client, rid, operation)
+        self._relay_request(self.live_replica_ids(), operation)
         retry = max(2 * self.params.gossip_period, 4 * self.params.df)
         self.simulator.schedule(retry, lambda: self._broadcast_injected(operation))
 
@@ -655,8 +414,7 @@ class SimulatedCluster:
     # ===================================================================== #
 
     def _choose_replicas(self, client: str) -> List[str]:
-        alive = [rid for rid in self.replica_ids if rid not in self._crashed]
-        pool = alive or list(self.replica_ids)
+        pool = self.live_replica_ids() or list(self.replica_ids)
         policy = self.params.frontend_policy
         if policy == "affinity":
             primary = self._affinity[client]
@@ -672,14 +430,19 @@ class SimulatedCluster:
             self.rng.shuffle(ordered)
         return ordered[: self.params.request_fanout]
 
-    def _on_request(self, operation: OperationDescriptor) -> None:
+    def _relay_request(self, replicas: Iterable[str], operation: OperationDescriptor) -> None:
+        """``send_cr`` (Fig. 6): the front end relays a pending request."""
         client = operation.id.client
         frontend = self.frontends[client]
-        frontend.request(operation)
+        for rid in replicas:
+            self._send("request", client, rid, frontend.make_request_message(operation))
+
+    def _on_request(self, operation: OperationDescriptor) -> None:
+        client = operation.id.client
+        self.frontends[client].request(operation)
         self.metrics.record_request(operation, self.simulator.now)
         self.trace.record_request(operation)
-        for rid in self._choose_replicas(client):
-            self._send_request(client, rid, operation)
+        self._relay_request(self._choose_replicas(client), operation)
         if self.params.retransmit_interval is not None:
             self.simulator.schedule(
                 self.params.retransmit_interval, lambda: self._retransmit(operation)
@@ -702,14 +465,14 @@ class SimulatedCluster:
         targets = self._choose_replicas(client)
         nacked = self.frontends[client].nacked.get(operation.id, ())
         if nacked:
-            alive = [rid for rid in self.replica_ids if rid not in self._crashed]
-            remaining = [rid for rid in alive if rid not in nacked]
+            remaining = [rid for rid in self.live_replica_ids() if rid not in nacked]
             targets = remaining or targets
-        for rid in targets:
-            self._send_request(client, rid, operation)
+        self._relay_request(targets, operation)
         self.simulator.schedule(
             self.params.retransmit_interval, lambda: self._retransmit(operation)
         )
+
+    # -- the one path from sender to receiver ------------------------------------
 
     def _transit(self, kind: str, message):
         """Hook applied to every message between send and delivery.
@@ -721,124 +484,98 @@ class SimulatedCluster:
         """
         return message
 
-    def _send_request(self, client: str, replica: str, operation: OperationDescriptor) -> None:
-        message = self.frontends[client].make_request_message(operation)
-        if self.network.should_drop("request", client, replica):
+    def _send(self, kind: str, source: str, destination: str, message=None) -> None:
+        """Put one message on the simulated network: loss decision, counters,
+        in-flight tampering, transit hook, delay, delivery, duplicate — in
+        that order for every kind, because the order of RNG draws is what a
+        seed replays.  Gossip passes no *message*: it is built here, after
+        the loss decision — a dropped send must not consume a delta seqno, or
+        the receiver's cumulative ack would stall on the gap until the next
+        full-state fallback."""
+        network, now = self.network, self.simulator.now
+        if network.should_drop(kind, source, destination):
             return
-        self.network.record_sent("request")
-        message = self._transit("request", message)
-        delay = self.network.delay_for("request", self.simulator.now, client, replica)
-        self.simulator.schedule(delay, lambda: self._deliver_request(replica, message))
-        dup = self.network.maybe_duplicate("request", self.simulator.now, client, replica)
+        if kind == "gossip":
+            message = self.replicas[source].make_gossip(destination)
+            # Stamped with the sender's *local* clock: under the clock-skew
+            # adversary this diverges from simulated time — observability
+            # only, the algorithm never reads it.
+            message.sent_at = network.local_clock(source, now)
+            network.record_sent(kind, payload_size=message.size_estimate())
+        elif kind == "transfer":
+            network.record_sent(kind, payload_size=message.size_estimate())
+            if network.should_corrupt_transfer(now):
+                # Tampered before transit: the corrupted payload is what
+                # crosses the wire, so the codec must carry it faithfully for
+                # the receiver's digest check to reject it.
+                message = _tamper_transfer(message)
+        else:
+            network.record_sent(kind)
+        message = self._transit(kind, message)
+        deliver = self._deliver[kind]
+        delay = network.delay_for(kind, now, source, destination)
+        self.simulator.schedule(delay, lambda: deliver(destination, message))
+        # A duplicated delivery reuses the *same* message object: a second
+        # make_gossip would consume a fresh delta seqno and turn channel
+        # duplication into distinct stream entries.
+        dup = network.maybe_duplicate(kind, now, source, destination)
         if dup is not None:
-            self.simulator.schedule(dup, lambda: self._deliver_request(replica, message))
+            self.simulator.schedule(dup, lambda: deliver(destination, message))
 
-    def _deliver_request(self, replica: str, message: RequestMessage) -> None:
-        if replica in self._crashed:
+    # -- replica side: service time, then the node ---------------------------------
+
+    def _step(self, replica: str, messages: Sequence[Any]) -> None:
+        """Hand *messages* to the replica's node and send what it answers."""
+        node = self.nodes[replica]
+        if node.crashed:
             return
+        for kind, destination, message in node.handle(messages):
+            self._send(kind, replica, destination, message)
+        # Stability only moves when knowledge is merged.
+        if self.params.track_stabilization and messages[0].kind in ("gossip", "transfer"):
+            self._update_stabilization()
+
+    def _step_when_free(self, replica: str, service: float, messages: Sequence[Any]) -> None:
+        """Queue *messages* behind the replica's current work, charge
+        *service* time for them, and step the node when that is served."""
         start = max(self.simulator.now, self._replica_busy_until[replica])
-        finish = start + self.params.service_time
+        finish = start + service
         self._replica_busy_until[replica] = finish
         if finish <= self.simulator.now:
-            self._process_request(replica, message)
+            self._step(replica, messages)
         else:
-            self.simulator.schedule_at(finish, lambda: self._process_request(replica, message))
+            self.simulator.schedule_at(finish, lambda: self._step(replica, messages))
 
-    def _process_request(self, replica: str, message: RequestMessage) -> None:
-        if replica in self._crashed:
-            return
-        core = self.replicas[replica]
-        core.receive_request(message)
-        for operation in core.take_stale_nacks():
-            self._send_response_message(
-                replica,
-                ResponseMessage(operation=operation, value=None, stale=True, sender=replica),
-            )
-        core.do_all_ready()
-        self._try_respond(replica)
+    def _deliver_request(self, replica: str, message: RequestMessage) -> None:
+        if not self.nodes[replica].crashed:
+            self._step_when_free(replica, self.params.service_time, [message])
 
-    def _try_respond(self, replica: str) -> None:
-        core = self.replicas[replica]
-        for operation in core.ready_responses():
-            self._send_response_message(replica, core.make_response(operation))
-
-    def _send_response_message(self, replica: str, message: ResponseMessage) -> None:
-        client = message.operation.id.client
-        if self.network.should_drop("response", replica, client):
-            return
-        self.network.record_sent("response")
-        message = self._transit("response", message)
-        delay = self.network.delay_for("response", self.simulator.now, replica, client)
-        self.simulator.schedule(delay, lambda: self._deliver_response(client, message))
-        dup = self.network.maybe_duplicate("response", self.simulator.now, replica, client)
-        if dup is not None:
-            self.simulator.schedule(dup, lambda: self._deliver_response(client, message))
+    def _deliver_catchup(self, replica: str, message) -> None:
+        """Pull requests and checkpoint transfers: no service time modelled."""
+        self._step(replica, [message])
 
     def _deliver_response(self, client: str, message: ResponseMessage) -> None:
-        frontend = self.frontends[client]
-        if not frontend.receive_response(message):
-            # A stale-response NACK may have just tipped the operation into
-            # permanent failure (every replica's retained value aged out):
-            # surface it and stop counting the operation as outstanding, or
-            # run_until_idle would wait for an answer that can never come.
-            op_id = message.operation.id
-            if message.stale and op_id in frontend.failed and op_id not in self.failed:
-                self.failed[op_id] = frontend.failed[op_id]
-                self._unanswered.discard(op_id)
+        if not self.accept_response(client, message):
             return
-        value = frontend.respond(message.operation)
-        self.responded[message.operation.id] = value
-        self._unanswered.discard(message.operation.id)
-        # A late genuine value resurrects a prematurely failed operation
-        # (the response outran the NACKs on the unordered network).
-        self.failed.pop(message.operation.id, None)
-        self.metrics.record_response(message.operation, value, self.simulator.now)
-        self.trace.record_response(message.operation, value)
+        # Settled either way — a failure verdict too, or run_until_idle
+        # would wait for an answer that can never come.
+        op_id = message.operation.id
+        self._unanswered.discard(op_id)
+        if not message.stale:
+            self.metrics.record_response(
+                message.operation, self.responded[op_id], self.simulator.now
+            )
 
     # -- gossip ------------------------------------------------------------------
 
-    def _gossip_tick(self, replica: str) -> Callable[[], None]:
-        def tick() -> None:
-            if self._stopped:
-                return
-            if replica not in self._crashed:
-                for destination in self.replica_ids:
-                    if destination == replica:
-                        continue
-                    self._send_gossip(replica, destination)
-                self.metrics.record_tracked_ops(
-                    replica, self.replicas[replica].tracked_op_count()
-                )
-            self.simulator.schedule(self.params.gossip_period, tick)
-
-        return tick
-
-    def _send_gossip(self, source: str, destination: str) -> None:
-        if source in self._crashed:
-            return
-        # Decide loss before building the message: a dropped send must not
-        # consume a delta-gossip seqno, or the receiver's cumulative-ack
-        # frontier would stall on the gap until the next full-state fallback.
-        if self.network.should_drop("gossip", source, destination):
-            return
-        message = self.replicas[source].make_gossip(destination)
-        # Stamped with the sender's *local* clock: under the clock-skew
-        # adversary this diverges from simulated time — observability only,
-        # the algorithm never reads it (timestamps are not load-bearing).
-        message.sent_at = self.network.local_clock(source, self.simulator.now)
-        self.network.record_sent("gossip", payload_size=message.size_estimate())
-        message = self._transit("gossip", message)
-        delay = self.network.delay_for("gossip", self.simulator.now, source, destination)
-        self.simulator.schedule(delay, lambda: self._deliver_gossip(destination, message))
-        # A duplicated delivery reuses the *same* message object: building a
-        # second one via make_gossip would consume a fresh delta seqno and
-        # turn channel duplication into distinct stream entries.
-        dup = self.network.maybe_duplicate("gossip", self.simulator.now, source, destination)
-        if dup is not None:
-            self.simulator.schedule(dup, lambda: self._deliver_gossip(destination, message))
+    def _gossip_round(self, replica: str) -> None:
+        for destination in self.replica_ids:
+            if destination != replica:
+                self._send("gossip", replica, destination)
+        self.metrics.record_tracked_ops(replica, self.replicas[replica].tracked_op_count())
 
     def _deliver_gossip(self, destination: str, message: GossipMessage) -> None:
-        if destination in self._crashed:
+        if self.nodes[destination].crashed:
             return
         if message.sent_at is not None:
             lag = self.network.local_clock(destination, self.simulator.now) - message.sent_at
@@ -847,7 +584,7 @@ class SimulatedCluster:
             else:
                 lo, hi = self.gossip_lag_bounds
                 self.gossip_lag_bounds = (min(lo, lag), max(hi, lag))
-        if self.params.batch_gossip:
+        if self.params.replica.batch_gossip:
             # Fast path: coalesce every arrival at this instant and process
             # the batch once.  Same-instant events run FIFO, so the flush
             # scheduled at zero delay runs after the remaining deliveries of
@@ -857,113 +594,26 @@ class SimulatedCluster:
                 self._gossip_flush_at[destination] = self.simulator.now
                 self.simulator.schedule(0.0, lambda: self._flush_gossip(destination))
             return
-        if self.params.gossip_processing_time > 0:
-            start = max(self.simulator.now, self._replica_busy_until[destination])
-            finish = start + self.params.gossip_processing_time
-            self._replica_busy_until[destination] = finish
-            if finish > self.simulator.now:
-                self.simulator.schedule_at(
-                    finish, lambda: self._process_gossip(destination, message)
-                )
-                return
-        self._process_gossip(destination, message)
+        self._process_gossip(destination, [message])
 
     def _flush_gossip(self, destination: str) -> None:
-        """Merge every gossip message buffered for *destination*, then run the
-        post-merge work once for the whole batch."""
+        """Hand every gossip message buffered for *destination* to its node
+        as one batch, so the post-merge sweep runs once for all of them."""
         self._gossip_flush_at.pop(destination, None)
         batch = self._gossip_inbox[destination]
         self._gossip_inbox[destination] = []
-        if not batch or destination in self._crashed:
-            return
+        if batch and not self.nodes[destination].crashed:
+            self._process_gossip(destination, batch)
+
+    def _process_gossip(self, destination: str, batch: List[GossipMessage]) -> None:
         if self.params.gossip_processing_time > 0:
-            # The merge cost is still charged per message; only the
-            # post-merge sweep is amortized across the batch.
-            start = max(self.simulator.now, self._replica_busy_until[destination])
-            finish = start + self.params.gossip_processing_time * len(batch)
-            self._replica_busy_until[destination] = finish
-            if finish > self.simulator.now:
-                self.simulator.schedule_at(
-                    finish, lambda: self._process_gossip_batch(destination, batch)
-                )
-                return
-        self._process_gossip_batch(destination, batch)
-
-    def _process_gossip_batch(self, destination: str, batch: List[GossipMessage]) -> None:
-        if destination in self._crashed:
-            return
-        core = self.replicas[destination]
-        # One call for the whole coalesced batch: the batch kernel defers
-        # its order splices across it; every other variant runs the same
-        # sequential per-message merge as before.
-        core.receive_gossip_batch(batch)
-        for pull in core.take_pending_pulls():
-            self._send_pull(destination, pull)
-        core.do_all_ready()
-        self._try_respond(destination)
-        if self.params.track_stabilization:
-            self._update_stabilization()
-
-    def _process_gossip(self, destination: str, message: GossipMessage) -> None:
-        self._process_gossip_batch(destination, [message])
-
-    # -- advert/pull checkpoint catch-up -----------------------------------------
-
-    def _send_pull(self, source: str, message) -> None:
-        """Send a pull request over the gossip fabric (same delay bound
-        ``dg``, same loss policy; a dropped pull is retried off the next
-        advert that still shows the requester behind)."""
-        if self.network.should_drop("pull", source, message.target):
-            return
-        self.network.record_sent("pull")
-        message = self._transit("pull", message)
-        delay = self.network.delay_for("pull", self.simulator.now, source, message.target)
-        self.simulator.schedule(delay, lambda: self._deliver_pull(message.target, message))
-        dup = self.network.maybe_duplicate("pull", self.simulator.now, source, message.target)
-        if dup is not None:
-            self.simulator.schedule(dup, lambda: self._deliver_pull(message.target, message))
-
-    def _deliver_pull(self, replica: str, message) -> None:
-        if replica in self._crashed:
-            return
-        for transfer in self.replicas[replica].receive_pull_request(message):
-            self._send_transfer(replica, transfer)
-
-    def _send_transfer(self, source: str, message) -> None:
-        if self.network.should_drop("transfer", source, message.requester):
-            return
-        self.network.record_sent("transfer", payload_size=message.size_estimate())
-        if self.network.should_corrupt_transfer(self.simulator.now):
-            message = _tamper_transfer(message)
-        # Transit after tampering: the corrupted payload is what crosses the
-        # wire, so the codec must carry it faithfully for the receiver's
-        # digest check to reject it.
-        message = self._transit("transfer", message)
-        delay = self.network.delay_for(
-            "transfer", self.simulator.now, source, message.requester
-        )
-        self.simulator.schedule(
-            delay, lambda: self._deliver_transfer(message.requester, message)
-        )
-        dup = self.network.maybe_duplicate(
-            "transfer", self.simulator.now, source, message.requester
-        )
-        if dup is not None:
-            self.simulator.schedule(
-                dup, lambda: self._deliver_transfer(message.requester, message)
+            # The merge cost is charged per message; only the post-merge
+            # sweep is amortized across a batch.
+            self._step_when_free(
+                destination, self.params.gossip_processing_time * len(batch), batch
             )
-
-    def _deliver_transfer(self, replica: str, message) -> None:
-        if replica in self._crashed:
-            return
-        core = self.replicas[replica]
-        core.receive_transfer(message)
-        # A completed transfer can unblock do_it chains (prev chains through
-        # the adopted prefix) and pending responses.
-        core.do_all_ready()
-        self._try_respond(replica)
-        if self.params.track_stabilization:
-            self._update_stabilization()
+        else:
+            self._step(destination, batch)
 
     def _update_stabilization(self) -> None:
         if not self._unstable:
@@ -984,54 +634,22 @@ class SimulatedCluster:
     def crash_replica(self, replica: str, volatile_memory: bool = True) -> None:
         """Crash a replica; its state is lost when memory is volatile except
         for the locally generated labels kept in stable storage."""
-        self._crashed.add(replica)
+        self.nodes[replica].crashed = True
         self.replicas[replica].crash(volatile_memory=volatile_memory)
 
     def recover_replica(self, replica: str) -> None:
         """Restart a crashed replica: reload stable storage and ask every
         other replica for fresh gossip (the Section 9.3 recovery protocol)."""
-        self._crashed.discard(replica)
+        self.nodes[replica].crashed = False
         self.replicas[replica].recover_from_stable_storage()
-        for other in self.replica_ids:
-            if other != replica and other not in self._crashed:
-                self._send_gossip(other, replica)
-                self._send_gossip(replica, other)
+        for other in self.live_replica_ids():
+            if other != replica:
+                self._send("gossip", other, replica)
+                self._send("gossip", replica, other)
 
     # ===================================================================== #
     # Derived views                                                         #
     # ===================================================================== #
-
-    def minlabel(self, op_id: OperationId):
-        best = INFINITY
-        for replica in self.replicas.values():
-            best = label_min(best, replica.label_of(op_id))
-        return best
-
-    def eventual_order(self) -> List[OperationId]:
-        """See :func:`eventual_order_of` (shared across harnesses)."""
-        return eventual_order_of(self)
-
-    def algorithm_view(self) -> "AlgorithmSystem":
-        """See :func:`algorithm_view_of` (shared across harnesses).
-
-        Faithful exactly when the network is quiet (after
-        :meth:`run_until_idle` plus enough gossip rounds for convergence),
-        which is when the scenario fuzzer samples it.
-        """
-        return algorithm_view_of(self)
-
-    def fully_converged(self) -> bool:
-        """Has every requested operation become stable at every replica?
-        (A compacted operation is stable by construction.)
-
-        Used by tests to decide when the :meth:`algorithm_view` is faithful:
-        at convergence no gossip in transit can carry new information.
-        """
-        requested = set(self.requested.values())
-        return all(
-            all(replica.knows_stable(op) for op in requested)
-            for replica in self.replicas.values()
-        )
 
     def total_value_applications(self) -> int:
         """Total operator applications performed by replicas when computing

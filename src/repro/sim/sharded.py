@@ -26,17 +26,15 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import warnings
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import (
     ConfigurationError,
     InvariantViolation,
     OperationId,
     ensure_not_stale,
 )
-from repro.config import UNSET, ReplicaConfig
+from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
 from repro.service.keyed import KeyedStore
@@ -232,12 +230,11 @@ class ShardedCluster:
     seed:
         Single seed for the whole deployment; each shard derives its own
         network RNG from it deterministically.
-    compaction:
-        Optional checkpoint-compaction override: a single
-        :class:`CompactionPolicy` applied to every shard, or a mapping from
-        shard id to policy (shards absent from the mapping keep
-        ``params.compaction``).  Hot shards can compact aggressively while
-        cold ones stay lazy.
+    config:
+        Replica features replacing ``params.replica``.  Only here may
+        ``compaction`` be a mapping from shard id to policy (shards absent
+        from the mapping run uncompacted): hot shards can compact
+        aggressively while cold ones stay lazy.
     """
 
     def __init__(
@@ -251,47 +248,22 @@ class ShardedCluster:
         router: Optional[ShardRouter] = None,
         replica_factory: Optional[ReplicaFactory] = None,
         virtual_nodes: int = 64,
-        compaction: Union[None, CompactionPolicy, Mapping[str, CompactionPolicy]] = UNSET,
         cluster_class: type = SimulatedCluster,
         config: Optional[ReplicaConfig] = None,
     ) -> None:
         self.base_type = base_type
         self.store_type = KeyedStore(base_type)
-        self.params = params if params is not None else SimulationParams(batch_gossip=True)
+        self.params = (
+            params
+            if params is not None
+            else SimulationParams(replica=ReplicaConfig(batch_gossip=True))
+        )
         self.router = router or ShardRouter.for_count(num_shards, virtual_nodes=virtual_nodes)
         self.shard_ids: Tuple[str, ...] = self.router.shard_ids
         self.client_ids: Tuple[str, ...] = tuple(client_ids)
         self.simulator = Simulator()
 
-        # Replica features come from one ReplicaConfig: ``config=`` when
-        # given (overriding the params' replica-level fields), else the
-        # params' own slice; the legacy ``compaction`` override kwarg folds
-        # into it via a deprecation shim.
-        if compaction is UNSET:
-            compaction = None
-        if config is not None:
-            if compaction is not None:
-                raise ConfigurationError(
-                    "ShardedCluster: pass compaction inside config=ReplicaConfig(...) "
-                    "or as the legacy kwarg, not both"
-                )
-            self.config = config
-        else:
-            self.config = self.params.replica_config
-            if compaction is not None:
-                warnings.warn(
-                    "ShardedCluster: the compaction kwarg is deprecated; pass "
-                    "config=ReplicaConfig(compaction=...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                if isinstance(compaction, Mapping):
-                    merged = {
-                        shard: compaction.get(shard, self.config.compaction)
-                        for shard in self.shard_ids
-                    }
-                    compaction = {s: p for s, p in merged.items() if p is not None}
-                self.config = dataclasses.replace(self.config, compaction=compaction)
+        self.config = config if config is not None else self.params.replica
         self._seed = seed
         self._replicas_per_shard = replicas_per_shard
         self._replica_factory = replica_factory
@@ -421,7 +393,7 @@ class ShardedCluster:
         # During a handoff window, a post-flip operation on a moving key
         # carries barrier constraints naming migrated operations the
         # destination has not received yet; admit exactly those.
-        allow: Iterable[OperationId] = ()
+        allow: Collection[OperationId] = ()
         if self._migration is not None:
             allow = self._migration.pending_ids_for(shard)
         self.shards[shard].submit_operation(operation, at=at, allow_unknown_prev=allow)

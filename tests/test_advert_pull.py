@@ -31,6 +31,7 @@ from repro.algorithm.messages import checkpoint_transfers
 from repro.algorithm.replica import IncrementalReplicaCore, TransferAssembly
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, GSetType, RegisterType
 from repro.service.frontend import ShardedFrontend
@@ -144,7 +145,7 @@ class TestAdvertBasics:
     def test_chunk_configuration_validation(self):
         system_kwargs = dict(num_replicas=2)
         with pytest.raises(ConfigurationError):
-            SimulationParams(checkpoint_chunk=0)
+            ReplicaConfig(checkpoint_chunk=0)
         replica = SimulatedCluster(CounterType(), **system_kwargs).replicas["r0"]
         with pytest.raises(ConfigurationError):
             replica.configure_advert_gossip(True, checkpoint_chunk=0)
@@ -160,9 +161,13 @@ def build_system(advert, factory=None, delta=False, data_type=None, users=None,
     return AlgorithmSystem(
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
-        delta_gossip=delta, full_state_interval=5,
-        compaction=CompactionPolicy(min_batch=1),
-        advert_gossip=advert, checkpoint_chunk=chunk,
+        config=ReplicaConfig(
+            delta_gossip=delta,
+            full_state_interval=5,
+            compaction=CompactionPolicy(min_batch=1),
+            advert_gossip=advert,
+            checkpoint_chunk=chunk,
+        ),
     )
 
 
@@ -248,7 +253,7 @@ class TestAdvertLockstepEquivalence:
     def test_invariants_hold_at_every_step(self):
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2"], ["alice"],
-            compaction=CompactionPolicy(min_batch=1), advert_gossip=True,
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         gen = OperationIdGenerator("alice")
         rng = random.Random(1)
@@ -272,7 +277,7 @@ class TestAdvertLockstepEquivalence:
 
         system = AlgorithmSystem(
             RegisterType(), ["r1", "r2"], ["alice"],
-            compaction=CompactionPolicy(min_batch=1), advert_gossip=True,
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         sim = AlgorithmToSpecSimulation(system)
         gen = OperationIdGenerator("alice")
@@ -295,8 +300,11 @@ def compacted_system_with_behind_replica(chunk=2, requests=6):
     is missing the whole compacted prefix and must pull it."""
     system = AlgorithmSystem(
         CounterType(), ["r1", "r2", "r3"], ["alice"],
-        compaction=CompactionPolicy(min_batch=1),
-        advert_gossip=True, checkpoint_chunk=chunk,
+        config=ReplicaConfig(
+            compaction=CompactionPolicy(min_batch=1),
+            advert_gossip=True,
+            checkpoint_chunk=chunk,
+        ),
     )
     system.replicas["r3"].configure_compaction(enabled=False)
     gen = OperationIdGenerator("alice")
@@ -459,7 +467,7 @@ class TestPullCatchup:
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2", "r3"], ["alice"],
             replica_factory=MemoizedReplicaCore,
-            compaction=CompactionPolicy(min_batch=1), advert_gossip=True,
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         # Only r1 folds, so r2 keeps the full history for the heal path.
         system.replicas["r2"].configure_compaction(enabled=False)
@@ -506,7 +514,7 @@ class TestPullCatchup:
         system = AlgorithmSystem(
             GSetType(), ["r1", "r2", "r3"], ["alice"],
             replica_factory=CommuteReplicaCore, users=SafeUsers(GSetType()),
-            compaction=CompactionPolicy(min_batch=1), advert_gossip=True,
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         system.replicas["r2"].configure_compaction(enabled=False)
         system.replicas["r3"].configure_compaction(enabled=False)
@@ -549,7 +557,7 @@ class TestPullCatchup:
         any transfer — the advert's stability assertion is absorbed late."""
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2", "r3"], ["alice"],
-            compaction=CompactionPolicy(min_batch=1), advert_gossip=True,
+            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         # Only r1 compacts; r2 keeps tracking the full history.
         system.replicas["r2"].configure_compaction(enabled=False)
@@ -650,8 +658,11 @@ def register_system_with_behind_replica(requests=6):
     """Like :func:`compacted_system_with_behind_replica`, over a register."""
     system = AlgorithmSystem(
         RegisterType(), ["r1", "r2", "r3"], ["alice"],
-        compaction=CompactionPolicy(min_batch=1),
-        advert_gossip=True, checkpoint_chunk=2,
+        config=ReplicaConfig(
+            compaction=CompactionPolicy(min_batch=1),
+            advert_gossip=True,
+            checkpoint_chunk=2,
+        ),
     )
     system.replicas["r3"].configure_compaction(enabled=False)
     gen = OperationIdGenerator("alice")
@@ -758,20 +769,21 @@ class TestCatchupStateIndependentGating:
 # --------------------------------------------------------------------------- #
 
 
-def sim_params(advert, **overrides):
-    kwargs = dict(
-        df=1.0, dg=1.0, gossip_period=2.0,
+def sim_params(advert, retransmit_interval=None, **features):
+    defaults = dict(
         compaction=CompactionPolicy(min_batch=4), compaction_interval=8.0,
         advert_gossip=advert,
     )
-    kwargs.update(overrides)
-    return SimulationParams(**kwargs)
+    return SimulationParams(
+        df=1.0, dg=1.0, gossip_period=2.0, retransmit_interval=retransmit_interval,
+        replica=ReplicaConfig(**{**defaults, **features}),
+    )
 
 
-def run_sim(advert, seed=9, delta=False, ops=40, **overrides):
+def run_sim(advert, seed=9, delta=False, ops=40):
     cluster = SimulatedCluster(
         RegisterType(), 3, ["c0", "c1"],
-        params=sim_params(advert, delta_gossip=delta, **overrides), seed=seed,
+        params=sim_params(advert, delta_gossip=delta), seed=seed,
     )
     spec = WorkloadSpec(
         operations_per_client=ops, mean_interarrival=0.5,
@@ -861,8 +873,11 @@ class TestShardedAdvertPull:
         frontend = ShardedFrontend(
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["alice", "bob"],
-            compaction=CompactionPolicy(min_batch=1),
-            advert_gossip=advert, checkpoint_chunk=2,
+            config=ReplicaConfig(
+                compaction=CompactionPolicy(min_batch=1),
+                advert_gossip=advert,
+                checkpoint_chunk=2,
+            ),
         )
         rng = random.Random(seed)
         keys = ["k0", "k1", "k2"]

@@ -25,6 +25,7 @@ import pytest
 from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy, OpIdSummary
 from repro.algorithm.labels import Label
 from repro.common import OperationId, OperationIdGenerator
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
@@ -169,10 +170,12 @@ def _compacting_params():
         gossip_period=1.0,
         frontend_policy="round_robin",
         retransmit_interval=4.0,
-        compaction=CompactionPolicy(min_batch=1),
-        compaction_interval=1.0,
-        advert_gossip=True,
-        checkpoint_chunk=2,
+        replica=ReplicaConfig(
+            compaction=CompactionPolicy(min_batch=1),
+            compaction_interval=1.0,
+            advert_gossip=True,
+            checkpoint_chunk=2,
+        ),
     )
 
 

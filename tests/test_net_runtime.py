@@ -12,24 +12,26 @@ through ``asyncio.run``.
 """
 
 import asyncio
+import dataclasses
+import gc
 
 import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import ConfigurationError
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
-from repro.net.runtime import NetCluster, NetParams
+from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams, write_frame
 from repro.verification.serializability import check_recorded_trace
 
-FAST = dict(gossip_period=0.01, delta_gossip=True, fast_core=True)
+FAST = ReplicaConfig(delta_gossip=True, fast_core=True)
 
 
-def make_cluster(transport="memory", clients=("c0", "c1"), **overrides):
-    merged = dict(FAST)
-    merged.update(overrides)
+def make_cluster(transport="memory", clients=("c0", "c1"), config=FAST, **transport_knobs):
     return NetCluster(
         CounterType(), num_replicas=3, client_ids=clients,
-        params=NetParams(**merged), transport=transport,
+        params=NetParams(**{"gossip_period": 0.01, **transport_knobs}),
+        transport=transport, config=config,
     )
 
 
@@ -53,7 +55,7 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             NetParams(request_retry=0.0)
         with pytest.raises(ConfigurationError):
-            NetParams(full_state_interval=0)
+            NetParams(replica=ReplicaConfig(full_state_interval=0))
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -131,12 +133,12 @@ class TestMemoryTransport:
 class TestCrashRecovery:
     def test_volatile_crash_and_recovery_converges(self):
         async def run():
-            params = dict(
+            config = dataclasses.replace(
                 FAST,
                 advert_gossip=True,
                 compaction=CompactionPolicy(min_batch=4, value_retention=64),
             )
-            async with make_cluster(**params) as cluster:
+            async with make_cluster(config=config) as cluster:
                 for _ in range(6):
                     await cluster.submit("c0", CounterType.increment())
                 await cluster.crash_replica("r1", volatile_memory=True)
@@ -219,3 +221,92 @@ class TestTcpTransport:
                 return await cluster.submit("c0", CounterType.read())
 
         assert asyncio.run(run()) == 4
+
+
+# --------------------------------------------------------------------------- #
+# Hostile bytes: a bad frame costs the connection, never the reader           #
+# --------------------------------------------------------------------------- #
+
+GARBAGE = b"\xff\xfenot a wire frame"
+#: A length prefix beyond MAX_FRAME_BYTES (no body follows: the limit is
+#: checked on the header alone).
+OVERSIZED = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+
+
+async def _after_bad_bytes(transport, bad_bytes, toward):
+    """Three operations, then *bad_bytes* written raw on c0's connection with
+    its affinity replica — ``toward`` the ``"client"`` or the ``"replica"``
+    end — then four more operations, timed.  Returns what the tests assert
+    on, plus everything the loop's exception handler saw (an exception
+    leaking out of a reader task surfaces there as "Task exception was never
+    retrieved")."""
+    loop = asyncio.get_running_loop()
+    leaked = []
+    loop.set_exception_handler(lambda _loop, context: leaked.append(context))
+    async with make_cluster(transport=transport) as cluster:
+        rid = cluster._affinity["c0"]
+        for _ in range(3):
+            await cluster.submit("c0", CounterType.increment())
+        assert await cluster.quiesce(timeout=10.0)
+        states = {r: core.replayed_state() for r, core in cluster.replicas.items()}
+        tracked = {r: core.tracked_op_count() for r, core in cluster.replicas.items()}
+
+        victim = cluster._client_conns["c0"][rid]
+        if toward == "client":
+            writer = cluster._endpoints[rid].client_out["c0"]._writer
+        else:
+            writer = victim.writer
+        writer.write(bad_bytes)
+        await writer.drain()
+        await asyncio.sleep(0.1)  # let the reject and the EOF propagate
+
+        assert cluster.stats.frames_rejected == 1
+        assert victim.dead and cluster._client_conns["c0"].get(rid) is not victim
+        assert {r: c.replayed_state() for r, c in cluster.replicas.items()} == states
+        assert {r: c.tracked_op_count() for r, c in cluster.replicas.items()} == tracked
+
+        latencies, values = [], []
+        for _ in range(4):
+            begin = loop.time()
+            values.append(await cluster.submit("c0", CounterType.increment()))
+            latencies.append(loop.time() - begin)
+        assert values == [4, 5, 6, 7]
+        # Re-dialed: answered by the affinity replica at once, not by the
+        # request_retry timer (1 s) firing on a connection nobody reads.
+        assert max(latencies) < cluster.params.request_retry / 2, latencies
+        assert cluster.stats.frames_rejected == 1
+        await converge_and_check(cluster)
+    gc.collect()
+    await asyncio.sleep(0)
+    assert leaked == []
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+@pytest.mark.parametrize("toward", ["client", "replica"])
+class TestHostileFrames:
+    def test_garbage_frame_drops_the_connection_only(self, transport, toward):
+        frame = len(GARBAGE).to_bytes(4, "big") + GARBAGE
+        asyncio.run(_after_bad_bytes(transport, frame, toward))
+
+    def test_oversized_frame_drops_the_connection_only(self, transport, toward):
+        asyncio.run(_after_bad_bytes(transport, OVERSIZED, toward))
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+def test_non_utf8_hello_is_rejected_not_raised(transport):
+    async def run():
+        loop = asyncio.get_running_loop()
+        leaked = []
+        loop.set_exception_handler(lambda _loop, context: leaked.append(context))
+        async with make_cluster(transport=transport) as cluster:
+            _reader, writer = await cluster.transport.connect("r0")
+            await write_frame(writer, b"\xff\xfe\xfd")
+            await asyncio.sleep(0.1)
+            assert cluster.stats.frames_rejected == 1
+            assert await cluster.submit("c0", CounterType.increment()) == 1
+            writer.close()
+        gc.collect()
+        await asyncio.sleep(0)
+        assert leaked == []
+
+    asyncio.run(run())

@@ -17,6 +17,7 @@ skew.
 import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType, GSetType, RegisterType
 from repro.net.wire import WireCluster
 from repro.sim.cluster import SimulatedCluster, SimulationParams
@@ -55,7 +56,8 @@ def run_cluster(cluster_class, config, data_type_name="counter", faults=(), seed
     # casualty relaxation assumes wiped-but-unanswered operations get
     # re-delivered by the front end (as the conformance generator does).
     params = SimulationParams(
-        df=1.0, dg=1.0, gossip_period=2.0, retransmit_interval=4.0, **CONFIGS[config]
+        df=1.0, dg=1.0, gossip_period=2.0, retransmit_interval=4.0,
+        replica=ReplicaConfig(**CONFIGS[config]),
     )
     cluster = cluster_class(type_factory(), 3, ["c1", "c2"], params=params, seed=seed)
     schedule = FaultSchedule()

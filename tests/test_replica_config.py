@@ -1,16 +1,18 @@
-"""Lockstep-twin tests for the unified :class:`ReplicaConfig`.
+"""Tests for :class:`ReplicaConfig`, the only carrier of the ten replica
+features.
 
-Every deployment entry point (:class:`AlgorithmSystem`,
-:class:`SimulationParams`/:class:`SimulatedCluster`,
-:class:`ShardedFrontend`, :class:`ShardedCluster`, :class:`NetCluster`)
-accepts ``config=ReplicaConfig(...)`` alongside the deprecated loose
-feature kwargs.  These tests run each harness twice — once per spelling —
-on identical seeded workloads and assert the executions are
-indistinguishable, plus the shim semantics (one DeprecationWarning for
-legacy kwargs, ConfigurationError for passing both spellings).
+The algorithm-level entry points (:class:`AlgorithmSystem`,
+:class:`ShardedFrontend`) take it as ``config=``; the harness parameter
+classes (:class:`SimulationParams`, :class:`NetParams`) hold it as their
+``replica`` field, which ``NetCluster(config=)`` / ``ShardedCluster(config=)``
+replace.  Where two surviving spellings reach the same deployment the tests
+run it both ways on identical seeded workloads; incoherent combinations and
+misplaced per-shard mappings must be rejected through every entry point; and
+no harness parameter class may grow a mirror of a replica feature again.
 """
 
 import asyncio
+import dataclasses
 import random
 
 import pytest
@@ -19,7 +21,8 @@ from repro.algorithm.batchcore import BatchReplicaCore
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
-from repro.config import ReplicaConfig, reset_legacy_warnings
+from repro.config import ReplicaConfig
+from repro.conformance.scenario import ScenarioSpec
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.net.runtime import NetCluster, NetParams
@@ -55,68 +58,23 @@ def drive_system(system, seed=5, count=20):
     )
 
 
-class TestAlgorithmSystemTwin:
-    def test_config_is_execution_identical_to_legacy_kwargs(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            legacy = AlgorithmSystem(
-                CounterType(), ["r1", "r2", "r3"], ["c0", "c1"], **FEATURES
-            )
-        modern = AlgorithmSystem(
-            CounterType(), ["r1", "r2", "r3"], ["c0", "c1"], config=CONFIG
-        )
-        assert drive_system(legacy) == drive_system(modern)
-        assert legacy.config == modern.config
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AlgorithmSystem(
-                CounterType(), ["r1", "r2"], ["c0"],
-                fast_core=True, config=CONFIG,
-            )
-
-
-class TestSimulatedClusterTwin:
-    def test_params_replica_overlay_is_execution_identical(self):
-        legacy = SimulatedCluster(
-            CounterType(), 3, ["c0", "c1"],
-            params=SimulationParams(**FEATURES), seed=9,
-        )
-        modern = SimulatedCluster(
-            CounterType(), 3, ["c0", "c1"],
-            params=SimulationParams(replica=CONFIG), seed=9,
-        )
-        assert legacy.params.replica_config == modern.params.replica_config
-
-        def drive(cluster):
-            ops = []
-            for i in range(24):
-                ops.append(cluster.submit(
-                    ["c0", "c1"][i % 2], CounterType.increment()))
-                cluster.run(0.7)
-            cluster.run_until_idle()
-            return [cluster.responded[op.id] for op in ops], cluster.eventual_order()
-
-        assert drive(legacy) == drive(modern)
-
-
 class TestShardedClusterTwin:
     def test_config_kwarg_is_execution_identical(self):
-        sharded_features = dict(FEATURES)
-        legacy = ShardedCluster(
+        config = ReplicaConfig(batch_gossip=True, **FEATURES)
+        in_params = ShardedCluster(
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["c0", "c1"],
-            params=SimulationParams(batch_gossip=True, **sharded_features),
+            params=SimulationParams(replica=config),
             seed=15,
         )
-        modern = ShardedCluster(
+        as_kwarg = ShardedCluster(
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["c0", "c1"],
-            params=SimulationParams(batch_gossip=True),
-            config=ReplicaConfig(batch_gossip=True, **FEATURES),
+            params=SimulationParams(),
+            config=config,
             seed=15,
         )
-        assert legacy.config == modern.config
+        assert in_params.config == as_kwarg.config == config
 
         def drive(cluster):
             keys = [f"k{i}" for i in range(6)]
@@ -132,51 +90,14 @@ class TestShardedClusterTwin:
                 {s: cluster.shards[s].eventual_order() for s in cluster.shard_ids},
             )
 
-        assert drive(legacy) == drive(modern)
-
-
-class TestShardedFrontendTwin:
-    def test_config_kwarg_is_execution_identical(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            legacy = ShardedFrontend(
-                CounterType(), num_shards=2, replicas_per_shard=2,
-                client_ids=("c0", "c1"), **FEATURES,
-            )
-        modern = ShardedFrontend(
-            CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=("c0", "c1"), config=CONFIG,
-        )
-        assert legacy.config == modern.config
-
-        def drive(frontend):
-            rng = random.Random(21)
-            keys = [f"k{i}" for i in range(6)]
-            ops = []
-            for i in range(20):
-                ops.append(frontend.request(("c0", "c1")[i % 2],
-                                            keys[i % len(keys)],
-                                            CounterType.increment()))
-                frontend.run_random(rng, 5)
-            frontend.drain(rng)
-            return (
-                [frontend.responded[op.id] for op in ops],
-                frontend.eventual_orders(),
-            )
-
-        assert drive(legacy) == drive(modern)
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedFrontend(CounterType(), fast_core=True, config=CONFIG)
+        assert drive(in_params) == drive(as_kwarg)
 
 
 class TestNetClusterTwin:
     def test_config_overlay_matches_legacy_params(self):
-        legacy = NetParams(**FEATURES)
-        modern = NetParams(replica=CONFIG)
-        assert legacy == modern
-        assert legacy.replica_config == CONFIG
+        assert NetCluster(CounterType(), 2, ("c0",), config=CONFIG).params == NetParams(
+            replica=CONFIG
+        )
 
         async def values(make_cluster):
             cluster = make_cluster()
@@ -187,55 +108,38 @@ class TestNetClusterTwin:
                 await cluster.quiesce()
                 return out
 
-        legacy_values = asyncio.run(values(
-            lambda: NetCluster(CounterType(), 2, ("c0",), params=NetParams(**FEATURES))
+        in_params = asyncio.run(values(
+            lambda: NetCluster(CounterType(), 2, ("c0",), params=NetParams(replica=CONFIG))
         ))
-        modern_values = asyncio.run(values(
+        as_kwarg = asyncio.run(values(
             lambda: NetCluster(CounterType(), 2, ("c0",), config=CONFIG)
         ))
-        assert legacy_values == modern_values == [1, 2, 3, 4, 5, 6]
+        assert in_params == as_kwarg == [1, 2, 3, 4, 5, 6]
 
     def test_mapping_compaction_rejected_outside_sharded_entry_points(self):
+        per_shard = ReplicaConfig(
+            compaction={"s0": CompactionPolicy(min_batch=4, value_retention=8)}
+        )
         with pytest.raises(ConfigurationError):
-            NetParams(replica=ReplicaConfig(
-                compaction={"s0": CompactionPolicy(min_batch=4, value_retention=8)}
-            ))
+            NetParams(replica=per_shard)
+        with pytest.raises(ConfigurationError):
+            NetCluster(CounterType(), 2, ("c0",), config=per_shard)
+        with pytest.raises(ConfigurationError):
+            SimulationParams(replica=per_shard)
+        with pytest.raises(ConfigurationError):
+            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"], config=per_shard)
+        # The sharded entry points are where the mapping resolves.
+        ShardedFrontend(CounterType(), config=per_shard)
+        ShardedCluster(CounterType(), config=per_shard)
 
 
-class TestOneWarningPerLegacyCall:
-    def test_exactly_one_deprecation_warning(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning) as caught:
-            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                            delta_gossip=True, incremental_replay=True)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-
-    def test_shim_warns_once_per_process(self):
-        # Repeated legacy constructions through the same entry point nag
-        # once, not per call (the fuzzer builds thousands of clusters).
-        reset_legacy_warnings()
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            for _ in range(3):
-                AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                                delta_gossip=True)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-        # A different entry point still gets its own (single) warning.
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            ShardedFrontend(CounterType(), fast_core=True)
-            ShardedFrontend(CounterType(), fast_core=True)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-        # Resetting the registry re-arms the warning.
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                            delta_gossip=True)
+class TestOneSpelling:
+    def test_no_harness_parameter_mirrors_a_replica_feature(self):
+        features = {f.name for f in dataclasses.fields(ReplicaConfig)}
+        for params in (SimulationParams, NetParams):
+            own = {f.name for f in dataclasses.fields(params)}
+            assert own & features == set(), params.__name__
+            assert "replica" in own
 
 
 class TestIncoherentCombinations:
@@ -248,22 +152,25 @@ class TestIncoherentCombinations:
         ReplicaConfig(batch_replay=True, fast_core=True)
 
     def test_rejection_surfaces_through_every_entry_point(self):
+        # One carrier means one place rejects it, before any harness can be
+        # handed the result: the constructor, a ``replace`` of a coherent
+        # config, and a scenario document read from disk.
         with pytest.raises(ConfigurationError):
-            SimulatedCluster(
-                CounterType(), 3, ["c0"],
-                params=SimulationParams(batch_replay=True), seed=1,
-            )
+            dataclasses.replace(CONFIG, batch_replay=True, fast_core=False)
+        doc = ScenarioSpec(
+            name="x", harness="sim", data_type="counter", num_replicas=2,
+            clients=("c0",), seed=0, workload_seed=0,
+            params=SimulationParams(replica=CONFIG), workload={},
+        ).to_doc()
+        assert ScenarioSpec.from_doc(doc).params.replica == CONFIG
+        doc["replica"].update(batch_replay=True, fast_core=False)
         with pytest.raises(ConfigurationError):
-            NetParams(batch_replay=True).replica_config
-        with pytest.raises(ConfigurationError):
-            ShardedFrontend(CounterType(), batch_replay=True)
-        with pytest.raises(ConfigurationError):
-            AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"],
-                            batch_replay=True)
+            ScenarioSpec.from_doc(doc)
 
     def test_batch_replay_selects_batch_core(self):
         cluster = SimulatedCluster(
             CounterType(), 3, ["c0"],
-            params=SimulationParams(fast_core=True, batch_replay=True), seed=1,
+            params=SimulationParams(replica=ReplicaConfig(fast_core=True, batch_replay=True)),
+            seed=1,
         )
         assert all(isinstance(r, BatchReplicaCore) for r in cluster.replicas.values())

@@ -234,7 +234,9 @@ class TestReshardUnderFaults:
         # model recovers those through front-end retransmission.
         cluster = make_cluster(
             num_shards=2, seed=13,
-            params=SimulationParams(batch_gossip=True, retransmit_interval=4.0),
+            params=SimulationParams(
+                replica=ReplicaConfig(batch_gossip=True), retransmit_interval=4.0
+            ),
         )
         rng = random.Random(13)
         chained_traffic(cluster, rng, 14)
@@ -253,7 +255,9 @@ class TestReshardUnderFaults:
     def test_destination_crash_mid_handoff_recovers(self):
         cluster = make_cluster(
             num_shards=2, seed=17,
-            params=SimulationParams(batch_gossip=True, retransmit_interval=4.0),
+            params=SimulationParams(
+                replica=ReplicaConfig(batch_gossip=True), retransmit_interval=4.0
+            ),
         )
         rng = random.Random(17)
         chained_traffic(cluster, rng, 14)
@@ -381,9 +385,8 @@ class TestNetIngest:
 
         asyncio.run(main())
 
-    def test_replica_config_threads_into_net_params(self):
+    def test_config_kwarg_replaces_net_params_replica(self):
         cfg = ReplicaConfig(fast_core=True, delta_gossip=True,
                             incremental_replay=True)
         cluster = NetCluster(CounterType(), num_replicas=2, config=cfg)
-        assert cluster.params.fast_core
-        assert cluster.params.replica_config.delta_gossip
+        assert cluster.params.replica == cfg

@@ -49,6 +49,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.config import ReplicaConfig
 from repro.conformance.generate import (
     random_fault_dicts,
     random_keyed_workload_fields,
@@ -179,14 +180,21 @@ def test_fuzz_corpus_is_mostly_loss_free():
 COMPACTION_SEEDS = FUZZ_SEEDS[: max(10, len(FUZZ_SEEDS) // 2)]
 
 
-def _aggressive_compaction(rng, params):
+def _with_replica(params, **features):
+    """*params* with the given replica features changed."""
     return dataclasses.replace(
+        params, replica=dataclasses.replace(params.replica, **features)
+    )
+
+
+def _aggressive_compaction(rng, params):
+    return _with_replica(
         params, compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0
     )
 
 
 def _advert_pull(rng, params):
-    return dataclasses.replace(
+    return _with_replica(
         params,
         compaction=CompactionPolicy(min_batch=1),
         compaction_interval=1.0,
@@ -254,19 +262,19 @@ def test_random_scenarios_with_advert_pull_gossip(seed, delta_gossip):
 
 
 def _fast_core(rng, params):
-    return dataclasses.replace(params, fast_core=True)
+    return _with_replica(params, fast_core=True)
 
 
 def _fast_core_advert(rng, params):
-    return dataclasses.replace(_advert_pull(rng, params), fast_core=True)
+    return _with_replica(_advert_pull(rng, params), fast_core=True)
 
 
 def _batch_core(rng, params):
-    return dataclasses.replace(params, fast_core=True, batch_replay=True)
+    return _with_replica(params, fast_core=True, batch_replay=True)
 
 
 def _batch_core_advert(rng, params):
-    return dataclasses.replace(
+    return _with_replica(
         _advert_pull(rng, params), fast_core=True, batch_replay=True
     )
 
@@ -303,14 +311,14 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     spec = random_sim_spec(
         f"fuzz-{kind}-{mode}-{seed:03d}", seed, delta_gossip, params_tweak=tweak
     )
-    assert spec.params.fast_core
+    assert spec.params.replica.fast_core
     run, _results = run_checked(spec)
     expected = spec.workload["operations_per_client"] * len(spec.clients)
     assert run.workload_result.submitted == expected
-    wanted = BatchReplicaCore if spec.params.batch_replay else FastReplicaCore
+    wanted = BatchReplicaCore if spec.params.replica.batch_replay else FastReplicaCore
     for replica in run.clusters[UNSHARDED].replicas.values():
         assert isinstance(replica, wanted)
-        if not spec.params.batch_replay:
+        if not spec.params.replica.batch_replay:
             assert not isinstance(replica, BatchReplicaCore)
 
 
@@ -377,10 +385,12 @@ def test_random_reshard_under_faults_preserves_guarantees(seed):
         replicas_per_shard=3,
         client_ids=[f"c{i}" for i in range(rng.randint(1, 2))],
         params=SimulationParams(
-            batch_gossip=True,
+            replica=ReplicaConfig(
+                batch_gossip=True,
+                delta_gossip=rng.random() < 0.5,
+                full_state_interval=rng.choice([4, 8]),
+            ),
             retransmit_interval=4.0,
-            delta_gossip=rng.random() < 0.5,
-            full_state_interval=rng.choice([4, 8]),
         ),
         seed=seed * 5 + 1,
     )

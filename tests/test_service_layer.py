@@ -8,6 +8,7 @@ import pytest
 
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.common import ConfigurationError
+from repro.config import ReplicaConfig
 from repro.datatypes import CounterType, GSetType, RegisterType
 from repro.service.frontend import ShardedFrontend
 from repro.service.keyed import KeyedStore
@@ -240,7 +241,7 @@ class TestShardedFrontend:
 
     def test_invariants_and_traces_hold_per_shard(self):
         for delta in (False, True):
-            frontend = self.make_frontend(delta_gossip=delta)
+            frontend = self.make_frontend(config=ReplicaConfig(delta_gossip=delta))
             rng = random.Random(11)
             for index in range(12):
                 key = f"k{index % 4}"

@@ -11,6 +11,7 @@ from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy, OpIdSummary
 from repro.algorithm.labels import Label
 from repro.algorithm.messages import PullRequestMessage, checkpoint_transfers
 from repro.common import OperationIdGenerator
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.sim.cluster import (
@@ -41,19 +42,19 @@ class TestReplicaCrash:
         cluster = make_cluster()
         ReplicaCrash("r1", at=5.0, recover_at=9.0).install(cluster)
         cluster.run(4.9)
-        assert "r1" not in cluster._crashed
+        assert not cluster.nodes["r1"].crashed
         cluster.run(0.2)  # past t=5.0
-        assert "r1" in cluster._crashed
+        assert cluster.nodes["r1"].crashed
         cluster.run(3.7)  # t=8.8, still down
-        assert "r1" in cluster._crashed
+        assert cluster.nodes["r1"].crashed
         cluster.run(0.4)  # past t=9.0
-        assert "r1" not in cluster._crashed
+        assert not cluster.nodes["r1"].crashed
 
     def test_crash_without_recovery_is_permanent(self):
         cluster = make_cluster()
         ReplicaCrash("r2", at=1.0).install(cluster)
         cluster.run(50.0)
-        assert "r2" in cluster._crashed
+        assert cluster.nodes["r2"].crashed
 
     def test_volatile_memory_flag_controls_state_loss(self):
         for volatile, expect_empty in ((True, True), (False, False)):
@@ -209,7 +210,9 @@ class TestDuplicateMessages:
 
     @staticmethod
     def _run_twin(duplicate):
-        params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0, delta_gossip=True)
+        params = SimulationParams(
+            df=1.0, dg=1.0, gossip_period=2.0, replica=ReplicaConfig(delta_gossip=True)
+        )
         cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=11)
         if duplicate:
             DuplicateMessages(start=0.0, end=60.0, probability=1.0).install(cluster)
@@ -244,8 +247,7 @@ def _checkpointed_cluster(seed=5):
         df=1.0,
         dg=1.0,
         gossip_period=1.0,
-        compaction=CompactionPolicy(min_batch=1),
-        compaction_interval=1.0,
+        replica=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0),
     )
     cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=seed)
     for _ in range(4):
@@ -322,7 +324,7 @@ class TestCorruptTransfers:
         _assert_rejected_then_healed(cluster)
 
 
-def _corrupted_catchup_run(**param_overrides):
+def _corrupted_catchup_run(**replica_overrides):
     """r1 crashes with volatile memory at t=8 and recovers at t=13 inside a
     100% transfer-corruption window [8, 19); the run continues well past the
     window so the reject-and-re-pull loop can heal off clean bodies."""
@@ -332,10 +334,12 @@ def _corrupted_catchup_run(**param_overrides):
         gossip_period=1.0,
         frontend_policy="round_robin",
         retransmit_interval=4.0,
-        compaction=CompactionPolicy(min_batch=1),
-        compaction_interval=1.0,
-        advert_gossip=True,
-        **param_overrides,
+        replica=ReplicaConfig(
+            compaction=CompactionPolicy(min_batch=1),
+            compaction_interval=1.0,
+            advert_gossip=True,
+            **replica_overrides,
+        ),
     )
     cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"], params=params, seed=2)
     (
@@ -464,10 +468,10 @@ class TestFaultSchedule:
         assert len(schedule.faults) == 3
         schedule.install(cluster)
         cluster.run(2.5)
-        assert "r0" in cluster._crashed
+        assert cluster.nodes["r0"].crashed
         assert "r1" in cluster.network.partitioned
         cluster.run(3.0)
-        assert "r0" not in cluster._crashed
+        assert not cluster.nodes["r0"].crashed
         assert "r1" not in cluster.network.partitioned
 
     def test_last_fault_time_is_the_max_end_time(self):
