@@ -8,7 +8,7 @@ meters the frames, so the numbers below are exactly what would cross a
 socket — and, with ``json_baseline=True``, what the same messages would
 cost under a plain tagged-JSON encoding.
 
-Three parts:
+Four parts:
 
 * **E13a** — eager full-state vs delta vs advert/pull gossip at n=4 and
   n=8 replicas under the identical seeded load: bytes per message kind,
@@ -22,6 +22,12 @@ Three parts:
   replica core, with convergence checked after the run.  Wall-clock
   throughput asserts are skipped when ``E13_TIMING_ASSERTS=0`` (CI
   machines aren't calibrated); the byte metrics are asserted everywhere.
+* **E13d** — what a link's descriptor window saves, on a seeded stream: a
+  ``NetCluster``'s byte counts depend on how many wall-clock gossip rounds a
+  run fits, so the delta and advert modes are run under the simulator at
+  n=4 and every directed link's gossip messages are *also* spelled through a
+  paired sender/receiver :class:`~repro.net.codec.DescriptorWindow`, in send
+  order.  Gated: windowed over stateless gossip bytes (hard max 0.8).
 
 Environment knobs: ``E13_SIM_OPS`` (E13a ops, default 400), ``E13_NET_OPS``
 (E13c ops per client, default 200), ``E13_TIMING_ASSERTS`` (default on).
@@ -34,7 +40,7 @@ import os
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
-from repro.net.codec import encode_message
+from repro.net.codec import DescriptorWindow, decode_frame, encode_frame, encode_message
 from repro.net.driver import LoadSpec, run_load
 from repro.net.runtime import NetCluster, NetParams
 from repro.net.wire import WireCluster
@@ -66,13 +72,20 @@ def mode_params(mode: str) -> SimulationParams:
     )
 
 
-def run_mode(mode: str, num_replicas: int, total_ops: int = SIM_OPS, seed: int = 3):
-    cluster = WireCluster(CounterType(), num_replicas, CLIENTS,
-                          params=mode_params(mode), seed=seed, json_baseline=True)
+def run_cluster(cluster_class, mode: str, num_replicas: int, total_ops: int = SIM_OPS,
+                seed: int = 3, **cluster_kwargs):
+    """The seeded E13 load on a wire twin of *cluster_class*, run to idle."""
+    cluster = cluster_class(CounterType(), num_replicas, CLIENTS,
+                            params=mode_params(mode), seed=seed, **cluster_kwargs)
     spec = WorkloadSpec(operations_per_client=total_ops // len(CLIENTS),
                         mean_interarrival=0.5, strict_fraction=0.05)
     run_workload(cluster, spec, seed=seed + 1)
     cluster.run_until_idle()
+    return cluster
+
+
+def run_mode(mode: str, num_replicas: int, total_ops: int = SIM_OPS, seed: int = 3):
+    cluster = run_cluster(WireCluster, mode, num_replicas, total_ops, seed, json_baseline=True)
     stats = cluster.wire_stats
     completed = max(len(cluster.responded), 1)
     return {
@@ -147,16 +160,18 @@ def e13a_metrics(outcomes):
             / outcomes[(8, "full")]["gossip_bytes"]
         ),
     }
-    # E13b/E13c fill in their own keys on top (same BENCH file, see below).
+    # E13b/c/d fill in their own keys on top (same BENCH file, see below).
     metrics.update(_E13B_METRICS)
     metrics.update(_E13C_METRICS)
+    metrics.update(_E13D_METRICS)
     return metrics
 
 
-#: Cross-test metric accumulators: pytest runs the three parts in file
+#: Cross-test metric accumulators: pytest runs the four parts in file
 #: order, and the LAST emit wins, so each part re-emits the merged dict.
 _E13B_METRICS = {}
 _E13C_METRICS = {}
+_E13D_METRICS = {}
 
 
 def steady_gossip_bytes(total_ops: int, advert: bool, seed: int = 5) -> int:
@@ -267,6 +282,78 @@ def test_e13c_tcp_loopback_throughput():
         ),
         "tcp_bytes_per_op_fast": results["fast"].bytes_per_op,
         "tcp_p99_ms_fast": results["fast"].latency_p99 * 1e3,
+    })
+    emit_bench_json("E13", e13a_metrics_cached())
+
+
+class WindowedLinks(WireCluster):
+    """The stateless twin drives the execution, unchanged; beside it every
+    gossip message is spelled the way a ``NetCluster`` connection would spell
+    it — through its directed link's window pair, in send order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._windows = {}  # (source, destination) -> (sender's, receiver's)
+        self._link = None
+        self.windowed_gossip_bytes = 0
+        self.stateless_descriptors = 0
+
+    def _send(self, kind, source, destination, message=None) -> None:
+        self._link = (source, destination)
+        super()._send(kind, source, destination, message)
+
+    def _transit(self, kind, message):
+        decoded = super()._transit(kind, message)
+        if kind == "gossip":
+            sender, receiver = self._windows.setdefault(
+                self._link, (DescriptorWindow(), DescriptorWindow())
+            )
+            frame = encode_frame([message], sender)
+            self.windowed_gossip_bytes += len(frame)
+            (windowed,) = decode_frame(frame, receiver)
+            assert encode_message(windowed) == encode_message(decoded)
+            self.stateless_descriptors += len(decoded.received | decoded.done | decoded.stable)
+        return decoded
+
+    def windowed_descriptors(self) -> int:
+        """Descriptors that crossed some link in full (= were parsed)."""
+        return sum(
+            receiver.start + len(receiver.ops) for _sender, receiver in self._windows.values()
+        )
+
+
+def test_e13d_link_window_shrinks_the_gossip_plane():
+    rows, ratios, parses = [], {}, {}
+    for mode in ("delta", "advert"):
+        cluster = run_cluster(WindowedLinks, mode, 4)
+        completed = max(len(cluster.responded), 1)
+        stateless = cluster.wire_stats.bytes_by_kind["gossip"]
+        ratios[f"{mode}_n4"] = cluster.windowed_gossip_bytes / stateless
+        parses[f"{mode}_n4"] = cluster.windowed_descriptors() / completed
+        rows.append((
+            mode,
+            f"{stateless:,}",
+            f"{cluster.windowed_gossip_bytes:,}",
+            f"{ratios[f'{mode}_n4']:.3f}",
+            f"{cluster.stateless_descriptors / completed:.1f}",
+            f"{parses[f'{mode}_n4']:.1f}",
+        ))
+        # The same seeded execution E13a measured: only the spelling differs.
+        if (4, mode) in _E13A_CACHE:
+            assert _E13A_CACHE[(4, mode)]["bytes_by_kind"]["gossip"] == stateless
+            assert _E13A_CACHE[(4, mode)]["responded"] == dict(cluster.responded)
+    print_table(
+        f"E13d: gossip bytes through per-link descriptor windows, n=4 ({SIM_OPS} ops)",
+        ["mode", "stateless B", "windowed B", "windowed/stateless",
+         "descriptor parses/op", "windowed parses/op"],
+        rows,
+    )
+    for key, ratio in ratios.items():
+        assert ratio < 0.8, f"link windows saved only {1 - ratio:.0%} of gossip bytes ({key})"
+
+    _E13D_METRICS.update({
+        "windowed_over_stateless_gossip_bytes": ratios,
+        "windowed_descriptor_parses_per_op": parses,
     })
     emit_bench_json("E13", e13a_metrics_cached())
 

@@ -7,7 +7,9 @@ Three pieces (see docs/architecture.md, "The network runtime"):
   every protocol message (request, response/NACK, gossip full/delta/advert,
   pull, checkpoint-transfer chunk) with varint interval packing, per-frame
   interned identifier tables and length-prefixed framing; content digests are
-  computed over the canonical encoding.
+  computed over the canonical encoding.  On a replica->replica connection a
+  link-owned :class:`~repro.net.codec.DescriptorWindow` spells a descriptor in
+  full once and by back-reference afterwards.
 * :mod:`repro.net.wire` — :class:`~repro.net.wire.WireCluster`, the
   deterministic wire harness: the seeded simulator with every message passed
   through the codec as real bytes (encode -> frame -> decode), which is what
@@ -22,6 +24,7 @@ Three pieces (see docs/architecture.md, "The network runtime"):
 
 from repro.net.codec import (
     WIRE_VERSION,
+    DescriptorWindow,
     FrameError,
     decode_frame,
     encode_frame,
@@ -35,6 +38,7 @@ from repro.net.wire import WireCluster, WireStats
 
 __all__ = [
     "WIRE_VERSION",
+    "DescriptorWindow",
     "FrameError",
     "decode_frame",
     "encode_frame",

@@ -28,6 +28,16 @@ length.  Gossip set triples (received/done/stable) are encoded as one sorted
 descriptor union plus a per-descriptor membership byte, since the three sets
 overlap almost completely.
 
+A descriptor has **two forms**.  Stateless frames — everything encoded
+without a window: :func:`encode_message`, the wire twin, digests, client
+links — spell every descriptor in full.  A replica->replica connection is
+reliable and FIFO, so each direction of it owns a :class:`DescriptorWindow`:
+the first time a descriptor crosses the connection it is spelled in full and
+appended to the window at both ends; every later occurrence in a gossip
+payload on that connection is a varint *distance back into the window* and
+decodes to the very object decoded at first sight.  See the class for the
+``drop`` rule that keeps the two ends in step and the window small.
+
 Arbitrary leaf values (operator arguments, data states, response values) use
 a self-contained tagged value encoding (no table references, so sorting a
 set by element bytes is well defined): ``None``/bools/ints/floats/strings/
@@ -56,7 +66,15 @@ checked-in conformance corpus stays valid.  :func:`message_digest` /
 :func:`frame_digest` are the wire-level counterparts computed over this
 canonical encoding.
 
-Hot-path notes (wire version 2):
+Hot-path notes (wire version 3):
+
+* On a windowed link a descriptor is encoded and parsed **once per
+  connection**: un-acked delta repeats, the periodic full-state message and
+  the received -> done -> stable upgrades name it by back-reference, and a
+  label entry names its operation the same way and says "unchanged" in its
+  low bit when the label is the last one sent for that entry — decoded as
+  the same ``Label`` object, so the fast core's ``current is label`` test
+  hits.
 
 * Encoders append varints in place (no per-varint ``bytes`` allocation) and
   frames are assembled from a pooled grow-only buffer — one payload copy
@@ -79,7 +97,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import sys
+from collections import deque
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.algorithm.checkpoint import Checkpoint, CheckpointAdvert, OpIdSummary
 from repro.algorithm.labels import Label
@@ -95,7 +115,7 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
 
 #: Bump on any change to the wire layout.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 MAGIC = b"\xe5\x0d"
 
@@ -138,8 +158,121 @@ _V_INFINITY = 13
 _V_MUTSET = 14
 
 
+#: A structural varint (count, length, index, seqno, rank) fits 64 bits plus
+#: a zigzag sign: ten bytes, shifts 0..63.
+_MAX_VARINT_SHIFT = 63
+#: A value-level integer is a Python int and may be wider — up to 128 bytes
+#: of varint (895 bits and a sign).  Both ends enforce it, so the decoder
+#: never shifts an attacker-sized big-int.
+_MAX_INT_SHIFT = 7 * 127
+
+
 class FrameError(EsdsError):
     """A frame failed to encode or decode."""
+
+
+# --------------------------------------------------------------------------- #
+# Link-scoped descriptor windows                                              #
+# --------------------------------------------------------------------------- #
+
+#: Gossip messages a descriptor stays referable for after its first sight on
+#: a connection.  It has to outlast ``full_state_interval`` (8: the periodic
+#: full-state message re-names everything still tracked) plus the few rounds
+#: a cumulative ack runs behind at saturation (un-acked deltas repeat).
+WINDOW_MESSAGES = 12
+
+
+class DescriptorWindow:
+    """What one direction of one connection has already carried.
+
+    Owned by the *link* — created with the connection, dropped with it — and
+    never by the algorithm: "what I wrote on this connection before" is a
+    sound basis only because the connection is reliable and FIFO, which the
+    paper's channels are not (``repro.algorithm.delta`` diffs against the
+    *acked* snapshot for that reason).  The two compose: the acked basis
+    decides what knowledge travels, the window decides how each descriptor
+    of it is spelled.
+
+    Both ends hold the same two parallel lists, oldest first: the
+    descriptors in first-sight order and, per descriptor, the last label a
+    windowed label entry carried for it.  The window is sender-driven and
+    self-sizing: every windowed gossip payload starts with ``drop``, the
+    number of oldest entries both ends forget, and the sender forgets what
+    it first sent :data:`WINDOW_MESSAGES` gossip messages ago — so the window
+    is as large as the link is busy and no larger.  A distance that reaches
+    outside it is a :class:`FrameError`.
+    """
+
+    __slots__ = ("ops", "labels", "start", "_index", "_marks")
+
+    def __init__(self) -> None:
+        self.ops: List[OperationDescriptor] = []
+        self.labels: List[Optional[Label]] = []
+        #: Entries forgotten so far: ``start + len(ops)`` counts every
+        #: descriptor that ever crossed in full.
+        self.start = 0
+        # Sender side only: where each identifier's live entry sits (absolute
+        # position) and where the window ended as each recent message began.
+        self._index: Dict[OperationId, int] = {}
+        self._marks: Deque[int] = deque()
+
+    def forget(self, drop: int) -> None:
+        """Forget the *drop* oldest entries (the receiver's half of the
+        ``drop`` rule)."""
+        if drop > len(self.ops):
+            raise FrameError(f"drop of {drop} entries from a window of {len(self.ops)}")
+        del self.ops[:drop]
+        del self.labels[:drop]
+        self.start += drop
+
+    def open_message(self) -> int:
+        """Sender: begin a gossip payload.  Forgets what was first sent
+        :data:`WINDOW_MESSAGES` messages ago and returns how many entries
+        that was — the payload's ``drop``."""
+        marks = self._marks
+        marks.append(self.start + len(self.ops))
+        if len(marks) <= WINDOW_MESSAGES:
+            return 0
+        marks.popleft()
+        drop = marks[0] - self.start
+        index = self._index
+        for position, op in enumerate(self.ops[:drop], self.start):
+            # An identifier re-sent with a different descriptor moved on to
+            # a later entry; only the live one is unindexed with its entry.
+            if index.get(op.id) == position:
+                del index[op.id]
+        self.forget(drop)
+        return drop
+
+    def refer(self, op: OperationDescriptor) -> int:
+        """Sender: the distance back to *op*, or 0 after appending it (first
+        sight: the caller spells it in full)."""
+        ops = self.ops
+        end = self.start + len(ops)
+        position = self._index.get(op.id)
+        if position is not None:
+            known = ops[position - self.start]
+            if known is op or known == op:
+                return end - position
+        self._index[op.id] = end
+        ops.append(op)
+        self.labels.append(None)
+        return 0
+
+    def refer_label(self, op_id: OperationId, label: Label) -> int:
+        """Sender: the head of a label entry — 0 when the operation is not in
+        the window (the entry is spelled out), else ``distance << 1`` with
+        the low bit set when *label* is the last one sent for that entry."""
+        position = self._index.get(op_id)
+        if position is None:
+            return 0
+        slot = position - self.start
+        head = (len(self.ops) - slot) << 1
+        last = self.labels[slot]
+        if last is label or last == label:
+            return head | 1
+        self.labels[slot] = label
+        return head
 
 
 # --------------------------------------------------------------------------- #
@@ -199,8 +332,11 @@ def _encode_value(out: bytearray, value: Any) -> None:
     elif isinstance(value, bool):
         out.append(_V_TRUE if value else _V_FALSE)
     elif isinstance(value, int):
+        encoded = zigzag(value)
+        if encoded.bit_length() > _MAX_INT_SHIFT + 7:
+            raise FrameError(f"integer of {value.bit_length()} bits is too wide for the wire")
         out.append(_V_INT)
-        _append_varint(out, zigzag(value))
+        _append_varint(out, encoded)
     elif isinstance(value, float):
         out.append(_V_FLOAT)
         out += struct.pack(">d", value)
@@ -260,12 +396,15 @@ class _Encoder:
         self._table: Dict[str, int] = {}
         self._order: List[str] = []
         self.out = bytearray()
+        #: The link's window for this frame; ``None`` encodes statelessly.
+        self.window: Optional[DescriptorWindow] = None
 
     def reset(self) -> None:
         """Make this encoder reusable for the next frame (pooling)."""
         self._table.clear()
         self._order.clear()
         del self.out[:]
+        self.window = None
 
     # -- primitives ----------------------------------------------------------
 
@@ -414,10 +553,13 @@ _G_ACK = 4
 _G_CHECKPOINT = 8
 _G_ADVERT = 16
 _G_SENT_AT = 32
+#: The payload is spelled against the link's :class:`DescriptorWindow`.
+_G_WINDOW = 64
 
 
 def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
-    flags = 0
+    window = enc.window
+    flags = 0 if window is None else _G_WINDOW
     if message.is_delta:
         flags |= _G_DELTA
     if message.seqno is not None:
@@ -431,6 +573,8 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
     if message.sent_at is not None:
         flags |= _G_SENT_AT
     enc.byte(flags)
+    if window is not None:
+        enc.u(window.open_message())
     enc.ident(message.sender)
     enc.u(message.epoch)
     enc.u(message.stream)
@@ -454,14 +598,25 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
     ordered = sorted(union, key=lambda op: _id_sort_key(op.id))
     enc.u(len(ordered))
     for op in ordered:
-        enc.operation(op)
+        distance = 0
+        if window is not None:
+            distance = window.refer(op)
+            enc.u(distance)
+        if not distance:
+            enc.operation(op)
         enc.byte(union[op])
 
     labels = sorted(message.labels.items(), key=lambda item: _id_sort_key(item[0]))
     enc.u(len(labels))
     for op_id, label in labels:
-        enc.op_id(op_id)
-        enc.label(label)
+        head = 0
+        if window is not None:
+            head = window.refer_label(op_id, label)
+            enc.u(head)
+        if not head:
+            enc.op_id(op_id)
+        if not head & 1:
+            enc.label(label)
 
     if message.checkpoint is not None:
         enc.checkpoint(message.checkpoint)
@@ -523,12 +678,15 @@ _ENCODERS = {
 _ENCODER_POOL: List[Tuple[_Encoder, bytearray]] = []
 
 
-def encode_frame_detailed(messages: Sequence[Any]) -> Tuple[bytes, List[int]]:
+def encode_frame_detailed(
+    messages: Sequence[Any], window: Optional[DescriptorWindow] = None
+) -> Tuple[bytes, List[int]]:
     """Like :func:`encode_frame`, also returning each message's encoded
     payload length — the runtime attributes coalesced-frame bytes to message
     kinds with these (the shared magic/table/length overhead is counted as
     framing, not against any kind)."""
     enc, frame = _ENCODER_POOL.pop() if _ENCODER_POOL else (_Encoder(), bytearray())
+    enc.window = window
     try:
         spans: List[Tuple[int, int]] = []
         for message in messages:
@@ -562,14 +720,20 @@ def encode_frame_detailed(messages: Sequence[Any]) -> Tuple[bytes, List[int]]:
             _ENCODER_POOL.append((enc, frame))
 
 
-def encode_frame(messages: Sequence[Any]) -> bytes:
+def encode_frame(messages: Sequence[Any], window: Optional[DescriptorWindow] = None) -> bytes:
     """Encode *messages* (protocol message objects) into one frame.
 
     Several messages to the same destination share one frame (and one
     interned table) — the runtime's coalescing path; the deterministic wire
     harness sends one message per frame for exact per-kind byte attribution.
+
+    With *window* (the sending half of a connection's
+    :class:`DescriptorWindow`) gossip payloads are spelled against it and
+    advance it: the frame must then be written to that connection, in
+    order, or the connection dropped.  Without one the frame is stateless
+    and canonical.
     """
-    return encode_frame_detailed(messages)[0]
+    return encode_frame_detailed(messages, window)[0]
 
 
 def encode_message(message: Any) -> bytes:
@@ -593,26 +757,52 @@ def message_digest(message: Any) -> str:
 # Decoder                                                                     #
 # --------------------------------------------------------------------------- #
 
+#: The ``prev`` of a descriptor that names no predecessor — most of them.
+#: One shared object instead of a fresh empty frozenset per decoded descriptor.
+_NO_PREV: FrozenSet[OperationId] = frozenset()
+
+
 class _Decoder:
-    def __init__(self, data, table: Sequence[str], pos: int = 0) -> None:
+    def __init__(
+        self,
+        data,
+        table: Sequence[str],
+        pos: int = 0,
+        window: Optional[DescriptorWindow] = None,
+    ) -> None:
         self.data = data
         self.table = table
         self.pos = pos
+        #: The link's window; ``None`` on a stateless decode.
+        self.window = window
 
     # -- primitives ----------------------------------------------------------
 
-    def u(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise FrameError("truncated varint")
-            byte = self.data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
+    def u(self, max_shift: int = _MAX_VARINT_SHIFT) -> int:
+        data = self.data
+        pos = self.pos
+        try:
+            byte = data[pos]
+            if byte < 0x80:
+                self.pos = pos + 1
+                return byte
+            result = byte & 0x7F
+            shift = 7
+            while True:
+                pos += 1
+                byte = data[pos]
+                if byte < 0x80:
+                    self.pos = pos + 1
+                    return result | (byte << shift)
+                result |= (byte & 0x7F) << shift
+                shift += 7
+                # Only a continuation byte gets here: the bound costs the
+                # one-byte varints (nearly all of them) nothing, and keeps a
+                # run of 0xFF from growing a big-int shift by shift.
+                if shift > max_shift:
+                    raise FrameError(f"varint longer than {max_shift // 7 + 1} bytes")
+        except IndexError:
+            raise FrameError("truncated varint") from None
 
     def s(self) -> int:
         return unzigzag(self.u())
@@ -655,7 +845,7 @@ class _Decoder:
         if tag == _V_TRUE:
             return True
         if tag == _V_INT:
-            return self.s()
+            return unzigzag(self.u(_MAX_INT_SHIFT))
         if tag == _V_FLOAT:
             return struct.unpack(">d", self.raw(8))[0]
         if tag == _V_STR:
@@ -696,7 +886,8 @@ class _Decoder:
         op = self.value()
         op_id = self.op_id()
         strict = bool(self.byte())
-        prev = frozenset(self.op_id() for _ in range(self.u()))
+        count = self.u()
+        prev = frozenset(self.op_id() for _ in range(count)) if count else _NO_PREV
         return OperationDescriptor(op=op, id=op_id, prev=prev, strict=strict)
 
     def summary(self) -> OpIdSummary:
@@ -771,6 +962,13 @@ def _decode_response(dec: _Decoder) -> ResponseMessage:
 
 def _decode_gossip(dec: _Decoder) -> GossipMessage:
     flags = dec.byte()
+    ops = last_labels = None
+    if flags & _G_WINDOW:
+        window = dec.window
+        if window is None:
+            raise FrameError("windowed gossip payload on a link without a window")
+        window.forget(dec.u())
+        ops, last_labels = window.ops, window.labels
     sender = dec.ident()
     epoch = dec.u()
     stream = dec.u()
@@ -785,7 +983,17 @@ def _decode_gossip(dec: _Decoder) -> GossipMessage:
     done: List[OperationDescriptor] = []
     stable: List[OperationDescriptor] = []
     for _ in range(dec.u()):
-        op = dec.operation()
+        distance = dec.u() if ops is not None else 0
+        if distance:
+            # Back-reference: the object decoded at first sight, no parse.
+            if distance > len(ops):
+                raise FrameError(f"descriptor reference {distance} outside the window")
+            op = ops[-distance]
+        else:
+            op = dec.operation()
+            if ops is not None:
+                ops.append(op)
+                last_labels.append(None)
         membership = dec.byte()
         if membership & 1:
             received.append(op)
@@ -796,8 +1004,22 @@ def _decode_gossip(dec: _Decoder) -> GossipMessage:
 
     labels: Dict[OperationId, Label] = {}
     for _ in range(dec.u()):
-        op_id = dec.op_id()
-        labels[op_id] = dec.label()
+        head = dec.u() if ops is not None else 0
+        if not head:
+            op_id = dec.op_id()
+            label = dec.label()
+        else:
+            distance = head >> 1
+            if not 0 < distance <= len(ops):
+                raise FrameError(f"label reference {distance} outside the window")
+            op_id = ops[-distance].id
+            if head & 1:
+                label = last_labels[-distance]
+                if label is None:
+                    raise FrameError("label marked unchanged for an entry that never had one")
+            else:
+                label = last_labels[-distance] = dec.label()
+        labels[op_id] = label
 
     checkpoint = dec.checkpoint() if flags & _G_CHECKPOINT else None
     advert = dec.advert() if flags & _G_ADVERT else None
@@ -878,21 +1100,40 @@ _DECODERS = {
 }
 
 
-def decode_frame(frame) -> List[Any]:
+def decode_frame(frame, window: Optional[DescriptorWindow] = None) -> List[Any]:
     """Decode one frame (any bytes-like object) back into its message
     objects.  Decoding runs over one ``memoryview`` of the input: interior
     runs are sliced as views, so nothing is copied except the leaves that
-    must own their bytes (strings, ``bytes`` values)."""
+    must own their bytes (strings, ``bytes`` values).
+
+    *window* is the receiving half of the connection's
+    :class:`DescriptorWindow`; without one a windowed payload is rejected.
+
+    The bytes come from outside the program, so **every** failure leaves as
+    :class:`FrameError`: a flipped byte can make a string invalid UTF-8, a
+    mutable set a dict key, a nested tuple a recursion bomb — the read loops
+    catch ``EsdsError``, and an exception of any other type would escape
+    their task uncounted.  One ``try`` around the frame, nothing per value.
+    """
+    try:
+        return _decode_frame(frame, window)
+    except FrameError:
+        raise
+    except Exception as exc:
+        raise FrameError(f"malformed frame ({type(exc).__name__}: {exc})") from exc
+
+
+def _decode_frame(frame, window: Optional[DescriptorWindow]) -> List[Any]:
     data = frame if isinstance(frame, memoryview) else memoryview(frame)
     if len(data) < 3 or data[:2] != MAGIC:
         raise FrameError("not a wire frame (bad magic)")
     if data[2] != WIRE_VERSION:
         raise FrameError(f"wire version {data[2]}, this codec understands {WIRE_VERSION}")
     head = _Decoder(data, (), pos=3)
-    table: List[str] = []
-    for _ in range(head.u()):
-        table.append(head.text())
-    dec = _Decoder(data, table, pos=head.pos)
+    # Interned: every OperationId / Label of a client or replica, in every
+    # frame, shares one ``str``.
+    table = [sys.intern(head.text()) for _ in range(head.u())]
+    dec = _Decoder(data, table, pos=head.pos, window=window)
     messages: List[Any] = []
     for _ in range(dec.u()):
         length = dec.u()

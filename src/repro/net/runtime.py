@@ -29,6 +29,16 @@ Framing and flow control
     message that is then dropped would burn a stream seqno and stall the
     receiver's cumulative ack.
 
+Descriptor windows
+    A connection is reliable and FIFO, so each direction of a
+    replica->replica connection owns a
+    :class:`~repro.net.codec.DescriptorWindow`: a descriptor crosses in full
+    once and by back-reference afterwards.  The window's lifetime is the
+    connection's — the send link dials *before* it encodes and drops window
+    and connection together on a failed write; the serve task's half dies
+    with the task — so the first frame on every connection is spelled in
+    full and no handshake is needed after a crash or a rejected frame.
+
 Loss tolerance
     Connections (re)connect lazily; a write onto a broken link loses the
     batch, and nothing retransmits at the transport level.  That is the
@@ -60,7 +70,12 @@ from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
 from repro.deployment import Deployment
-from repro.net.codec import FrameError, decode_frame, encode_frame_detailed
+from repro.net.codec import (
+    DescriptorWindow,
+    FrameError,
+    decode_frame,
+    encode_frame_detailed,
+)
 
 #: Upper bound on one frame (a defensive limit, far above any real frame).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -329,9 +344,12 @@ class _SendLink:
     """One bounded outgoing queue + writer task toward a fixed peer.
 
     ``dial=True`` links own their connection (replica->replica: lazily
-    (re)connected through the transport registry); ``dial=False`` links
-    write onto an already-accepted connection's writer (replica->client
-    responses ride the client's own duplex connection)."""
+    (re)connected through the transport registry) and, with it, the sending
+    half of its :class:`~repro.net.codec.DescriptorWindow` — born with the
+    connection, dropped with it, so the first frame on every connection is
+    spelled in full; ``dial=False`` links write onto an already-accepted
+    connection's writer (replica->client responses ride the client's own
+    duplex connection) and encode statelessly."""
 
     def __init__(self, cluster: "NetCluster", source: str, dest: str,
                  writer=None) -> None:
@@ -340,6 +358,7 @@ class _SendLink:
         self._dest = dest
         self._writer = writer
         self._dial = writer is None
+        self._window: Optional[DescriptorWindow] = None
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=cluster.params.send_queue_limit)
         self.task = asyncio.get_running_loop().create_task(self._run())
 
@@ -368,11 +387,16 @@ class _SendLink:
                     batch.append(self.queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            frame, sizes = encode_frame_detailed([message for _, message in batch])
+            # Dial before encoding: a windowed frame advances the window, so
+            # it must be written to the connection the window belongs to.
             if self._writer is None and self._dial:
                 self._writer = await self._connect()
                 if self._writer is None:
                     continue  # peer unreachable: the batch is lost (fault model)
+                self._window = DescriptorWindow()
+            frame, sizes = encode_frame_detailed(
+                [message for _, message in batch], self._window
+            )
             try:
                 await write_frame(self._writer, frame)
             except (ConnectionError, OSError):
@@ -384,6 +408,7 @@ class _SendLink:
         if self._writer is not None:
             _close_quietly(self._writer)
         self._writer = None
+        self._window = None
         if not self._dial:
             # An accepted connection cannot be re-dialed from this side;
             # the peer re-connects and a fresh link replaces this one.
@@ -550,6 +575,9 @@ class NetCluster(Deployment):
         endpoint.tasks.add(task)
         node = endpoint.node
         response_link = None
+        # The receiving half of this connection's descriptor window: it lives
+        # and dies with this task.
+        window = DescriptorWindow()
         try:
             sender = await _read_hello(reader)
             if sender is None or node.crashed:
@@ -568,7 +596,7 @@ class NetCluster(Deployment):
                     break
                 self.stats.frames_received += 1
                 self.stats.bytes_received += len(frame) + _LEN.size
-                await self._handle_frame(endpoint, decode_frame(frame))
+                await self._handle_frame(endpoint, decode_frame(frame, window))
         except EsdsError:
             # Hostile or corrupt bytes: after one bad frame the stream's
             # framing cannot be trusted, so the *connection* goes — never the

@@ -36,6 +36,7 @@ from repro.common import INFINITY, OperationId
 from repro.core.operations import make_operation
 from repro.datatypes.base import Operator
 from repro.net.codec import (
+    WIRE_VERSION,
     FrameError,
     decode_frame,
     encode_frame,
@@ -356,6 +357,58 @@ class TestVarints:
         )
         (decoded,) = decode_frame(encode_message(message))
         assert_summary_equal(decoded.ids, summary)
+
+
+# --------------------------------------------------------------------------- #
+# Stateless frames are wire version 2 under a new version byte
+# --------------------------------------------------------------------------- #
+
+
+def every_kind():
+    """One frame's worth of every message kind (both gossip attachments)."""
+    checkpoint = sample_checkpoint()
+    advert = CheckpointAdvert(
+        frontier=checkpoint.frontier, digest="ab12" * 4, ids=checkpoint.ids,
+        order_digest="cd34" * 4,
+    )
+    return [
+        RequestMessage(op(prev=(("c9", 4), ("c0", 1)), strict=True)),
+        ResponseMessage(op(), value={"b": 1, "a": (None, {2, 3})}, stale=True, sender="r2"),
+        sample_gossip(checkpoint=checkpoint),
+        sample_gossip(advert=advert, is_delta=False),
+        PullRequestMessage("r2", "r0", "ab12" * 4, Label(17, "r0"), Label(3, "r2")),
+        CheckpointTransferMessage(
+            sender="r0", requester="r2", epoch=3, digest="ef56" * 4,
+            frontier=checkpoint.frontier, ids=checkpoint.ids,
+            values_chunk={OperationId("c1", 5): "x"}, chunk_index=1, chunk_count=2,
+            base_state=7, order_digest="cd34" * 4,
+        ),
+    ]
+
+
+#: ``encode_frame(every_kind())`` as the wire-version-2 codec wrote it.
+WIRE_V2_EVERY_KIND = bytes.fromhex(
+    "e50d020a026330026339027232027230026331027231103030303030303030303030303030303010"
+    "61623132616231326162313261623132106566353665663536656635366566353610636433346364"
+    "333463643334636433340613010a05036164640701030200020102000201082402030a0503616464"
+    "070103020002000009020501610702000e020304030605016203020258032f03020109040100020a"
+    "05036164640701030200020000070a050472656164070004060101040401020002080304060a0203"
+    "0e0112050200010203040202010102060300020302000400040a05017840290000000000006f0336"
+    "03020109040100020a05036164640701030200020000070a05047265616407000406010104040102"
+    "0002080304060a021202723110616231326162313261623132616231321063643334636433346364"
+    "3334636433340202633001020302633102020101024029000000000000090401020307220306021e"
+    "0501030203080912050200010203040202010102010201040a050178030e"
+)
+
+
+def test_frame_without_a_window_is_wire_v2_apart_from_the_version_byte():
+    # Link windows added a descriptor form; a frame encoded without one —
+    # everything digests, vectors and the wire twin see — did not change.
+    assert WIRE_V2_EVERY_KIND[2] == 2 and WIRE_VERSION == 3
+    expected = WIRE_V2_EVERY_KIND[:2] + bytes([WIRE_VERSION]) + WIRE_V2_EVERY_KIND[3:]
+    assert encode_frame(every_kind()) == expected
+    assert encode_frame(every_kind(), None) == expected
+    assert encode_frame_detailed(every_kind(), window=None)[0] == expected
 
 
 # --------------------------------------------------------------------------- #

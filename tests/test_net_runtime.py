@@ -18,9 +18,13 @@ import gc
 import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
-from repro.common import ConfigurationError
+from repro.algorithm.messages import RequestMessage, ResponseMessage
+from repro.common import ConfigurationError, OperationId
 from repro.config import ReplicaConfig
+from repro.core.operations import make_operation
 from repro.datatypes import CounterType
+from repro.datatypes.base import Operator
+from repro.net.codec import encode_message
 from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams, write_frame
 from repro.verification.serializability import check_recorded_trace
 
@@ -281,15 +285,44 @@ async def _after_bad_bytes(transport, bad_bytes, toward):
     assert leaked == []
 
 
+def _length_prefixed(frame: bytes) -> bytes:
+    return len(frame).to_bytes(4, "big") + frame
+
+
+def _malformed_frames():
+    """Well-framed bytes that used to get an exception other than the codec's
+    own out of ``decode_frame`` — or, for the varint, to stall the loop."""
+    operation = make_operation(Operator("add", ("x",)), OperationId("c0", 1))
+    # A flipped byte in the identifier table: no longer UTF-8.
+    not_utf8 = bytearray(encode_message(RequestMessage(operation)))
+    not_utf8[not_utf8.index(b"c0")] = 0xFF
+    # A dict keyed by a frozenset, its tag flipped to the *mutable* set's.
+    response = ResponseMessage(operation, value={frozenset([1]): 2})
+    unhashable = bytearray(encode_message(response))
+    at = unhashable.index(bytes([9, 1, 8]))  # dict of 1 pair, key tag: frozenset
+    unhashable[at + 2] = 14
+    return {
+        "endless varint": encode_message(RequestMessage(operation))[:3] + b"\xff" * 400_000,
+        "not utf-8": bytes(not_utf8),
+        "unhashable key": bytes(unhashable),
+    }
+
+
+MALFORMED = _malformed_frames()
+
+
 @pytest.mark.parametrize("transport", ["memory", "tcp"])
 @pytest.mark.parametrize("toward", ["client", "replica"])
 class TestHostileFrames:
     def test_garbage_frame_drops_the_connection_only(self, transport, toward):
-        frame = len(GARBAGE).to_bytes(4, "big") + GARBAGE
-        asyncio.run(_after_bad_bytes(transport, frame, toward))
+        asyncio.run(_after_bad_bytes(transport, _length_prefixed(GARBAGE), toward))
 
     def test_oversized_frame_drops_the_connection_only(self, transport, toward):
         asyncio.run(_after_bad_bytes(transport, OVERSIZED, toward))
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_frame_drops_the_connection_only(self, transport, toward, name):
+        asyncio.run(_after_bad_bytes(transport, _length_prefixed(MALFORMED[name]), toward))
 
 
 @pytest.mark.parametrize("transport", ["memory", "tcp"])
