@@ -27,20 +27,33 @@ Four parts:
   run fits, so the delta and advert modes are run under the simulator at
   n=4 and every directed link's gossip messages are *also* spelled through a
   paired sender/receiver :class:`~repro.net.codec.DescriptorWindow`, in send
-  order.  Gated: windowed over stateless gossip bytes (hard max 0.8).
+  order.  Gated: windowed over stateless gossip bytes (hard max 0.8).  Each
+  replica's six windows share one :class:`~repro.net.codec.DescriptorTable`,
+  as an endpoint's do, and what the windows decode is what the cores receive;
+  full descriptor parses and spellings are counted from outside.  Gated:
+  parses per operation (hard max 4.0 — once per replica) and spellings per
+  operation (hard max 1.0 — once, where the request arrived).
 
 Environment knobs: ``E13_SIM_OPS`` (E13a ops, default 400), ``E13_NET_OPS``
 (E13c ops per client, default 200), ``E13_TIMING_ASSERTS`` (default on).
 """
 
 import asyncio
+import contextlib
 import gc
 import os
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
-from repro.net.codec import DescriptorWindow, decode_frame, encode_frame, encode_message
+from repro.net import codec
+from repro.net.codec import (
+    DescriptorTable,
+    DescriptorWindow,
+    decode_frame,
+    encode_frame,
+    encode_message,
+)
 from repro.net.driver import LoadSpec, run_load
 from repro.net.runtime import NetCluster, NetParams
 from repro.net.wire import WireCluster
@@ -286,17 +299,44 @@ def test_e13c_tcp_loopback_throughput():
     emit_bench_json("E13", e13a_metrics_cached())
 
 
+@contextlib.contextmanager
+def counted_descriptor_work(counts):
+    """Count, from outside the codec, the full descriptor parses and
+    spellings made inside the block."""
+    spell, parse = codec._spell_descriptor, codec._Decoder.descriptor_body
+
+    def counting_spell(op):
+        counts["spellings"] += 1
+        return spell(op)
+
+    def counting_parse(decoder, client, end):
+        counts["parses"] += 1
+        return parse(decoder, client, end)
+
+    codec._spell_descriptor, codec._Decoder.descriptor_body = counting_spell, counting_parse
+    try:
+        yield
+    finally:
+        codec._spell_descriptor, codec._Decoder.descriptor_body = spell, parse
+
+
 class WindowedLinks(WireCluster):
-    """The stateless twin drives the execution, unchanged; beside it every
-    gossip message is spelled the way a ``NetCluster`` connection would spell
-    it — through its directed link's window pair, in send order."""
+    """Every gossip message is spelled the way a ``NetCluster`` connection
+    would spell it — through its directed link's window pair, in send order,
+    each replica's windows sharing that replica's descriptor table — and the
+    cores receive what the windows decoded, once it is checked against the
+    stateless twin's decode.  Requests and responses stay stateless, so a
+    replica first meets a descriptor either in its own request or in gossip."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._tables = {rid: DescriptorTable() for rid in self.replica_ids}
         self._windows = {}  # (source, destination) -> (sender's, receiver's)
         self._link = None
         self.windowed_gossip_bytes = 0
         self.stateless_descriptors = 0
+        #: Full parses and spellings on the table-sharing links.
+        self.interned = {"parses": 0, "spellings": 0}
 
     def _send(self, kind, source, destination, message=None) -> None:
         self._link = (source, destination)
@@ -304,56 +344,72 @@ class WindowedLinks(WireCluster):
 
     def _transit(self, kind, message):
         decoded = super()._transit(kind, message)
-        if kind == "gossip":
-            sender, receiver = self._windows.setdefault(
-                self._link, (DescriptorWindow(), DescriptorWindow())
-            )
+        if kind != "gossip":
+            return decoded
+        source, destination = self._link
+        sender, receiver = self._windows.setdefault(
+            self._link,
+            (
+                DescriptorWindow(self._tables[source]),
+                DescriptorWindow(self._tables[destination]),
+            ),
+        )
+        with counted_descriptor_work(self.interned):
             frame = encode_frame([message], sender)
-            self.windowed_gossip_bytes += len(frame)
             (windowed,) = decode_frame(frame, receiver)
-            assert encode_message(windowed) == encode_message(decoded)
-            self.stateless_descriptors += len(decoded.received | decoded.done | decoded.stable)
-        return decoded
+        self.windowed_gossip_bytes += len(frame)
+        assert encode_message(windowed) == encode_message(decoded)
+        self.stateless_descriptors += len(decoded.received | decoded.done | decoded.stable)
+        return windowed
 
     def windowed_descriptors(self) -> int:
-        """Descriptors that crossed some link in full (= were parsed)."""
+        """Descriptors that crossed some link in full."""
         return sum(
             receiver.start + len(receiver.ops) for _sender, receiver in self._windows.values()
         )
 
 
 def test_e13d_link_window_shrinks_the_gossip_plane():
-    rows, ratios, parses = [], {}, {}
+    rows, ratios, crossings, parses, spellings = [], {}, {}, {}, {}
     for mode in ("delta", "advert"):
         cluster = run_cluster(WindowedLinks, mode, 4)
         completed = max(len(cluster.responded), 1)
         stateless = cluster.wire_stats.bytes_by_kind["gossip"]
         ratios[f"{mode}_n4"] = cluster.windowed_gossip_bytes / stateless
-        parses[f"{mode}_n4"] = cluster.windowed_descriptors() / completed
+        crossings[f"{mode}_n4"] = cluster.windowed_descriptors() / completed
+        parses[f"{mode}_n4"] = cluster.interned["parses"] / completed
+        spellings[f"{mode}_n4"] = cluster.interned["spellings"] / completed
         rows.append((
             mode,
             f"{stateless:,}",
             f"{cluster.windowed_gossip_bytes:,}",
             f"{ratios[f'{mode}_n4']:.3f}",
             f"{cluster.stateless_descriptors / completed:.1f}",
-            f"{parses[f'{mode}_n4']:.1f}",
+            f"{crossings[f'{mode}_n4']:.1f}",
+            f"{parses[f'{mode}_n4']:.2f}",
+            f"{spellings[f'{mode}_n4']:.2f}",
         ))
         # The same seeded execution E13a measured: only the spelling differs.
         if (4, mode) in _E13A_CACHE:
             assert _E13A_CACHE[(4, mode)]["bytes_by_kind"]["gossip"] == stateless
             assert _E13A_CACHE[(4, mode)]["responded"] == dict(cluster.responded)
     print_table(
-        f"E13d: gossip bytes through per-link descriptor windows, n=4 ({SIM_OPS} ops)",
+        f"E13d: gossip through per-link windows and per-replica tables, n=4 ({SIM_OPS} ops)",
         ["mode", "stateless B", "windowed B", "windowed/stateless",
-         "descriptor parses/op", "windowed parses/op"],
+         "stateless parses/op", "full forms sent/op", "parses/op", "spellings/op"],
         rows,
     )
     for key, ratio in ratios.items():
         assert ratio < 0.8, f"link windows saved only {1 - ratio:.0%} of gossip bytes ({key})"
+    for key in ratios:
+        # Once per replica that did not take the request; once where it arrived.
+        assert parses[key] <= 4.0 and spellings[key] <= 1.0, (key, parses[key], spellings[key])
 
     _E13D_METRICS.update({
         "windowed_over_stateless_gossip_bytes": ratios,
-        "windowed_descriptor_parses_per_op": parses,
+        "windowed_descriptor_parses_per_op": crossings,
+        "interned_descriptor_parses_per_op": parses,
+        "interned_descriptor_spellings_per_op": spellings,
     })
     emit_bench_json("E13", e13a_metrics_cached())
 

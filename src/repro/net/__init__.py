@@ -9,7 +9,9 @@ Three pieces (see docs/architecture.md, "The network runtime"):
   interned identifier tables and length-prefixed framing; content digests are
   computed over the canonical encoding.  On a replica->replica connection a
   link-owned :class:`~repro.net.codec.DescriptorWindow` spells a descriptor in
-  full once and by back-reference afterwards.
+  full once and by back-reference afterwards; an endpoint-owned
+  :class:`~repro.net.codec.DescriptorTable` remembers the full form's bytes,
+  so a replica parses a descriptor once and holds one object for it.
 * :mod:`repro.net.wire` — :class:`~repro.net.wire.WireCluster`, the
   deterministic wire harness: the seeded simulator with every message passed
   through the codec as real bytes (encode -> frame -> decode), which is what
@@ -24,6 +26,7 @@ Three pieces (see docs/architecture.md, "The network runtime"):
 
 from repro.net.codec import (
     WIRE_VERSION,
+    DescriptorTable,
     DescriptorWindow,
     FrameError,
     decode_frame,
@@ -38,6 +41,7 @@ from repro.net.wire import WireCluster, WireStats
 
 __all__ = [
     "WIRE_VERSION",
+    "DescriptorTable",
     "DescriptorWindow",
     "FrameError",
     "decode_frame",

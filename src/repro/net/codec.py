@@ -21,22 +21,37 @@ Layout of one frame (all integers are LEB128 varints unless noted)::
 A payload is one kind tag byte followed by the kind-specific body.  The
 interned table holds the *protocol identifiers* — client ids, replica ids,
 checkpoint digests — which repeat heavily within a frame; they are referenced
-by varint index.  Operation identifiers encode as ``(client ref, seqno)``;
-compacted-id summaries pack per-client seqno intervals as delta varints, so a
-steady-state advert costs a few bytes per client regardless of history
-length.  Gossip set triples (received/done/stable) are encoded as one sorted
-descriptor union plus a per-descriptor membership byte, since the three sets
-overlap almost completely.
+by varint index.  Operation identifiers outside a descriptor body encode as
+``(client ref, seqno)``; compacted-id summaries pack per-client seqno
+intervals as delta varints, so a steady-state advert costs a few bytes per
+client regardless of history length.  Gossip set triples
+(received/done/stable) are encoded as one sorted descriptor union plus a
+per-descriptor membership byte, since the three sets overlap almost
+completely.
 
-A descriptor has **two forms**.  Stateless frames — everything encoded
-without a window: :func:`encode_message`, the wire twin, digests, client
-links — spell every descriptor in full.  A replica->replica connection is
-reliable and FIFO, so each direction of it owns a :class:`DescriptorWindow`:
-the first time a descriptor crosses the connection it is spelled in full and
-appended to the window at both ends; every later occurrence in a gossip
-payload on that connection is a varint *distance back into the window* and
-decodes to the very object decoded at first sight.  See the class for the
-``drop`` rule that keeps the two ends in step and the window small.
+A descriptor has **two forms**.  The *full form* is ``client (frame-table
+reference) | varint length | body``; the body — seqno, ``prev`` count and
+strict flag in one varint, operator value, ``prev`` identifiers with their
+clients spelled inline — holds no table reference, so the same descriptor
+has the same body bytes in every frame.  A replica->replica connection is reliable and FIFO, so each
+direction of it owns a :class:`DescriptorWindow`: the first time a
+descriptor crosses the connection it is spelled in full and appended to the
+window at both ends; every later occurrence in a gossip payload on that
+connection is the second form, a varint *distance back into the window*,
+and decodes to the very object decoded at first sight.  See the class for
+the ``drop`` rule that keeps the two ends in step and the window small.
+
+Because the body is frame-independent, an *endpoint* — one incarnation of a
+replica, one client — can remember it: all of an endpoint's windows share
+one :class:`DescriptorTable`, which maps ``(client, body bytes)`` to the
+live descriptor object and each live descriptor back to its bytes.  Decoding
+a full form whose bytes the endpoint already holds skips the body and
+returns that object (one slice, one lookup: no parse, no new object);
+encoding a descriptor whose bytes are known appends them verbatim (a relay
+re-sends what it received, a response reuses the request's bytes).  Frames
+encoded without a window — :func:`encode_message`, the wire twin, digests —
+use the same layout with no table: every full form is spelled and parsed
+afresh, and the bytes are canonical.  There is one encoder and one decoder.
 
 Arbitrary leaf values (operator arguments, data states, response values) use
 a self-contained tagged value encoding (no table references, so sorting a
@@ -66,27 +81,32 @@ checked-in conformance corpus stays valid.  :func:`message_digest` /
 :func:`frame_digest` are the wire-level counterparts computed over this
 canonical encoding.
 
-Hot-path notes (wire version 3):
+Hot-path notes (wire version 4):
 
-* On a windowed link a descriptor is encoded and parsed **once per
-  connection**: un-acked delta repeats, the periodic full-state message and
-  the received -> done -> stable upgrades name it by back-reference, and a
-  label entry names its operation the same way and says "unchanged" in its
-  low bit when the label is the last one sent for that entry — decoded as
-  the same ``Label`` object, so the fast core's ``current is label`` test
-  hits.
-
+* A descriptor is parsed **once per replica** and spelled **once** — by the
+  client that issues it.  The link window makes it cross each connection in
+  full once (un-acked delta repeats, the periodic full-state message and the
+  received -> done -> stable upgrades name it by back-reference, and a label
+  entry names its operation the same way, saying "unchanged" in its low bit
+  when the label is the last one sent for that entry — decoded as the same
+  ``Label`` object, so the fast core's ``current is label`` test hits); the
+  endpoint table makes a lookup of the first sight on the second and third
+  link, of gossip about a descriptor the replica took as a request, and of
+  the response at the client.  The
+  copies a replica holds of one descriptor are therefore one object, and the
+  window's ``known is op`` test, the gossip encoder's union and the core's
+  set algebra all hit identity before they would try ``==``.
 * Encoders append varints in place (no per-varint ``bytes`` allocation) and
   frames are assembled from a pooled grow-only buffer — one payload copy
-  into the frame, no intermediate per-payload ``bytes``.
+  into the frame, no intermediate per-payload ``bytes``.  The canonical
+  ``(client, seqno)`` orders sort on keys built in C.
 * A :class:`~repro.algorithm.checkpoint.CheckpointAdvert` encodes
   *self-contained* (length-prefixed strings instead of table references),
-  which makes its bytes frame-independent — and therefore memoizable keyed
-  by ``(digest, order_digest)``: a complete key, because every encoded
-  advert field (frontier, identity, id summary) is a function of the
-  sender's own fold prefix, which ``order_digest`` chains.  A replica
+  which makes its bytes frame-independent — and therefore memoizable, in
+  the endpoint's table (:meth:`DescriptorTable.advert_bytes`): a replica
   re-advertising an unchanged checkpoint every gossip round hits the memo
-  every time.
+  every time.  Nothing the codec remembers is module-level: two endpoints
+  share no state, in one process or in two.
 * :func:`decode_frame` accepts any bytes-like object and decodes through
   one ``memoryview`` — interior slices (strings, floats, raw runs) are
   views, copied only at the leaves that must own their bytes.
@@ -98,7 +118,9 @@ import hashlib
 import json
 import struct
 import sys
+import weakref
 from collections import deque
+from operator import attrgetter
 from typing import Any, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.algorithm.checkpoint import Checkpoint, CheckpointAdvert, OpIdSummary
@@ -115,7 +137,7 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
 
 #: Bump on any change to the wire layout.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 MAGIC = b"\xe5\x0d"
 
@@ -172,6 +194,109 @@ class FrameError(EsdsError):
 
 
 # --------------------------------------------------------------------------- #
+# Endpoint-scoped descriptor tables                                           #
+# --------------------------------------------------------------------------- #
+
+class _HeldDescriptor(weakref.ref):
+    """A table entry: a weak reference to a descriptor, with the
+    ``(client, body bytes)`` it is filed under and its ``id()`` (which can no
+    longer be asked of it once it has died)."""
+
+    __slots__ = ("key", "oid")
+
+
+class DescriptorTable:
+    """What one *endpoint* knows about spellings: the descriptors it holds,
+    by their exact body bytes, and the body bytes of each descriptor it holds.
+
+    An endpoint is one incarnation of a replica, or one client's connection
+    set; every :class:`DescriptorWindow` of its links shares its table, which
+    is how the table reaches the codec.  Three properties are the design:
+
+    * **Per endpoint, never per process.**  A replica parses a descriptor
+      once however many links relay it, and re-sends the bytes it received —
+      which is all a machine of its own could do.  A process-wide table would
+      parse once per *process*: a gain only a one-process cluster gets.
+    * **Keyed by the exact bytes.**  A hit returns the object an earlier
+      parse of those very bytes built, so it equals what a fresh parse would
+      build: hostile bytes gain nothing, and an identifier re-sent with a
+      different body is a different key.
+    * **An entry lives exactly as long as its descriptor.**  Entries are weak:
+      when the core has folded a descriptor away and the windows have
+      forgotten it, the entry goes with it.  The table has no size.
+
+    The advert encode memo lives here under the same rules (see
+    :meth:`advert_bytes`), so nothing the codec remembers is shared between
+    endpoints.
+    """
+
+    __slots__ = ("_by_spelling", "_by_object", "_adverts", "_forget", "__weakref__")
+
+    def __init__(self) -> None:
+        self._by_spelling: Dict[Tuple[str, bytes], _HeldDescriptor] = {}
+        #: ``id(descriptor)`` -> its entry.  Sound as a key because the entry
+        #: is removed by the descriptor's own death, before its ``id`` can be
+        #: reused.
+        self._by_object: Dict[int, _HeldDescriptor] = {}
+        #: advert -> its encoded bytes (see :meth:`advert_bytes`).
+        self._adverts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # The callback reaches the table weakly: entries must not keep a
+        # crashed incarnation's table alive through a reference cycle.
+        this = weakref.ref(self)
+
+        def forget(held: _HeldDescriptor) -> None:
+            table = this()
+            if table is not None:
+                del table._by_object[held.oid]
+                # An equal twin spelled later is held under the same bytes
+                # but is not the filed entry.
+                if table._by_spelling.get(held.key) is held:
+                    del table._by_spelling[held.key]
+
+        self._forget = forget
+
+    def __len__(self) -> int:
+        """Live descriptors this endpoint knows the bytes of."""
+        return len(self._by_object)
+
+    def find(self, client: str, body: bytes) -> Optional[OperationDescriptor]:
+        """The live descriptor of *client* spelled *body*, if this endpoint
+        holds one."""
+        held = self._by_spelling.get((client, body))
+        return None if held is None else held()
+
+    def body_of(self, op: OperationDescriptor) -> Optional[bytes]:
+        """The body bytes *op* arrived as or was spelled as, if known."""
+        held = self._by_object.get(id(op))
+        return None if held is None else held.key[1]
+
+    def remember(self, op: OperationDescriptor, body: bytes) -> None:
+        """File *op* — just parsed from *body*, or just spelled as it."""
+        held = _HeldDescriptor(op, self._forget)
+        held.key = key = (op.id.client, body)
+        held.oid = oid = id(op)
+        self._by_object[oid] = held
+        self._by_spelling.setdefault(key, held)
+
+    def advert_bytes(self, advert: CheckpointAdvert) -> bytes:
+        """The encoding of *advert*, spelled once per advert.  An advert is
+        immutable and encodes self-contained (no frame-table references), so
+        its bytes are a function of the advert alone and the advert itself is
+        the key — complete by construction, where the process-wide memo this
+        replaces was keyed ``(digest, order_digest)`` and needed the argument
+        that every encoded field follows from the fold prefix (which is why
+        one replica hit what another had encoded).  A checkpoint builds its
+        advert once, so a replica steadily re-advertising an unchanged
+        checkpoint (the common case between compactions) pays the encode
+        once per checkpoint, not per gossip message; the entry goes when the
+        advert does."""
+        spelling = self._adverts.get(advert)
+        if spelling is None:
+            spelling = self._adverts[advert] = _spell_advert(advert)
+        return spelling
+
+
+# --------------------------------------------------------------------------- #
 # Link-scoped descriptor windows                                              #
 # --------------------------------------------------------------------------- #
 
@@ -201,11 +326,21 @@ class DescriptorWindow:
     it first sent :data:`WINDOW_MESSAGES` gossip messages ago — so the window
     is as large as the link is busy and no larger.  A distance that reaches
     outside it is a :class:`FrameError`.
+
+    *table* is the :class:`DescriptorTable` of the endpoint this end of the
+    connection belongs to; every frame encoded or decoded with the window
+    goes through it, whatever its message kinds (a client link carries no
+    gossip: its window stays empty and only brings the table along).  The
+    three compose: the acked basis decides *what knowledge* travels, the
+    window *whether* a descriptor is spelled on this connection, the table
+    *what a spelling costs* this endpoint.  Without a table every full form
+    is spelled and parsed afresh.
     """
 
-    __slots__ = ("ops", "labels", "start", "_index", "_marks")
+    __slots__ = ("table", "ops", "labels", "start", "_index", "_marks")
 
-    def __init__(self) -> None:
+    def __init__(self, table: Optional[DescriptorTable] = None) -> None:
+        self.table = table
         self.ops: List[OperationDescriptor] = []
         self.labels: List[Optional[Label]] = []
         #: Entries forgotten so far: ``start + len(ops)`` counts every
@@ -385,8 +520,38 @@ def _encode_value(out: bytearray, value: Any) -> None:
         raise FrameError(f"cannot encode value of type {type(value).__name__}: {value!r}")
 
 
-def _id_sort_key(op_id: OperationId) -> Tuple[str, int]:
-    return (op_id.client, op_id.seqno)
+#: The canonical order of identifiers, and of descriptors and label entries
+#: by identifier: ``(client, seqno)``.  Sort keys are built in C, once per
+#: element — the gossip encoder sorts two collections per message.
+_ID_ORDER = attrgetter("client", "seqno")
+_DESCRIPTOR_ORDER = attrgetter("id.client", "id.seqno")
+
+
+def _spell_descriptor(op: OperationDescriptor) -> bytes:
+    """The *body* of a descriptor's full form: seqno, ``prev count << 1 |
+    strict`` (one varint), operator value, ``prev`` identifiers.  It holds no
+    reference into any frame's identifier table — a ``prev`` identifier
+    spells its client inline, as a string whose length is sent plus one, 0
+    standing for the descriptor's own client (the usual case: a client chains
+    on its own operations) — so the bytes are the same in every frame and can
+    be remembered, compared and re-sent."""
+    out = bytearray()
+    op_id = op.id
+    _append_varint(out, zigzag(op_id.seqno))
+    prev = op.prev
+    _append_varint(out, len(prev) << 1 | (1 if op.strict else 0))
+    _encode_value(out, op.op)
+    if prev:
+        client = op_id.client
+        for p in sorted(prev, key=_ID_ORDER):
+            if p.client == client:
+                out.append(0)
+            else:
+                raw = p.client.encode("utf-8")
+                _append_varint(out, len(raw) + 1)
+                out += raw
+            _append_varint(out, zigzag(p.seqno))
+    return bytes(out)
 
 
 class _Encoder:
@@ -398,13 +563,15 @@ class _Encoder:
         self.out = bytearray()
         #: The link's window for this frame; ``None`` encodes statelessly.
         self.window: Optional[DescriptorWindow] = None
+        #: The window's endpoint table; ``None`` spells everything afresh.
+        self.descriptors: Optional[DescriptorTable] = None
 
     def reset(self) -> None:
         """Make this encoder reusable for the next frame (pooling)."""
         self._table.clear()
         self._order.clear()
         del self.out[:]
-        self.window = None
+        self.window = self.descriptors = None
 
     # -- primitives ----------------------------------------------------------
 
@@ -440,13 +607,21 @@ class _Encoder:
         self.ident(label.replica)
 
     def operation(self, op: OperationDescriptor) -> None:
-        self.value(op.op)
-        self.op_id(op.id)
-        self.byte(1 if op.strict else 0)
-        prev = sorted(op.prev, key=_id_sort_key)
-        self.u(len(prev))
-        for p in prev:
-            self.op_id(p)
+        """The full form: client reference, body length, body.  A descriptor
+        whose body bytes the endpoint knows — it arrived as bytes, or was
+        spelled once already — is appended verbatim."""
+        self.ident(op.id.client)
+        descriptors = self.descriptors
+        if descriptors is None:
+            body = _spell_descriptor(op)
+        else:
+            body = descriptors.body_of(op)
+            if body is None:
+                body = _spell_descriptor(op)
+                descriptors.remember(op, body)
+        out = self.out
+        _append_varint(out, len(body))
+        out += body
 
     def summary(self, summary: OpIdSummary) -> None:
         """Per-client seqno intervals as delta varints (the packing that
@@ -486,26 +661,16 @@ class _Encoder:
             self.value(value)
 
     def advert(self, advert: CheckpointAdvert) -> None:
-        self.out += _advert_bytes(advert)
+        descriptors = self.descriptors
+        self.out += (
+            _spell_advert(advert) if descriptors is None else descriptors.advert_bytes(advert)
+        )
 
 
-#: Digest-keyed advert encode memo.  An advert encodes self-contained (no
-#: table references), so its bytes are frame-independent and the memo is a
-#: straight lookup; ``(digest, order_digest)`` is a complete key because a
-#: replica only encodes adverts of its own checkpoints, and every encoded
-#: field — frontier, fold identity, id summary — is a function of the fold
-#: prefix that ``order_digest`` chains one link per operation.  A
-#: replica steadily re-advertising an unchanged checkpoint (the common case
-#: between compactions) pays the encode once per checkpoint, not per gossip.
-_ADVERT_CACHE: Dict[Tuple[str, str], bytes] = {}
-_ADVERT_CACHE_MAX = 512
-
-
-def _advert_bytes(advert: CheckpointAdvert) -> bytes:
-    key = (advert.digest, advert.order_digest)
-    cached = _ADVERT_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _spell_advert(advert: CheckpointAdvert) -> bytes:
+    """An advert, self-contained: length-prefixed strings instead of frame
+    table references, so the bytes are frame-independent (see
+    :meth:`DescriptorTable.advert_bytes`)."""
     out = bytearray()
     _append_varint(out, zigzag(advert.frontier.rank))
     _append_str(out, advert.frontier.replica)
@@ -524,10 +689,7 @@ def _advert_bytes(advert: CheckpointAdvert) -> bytes:
                 _append_varint(out, lo - prev_hi - 2)
             _append_varint(out, hi - lo)
             prev_hi = hi
-    if len(_ADVERT_CACHE) >= _ADVERT_CACHE_MAX:
-        _ADVERT_CACHE.clear()
-    encoded = _ADVERT_CACHE[key] = bytes(out)
-    return encoded
+    return bytes(out)
 
 
 # --------------------------------------------------------------------------- #
@@ -588,14 +750,12 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
     # One sorted union of descriptors with a membership byte each: the three
     # sets overlap almost completely (done and stable are subsets of the
     # sender's knowledge), so each descriptor is encoded exactly once.
-    union: Dict[OperationDescriptor, int] = {}
-    for op in message.received:
-        union[op] = union.get(op, 0) | 1
+    union: Dict[OperationDescriptor, int] = dict.fromkeys(message.received, 1)
     for op in message.done:
         union[op] = union.get(op, 0) | 2
     for op in message.stable:
         union[op] = union.get(op, 0) | 4
-    ordered = sorted(union, key=lambda op: _id_sort_key(op.id))
+    ordered = sorted(union, key=_DESCRIPTOR_ORDER)
     enc.u(len(ordered))
     for op in ordered:
         distance = 0
@@ -606,9 +766,10 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
             enc.operation(op)
         enc.byte(union[op])
 
-    labels = sorted(message.labels.items(), key=lambda item: _id_sort_key(item[0]))
+    labels = message.labels
     enc.u(len(labels))
-    for op_id, label in labels:
+    for op_id in sorted(labels, key=_ID_ORDER):
+        label = labels[op_id]
         head = 0
         if window is not None:
             head = window.refer_label(op_id, label)
@@ -686,7 +847,9 @@ def encode_frame_detailed(
     kinds with these (the shared magic/table/length overhead is counted as
     framing, not against any kind)."""
     enc, frame = _ENCODER_POOL.pop() if _ENCODER_POOL else (_Encoder(), bytearray())
-    enc.window = window
+    if window is not None:
+        enc.window = window
+        enc.descriptors = window.table
     try:
         spans: List[Tuple[int, int]] = []
         for message in messages:
@@ -775,6 +938,8 @@ class _Decoder:
         self.pos = pos
         #: The link's window; ``None`` on a stateless decode.
         self.window = window
+        #: The window's endpoint table; ``None`` parses everything afresh.
+        self.descriptors = None if window is None else window.table
 
     # -- primitives ----------------------------------------------------------
 
@@ -883,12 +1048,51 @@ class _Decoder:
         return Label(rank=rank, replica=self.ident())
 
     def operation(self) -> OperationDescriptor:
+        """The full form.  When the endpoint already holds a descriptor of
+        this client with these exact body bytes — seen on another link, or
+        in the client's request — the body is skipped and that object
+        returned: no parse, no new object."""
+        client = self.ident()
+        length = self.u()
+        start = self.pos
+        end = start + length
+        if end > len(self.data):
+            raise FrameError("descriptor body runs past the end of the frame")
+        descriptors = self.descriptors
+        if descriptors is None:
+            return self.descriptor_body(client, end)
+        body = bytes(self.data[start:end])
+        op = descriptors.find(client, body)
+        if op is None:
+            op = self.descriptor_body(client, end)
+            descriptors.remember(op, body)
+        else:
+            self.pos = end
+        return op
+
+    def descriptor_body(self, client: str, end: int) -> OperationDescriptor:
+        """Parse one descriptor body in place (mirrors
+        :func:`_spell_descriptor`); it must end exactly at *end*."""
+        seqno = self.s()
+        head = self.u()
         op = self.value()
-        op_id = self.op_id()
-        strict = bool(self.byte())
-        count = self.u()
-        prev = frozenset(self.op_id() for _ in range(count)) if count else _NO_PREV
-        return OperationDescriptor(op=op, id=op_id, prev=prev, strict=strict)
+        if head > 1:
+            prev = frozenset([self.prev_id(client) for _ in range(head >> 1)])
+        else:
+            prev = _NO_PREV
+        if self.pos != end:
+            raise FrameError(
+                f"descriptor body ends {self.pos - end:+d} bytes off its declared length"
+            )
+        return OperationDescriptor(
+            op=op, id=OperationId(client=client, seqno=seqno), prev=prev, strict=bool(head & 1)
+        )
+
+    def prev_id(self, own: str) -> OperationId:
+        """One ``prev`` identifier of a descriptor of client *own*."""
+        length = self.u()
+        client = sys.intern(str(self.raw(length - 1), "utf-8")) if length else own
+        return OperationId(client=client, seqno=self.s())
 
     def summary(self) -> OpIdSummary:
         ranges: Dict[str, List[Tuple[int, int]]] = {}
@@ -922,9 +1126,7 @@ class _Decoder:
         )
 
     def advert(self) -> CheckpointAdvert:
-        # Self-contained strings, mirroring ``_advert_bytes`` (the advert is
-        # the one piece encoded outside the frame's interned table so its
-        # bytes can be memoized across frames).
+        # Self-contained strings, mirroring ``_spell_advert``.
         rank = self.s()
         frontier = Label(rank=rank, replica=self.text())
         digest = self.text()
@@ -1241,7 +1443,7 @@ def _json_message(message: Any) -> Dict[str, Any]:
             "labels": {
                 f"{op_id.client}#{op_id.seqno}": _json_value(label)
                 for op_id, label in sorted(
-                    message.labels.items(), key=lambda item: _id_sort_key(item[0])
+                    message.labels.items(), key=lambda item: _ID_ORDER(item[0])
                 )
             },
             "epoch": message.epoch,

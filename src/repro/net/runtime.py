@@ -29,7 +29,7 @@ Framing and flow control
     message that is then dropped would burn a stream seqno and stall the
     receiver's cumulative ack.
 
-Descriptor windows
+Descriptor windows and tables
     A connection is reliable and FIFO, so each direction of a
     replica->replica connection owns a
     :class:`~repro.net.codec.DescriptorWindow`: a descriptor crosses in full
@@ -38,6 +38,12 @@ Descriptor windows
     and connection together on a failed write; the serve task's half dies
     with the task — so the first frame on every connection is spelled in
     full and no handshake is needed after a crash or a rejected frame.
+    Every window — client links have one too, which stays empty — carries
+    the :class:`~repro.net.codec.DescriptorTable` of the endpoint it belongs
+    to: one per replica *incarnation* (:class:`_Endpoint`) and one per
+    client.  Through it a replica parses a descriptor once however many
+    links relay it, re-sends the bytes it received, and holds one object
+    per descriptor; a crashed replica's table goes with its endpoint.
 
 Loss tolerance
     Connections (re)connect lazily; a write onto a broken link loses the
@@ -45,7 +51,10 @@ Loss tolerance
     algorithm's own fault model — gossip re-sends knowledge every period,
     pulls are re-queued off the next advert, and the front end retries
     unanswered requests — so replica crash/recovery needs no connection
-    handshake beyond re-dialing.
+    handshake beyond re-dialing.  A message holding a value the wire cannot
+    spell is lost the same way, alone: the writer task counts it
+    (``NetStats.frames_unencodable``) and carries on, and a request that
+    cannot be spelled is raised to its submitter and withdrawn.
 
 The cluster shares :class:`~repro.deployment.Deployment` with the simulator
 (``requested`` / ``responded`` / ``trace`` / ``replicas`` /
@@ -59,9 +68,9 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithm.messages import ResponseMessage
 from repro.algorithm.node import ReplicaNode
@@ -71,6 +80,7 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
 from repro.deployment import Deployment
 from repro.net.codec import (
+    DescriptorTable,
     DescriptorWindow,
     FrameError,
     decode_frame,
@@ -144,6 +154,9 @@ class NetStats:
     #: Inbound frames that failed to decode or exceeded the size limit; each
     #: cost its sender the connection.
     frames_rejected: int = 0
+    #: Outbound messages dropped because they held a value the wire cannot
+    #: spell (an integer wider than 895 bits, an unknown type).
+    frames_unencodable: int = 0
 
     def record_frame(
         self, batch: Sequence[Tuple[str, Any]], frame_len: int, sizes: Sequence[int]
@@ -349,16 +362,21 @@ class _SendLink:
     connection, dropped with it, so the first frame on every connection is
     spelled in full; ``dial=False`` links write onto an already-accepted
     connection's writer (replica->client responses ride the client's own
-    duplex connection) and encode statelessly."""
+    duplex connection), which carries no gossip: their window stays empty.
+    Every window of the link brings along *table*, the sending endpoint's
+    :class:`~repro.net.codec.DescriptorTable`."""
 
     def __init__(self, cluster: "NetCluster", source: str, dest: str,
-                 writer=None) -> None:
+                 table: DescriptorTable, writer=None) -> None:
         self._cluster = cluster
         self._source = source
         self._dest = dest
+        self._table = table
         self._writer = writer
         self._dial = writer is None
-        self._window: Optional[DescriptorWindow] = None
+        self._window: Optional[DescriptorWindow] = (
+            None if self._dial else DescriptorWindow(table)
+        )
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=cluster.params.send_queue_limit)
         self.task = asyncio.get_running_loop().create_task(self._run())
 
@@ -380,23 +398,42 @@ class _SendLink:
 
     async def _run(self) -> None:
         params = self._cluster.params
+        #: Messages of a batch that failed to encode, to be sent one by one.
+        singly: Deque[Tuple[str, Any]] = deque()
         while True:
-            batch: List[Tuple[str, Any]] = [await self.queue.get()]
-            while len(batch) < params.coalesce_limit:
-                try:
-                    batch.append(self.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+            if singly:
+                batch: List[Tuple[str, Any]] = [singly.popleft()]
+            else:
+                batch = [await self.queue.get()]
+                while len(batch) < params.coalesce_limit:
+                    try:
+                        batch.append(self.queue.get_nowait())
+                    except asyncio.QueueEmpty:
+                        break
             # Dial before encoding: a windowed frame advances the window, so
             # it must be written to the connection the window belongs to.
             if self._writer is None and self._dial:
                 self._writer = await self._connect()
                 if self._writer is None:
                     continue  # peer unreachable: the batch is lost (fault model)
-                self._window = DescriptorWindow()
-            frame, sizes = encode_frame_detailed(
-                [message for _, message in batch], self._window
-            )
+                self._window = DescriptorWindow(self._table)
+            try:
+                frame, sizes = encode_frame_detailed(
+                    [message for _, message in batch], self._window
+                )
+            except FrameError:
+                # A value the wire cannot spell costs the message that holds
+                # it — lost like any other — and never the link: the rest of
+                # its batch goes out one message a frame.  A half-encoded
+                # windowed frame has already advanced the window, so a dialed
+                # connection goes with it.
+                if len(batch) > 1:
+                    singly.extend(batch)
+                else:
+                    self._cluster.stats.frames_unencodable += 1
+                if self._dial:
+                    self._drop_connection()
+                continue
             try:
                 await write_frame(self._writer, frame)
             except (ConnectionError, OSError):
@@ -439,6 +476,9 @@ class _Endpoint:
 
     def __init__(self, node: ReplicaNode) -> None:
         self.node = node
+        #: What this incarnation knows about descriptor spellings; shared by
+        #: the windows of all its links, gone with it.
+        self.table = DescriptorTable()
         self.server = None
         #: Outgoing replica->replica links.
         self.links: Dict[str, _SendLink] = {}
@@ -464,10 +504,13 @@ class _Endpoint:
 
 
 class _ClientConn:
-    """A client's duplex connection to one replica."""
+    """A client's duplex connection to one replica.  It carries no gossip,
+    so one (empty) window serves both directions: it brings the client's
+    descriptor table to the codec."""
 
-    def __init__(self, writer) -> None:
+    def __init__(self, writer, window: DescriptorWindow) -> None:
         self.writer = writer
+        self.window = window
         self.reader_task: Optional[asyncio.Task] = None
         self.lock = asyncio.Lock()
         self.dead = False
@@ -519,8 +562,19 @@ class NetCluster(Deployment):
         self._endpoints: Dict[str, _Endpoint] = {}
         #: Live client connections, by client then replica; dialed lazily.
         self._client_conns: Dict[str, Dict[str, _ClientConn]] = defaultdict(dict)
+        #: One descriptor table per client, shared by its connections.
+        self._client_tables: Dict[str, DescriptorTable] = defaultdict(DescriptorTable)
         self._futures: Dict[OperationId, asyncio.Future] = {}
         self._started = False
+
+    def _record_compaction(self, replica: str, batch, checkpoint) -> None:
+        # The book keeps the clients' own descriptors (``requested`` holds
+        # them anyway), not the reporting replica's copies: what a replica
+        # decoded — and its table's entry for it — goes when its core folds it.
+        requested = self.requested
+        super()._record_compaction(
+            replica, [requested.get(op.id, op) for op in batch], checkpoint
+        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -564,7 +618,7 @@ class NetCluster(Deployment):
         endpoint.server = await self.transport.listen(rid, serve)
         for dest in self.replica_ids:
             if dest != rid:
-                endpoint.links[dest] = _SendLink(self, rid, dest)
+                endpoint.links[dest] = _SendLink(self, rid, dest, endpoint.table)
         task = asyncio.get_running_loop().create_task(self._gossip_loop(endpoint))
         endpoint.tasks.add(task)
 
@@ -577,7 +631,7 @@ class NetCluster(Deployment):
         response_link = None
         # The receiving half of this connection's descriptor window: it lives
         # and dies with this task.
-        window = DescriptorWindow()
+        window = DescriptorWindow(endpoint.table)
         try:
             sender = await _read_hello(reader)
             if sender is None or node.crashed:
@@ -588,7 +642,9 @@ class NetCluster(Deployment):
                 old = endpoint.client_out.pop(sender, None)
                 if old is not None:
                     old.close()
-                response_link = _SendLink(self, node.id, sender, writer=writer)
+                response_link = _SendLink(
+                    self, node.id, sender, endpoint.table, writer=writer
+                )
                 endpoint.client_out[sender] = response_link
             while True:
                 frame = await read_frame(reader)
@@ -653,7 +709,7 @@ class NetCluster(Deployment):
             await _write_hello(writer, cid)
         except (ConnectionError, OSError):
             return None
-        conn = _ClientConn(writer)
+        conn = _ClientConn(writer, DescriptorWindow(self._client_tables[cid]))
         conn.reader_task = asyncio.get_running_loop().create_task(
             self._client_reader(cid, rid, conn, reader)
         )
@@ -668,7 +724,7 @@ class NetCluster(Deployment):
                     break
                 self.stats.frames_received += 1
                 self.stats.bytes_received += len(frame) + _LEN.size
-                for message in decode_frame(frame):
+                for message in decode_frame(frame, conn.window):
                     if message.kind == "response":
                         self._deliver_response(cid, message)
         except EsdsError:
@@ -698,7 +754,7 @@ class NetCluster(Deployment):
             conn = await self._connect_client(cid, rid)
             if conn is None:
                 return  # replica unreachable: the send is lost
-        frame, sizes = encode_frame_detailed([message])
+        frame, sizes = encode_frame_detailed([message], conn.window)
         try:
             async with conn.lock:
                 await write_frame(conn.writer, frame)
@@ -753,25 +809,38 @@ class NetCluster(Deployment):
         message = frontend.make_request_message(operation)
         targets: List[str] = [self._affinity[client]]
         deadline = asyncio.get_running_loop().time() + timeout
-        while True:
-            for rid in targets:
-                await self._send_request(client, rid, message)
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                self._futures.pop(operation.id, None)
-                raise asyncio.TimeoutError(f"operation {operation.id} unanswered")
-            try:
-                return await asyncio.wait_for(
-                    asyncio.shield(future), min(self.params.request_retry, remaining)
-                )
-            except asyncio.TimeoutError:
-                if future.done():
-                    return future.result()
-                # Retry, redirected away from replicas that NACKed (the
-                # affinity replica would otherwise be retried forever).
-                nacked = frontend.nacked.get(operation.id, ())
-                live = self.live_replica_ids()
-                targets = [rid for rid in live if rid not in nacked] or list(self.replica_ids)
+        try:
+            while True:
+                for rid in targets:
+                    await self._send_request(client, rid, message)
+                remaining = deadline - asyncio.get_running_loop().time()
+                if remaining <= 0:
+                    raise asyncio.TimeoutError(f"operation {operation.id} unanswered")
+                try:
+                    return await asyncio.wait_for(
+                        asyncio.shield(future), min(self.params.request_retry, remaining)
+                    )
+                except asyncio.TimeoutError:
+                    if future.done():
+                        return future.result()
+                    # Retry, redirected away from replicas that NACKed (the
+                    # affinity replica would otherwise be retried forever).
+                    nacked = frontend.nacked.get(operation.id, ())
+                    live = self.live_replica_ids()
+                    targets = [rid for rid in live if rid not in nacked] or list(
+                        self.replica_ids
+                    )
+        except FrameError:
+            # The wire cannot spell the operation, so it never left the
+            # client and no replica will ever hold it: withdraw the request,
+            # or the deployment waits for its stability for ever.
+            frontend.wait.discard(operation)
+            del self.requested[operation.id]
+            self.trace.events.remove(("request", operation))
+            raise
+        finally:
+            # However the wait ended, nobody awaits this future any more.
+            self._futures.pop(operation.id, None)
 
     # -- faults ----------------------------------------------------------------
 

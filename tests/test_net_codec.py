@@ -360,7 +360,7 @@ class TestVarints:
 
 
 # --------------------------------------------------------------------------- #
-# Stateless frames are wire version 2 under a new version byte
+# Stateless frames, pinned byte for byte (wire version 4)
 # --------------------------------------------------------------------------- #
 
 
@@ -386,29 +386,43 @@ def every_kind():
     ]
 
 
-#: ``encode_frame(every_kind())`` as the wire-version-2 codec wrote it.
-WIRE_V2_EVERY_KIND = bytes.fromhex(
-    "e50d020a026330026339027232027230026331027231103030303030303030303030303030303010"
-    "61623132616231326162313261623132106566353665663536656635366566353610636433346364"
-    "333463643334636433340613010a05036164640701030200020102000201082402030a0503616464"
-    "070103020002000009020501610702000e020304030605016203020258032f03020109040100020a"
-    "05036164640701030200020000070a050472656164070004060101040401020002080304060a0203"
-    "0e0112050200010203040202010102060300020302000400040a05017840290000000000006f0336"
-    "03020109040100020a05036164640701030200020000070a05047265616407000406010104040102"
-    "0002080304060a021202723110616231326162313261623132616231321063643334636433346364"
-    "3334636433340202633001020302633102020101024029000000000000090401020307220306021e"
-    "0501030203080912050200010203040202010102010201040a050178030e"
+#: ``encode_frame(every_kind())`` under wire version 4.  What differs from the
+#: version-3 bytes (390 of them; these are 389) is the full form of the six
+#: descriptors, and nothing else:
+#:
+#: * the form is ``client reference | body length | body`` — one length varint
+#:   per descriptor that v3 did not have (+6 bytes);
+#: * inside the body the fields read seqno, ``prev`` count and strict flag as
+#:   one varint, operator value, ``prev`` (v3: operator value, id, strict
+#:   byte, ``prev`` count, ``prev``), so everything after the client reference
+#:   is frame-independent, and a byte shorter (-6 bytes);
+#: * ``prev`` identifiers spell their client inline instead of by table
+#:   reference: one zero byte for the descriptor's own client (three of the
+#:   four, +0 bytes), else the string with its length sent plus one (``c9``:
+#:   +2 bytes) — which is also why ``c9``, named only in a ``prev``, left the
+#:   identifier table (-3 bytes).
+WIRE_V4_EVERY_KIND = bytes.fromhex(
+    "e50d0409026330027232027230026331027231103030303030303030303030303030303010616231"
+    "32616231326162313261623132106566353665663536656635366566353610636433346364333463"
+    "64333463643334061501001202050a050361646407010302000203633908240203000c02000a0503"
+    "6164640701030209020501610702000e020304030605016203020158032f0202010904010002000c"
+    "02000a05036164640701030207030d06030a0504726561640700000401020002080203060a01030e"
+    "0112040200010203030202010102050300020302000400030a05017840290000000000006f033602"
+    "02010904010002000c02000a05036164640701030207030d06030a05047265616407000004010200"
+    "02080203060a01120272311061623132616231326162313261623132106364333463643334636433"
+    "34636433340202633001020302633102020101024029000000000000090401010206220206011e05"
+    "01020103070812040200010203030202010102010201030a050178030e"
 )
 
 
-def test_frame_without_a_window_is_wire_v2_apart_from_the_version_byte():
-    # Link windows added a descriptor form; a frame encoded without one —
-    # everything digests, vectors and the wire twin see — did not change.
-    assert WIRE_V2_EVERY_KIND[2] == 2 and WIRE_VERSION == 3
-    expected = WIRE_V2_EVERY_KIND[:2] + bytes([WIRE_VERSION]) + WIRE_V2_EVERY_KIND[3:]
-    assert encode_frame(every_kind()) == expected
-    assert encode_frame(every_kind(), None) == expected
-    assert encode_frame_detailed(every_kind(), window=None)[0] == expected
+def test_frame_without_a_window_is_the_pinned_wire_v4_fixture():
+    # Everything digests, vectors and the wire twin see is encoded without a
+    # window: the same layout as on a link, no table, canonical bytes.
+    assert WIRE_V4_EVERY_KIND[2] == WIRE_VERSION == 4
+    assert encode_frame(every_kind()) == WIRE_V4_EVERY_KIND
+    assert encode_frame(every_kind(), None) == WIRE_V4_EVERY_KIND
+    assert encode_frame_detailed(every_kind(), window=None)[0] == WIRE_V4_EVERY_KIND
+    assert decode_frame(WIRE_V4_EVERY_KIND)[0] == every_kind()[0]
 
 
 # --------------------------------------------------------------------------- #

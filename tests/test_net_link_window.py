@@ -334,8 +334,9 @@ def windowed_gossip_frame(body: bytes) -> bytes:
     )
 
 
-#: ``add(1)`` by ``r0#1``, spelled in full: operator value, id, strict, prev.
-FULL_DESCRIPTOR = bytes([10, 5, 3]) + b"add" + bytes([7, 1, 3, 2]) + bytes([0, 2, 0, 0])
+#: ``add(1)`` by ``r0#1``, spelled in full (wire v4): client reference and
+#: body length, then the body — seqno, prev count << 1 | strict, operator value.
+FULL_DESCRIPTOR = bytes([0, 12]) + bytes([2, 0]) + bytes([10, 5, 3]) + b"add" + bytes([7, 1, 3, 2])
 #: drop, sender, epoch, stream; then the descriptor section; then the labels.
 HEAD = b"\x00\x00\x00\x00"
 #: Further back than any window in these tests reaches.

@@ -17,15 +17,21 @@ import gc
 
 import pytest
 
-from repro.algorithm.checkpoint import CompactionPolicy
-from repro.algorithm.messages import RequestMessage, ResponseMessage
+from repro.algorithm.checkpoint import CompactionPolicy, OpIdSummary
+from repro.algorithm.labels import Label
+from repro.algorithm.messages import (
+    CheckpointTransferMessage,
+    RequestMessage,
+    ResponseMessage,
+)
 from repro.common import ConfigurationError, OperationId
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.datatypes.base import Operator
-from repro.net.codec import encode_message
+from repro.net.codec import FrameError, encode_message
 from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams, write_frame
+from repro.service.keyed import KeyedStore
 from repro.verification.serializability import check_recorded_trace
 
 FAST = ReplicaConfig(delta_gossip=True, fast_core=True)
@@ -343,3 +349,108 @@ def test_non_utf8_hello_is_rejected_not_raised(transport):
         assert leaked == []
 
     asyncio.run(run())
+
+
+# --------------------------------------------------------------------------- #
+# A value the wire cannot spell: it costs its message, never a link           #
+# --------------------------------------------------------------------------- #
+
+#: The widest integer the wire carries has 895 bits (``2**894`` is one).
+WIDEST = 2**894
+
+
+def _wide(amount):
+    """``add(amount)`` on a key of its own: only its responses are wide."""
+    return KeyedStore.at("wide", CounterType.add(amount))
+
+
+async def _around_an_unspellable_value(transport, poison):
+    """c1 keeps incrementing a key of its own while *poison* plays on c0's;
+    afterwards c0 must answer at once again and the deployment quiesce.
+    Returns the cluster's stats."""
+    loop = asyncio.get_running_loop()
+    leaked = []
+    loop.set_exception_handler(lambda _loop, context: leaked.append(context))
+    cluster = NetCluster(
+        KeyedStore(CounterType()), num_replicas=3, client_ids=("c0", "c1"),
+        params=NetParams(gossip_period=0.01), transport=transport, config=FAST,
+    )
+    async with cluster:
+        bystander_latencies = []
+
+        async def bystander():
+            for expected in range(1, 26):
+                begin = loop.time()
+                value = await cluster.submit(
+                    "c1", KeyedStore.at("k", CounterType.increment())
+                )
+                bystander_latencies.append(loop.time() - begin)
+                assert value == expected
+                await asyncio.sleep(0.05)
+
+        other = loop.create_task(bystander())
+        assert await cluster.submit("c0", _wide(WIDEST)) == WIDEST
+        await poison(cluster)
+        begin = loop.time()
+        # The same client's next operation: back below the bound, answered by
+        # the affinity replica at once — not by a retry, not never.
+        assert await cluster.submit("c0", _wide(-WIDEST), timeout=3.0) in (0, WIDEST)
+        assert loop.time() - begin < cluster.params.request_retry / 2
+        await other
+        assert max(bystander_latencies) < cluster.params.request_retry / 2
+        assert cluster.outstanding_operations() == 0
+        assert await cluster.quiesce(timeout=10.0)
+        for endpoint in cluster._endpoints.values():
+            assert not any(link.task.done() for link in endpoint.links.values())
+            assert not any(link.task.done() for link in endpoint.client_out.values())
+        stats = cluster.stats
+    gc.collect()
+    await asyncio.sleep(0)
+    assert leaked == []
+    return stats
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+class TestUnspellableValues:
+    def test_unencodable_response_costs_the_response_not_the_link(self, transport):
+        async def poison(cluster):
+            # The sum has 896 bits: every replica computes it, none can say it.
+            with pytest.raises(asyncio.TimeoutError):
+                await cluster.submit("c0", _wide(WIDEST), timeout=1.5)
+
+        stats = asyncio.run(_around_an_unspellable_value(transport, poison))
+        assert stats.frames_unencodable >= 1 and stats.frames_rejected == 0
+
+    def test_unencodable_request_is_withdrawn(self, transport):
+        async def poison(cluster):
+            before = len(cluster.requested), len(cluster.trace.events)
+            with pytest.raises(FrameError):
+                await cluster.submit("c0", _wide(2**900))
+            # It never left the client: nothing waits for it, anywhere.
+            assert cluster.outstanding_operations() == 0
+            assert (len(cluster.requested), len(cluster.trace.events)) == before
+            assert cluster.frontends["c0"].pending_count() == 0
+
+        stats = asyncio.run(_around_an_unspellable_value(transport, poison))
+        assert stats.frames_unencodable == 0 and stats.frames_rejected == 0
+
+    def test_unencodable_message_on_a_replica_link_drops_the_connection_only(self, transport):
+        async def poison(cluster):
+            link = cluster._endpoints["r0"].links["r1"]
+            while link._window is None:  # until the first gossip round dials
+                await asyncio.sleep(0.01)
+            window = link._window
+            # A transfer whose base state is too wide, as a pull would get it.
+            await link.send("transfer", CheckpointTransferMessage(
+                sender="r0", requester="r1", epoch=0, digest="00" * 8,
+                frontier=Label(1, "r0"), ids=OpIdSummary({}), values_chunk={},
+                chunk_index=0, chunk_count=1, base_state=2**900,
+            ))
+            while cluster.stats.frames_unencodable == 0:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.1)  # gossip goes on, over a new connection
+            assert not link.task.done()
+            assert link._window is not None and link._window is not window
+
+        stats = asyncio.run(_around_an_unspellable_value(transport, poison))
+        assert stats.frames_unencodable == 1 and stats.frames_rejected == 0
