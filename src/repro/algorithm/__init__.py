@@ -25,10 +25,8 @@ Modules:
   (the agreed stable prefix of Invariant 7.2 / Theorem 5.8 collapsed into a
   base state, bounding replica memory by the unstable suffix);
 * :mod:`repro.algorithm.fastcore` / :mod:`repro.algorithm.batchcore` — the
-  raw-speed replica variants: interned/bitset mirrors, and the
-  struct-of-arrays batch replay kernel layered on them (with
-  :mod:`repro.algorithm.batchops` providing the numpy-optional bulk array
-  primitives);
+  raw-speed replica variants: interned label keys and derived indexes, and
+  the batch replay kernel layered on them;
 * :mod:`repro.algorithm.memoized` — the memoizing replica ESDS-Alg'
   (Section 10.1);
 * :mod:`repro.algorithm.commute` — the ``Commute`` replica exploiting

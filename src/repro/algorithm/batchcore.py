@@ -6,11 +6,11 @@ authoritative ``pending`` / ``rcvd`` / ``done[i]`` / ``stable[i]`` /
 ``labels`` sets stay exactly as the base class keeps them) that batches the
 remaining per-element hot loops into array-level sweeps.  Selected with
 ``batch_replay=True`` on :class:`~repro.config.ReplicaConfig` (which
-requires ``fast_core=True``: the kernel extends the fast core's interned
-mirrors rather than replacing them).
+requires ``fast_core=True``: the kernel extends the fast core's derived
+state rather than replacing it).
 
-On top of the fast core's packed-int label keys, id slots and big-int
-bitset knowledge rows, the kernel adds:
+On top of the fast core's packed-int label keys and its stable-everywhere
+set, the kernel adds:
 
 * **Coalesced gossip ingestion** — :meth:`receive_gossip_batch` merges a
   whole wakeup's worth of gossip messages with the order splices *deferred*:
@@ -35,12 +35,6 @@ bitset knowledge rows, the kernel adds:
   assumption), reset by re-sorts, folds, rebuilds, and by the one event that
   can re-block a solid position: a retransmitted request re-entering
   ``pending`` for an already-done operation.
-* **Exact pending bitset** — ``_pending_bits`` mirrors the slots of tracked
-  pending operations so the solid-prefix walk tests pending membership with
-  a bit probe instead of a set lookup.  Exactness matters (a stale bit would
-  delay a fold, changing retention-eviction timing and with it NACK
-  behaviour), so every ``pending`` mutation site maintains it and the
-  wholesale-replacement sites (fold, adoption, crash) recompute it.
 * **Prev-dependency ready queue** — ``_unmet`` (per-operation count of
   prevs not yet done-or-compacted), ``_waiters`` (prev id → operations
   waiting on it) and ``_ready`` (tracked undone operations with no unmet
@@ -56,31 +50,24 @@ bitset knowledge rows, the kernel adds:
   kernel compares the cached ``(packed key, id)`` rows directly against the
   freshly re-sorted key backbone: packed keys are injective on labels, so
   the longest-matching prefix is identical, without a single hash.
-* **Numpy-optional bulk re-sort** — the full ``done_order`` rebuild runs
-  through :func:`repro.algorithm.batchops.argsort_keys`, which vectorizes
-  via numpy when available and provably exact (all finite packed keys
-  ``<= 2**53``) and otherwise uses the same stable pure-Python sort as the
-  fast core.
 
 Equivalence argument: every structure above is either a deferred form of
 work the fast core does eagerly (the splice buffers — applied before any
 reader), a memo of a predicate that is monotone between the events that
-reset it (the solid prefix), an exact mirror maintained at every mutation
-site and recomputed at every wholesale replacement (the pending bitset), or
-a superset hint filtered through the authoritative predicate (the ready
-queue).  Lockstep seeded twins against :class:`FastReplicaCore` across the
-config matrix, the conformance corpus on both runtimes and the fuzz
-oracles enforce the argument in CI (``tests/test_batchcore.py``).
+reset it (the solid prefix), or a superset hint filtered through the
+authoritative predicate (the ready queue).  Lockstep seeded twins against
+:class:`FastReplicaCore` across the config matrix, the conformance corpus
+on both runtimes and the fuzz oracles enforce the argument in CI
+(``tests/test_batchcore.py``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from repro.algorithm.batchops import argsort_keys
-from repro.algorithm.fastcore import _INFINITE_KEY, FastReplicaCore
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.labels import Label
-from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
+from repro.algorithm.messages import GossipMessage, RequestMessage
 from repro.algorithm.replica import ReplicaCore
 
 
@@ -110,8 +97,6 @@ class BatchReplicaCore(FastReplicaCore):
         #: key still present in the sorted backbone).
         self._deferred_done: Dict[Any, Any] = {}
         self._deferred_reorders: Dict[Any, Label] = {}
-        #: Exact bitset of the slots of tracked pending operations.
-        self._pending_bits = 0
         #: Leading done-order positions verified stable-everywhere and not
         #: pending by a previous ``compactable_prefix`` walk.
         self._solid = 0
@@ -186,20 +171,11 @@ class BatchReplicaCore(FastReplicaCore):
                 # Retransmit of an already-done operation: it re-enters
                 # pending, so a previously verified-solid position may block
                 # again — the one event that shrinks the solid prefix.
-                self._pending_bits |= 1 << self._slots[operation.id]
                 self._solid = 0
             elif operation in self.rcvd:
-                self._pending_bits |= 1 << self._slot_for(operation.id)
                 self._track_undone(operation)
             # else: a compacted retransmit answered from retained values —
-            # unslotted, never in the done order, no bit to keep.
-
-    def make_response(self, operation) -> ResponseMessage:
-        response = super().make_response(operation)
-        slot = self._slots.get(operation.id)
-        if slot is not None:
-            self._pending_bits &= ~(1 << slot)
-        return response
+            # never in the done order, nothing to keep.
 
     # ------------------------------------------------------------ gossip path
 
@@ -279,26 +255,8 @@ class BatchReplicaCore(FastReplicaCore):
         if self._deferred_done or self._deferred_reorders:
             self._flush_order_changes()
         if self._order_dirty:
-            labels = self.labels
-            stride = self._rank_stride
-            index = self._replica_index
-            items = list(self.done[self.replica_id])
-            keys: List[Any] = []
-            for x in items:
-                label = labels.get(x.id)
-                keys.append(
-                    _INFINITE_KEY
-                    if label is None
-                    else label.rank * stride + index[label.replica]
-                )
-            order = argsort_keys(keys)
-            self._order_cache = [items[i] for i in order]
-            self._order_keys = [keys[i] for i in order]
-            self._order_dirty = False
-            self._order_epoch += 1
-            self._solid = 0
-            self.stats.done_order_sorts += 1
-        return self._order_cache
+            self._solid = 0  # the re-sort may move any position
+        return super().done_order()
 
     # ---------------------------------------------------------- response path
 
@@ -350,53 +308,31 @@ class BatchReplicaCore(FastReplicaCore):
 
     def compactable_prefix(self) -> List:
         order = self.done_order()
-        if not order:
-            return []
-        all_stable = -1
-        for bits in self._stable_bits.values():
-            all_stable &= bits
-            if not all_stable:
-                break
-        if not all_stable:
-            # Solid positions have their bit set in every stable row, so an
-            # empty intersection implies an empty solid prefix.
-            return []
+        stable_all = self._stable_all
+        pending = self.pending
         pos = self._solid
         if pos > len(order):  # pragma: no cover - defensive
             pos = 0
-        pending_bits = self._pending_bits
-        slots = self._slots
         n = len(order)
         while pos < n:
-            slot = slots[order[pos].id]
-            if (pending_bits >> slot) & 1 or not (all_stable >> slot) & 1:
+            x = order[pos]
+            if x in pending or x not in stable_all:
                 break
             pos += 1
         self._solid = pos
-        return list(order[:pos])
+        return order[:pos]
 
     def _after_compaction(self, removed) -> None:
-        super()._after_compaction(removed)  # may retire slots or re-index
+        super()._after_compaction(removed)
         waiters = self._waiters
         for x in removed:
             waiters.pop(x.id, None)
-        self._recompute_pending_bits()
         self._solid = 0
-
-    def _recompute_pending_bits(self) -> None:
-        slots = self._slots
-        bits = 0
-        for operation in self.pending:
-            slot = slots.get(operation.id)
-            if slot is not None:
-                bits |= 1 << slot
-        self._pending_bits = bits
 
     # ---------------------------------------------------------------- rebuild
 
     def _rebuild_fast_state(self) -> None:
         super()._rebuild_fast_state()
-        self._recompute_pending_bits()
         self._solid = 0
         self._unmet = {}
         self._waiters = {}

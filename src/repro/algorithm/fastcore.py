@@ -4,7 +4,7 @@ A drop-in :class:`~repro.algorithm.replica.ReplicaCore` subclass that keeps
 the *authoritative* state exactly as the base class does (``pending`` /
 ``rcvd`` / ``done[i]`` / ``stable[i]`` / ``labels`` — so ``snapshot()``, the
 invariant checker and every harness keep working unchanged) but re-implements
-the profiled hot paths with interned/array-backed mirrors:
+the profiled hot paths with interned keys and derived indexes:
 
 * **Label interning** — a finite label ``(rank, replica)`` packs into the
   single int ``rank * len(replicas) + replica_index`` (replica indices
@@ -12,13 +12,11 @@ the profiled hot paths with interned/array-backed mirrors:
   :func:`~repro.algorithm.labels.label_sort_key` (``INFINITY`` maps to
   ``float("inf")``, after every finite key).  ``done_order`` re-sorts on int
   keys instead of ``(int, int, str)`` tuples.
-* **Operation-id slots + bitset knowledge mirrors** — each tracked id gets a
-  dense slot; ``done[i]`` / ``stable[i]`` membership is mirrored into one
-  Python big-int bitset per replica.  ``is_stable_everywhere`` is a bit test
-  and ``compactable_prefix`` walks the order against the AND of the stable
-  bitsets, replacing per-element ``all(x in stable[i] ...)`` set probes.
-  Compaction folds trigger a dense re-index (:meth:`_rebuild_fast_state`),
-  so slot space stays bounded by the unstable suffix.
+* **One derived knowledge set** — ``_stable_all`` holds the operations
+  present in every ``stable[i]``.  ``is_stable_everywhere`` is one set probe
+  and ``compactable_prefix`` walks the order against it, replacing
+  per-element ``all(x in stable[i] ...)`` probes.  It is the only copy of
+  knowledge kept beside the authoritative sets.
 * **Set-difference gossip merges** — ``receive_gossip`` merges via C-speed
   set differences, tests checkpoint coverage only on elements not already
   tracked (sound because compaction removes folded records from *every*
@@ -46,14 +44,18 @@ the profiled hot paths with interned/array-backed mirrors:
   key rebuild and prefix comparison and just applies the new tail.
 
 Equivalence argument: every override either computes the same value through
-a cheaper representation (int sort keys, bit tests, set differences) or
-skips work that is provably a no-op under a maintained invariant (fresh
+a cheaper representation (int sort keys, one derived set, set differences)
+or skips work that is provably a no-op under a maintained invariant (fresh
 label scan, coverage tests on tracked elements, full stability
-intersection, replay prefix comparison).  The mirrors are rebuilt from the
-authoritative sets whenever those are wholesale-replaced (compaction fold,
-checkpoint adoption, volatile crash).  Lockstep seeded twins against
-:class:`ReplicaCore` (responses, witness order, state digests) and the
-conformance corpus enforce the argument in CI.
+intersection, replay prefix comparison).  ``_stable_all`` has three
+incremental maintenance sites — a gossip merge adds whichever of the
+operations that just entered ``stable[sender]`` or ``stable[me]`` are now in
+every row (no other row changes in a merge), ``_mark_coverage_stable`` adds
+its argument (it puts it in every row), a compaction fold subtracts what it
+removed — and is recomputed from the authoritative sets where those are
+wholesale-replaced (checkpoint adoption, volatile crash).  Lockstep seeded
+twins against :class:`ReplicaCore` (responses, witness order, state
+digests) and the conformance corpus enforce the argument in CI.
 """
 
 from __future__ import annotations
@@ -108,12 +110,10 @@ class FastReplicaCore(ReplicaCore):
         #: Packed label keys parallel to ``_order_cache`` (valid while the
         #: order is clean) — the sorted backbone for bisect insertion.
         self._order_keys: List[int] = []
-        #: Operation-id interning: id -> dense slot (bit position).
-        self._slots: Dict[Any, int] = {}
-        self._slot_count = 0
-        #: Big-int bitset mirrors of ``done[i]`` / ``stable[i]``.
-        self._done_bits: Dict[str, int] = {i: 0 for i in self.replica_ids}
-        self._stable_bits: Dict[str, int] = {i: 0 for i in self.replica_ids}
+        #: The one derived knowledge set: the operations present in every
+        #: ``stable[i]`` (what ``is_stable_everywhere`` and the compaction
+        #: walk ask about).
+        self._stable_all: Set[Any] = set()
         #: Mirrors of done-here (id -> descriptor) and of ``rcvd - done_here``.
         self._done_index: Dict[Any, Any] = {}
         self._undone: Set[Any] = set()
@@ -133,33 +133,6 @@ class FastReplicaCore(ReplicaCore):
 
     # ------------------------------------------------------------- interning
 
-    def _slot_for(self, op_id) -> int:
-        slot = self._slots.get(op_id)
-        if slot is None:
-            slot = self._slot_count
-            self._slots[op_id] = slot
-            self._slot_count = slot + 1
-        return slot
-
-    def _bits_for(self, ops) -> int:
-        """OR of the slot bits of *ops* (assigning fresh slots as needed) —
-        one call per merged set instead of one ``_slot_for`` call per
-        element."""
-        slots = self._slots
-        get = slots.get
-        count = self._slot_count
-        bits = 0
-        for x in ops:
-            op_id = x.id
-            slot = get(op_id)
-            if slot is None:
-                slot = count
-                slots[op_id] = slot
-                count += 1
-            bits |= 1 << slot
-        self._slot_count = count
-        return bits
-
     def _label_key(self, label) -> Any:
         """Packed int sort key, order-isomorphic to ``label_sort_key``."""
         if label is None or not isinstance(label, Label):
@@ -170,39 +143,21 @@ class FastReplicaCore(ReplicaCore):
         key = self._repr_cache.get(op_id)
         if key is None:
             key = repr(op_id)
-            self._repr_cache[op_id] = key
+            # A fold evicts the entries of what it removes; a compacted id
+            # (a retransmit answered from retained values) is never folded
+            # again, so nothing would evict its entry.
+            if not self.checkpoint.covers(op_id):
+                self._repr_cache[op_id] = key
         return key
 
     def _rebuild_fast_state(self) -> None:
         """Re-derive every mirror from the authoritative sets (after a
-        compaction fold, a wholesale checkpoint adoption or a volatile
-        crash).  Re-indexes the id slots densely so the bitsets stay sized
-        by the unstable suffix, not the history."""
-        universe = set(self.rcvd)
-        for ops in self.done.values():
-            universe |= ops
-        self._slots = {}
-        self._slot_count = 0
-        slot_for = self._slot_for
-        for x in universe:
-            slot_for(x.id)
-        slots = self._slots
-        for i in self.replica_ids:
-            bits = 0
-            for x in self.done[i]:
-                bits |= 1 << slots[x.id]
-            self._done_bits[i] = bits
-            bits = 0
-            for x in self.stable[i]:
-                bits |= 1 << slots[x.id]
-            self._stable_bits[i] = bits
+        wholesale checkpoint adoption or a volatile crash)."""
+        self._stable_all = set.intersection(*self.stable.values())
         done_here = self.done[self.replica_id]
         self._done_index = {x.id: x for x in done_here}
         self._undone = self.rcvd - done_here
-        if self._repr_cache:
-            self._repr_cache = {
-                op_id: key for op_id, key in self._repr_cache.items() if op_id in slots
-            }
+        self._repr_cache = {}
 
     # ------------------------------------------------------------------ order
 
@@ -211,18 +166,20 @@ class FastReplicaCore(ReplicaCore):
             labels = self.labels
             stride = self._rank_stride
             index = self._replica_index
-            pairs: List[Tuple[Any, Any]] = []
-            for x in self.done[self.replica_id]:
+            items = list(self.done[self.replica_id])
+            keys: List[Any] = []
+            for x in items:
                 label = labels.get(x.id)
-                key = (
+                keys.append(
                     _INFINITE_KEY
                     if label is None
                     else label.rank * stride + index[label.replica]
                 )
-                pairs.append((key, x))
-            pairs.sort(key=lambda pair: pair[0])
-            self._order_cache = [x for _key, x in pairs]
-            self._order_keys = [key for key, _x in pairs]
+            # Stable, so equal keys (only the infinite ones can collide)
+            # keep their input order.
+            ranked = sorted(range(len(keys)), key=keys.__getitem__)
+            self._order_cache = [items[i] for i in ranked]
+            self._order_keys = [keys[i] for i in ranked]
             self._order_dirty = False
             self._order_epoch += 1
             self.stats.done_order_sorts += 1
@@ -289,7 +246,6 @@ class FastReplicaCore(ReplicaCore):
     def _register_done_here(self, operation) -> None:
         self._done_index[operation.id] = operation
         self._undone.discard(operation)
-        self._done_bits[self.replica_id] |= 1 << self._slot_for(operation.id)
 
     def is_compacted(self, op_id) -> bool:
         # Tracked implies not compacted, so a done-here operation (the common
@@ -307,7 +263,7 @@ class FastReplicaCore(ReplicaCore):
 
     def response_ready(self, operation) -> bool:
         # The common case — a tracked, done-here operation outside catch-up —
-        # resolves on the done index and the stable bitsets alone.  Tracked
+        # resolves on the done index and the stable-everywhere set alone.  Tracked
         # implies not compacted, so the base class's coverage branch cannot
         # apply; everything else (compacted values, catch-up gating, the
         # not-done cases) delegates so the semantics stay in one place.
@@ -322,16 +278,11 @@ class FastReplicaCore(ReplicaCore):
         return super().response_ready(operation)
 
     def is_stable_everywhere(self, operation) -> bool:
-        slot = self._slots.get(operation.id)
-        if slot is None:
-            # Never tracked since the last re-index: stable-everywhere iff
-            # compacted (the base class's first branch).
-            return self.checkpoint.covers(operation.id)
-        mask = 1 << slot
-        for bits in self._stable_bits.values():
-            if not bits & mask:
-                return False
-        return True
+        if operation in self._stable_all:
+            return True
+        # Tracked implies not compacted; an untracked operation is
+        # stable-everywhere iff compacted (the base class's first branch).
+        return self.is_compacted(operation.id)
 
     def _compute_value_incremental(self, operation) -> Any:
         order = self.done_order()  # may re-sort and bump the order epoch
@@ -413,9 +364,6 @@ class FastReplicaCore(ReplicaCore):
                     done = done - blocked
                     stable = stable - blocked
 
-        done_before = len(done_me)
-        bits_for = self._bits_for
-
         new_undone: Any = ()
         new_rcvd = received - self.rcvd
         if new_rcvd:
@@ -425,14 +373,12 @@ class FastReplicaCore(ReplicaCore):
         new_done_sender = done - done_sender
         if new_done_sender:
             done_sender |= new_done_sender
-            self._done_bits[sender] |= bits_for(new_done_sender)
         promote = set(new_done_sender)
 
         new_done_me = done - done_me
         if new_done_me:
             done_me |= new_done_me
             self._done_index.update((x.id, x) for x in new_done_me)
-            self._done_bits[me] |= bits_for(new_done_me)
             self._undone -= new_done_me
         if new_rcvd:
             new_undone = new_rcvd - done_me
@@ -445,7 +391,6 @@ class FastReplicaCore(ReplicaCore):
             new_other = stable - target
             if new_other:
                 target |= new_other
-                self._done_bits[replica] |= bits_for(new_other)
                 promote |= new_other
 
         # label_r <- min(label_r, L); note the maximum incoming rank so the
@@ -508,12 +453,11 @@ class FastReplicaCore(ReplicaCore):
         new_stable_sender = stable - stable_sender
         if new_stable_sender:
             stable_sender |= new_stable_sender
-            self._stable_bits[sender] |= bits_for(new_stable_sender)
         stable_me = self.stable[me]
-        new_stable_me = stable - stable_me
-        if new_stable_me:
-            stable_me |= new_stable_me
-            self._stable_bits[me] |= bits_for(new_stable_me)
+        changed = stable - stable_me
+        if changed:
+            stable_me |= changed
+        changed |= new_stable_sender
 
         # Incremental stability promotion: only operations newly added to a
         # peer's done set can newly enter the everywhere-done intersection
@@ -524,7 +468,12 @@ class FastReplicaCore(ReplicaCore):
             newly = promote.intersection(*self.done.values())
             if newly:
                 stable_me |= newly
-                self._stable_bits[me] |= bits_for(newly)
+                changed |= newly
+        # Only an operation that just entered ``stable[sender]`` or
+        # ``stable[me]`` can newly be in every ``stable[i]`` (a merge
+        # touches no other row).
+        if changed:
+            self._stable_all |= changed.intersection(*self.stable.values())
 
         self._state_version += 1
         self._record_gossip_bookkeeping(message)
@@ -604,46 +553,25 @@ class FastReplicaCore(ReplicaCore):
 
     def _promote_stable(self) -> None:
         # Direct calls (the fast receive_gossip promotes inline): keep the
-        # bitset mirror in lockstep with the authoritative set.
-        everywhere = set.intersection(*self.done.values())
-        new = everywhere - self.stable[self.replica_id]
+        # derived set in lockstep with the authoritative one.
+        stable_me = self.stable[self.replica_id]
+        new = set.intersection(*self.done.values()) - stable_me
         if new:
-            self.stable[self.replica_id] |= new
-            bits = 0
-            for x in new:
-                bits |= 1 << self._slot_for(x.id)
-            self._stable_bits[self.replica_id] |= bits
+            stable_me |= new
+            self._stable_all |= new.intersection(*self.stable.values())
 
     def _mark_coverage_stable(self, tracked) -> None:
-        if not tracked:
-            return
-        bits = 0
-        slot_for = self._slot_for
-        for x in tracked:
-            bits |= 1 << slot_for(x.id)
-        for i in self.replica_ids:
-            self.done[i] |= tracked
-            self.stable[i] |= tracked
-            self._done_bits[i] |= bits
-            self._stable_bits[i] |= bits
-        self._state_version += 1
+        super()._mark_coverage_stable(tracked)
+        self._stable_all |= tracked
 
     # --------------------------------------------------- checkpoint compaction
 
     def compactable_prefix(self) -> List:
-        order = self.done_order()
-        if not order:
-            return []
-        all_stable = -1
-        for bits in self._stable_bits.values():
-            all_stable &= bits
-            if not all_stable:
-                return []
+        stable_all = self._stable_all
         pending = self.pending
-        slots = self._slots
         prefix: List = []
-        for x in order:
-            if x in pending or not (all_stable >> slots[x.id]) & 1:
+        for x in self.done_order():
+            if x in pending or x not in stable_all:
                 break
             prefix.append(x)
         return prefix
@@ -659,27 +587,12 @@ class FastReplicaCore(ReplicaCore):
                 del self._order_keys[:count]
             else:  # pragma: no cover - defensive
                 self._order_dirty = True
-        # Retire the folded operations' slots and clear their bits instead
-        # of rebuilding every mirror; re-index densely only once the slot
-        # space is mostly holes, keeping bitset width bounded by a small
-        # multiple of the live unstable suffix.
-        mask = 0
-        slots = self._slots
+        self._stable_all -= removed
         done_index = self._done_index
         repr_cache = self._repr_cache
         for x in removed:
-            slot = slots.pop(x.id, None)
-            if slot is not None:
-                mask |= 1 << slot
             done_index.pop(x.id, None)
             repr_cache.pop(x.id, None)
-        if mask:
-            keep = ~mask
-            for i in self.replica_ids:
-                self._done_bits[i] &= keep
-                self._stable_bits[i] &= keep
-        if self._slot_count > 128 and self._slot_count > 4 * len(slots):
-            self._rebuild_fast_state()
 
     def _coverage_position(self, coverage):
         # Absorbed memo: once a coverage with this (or a larger) frontier has
@@ -739,5 +652,4 @@ class FastReplicaCore(ReplicaCore):
     def _on_crash(self) -> None:
         # The marking knowledge behind the absorbed memo was volatile.
         self._absorbed_frontier = None
-        self._repr_cache = {}
         self._rebuild_fast_state()

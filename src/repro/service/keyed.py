@@ -23,6 +23,7 @@ replica variant and to sharding alike.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, Optional, Tuple
 
 from repro.datatypes.base import Operator, SerialDataType
@@ -84,8 +85,12 @@ class KeyedStore(SerialDataType):
         if operator.name == "keys":
             return state, tuple(key for key, _sub in state)
         key, inner = operator.args
-        mapping: Dict[str, Any] = dict(state)
-        sub_state = mapping.get(key, self.base.initial_state())
+        # The state is sorted by unique keys, and a proper-prefix tuple sorts
+        # just before the pair holding its key, so sub-states are never
+        # compared.
+        index = bisect_left(state, (key,))
+        present = index < len(state) and state[index][0] == key
+        sub_state = state[index][1] if present else self.base.initial_state()
         new_sub, value = self.base.apply(sub_state, inner)
         if new_sub == sub_state:
             # No sub-state change: return the input state itself.  Beyond
@@ -94,9 +99,7 @@ class KeyedStore(SerialDataType):
             # operator on an absent key must not materialize it, and keys()
             # must not report phantom entries.
             return state, value
-        mapping[key] = new_sub
-        next_state = tuple(sorted(mapping.items(), key=lambda item: item[0]))
-        return next_state, value
+        return state[:index] + ((key, new_sub),) + state[index + present:], value
 
     def check_operator(self, operator: Operator) -> None:
         if operator.name == "keys":

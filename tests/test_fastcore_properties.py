@@ -1,16 +1,16 @@
-"""Property-based tests (hypothesis) for the fast core's interned tables.
+"""Property-based tests (hypothesis) for the fast core's derived state.
 
-:class:`~repro.algorithm.fastcore.FastReplicaCore` replaces tuple sort keys,
-set probes and per-element scans with packed-int keys, dense id slots and
-big-int bitsets.  These properties pin the three load-bearing claims:
+:class:`~repro.algorithm.fastcore.FastReplicaCore` replaces tuple sort keys
+and per-element scans with packed-int keys, a done index and one derived
+stable-everywhere set.  These properties pin the three load-bearing claims:
 
 * **Order isomorphism** — the packed key ``rank * stride + replica_index``
   sorts any label population exactly as
   :func:`~repro.algorithm.labels.label_sort_key` does, with missing labels
   (``INFINITY``) strictly after every finite key.
 * **Merge stability** — after any random interleaving of requests, do-its
-  and gossip merges, every bitset/index/backbone mirror agrees with the
-  authoritative sets it shadows.
+  and gossip merges, the stable-everywhere set, the indexes and the key
+  backbone agree with the authoritative sets they derive from.
 * **Compaction-fold remapping** — folding a stable prefix preserves the
   membership and relative order of every surviving tracked operation, and
   the retired ids vanish from every mirror (tracked implies not covered).
@@ -107,13 +107,8 @@ def test_interval_diff_matches_set_difference(theirs, mine):
 
 
 def mirror_audit(core):
-    """Every interned mirror agrees with the authoritative set it shadows."""
-    slots = core._slots
-    for i in core.replica_ids:
-        for sets, bit_maps in ((core.done, core._done_bits), (core.stable, core._stable_bits)):
-            bits = bit_maps[i]
-            mirrored = {op_id for op_id, slot in slots.items() if (bits >> slot) & 1}
-            assert mirrored == {x.id for x in sets[i]}
+    """Every piece of derived state agrees with the authoritative sets."""
+    assert core._stable_all == set.intersection(*core.stable.values())
     done_here = core.done[core.replica_id]
     assert core._done_index == {x.id: x for x in done_here}
     assert core._undone == core.rcvd - done_here
@@ -162,7 +157,7 @@ def test_compaction_fold_preserves_survivor_order_and_retires_slots(seed):
         # The fold removed exactly a prefix; survivors keep their order.
         assert after == before[folded:]
         for x in before[:folded]:
-            assert x.id not in core._slots
+            assert x not in core._stable_all
             assert x.id not in core._done_index
             assert core.is_compacted(x.id)
         mirror_audit(core)

@@ -5,6 +5,7 @@ router, and the sharded algorithm frontend."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.common import ConfigurationError
@@ -130,6 +131,63 @@ class TestKeyedStore:
             [GSetType.insert(2), GSetType.insert(4)]
         )
         assert store.lookup(state, "odds") == GSetType().outcome([GSetType.insert(1)])
+
+
+def sort_based_apply(store, state, operator):
+    """The reference ``KeyedStore.apply`` splices against: rebuild the whole
+    mapping and re-sort it on every write."""
+    if operator.name == "keys":
+        return state, tuple(key for key, _sub in state)
+    key, inner = operator.args
+    mapping = dict(state)
+    sub_state = mapping.get(key, store.base.initial_state())
+    new_sub, value = store.base.apply(sub_state, inner)
+    if new_sub == sub_state:
+        return state, value
+    mapping[key] = new_sub
+    return tuple(sorted(mapping.items(), key=lambda item: item[0])), value
+
+
+keyed_keys = st.sampled_from(["", "a", "ab", "abc", "b", "k10", "k2", "é", "~"])
+counter_operators = st.one_of(
+    st.builds(CounterType.add, st.integers(min_value=-3, max_value=3)),
+    st.just(CounterType.increment()),
+    st.just(CounterType.double()),
+    st.just(CounterType.read()),
+)
+# Register values of mixed types: sub-states are never compared by the splice.
+register_operators = st.one_of(
+    st.builds(RegisterType.write, st.one_of(st.none(), st.integers(), st.text(max_size=2))),
+    st.just(RegisterType.read()),
+)
+
+
+def keyed_sequences(inner):
+    return st.lists(
+        st.one_of(st.builds(KeyedStore.at, keyed_keys, inner), st.just(KeyedStore.keys_op())),
+        max_size=40,
+    )
+
+
+class TestKeyedStoreSplice:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just(CounterType()), keyed_sequences(counter_operators)),
+            st.tuples(st.just(RegisterType()), keyed_sequences(register_operators)),
+        )
+    )
+    def test_splice_matches_sort_based_reference(self, case):
+        base, operators = case
+        store = KeyedStore(base)
+        state = reference = store.initial_state()
+        for operator in operators:
+            state, value = store.apply(state, operator)
+            reference, expected = sort_based_apply(store, reference, operator)
+            assert value == expected
+            assert state == reference
+            assert hash(state) == hash(reference)
+            assert [key for key, _sub in state] == sorted({key for key, _sub in state})
 
 
 class TestShardRouter:
