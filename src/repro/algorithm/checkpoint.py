@@ -61,6 +61,7 @@ from typing import (
 from repro.algorithm.labels import Label
 from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.core.operations import OperationDescriptor
+from repro.datatypes.base import Operator
 
 
 #: Seed of the chained fold-order digest — the digest of "nothing folded yet".
@@ -99,6 +100,9 @@ def canonical_repr(value: Any) -> str:
         return "frozenset{" + ",".join(sorted(map(canonical_repr, value))) + "}"
     if isinstance(value, set):
         return "set{" + ",".join(sorted(map(canonical_repr, value))) + "}"
+    if isinstance(value, (OperationId, Label, Operator)):
+        # Tuples by representation only: digest material spells them by name.
+        return repr(value)
     if isinstance(value, tuple):
         return "(" + ",".join(map(canonical_repr, value)) + ",)"
     if isinstance(value, dict):
@@ -144,9 +148,13 @@ class OpIdSummary:
     identifiers per ``(client, shard)`` (the ``client@shard`` composite
     identity), so each shard's compacted prefix is a contiguous per-client
     seqno run and its summary stays O(clients) as well.
+
+    Summaries are values: two that cover the same identifiers are equal and
+    hash alike, however they were built.  The hash is taken once, at
+    construction — an advert is a memo key on every gossip encode.
     """
 
-    __slots__ = ("_ranges", "_count")
+    __slots__ = ("_ranges", "_count", "_hash")
 
     def __init__(self, ranges: Optional[Mapping[str, Sequence[Tuple[int, int]]]] = None) -> None:
         normalized: Dict[str, Tuple[Tuple[int, int], ...]] = {}
@@ -156,8 +164,13 @@ class OpIdSummary:
             if merged:
                 normalized[client] = merged
                 count += _covered(merged)
-        self._ranges = normalized
+        self._set(normalized, count)
+
+    def _set(self, ranges: Dict[str, Tuple[Tuple[int, int], ...]], count: int) -> None:
+        """Install already-normalised *ranges* (no empty interval tuple)."""
+        self._ranges = ranges
         self._count = count
+        self._hash = hash(frozenset(ranges.items()))
 
     @staticmethod
     def _normalize(intervals: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
@@ -262,9 +275,16 @@ class OpIdSummary:
             ranges[client] = merged
             count += _covered(merged) - _covered(old)
         summary = OpIdSummary.__new__(OpIdSummary)
-        summary._ranges = ranges
-        summary._count = count
+        summary._set(ranges, count)
         return summary
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OpIdSummary):
+            return NotImplemented
+        return self._ranges == other._ranges
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OpIdSummary({self._count} ids, {self.interval_count} intervals)"

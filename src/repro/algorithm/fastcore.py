@@ -631,7 +631,7 @@ class FastReplicaCore(ReplicaCore):
             for client, theirs in cov_ids.ranges.items():
                 mine = ours_ranges.get(client, ())
                 for seqno in _iter_interval_diff(theirs, mine):
-                    x = done_index.get(OperationId(client=client, seqno=seqno))
+                    x = done_index.get(OperationId(client, seqno))
                     if x is not None:
                         tracked.add(x)
                     else:

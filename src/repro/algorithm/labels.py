@@ -15,37 +15,23 @@ every label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from repro.common import INFINITY, Infinity
 
 LabelOrInfinity = Union["Label", Infinity]
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Label:
-    """A label ``(rank, replica)`` in ``L_replica``."""
+class Label(NamedTuple):
+    """A label ``(rank, replica)`` in ``L_replica``.
+
+    A tuple, ordered lexicographically in C; a comparison against
+    ``INFINITY`` is not a tuple comparison and resolves through
+    :class:`~repro.common.Infinity`'s reflected methods.
+    """
 
     rank: int
     replica: str
-
-    def __post_init__(self) -> None:
-        # Hot-path hash cache: identical value to the generated dataclass
-        # __hash__, computed once at construction (see FastReplicaCore).
-        object.__setattr__(self, "_hash", hash((self.rank, self.replica)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: object) -> bool:
-        if other is INFINITY:
-            return True
-        if not isinstance(other, Label):
-            return NotImplemented
-        return (self.rank, self.replica) < (other.rank, other.replica)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.rank}@{self.replica}"
@@ -91,7 +77,7 @@ class LabelGenerator:
                 continue
             if label.rank >= floor:
                 floor = label.rank + 1
-        label = Label(rank=floor, replica=self.replica)
+        label = Label._make((floor, self.replica))
         self._next_rank = floor + 1
         return label
 
@@ -105,7 +91,7 @@ class LabelGenerator:
         FastReplicaCore` maintains exactly this invariant and uses this
         constant-time path on ``do_it``.
         """
-        label = Label(rank=self._next_rank, replica=self.replica)
+        label = Label._make((self._next_rank, self.replica))
         self._next_rank += 1
         return label
 

@@ -98,7 +98,7 @@ class TransferAssembly:
             message.chunk_count == self.chunk_count
             and message.frontier == self.frontier
             and message.order_digest == held.order_digest
-            and message.ids.ranges == held.ids.ranges
+            and message.ids == held.ids
         )
 
     def complete(self) -> bool:

@@ -8,8 +8,7 @@ intentionally dependency-free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 class EsdsError(Exception):
@@ -62,28 +61,22 @@ def ensure_not_stale(failed, op_id) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
-class OperationId:
+class OperationId(NamedTuple):
     """Globally unique operation identifier.
 
     The paper assumes clients encode their identity into the operation
     identifier via a static function ``client : I -> C`` (Section 6.2).  We
     make this explicit: an identifier is a ``(client, seqno)`` pair, and
     ``client`` is recoverable directly from the identifier.
+
+    A tuple, so the hash, ``==`` and the lexicographic order that every
+    knowledge set and label lookup runs millions of times are C code; it
+    therefore equals the plain tuple ``(client, seqno)``, and a generic
+    encoder must test for this type *before* ``tuple``.
     """
 
     client: str
     seqno: int
-
-    def __post_init__(self) -> None:
-        # Identifiers are hashed millions of times on the replay hot path
-        # (knowledge-set membership, label lookups); cache the value the
-        # generated dataclass __hash__ would compute so every later hash()
-        # is a single attribute read with an unchanged result.
-        object.__setattr__(self, "_hash", hash((self.client, self.seqno)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.client}#{self.seqno}"
@@ -98,7 +91,7 @@ class OperationIdGenerator:
 
     def fresh(self) -> OperationId:
         """Return a new, never previously returned identifier."""
-        return OperationId(self.client, next(self._counter))
+        return OperationId._make((self.client, next(self._counter)))
 
     def __iter__(self) -> Iterator[OperationId]:
         while True:

@@ -30,7 +30,9 @@ import hashlib
 import json
 from typing import Any, Dict, List
 
+from repro.algorithm.labels import Label
 from repro.common import EsdsError, OperationId
+from repro.datatypes.base import Operator
 
 #: Bump on any change to the vector schema or the canonical encoding.
 FORMAT_VERSION = 1
@@ -54,7 +56,10 @@ def encode_value(value: Any) -> Any:
         # Floats ride under a tag so integral-valued floats (1.0) survive
         # the JSON round trip distinct from ints.
         return {"f": repr(value)}
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and not isinstance(value, (OperationId, Label, Operator)):
+        # The three value objects are tuples by representation only:
+        # ``{"t": [...]}`` would decode them as plain tuples, so a bare one
+        # falls through to the refusal below.
         return {"t": [encode_value(item) for item in value]}
     if isinstance(value, list):
         raise ConformanceError("simulation values are immutable; got a list")

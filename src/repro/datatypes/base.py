@@ -4,9 +4,9 @@ A serial data type consists of a set ``Sigma`` of object states, an initial
 state ``sigma_0``, a set ``V`` of reportable values, a set ``O`` of operators,
 and a transition function ``tau : Sigma x O -> Sigma x V``.
 
-We represent operators as small frozen dataclasses (:class:`Operator`) carrying
-a ``name`` and a tuple of arguments, so that they are hashable, comparable and
-cheap to copy into messages.  Concrete data types implement
+We represent operators as named tuples (:class:`Operator`) carrying a ``name``
+and a tuple of arguments, so that they are hashable, comparable and cheap to
+copy into messages.  Concrete data types implement
 :class:`SerialDataType` and provide ``apply`` (the transition function) plus
 optional commutativity metadata used by the Section 10.3 optimization.
 """
@@ -14,12 +14,10 @@ optional commutativity metadata used by the Section 10.3 optimization.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, NamedTuple, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(NamedTuple):
     """A data-type operator: a name plus positional arguments.
 
     Examples: ``Operator("read")``, ``Operator("write", (5,))``,
@@ -27,15 +25,7 @@ class Operator:
     """
 
     name: str
-    args: Tuple[Any, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        # Hot-path hash cache: identical value to the generated dataclass
-        # __hash__, computed once at construction (see FastReplicaCore).
-        object.__setattr__(self, "_hash", hash((self.name, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    args: Tuple[Any, ...] = ()
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if not self.args:

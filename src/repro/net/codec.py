@@ -520,11 +520,9 @@ def _encode_value(out: bytearray, value: Any) -> None:
         raise FrameError(f"cannot encode value of type {type(value).__name__}: {value!r}")
 
 
-#: The canonical order of identifiers, and of descriptors and label entries
-#: by identifier: ``(client, seqno)``.  Sort keys are built in C, once per
-#: element — the gossip encoder sorts two collections per message.
-_ID_ORDER = attrgetter("client", "seqno")
-_DESCRIPTOR_ORDER = attrgetter("id.client", "id.seqno")
+#: The canonical order of descriptors is that of their identifiers, which
+#: are tuples and order themselves: ``(client, seqno)``, compared in C.
+_DESCRIPTOR_ORDER = attrgetter("id")
 
 
 def _spell_descriptor(op: OperationDescriptor) -> bytes:
@@ -543,7 +541,7 @@ def _spell_descriptor(op: OperationDescriptor) -> bytes:
     _encode_value(out, op.op)
     if prev:
         client = op_id.client
-        for p in sorted(prev, key=_ID_ORDER):
+        for p in sorted(prev):
             if p.client == client:
                 out.append(0)
             else:
@@ -768,7 +766,7 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
 
     labels = message.labels
     enc.u(len(labels))
-    for op_id in sorted(labels, key=_ID_ORDER):
+    for op_id in sorted(labels):
         label = labels[op_id]
         head = 0
         if window is not None:
@@ -1023,10 +1021,10 @@ class _Decoder:
             return Operator(name, args)
         if tag == _V_OPID:
             client = self.value()
-            return OperationId(client=client, seqno=self.s())
+            return OperationId(client, self.s())
         if tag == _V_LABEL:
             rank = self.s()
-            return Label(rank=rank, replica=self.value())
+            return Label(rank, self.value())
         if tag == _V_TUPLE:
             return tuple(self.value() for _ in range(self.u()))
         if tag == _V_SET:
@@ -1040,12 +1038,12 @@ class _Decoder:
     # -- domain pieces -------------------------------------------------------
 
     def op_id(self) -> OperationId:
-        client = self.ident()
-        return OperationId(client=client, seqno=self.s())
+        # ``_make`` is the cheapest public spelling: it skips the generated
+        # ``__new__``'s argument binding (keyword form costs twice as much).
+        return OperationId._make((self.ident(), self.s()))
 
     def label(self) -> Label:
-        rank = self.s()
-        return Label(rank=rank, replica=self.ident())
+        return Label._make((self.s(), self.ident()))
 
     def operation(self) -> OperationDescriptor:
         """The full form.  When the endpoint already holds a descriptor of
@@ -1085,14 +1083,14 @@ class _Decoder:
                 f"descriptor body ends {self.pos - end:+d} bytes off its declared length"
             )
         return OperationDescriptor(
-            op=op, id=OperationId(client=client, seqno=seqno), prev=prev, strict=bool(head & 1)
+            op, OperationId._make((client, seqno)), prev, bool(head & 1)
         )
 
     def prev_id(self, own: str) -> OperationId:
         """One ``prev`` identifier of a descriptor of client *own*."""
         length = self.u()
         client = sys.intern(str(self.raw(length - 1), "utf-8")) if length else own
-        return OperationId(client=client, seqno=self.s())
+        return OperationId._make((client, self.s()))
 
     def summary(self) -> OpIdSummary:
         ranges: Dict[str, List[Tuple[int, int]]] = {}
@@ -1127,8 +1125,7 @@ class _Decoder:
 
     def advert(self) -> CheckpointAdvert:
         # Self-contained strings, mirroring ``_spell_advert``.
-        rank = self.s()
-        frontier = Label(rank=rank, replica=self.text())
+        frontier = Label._make((self.s(), self.text()))
         digest = self.text()
         order_digest = self.text()
         ranges: Dict[str, List[Tuple[int, int]]] = {}
@@ -1273,6 +1270,8 @@ def _decode_transfer(dec: _Decoder) -> CheckpointTransferMessage:
     ids = dec.summary()
     chunk_index = dec.u()
     chunk_count = dec.u()
+    if chunk_index >= chunk_count:  # and so ``chunk_count == 0`` as well
+        raise FrameError(f"transfer chunk {chunk_index} of {chunk_count}")
     values_chunk = {}
     for _ in range(dec.u()):
         op_id = dec.op_id()
@@ -1441,10 +1440,8 @@ def _json_message(message: Any) -> Dict[str, Any]:
                 (_json_operation(op) for op in message.stable), key=lambda d: d["id"]
             ),
             "labels": {
-                f"{op_id.client}#{op_id.seqno}": _json_value(label)
-                for op_id, label in sorted(
-                    message.labels.items(), key=lambda item: _ID_ORDER(item[0])
-                )
+                f"{op_id.client}#{op_id.seqno}": _json_value(message.labels[op_id])
+                for op_id in sorted(message.labels)
             },
             "epoch": message.epoch,
             "stream": message.stream,

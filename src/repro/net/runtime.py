@@ -107,8 +107,6 @@ class NetParams:
     #: Bounded per-peer send queue length (messages). Full queue = slow peer:
     #: senders block (clients, pulls) or skip the round (gossip).
     send_queue_limit: int = 64
-    #: Max messages coalesced into one frame per writer wakeup.
-    coalesce_limit: int = 64
     #: Front ends re-send an unanswered request after this many seconds
     #: (redirecting away from replicas that NACKed, like the simulator).
     request_retry: float = 1.0
@@ -124,8 +122,6 @@ class NetParams:
             raise ConfigurationError("gossip_period must be positive")
         if self.send_queue_limit < 1:
             raise ConfigurationError("send_queue_limit must be at least 1")
-        if self.coalesce_limit < 1:
-            raise ConfigurationError("coalesce_limit must be at least 1")
         if self.request_retry <= 0:
             raise ConfigurationError("request_retry must be positive")
         self.replica.require_single_policy("NetParams")
@@ -397,19 +393,17 @@ class _SendLink:
             self._writer = None
 
     async def _run(self) -> None:
-        params = self._cluster.params
         #: Messages of a batch that failed to encode, to be sent one by one.
         singly: Deque[Tuple[str, Any]] = deque()
         while True:
             if singly:
                 batch: List[Tuple[str, Any]] = [singly.popleft()]
             else:
+                # One frame takes everything queued; the bounded queue
+                # bounds the frame.
                 batch = [await self.queue.get()]
-                while len(batch) < params.coalesce_limit:
-                    try:
-                        batch.append(self.queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
+                while not self.queue.empty():
+                    batch.append(self.queue.get_nowait())
             # Dial before encoding: a windowed frame advances the window, so
             # it must be written to the connection the window belongs to.
             if self._writer is None and self._dial:

@@ -165,6 +165,11 @@ class TestRoundTrips:
         assert decoded.advert.digest == advert.digest
         assert_summary_equal(decoded.advert.ids, advert.ids)
         assert decoded.checkpoint is None
+        # The summary is a value: the decoded advert *equals* the sent one
+        # (it compared by identity before) and files under the same hash.
+        assert decoded.advert.ids is not advert.ids
+        assert decoded.advert == advert and hash(decoded.advert) == hash(advert)
+        assert decoded == message
 
     def test_pull(self):
         message = PullRequestMessage(
@@ -172,7 +177,7 @@ class TestRoundTrips:
             frontier=Label(17, "r0"), have_frontier=Label(3, "r2"),
         )
         (decoded,) = decode_frame(encode_message(message))
-        assert decoded == message
+        assert decoded == message and decoded is not message
         bare = PullRequestMessage("r2", "r0", "00ff", Label(1, "r0"))
         (decoded,) = decode_frame(encode_message(bare))
         assert decoded == bare and decoded.have_frontier is None
@@ -192,6 +197,7 @@ class TestRoundTrips:
         assert_summary_equal(decoded.ids, final.ids)
         assert list(decoded.values_chunk.items()) == list(final.values_chunk.items())
         assert decoded.carries_state and decoded.base_state == 7
+        assert decoded == final
 
     def test_mixed_coalesced_frame_with_size_attribution(self):
         messages = [
@@ -219,6 +225,22 @@ class TestRoundTrips:
         response = ResponseMessage(op(), value={"b": 1, "a": (None, {"k": 2})})
         (decoded,) = decode_frame(encode_message(response))
         assert decoded == response
+
+    def test_value_objects_dispatch_before_the_generic_tuple_branch(self):
+        # OperationId / Label / Operator ARE tuples and equal the plain tuple
+        # of their fields, so only the decoded *type* can tell whether the
+        # encoder tested for them before ``tuple``.
+        value = {"k": (OperationId("c", 1), Label(2, "r0"), Operator("add", (1,)), ("c", 1))}
+        message = ResponseMessage(op(), value=value)
+        (decoded,) = decode_frame(encode_message(message))
+        assert decoded == message
+        op_id, label, operator, plain = decoded.value["k"]
+        assert type(op_id) is OperationId and type(label) is Label
+        assert type(operator) is Operator and type(operator.args) is tuple
+        assert type(plain) is tuple and plain == OperationId("c", 1)
+        typed = json_frame([message])
+        assert b'{"id":"c#1"}' in typed and b'{"l":[2,"r0"]}' in typed
+        assert b'{"op":["add",{"t":[1]}]}' in typed and b'{"t":["c",1]}' in typed
 
     def test_plain_set_and_frozenset_types_survive_decode(self):
         # ``set(x) == frozenset(x)`` in Python, so equality round-trip checks
@@ -449,6 +471,19 @@ class TestFrameErrors:
             with pytest.raises(FrameError):
                 decode_frame(frame[:cut])
 
+    @pytest.mark.parametrize("index, count", [(0, 0), (2, 2), (5, 2)])
+    def test_transfer_chunk_outside_its_count_rejected(self, index, count):
+        # The core's ``_reject_transfer`` is the second line of defence; a
+        # chunk that cannot belong to any assembly dies at the wire boundary.
+        checkpoint = sample_checkpoint()
+        message = CheckpointTransferMessage(
+            sender="r0", requester="r2", epoch=3, digest=checkpoint.digest(),
+            frontier=checkpoint.frontier, ids=checkpoint.ids, values_chunk={},
+            chunk_index=index, chunk_count=count,
+        )
+        with pytest.raises(FrameError, match="transfer chunk"):
+            decode_frame(encode_message(message))
+
     def test_trailing_garbage_rejected(self):
         frame = encode_message(RequestMessage(op()))
         with pytest.raises(FrameError):
@@ -511,6 +546,8 @@ def test_any_summary_round_trips(ranges):
     )
     (decoded,) = decode_frame(encode_message(message))
     assert_summary_equal(decoded.ids, summary)
+    assert decoded.ids == summary and hash(decoded.ids) == hash(summary)
+    assert decoded == message
 
 
 @settings(max_examples=80, deadline=None)

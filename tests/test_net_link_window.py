@@ -21,7 +21,6 @@ Four things are pinned here:
 
 import asyncio
 import dataclasses
-import gc
 import random
 import time
 
@@ -54,7 +53,12 @@ from repro.net.codec import (
     encode_varint,
 )
 
-from test_net_runtime import FAST, _length_prefixed, converge_and_check, make_cluster
+from test_net_runtime import (
+    FAST,
+    _after_hostile_replica_frame,
+    converge_and_check,
+    make_cluster,
+)
 
 # --------------------------------------------------------------------------- #
 # Equivalence with the stateless round trip                                   #
@@ -374,41 +378,6 @@ def test_hostile_reference_is_a_frame_error(name):
     frame = windowed_gossip_frame(HOSTILE_REFERENCES[name])
     with pytest.raises(FrameError):
         decode_frame(frame, DescriptorWindow())
-
-
-async def _after_hostile_replica_frame(transport, frame):
-    """Write *frame* raw on r0's connection to r1, as if r0's encoder had gone
-    mad: r1 rejects it and drops the connection, r0's link re-dials onto a
-    fresh window, and nothing else notices."""
-    loop = asyncio.get_running_loop()
-    leaked = []
-    loop.set_exception_handler(lambda _loop, context: leaked.append(context))
-    async with make_cluster(transport=transport) as cluster:
-        for _ in range(3):
-            await cluster.submit("c0", CounterType.increment())
-        assert await cluster.quiesce(timeout=10.0)
-        states = {r: core.replayed_state() for r, core in cluster.replicas.items()}
-        tracked = {r: core.tracked_op_count() for r, core in cluster.replicas.items()}
-
-        link = cluster._endpoints["r0"].links["r1"]
-        old_window = link._window
-        link._writer.write(_length_prefixed(frame))
-        await link._writer.drain()
-        await asyncio.sleep(0.1)  # the reject, the close and a few gossip rounds
-
-        assert cluster.stats.frames_rejected == 1
-        assert {r: c.replayed_state() for r, c in cluster.replicas.items()} == states
-        assert {r: c.tracked_op_count() for r, c in cluster.replicas.items()} == tracked
-        assert link._window is not old_window  # the connection went, the window with it
-
-        for _ in range(4):
-            await cluster.submit("c0", CounterType.increment())
-        await converge_and_check(cluster)
-        assert cluster.stats.frames_rejected == 1
-        assert await cluster.submit("c1", CounterType.read()) == 7
-    gc.collect()
-    await asyncio.sleep(0)
-    assert leaked == []
 
 
 @pytest.mark.parametrize("transport", ["memory", "tcp"])

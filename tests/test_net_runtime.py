@@ -29,7 +29,7 @@ from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.datatypes.base import Operator
-from repro.net.codec import FrameError, encode_message
+from repro.net.codec import FrameError, decode_frame, encode_message
 from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams, write_frame
 from repro.service.keyed import KeyedStore
 from repro.verification.serializability import check_recorded_trace
@@ -60,8 +60,6 @@ class TestParams:
             NetParams(gossip_period=0.0)
         with pytest.raises(ConfigurationError):
             NetParams(send_queue_limit=0)
-        with pytest.raises(ConfigurationError):
-            NetParams(coalesce_limit=0)
         with pytest.raises(ConfigurationError):
             NetParams(request_retry=0.0)
         with pytest.raises(ConfigurationError):
@@ -329,6 +327,61 @@ class TestHostileFrames:
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_frame_drops_the_connection_only(self, transport, toward, name):
         asyncio.run(_after_bad_bytes(transport, _length_prefixed(MALFORMED[name]), toward))
+
+
+async def _after_hostile_replica_frame(transport, frame):
+    """Write *frame* raw on r0's connection to r1, as if r0's encoder had gone
+    mad: r1 rejects it and drops the connection, r0's link re-dials onto a
+    fresh window, and nothing else notices."""
+    loop = asyncio.get_running_loop()
+    leaked = []
+    loop.set_exception_handler(lambda _loop, context: leaked.append(context))
+    async with make_cluster(transport=transport) as cluster:
+        for _ in range(3):
+            await cluster.submit("c0", CounterType.increment())
+        assert await cluster.quiesce(timeout=10.0)
+        states = {r: core.replayed_state() for r, core in cluster.replicas.items()}
+        tracked = {r: core.tracked_op_count() for r, core in cluster.replicas.items()}
+
+        link = cluster._endpoints["r0"].links["r1"]
+        old_window = link._window
+        link._writer.write(_length_prefixed(frame))
+        await link._writer.drain()
+        await asyncio.sleep(0.1)  # the reject, the close and a few gossip rounds
+
+        assert cluster.stats.frames_rejected == 1
+        assert {r: c.replayed_state() for r, c in cluster.replicas.items()} == states
+        assert {r: c.tracked_op_count() for r, c in cluster.replicas.items()} == tracked
+        assert link._window is not old_window  # the connection went, the window with it
+
+        for _ in range(4):
+            begin = loop.time()
+            await cluster.submit("c0", CounterType.increment())
+            # Answered at once, not by the request_retry timer.
+            assert loop.time() - begin < cluster.params.request_retry / 2
+        await converge_and_check(cluster)
+        assert cluster.stats.frames_rejected == 1
+        # Refused at the wire boundary: no core ever saw the message.
+        assert all(c.stats.transfer_rejections == 0 for c in cluster.replicas.values())
+        assert await cluster.submit("c1", CounterType.read()) == 7
+    gc.collect()
+    await asyncio.sleep(0)
+    assert leaked == []
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+@pytest.mark.parametrize("index, count", [(0, 0), (3, 3)])
+def test_transfer_chunk_outside_its_count_costs_the_connection_only(transport, index, count):
+    # Written raw on the live r0 -> r1 link: r1's codec refuses the chunk, so
+    # the core's ``_reject_transfer`` (and its re-pull) never runs.
+    frame = encode_message(CheckpointTransferMessage(
+        sender="r0", requester="r1", epoch=0, digest="00" * 8,
+        frontier=Label(1, "r0"), ids=OpIdSummary({"c0": [(0, 2)]}), values_chunk={},
+        chunk_index=index, chunk_count=count,
+    ))
+    with pytest.raises(FrameError, match="transfer chunk"):
+        decode_frame(frame)
+    asyncio.run(_after_hostile_replica_frame(transport, frame))
 
 
 @pytest.mark.parametrize("transport", ["memory", "tcp"])
