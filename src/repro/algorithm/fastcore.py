@@ -12,19 +12,25 @@ the profiled hot paths with interned keys and derived indexes:
   :func:`~repro.algorithm.labels.label_sort_key` (``INFINITY`` maps to
   ``float("inf")``, after every finite key).  ``done_order`` re-sorts on int
   keys instead of ``(int, int, str)`` tuples.
-* **One derived knowledge set** — ``_stable_all`` holds the operations
-  present in every ``stable[i]``.  ``is_stable_everywhere`` is one set probe
-  and ``compactable_prefix`` walks the order against it, replacing
-  per-element ``all(x in stable[i] ...)`` probes.  It is the only copy of
-  knowledge kept beside the authoritative sets.
+* **One derived knowledge set, settled on read** — ``_stable_all`` is the
+  set of operations present in every ``stable[i]``.  ``is_stable_everywhere``
+  is one set probe and ``compactable_prefix`` walks the order against it,
+  replacing per-element ``all(x in stable[i] ...)`` probes.  It is the only
+  copy of knowledge kept beside the authoritative sets, kept as a settled
+  part plus a worklist that a read intersects with the rows other than
+  ``me``; nothing reads it during an ingest without compaction.
 * **Set-difference gossip merges** — ``receive_gossip`` merges via C-speed
   set differences, tests checkpoint coverage only on elements not already
   tracked (sound because compaction removes folded records from *every*
   set: tracked implies not covered), and promotes stability incrementally —
   only operations newly added to a peer's done set this merge can newly
   become done-everywhere, because ``done[self]`` always contains every other
-  ``done[i]`` (gossip unions the incoming done set into both) so local
-  ``do_it`` can never change the intersection.
+  ``done[i]`` (Invariant 7.1: gossip unions the incoming done set into both)
+  so local ``do_it`` can never change the intersection.  The same invariant
+  puts every candidate in ``done[me] ∩ done[sender]`` after the merge, so
+  only the other rows are probed, one at a time; and since ``stable[me]``
+  is the everywhere-done set (Invariant 7.2), an incoming stable operation
+  already stable here is in every done row and is not pushed again.
 * **Batched do/undone mirrors** — ``_undone`` (``rcvd - done_here``) and the
   done-id set are maintained incrementally so a ``do_all_ready`` sweep scans
   only candidates instead of rebuilding set differences and id sets per
@@ -46,21 +52,32 @@ the profiled hot paths with interned keys and derived indexes:
 Equivalence argument: every override either computes the same value through
 a cheaper representation (int sort keys, one derived set, set differences)
 or skips work that is provably a no-op under a maintained invariant (fresh
-label scan, coverage tests on tracked elements, full stability
-intersection, replay prefix comparison).  ``_stable_all`` has three
-incremental maintenance sites — a gossip merge adds whichever of the
-operations that just entered ``stable[sender]`` or ``stable[me]`` are now in
-every row (no other row changes in a merge), ``_mark_coverage_stable`` adds
-its argument (it puts it in every row), a compaction fold subtracts what it
-removed — and is recomputed from the authoritative sets where those are
-wholesale-replaced (checkpoint adoption, volatile crash).  Lockstep seeded
-twins against :class:`ReplicaCore` (responses, witness order, state
-digests) and the conformance corpus enforce the argument in CI.
+label scan, coverage tests on tracked elements, stability probes of rows
+that cannot refuse, replay prefix comparison).  ``_stable_all`` is settled
+on read from ``_stable_settled`` and the ``_stable_fresh`` worklist, which
+has three maintenance sites: a gossip merge (and a direct
+``_promote_stable``) adds the operations that just entered ``stable[me]`` or
+``stable[sender]`` — no other row changes in a merge, so nothing else can
+newly be in every row, and an operation the merge itself promotes is not in
+``stable[sender]`` yet — a compaction fold prunes what it removed, and the
+wholesale sites (checkpoint adoption, volatile crash) clear it and
+recompute the settled part from the authoritative sets.
+``_mark_coverage_stable`` puts its argument in every row and settles it
+outright.  The worklist is a subset of ``stable[me]``, and by Invariant 7.1
+``stable[me]`` contains every other row, so a read only intersects the
+worklist with the rows other than ``me``; an operation such a read drops
+re-enters the worklist when it next enters a row.  A merge also settles a
+worklist grown past twice the smallest other row (which bounds the
+everywhere-stable set), so a replica that never reads holds no more than
+the eager set would.  Lockstep seeded twins
+against :class:`ReplicaCore` (responses, witness order, state digests) and
+the conformance corpus enforce the argument in CI.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.algorithm.labels import Label, label_sort_key
@@ -70,6 +87,8 @@ from repro.common import INFINITY, OperationId, SpecificationError
 
 #: Sort key of "no label yet": after every finite packed label key.
 _INFINITE_KEY = float("inf")
+
+_ID = attrgetter("id")
 
 
 def _iter_interval_diff(theirs, mine):
@@ -110,10 +129,13 @@ class FastReplicaCore(ReplicaCore):
         #: Packed label keys parallel to ``_order_cache`` (valid while the
         #: order is clean) — the sorted backbone for bisect insertion.
         self._order_keys: List[int] = []
-        #: The one derived knowledge set: the operations present in every
+        #: The one derived knowledge set, the operations present in every
         #: ``stable[i]`` (what ``is_stable_everywhere`` and the compaction
-        #: walk ask about).
-        self._stable_all: Set[Any] = set()
+        #: walk ask about), kept lazily: a settled part plus the worklist of
+        #: operations that entered ``stable[me]`` or ``stable[sender]`` since
+        #: the last read.  ``_stable_all`` settles the two on read.
+        self._stable_settled: Set[Any] = set()
+        self._stable_fresh: Set[Any] = set()
         #: Mirrors of done-here (id -> descriptor) and of ``rcvd - done_here``.
         self._done_index: Dict[Any, Any] = {}
         self._undone: Set[Any] = set()
@@ -153,7 +175,8 @@ class FastReplicaCore(ReplicaCore):
     def _rebuild_fast_state(self) -> None:
         """Re-derive every mirror from the authoritative sets (after a
         wholesale checkpoint adoption or a volatile crash)."""
-        self._stable_all = set.intersection(*self.stable.values())
+        self._stable_settled = set.intersection(*self.stable.values())
+        self._stable_fresh = set()
         done_here = self.done[self.replica_id]
         self._done_index = {x.id: x for x in done_here}
         self._undone = self.rcvd - done_here
@@ -277,6 +300,31 @@ class FastReplicaCore(ReplicaCore):
             return True
         return super().response_ready(operation)
 
+    @property
+    def _stable_all(self) -> Set[Any]:
+        """The operations present in every ``stable[i]``, settled on read."""
+        if self._stable_fresh:
+            self._settle_stable()
+        return self._stable_settled
+
+    def _other_stable_rows(self) -> List[Set[Any]]:
+        me = self.replica_id
+        return [row for replica, row in self.stable.items() if replica != me]
+
+    def _settle_stable(self) -> None:
+        """Move the worklist's everywhere-stable operations to the settled
+        set and empty it.  The worklist is a subset of ``stable[me]``, which
+        contains every other row (Invariant 7.1), so the other rows decide,
+        smallest first; what fails them now re-enters the worklist when it
+        next enters a row."""
+        fresh = self._stable_fresh
+        for row in sorted(self._other_stable_rows(), key=len):
+            fresh &= row
+            if not fresh:
+                break
+        self._stable_settled |= fresh
+        self._stable_fresh = set()
+
     def is_stable_everywhere(self, operation) -> bool:
         if operation in self._stable_all:
             return True
@@ -378,20 +426,26 @@ class FastReplicaCore(ReplicaCore):
         new_done_me = done - done_me
         if new_done_me:
             done_me |= new_done_me
-            self._done_index.update((x.id, x) for x in new_done_me)
+            self._done_index.update(zip(map(_ID, new_done_me), new_done_me))
             self._undone -= new_done_me
         if new_rcvd:
             new_undone = new_rcvd - done_me
             self._undone |= new_undone
 
-        for replica in self.replica_ids:
-            if replica == me or replica == sender:
-                continue
-            target = self.done[replica]
-            new_other = stable - target
-            if new_other:
-                target |= new_other
-                promote |= new_other
+        # Invariant 7.2: whatever is already stable here is in every done
+        # row, so only the incoming stable operations new to ``stable[me]``
+        # can be missing from another peer's row.  The same set is the
+        # stable merge's ``changed`` below.
+        stable_me = self.stable[me]
+        changed = stable - stable_me
+        if changed:
+            for replica, target in self.done.items():
+                if replica == me or replica == sender:
+                    continue
+                new_other = changed - target
+                if new_other:
+                    target |= new_other
+                    promote |= new_other
 
         # label_r <- min(label_r, L); note the maximum incoming rank so the
         # generator invariant behind fresh_monotone() is maintained (the
@@ -453,27 +507,41 @@ class FastReplicaCore(ReplicaCore):
         new_stable_sender = stable - stable_sender
         if new_stable_sender:
             stable_sender |= new_stable_sender
-        stable_me = self.stable[me]
-        changed = stable - stable_me
         if changed:
             stable_me |= changed
         changed |= new_stable_sender
+        # Only an operation that just entered ``stable[sender]`` or
+        # ``stable[me]`` can newly be in every ``stable[i]`` (a merge
+        # touches no other row): queue it for the next read to settle.  One
+        # promoted below is not in ``stable[sender]`` (that row is within
+        # ``stable[me]``, which lacked it), so it waits until it gets there.
+        if changed:
+            fresh = self._stable_fresh
+            fresh |= changed
+            # Every row bounds the everywhere-stable set, so a worklist over
+            # twice the smallest other row is mostly operations that cannot
+            # settle yet (a replica that never reads and never hears from
+            # some peer would otherwise queue all of stable[me]): settle it
+            # now, which starting from the smallest row makes cheap.
+            if len(fresh) > 2 * min(map(len, self._other_stable_rows())):
+                self._settle_stable()
 
         # Incremental stability promotion: only operations newly added to a
         # peer's done set can newly enter the everywhere-done intersection
         # (done[me] contains every other done[i], so local do_it never
-        # changes it; see the module docstring).
+        # changes it; see the module docstring).  Every candidate is in
+        # done[me] and done[sender] by construction, so only the other rows
+        # can say no; a 2-replica candidate is promoted without a probe.
         promote -= stable_me
         if promote:
-            newly = promote.intersection(*self.done.values())
-            if newly:
-                stable_me |= newly
-                changed |= newly
-        # Only an operation that just entered ``stable[sender]`` or
-        # ``stable[me]`` can newly be in every ``stable[i]`` (a merge
-        # touches no other row).
-        if changed:
-            self._stable_all |= changed.intersection(*self.stable.values())
+            for replica, row in self.done.items():
+                if replica == me or replica == sender:
+                    continue
+                promote &= row
+                if not promote:
+                    break
+            if promote:
+                stable_me |= promote
 
         self._state_version += 1
         self._record_gossip_bookkeeping(message)
@@ -552,17 +620,21 @@ class FastReplicaCore(ReplicaCore):
         return min_pos
 
     def _promote_stable(self) -> None:
-        # Direct calls (the fast receive_gossip promotes inline): keep the
-        # derived set in lockstep with the authoritative one.
-        stable_me = self.stable[self.replica_id]
-        new = set.intersection(*self.done.values()) - stable_me
+        # Direct calls (the fast receive_gossip promotes inline).  done[me]
+        # contains every other row (Invariant 7.1), so the others decide.
+        me = self.replica_id
+        stable_me = self.stable[me]
+        done = self.done
+        new = done[me].intersection(*(row for i, row in done.items() if i != me))
+        new -= stable_me
         if new:
             stable_me |= new
-            self._stable_all |= new.intersection(*self.stable.values())
+            self._stable_fresh |= new
 
     def _mark_coverage_stable(self, tracked) -> None:
         super()._mark_coverage_stable(tracked)
-        self._stable_all |= tracked
+        # Now in every row: settled outright.
+        self._stable_settled |= tracked
 
     # --------------------------------------------------- checkpoint compaction
 
@@ -587,7 +659,9 @@ class FastReplicaCore(ReplicaCore):
                 del self._order_keys[:count]
             else:  # pragma: no cover - defensive
                 self._order_dirty = True
-        self._stable_all -= removed
+        # The fold removed *removed* from every row.
+        self._stable_settled -= removed
+        self._stable_fresh -= removed
         done_index = self._done_index
         repr_cache = self._repr_cache
         for x in removed:

@@ -677,7 +677,7 @@ state_independent`: its tracked history has a hole below the awaited
         if destination not in self.done:
             raise SpecificationError(f"gossip to unknown replica {destination!r}")
 
-        out = self._peer_out.setdefault(destination, PeerOutState())
+        out = self._peer_out_state(destination)
         snapshot = self._payload_snapshot()
         seqno = out.next_seqno
         out.next_seqno += 1
@@ -928,6 +928,14 @@ state_independent`: its tracked history has a hole below the awaited
             return True
         return sender not in self._unsynced_peers
 
+    def _peer_out_state(self, peer: str) -> PeerOutState:
+        """The send-side delta bookkeeping toward *peer*, created on first
+        use (not built and thrown away on every send and receipt)."""
+        out = self._peer_out.get(peer)
+        if out is None:
+            out = self._peer_out[peer] = PeerOutState()
+        return out
+
     def _record_gossip_bookkeeping(self, message: GossipMessage,
                                    merged: bool = True) -> None:
         """Advance the delta-gossip seqno/ack/epoch state for one receipt.
@@ -936,7 +944,9 @@ state_independent`: its tracked history has a hole below the awaited
         recorded: acknowledging a payload we discarded would let the sender
         drop that knowledge from every future delta."""
         sender = message.sender
-        in_state = self._peer_in.setdefault(sender, PeerInState(epoch=message.epoch))
+        in_state = self._peer_in.get(sender)
+        if in_state is None:
+            in_state = self._peer_in[sender] = PeerInState(epoch=message.epoch)
         if message.epoch > in_state.epoch:
             # The sender restarted: its seqno streams start over and every
             # acknowledgement it issued before the crash is void.  A partial
@@ -944,12 +954,12 @@ state_independent`: its tracked history has a hole below the awaited
             # the persisted checkpoint survives the crash, so the retry pull
             # fetches the same (or a newer, nested) body.
             in_state.reset(message.epoch)
-            self._peer_out.setdefault(sender, PeerOutState()).reset()
+            self._peer_out_state(sender).reset()
             self._transfer_in.pop(sender, None)
         if merged and message.seqno is not None and message.epoch == in_state.epoch:
             in_state.record_receipt(message.stream, message.seqno,
                                     is_full=not message.is_delta)
-        out = self._peer_out.setdefault(sender, PeerOutState())
+        out = self._peer_out_state(sender)
         if (message.ack is not None
                 and message.ack_epoch == self._epoch
                 and message.ack_stream == out.stream):

@@ -717,6 +717,22 @@ _G_SENT_AT = 32
 _G_WINDOW = 64
 
 
+def _membership_regions(received, done, stable):
+    """``(code, region)`` for the non-empty regions of ``received ∪ done ∪
+    stable``, where *code* has bit 1 for received, 2 for done, 4 for stable."""
+    rd = received & done
+    regions = (
+        (1, received - done - stable),
+        (2, done - received - stable),
+        (3, rd - stable),
+        (4, stable - received - done),
+        (5, (received & stable) - done),
+        (6, (done & stable) - received),
+        (7, rd & stable),
+    )
+    return [(code, region) for code, region in regions if region]
+
+
 def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
     window = enc.window
     flags = 0 if window is None else _G_WINDOW
@@ -747,22 +763,26 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
 
     # One sorted union of descriptors with a membership byte each: the three
     # sets overlap almost completely (done and stable are subsets of the
-    # sender's knowledge), so each descriptor is encoded exactly once.
-    union: Dict[OperationDescriptor, int] = dict.fromkeys(message.received, 1)
-    for op in message.done:
-        union[op] = union.get(op, 0) | 2
-    for op in message.stable:
-        union[op] = union.get(op, 0) | 4
-    ordered = sorted(union, key=_DESCRIPTOR_ORDER)
-    enc.u(len(ordered))
-    for op in ordered:
+    # sender's knowledge), so each descriptor is encoded exactly once.  The
+    # union is the concatenation of its disjoint membership regions, cut by
+    # set algebra that reuses the hashes the sets store; each entry's code
+    # rides an argsort on ids.
+    ops: List[OperationDescriptor] = []
+    codes: List[int] = []
+    for code, region in _membership_regions(message.received, message.done, message.stable):
+        ops.extend(region)
+        codes.extend([code] * len(region))
+    ids = list(map(_DESCRIPTOR_ORDER, ops))
+    enc.u(len(ops))
+    for i in sorted(range(len(ops)), key=ids.__getitem__):
+        op = ops[i]
         distance = 0
         if window is not None:
             distance = window.refer(op)
             enc.u(distance)
         if not distance:
             enc.operation(op)
-        enc.byte(union[op])
+        enc.byte(codes[i])
 
     labels = message.labels
     enc.u(len(labels))
@@ -1159,6 +1179,14 @@ def _decode_response(dec: _Decoder) -> ResponseMessage:
     return ResponseMessage(operation=operation, value=value, stale=bool(flags & 1), sender=sender)
 
 
+def _members(sets: List[FrozenSet[OperationDescriptor]], bit: int) -> FrozenSet[OperationDescriptor]:
+    """The union of the membership groups whose code carries *bit*."""
+    parts = [group for code, group in enumerate(sets) if code & bit and group]
+    if len(parts) == 1:
+        return parts[0]
+    return frozenset().union(*parts)
+
+
 def _decode_gossip(dec: _Decoder) -> GossipMessage:
     flags = dec.byte()
     ops = last_labels = None
@@ -1178,9 +1206,9 @@ def _decode_gossip(dec: _Decoder) -> GossipMessage:
         ack_epoch = dec.u()
         ack_stream = dec.u()
 
-    received: List[OperationDescriptor] = []
-    done: List[OperationDescriptor] = []
-    stable: List[OperationDescriptor] = []
+    # Entries grouped by membership code: each group is hashed once, and the
+    # three sets are unions of groups (which reuse the stored hashes).
+    groups: Tuple[List[OperationDescriptor], ...] = ([], [], [], [], [], [], [], [])
     for _ in range(dec.u()):
         distance = dec.u() if ops is not None else 0
         if distance:
@@ -1193,13 +1221,8 @@ def _decode_gossip(dec: _Decoder) -> GossipMessage:
             if ops is not None:
                 ops.append(op)
                 last_labels.append(None)
-        membership = dec.byte()
-        if membership & 1:
-            received.append(op)
-        if membership & 2:
-            done.append(op)
-        if membership & 4:
-            stable.append(op)
+        groups[dec.byte() & 7].append(op)
+    sets = [frozenset(group) for group in groups]
 
     labels: Dict[OperationId, Label] = {}
     for _ in range(dec.u()):
@@ -1225,10 +1248,10 @@ def _decode_gossip(dec: _Decoder) -> GossipMessage:
     sent_at = struct.unpack(">d", dec.raw(8))[0] if flags & _G_SENT_AT else None
     return GossipMessage(
         sender=sender,
-        received=frozenset(received),
-        done=frozenset(done),
+        received=_members(sets, 1),
+        done=_members(sets, 2),
         labels=labels,
-        stable=frozenset(stable),
+        stable=_members(sets, 4),
         epoch=epoch,
         stream=stream,
         seqno=seqno,

@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from repro.algorithm import replica as replica_module
+from repro.algorithm.delta import PeerInState, PeerOutState
 from repro.algorithm.messages import RequestMessage
 from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
@@ -365,3 +367,58 @@ class TestIncrementalReplay:
         replica.crash(volatile_memory=True)
         assert replica._replay_order == []
         assert replica._replay_values == {}
+
+
+class TestPeerStateConstruction:
+    """Per-peer bookkeeping is get-or-create: nothing is built and thrown
+    away on a send or a receipt."""
+
+    def test_one_instance_of_each_class_per_peer(self, monkeypatch):
+        built = []
+
+        class CountingIn(PeerInState):
+            def __init__(self, *args, **kwargs):
+                built.append("in")
+                super().__init__(*args, **kwargs)
+
+        class CountingOut(PeerOutState):
+            def __init__(self, *args, **kwargs):
+                built.append("out")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(replica_module, "PeerInState", CountingIn)
+        monkeypatch.setattr(replica_module, "PeerOutState", CountingOut)
+        pair = TestDeltaMechanics()
+        r1, r2 = pair.setup_pair(full_state_interval=7)
+        pair.feed(r1, 3, OperationIdGenerator("c"))
+        pair.exchange(r1, r2, rounds=50)  # 100 messages
+        assert sorted(built) == ["in", "in", "out", "out"]
+        assert r1._peer_in["r2"].frontier == 50
+        assert r2.make_gossip("r1").size_estimate() == 0
+
+    def test_epoch_reset_restarts_the_stream_in_place(self):
+        pair = TestDeltaMechanics()
+        r1, r2 = pair.setup_pair()
+        pair.feed(r1, 3, OperationIdGenerator("c"))
+        pair.exchange(r1, r2, rounds=2)
+        out, in_state = r1._peer_out["r2"], r1._peer_in["r2"]
+        stream = out.stream
+        r2.crash(volatile_memory=True)
+        r1.receive_gossip(r2.make_gossip("r1"))
+        assert r1._peer_out["r2"] is out and out.stream == stream + 1
+        assert out.basis is None and out.next_seqno == 1
+        assert r1._peer_in["r2"] is in_state and in_state.epoch == r2._epoch
+
+    def test_epoch_reset_before_any_send_opens_a_fresh_stream(self):
+        # A receipt that first shows a peer's bumped epoch, with nothing
+        # sent to it yet, still leaves a reset out-state (stream 1) behind.
+        ids = ["r1", "r2"]
+        r1 = ReplicaCore("r1", ids, CounterType())
+        r2 = ReplicaCore("r2", ids, CounterType())
+        for replica in (r1, r2):
+            replica.configure_delta_gossip(True, 100)
+        r1.receive_gossip(r2.make_gossip("r1"))
+        r1._peer_out.clear()
+        r2.crash(volatile_memory=True)
+        r1.receive_gossip(r2.make_gossip("r1"))
+        assert r1._peer_out["r2"].stream == 1

@@ -33,7 +33,7 @@ from repro.algorithm.messages import (
     ResponseMessage,
 )
 from repro.common import INFINITY, OperationId
-from repro.core.operations import make_operation
+from repro.core.operations import OperationDescriptor, make_operation
 from repro.datatypes.base import Operator
 from repro.net.codec import (
     WIRE_VERSION,
@@ -580,4 +580,36 @@ def test_any_gossip_population_round_trips(population):
         ),
     )
     (decoded,) = decode_frame(encode_message(message))
+    assert decoded == message
+
+
+# --------------------------------------------------------------------------- #
+# Descriptor hashing in the gossip codec
+# --------------------------------------------------------------------------- #
+
+
+def test_gossip_codec_hashes_each_decoded_descriptor_at_most_once(monkeypatch):
+    """The encoder cuts the membership union with set algebra (the sets'
+    stored hashes) and never hashes a descriptor; the decoder hashes each
+    entry once, in its membership group.  All seven membership codes occur."""
+    xs = [op("c0", n) for n in range(1, 29)]
+    message = sample_gossip(
+        received=frozenset(xs[0:16]),
+        done=frozenset(xs[8:12] + xs[16:24]),
+        stable=frozenset(xs[4:8] + xs[10:14] + xs[20:28]),
+        labels={},
+    )
+    calls = []
+    original = OperationDescriptor.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(OperationDescriptor, "__hash__", counting)
+    frame = encode_message(message)
+    assert calls == []
+    (decoded,) = decode_frame(frame)
+    assert len(calls) <= len(xs)
+    monkeypatch.undo()
     assert decoded == message

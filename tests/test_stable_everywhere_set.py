@@ -3,15 +3,21 @@
 :class:`~repro.algorithm.fastcore.FastReplicaCore` answers
 ``is_stable_everywhere`` and the ``compactable_prefix`` walk from
 ``_stable_all`` — the operations present in every ``stable[i]`` — instead of
-re-probing each ``stable[i]``.  This suite pins it four ways:
+re-probing each ``stable[i]``.  The set is settled on read from a settled
+part and a worklist (``_stable_settled`` / ``_stable_fresh``), and the merge
+that feeds it skips the rows Invariants 7.1 and 7.2 say cannot refuse.  This
+suite pins it five ways:
 
 * the audit (``_stable_all`` equals the intersection of the authoritative
   sets; every position below the batch kernel's ``_solid`` is in it and not
   pending) holds after **every** action of a seeded random system, through
   forced folds, a volatile crash, recovery and the checkpoint adoption that
-  follows;
+  follows — and before it reads, the unsettled lazy state and Invariants
+  7.1 / 7.2 are checked, and the read itself changes nothing authoritative;
 * both predicates equal :class:`ReplicaCore`'s on a lockstep twin, for
   tracked, compacted and never-seen identifiers;
+* random merge interleavings on 2, 3 and 5 replicas, with forced folds and
+  coverage marking, keep every row equal to :class:`ReplicaCore`'s;
 * a long no-compaction cold catch-up — the shape on which the derived state
   is widest — leaves base, fast and batch readers identical;
 * no private attribute of the two modules is written without being read
@@ -79,6 +85,35 @@ def submit(system, generators, rng, count):
     return operations
 
 
+def assert_invariants_7_1_and_7_2(core):
+    """The premises of the merge's row skip: ``done[me]`` and ``stable[me]``
+    contain every other row (7.1), and ``stable[me]`` is what is done
+    everywhere (7.2)."""
+    me = core.replica_id
+    assert core.done[me] == set().union(*core.done.values())
+    assert core.stable[me] == set().union(*core.stable.values())
+    assert core.stable[me] == set.intersection(*core.done.values())
+
+
+def assert_lazy_state(core):
+    """The settled set and the worklist, inspected without settling them."""
+    everywhere = set.intersection(*core.stable.values())
+    fresh, settled = core._stable_fresh, core._stable_settled
+    assert fresh <= core.stable[core.replica_id]
+    assert settled <= everywhere
+    assert settled | (fresh & everywhere) == everywhere
+
+
+def assert_read_settles(core):
+    """A read returns the intersection, empties the worklist and touches no
+    authoritative set."""
+    everywhere = set.intersection(*core.stable.values())
+    before = core.snapshot()
+    assert core._stable_all == everywhere
+    assert core._stable_fresh == set()
+    assert core.snapshot() == before
+
+
 # --------------------------------------------------------------------------- #
 # The audit holds after every action                                          #
 # --------------------------------------------------------------------------- #
@@ -95,15 +130,22 @@ def test_audit_holds_after_every_action(variant, seed):
     rng = random.Random(seed)
     generators = {c: OperationIdGenerator(c) for c in CLIENTS}
 
+    def check(core):
+        # The lazy state first: the audit's read settles it.
+        assert_invariants_7_1_and_7_2(core)
+        assert_lazy_state(core)
+        assert_read_settles(core)
+        audit(core)
+
     def audit_all(_system=None, _choice=None):
         for core in system.replicas.values():
-            audit(core)
+            check(core)
 
     submit(system, generators, rng, 12)
     assert system.run_random(rng, steps=250, step_hook=audit_all) == 250
     for core in system.replicas.values():
         core.maybe_compact(force=True)
-        audit(core)
+        check(core)
 
     submit(system, generators, rng, 8)
     system.run_random(rng, steps=150, step_hook=audit_all)
@@ -114,10 +156,10 @@ def test_audit_holds_after_every_action(variant, seed):
 
     crashed = system.replicas["r3"]
     crashed.crash(volatile_memory=True)
-    audit(crashed)
+    check(crashed)
     assert crashed._stable_all == set()
     crashed.recover_from_stable_storage()
-    audit(crashed)
+    check(crashed)
     adoptions = []
     adopted_hook = crashed._on_checkpoint_adopted
     crashed._on_checkpoint_adopted = lambda: (adoptions.append(1), adopted_hook())
@@ -178,6 +220,98 @@ def test_predicates_match_reference_core(seed, steps, variant):
 
 
 # --------------------------------------------------------------------------- #
+# Random merge interleavings in lockstep with the reference rows              #
+# --------------------------------------------------------------------------- #
+
+
+def tracked_state(core):
+    # Each core holds its own checkpoint object.
+    return {k: v for k, v in core.snapshot().items() if k != "checkpoint"}
+
+
+STEP_KINDS = (
+    "request", "request", "do", "send", "send", "deliver", "deliver", "fold", "mark", "read",
+)
+
+
+def lockstep_cores(cls, ids):
+    cores = {rid: cls(rid, ids, CounterType()) for rid in ids}
+    for core in cores.values():
+        # Adverts, never bodies: a coverage the order digest refuses queues
+        # a pull (never served here) instead of an adoption.
+        core.configure_advert_gossip(True)
+    return cores
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([FastReplicaCore, BatchReplicaCore]),
+    st.lists(
+        st.tuples(st.sampled_from(STEP_KINDS), st.integers(0, 999), st.integers(0, 999)),
+        min_size=30,
+        max_size=120,
+    ),
+)
+def test_random_merges_keep_the_reference_rows(n, cls, steps):
+    """Gossip merges in any delivery order, forced folds and coverage
+    marking leave ``stable[me]`` and every done row equal to
+    :class:`ReplicaCore`'s; with two replicas the promotion loop visits no
+    row at all."""
+    ids = [f"r{i}" for i in range(n)]
+    reference = lockstep_cores(ReplicaCore, ids)
+    twin = lockstep_cores(cls, ids)
+    generator = OperationIdGenerator("c")
+    in_flight = []
+    for kind, a, b in steps:
+        rid = ids[a % n]
+        ref, core = reference[rid], twin[rid]
+        if kind == "request":
+            operation = make_operation(CounterType.add(1 + b % 5), generator.fresh())
+            for side in (ref, core):
+                side.receive_request(RequestMessage(operation=operation))
+        elif kind == "do":
+            ref.do_all_ready()
+            core.do_all_ready()
+        elif kind == "send":
+            destination = ids[(a + 1 + b % (n - 1)) % n]
+            in_flight.append((destination, ref.make_gossip(), core.make_gossip()))
+        elif kind == "deliver" and in_flight:
+            destination, ref_message, core_message = in_flight.pop(b % len(in_flight))
+            ref, core = reference[destination], twin[destination]
+            ref.receive_gossip(ref_message)
+            core.receive_gossip(core_message)
+            assert core.stable[destination] == ref.stable[destination]
+            for i in ids:
+                assert core.done[i] == ref.done[i]
+        elif kind == "fold":
+            # The reference picks the prefix, so the twin folds without
+            # reading (and so settling) its own set first.
+            prefix = [] if ref.catching_up() else ref.compactable_prefix()
+            for side in (ref, core) if prefix else ():
+                side.configure_compaction(CompactionPolicy(min_batch=1))
+                side._prepare_compaction()
+                side._compact(prefix)
+                side.configure_compaction(enabled=False)
+        elif kind == "mark":
+            # Sound coverage knowledge: what another replica knows is stable
+            # everywhere, restricted to what is tracked here.
+            source = reference[ids[b % n]]
+            tracked = set.intersection(*source.stable.values()) & ref.done_here()
+            ref._mark_coverage_stable(set(tracked))
+            core._mark_coverage_stable(set(tracked))
+        elif kind == "read":
+            assert core._stable_all == set.intersection(*ref.stable.values())
+            assert core.compactable_prefix() == ref.compactable_prefix()
+        assert tracked_state(core) == tracked_state(ref)
+        assert core.checkpoint.count == ref.checkpoint.count
+        assert_invariants_7_1_and_7_2(core)
+        assert_lazy_state(core)
+    for rid in ids:
+        assert_read_settles(twin[rid])
+
+
+# --------------------------------------------------------------------------- #
 # Long no-compaction cold catch-up                                            #
 # --------------------------------------------------------------------------- #
 
@@ -190,9 +324,10 @@ CATCHUP_CONFIG = ReplicaConfig(
 )
 
 
-def record_stream(total_ops, writers=4, round_ops=25, seed=1):
+def record_stream(total_ops, writers=4, round_ops=25, seed=1, cores=None):
     """Writers gossip pure deltas to a reader (the ``core_catchup`` shape);
-    returns the per-round message batches the reader ingested."""
+    returns the per-round message batches the reader ingested (and appends
+    the writer cores to *cores*, when given)."""
     ids = ["reader"] + [f"w{i}" for i in range(writers)]
 
     def core(rid):
@@ -201,13 +336,15 @@ def record_stream(total_ops, writers=4, round_ops=25, seed=1):
         return built
 
     reader = core("reader")
-    cores = [core(f"w{i}") for i in range(writers)]
+    writer_cores = [core(f"w{i}") for i in range(writers)]
+    if cores is not None:
+        cores.extend(writer_cores)
     generators = [OperationIdGenerator(f"c{i}") for i in range(writers)]
     rng = random.Random(seed)
     stream = []
     for _round in range(total_ops // (writers * round_ops)):
         batch = []
-        for writer, generator in zip(cores, generators):
+        for writer, generator in zip(writer_cores, generators):
             for _ in range(round_ops):
                 operation = make_operation(
                     CounterType.add(rng.randint(1, 9)), generator.fresh()
@@ -220,7 +357,7 @@ def record_stream(total_ops, writers=4, round_ops=25, seed=1):
         stream.append(batch)
         reader.receive_gossip_batch(batch)
         reader.do_all_ready()
-        for writer in cores:
+        for writer in writer_cores:
             writer.receive_gossip(reader.make_gossip(writer.replica_id))
     return ids, stream
 
@@ -253,6 +390,22 @@ def test_long_cold_catchup_is_lockstep_identical():
         assert reader.compute_value(order[-1]) == base.compute_value(order[-1])
     assert_mirrors_consistent(readers["fast"])
     assert_batch_mirrors_consistent(readers["batch"])
+
+
+def test_a_replica_that_never_reads_keeps_its_worklist_small():
+    """A writer of the catch-up shape never reads its stable-everywhere set
+    (no compaction, no strict operations) and never hears from the other
+    writers, so nothing is stable everywhere there: its worklist must stay
+    bounded by the smallest other row, not grow with ``stable[me]``."""
+    writers = []
+    record_stream(2000, cores=writers)
+    for writer in writers:
+        assert len(writer.stable[writer.replica_id]) > 1000
+        assert writer._stable_settled == set()
+        assert len(writer._stable_fresh) <= 2 * min(
+            len(row) for rid, row in writer.stable.items() if rid != writer.replica_id
+        )
+        assert_lazy_state(writer)
 
 
 # --------------------------------------------------------------------------- #
