@@ -32,13 +32,6 @@ Baseline schema — one file per experiment::
   (``"upper"``, ``"lower"`` or ``"both"``): the metric must stay within
   ``baseline * (1 ± tolerance)`` on the guarded side(s).
 
-A check may carry ``"when": {"path": ..., "min": ..., "max": ...}`` — a
-guard on another metric of the same artifact, naming the input size its
-promise was made for.  Outside the guard the check is skipped (and never
-rewritten by ``--update``): a ratio promised for a 50 000-operation arm is
-not compared against an artifact produced at CI size, where the arm lasts a
-tenth of a second and the ratio is noise.
-
 Intentional baseline bumps: re-run the benchmarks locally, then run this
 script with ``--update`` (rewrites the ``baseline`` values in place from
 the fresh BENCH files; hard ``max``/``min`` bounds are never auto-bumped —
@@ -135,20 +128,6 @@ def run(bench_dir: Path, update: bool) -> int:
             continue
         dirty = False
         for check in baseline["checks"]:
-            guard = check.get("when")
-            if guard is not None:
-                size = lookup(metrics, guard["path"])
-                if size is None:
-                    failures.append(
-                        f"{experiment}: guard path {guard['path']!r} absent from {bench_path.name}"
-                    )
-                    continue
-                if not guard.get("min", size) <= size <= guard.get("max", size):
-                    print(
-                        f"  [skip] {experiment} {check.get('name', check['path'])}: "
-                        f"{guard['path']} = {size} is not the size it was promised for"
-                    )
-                    continue
             value = lookup(metrics, check["path"])
             if value is None:
                 failures.append(

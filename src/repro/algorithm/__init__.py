@@ -24,9 +24,11 @@ Modules:
 * :mod:`repro.algorithm.checkpoint` — stability-driven checkpoint compaction
   (the agreed stable prefix of Invariant 7.2 / Theorem 5.8 collapsed into a
   base state, bounding replica memory by the unstable suffix);
-* :mod:`repro.algorithm.fastcore` / :mod:`repro.algorithm.batchcore` — the
-  raw-speed replica variants: interned label keys and derived indexes, and
-  the batch replay kernel layered on them;
+* :mod:`repro.algorithm.fastcore` — the production replica core: interned
+  label keys, one derived knowledge set, order splices deferred across a
+  gossip batch and a memoized compaction prefix (the reference automaton
+  above stays the oracle); :mod:`repro.algorithm.batchcore` holds only the
+  ``core_factory`` that picks between the two;
 * :mod:`repro.algorithm.memoized` — the memoizing replica ESDS-Alg'
   (Section 10.1);
 * :mod:`repro.algorithm.commute` — the ``Commute`` replica exploiting
@@ -58,7 +60,6 @@ from repro.algorithm.messages import (
 )
 from repro.algorithm.channel import Channel, LossyChannel
 from repro.algorithm.frontend import FrontEndCore
-from repro.algorithm.batchcore import BatchReplicaCore
 from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
@@ -90,7 +91,6 @@ __all__ = [
     "ReplicaCore",
     "IncrementalReplicaCore",
     "FastReplicaCore",
-    "BatchReplicaCore",
     "MemoizedReplicaCore",
     "CommuteReplicaCore",
     "ReplicaNode",

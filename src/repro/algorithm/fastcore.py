@@ -1,10 +1,12 @@
-"""Raw-speed replay/ordering core: :class:`FastReplicaCore`.
+"""The production replica core: :class:`FastReplicaCore`.
 
 A drop-in :class:`~repro.algorithm.replica.ReplicaCore` subclass that keeps
 the *authoritative* state exactly as the base class does (``pending`` /
 ``rcvd`` / ``done[i]`` / ``stable[i]`` / ``labels`` — so ``snapshot()``, the
 invariant checker and every harness keep working unchanged) but re-implements
-the profiled hot paths with interned keys and derived indexes:
+the profiled hot paths with interned keys and derived indexes.  It is the
+one optimised path beside the reference automaton, selected by
+``fast_core=True`` on :class:`~repro.config.ReplicaConfig`:
 
 * **Label interning** — a finite label ``(rank, replica)`` packs into the
   single int ``rank * len(replicas) + replica_index`` (replica indices
@@ -43,17 +45,41 @@ the profiled hot paths with interned keys and derived indexes:
   first explicitly supplied label (harness-driven ``do_it(x, label)``)
   permanently falls back to the base path, which re-validates against the
   done set.
-* **Epoch-tagged replay cache** — ``done_order`` bumps an order epoch on
-  every full re-sort; while the epoch is unchanged the cached replay order
-  is by construction a prefix of the current order (appends and consistent
-  head-trims only), so ``_compute_value_incremental`` skips the per-response
-  key rebuild and prefix comparison and just applies the new tail.
+* **Order splices, deferred across a batch** — a gossip merge splices the
+  operations it makes done, and the done operations whose label it lowers,
+  into the sorted order by bisecting the key backbone, instead of marking
+  the order dirty.  :meth:`receive_gossip_batch` defers the splices of a
+  whole wakeup's messages into two buffers (``_deferred_done`` /
+  ``_deferred_reorders``) and applies them in one pass when the batch ends
+  — or earlier, the moment anything reads the order (``done_order`` flushes
+  first; with compaction enabled every per-message ``_post_merge`` flushes,
+  so fold boundaries land exactly where the sequential path puts them).
+  The buffers dedupe: an operation that entered ``done`` this batch is
+  inserted once under its final label; a label lowered twice records only
+  the oldest key (the one still in the backbone).
+* **Verified-solid compaction prefix** — ``_solid`` counts the leading
+  done-order positions already verified stable-everywhere and not pending,
+  so the per-gossip ``compactable_prefix`` walk resumes where the previous
+  one stopped.  It is clamped by the first position a splice touches and
+  reset by re-sorts, folds, rebuilds, and by the one event that can
+  re-block a solid position: a retransmitted request re-entering
+  ``pending`` for an already-done operation.
+* **Epoch-tagged, int-keyed replay cache** — ``done_order`` bumps an order
+  epoch on every full re-sort; while the epoch is unchanged the cached
+  replay order is by construction a prefix of the current order (appends
+  and consistent head-trims only), so ``_compute_value_incremental`` just
+  applies the new tail.  After a re-sort it compares the cached
+  ``(packed key, id)`` rows against the fresh key backbone: packed keys are
+  injective on labels, so the longest matching prefix is the one the base
+  class finds with ``label_sort_key`` tuples, without a hash.
 
 Equivalence argument: every override either computes the same value through
-a cheaper representation (int sort keys, one derived set, set differences)
-or skips work that is provably a no-op under a maintained invariant (fresh
+a cheaper representation (int sort keys, one derived set, set differences),
+skips work that is provably a no-op under a maintained invariant (fresh
 label scan, coverage tests on tracked elements, stability probes of rows
-that cannot refuse, replay prefix comparison).  ``_stable_all`` is settled
+that cannot refuse, replay prefix comparison), defers work to before its
+first reader (the splice buffers), or memoizes a predicate that is monotone
+between the events that reset it (the solid prefix).  ``_stable_all`` is settled
 on read from ``_stable_settled`` and the ``_stable_fresh`` worklist, which
 has three maintenance sites: a gossip merge (and a direct
 ``_promote_stable``) adds the operations that just entered ``stable[me]`` or
@@ -78,7 +104,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithm.labels import Label, label_sort_key
 from repro.algorithm.messages import GossipMessage, RequestMessage
@@ -111,11 +137,10 @@ def _iter_interval_diff(theirs, mine):
 
 
 class FastReplicaCore(ReplicaCore):
-    """The raw-speed core.  Externally indistinguishable from
+    """The production core.  Externally indistinguishable from
     :class:`ReplicaCore` (same responses, witness order, digests, message
-    payloads); only the stats counters that count *work* (none do — the
-    counters track algorithmic events, which are identical) and wall-clock
-    time differ."""
+    payloads); only wall-clock time and the counter of replay work
+    (``value_applications``) may differ."""
 
     def __init__(self, replica_id, replica_ids, data_type) -> None:
         super().__init__(replica_id, replica_ids, data_type)
@@ -152,6 +177,16 @@ class FastReplicaCore(ReplicaCore):
         #: covered operation marked done+stable everywhere, or folded).  A
         #: nested coverage re-attached to later gossip is a no-op.
         self._absorbed_frontier: Optional[Label] = None
+        #: Depth of the active ``receive_gossip_batch`` (0 = not batching).
+        self._batch_depth = 0
+        #: Batch buffers: op id -> descriptor newly done this batch, and
+        #: op id -> the *oldest* superseded label of a lowered entry (the
+        #: key still present in the sorted backbone).
+        self._deferred_done: Dict[Any, Any] = {}
+        self._deferred_reorders: Dict[Any, Label] = {}
+        #: Leading done-order positions verified stable-everywhere and not
+        #: pending by a previous ``compactable_prefix`` walk.
+        self._solid = 0
 
     # ------------------------------------------------------------- interning
 
@@ -173,19 +208,28 @@ class FastReplicaCore(ReplicaCore):
         return key
 
     def _rebuild_fast_state(self) -> None:
-        """Re-derive every mirror from the authoritative sets (after a
-        wholesale checkpoint adoption or a volatile crash)."""
+        """Re-derive every mirror from the authoritative sets after a
+        wholesale checkpoint adoption or a volatile crash.  Both mark the
+        order dirty, so buffered splices are subsumed by the coming re-sort,
+        and both void the marking knowledge behind the absorbed memo."""
         self._stable_settled = set.intersection(*self.stable.values())
         self._stable_fresh = set()
         done_here = self.done[self.replica_id]
         self._done_index = {x.id: x for x in done_here}
         self._undone = self.rcvd - done_here
         self._repr_cache = {}
+        self._absorbed_frontier = None
+        self._deferred_done = {}
+        self._deferred_reorders = {}
+        self._solid = 0
 
     # ------------------------------------------------------------------ order
 
     def done_order(self) -> List:
+        if self._deferred_done or self._deferred_reorders:
+            self._flush_order_changes()
         if self._order_dirty:
+            self._solid = 0  # the re-sort may move any position
             labels = self.labels
             stride = self._rank_stride
             index = self._replica_index
@@ -213,7 +257,12 @@ class FastReplicaCore(ReplicaCore):
     def receive_request(self, message: RequestMessage) -> None:
         super().receive_request(message)
         operation = message.operation
-        if operation in self.rcvd and operation not in self.done[self.replica_id]:
+        if operation.id in self._done_index:
+            # Retransmit of an already-done operation: it re-enters pending,
+            # so a previously verified-solid position may block again — the
+            # one event that shrinks the solid prefix.
+            self._solid = 0
+        elif operation in self.rcvd:
             self._undone.add(operation)
 
     def can_do(self, operation) -> bool:
@@ -333,30 +382,38 @@ class FastReplicaCore(ReplicaCore):
         return self.is_compacted(operation.id)
 
     def _compute_value_incremental(self, operation) -> Any:
-        order = self.done_order()  # may re-sort and bump the order epoch
-        if self._replay_epoch != self._order_epoch:
-            # The order may have been re-sorted since the cache was built:
-            # run the base prefix-comparison path once, then re-enter the
-            # epoch-tagged fast path.
-            value = super()._compute_value_incremental(operation)
-            self._replay_epoch = self._order_epoch
-            return value
-        # Same epoch: the cached order is a prefix of the current one (only
-        # appends and consistent head-trims happened), so apply the tail.
-        prefix = len(self._replay_order)
+        order = self.done_order()  # flushes splices, may re-sort
+        keys = self._order_keys  # parallel to the now clean order
+        replay_order = self._replay_order
+        states = self._replay_states
         values = self._replay_values
+        if self._replay_epoch == self._order_epoch:
+            # Same epoch: the cached order is a prefix of the current one
+            # (only appends and consistent head-trims happened).
+            prefix = len(replay_order)
+        else:
+            # A full re-sort happened since the cache was built: compare the
+            # cached (packed key, id) rows against the fresh backbone.  Packed
+            # keys are injective on labels, so the longest matching prefix is
+            # exactly the one the base class finds with label_sort_key tuples.
+            self._replay_epoch = self._order_epoch
+            prefix = 0
+            limit = min(len(keys), len(replay_order))
+            while prefix < limit:
+                cached_key, cached_id = replay_order[prefix]
+                if cached_key != keys[prefix] or cached_id != order[prefix].id:
+                    break
+                prefix += 1
+            if prefix == len(keys) and operation.id in values:
+                return values[operation.id]
+            del replay_order[prefix:]
+            del states[prefix:]
+            retained = {op_id for _key, op_id in replay_order}
+            values = self._replay_values = {
+                op_id: v for op_id, v in values.items() if op_id in retained
+            }
         if prefix < len(order):
             apply = self.data_type.apply
-            states = self._replay_states
-            replay_order = self._replay_order
-            # The order is clean here (a re-sort would have bumped the epoch
-            # into the fallback above), so the packed-key backbone is parallel
-            # to it: reuse those keys instead of recomputing label sort keys.
-            # The packed ints are order-isomorphic to the tuples the base
-            # path stores; its prefix comparison treats a format mismatch as
-            # a changed key, which only makes a post-re-sort replay start
-            # earlier — never reuse an invalid checkpoint.
-            keys = self._order_keys
             state = states[prefix - 1] if prefix else self.checkpoint.base_state
             for i in range(prefix, len(order)):
                 x = order[i]
@@ -412,7 +469,6 @@ class FastReplicaCore(ReplicaCore):
                     done = done - blocked
                     stable = stable - blocked
 
-        new_undone: Any = ()
         new_rcvd = received - self.rcvd
         if new_rcvd:
             self.rcvd |= new_rcvd
@@ -429,8 +485,7 @@ class FastReplicaCore(ReplicaCore):
             self._done_index.update(zip(map(_ID, new_done_me), new_done_me))
             self._undone -= new_done_me
         if new_rcvd:
-            new_undone = new_rcvd - done_me
-            self._undone |= new_undone
+            self._undone |= new_rcvd - done_me
 
         # Invariant 7.2: whatever is already stable here is in every done
         # row, so only the incoming stable operations new to ``stable[me]``
@@ -499,9 +554,23 @@ class FastReplicaCore(ReplicaCore):
         # Instead of marking the order dirty (a full re-sort plus a full
         # replay-prefix comparison downstream), splice the changes into the
         # sorted order in place and truncate the replay cache at the first
-        # affected position.  Label lowerings of *undone* operations do not
-        # move anything in the order and need no bookkeeping at all.
-        self._note_gossip_merge(reorders, new_done_me, new_undone)
+        # affected position — at once, or when the active batch ends.  Label
+        # lowerings of *undone* operations do not move anything in the order
+        # and need no bookkeeping at all.
+        if reorders or new_done_me:
+            if self._batch_depth:
+                deferred_done = self._deferred_done
+                for x in new_done_me:
+                    deferred_done[x.id] = x
+                deferred_reorders = self._deferred_reorders
+                for old_label, op_id in reorders:
+                    # Keep only the oldest superseded key per operation (the
+                    # one still in the backbone); insertions this batch read
+                    # their final label at flush time and need no reorder.
+                    if op_id not in deferred_done and op_id not in deferred_reorders:
+                        deferred_reorders[op_id] = old_label
+            elif not self._order_dirty:
+                self._apply_order_changes(reorders, new_done_me)
 
         stable_sender = self.stable[sender]
         new_stable_sender = stable - stable_sender
@@ -548,16 +617,46 @@ class FastReplicaCore(ReplicaCore):
         self.stats.gossip_received += 1
         self._post_merge()
 
-    def _note_gossip_merge(self, reorders, new_done_me, new_undone) -> None:
-        """Hook: one gossip merge's order-affecting changes, called once per
-        ``receive_gossip`` after the label merge.  *new_undone* are the
-        operations that just entered ``rcvd`` without being done here (the
-        batch kernel keeps its ready-queue on them); the default applies the
-        order splices immediately."""
-        if (reorders or new_done_me) and not self._order_dirty:
-            self._apply_order_changes(reorders, new_done_me)
+    def receive_gossip_batch(self, messages: Sequence[GossipMessage]) -> None:
+        if len(messages) <= 1:
+            for message in messages:
+                self.receive_gossip(message)
+            return
+        self._batch_depth += 1
+        try:
+            for message in messages:
+                self.receive_gossip(message)
+        finally:
+            self._batch_depth -= 1
+            if not self._batch_depth:
+                self._flush_order_changes()
 
-    def _apply_order_changes(self, reorders, new_done_me) -> Optional[int]:
+    def _flush_order_changes(self) -> None:
+        """Apply (or, when a full re-sort is already pending, discard) the
+        batch's deferred order splices.  Runs before anything reads the
+        order; outside a batch the buffers are always empty."""
+        if not (self._deferred_done or self._deferred_reorders):
+            return
+        reorders = [
+            (old_label, op_id)
+            for op_id, old_label in self._deferred_reorders.items()
+        ]
+        new_done = list(self._deferred_done.values())
+        self._deferred_reorders = {}
+        self._deferred_done = {}
+        if not self._order_dirty:
+            self._apply_order_changes(reorders, new_done)
+
+    def _post_merge(self) -> None:
+        if self.compaction is not None:
+            # The compaction scan reads the order: bring it current first so
+            # fold boundaries land exactly where the sequential path puts
+            # them.  Without compaction nothing reads the order mid-batch
+            # and the flush waits for the batch to end.
+            self._flush_order_changes()
+            self.maybe_compact()
+
+    def _apply_order_changes(self, reorders, new_done_me) -> None:
         """Splice a gossip merge's order changes into the sorted done order.
 
         *reorders* are ``(old_label, op_id)`` pairs for already-done
@@ -569,11 +668,9 @@ class FastReplicaCore(ReplicaCore):
         below it were never moved, so it remains a prefix of the new order
         and the epoch-tagged fast path in ``_compute_value_incremental``
         stays valid (stale ``_replay_values`` entries beyond the truncation
-        point are always overwritten by the tail replay before being read).
-
-        Returns the first (lowest) order position touched, or ``None`` when
-        the splice bailed out to a full re-sort (``_order_dirty``) — the
-        batch kernel clamps its verified-solid-prefix marker with it.
+        point are always overwritten by the tail replay before being read),
+        and the solid-prefix memo is clamped at it.  A splice that bails out
+        to a full re-sort sets ``_order_dirty``, whose re-sort resets both.
         """
         keys = self._order_keys
         cache = self._order_cache
@@ -587,9 +684,9 @@ class FastReplicaCore(ReplicaCore):
             if pos >= len(keys) or cache[pos].id != op_id:  # pragma: no cover
                 # Mirror out of sync (an op done without a tracked label):
                 # fall back to a full re-sort; the epoch bump re-validates
-                # the replay cache through the base prefix comparison.
+                # the replay cache through the int-keyed prefix comparison.
                 self._order_dirty = True
-                return None
+                return
             x = cache.pop(pos)
             del keys[pos]
             if pos < min_pos:
@@ -607,7 +704,7 @@ class FastReplicaCore(ReplicaCore):
                 # Done without a label (gossip never produces this): the
                 # sorted backbone cannot place it; re-sort instead.
                 self._order_dirty = True
-                return None
+                return
             new_key = label.rank * stride + index[label.replica]
             pos = bisect_left(keys, new_key)
             keys.insert(pos, new_key)
@@ -617,7 +714,8 @@ class FastReplicaCore(ReplicaCore):
         if min_pos < len(self._replay_order):
             del self._replay_order[min_pos:]
             del self._replay_states[min_pos:]
-        return min_pos
+        if min_pos < self._solid:
+            self._solid = min_pos
 
     def _promote_stable(self) -> None:
         # Direct calls (the fast receive_gossip promotes inline).  done[me]
@@ -639,14 +737,21 @@ class FastReplicaCore(ReplicaCore):
     # --------------------------------------------------- checkpoint compaction
 
     def compactable_prefix(self) -> List:
+        # Resume the walk at the verified-solid watermark.
+        order = self.done_order()
         stable_all = self._stable_all
         pending = self.pending
-        prefix: List = []
-        for x in self.done_order():
+        pos = self._solid
+        if pos > len(order):  # pragma: no cover - defensive
+            pos = 0
+        n = len(order)
+        while pos < n:
+            x = order[pos]
             if x in pending or x not in stable_all:
                 break
-            prefix.append(x)
-        return prefix
+            pos += 1
+        self._solid = pos
+        return order[:pos]
 
     def _after_compaction(self, removed) -> None:
         # The base class already head-trimmed ``_order_cache`` by the folded
@@ -662,6 +767,7 @@ class FastReplicaCore(ReplicaCore):
         # The fold removed *removed* from every row.
         self._stable_settled -= removed
         self._stable_fresh -= removed
+        self._solid = 0
         done_index = self._done_index
         repr_cache = self._repr_cache
         for x in removed:
@@ -719,11 +825,4 @@ class FastReplicaCore(ReplicaCore):
         # by every subsequent advert until the body is adopted.
         self._absorbed_frontier = frontier
 
-    def _on_checkpoint_adopted(self) -> None:
-        self._absorbed_frontier = None
-        self._rebuild_fast_state()
-
-    def _on_crash(self) -> None:
-        # The marking knowledge behind the absorbed memo was volatile.
-        self._absorbed_frontier = None
-        self._rebuild_fast_state()
+    _on_checkpoint_adopted = _on_crash = _rebuild_fast_state

@@ -65,7 +65,7 @@ class ReplicaNode:
         """Apply one burst of inbound messages; return what to send.
 
         Runs of consecutive gossip messages merge through one
-        ``receive_gossip_batch`` call (the batch kernel defers its order
+        ``receive_gossip_batch`` call (the production core defers its order
         splices across the run), each followed by the pulls it provoked.  A
         pull request only yields its transfer chunks.  Once per burst —
         unless only pulls arrived — comes the sweep: stale-value NACKs (if a

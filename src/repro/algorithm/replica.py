@@ -903,7 +903,7 @@ state_independent`: its tracked history has a hole below the awaited
         runtime's per-frame delivery both produce these).
 
         The default is the sequential per-message merge, so every variant
-        accepts batches; :class:`~repro.algorithm.batchcore.BatchReplicaCore`
+        accepts batches; :class:`~repro.algorithm.fastcore.FastReplicaCore`
         overrides it to defer the order splices across the whole batch."""
         for message in messages:
             self.receive_gossip(message)

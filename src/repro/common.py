@@ -8,7 +8,8 @@ intentionally dependency-free.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional
+import math
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 class EsdsError(Exception):
@@ -106,6 +107,16 @@ def client_of(op_id: OperationId) -> str:
 def freeze_ids(ids) -> frozenset:
     """Return *ids* as a frozenset, accepting any iterable of identifiers."""
     return frozenset(ids)
+
+
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of an ascending sequence: the smallest sample
+    with at least *fraction* of the samples at or below it (always a sample,
+    never an interpolation).  ``0.0`` when there is no sample."""
+    if not sorted_values:
+        return 0.0
+    rank = math.ceil(fraction * len(sorted_values))
+    return sorted_values[min(len(sorted_values) - 1, max(0, rank - 1))]
 
 
 class Infinity:

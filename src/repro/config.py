@@ -42,12 +42,14 @@ class ReplicaConfig:
     harnesses and shards.
     """
 
-    #: Use :class:`~repro.algorithm.fastcore.FastReplicaCore` as the replica
-    #: variant (ignored when an explicit ``replica_factory`` is supplied).
+    #: Use :class:`~repro.algorithm.fastcore.FastReplicaCore`, the production
+    #: core, instead of the reference automaton (ignored when an explicit
+    #: ``replica_factory`` is supplied).
     fast_core: bool = False
-    #: Use :class:`~repro.algorithm.batchcore.BatchReplicaCore` — the
-    #: struct-of-arrays batch replay kernel layered on the fast core.
-    #: Requires ``fast_core=True`` (the kernel extends the fast mirrors).
+    #: Inert: selects nothing (its batch kernel is part of the production
+    #: core).  Kept, with its one validation, only because the budget
+    #: benchmark spells it; deleted with that benchmark's next change
+    #: (ROADMAP item 6).
     batch_replay: bool = False
     #: Destination-specific delta gossip instead of full-state payloads.
     delta_gossip: bool = False
@@ -71,7 +73,7 @@ class ReplicaConfig:
         if self.batch_replay and not self.fast_core:
             raise ConfigurationError(
                 "batch_replay=True requires fast_core=True: the batch kernel "
-                "extends the fast core's interned mirrors"
+                "is part of the production core"
             )
         if self.full_state_interval < 1:
             raise ConfigurationError("full_state_interval must be at least 1")

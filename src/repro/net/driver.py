@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.common import percentile
 from repro.config import ReplicaConfig
 from repro.datatypes.base import Operator
 from repro.net.runtime import NetCluster, NetParams, OperationFailed
@@ -133,13 +134,6 @@ class DriverReport:
         return "\n".join(lines)
 
 
-def _percentile(latencies: List[float], fraction: float) -> float:
-    if not latencies:
-        return 0.0
-    index = min(len(latencies) - 1, int(round(fraction * (len(latencies) - 1))))
-    return latencies[index]
-
-
 async def run_load(cluster: NetCluster, spec: LoadSpec) -> DriverReport:
     """Run *spec* against a started *cluster* and report.  The byte counters
     are deltas over the run (gossip idling before/after is excluded)."""
@@ -196,9 +190,9 @@ async def run_load(cluster: NetCluster, spec: LoadSpec) -> DriverReport:
         duration=duration,
         ops_per_sec=len(latencies) / duration if duration > 0 else 0.0,
         latency_mean=sum(latencies) / len(latencies) if latencies else 0.0,
-        latency_p50=_percentile(latencies, 0.50),
-        latency_p95=_percentile(latencies, 0.95),
-        latency_p99=_percentile(latencies, 0.99),
+        latency_p50=percentile(latencies, 0.50),
+        latency_p95=percentile(latencies, 0.95),
+        latency_p99=percentile(latencies, 0.99),
         bytes_sent=cluster.stats.bytes_sent - sent_before,
         bytes_received=cluster.stats.bytes_received - received_before,
         payload_bytes_by_kind={
@@ -229,8 +223,7 @@ def _build_cluster(args: argparse.Namespace) -> NetCluster:
             delta_gossip=args.gossip in ("delta", "advert"),
             advert_gossip=args.gossip == "advert",
             compaction=CompactionPolicy() if args.gossip == "advert" else None,
-            fast_core=args.fast_core or args.batch_core,
-            batch_replay=args.batch_core,
+            fast_core=args.fast_core,
             incremental_replay=True,
         ),
     )
@@ -275,9 +268,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="open-loop mean interarrival (s)")
     parser.add_argument("--keys", type=int, default=0,
                         help="zipfian keyed access over this many keys (0 = flat counter)")
-    parser.add_argument("--fast-core", action="store_true")
-    parser.add_argument("--batch-core", action="store_true",
-                        help="struct-of-arrays batch replay kernel (implies --fast-core)")
+    parser.add_argument("--fast-core", action="store_true",
+                        help="production replica core (default: the reference automaton)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     report = asyncio.run(_main_async(args))

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.common import MetricsError, OperationId
+from repro.common import MetricsError, OperationId, percentile
 from repro.core.operations import OperationDescriptor
 
 
@@ -37,13 +37,6 @@ class LatencyRecord:
         return classify_operation(self.operation)
 
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    if not sorted_values:
-        return math.nan
-    index = min(len(sorted_values) - 1, max(0, int(math.ceil(fraction * len(sorted_values))) - 1))
-    return sorted_values[index]
-
-
 @dataclass
 class LatencySummary:
     """Aggregate statistics over a set of latency records."""
@@ -66,8 +59,8 @@ class LatencySummary:
             mean=sum(values) / len(values),
             minimum=values[0],
             maximum=values[-1],
-            p50=_percentile(values, 0.50),
-            p95=_percentile(values, 0.95),
+            p50=percentile(values, 0.50),
+            p95=percentile(values, 0.95),
         )
 
 

@@ -17,8 +17,8 @@ import random
 
 import pytest
 
-from repro.algorithm.batchcore import BatchReplicaCore
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
 from repro.config import ReplicaConfig
@@ -167,10 +167,14 @@ class TestIncoherentCombinations:
         with pytest.raises(ConfigurationError):
             ScenarioSpec.from_doc(doc)
 
-    def test_batch_replay_selects_batch_core(self):
-        cluster = SimulatedCluster(
-            CounterType(), 3, ["c0"],
-            params=SimulationParams(replica=ReplicaConfig(fast_core=True, batch_replay=True)),
-            seed=1,
-        )
-        assert all(isinstance(r, BatchReplicaCore) for r in cluster.replicas.values())
+    def test_batch_replay_is_inert(self):
+        # The batch kernel is part of the production core: the flag still
+        # validates, but builds the very class fast_core alone does.
+        for config in (
+            ReplicaConfig(fast_core=True, batch_replay=True),
+            ReplicaConfig(fast_core=True),
+        ):
+            cluster = SimulatedCluster(
+                CounterType(), 3, ["c0"], params=SimulationParams(replica=config), seed=1
+            )
+            assert all(type(r) is FastReplicaCore for r in cluster.replicas.values())

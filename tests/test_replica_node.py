@@ -256,7 +256,7 @@ class TestTracerContract:
     the instances of an already-built cluster; the node must call the
     wrapper, i.e. look methods up at call time."""
 
-    CONFIG = ReplicaConfig(fast_core=True, batch_replay=True, delta_gossip=True)
+    CONFIG = ReplicaConfig(fast_core=True, delta_gossip=True)
 
     def test_simulated_cluster_calls_the_wrapper(self):
         cluster = SimulatedCluster(

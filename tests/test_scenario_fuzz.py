@@ -49,6 +49,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.config import ReplicaConfig
 from repro.conformance.generate import (
     random_fault_dicts,
@@ -104,9 +105,11 @@ def random_sim_spec(name, seed, delta_gossip, params_tweak=None, extended=False)
     )
 
 
-def random_sharded_spec(name, seed, delta_gossip):
+def random_sharded_spec(name, seed, delta_gossip, params_tweak=None):
     rng = random.Random(900 + seed * 2 + (1 if delta_gossip else 0))
     params = random_params(rng, delta_gossip)
+    if params_tweak is not None:
+        params = params_tweak(rng, params)
     num_shards = rng.choice([2, 3])
     clients = tuple(f"c{i}" for i in range(rng.randint(1, 2)))
     workload = random_keyed_workload_fields(rng)
@@ -269,43 +272,47 @@ def _fast_core_advert(rng, params):
     return _with_replica(_advert_pull(rng, params), fast_core=True)
 
 
-def _batch_core(rng, params):
-    return _with_replica(params, fast_core=True, batch_replay=True)
-
-
-def _batch_core_advert(rng, params):
+def _batch_kernel(rng, params):
     return _with_replica(
-        _advert_pull(rng, params), fast_core=True, batch_replay=True
+        params,
+        fast_core=True,
+        batch_replay=True,
+        batch_gossip=True,
+        incremental_replay=True,
     )
+
+
+def _batch_kernel_advert(rng, params):
+    return _batch_kernel(rng, _advert_pull(rng, params))
 
 
 _CORE_TWEAK_KINDS = {
     _fast_core: "fast",
     _fast_core_advert: "fast-advert",
-    _batch_core: "batch",
-    _batch_core_advert: "batch-advert",
+    _batch_kernel: "batch",
+    _batch_kernel_advert: "batch-advert",
 }
 
 
 @pytest.mark.parametrize(
     "tweak",
-    [_fast_core, _fast_core_advert, _batch_core, _batch_core_advert],
+    [_fast_core, _fast_core_advert, _batch_kernel, _batch_kernel_advert],
     ids=["plain", "advert-compact", "batch", "batch-advert-compact"],
 )
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
 @pytest.mark.parametrize("seed", COMPACTION_SEEDS)
 def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
-    """The corpus seeds re-run on :class:`FastReplicaCore` — plain, and
-    layered over the aggressive-compaction + advert/pull tweak (the paths
-    where the interned tables are remapped by folds and the bitset knowledge
-    maps absorb interval summaries) — and again on the batch replay kernel
-    (:class:`BatchReplicaCore`), whose deferred gossip splices and memoized
-    compaction prefix ride the same paths.  Both cores are optimizations,
-    not semantic changes, so every oracle must hold exactly as for the base
-    core."""
-    from repro.algorithm.batchcore import BatchReplicaCore
-    from repro.algorithm.fastcore import FastReplicaCore
-
+    """The corpus seeds re-run on the production core
+    (:class:`FastReplicaCore`) — plain, and layered over the
+    aggressive-compaction + advert/pull tweak (the paths where folds trim the
+    key backbone and the solid compaction prefix, and coverage summaries are
+    absorbed).  The batch arms force coalesced gossip delivery and
+    incremental replay, which the random draw turns on for only half the
+    seeds, so every scenario runs the deferred splices of
+    ``receive_gossip_batch`` and the int-keyed incremental replay; they spell the
+    inert ``batch_replay=True`` as the budget benchmark does.  The core is
+    an optimization, not a semantic change, so every oracle must hold
+    exactly as for the base core."""
     mode = "delta" if delta_gossip else "full"
     kind = _CORE_TWEAK_KINDS[tweak]
     spec = random_sim_spec(
@@ -315,11 +322,8 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     run, _results = run_checked(spec)
     expected = spec.workload["operations_per_client"] * len(spec.clients)
     assert run.workload_result.submitted == expected
-    wanted = BatchReplicaCore if spec.params.replica.batch_replay else FastReplicaCore
     for replica in run.clusters[UNSHARDED].replicas.values():
-        assert isinstance(replica, wanted)
-        if not spec.params.replica.batch_replay:
-            assert not isinstance(replica, BatchReplicaCore)
+        assert isinstance(replica, FastReplicaCore)
 
 
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
@@ -359,6 +363,21 @@ def test_random_sharded_scenarios_preserve_guarantees(seed, delta_gossip):
     run_checked(spec)
 
 
+@pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_sharded_scenarios_with_fast_core(seed, delta_gossip):
+    """The sharded scenarios again, every shard on the production core with
+    batched gossip: the same per-shard oracles must hold."""
+    mode = "delta" if delta_gossip else "full"
+    spec = random_sharded_spec(
+        f"fuzz-sharded-batch-{mode}-{seed:03d}", seed, delta_gossip, params_tweak=_batch_kernel
+    )
+    run, _results = run_checked(spec)
+    for cluster in run.clusters.values():
+        for replica in cluster.replicas.values():
+            assert isinstance(replica, FastReplicaCore)
+
+
 #: The reshard batch re-runs half the corpus (at least 8 seeds); nightly
 #: widens it through ``FUZZ_SEEDS`` like every other batch.
 RESHARD_SEEDS = FUZZ_SEEDS[: max(8, len(FUZZ_SEEDS) // 2)]
@@ -377,6 +396,17 @@ def test_random_reshard_under_faults_preserves_guarantees(seed):
     rather than going through :class:`ScenarioSpec` — a reshard is an
     *online control action*, not a deployment parameter, so it has no spec
     form to freeze into the conformance corpus."""
+    reshard_under_faults(seed, fast_core=False)
+
+
+@pytest.mark.parametrize("seed", RESHARD_SEEDS)
+def test_random_reshard_on_fast_core_preserves_guarantees(seed):
+    """The same live ring changes with every shard, the joining one
+    included, on the production core."""
+    reshard_under_faults(seed, fast_core=True)
+
+
+def reshard_under_faults(seed, fast_core):
     rng = random.Random(7000 + seed)
     num_shards = rng.choice([2, 3])
     cluster = ShardedCluster(
@@ -386,6 +416,7 @@ def test_random_reshard_under_faults_preserves_guarantees(seed):
         client_ids=[f"c{i}" for i in range(rng.randint(1, 2))],
         params=SimulationParams(
             replica=ReplicaConfig(
+                fast_core=fast_core,
                 batch_gossip=True,
                 delta_gossip=rng.random() < 0.5,
                 full_state_interval=rng.choice([4, 8]),
@@ -451,3 +482,6 @@ def test_random_reshard_under_faults_preserves_guarantees(seed):
     assert {op.id for op in everything} <= answered
     cluster.check_invariants()
     cluster.check_traces()
+    if fast_core:
+        for shard in cluster.shards.values():
+            assert all(isinstance(r, FastReplicaCore) for r in shard.replicas.values())

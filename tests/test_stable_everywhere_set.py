@@ -1,4 +1,4 @@
-"""The production cores keep one derived knowledge set, ``_stable_all``.
+"""The production core keeps one derived knowledge set, ``_stable_all``.
 
 :class:`~repro.algorithm.fastcore.FastReplicaCore` answers
 ``is_stable_everywhere`` and the ``compactable_prefix`` walk from
@@ -9,18 +9,18 @@ that feeds it skips the rows Invariants 7.1 and 7.2 say cannot refuse.  This
 suite pins it five ways:
 
 * the audit (``_stable_all`` equals the intersection of the authoritative
-  sets; every position below the batch kernel's ``_solid`` is in it and not
-  pending) holds after **every** action of a seeded random system, through
+  sets; every position below the solid compaction prefix ``_solid`` is in it
+  and not pending) holds after **every** action of a seeded random system, through
   forced folds, a volatile crash, recovery and the checkpoint adoption that
-  follows — and before it reads, the unsettled lazy state and Invariants
+  follows (pulled in chunks, or eager on full-state gossip) — and before it reads, the unsettled lazy state and Invariants
   7.1 / 7.2 are checked, and the read itself changes nothing authoritative;
 * both predicates equal :class:`ReplicaCore`'s on a lockstep twin, for
   tracked, compacted and never-seen identifiers;
 * random merge interleavings on 2, 3 and 5 replicas, with forced folds and
   coverage marking, keep every row equal to :class:`ReplicaCore`'s;
 * a long no-compaction cold catch-up — the shape on which the derived state
-  is widest — leaves base, fast and batch readers identical;
-* no private attribute of the two modules is written without being read
+  is widest — leaves the reference and production readers identical;
+* no private attribute of the production core is written without being read
   anywhere under ``src/`` (a mirror nothing consults is dead weight on every
   merge).
 """
@@ -33,10 +33,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_batchcore import assert_batch_mirrors_consistent
 from test_fastcore import assert_mirrors_consistent
 
-from repro.algorithm.batchcore import BatchReplicaCore
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.messages import RequestMessage
@@ -50,13 +48,7 @@ from repro.datatypes import CounterType
 REPLICAS = ("r1", "r2", "r3")
 CLIENTS = ("alice", "bob")
 
-AUDITS = {
-    "fast": (ReplicaConfig(fast_core=True), assert_mirrors_consistent),
-    "batch": (
-        ReplicaConfig(fast_core=True, batch_replay=True),
-        assert_batch_mirrors_consistent,
-    ),
-}
+PRODUCTION = ReplicaConfig(fast_core=True)
 
 
 def build_system(core_config, min_batch, advert=True):
@@ -119,11 +111,12 @@ def assert_read_settles(core):
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("variant", sorted(AUDITS))
 @pytest.mark.parametrize("seed", [3, 17, 40])
-def test_audit_holds_after_every_action(variant, seed):
-    core_config, audit = AUDITS[variant]
-    system = build_system(core_config, min_batch=3)
+@pytest.mark.parametrize("advert", [True, False], ids=["advert-pull", "eager"])
+def test_audit_holds_after_every_action(advert, seed):
+    # The recovered replica adopts the folded prefix through a pulled,
+    # chunked transfer or from a checkpoint body riding full-state gossip.
+    system = build_system(PRODUCTION, min_batch=3, advert=advert)
     # r3 never folds on its own, so after its crash the agreed prefix can
     # only come back as an adopted checkpoint.
     system.replicas["r3"].configure_compaction(enabled=False)
@@ -135,7 +128,7 @@ def test_audit_holds_after_every_action(variant, seed):
         assert_invariants_7_1_and_7_2(core)
         assert_lazy_state(core)
         assert_read_settles(core)
-        audit(core)
+        assert_mirrors_consistent(core)
 
     def audit_all(_system=None, _choice=None):
         for core in system.replicas.values():
@@ -198,11 +191,10 @@ def drive_twin(core_config, seed, steps):
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=0, max_value=900),
-    st.sampled_from(sorted(AUDITS)),
 )
-def test_predicates_match_reference_core(seed, steps, variant):
+def test_predicates_match_reference_core(seed, steps):
     base, operations, generators = drive_twin(ReplicaConfig(), seed, steps)
-    twin, twin_operations, _ = drive_twin(AUDITS[variant][0], seed, steps)
+    twin, twin_operations, _ = drive_twin(PRODUCTION, seed, steps)
     assert operations == twin_operations
     never_seen = [
         make_operation(CounterType.increment(), generators[c].fresh()) for c in CLIENTS
@@ -246,21 +238,20 @@ def lockstep_cores(cls, ids):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([2, 3, 5]),
-    st.sampled_from([FastReplicaCore, BatchReplicaCore]),
     st.lists(
         st.tuples(st.sampled_from(STEP_KINDS), st.integers(0, 999), st.integers(0, 999)),
         min_size=30,
         max_size=120,
     ),
 )
-def test_random_merges_keep_the_reference_rows(n, cls, steps):
+def test_random_merges_keep_the_reference_rows(n, steps):
     """Gossip merges in any delivery order, forced folds and coverage
     marking leave ``stable[me]`` and every done row equal to
     :class:`ReplicaCore`'s; with two replicas the promotion loop visits no
     row at all."""
     ids = [f"r{i}" for i in range(n)]
     reference = lockstep_cores(ReplicaCore, ids)
-    twin = lockstep_cores(cls, ids)
+    twin = lockstep_cores(FastReplicaCore, ids)
     generator = OperationIdGenerator("c")
     in_flight = []
     for kind, a, b in steps:
@@ -317,7 +308,6 @@ def test_random_merges_keep_the_reference_rows(n, cls, steps):
 
 CATCHUP_CONFIG = ReplicaConfig(
     fast_core=True,
-    batch_replay=True,
     delta_gossip=True,
     full_state_interval=1 << 30,
     incremental_replay=True,
@@ -331,7 +321,7 @@ def record_stream(total_ops, writers=4, round_ops=25, seed=1, cores=None):
     ids = ["reader"] + [f"w{i}" for i in range(writers)]
 
     def core(rid):
-        built = BatchReplicaCore(rid, ids, CounterType())
+        built = FastReplicaCore(rid, ids, CounterType())
         CATCHUP_CONFIG.configure_core(built)
         return built
 
@@ -365,7 +355,7 @@ def record_stream(total_ops, writers=4, round_ops=25, seed=1, cores=None):
 def test_long_cold_catchup_is_lockstep_identical():
     ids, stream = record_stream(5000)
     readers = {}
-    for name, cls in (("base", ReplicaCore), ("fast", FastReplicaCore), ("batch", BatchReplicaCore)):
+    for name, cls in (("base", ReplicaCore), ("production", FastReplicaCore)):
         reader = cls("reader", ids, CounterType())
         CATCHUP_CONFIG.configure_core(reader)
         for batch in stream:
@@ -381,15 +371,13 @@ def test_long_cold_catchup_is_lockstep_identical():
     assert len(order) == 5000
     stable = {x for x in order if base.is_stable_everywhere(x)}
     assert stable, "the stream must carry some everywhere-stable operations"
-    for name in ("fast", "batch"):
-        reader = readers[name]
-        assert reader.done_order() == order
-        assert knowledge(reader) == knowledge(base)
-        assert reader._stable_all == stable
-        assert reader.compactable_prefix() == base.compactable_prefix()
-        assert reader.compute_value(order[-1]) == base.compute_value(order[-1])
-    assert_mirrors_consistent(readers["fast"])
-    assert_batch_mirrors_consistent(readers["batch"])
+    reader = readers["production"]
+    assert reader.done_order() == order
+    assert knowledge(reader) == knowledge(base)
+    assert reader._stable_all == stable
+    assert reader.compactable_prefix() == base.compactable_prefix()
+    assert reader.compute_value(order[-1]) == base.compute_value(order[-1])
+    assert_mirrors_consistent(reader)
 
 
 def test_a_replica_that_never_reads_keeps_its_worklist_small():
@@ -413,7 +401,7 @@ def test_a_replica_that_never_reads_keeps_its_worklist_small():
 # --------------------------------------------------------------------------- #
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CORE_MODULES = ("repro/algorithm/fastcore.py", "repro/algorithm/batchcore.py")
+CORE_MODULES = ("repro/algorithm/fastcore.py",)
 
 #: Methods whose call, used as a statement, only writes to the receiver.
 MUTATORS = {

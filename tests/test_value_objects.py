@@ -250,7 +250,6 @@ def run_cluster(data_type_name, seed, production):
         df=1.0, dg=1.0, gossip_period=2.0,
         replica=ReplicaConfig(
             fast_core=production,
-            batch_replay=production,
             delta_gossip=True,
             incremental_replay=True,
             advert_gossip=True,
