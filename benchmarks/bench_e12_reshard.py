@@ -119,7 +119,7 @@ def completion_times(cluster: ShardedCluster):
     for sid, shard in cluster.shards.items():
         for record in shard.metrics.records:
             op_id = record.operation.id
-            if cluster.directory.origin_shard(op_id, sid) == sid:
+            if cluster.directory.shard_of_operation(op_id) == sid:
                 times[op_id] = record.response_time
             else:
                 times.setdefault(op_id, record.response_time)

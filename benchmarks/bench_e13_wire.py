@@ -5,8 +5,8 @@ flatness) counted *op-refs* via ``size_estimate()``.  E13 re-states them in
 **measured bytes**: the :class:`~repro.net.wire.WireCluster` twin pushes
 every message of a seeded execution through :mod:`repro.net.codec` and
 meters the frames, so the numbers below are exactly what would cross a
-socket — and, with ``json_baseline=True``, what the same messages would
-cost under a plain tagged-JSON encoding.
+socket — and, through the :class:`JsonSizedWire` subclass, what the same
+messages would cost under a plain tagged-JSON encoding.
 
 Four parts:
 
@@ -41,11 +41,18 @@ Environment knobs: ``E13_SIM_OPS`` (E13a ops, default 400), ``E13_NET_OPS``
 import asyncio
 import contextlib
 import gc
+import json
 import os
+from typing import Any, Dict, Sequence
 
-from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy, OpIdSummary
+from repro.algorithm.labels import Label
+from repro.algorithm.messages import ResponseMessage
+from repro.common import INFINITY, OperationId
 from repro.config import ReplicaConfig
+from repro.core.operations import OperationDescriptor, make_operation
 from repro.datatypes import CounterType
+from repro.datatypes.base import Operator
 from repro.net import codec
 from repro.net.codec import (
     DescriptorTable,
@@ -70,6 +77,178 @@ CLIENTS = [f"c{i}" for i in range(4)]
 MAX_BINARY_OVER_JSON = 1.0 / 3.0
 
 MODES = ("full", "delta", "advert")
+
+
+# --------------------------------------------------------------------------- #
+# JSON baseline (the comparison point of binary_over_json)                    #
+# --------------------------------------------------------------------------- #
+
+def _json_value(value: Any) -> Any:
+    """Tagged-JSON form of a leaf value (the conformance-codec conventions
+    extended with the domain atoms the wire carries)."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if value is INFINITY:
+        return {"inf": True}
+    if isinstance(value, float):
+        return {"f": repr(value)}
+    if isinstance(value, Operator):
+        return {"op": [value.name, _json_value(value.args)]}
+    if isinstance(value, OperationId):
+        return {"id": f"{value.client}#{value.seqno}"}
+    if isinstance(value, Label):
+        return {"l": [value.rank, value.replica]}
+    if isinstance(value, tuple):
+        return {"t": [_json_value(item) for item in value]}
+    if isinstance(value, (set, frozenset)):
+        encoded = [_json_value(item) for item in value]
+        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
+        return {"s": encoded}
+    if isinstance(value, dict):
+        pairs = [[_json_value(k), _json_value(v)] for k, v in value.items()]
+        pairs.sort(key=lambda pair: json.dumps(pair[0], sort_keys=True))
+        return {"d": pairs}
+    raise ValueError(f"cannot JSON-encode value of type {type(value).__name__}")
+
+
+def _json_operation(op: OperationDescriptor) -> Dict[str, Any]:
+    return {
+        "op": _json_value(op.op),
+        "id": f"{op.id.client}#{op.id.seqno}",
+        "prev": sorted(f"{p.client}#{p.seqno}" for p in op.prev),
+        "strict": op.strict,
+    }
+
+
+def _json_summary(summary: OpIdSummary) -> Dict[str, Any]:
+    return {client: [list(iv) for iv in ivs] for client, ivs in sorted(summary.ranges.items())}
+
+
+def _json_checkpoint(checkpoint: Checkpoint) -> Dict[str, Any]:
+    return {
+        "base_state": _json_value(checkpoint.base_state),
+        "frontier": _json_value(checkpoint.frontier),
+        "ids": _json_summary(checkpoint.ids),
+        "values": [
+            [f"{op_id.client}#{op_id.seqno}", _json_value(value)]
+            for op_id, value in checkpoint.values.items()
+        ],
+    }
+
+
+def _json_message(message: Any) -> Dict[str, Any]:
+    kind = message.kind
+    if kind == "request":
+        return {"kind": kind, "operation": _json_operation(message.operation)}
+    if kind == "response":
+        return {
+            "kind": kind,
+            "operation": _json_operation(message.operation),
+            "value": _json_value(message.value),
+            "stale": message.stale,
+            "sender": message.sender,
+        }
+    if kind == "gossip":
+        doc: Dict[str, Any] = {
+            "kind": kind,
+            "sender": message.sender,
+            "received": sorted(
+                (_json_operation(op) for op in message.received),
+                key=lambda d: d["id"],
+            ),
+            "done": sorted(
+                (_json_operation(op) for op in message.done), key=lambda d: d["id"]
+            ),
+            "stable": sorted(
+                (_json_operation(op) for op in message.stable), key=lambda d: d["id"]
+            ),
+            "labels": {
+                f"{op_id.client}#{op_id.seqno}": _json_value(message.labels[op_id])
+                for op_id in sorted(message.labels)
+            },
+            "epoch": message.epoch,
+            "stream": message.stream,
+            "seqno": message.seqno,
+            "ack": message.ack,
+            "ack_epoch": message.ack_epoch,
+            "ack_stream": message.ack_stream,
+            "is_delta": message.is_delta,
+            "sent_at": message.sent_at,
+        }
+        if message.checkpoint is not None:
+            doc["checkpoint"] = _json_checkpoint(message.checkpoint)
+        if message.advert is not None:
+            doc["advert"] = {
+                "frontier": _json_value(message.advert.frontier),
+                "digest": message.advert.digest,
+                "ids": _json_summary(message.advert.ids),
+            }
+        return doc
+    if kind == "pull":
+        return {
+            "kind": kind,
+            "requester": message.requester,
+            "target": message.target,
+            "digest": message.digest,
+            "frontier": _json_value(message.frontier),
+            "have_frontier": _json_value(message.have_frontier),
+        }
+    if kind == "transfer":
+        return {
+            "kind": kind,
+            "sender": message.sender,
+            "requester": message.requester,
+            "epoch": message.epoch,
+            "digest": message.digest,
+            "frontier": _json_value(message.frontier),
+            "ids": _json_summary(message.ids),
+            "values_chunk": [
+                [f"{op_id.client}#{op_id.seqno}", _json_value(value)]
+                for op_id, value in message.values_chunk.items()
+            ],
+            "chunk_index": message.chunk_index,
+            "chunk_count": message.chunk_count,
+            "base_state": _json_value(message.base_state),
+        }
+    raise ValueError(f"cannot JSON-encode message kind {kind!r}")
+
+
+def json_frame(messages: Sequence[Any]) -> bytes:
+    """The plain-JSON baseline encoding of *messages* — same content, no
+    interning, no varints, no set-union sharing.  E13 measures the binary
+    codec against this."""
+    doc = [_json_message(message) for message in messages]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode(
+        "utf-8"
+    )
+
+
+class JsonSizedWire(WireCluster):
+    """The wire twin that also sizes every message under :func:`json_frame`,
+    so one run yields both sides of the binary-vs-JSON comparison."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.json_bytes_by_kind = dict.fromkeys(self.wire_stats.bytes_by_kind, 0)
+
+    def _transit(self, kind, message):
+        self.json_bytes_by_kind[kind] += len(json_frame([message]))
+        return super()._transit(kind, message)
+
+    @property
+    def total_json_bytes(self) -> int:
+        return sum(self.json_bytes_by_kind.values())
+
+
+def test_e13_json_twin_spells_value_objects_before_plain_tuples():
+    # OperationId / Label / Operator ARE tuples and equal the plain tuple of
+    # their fields, so only the tags show whether the JSON twin tested for
+    # them before the generic ``tuple`` branch.
+    operation = make_operation(Operator("add", (1,)), OperationId("c0", 1))
+    value = {"k": (OperationId("c", 1), Label(2, "r0"), Operator("add", (1,)), ("c", 1))}
+    typed = json_frame([ResponseMessage(operation, value=value)])
+    assert b'{"id":"c#1"}' in typed and b'{"l":[2,"r0"]}' in typed
+    assert b'{"op":["add",{"t":[1]}]}' in typed and b'{"t":["c",1]}' in typed
 
 
 def mode_params(mode: str) -> SimulationParams:
@@ -98,17 +277,17 @@ def run_cluster(cluster_class, mode: str, num_replicas: int, total_ops: int = SI
 
 
 def run_mode(mode: str, num_replicas: int, total_ops: int = SIM_OPS, seed: int = 3):
-    cluster = run_cluster(WireCluster, mode, num_replicas, total_ops, seed, json_baseline=True)
+    cluster = run_cluster(JsonSizedWire, mode, num_replicas, total_ops, seed)
     stats = cluster.wire_stats
     completed = max(len(cluster.responded), 1)
     return {
         "responded": dict(cluster.responded),
         "total_bytes": stats.total_bytes,
-        "total_json_bytes": stats.total_json_bytes,
+        "total_json_bytes": cluster.total_json_bytes,
         "gossip_bytes": stats.bytes_for("gossip", "pull", "transfer"),
         "bytes_by_kind": dict(stats.bytes_by_kind),
         "bytes_per_op": stats.total_bytes / completed,
-        "binary_over_json": stats.total_bytes / max(stats.total_json_bytes, 1),
+        "binary_over_json": stats.total_bytes / max(cluster.total_json_bytes, 1),
     }
 
 

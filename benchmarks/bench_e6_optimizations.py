@@ -8,9 +8,12 @@ applications per delivered response for the three variants on the same
 workload and checks that the external results agree.
 """
 
+import dataclasses
+
 from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
-from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
+from repro.algorithm.replica import ReplicaCore
+from repro.config import ReplicaConfig
 from repro.datatypes import GSetType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -28,10 +31,11 @@ def gset_mix(rng, index):
     return GSetType.size()
 
 
-def run_variant(factory, seed: int = 0):
+def run_variant(factory, seed: int = 0, config: ReplicaConfig = ReplicaConfig()):
     cluster = SimulatedCluster(GSetType(), num_replicas=3,
-                               client_ids=["c0", "c1"], params=PARAMS, seed=seed,
-                               replica_factory=factory)
+                               client_ids=["c0", "c1"],
+                               params=dataclasses.replace(PARAMS, replica=config),
+                               seed=seed, replica_factory=factory)
     spec = WorkloadSpec(operations_per_client=40, mean_interarrival=0.5,
                         strict_fraction=0.1, operator_factory=gset_mix)
     result = run_workload(cluster, spec, seed=seed + 9)
@@ -48,12 +52,12 @@ def run_variant(factory, seed: int = 0):
 
 def test_e6_memoization_and_commutativity_cut_recomputation(benchmark):
     variants = [
-        ("abstract (ESDS-Alg)", ReplicaCore),
-        ("incremental replay", IncrementalReplicaCore),
-        ("memoized (ESDS-Alg')", MemoizedReplicaCore),
-        ("commute (Fig. 11)", CommuteReplicaCore),
+        ("abstract (ESDS-Alg)", ReplicaCore, ReplicaConfig()),
+        ("incremental replay", ReplicaCore, ReplicaConfig(incremental_replay=True)),
+        ("memoized (ESDS-Alg')", MemoizedReplicaCore, ReplicaConfig()),
+        ("commute (Fig. 11)", CommuteReplicaCore, ReplicaConfig()),
     ]
-    outcomes = {name: run_variant(factory) for name, factory in variants}
+    outcomes = {name: run_variant(factory, config=config) for name, factory, config in variants}
 
     rows = [
         (
@@ -63,7 +67,7 @@ def test_e6_memoization_and_commutativity_cut_recomputation(benchmark):
             f"{outcomes[name]['per_response']:.1f}",
             outcomes[name]["total_applications"],
         )
-        for name, _factory in variants
+        for name, _factory, _config in variants
     ]
     print_table(
         "E6: operator applications spent computing response values",
@@ -94,13 +98,13 @@ def test_e6_memoization_and_commutativity_cut_recomputation(benchmark):
 
     emit_bench_json("E6", {
         "value_applications": {
-            name: outcomes[name]["value_applications"] for name, _f in variants
+            name: outcomes[name]["value_applications"] for name, *_ in variants
         },
         "applications_per_response": {
-            name: outcomes[name]["per_response"] for name, _f in variants
+            name: outcomes[name]["per_response"] for name, *_ in variants
         },
         "total_applications": {
-            name: outcomes[name]["total_applications"] for name, _f in variants
+            name: outcomes[name]["total_applications"] for name, *_ in variants
         },
     })
 

@@ -70,7 +70,6 @@ from repro.algorithm import (
     CompactionPolicy,
     FrontEndCore,
     GossipMessage,
-    IncrementalReplicaCore,
     Label,
     MemoizedReplicaCore,
     ReplicaCore,
@@ -156,7 +155,6 @@ __all__ = [
     "Checkpoint",
     "CompactionPolicy",
     "ReplicaCore",
-    "IncrementalReplicaCore",
     "MemoizedReplicaCore",
     "CommuteReplicaCore",
     "FrontEndCore",

@@ -61,7 +61,7 @@ from repro.algorithm.messages import (
 from repro.algorithm.channel import Channel, LossyChannel
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.fastcore import FastReplicaCore
-from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
+from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.node import ReplicaNode
@@ -89,7 +89,6 @@ __all__ = [
     "LossyChannel",
     "FrontEndCore",
     "ReplicaCore",
-    "IncrementalReplicaCore",
     "FastReplicaCore",
     "MemoizedReplicaCore",
     "CommuteReplicaCore",

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Set
 
 from repro.algorithm.labels import Label, label_sort_key
+from repro.algorithm.memoized import solid_set
 from repro.algorithm.messages import GossipMessage
 from repro.algorithm.replica import ReplicaCore
 from repro.common import SpecificationError
@@ -107,19 +108,6 @@ class CommuteReplicaCore(ReplicaCore):
 
     # -------------------------------------------------------------- memoization
 
-    def _solid_operations(self) -> Set[OperationDescriptor]:
-        stable_here = self.stable_here()
-        if not stable_here:
-            return set()
-        max_stable_label = max(
-            (self.label_of(x.id) for x in stable_here), key=label_sort_key
-        )
-        return {
-            x
-            for x in self.done_here()
-            if label_sort_key(self.label_of(x.id)) <= label_sort_key(max_stable_label)
-        }
-
     def _memoize_available(self) -> List[OperationDescriptor]:
         """``memoize_r(x)`` of Fig. 11: fold solid operations into ``ms_r`` in
         label order, re-recording their value from the eventual order."""
@@ -127,7 +115,7 @@ class CommuteReplicaCore(ReplicaCore):
         progressing = True
         while progressing:
             progressing = False
-            solid = self._solid_operations()
+            solid = solid_set(self)
             for x in sorted(
                 solid - self.memoized,
                 key=lambda op: label_sort_key(self.label_of(op.id)),

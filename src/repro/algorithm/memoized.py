@@ -31,6 +31,27 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import SerialDataType
 
 
+def solid_set(replica: ReplicaCore) -> Set[OperationDescriptor]:
+    """``solid_r`` — operations stable at *replica* or locally ordered
+    before one that is (the derived variable of Fig. 10, shared by the
+    memoizing and the Commute replica).
+
+    By Invariant 10.1, when ``stable_r[r]`` is nonempty this is the label
+    prefix of ``done_r[r]`` up to the largest stable label.
+    """
+    stable_here = replica.stable_here()
+    if not stable_here:
+        return set()
+    max_stable_label = max(
+        (replica.label_of(x.id) for x in stable_here), key=label_sort_key
+    )
+    return {
+        x
+        for x in replica.done_here()
+        if label_sort_key(replica.label_of(x.id)) <= label_sort_key(max_stable_label)
+    }
+
+
 class MemoizedReplicaCore(ReplicaCore):
     """ESDS-Alg' replica: identical external behaviour, memoized computation."""
 
@@ -44,24 +65,7 @@ class MemoizedReplicaCore(ReplicaCore):
 
     # --------------------------------------------------------------- solid set
 
-    def solid_operations(self) -> Set[OperationDescriptor]:
-        """``solid_r`` — operations stable here or locally ordered before one
-        that is (the derived variable of Fig. 10).
-
-        By Invariant 10.1, when ``stable_r[r]`` is nonempty this is the label
-        prefix of ``done_r[r]`` up to the largest stable label.
-        """
-        stable_here = self.stable_here()
-        if not stable_here:
-            return set()
-        max_stable_label = max(
-            (self.label_of(x.id) for x in stable_here), key=label_sort_key
-        )
-        return {
-            x
-            for x in self.done_here()
-            if label_sort_key(self.label_of(x.id)) <= label_sort_key(max_stable_label)
-        }
+    solid_operations = solid_set
 
     # -------------------------------------------------------------- memoization
 

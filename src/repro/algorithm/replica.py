@@ -18,11 +18,11 @@ paths exist:
 
 * the base path recomputes from scratch on every response (the paper's
   unoptimized ``send_rc``);
-* with :meth:`ReplicaCore.enable_incremental_replay` (or the
-  :class:`IncrementalReplicaCore` factory) the replica checkpoints its last
-  replay and re-applies only the suffix that changed — labels merged via
-  gossip can reorder the unstable tail, which the checkpoint comparison
-  detects position by position;
+* with :meth:`ReplicaCore.enable_incremental_replay` (the
+  ``ReplicaConfig(incremental_replay=True)`` switch) the replica checkpoints
+  its last replay and re-applies only the suffix that changed — labels
+  merged via gossip can reorder the unstable tail, which the checkpoint
+  comparison detects position by position;
 * :class:`repro.algorithm.memoized.MemoizedReplicaCore` is the paper's own
   Section 10.1 variant, memoizing the *solid* prefix whose order can never
   change again.
@@ -1527,15 +1527,3 @@ state_independent`: its tracked history has a hole below the awaited
             f"stable={len(self.stable_here())}, pending={len(self.pending)})"
         )
 
-
-class IncrementalReplicaCore(ReplicaCore):
-    """A base replica with the incremental value-replay cache switched on.
-
-    Usable anywhere a replica factory is accepted (``AlgorithmSystem``,
-    ``SimulatedCluster``); externally indistinguishable from
-    :class:`ReplicaCore` except for ``stats.value_applications``.
-    """
-
-    def __init__(self, replica_id: str, replica_ids: Sequence[str], data_type: SerialDataType) -> None:
-        super().__init__(replica_id, replica_ids, data_type)
-        self.enable_incremental_replay()

@@ -225,6 +225,41 @@ class AlgorithmSystem:
                 self.gossip_channels[(destination, pull.target)].send(pull)
         return delivered
 
+    def inject_operation(self, operation: OperationDescriptor) -> None:
+        """Request a migrated operation under the identity its source shard
+        minted it with (the sharded service's chain injection)."""
+        self.ensure_client(operation.id.client)
+        self.request(operation)
+
+    # ====================================================================== #
+    # Client-visible results (the surface a SimulatedCluster also offers)    #
+    # ====================================================================== #
+
+    @property
+    def requested(self) -> Dict[OperationId, OperationDescriptor]:
+        """Every requested operation, by identifier (a fresh mapping)."""
+        return {op.id: op for op in self.users.requested}
+
+    @property
+    def responded(self) -> Dict[OperationId, Any]:
+        """Every value the front ends delivered to clients."""
+        return self.users.responded
+
+    @property
+    def failed(self) -> Dict[OperationId, str]:
+        """Operations declared unanswerable (a stale-value NACK from every
+        replica), across front ends (a fresh mapping)."""
+        return {
+            op_id: reason
+            for frontend in self.frontends.values()
+            for op_id, reason in frontend.failed.items()
+        }
+
+    def outstanding_operations(self) -> int:
+        """Requested operations neither answered nor failed."""
+        failed = sum(len(frontend.failed) for frontend in self.frontends.values())
+        return len(self.users.requested) - len(self.users.responded) - failed
+
     # ====================================================================== #
     # Derived variables (Fig. 8)                                             #
     # ====================================================================== #

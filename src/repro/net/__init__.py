@@ -33,7 +33,6 @@ from repro.net.codec import (
     encode_frame,
     encode_message,
     frame_digest,
-    json_frame,
     message_digest,
 )
 from repro.net.runtime import NetCluster, NetParams
@@ -48,7 +47,6 @@ __all__ = [
     "encode_frame",
     "encode_message",
     "frame_digest",
-    "json_frame",
     "message_digest",
     "DriverReport",
     "LoadSpec",

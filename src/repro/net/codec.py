@@ -66,9 +66,6 @@ the receiver provably already holds it (see
 :class:`repro.algorithm.messages.GossipMessage`) — so decoded deltas carry
 ``basis=None``, exactly like a message that crossed a real network.
 
-:func:`json_frame` is the honest plain-JSON baseline the E13 benchmark
-compares against: the same message content as tagged JSON, compactly dumped.
-
 Digest note: two 16-hex strings ride in the ``digest`` slots, and they do
 different jobs.  Advert and pull frames carry
 :meth:`repro.algorithm.checkpoint.Checkpoint.identity` — an O(1) name for
@@ -115,7 +112,6 @@ Hot-path notes (wire version 4):
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 import sys
 import weakref
@@ -1377,147 +1373,3 @@ def _decode_frame(frame, window: Optional[DescriptorWindow]) -> List[Any]:
     if dec.pos != len(data):
         raise FrameError(f"{len(data) - dec.pos} trailing bytes after last message")
     return messages
-
-
-# --------------------------------------------------------------------------- #
-# JSON baseline (benchmark E13's comparison point)                            #
-# --------------------------------------------------------------------------- #
-
-def _json_value(value: Any) -> Any:
-    """Tagged-JSON form of a leaf value (the conformance-codec conventions
-    extended with the domain atoms the wire carries)."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if value is INFINITY:
-        return {"inf": True}
-    if isinstance(value, float):
-        return {"f": repr(value)}
-    if isinstance(value, Operator):
-        return {"op": [value.name, _json_value(value.args)]}
-    if isinstance(value, OperationId):
-        return {"id": f"{value.client}#{value.seqno}"}
-    if isinstance(value, Label):
-        return {"l": [value.rank, value.replica]}
-    if isinstance(value, tuple):
-        return {"t": [_json_value(item) for item in value]}
-    if isinstance(value, (set, frozenset)):
-        encoded = [_json_value(item) for item in value]
-        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
-        return {"s": encoded}
-    if isinstance(value, dict):
-        pairs = [[_json_value(k), _json_value(v)] for k, v in value.items()]
-        pairs.sort(key=lambda pair: json.dumps(pair[0], sort_keys=True))
-        return {"d": pairs}
-    raise FrameError(f"cannot JSON-encode value of type {type(value).__name__}")
-
-
-def _json_operation(op: OperationDescriptor) -> Dict[str, Any]:
-    return {
-        "op": _json_value(op.op),
-        "id": f"{op.id.client}#{op.id.seqno}",
-        "prev": sorted(f"{p.client}#{p.seqno}" for p in op.prev),
-        "strict": op.strict,
-    }
-
-
-def _json_summary(summary: OpIdSummary) -> Dict[str, Any]:
-    return {client: [list(iv) for iv in ivs] for client, ivs in sorted(summary.ranges.items())}
-
-
-def _json_checkpoint(checkpoint: Checkpoint) -> Dict[str, Any]:
-    return {
-        "base_state": _json_value(checkpoint.base_state),
-        "frontier": _json_value(checkpoint.frontier),
-        "ids": _json_summary(checkpoint.ids),
-        "values": [
-            [f"{op_id.client}#{op_id.seqno}", _json_value(value)]
-            for op_id, value in checkpoint.values.items()
-        ],
-    }
-
-
-def _json_message(message: Any) -> Dict[str, Any]:
-    kind = message.kind
-    if kind == "request":
-        return {"kind": kind, "operation": _json_operation(message.operation)}
-    if kind == "response":
-        return {
-            "kind": kind,
-            "operation": _json_operation(message.operation),
-            "value": _json_value(message.value),
-            "stale": message.stale,
-            "sender": message.sender,
-        }
-    if kind == "gossip":
-        doc: Dict[str, Any] = {
-            "kind": kind,
-            "sender": message.sender,
-            "received": sorted(
-                (_json_operation(op) for op in message.received),
-                key=lambda d: d["id"],
-            ),
-            "done": sorted(
-                (_json_operation(op) for op in message.done), key=lambda d: d["id"]
-            ),
-            "stable": sorted(
-                (_json_operation(op) for op in message.stable), key=lambda d: d["id"]
-            ),
-            "labels": {
-                f"{op_id.client}#{op_id.seqno}": _json_value(message.labels[op_id])
-                for op_id in sorted(message.labels)
-            },
-            "epoch": message.epoch,
-            "stream": message.stream,
-            "seqno": message.seqno,
-            "ack": message.ack,
-            "ack_epoch": message.ack_epoch,
-            "ack_stream": message.ack_stream,
-            "is_delta": message.is_delta,
-            "sent_at": message.sent_at,
-        }
-        if message.checkpoint is not None:
-            doc["checkpoint"] = _json_checkpoint(message.checkpoint)
-        if message.advert is not None:
-            doc["advert"] = {
-                "frontier": _json_value(message.advert.frontier),
-                "digest": message.advert.digest,
-                "ids": _json_summary(message.advert.ids),
-            }
-        return doc
-    if kind == "pull":
-        return {
-            "kind": kind,
-            "requester": message.requester,
-            "target": message.target,
-            "digest": message.digest,
-            "frontier": _json_value(message.frontier),
-            "have_frontier": _json_value(message.have_frontier),
-        }
-    if kind == "transfer":
-        return {
-            "kind": kind,
-            "sender": message.sender,
-            "requester": message.requester,
-            "epoch": message.epoch,
-            "digest": message.digest,
-            "frontier": _json_value(message.frontier),
-            "ids": _json_summary(message.ids),
-            "values_chunk": [
-                [f"{op_id.client}#{op_id.seqno}", _json_value(value)]
-                for op_id, value in message.values_chunk.items()
-            ],
-            "chunk_index": message.chunk_index,
-            "chunk_count": message.chunk_count,
-            "base_state": _json_value(message.base_state),
-        }
-    raise FrameError(f"cannot JSON-encode message kind {kind!r}")
-
-
-def json_frame(messages: Sequence[Any]) -> bytes:
-    """The plain-JSON baseline encoding of *messages* — same content, no
-    interning, no varints, no set-union sharing.  E13 measures the binary
-    codec against this."""
-    doc = [_json_message(message) for message in messages]
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode(
-        "utf-8"
-    )

@@ -20,10 +20,6 @@ things at once:
 * exact **bytes-on-the-wire** accounting per message kind
   (:class:`WireStats`), replacing the ``wire_estimate`` op-ref counts in the
   E8/E11 payload claims — benchmark E13 is built on this harness.
-
-With ``json_baseline=True`` the harness additionally sizes each message
-under the plain-JSON encoding (:func:`repro.net.codec.json_frame`), so one
-run yields both sides of the binary-vs-JSON comparison.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.net.codec import decode_frame, encode_message, json_frame
+from repro.net.codec import decode_frame, encode_message
 from repro.sim.cluster import SimulatedCluster
 
 #: Message kinds accounted separately (the simulator's counter categories).
@@ -44,21 +40,15 @@ class WireStats:
 
     ``frames`` counts encoded frames (= messages here: the deterministic
     harness frames each message alone so attribution is exact; the asyncio
-    runtime coalesces).  ``json_bytes`` is filled only when the harness was
-    built with ``json_baseline=True``.
+    runtime coalesces).
     """
 
     frames: int = 0
     bytes_by_kind: Dict[str, int] = field(default_factory=lambda: {k: 0 for k in KINDS})
-    json_bytes_by_kind: Dict[str, int] = field(default_factory=lambda: {k: 0 for k in KINDS})
 
     @property
     def total_bytes(self) -> int:
         return sum(self.bytes_by_kind.values())
-
-    @property
-    def total_json_bytes(self) -> int:
-        return sum(self.json_bytes_by_kind.values())
 
     def bytes_for(self, *kinds: str) -> int:
         return sum(self.bytes_by_kind[kind] for kind in kinds)
@@ -68,16 +58,13 @@ class WireCluster(SimulatedCluster):
     """A :class:`~repro.sim.cluster.SimulatedCluster` whose messages really
     cross the codec.  Same constructor; see the module docstring."""
 
-    def __init__(self, *args, json_baseline: bool = False, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.wire_stats = WireStats()
-        self._json_baseline = json_baseline
 
     def _transit(self, kind: str, message):
         frame = encode_message(message)
         self.wire_stats.frames += 1
         self.wire_stats.bytes_by_kind[kind] += len(frame)
-        if self._json_baseline:
-            self.wire_stats.json_bytes_by_kind[kind] += len(json_frame([message]))
         (decoded,) = decode_frame(frame)
         return decoded

@@ -24,7 +24,7 @@ replica variant and to sharding alike.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.datatypes.base import Operator, SerialDataType
 
@@ -161,7 +161,3 @@ class KeyedStore(SerialDataType):
             if existing == key:
                 return sub_state
         return self.base.initial_state()
-
-    def as_dict(self, state: KeyedState) -> Dict[str, Any]:
-        """A plain ``dict`` view of the keyed state."""
-        return dict(state)

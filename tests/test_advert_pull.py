@@ -28,7 +28,7 @@ from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.labels import LabelGenerator
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.messages import checkpoint_transfers
-from repro.algorithm.replica import IncrementalReplicaCore, TransferAssembly
+from repro.algorithm.replica import TransferAssembly
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
 from repro.config import ReplicaConfig
@@ -157,12 +157,13 @@ class TestAdvertBasics:
 
 
 def build_system(advert, factory=None, delta=False, data_type=None, users=None,
-                 chunk=None):
+                 chunk=None, incremental=False):
     return AlgorithmSystem(
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
         config=ReplicaConfig(
             delta_gossip=delta,
+            incremental_replay=incremental,
             full_state_interval=5,
             compaction=CompactionPolicy(min_batch=1),
             advert_gossip=advert,
@@ -221,11 +222,16 @@ class TestAdvertLockstepEquivalence:
         advert = drive_random(build_system(advert=True), seed)
         assert gossip_payload(advert) < gossip_payload(eager)
 
-    @pytest.mark.parametrize("factory", [IncrementalReplicaCore, MemoizedReplicaCore],
-                             ids=["incremental", "memoized"])
-    def test_optimized_replicas_agree_under_advert_gossip(self, factory):
-        eager = drive_random(build_system(advert=False, factory=factory), seed=17)
-        advert = drive_random(build_system(advert=True, factory=factory), seed=17)
+    @pytest.mark.parametrize("factory, incremental", [
+        (None, True), (MemoizedReplicaCore, False),
+    ], ids=["incremental", "memoized"])
+    def test_optimized_replicas_agree_under_advert_gossip(self, factory, incremental):
+        eager = drive_random(
+            build_system(advert=False, factory=factory, incremental=incremental), seed=17
+        )
+        advert = drive_random(
+            build_system(advert=True, factory=factory, incremental=incremental), seed=17
+        )
         assert eager.trace.responses == advert.trace.responses
         assert sum(r.checkpoint.count for r in advert.replicas.values()) > 0
 
@@ -897,7 +903,7 @@ class TestShardedAdvertPull:
         advert.check_traces()
         folded = sum(
             r.checkpoint.count
-            for system in advert.systems.values()
+            for system in advert.shards.values()
             for r in system.replicas.values()
         )
         assert folded > 0

@@ -68,6 +68,24 @@ class TestRequestPath:
         assert op in system.replicas["r2"].done_here()
 
 
+    def test_group_surface_matches_the_simulated_cluster(self, system, gen):
+        """``requested`` / ``responded`` / ``failed`` /
+        ``outstanding_operations`` / ``inject_operation`` read the same way
+        as on a :class:`~repro.sim.cluster.SimulatedCluster`."""
+        first = make_operation(RegisterType.write("a"), gen.fresh())
+        system.request(first)
+        migrated = make_operation(
+            RegisterType.write("b"), OperationIdGenerator("carol@s0").fresh(), prev={first.id}
+        )
+        system.inject_operation(migrated)
+        assert "carol@s0" in system.frontends
+        assert system.requested == {first.id: first, migrated.id: migrated}
+        assert system.outstanding_operations() == 2
+        system.drain(random.Random(1))
+        assert system.responded == {first.id: "a", migrated.id: "b"}
+        assert system.failed == {} and system.outstanding_operations() == 0
+
+
 class TestDerivedVariables:
     def test_ops_and_minlabel(self, system, gen):
         op = make_operation(RegisterType.write("v"), gen.fresh())

@@ -28,7 +28,7 @@ from repro.algorithm.checkpoint import (
 from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.messages import RequestMessage
-from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
+from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationId, OperationIdGenerator
 from repro.config import ReplicaConfig
@@ -226,17 +226,21 @@ class TestReplicaCompaction:
         assert ops[0].id not in r1.checkpoint.values
         assert ops[0] not in r1.pending
 
-    @pytest.mark.parametrize("factory", [ReplicaCore, IncrementalReplicaCore,
-                                         MemoizedReplicaCore, CommuteReplicaCore],
-                             ids=["base", "incremental", "memoized", "commute"])
-    def test_every_variant_answers_retransmits_for_compacted_ops(self, factory):
+    @pytest.mark.parametrize("factory, incremental", [
+        (ReplicaCore, False), (ReplicaCore, True),
+        (MemoizedReplicaCore, False), (CommuteReplicaCore, False),
+    ], ids=["base", "incremental", "memoized", "commute"])
+    def test_every_variant_answers_retransmits_for_compacted_ops(self, factory, incremental):
         """The checkpoint-value answer path is part of the replica contract:
         every variant must honour it (the Commute override once broke it)."""
         ids = ["r1", "r2"]
+        config = ReplicaConfig(
+            incremental_replay=incremental, compaction=CompactionPolicy(min_batch=1)
+        )
         r1 = factory("r1", ids, CounterType())
-        r1.configure_compaction(CompactionPolicy(min_batch=1))
+        config.configure_core(r1)
         r2 = factory("r2", ids, CounterType())
-        r2.configure_compaction(CompactionPolicy(min_batch=1))
+        config.configure_core(r2)
         gen = OperationIdGenerator("c")
         ops = feed(r1, 4, gen)
         for op in list(r1.ready_responses()):
@@ -500,12 +504,14 @@ class TestDoneOrderCache:
 # --------------------------------------------------------------------------- #
 
 
-def build_system(compaction, factory=None, delta=False, data_type=None, users=None):
+def build_system(compaction, factory=None, delta=False, data_type=None, users=None,
+                 incremental=False):
     return AlgorithmSystem(
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
         config=ReplicaConfig(
             delta_gossip=delta,
+            incremental_replay=incremental,
             full_state_interval=5,
             compaction=CompactionPolicy(min_batch=1) if compaction else None,
         ),
@@ -553,11 +559,14 @@ class TestLockstepEquivalence:
                 plain.replicas[rid].rcvd
             )
 
-    @pytest.mark.parametrize("factory", [IncrementalReplicaCore, MemoizedReplicaCore],
-                             ids=["incremental", "memoized"])
-    def test_optimized_replicas_agree_under_compaction(self, factory):
+    @pytest.mark.parametrize("factory, incremental", [
+        (None, True), (MemoizedReplicaCore, False),
+    ], ids=["incremental", "memoized"])
+    def test_optimized_replicas_agree_under_compaction(self, factory, incremental):
         plain = drive_random(build_system(compaction=False), seed=17)
-        variant = drive_random(build_system(compaction=True, factory=factory), seed=17)
+        variant = drive_random(
+            build_system(compaction=True, factory=factory, incremental=incremental), seed=17
+        )
         assert plain.trace.responses == variant.trace.responses
         assert sum(r.checkpoint.count for r in variant.replicas.values()) > 0
 
@@ -724,8 +733,8 @@ class TestServiceLayerCompaction:
             client_ids=["c0"],
             config=ReplicaConfig(compaction={"s0": policy}),
         )
-        s0_cores = frontend.systems["s0"].replicas.values()
-        s1_cores = frontend.systems["s1"].replicas.values()
+        s0_cores = frontend.shards["s0"].replicas.values()
+        s1_cores = frontend.shards["s1"].replicas.values()
         assert all(core.compaction is policy for core in s0_cores)
         assert all(core.compaction is None for core in s1_cores)
 
@@ -740,13 +749,13 @@ class TestServiceLayerCompaction:
         frontend.check_invariants()
         frontend.check_traces()
         compacted = sum(
-            core.checkpoint.count for core in frontend.systems["s0"].replicas.values()
+            core.checkpoint.count for core in frontend.shards["s0"].replicas.values()
         )
         assert compacted > 0
         # Ids are minted per (client, shard), so a shard's compacted prefix
         # is a contiguous per-client seqno run: the summary holds at most
         # one interval per client, not one fragment per interleaving.
-        for core in frontend.systems["s0"].replicas.values():
+        for core in frontend.shards["s0"].replicas.values():
             if core.checkpoint.count:
                 intervals = sum(len(iv) for iv in core.checkpoint.ids.ranges.values())
                 assert intervals <= len(frontend.client_ids)

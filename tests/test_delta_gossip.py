@@ -17,7 +17,7 @@ import pytest
 from repro.algorithm import replica as replica_module
 from repro.algorithm.delta import PeerInState, PeerOutState
 from repro.algorithm.messages import RequestMessage
-from repro.algorithm.replica import IncrementalReplicaCore, ReplicaCore
+from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
 from repro.config import ReplicaConfig
@@ -305,11 +305,18 @@ class TestDeltaInSimulation:
         assert value == 9
 
 
+def incremental_core(replica_id, ids, data_type):
+    """A reference core with ``ReplicaConfig(incremental_replay=True)``."""
+    core = ReplicaCore(replica_id, ids, data_type)
+    ReplicaConfig(incremental_replay=True).configure_core(core)
+    return core
+
+
 class TestIncrementalReplay:
     def test_values_identical_and_replay_work_lower(self):
-        def drive(factory, seed=3):
+        def drive(incremental, seed=3):
             system = AlgorithmSystem(CounterType(), ["r1", "r2"], ["a"],
-                                     replica_factory=factory)
+                                     config=ReplicaConfig(incremental_replay=incremental))
             gen = OperationIdGenerator("a")
             rng = random.Random(seed)
             for index in range(10):
@@ -323,14 +330,14 @@ class TestIncrementalReplay:
             )
             return system, applications
 
-        plain, plain_apps = drive(None)
-        incremental, incremental_apps = drive(IncrementalReplicaCore)
+        plain, plain_apps = drive(False)
+        incremental, incremental_apps = drive(True)
         assert plain.trace.responses == incremental.trace.responses
         assert incremental_apps < plain_apps
 
     def test_label_reordering_invalidates_cached_suffix(self):
         ids = ["r1", "r2"]
-        r1 = IncrementalReplicaCore("r1", ids, RegisterType())
+        r1 = incremental_core("r1", ids, RegisterType())
         r2 = ReplicaCore("r2", ids, RegisterType())
         gen = OperationIdGenerator("c")
         a = make_operation(RegisterType.write("a"), gen.fresh())
@@ -358,7 +365,7 @@ class TestIncrementalReplay:
 
     def test_crash_clears_the_cache(self):
         ids = ["r1", "r2"]
-        replica = IncrementalReplicaCore("r1", ids, CounterType())
+        replica = incremental_core("r1", ids, CounterType())
         gen = OperationIdGenerator("c")
         op = make_operation(CounterType.increment(), gen.fresh())
         replica.receive_request(RequestMessage(op))

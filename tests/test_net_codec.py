@@ -44,7 +44,6 @@ from repro.net.codec import (
     encode_message,
     encode_varint,
     frame_digest,
-    json_frame,
     message_digest,
     unzigzag,
     zigzag,
@@ -238,9 +237,6 @@ class TestRoundTrips:
         assert type(op_id) is OperationId and type(label) is Label
         assert type(operator) is Operator and type(operator.args) is tuple
         assert type(plain) is tuple and plain == OperationId("c", 1)
-        typed = json_frame([message])
-        assert b'{"id":"c#1"}' in typed and b'{"l":[2,"r0"]}' in typed
-        assert b'{"op":["add",{"t":[1]}]}' in typed and b'{"t":["c",1]}' in typed
 
     def test_plain_set_and_frozenset_types_survive_decode(self):
         # ``set(x) == frozenset(x)`` in Python, so equality round-trip checks
@@ -321,11 +317,6 @@ class TestDeterminism:
         gossip = sample_gossip(checkpoint=forward)
         (decoded,) = decode_frame(encode_message(gossip))
         assert decoded.checkpoint.digest() == forward.digest()
-
-    def test_binary_is_smaller_than_json(self):
-        gossip = sample_gossip(checkpoint=sample_checkpoint())
-        messages = [RequestMessage(op()), gossip, ResponseMessage(op(), 1)]
-        assert len(encode_frame(messages)) * 3 <= len(json_frame(messages))
 
 
 # --------------------------------------------------------------------------- #

@@ -250,7 +250,7 @@ class TestSimulatedNackSurfacing:
         )
         op = frontend.request("alice", "hot-key", CounterType.increment())
         shard = frontend.shard_of_operation(op.id)
-        system = frontend.systems[shard]
+        system = frontend.shards[shard]
         # Shard-level front ends live under the composite per-shard client
         # identity the directory mints ids with ("alice@<shard>").
         client = op.id.client

@@ -331,14 +331,14 @@ class TestShardedFrontend:
         frontend.drain(rng)
         for shard, order in frontend.eventual_orders().items():
             position = {op_id: i for i, op_id in enumerate(order)}
-            system = frontend.systems[shard]
+            system = frontend.shards[shard]
             for op in system.users.requested:
                 for dep in op.prev:
                     assert position[dep] < position[op.id]
 
     def test_custom_replica_factory_is_forwarded(self):
         frontend = self.make_frontend(replica_factory=MemoizedReplicaCore)
-        for system in frontend.systems.values():
+        for system in frontend.shards.values():
             assert all(
                 isinstance(replica, MemoizedReplicaCore)
                 for replica in system.replicas.values()
