@@ -8,7 +8,7 @@ meters the frames, so the numbers below are exactly what would cross a
 socket — and, through the :class:`JsonSizedWire` subclass, what the same
 messages would cost under a plain tagged-JSON encoding.
 
-Four parts:
+Three parts:
 
 * **E13a** — eager full-state vs delta vs advert/pull gossip at n=4 and
   n=8 replicas under the identical seeded load: bytes per message kind,
@@ -17,11 +17,6 @@ Four parts:
 * **E13b** — steady-state gossip *message size in bytes* vs history
   length: eager checkpoint shipping grows with history, advert stays flat
   (the byte-level restatement of E11).
-* **E13c** — sustained closed-loop throughput over real TCP loopback
-  sockets (n=4, 16 concurrent clients) on the base vs the raw-speed
-  replica core, with convergence checked after the run.  Wall-clock
-  throughput asserts are skipped when ``E13_TIMING_ASSERTS=0`` (CI
-  machines aren't calibrated); the byte metrics are asserted everywhere.
 * **E13d** — what a link's descriptor window saves, on a seeded stream: a
   ``NetCluster``'s byte counts depend on how many wall-clock gossip rounds a
   run fits, so the delta and advert modes are run under the simulator at
@@ -34,13 +29,13 @@ Four parts:
   parses per operation (hard max 4.0 — once per replica) and spellings per
   operation (hard max 1.0 — once, where the request arrived).
 
-Environment knobs: ``E13_SIM_OPS`` (E13a ops, default 400), ``E13_NET_OPS``
-(E13c ops per client, default 200), ``E13_TIMING_ASSERTS`` (default on).
+Closed-loop ops/s over TCP loopback is not measured here: the budget
+benchmark's ``tcp_closed`` workload measures it under its run contract.
+
+Environment knob: ``E13_SIM_OPS`` (E13a ops, default 400).
 """
 
-import asyncio
 import contextlib
-import gc
 import json
 import os
 from typing import Any, Dict, Sequence
@@ -61,8 +56,6 @@ from repro.net.codec import (
     encode_frame,
     encode_message,
 )
-from repro.net.driver import LoadSpec, run_load
-from repro.net.runtime import NetCluster, NetParams
 from repro.net.wire import WireCluster
 from repro.sim.cluster import SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -70,8 +63,6 @@ from repro.sim.workload import WorkloadSpec, run_workload
 from conftest import emit_bench_json, print_table
 
 SIM_OPS = int(os.environ.get("E13_SIM_OPS", "400"))
-NET_OPS = int(os.environ.get("E13_NET_OPS", "200"))
-TIMING_ASSERTS = os.environ.get("E13_TIMING_ASSERTS", "1") != "0"
 CLIENTS = [f"c{i}" for i in range(4)]
 #: The acceptance bar: binary frames at most 1/3 the JSON bytes (≥3×).
 MAX_BINARY_OVER_JSON = 1.0 / 3.0
@@ -352,17 +343,15 @@ def e13a_metrics(outcomes):
             / outcomes[(8, "full")]["gossip_bytes"]
         ),
     }
-    # E13b/c/d fill in their own keys on top (same BENCH file, see below).
+    # E13b/d fill in their own keys on top (same BENCH file, see below).
     metrics.update(_E13B_METRICS)
-    metrics.update(_E13C_METRICS)
     metrics.update(_E13D_METRICS)
     return metrics
 
 
-#: Cross-test metric accumulators: pytest runs the four parts in file
+#: Cross-test metric accumulators: pytest runs the three parts in file
 #: order, and the LAST emit wins, so each part re-emits the merged dict.
 _E13B_METRICS = {}
-_E13C_METRICS = {}
 _E13D_METRICS = {}
 
 
@@ -415,65 +404,6 @@ def test_e13b_advert_keeps_steady_state_bytes_flat():
         "steady_bytes_advert": {str(t): advert[t] for t in histories},
         "eager_byte_growth_ratio": eager_growth,
         "advert_byte_flatness_ratio": advert_flatness,
-    })
-    emit_bench_json("E13", e13a_metrics_cached())
-
-
-async def _tcp_run(fast_core: bool):
-    params = NetParams(
-        gossip_period=0.5,
-        replica=ReplicaConfig(delta_gossip=True, incremental_replay=True, fast_core=fast_core),
-    )
-    cluster = NetCluster(CounterType(), num_replicas=4,
-                         client_ids=tuple(f"c{i}" for i in range(16)),
-                         params=params, transport="tcp")
-    async with cluster:
-        report = await run_load(cluster, LoadSpec(operations_per_client=NET_OPS, seed=0))
-        converged = await cluster.quiesce(timeout=120.0)
-    return report, converged
-
-
-def test_e13c_tcp_loopback_throughput():
-    results = {}
-    for fast in (True, False):
-        # Collect the previous arm's cyclic garbage now: a gen-2 pass
-        # landing mid-run stalls the event loop for hundreds of ms and
-        # poisons the slower arm's latency tail.
-        gc.collect()
-        report, converged = asyncio.run(_tcp_run(fast))
-        assert converged, "cluster failed to converge after the load"
-        assert report.failures == 0
-        results["fast" if fast else "base"] = report
-    print_table(
-        f"E13c: closed-loop TCP throughput, n=4, 16 clients x {NET_OPS} ops",
-        ["core", "ops/s", "p50 ms", "p99 ms", "B/op sent"],
-        [
-            (
-                label,
-                f"{report.ops_per_sec:,.0f}",
-                f"{report.latency_p50 * 1e3:.2f}",
-                f"{report.latency_p99 * 1e3:.2f}",
-                f"{report.bytes_per_op:,.0f}",
-            )
-            for label, report in results.items()
-        ],
-    )
-
-    if TIMING_ASSERTS:
-        assert results["fast"].ops_per_sec >= 2000, (
-            f"fast core sustained only {results['fast'].ops_per_sec:.0f} ops/s "
-            "over TCP loopback (need >= 2000)"
-        )
-        assert results["fast"].ops_per_sec > results["base"].ops_per_sec
-
-    _E13C_METRICS.update({
-        "tcp_ops_per_sec_fast": results["fast"].ops_per_sec,
-        "tcp_ops_per_sec_base": results["base"].ops_per_sec,
-        "tcp_fast_over_base": (
-            results["fast"].ops_per_sec / max(results["base"].ops_per_sec, 1e-9)
-        ),
-        "tcp_bytes_per_op_fast": results["fast"].bytes_per_op,
-        "tcp_p99_ms_fast": results["fast"].latency_p99 * 1e3,
     })
     emit_bench_json("E13", e13a_metrics_cached())
 

@@ -37,9 +37,8 @@ Modules:
   burst of inbound messages becomes core calls and an outbox, driven by both
   the simulator and the asyncio runtime;
 * :mod:`repro.algorithm.system` — the complete system ``ESDS-Alg x Users``
-  with its derived variables (Section 6.4), driven action-by-action;
-* :mod:`repro.algorithm.automata` — an I/O-automaton wrapper exposing the
-  system to the :mod:`repro.automata` scheduler.
+  (Section 6.4), a :class:`~repro.deployment.Deployment` driven
+  action-by-action.
 """
 
 from repro.algorithm.labels import Label, LabelGenerator, label_sort_key
@@ -66,7 +65,6 @@ from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.node import ReplicaNode
 from repro.algorithm.system import AlgorithmSystem
-from repro.algorithm.automata import AlgorithmAutomaton
 
 __all__ = [
     "Label",
@@ -94,5 +92,4 @@ __all__ = [
     "CommuteReplicaCore",
     "ReplicaNode",
     "AlgorithmSystem",
-    "AlgorithmAutomaton",
 ]

@@ -40,10 +40,6 @@ class Channel(Generic[M]):
         if callable(size):
             self.sent_payload += size()
 
-    def receivable(self) -> List[M]:
-        """Messages currently eligible for delivery (all of them)."""
-        return list(self._in_transit)
-
     def receive(self, message: Optional[M] = None, rng: Optional[random.Random] = None) -> M:
         """``receive_ij(m)``: remove and return one in-transit message.
 

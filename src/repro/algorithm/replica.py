@@ -1412,22 +1412,6 @@ state_independent`: its tracked history has a hole below the awaited
         are excluded — they cost an interval summary entry, not a record)."""
         return len(self.rcvd)
 
-    def state_size(self) -> Dict[str, int]:
-        """Breakdown of the per-operation state held right now (element
-        counts, used by the memory metrics and benchmark E10)."""
-        return {
-            "rcvd": len(self.rcvd),
-            "done": sum(len(ops) for ops in self.done.values()),
-            "stable": sum(len(ops) for ops in self.stable.values()),
-            "labels": len(self.labels),
-            "stable_storage": len(self._stable_storage),
-            "replay_cache": len(self._replay_states),
-            "pending": len(self.pending),
-            "compacted": self.checkpoint.count,
-            "checkpoint_intervals": self.checkpoint.ids.interval_count,
-            "checkpoint_values": len(self.checkpoint.values),
-        }
-
     def replayed_state(self) -> Any:
         """The data state after the full history as seen here: the checkpoint
         base plus the tracked done suffix in label order.  Inspection helper

@@ -10,39 +10,32 @@ the composition is exposed as a method named after the paper's action
 enabled actions — this is the execution harness used by the invariant and
 simulation-relation tests.
 
-The class also exposes the derived state variables of Fig. 8:
-
-* ``ops`` — operations done at any replica;
-* ``minlabel`` — the system-wide minimum label of each operation;
-* ``lc_r`` / ``mc_r(m)`` — local and message constraints;
-* ``sc`` — the system constraints agreed by every replica and every
-  in-transit gossip message;
-* ``po`` — the partial order induced by ``TC(CSC(ops) u sc)`` on ``ops``;
-* ``potential_rept`` — response messages in transit towards each client.
+It is a :class:`~repro.deployment.Deployment` like the two timed drivers:
+the replica group, front ends, client book and the derived state variables
+of Fig. 8 (``ops``, ``minlabel``, ``lc_r`` / ``mc_r(m)``, ``sc``, ``po``,
+``potential_rept``) come from the base; this class adds the explicit
+channels those variables read in-transit messages from, and the ``Users``
+automaton that checks each request's well-formedness.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithm.channel import Channel
-from repro.algorithm.checkpoint import CompactionLedger
-from repro.algorithm.frontend import FrontEndCore
-from repro.algorithm.labels import Label, LabelOrInfinity, label_min, label_sort_key
+from repro.algorithm.labels import Label
 from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
-from repro.algorithm.node import ReplicaFactory, build_replicas
-from repro.algorithm.replica import ReplicaCore
-from repro.common import INFINITY, ConfigurationError, OperationId, SpecificationError
+from repro.algorithm.node import ReplicaFactory
+from repro.common import ConfigurationError, SpecificationError
 from repro.config import ReplicaConfig
-from repro.core.operations import OperationDescriptor, client_specified_constraints
-from repro.core.orders import PartialOrder, induced_order, transitive_closure
+from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import SerialDataType
-from repro.spec.guarantees import TraceRecord
+from repro.deployment import Deployment
 from repro.spec.users import Users
 
 
-class AlgorithmSystem:
+class AlgorithmSystem(Deployment):
     """The flattened composition of Users, front ends, channels and replicas.
 
     Parameters
@@ -78,44 +71,24 @@ class AlgorithmSystem:
         users: Optional[Users] = None,
         config: Optional[ReplicaConfig] = None,
     ) -> None:
-        if len(set(replica_ids)) < 2:
-            raise ConfigurationError("the algorithm assumes at least two replicas")
         if not client_ids:
             raise ConfigurationError("at least one client is required")
         self.config = config if config is not None else ReplicaConfig()
         self.config.require_single_policy("AlgorithmSystem")
-        self.data_type = data_type
-        self.replica_ids: Tuple[str, ...] = tuple(replica_ids)
-        self.client_ids: Tuple[str, ...] = tuple(client_ids)
-
         self.users = users if users is not None else Users()
-        self.frontends: Dict[str, FrontEndCore] = {
-            c: FrontEndCore(c, self.replica_ids) for c in self.client_ids
-        }
-        self.replicas: Dict[str, ReplicaCore] = build_replicas(
-            self.config, self.replica_ids, data_type, replica_factory
-        )
-        #: The system-wide compacted stable prefix, tiled (and cross-checked)
-        #: from every replica's compaction reports.
-        self.compaction_ledger = CompactionLedger()
-        for core in self.replicas.values():
-            core.on_compact = self.compaction_ledger.record
-
+        # Built before the base admits the clients through ensure_client, and
+        # in this order: enabled_actions lists actions by channel, and a
+        # seeded run replays that list.
         self.request_channels: Dict[Tuple[str, str], Channel[RequestMessage]] = {
-            (c, r): Channel(c, r) for c in self.client_ids for r in self.replica_ids
+            (c, r): Channel(c, r) for c in client_ids for r in replica_ids
         }
         self.response_channels: Dict[Tuple[str, str], Channel[ResponseMessage]] = {
-            (r, c): Channel(r, c) for r in self.replica_ids for c in self.client_ids
+            (r, c): Channel(r, c) for r in replica_ids for c in client_ids
         }
         self.gossip_channels: Dict[Tuple[str, str], Channel[GossipMessage]] = {
-            (a, b): Channel(a, b)
-            for a in self.replica_ids
-            for b in self.replica_ids
-            if a != b
+            (a, b): Channel(a, b) for a in replica_ids for b in replica_ids if a != b
         }
-
-        #: External trace (request/response events) for the guarantee checks.
-        self.trace = TraceRecord()
+        super().__init__(data_type, replica_ids, client_ids, self.config, replica_factory)
 
     # ====================================================================== #
     # External and internal actions                                          #
@@ -126,6 +99,7 @@ class AlgorithmSystem:
         well-formedness by the Users automaton)."""
         self.users.assert_well_formed(operation)
         self.users.requested.add(operation)
+        self.requested[operation.id] = operation
         self.frontends[operation.id.client].request(operation)
         self.trace.record_request(operation)
 
@@ -134,13 +108,10 @@ class AlgorithmSystem:
         operations keep the composite ``client@shard`` identity their source
         shard minted them under, so the destination system hosts a front end
         for that foreign identity too).  Idempotent."""
-        if client_id in self.frontends:
-            return
-        self.client_ids = self.client_ids + (client_id,)
-        self.frontends[client_id] = FrontEndCore(client_id, self.replica_ids)
+        super().ensure_client(client_id)
         for replica in self.replica_ids:
-            self.request_channels[(client_id, replica)] = Channel(client_id, replica)
-            self.response_channels[(replica, client_id)] = Channel(replica, client_id)
+            self.request_channels.setdefault((client_id, replica), Channel(client_id, replica))
+            self.response_channels.setdefault((replica, client_id), Channel(replica, client_id))
 
     def send_request(self, client: str, replica: str, operation: OperationDescriptor) -> None:
         """``send_cr(("request", x))`` — front end relays a pending request."""
@@ -180,16 +151,24 @@ class AlgorithmSystem:
         self, replica: str, client: str, message: Optional[ResponseMessage] = None,
         rng: Optional[random.Random] = None,
     ) -> ResponseMessage:
-        """``receive_rc(("response", x, v))``."""
+        """``receive_rc(("response", x, v))`` — a stale-value NACK from the
+        last replica moves the operation to ``failed``; a late genuine value
+        resurrects it."""
         delivered = self.response_channels[(replica, client)].receive(message, rng)
-        self.frontends[client].receive_response(delivered)
+        frontend = self.frontends[client]
+        frontend.receive_response(delivered)
+        op_id = delivered.operation.id
+        if op_id in frontend.failed:
+            self.failed[op_id] = frontend.failed[op_id]
+        else:
+            self.failed.pop(op_id, None)
         return delivered
 
     def response(self, operation: OperationDescriptor) -> Any:
         """``response(x, v)`` — front end answers the client."""
         client = operation.id.client
         value = self.frontends[client].respond(operation)
-        self.users.responded[operation.id] = value
+        self.responded[operation.id] = value
         self.trace.record_response(operation, value)
         return value
 
@@ -230,253 +209,6 @@ class AlgorithmSystem:
         minted it with (the sharded service's chain injection)."""
         self.ensure_client(operation.id.client)
         self.request(operation)
-
-    # ====================================================================== #
-    # Client-visible results (the surface a SimulatedCluster also offers)    #
-    # ====================================================================== #
-
-    @property
-    def requested(self) -> Dict[OperationId, OperationDescriptor]:
-        """Every requested operation, by identifier (a fresh mapping)."""
-        return {op.id: op for op in self.users.requested}
-
-    @property
-    def responded(self) -> Dict[OperationId, Any]:
-        """Every value the front ends delivered to clients."""
-        return self.users.responded
-
-    @property
-    def failed(self) -> Dict[OperationId, str]:
-        """Operations declared unanswerable (a stale-value NACK from every
-        replica), across front ends (a fresh mapping)."""
-        return {
-            op_id: reason
-            for frontend in self.frontends.values()
-            for op_id, reason in frontend.failed.items()
-        }
-
-    def outstanding_operations(self) -> int:
-        """Requested operations neither answered nor failed."""
-        failed = sum(len(frontend.failed) for frontend in self.frontends.values())
-        return len(self.users.requested) - len(self.users.responded) - failed
-
-    # ====================================================================== #
-    # Derived variables (Fig. 8)                                             #
-    # ====================================================================== #
-
-    def ops(self) -> Set[OperationDescriptor]:
-        """``ops = U_r done_r[r]`` — operations done at any replica.
-
-        Operations folded into a compaction checkpoint remain done (their
-        records just moved into the base state), so the compacted prefix is
-        included from the ledger.
-        """
-        result: Set[OperationDescriptor] = set(self.compaction_ledger.prefix)
-        for replica in self.replicas.values():
-            result |= replica.done_here()
-        return result
-
-    def compacted_ops(self, replica: str) -> List[OperationDescriptor]:
-        """The operations replica *r* has folded into its checkpoint, in the
-        agreed label order (reconstructed from the ledger — the replica
-        itself keeps only the compact id summary)."""
-        return self.compaction_ledger.prefix[: self.replicas[replica].checkpoint.count]
-
-    def minlabel(self, op_id: OperationId) -> LabelOrInfinity:
-        """``minlabel(id)`` — the system-wide minimum label."""
-        best: LabelOrInfinity = INFINITY
-        for replica in self.replicas.values():
-            best = label_min(best, replica.label_of(op_id))
-        return best
-
-    def eventual_order(self) -> List[OperationId]:
-        """The identifiers of ``ops`` sorted by system-wide minimum label.
-
-        Once gossip has quiesced this is the eventual total order used as the
-        witness for Theorem 5.8 checks.  The compacted prefix comes first, in
-        the order the replicas folded it (its minimum labels may no longer be
-        held anywhere — that is the point of compaction); every tracked
-        operation sorts after it, because a replica only compacts a prefix
-        whose labels every remaining label exceeds.
-        """
-        compacted_ids = self.compaction_ledger.ids
-        suffix = [
-            x.id
-            for x in sorted(
-                (x for x in self.ops() if x.id not in compacted_ids),
-                key=lambda op: label_sort_key(self.minlabel(op.id)),
-            )
-        ]
-        return [x.id for x in self.compaction_ledger.prefix] + suffix
-
-    def local_constraints(self, replica: str) -> Set[Tuple[OperationId, OperationId]]:
-        """``lc_r`` restricted to the identifiers of ``ops``.
-
-        The paper defines ``lc_r`` over all identifiers; pairs whose second
-        component has no label at ``r`` (label ``oo``) are included whenever
-        the first component is labelled, which is why the computation ranges
-        over the ``ops`` universe rather than only the labels ``r`` holds.
-
-        An identifier compacted at ``r`` has no tracked label either, but for
-        the opposite reason: its archived label sat at or below the frontier,
-        beneath every label ``r`` still tracks.  Compacted identifiers are
-        therefore ordered among themselves by their (frozen) ledger position
-        and before every other identifier.
-        """
-        universe = {x.id for x in self.ops()}
-        core = self.replicas[replica]
-        return self._constraints_with_prefix(replica, universe, core.label_of)
-
-    def _compacted_positions(self, replica: str) -> Dict[OperationId, int]:
-        """Ledger position of each identifier *replica* has compacted."""
-        count = self.replicas[replica].checkpoint.count
-        return {x.id: index for index, x in enumerate(self.compaction_ledger.prefix[:count])}
-
-    def _constraints_with_prefix(
-        self,
-        replica: str,
-        universe: Set[OperationId],
-        label_of: Callable[[OperationId], LabelOrInfinity],
-        position: Optional[Dict[OperationId, int]] = None,
-    ) -> Set[Tuple[OperationId, OperationId]]:
-        """The label-induced constraints over *universe* as seen at
-        *replica*, with its compacted identifiers ordered among themselves
-        by their frozen ledger position and before every other identifier —
-        the shared core of ``lc_r`` and ``mc_r(m)``.  *position* overrides
-        the replica's own compacted-prefix positions (used for transfer
-        messages, whose adoption would extend the covered prefix)."""
-        if position is None:
-            position = self._compacted_positions(replica)
-        constraints: Set[Tuple[OperationId, OperationId]] = set()
-        for a in universe:
-            pos_a = position.get(a)
-            if pos_a is not None:
-                for b in universe:
-                    if a == b:
-                        continue
-                    pos_b = position.get(b)
-                    if pos_b is None or pos_a < pos_b:
-                        constraints.add((a, b))
-                continue
-            label_a = label_of(a)
-            if label_a is INFINITY:
-                continue
-            for b in universe:
-                if a != b and b not in position and label_a < label_of(b):
-                    constraints.add((a, b))
-        return constraints
-
-    def message_constraints(
-        self, replica: str, message
-    ) -> Set[Tuple[OperationId, OperationId]]:
-        """``mc_r(m)`` — the local constraints replica *r* would have if it
-        received *message* immediately (restricted to the ``ops`` universe).
-
-        Identifiers compacted at *r* keep their frozen prefix order (the
-        receiver ignores gossiped labels for them), exactly as in
-        :meth:`local_constraints`.
-
-        Advert/pull messages are handled by what receiving them actually
-        does: a *pull* conveys no knowledge (``mc_r`` is just ``lc_r``); a
-        *transfer* extends the receiver's covered prefix to the transferred
-        checkpoint (its identifiers adopt their frozen ledger positions); a
-        gossip message carrying an **advert** contributes only its label
-        payload — the advert becomes knowledge only after the pull
-        completes, so it adds nothing here.
-        """
-        core = self.replicas[replica]
-        universe = {x.id for x in self.ops()}
-        if message.kind == "pull":
-            return self.local_constraints(replica)
-        if message.kind == "transfer":
-            count = max(core.checkpoint.count, message.ids.count)
-            position = {
-                x.id: index
-                for index, x in enumerate(self.compaction_ledger.prefix[:count])
-            }
-            return self._constraints_with_prefix(
-                replica,
-                universe,
-                lambda op_id: core.label_of(op_id),
-                position=position,
-            )
-        checkpoint = core.checkpoint
-        merged: Dict[OperationId, LabelOrInfinity] = {
-            op_id: label_min(core.label_of(op_id), message.label_of(op_id))
-            for op_id in universe
-            if not checkpoint.covers(op_id)
-        }
-        return self._constraints_with_prefix(
-            replica, universe, lambda op_id: merged.get(op_id, INFINITY)
-        )
-
-    def in_transit_gossip(self, destination: Optional[str] = None) -> List[Tuple[str, GossipMessage]]:
-        """Gossip messages currently in transit (optionally only those headed
-        to *destination*), with their destination replica."""
-        messages: List[Tuple[str, GossipMessage]] = []
-        for (src, dst), channel in self.gossip_channels.items():
-            if destination is not None and dst != destination:
-                continue
-            for message in channel.contents():
-                messages.append((dst, message))
-        return messages
-
-    def system_constraints(self) -> Set[Tuple[OperationId, OperationId]]:
-        """``sc = (⋂_r lc_r) ⋂ (⋂_r ⋂_{m -> r} mc_r(m))``."""
-        op_ids = {x.id for x in self.ops()}
-        if not op_ids:
-            return set()
-        candidate_pairs = {
-            (a, b) for a in op_ids for b in op_ids if a != b
-        }
-        agreed = set(candidate_pairs)
-        for replica_id in self.replica_ids:
-            agreed &= self.local_constraints(replica_id)
-            if not agreed:
-                return set()
-        for destination, message in self.in_transit_gossip():
-            if message.kind == "pull":
-                continue  # conveys no knowledge; mc would be exactly lc
-            agreed &= self.message_constraints(destination, message)
-            if not agreed:
-                return set()
-        return agreed
-
-    def partial_order(self) -> PartialOrder:
-        """``po`` — the relation induced by ``TC(CSC(ops) u sc)`` on ``ops``."""
-        operations = self.ops()
-        op_ids = {x.id for x in operations}
-        raw = set(client_specified_constraints(operations)) | self.system_constraints()
-        closure = transitive_closure(raw)
-        return PartialOrder(induced_order(closure, op_ids))
-
-    def potential_rept(self, client: str) -> Set[Tuple[OperationDescriptor, Any]]:
-        """``potential_rept_c`` — responses en route to *client* for
-        operations still waiting.  Stale-response NACKs carry no value and
-        can never be recorded in ``rept``, so they are not potential
-        responses."""
-        frontend = self.frontends[client]
-        result: Set[Tuple[OperationDescriptor, Any]] = set()
-        for (replica, dest), channel in self.response_channels.items():
-            if dest != client:
-                continue
-            for message in channel.contents():
-                if message.operation in frontend.wait and not message.stale:
-                    result.add((message.operation, message.value))
-        return result
-
-    def stable_everywhere(self) -> Set[OperationDescriptor]:
-        """``⋂_r stable_r[r]`` — the operations every replica knows stable,
-        on the checkpoint + suffix view: an operation a replica has folded
-        into its checkpoint is stable there by construction (compaction only
-        ever folds stable-everywhere operations), so stability is never
-        *lost* by compacting — which the forward-simulation relation against
-        the spec's monotone ``stabilized`` set depends on."""
-        stable_sets = [
-            replica.stable_here() | set(self.compacted_ops(rid))
-            for rid, replica in self.replicas.items()
-        ]
-        return set.intersection(*stable_sets) if stable_sets else set()
 
     # ====================================================================== #
     # Scheduling                                                             #
@@ -589,7 +321,7 @@ class AlgorithmSystem:
     def snapshot(self) -> Dict[str, Any]:
         """A structural snapshot used by the simulation-relation harness."""
         return {
-            "requested": set(self.users.requested),
+            "requested": set(self.requested.values()),
             "frontends": {c: fe.snapshot() for c, fe in self.frontends.items()},
             "replicas": {r: rep.snapshot() for r, rep in self.replicas.items()},
             "request_channels": {

@@ -173,18 +173,6 @@ class IOAutomaton:
 
     # -- helpers --------------------------------------------------------------
 
-    def is_input(self, kind: str) -> bool:
-        return kind in self.signature.inputs
-
-    def is_output(self, kind: str) -> bool:
-        return kind in self.signature.outputs
-
-    def is_internal(self, kind: str) -> bool:
-        return kind in self.signature.internals
-
-    def is_external(self, kind: str) -> bool:
-        return kind in self.signature.external
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"
 

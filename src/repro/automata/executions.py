@@ -52,10 +52,6 @@ class Execution:
         kinds = set(external_kinds)
         return [event for event in self.events if event.kind in kinds]
 
-    def actions_of_kind(self, kind: str) -> List[Action]:
-        """Every action of the given kind, in order."""
-        return [event.action for event in self.events if event.kind == kind]
-
     def __len__(self) -> int:
         return len(self.events)
 

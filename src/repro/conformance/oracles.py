@@ -132,7 +132,7 @@ def check_cluster_outcome(cluster) -> Tuple[Set[OperationId], Set[OperationId]]:
     # design), so the full sweep applies exactly to loss-free executions —
     # the vast majority of seeds.
     if not lost:
-        AlgorithmInvariantChecker(cluster.algorithm_view()).check_all()
+        AlgorithmInvariantChecker(cluster).check_all()
     # All replicas agree on the final state (convergence, Lemma 2.7) —
     # computed as checkpoint base plus tracked suffix, so compacted and
     # uncompacted replicas are compared on the same footing.

@@ -192,14 +192,6 @@ class PartialOrder:
                     return False
         return True
 
-    def topological_order(self, subset: Iterable[Any]) -> List[Any]:
-        """One total order of *subset* consistent with this partial order.
-
-        Ties are broken deterministically by ``repr`` so that results are
-        reproducible across runs.
-        """
-        return topological_total_order(self._pairs, subset)
-
     def linear_extensions(
         self, subset: Iterable[Any], limit: Optional[int] = None
     ) -> Iterator[List[Any]]:

@@ -144,10 +144,13 @@ async def run_load(cluster: NetCluster, spec: LoadSpec) -> DriverReport:
     failures = [0]
     loop = asyncio.get_running_loop()
 
-    async def one_op(client: str, rng: random.Random, index: int) -> None:
+    async def one_op(
+        client: str, rng: random.Random, index: int, due: Optional[float] = None
+    ) -> None:
+        """One submission, timed from *due* (open loop) or from now."""
         operator = factory(rng, index)
         strict = spec.strict_fraction > 0 and rng.random() < spec.strict_fraction
-        begin = loop.time()
+        begin = loop.time() if due is None else due
         try:
             await cluster.submit(client, operator, strict=strict, timeout=spec.timeout)
         except (OperationFailed, asyncio.TimeoutError):
@@ -162,10 +165,15 @@ async def run_load(cluster: NetCluster, spec: LoadSpec) -> DriverReport:
                 await asyncio.sleep(spec.think_time)
 
     async def open_client(client: str, rng: random.Random) -> None:
+        # Due times are cumulative exponential gaps from the start, and each
+        # operation is timed from its due time: an event-loop stall delays
+        # every arrival due during it, and their latencies count the wait.
         pending: List[asyncio.Task] = []
+        due = loop.time()
         for index in range(spec.operations_per_client):
-            pending.append(loop.create_task(one_op(client, rng, index)))
-            await asyncio.sleep(rng.expovariate(1.0 / spec.mean_interarrival))
+            await asyncio.sleep(due - loop.time())
+            pending.append(loop.create_task(one_op(client, rng, index, due)))
+            due += rng.expovariate(1.0 / spec.mean_interarrival)
         await asyncio.gather(*pending)
 
     runner = closed_client if spec.mode == "closed" else open_client

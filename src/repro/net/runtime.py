@@ -57,10 +57,10 @@ Loss tolerance
     cannot be spelled is raised to its submitter and withdrawn.
 
 The cluster shares :class:`~repro.deployment.Deployment` with the simulator
-(``requested`` / ``responded`` / ``trace`` / ``replicas`` /
-``compaction_ledger``, ``algorithm_view`` / ``eventual_order``), so the
-Section 7/8 invariant checker and the serializability oracles run unmodified
-against a quiesced network deployment.
+and the action-level system (``requested`` / ``responded`` / ``trace`` /
+``replicas`` / ``compaction_ledger``, the Fig. 8 view, ``eventual_order``),
+so the Section 7/8 invariant checker and the serializability oracles run
+unmodified against a quiesced network deployment.
 """
 
 from __future__ import annotations
@@ -550,7 +550,8 @@ class NetCluster(Deployment):
             self.transport = _TcpTransport()
         else:
             raise ConfigurationError(f"unknown transport {transport!r}")
-        super().__init__(data_type, num_replicas, client_ids, self.params.replica)
+        replica_ids = [f"r{i}" for i in range(num_replicas)]
+        super().__init__(data_type, replica_ids, client_ids, self.params.replica)
         self.stats = NetStats()
 
         self._endpoints: Dict[str, _Endpoint] = {}

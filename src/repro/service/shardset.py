@@ -7,12 +7,14 @@ keyspace behind a :class:`~repro.service.router.ShardRouter` and one
 a set: :class:`~repro.service.frontend.ShardedFrontend` (action-level
 :class:`~repro.algorithm.system.AlgorithmSystem` groups) and
 :class:`~repro.sim.sharded.ShardedCluster` (simulated clusters on one event
-loop).  Both group kinds offer the same client-visible surface
-(``requested``, ``responded``, ``failed``, ``outstanding_operations``,
-``eventual_order``, ``inject_operation``), so this base owns construction,
-routing lookups, the merged results, the verification fan-out and the
-harness-independent steps of a reshard leg (:mod:`repro.service.reshard`);
-a harness supplies how to build a group and which trace oracle it runs.
+loop).  Both group kinds are :class:`~repro.deployment.Deployment`
+subclasses with the same client-visible surface (``requested``,
+``responded``, ``failed``, ``outstanding_operations``, ``eventual_order``,
+``inject_operation``) that the invariant checker reads as they are, so this
+base owns construction, routing lookups, the merged results, the
+verification fan-out and the harness-independent steps of a reshard leg
+(:mod:`repro.service.reshard`); a harness supplies how to build a group and
+which trace oracle it runs.
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ class ShardSet:
         identities the directory mints ids with (one contiguous seqno run
         per client per shard)."""
         return [composite_client(c, shard) for c in self.client_ids]
-
-    @staticmethod
-    def _algorithm_view(group: Any) -> Any:
-        """What the Section 7/8 invariant checker inspects for *group*."""
-        return group
 
     def _check_trace(self, group: Any) -> None:
         """Run the harness's Theorem 5.8 trace oracle on *group*."""
@@ -155,7 +152,7 @@ class ShardSet:
         from repro.verification.invariants import AlgorithmInvariantChecker
 
         for group in self.shards.values():
-            AlgorithmInvariantChecker(self._algorithm_view(group)).check_all()
+            AlgorithmInvariantChecker(group).check_all()
 
     def check_traces(self) -> None:
         """Check the Theorem 5.7/5.8 guarantees on every shard's trace."""

@@ -146,9 +146,8 @@ class SimulatedCluster(Deployment):
         rng: Optional[random.Random] = None,
     ) -> None:
         self.params = params or SimulationParams()
-        super().__init__(
-            data_type, num_replicas, client_ids, self.params.replica, replica_factory
-        )
+        replica_ids = [f"r{i}" for i in range(num_replicas)]
+        super().__init__(data_type, replica_ids, client_ids, self.params.replica, replica_factory)
         # A shared simulator (and optionally a shared or derived RNG) lets
         # several clusters — the shards of a ShardedCluster — run on one
         # seeded event loop.

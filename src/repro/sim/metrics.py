@@ -108,9 +108,6 @@ class MetricsCollector:
         if count > self.tracked_ops_peak.get(replica_id, 0):
             self.tracked_ops_peak[replica_id] = count
 
-    def request_time_of(self, op_id: OperationId) -> Optional[float]:
-        return self._request_times.get(op_id)
-
     # -- summaries ---------------------------------------------------------------
 
     @property
@@ -136,12 +133,6 @@ class MetricsCollector:
         if span <= 0:
             return 0.0
         return self.completed / span
-
-    def max_latency_by_category(self) -> Dict[str, float]:
-        result: Dict[str, float] = {}
-        for record in self.records:
-            result[record.category] = max(result.get(record.category, 0.0), record.latency)
-        return result
 
     def stabilization_summary(self) -> LatencySummary:
         """Time from request to system-wide stability."""
@@ -240,8 +231,3 @@ class PerShardMetrics:
             (collector.peak_tracked_ops() for collector in self.collectors.values()),
             default=0,
         )
-
-    def peak_tracked_ops_by_shard(self) -> Dict[str, int]:
-        return {
-            sid: collector.peak_tracked_ops() for sid, collector in self.collectors.items()
-        }

@@ -229,11 +229,6 @@ class ShardedCluster(ShardSet):
             rng=random.Random(self._seed * 7919 + index + 1),
         )
 
-    @staticmethod
-    def _algorithm_view(shard: SimulatedCluster) -> Any:
-        # Faithful at network quiescence.
-        return shard.algorithm_view()
-
     def _check_trace(self, shard: SimulatedCluster) -> None:
         from repro.verification.serializability import check_recorded_trace
 
@@ -576,8 +571,7 @@ class ShardedCluster(ShardSet):
         return all(shard.fully_converged() for shard in self.shards.values())
 
     def check_invariants(self) -> None:
-        """Run the Section 7/8 invariant checker on every shard's
-        :meth:`~repro.sim.cluster.SimulatedCluster.algorithm_view`, then
-        audit every reshard handoff."""
+        """Run the Section 7/8 invariant checker on every shard (faithful
+        at network quiescence), then audit every reshard handoff."""
         super().check_invariants()
         self.check_reshard_handoffs()

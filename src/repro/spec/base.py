@@ -56,12 +56,6 @@ class EsdsSpecBase(IOAutomaton):
         """``ops.id``."""
         return {x.id for x in self.ops}
 
-    def operation_by_id(self, op_id: OperationId) -> Optional[OperationDescriptor]:
-        for x in self.ops:
-            if x.id == op_id:
-                return x
-        return None
-
     # -------------------------------------------------------------- conditions
 
     def _enter_enabled(self, x: OperationDescriptor, new_po: PartialOrder) -> bool:
@@ -209,10 +203,6 @@ class EsdsSpecBase(IOAutomaton):
         return None
 
     # ------------------------------------------------------------ derived sets
-
-    def stable_prefix_ids(self, x: OperationDescriptor) -> Set[OperationId]:
-        """``ops|_{<po x}`` as a set of identifiers."""
-        return {y.id for y in self.ops if self.po.precedes(y.id, x.id)}
 
     def snapshot(self) -> Dict[str, Any]:
         return {

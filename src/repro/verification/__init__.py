@@ -7,7 +7,8 @@ package turns those proofs into *runtime checks* that the test-suite runs
 over randomly explored executions:
 
 * :mod:`repro.verification.invariants` — every Section 4/7/8/10 invariant as
-  a predicate over an :class:`~repro.algorithm.system.AlgorithmSystem`;
+  a predicate over any :class:`~repro.deployment.Deployment` (the
+  action-level system, a simulated or a networked cluster);
 * :mod:`repro.verification.simulation_check` — lock-step forward-simulation
   checking from the algorithm to ESDS-II (Theorem 8.4 / Fig. 9) and from
   ESDS-II to ESDS-I (Fig. 4);
@@ -21,10 +22,7 @@ from repro.verification.simulation_check import (
     AlgorithmToSpecSimulation,
     check_esds2_implements_esds1,
 )
-from repro.verification.serializability import (
-    check_system_trace,
-    eventual_order_witness,
-)
+from repro.verification.serializability import check_system_trace
 
 __all__ = [
     "AlgorithmInvariantChecker",
@@ -32,5 +30,4 @@ __all__ = [
     "AlgorithmToSpecSimulation",
     "check_esds2_implements_esds1",
     "check_system_trace",
-    "eventual_order_witness",
 ]

@@ -7,10 +7,10 @@ trace recorded by the system (or by the simulator) is checked against it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.algorithm.system import AlgorithmSystem
 from repro.common import InvariantViolation, OperationId
+from repro.deployment import Deployment
 from repro.spec.guarantees import (
     TraceRecord,
     check_all_responses_explained,
@@ -19,24 +19,8 @@ from repro.spec.guarantees import (
 )
 
 
-def eventual_order_witness(system: AlgorithmSystem) -> List[OperationId]:
-    """The eventual total order realised by the algorithm: the identifiers of
-    every requested operation, ordered by system-wide minimum label.
-
-    Operations that have not been done anywhere yet (no label) are placed at
-    the end in a deterministic order; for a drained system every requested
-    operation has a label.
-    """
-    ordered = system.eventual_order()
-    seen = set(ordered)
-    missing = sorted(
-        (x.id for x in system.users.requested if x.id not in seen), key=repr
-    )
-    return ordered + missing
-
-
 def check_system_trace(
-    system: AlgorithmSystem,
+    system: Deployment,
     check_nonstrict: bool = False,
     search_limit: int = 5000,
 ) -> None:
@@ -52,7 +36,7 @@ def check_system_trace(
     Raises :class:`~repro.common.InvariantViolation` on failure.
     """
     trace = system.trace
-    witness = eventual_order_witness(system)
+    witness = system.eventual_order()
     if not check_eventual_total_order(system.data_type, trace, witness):
         if not check_strict_responses_explained(
             system.data_type, trace, eventual_order=None, search_limit=search_limit
@@ -74,8 +58,8 @@ def check_recorded_trace(
     check_nonstrict: bool = False,
     search_limit: int = 5000,
 ) -> None:
-    """Like :func:`check_system_trace` but for traces recorded outside an
-    :class:`AlgorithmSystem` (e.g. by the discrete-event simulator)."""
+    """Like :func:`check_system_trace` but for a bare recorded trace and an
+    explicit witness (e.g. one that places a crash's casualties last)."""
     if not check_strict_responses_explained(
         data_type, trace, eventual_order=witness, search_limit=search_limit
     ):

@@ -19,7 +19,6 @@ Two checks are provided:
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 from repro.algorithm.labels import label_sort_key
@@ -65,25 +64,12 @@ class AlgorithmToSpecSimulation:
         self.check_relation()
         return result
 
-    def random_step(self, rng: random.Random, gossip_bias: float = 0.2) -> Optional[Tuple[str, Tuple]]:
-        actions = self.system.enabled_actions()
-        if not actions:
-            return None
-        non_gossip = [a for a in actions if a[0] != "send_gossip"]
-        if non_gossip and rng.random() > gossip_bias:
-            choice = rng.choice(non_gossip)
-        else:
-            choice = rng.choice(actions)
-        self.perform(*choice)
-        return choice
+    def enabled_actions(self) -> List[Tuple[str, Tuple]]:
+        return self.system.enabled_actions()
 
-    def run_random(self, rng: random.Random, steps: int) -> int:
-        performed = 0
-        for _ in range(steps):
-            if self.random_step(rng) is None:
-                break
-            performed += 1
-        return performed
+    # The system's own action-choice rule, over the mirrored ``perform``.
+    random_step = AlgorithmSystem.random_step
+    run_random = AlgorithmSystem.run_random
 
     # -- correspondence (Theorem 8.4) -------------------------------------------
 

@@ -14,7 +14,7 @@ from repro.common import (
 )
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, RegisterType
-from repro.verification.serializability import check_system_trace, eventual_order_witness
+from repro.verification.serializability import check_system_trace
 
 
 @pytest.fixture
@@ -159,7 +159,7 @@ class TestRandomExecution:
         gen = OperationIdGenerator("alice")
         pending = make_operation(CounterType.increment(), gen.fresh())
         system.request(pending)
-        witness = eventual_order_witness(system)
+        witness = system.eventual_order()
         assert pending.id in witness
 
 

@@ -676,7 +676,7 @@ class TestSimulatedCompaction:
         assert plain.responded == compacted.responded
         assert compacted.metrics.peak_tracked_ops() < plain.metrics.peak_tracked_ops()
         assert len(compacted.compacted_prefix) > 0
-        AlgorithmInvariantChecker(compacted.algorithm_view()).check_all()
+        AlgorithmInvariantChecker(compacted).check_all()
         check_recorded_trace(compacted.data_type, compacted.trace,
                              witness=compacted.eventual_order())
 
@@ -700,7 +700,7 @@ class TestSimulatedCompaction:
         _, value = cluster.execute("c0", CounterType.read(), strict=True)
         assert value == 30
         assert victim.replayed_state() == 30
-        AlgorithmInvariantChecker(cluster.algorithm_view()).check_all()
+        AlgorithmInvariantChecker(cluster).check_all()
 
     def test_interval_driven_compaction_without_gossip_trigger(self):
         """The forced interval sweep folds even when min_batch is never

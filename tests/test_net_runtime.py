@@ -14,6 +14,7 @@ through ``asyncio.run``.
 import asyncio
 import dataclasses
 import gc
+import time
 
 import pytest
 
@@ -24,14 +25,16 @@ from repro.algorithm.messages import (
     RequestMessage,
     ResponseMessage,
 )
-from repro.common import ConfigurationError, OperationId
+from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.datatypes.base import Operator
 from repro.net.codec import FrameError, decode_frame, encode_message
+from repro.net.driver import LoadSpec, run_load
 from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams, write_frame
 from repro.service.keyed import KeyedStore
+from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.serializability import check_recorded_trace
 
 FAST = ReplicaConfig(delta_gossip=True, fast_core=True)
@@ -177,6 +180,62 @@ class TestCrashRecovery:
                 return value
 
         assert asyncio.run(run()) == 1
+
+
+class TestInvariantChecker:
+    """The Section 7/8 checker reads a quiesced ``NetCluster`` as it is."""
+
+    def test_checker_passes_on_a_quiesced_cluster_and_catches_a_bad_label(self):
+        async def run():
+            config = dataclasses.replace(
+                FAST, advert_gossip=True, compaction=CompactionPolicy(min_batch=32)
+            )
+            cluster = NetCluster(
+                CounterType(), num_replicas=4, client_ids=("c0", "c1", "c2", "c3"),
+                params=NetParams(gossip_period=0.01), config=config,
+            )
+            async with cluster:
+                await asyncio.gather(*(
+                    cluster.submit(cid, CounterType.increment())
+                    for _ in range(60) for cid in cluster.client_ids
+                ))
+                assert await cluster.quiesce(timeout=30.0)
+                # One more operation at a time until one is still tracked
+                # (done, uncompacted) at every replica: each replica folds
+                # at most once per 32 operations, so this takes a few rounds.
+                while not set.intersection(
+                    *(set(core.labels) for core in cluster.replicas.values())
+                ):
+                    await cluster.submit("c0", CounterType.increment())
+                    assert await cluster.quiesce(timeout=30.0)
+            return cluster
+
+        cluster = asyncio.run(run())
+        assert len(cluster.requested) >= 240 and cluster.compaction_ledger.prefix
+        AlgorithmInvariantChecker(cluster).check_all()
+
+        tracked = set.intersection(*(set(core.labels) for core in cluster.replicas.values()))
+        op_id = min(tracked, key=repr)
+        core = cluster.replicas["r1"]
+        core.labels[op_id] = Label(max(label.rank for label in core.labels.values()) + 1, "r1")
+        with pytest.raises(InvariantViolation):
+            AlgorithmInvariantChecker(cluster).check_all()
+
+
+class TestLoadDriver:
+    def test_open_loop_counts_an_event_loop_stall(self):
+        """Arrivals due during a stall are timed from their due time, so
+        they all see the wait, not just the one or two in flight."""
+
+        async def run():
+            async with make_cluster(clients=("c0",)) as cluster:
+                spec = LoadSpec(operations_per_client=100, mode="open", mean_interarrival=0.01)
+                asyncio.get_running_loop().call_later(0.3, time.sleep, 0.3)
+                return await run_load(cluster, spec)
+
+        report = asyncio.run(run())
+        assert report.failures == 0 and report.operations == 100
+        assert report.latency_p95 >= 0.1
 
 
 class TestBackpressure:

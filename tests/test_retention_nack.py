@@ -203,7 +203,7 @@ class TestSystemNackPath:
         assert op.id not in frontend.failed
         assert op in frontend.wait
         system.response(op)
-        assert system.users.responded[op.id] == 1
+        assert system.responded[op.id] == 1
         AlgorithmInvariantChecker(system).check_all()
 
 
@@ -240,7 +240,7 @@ class TestSimulatedNackSurfacing:
         assert cluster.outstanding_operations() == 0  # run_until_idle settled
         with pytest.raises(StaleValueError):
             cluster.value_of(target)
-        AlgorithmInvariantChecker(cluster.algorithm_view()).check_all()
+        AlgorithmInvariantChecker(cluster).check_all()
 
     def test_sharded_frontend_surfaces_stale_failures(self):
         frontend = ShardedFrontend(

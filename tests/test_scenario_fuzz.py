@@ -10,11 +10,10 @@ correctness oracles on the outcome:
 
 * the **eventual-serializability oracle** (Theorem 5.8): every strict
   response is explained by the system-wide minimum-label eventual order;
-* the **Section 7/8 invariant checker**, run against the cluster's
-  :meth:`~repro.sim.cluster.SimulatedCluster.algorithm_view` once the
-  network has quiesced (the view models channels as empty, which is exactly
-  the quiescent state; crashes are always recovered, so convergence is
-  guaranteed by the perpetual gossip timers).
+* the **Section 7/8 invariant checker**, run against the cluster itself
+  once the network has quiesced (a simulated cluster has no explicit
+  channels, which is exactly the quiescent state; crashes are always
+  recovered, so convergence is guaranteed by the perpetual gossip timers).
 
 The scenario sampler and the oracles live in :mod:`repro.conformance` and
 are shared with the conformance-vector generator: the fuzzer explores fresh

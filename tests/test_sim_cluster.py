@@ -2,16 +2,20 @@
 
 import pytest
 
+from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.labels import Label
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.analysis.bounds import (
     TimingAssumptions,
     check_latency_records_against_bounds,
     response_time_bound,
 )
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, InvariantViolation
+from repro.config import ReplicaConfig
 from repro.datatypes import BankAccountType, CounterType, RegisterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
+from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.serializability import check_recorded_trace
 
 PARAMS = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0)
@@ -130,6 +134,34 @@ class TestTraceConsistency:
         memo_values = {r.operation.id: r.value for r in memo_result.metrics.records}
         assert plain_values == memo_values
         assert memo.total_value_applications() < plain.total_value_applications()
+
+
+class TestInvariantChecker:
+    def test_checker_reads_a_quiesced_cluster_directly(self):
+        """The Section 7/8 checker takes the cluster as it is; with no
+        explicit channels it is faithful once gossip has converged."""
+        config = ReplicaConfig(
+            fast_core=True, delta_gossip=True, advert_gossip=True,
+            compaction=CompactionPolicy(min_batch=32),
+        )
+        params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0, replica=config)
+        cluster = SimulatedCluster(CounterType(), 4, ["c0", "c1"], params=params, seed=4)
+        spec = WorkloadSpec(operations_per_client=100, mean_interarrival=0.5,
+                            strict_fraction=0.2, prev_policy="last_own")
+        run_workload(cluster, spec, seed=4)
+        while not cluster.fully_converged():
+            cluster.run(params.gossip_period)
+        assert cluster.compaction_ledger.prefix
+        AlgorithmInvariantChecker(cluster).check_all()
+
+        # A done, uncompacted operation relabelled above everything at one
+        # replica: that replica no longer holds its minimum label.
+        tracked = set.intersection(*(set(core.labels) for core in cluster.replicas.values()))
+        op_id = min(tracked, key=repr)
+        core = cluster.replicas["r2"]
+        core.labels[op_id] = Label(max(label.rank for label in core.labels.values()) + 1, "r2")
+        with pytest.raises(InvariantViolation):
+            AlgorithmInvariantChecker(cluster).check_all()
 
 
 class TestStabilizationTracking:
