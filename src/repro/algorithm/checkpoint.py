@@ -123,6 +123,12 @@ def chunk_slices(items: Sequence[Any], chunk: Optional[int]) -> List[List[Any]]:
     return [items[i : i + chunk] for i in range(0, len(items), chunk)]
 
 
+#: Marker wrapped around a payload entry tampered in flight by the corruption
+#: adversary (checkpoint transfers and migration chunks alike) — any
+#: repr-visible change would do; a distinct tag keeps debugging obvious.
+CORRUPTION_MARKER = "__corrupted__"
+
+
 def _covered(intervals: Iterable[Tuple[int, int]]) -> int:
     """Number of integers in a sequence of disjoint inclusive intervals."""
     return sum(hi - lo + 1 for lo, hi in intervals)

@@ -20,7 +20,7 @@ from repro.datatypes.base import Operator, SerialDataType
 from repro.sim.cluster import SimulationParams
 from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
-from repro.sim.network import NetworkModel, SimulatedNetwork
+from repro.sim.network import SimulatedNetwork
 from repro.spec.guarantees import TraceRecord
 
 
@@ -40,15 +40,7 @@ class BaselineServiceBase:
         self.params = params or SimulationParams()
         self.rng = random.Random(seed)
         self.simulator = Simulator()
-        self.network = SimulatedNetwork(
-            NetworkModel(
-                df=self.params.df,
-                dg=self.params.dg,
-                jitter=self.params.jitter,
-                loss_probability=self.params.loss_probability,
-            ),
-            self.rng,
-        )
+        self.network = SimulatedNetwork(self.params, self.rng)
         self.client_ids: Tuple[str, ...] = tuple(client_ids)
         self.id_generators: Dict[str, OperationIdGenerator] = {
             c: OperationIdGenerator(c) for c in self.client_ids

@@ -47,6 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithm.checkpoint import (
+    CORRUPTION_MARKER,
     GENESIS_ORDER_DIGEST,
     OpIdSummary,
     canonical_repr,
@@ -56,11 +57,6 @@ from repro.algorithm.checkpoint import (
 from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.core.operations import OperationDescriptor, make_operation
 from repro.service.router import KeyRangeMove, KeyspaceDirectory, ShardRouter, stable_hash
-
-#: Marker wrapped around a migrated value tampered in flight by the
-#: corruption adversary (mirrors the checkpoint-transfer marker).
-MIGRATION_CORRUPTION_MARKER = "__corrupted__"
-
 
 def slice_digest(
     ops: Sequence[OperationDescriptor], values: Mapping[OperationId, Any]
@@ -147,7 +143,7 @@ def tamper_chunk(chunk: MigrationChunk) -> MigrationChunk:
     if chunk.values:
         (op_id, value), *rest = chunk.values
         return replace(
-            chunk, values=((op_id, (MIGRATION_CORRUPTION_MARKER, value)), *rest)
+            chunk, values=((op_id, (CORRUPTION_MARKER, value)), *rest)
         )
     return replace(chunk, ops=chunk.ops[1:])
 

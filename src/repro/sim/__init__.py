@@ -20,7 +20,7 @@ that throughput saturation and scaling are observable.
 """
 
 from repro.sim.events import EventQueue, Simulator
-from repro.sim.network import NetworkModel, SimulatedNetwork
+from repro.sim.network import SimulatedNetwork
 from repro.sim.metrics import LatencyRecord, MetricsCollector, PerShardMetrics
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
@@ -40,7 +40,6 @@ from repro.sim.faults import DelaySpike, FaultSchedule, GossipOutage, ReplicaCra
 __all__ = [
     "EventQueue",
     "Simulator",
-    "NetworkModel",
     "SimulatedNetwork",
     "LatencyRecord",
     "MetricsCollector",

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.algorithm.checkpoint import CORRUPTION_MARKER
 from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
 from repro.algorithm.node import ReplicaFactory
 from repro.common import ConfigurationError, OperationId, ensure_not_stale
@@ -32,12 +33,7 @@ from repro.datatypes.base import Operator, SerialDataType
 from repro.deployment import Deployment
 from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
-from repro.sim.network import NetworkModel, SimulatedNetwork
-
-#: Marker wrapped around a transfer payload entry tampered in flight by the
-#: corruption adversary — any repr-visible change would do; a distinct tag
-#: keeps debugging obvious.
-CORRUPTION_MARKER = "__corrupted__"
+from repro.sim.network import SimulatedNetwork
 
 
 def _tamper_transfer(message):
@@ -92,7 +88,8 @@ class SimulationParams:
     dg: float = 1.0
     #: Time between successive gossip sends from a replica (the paper's ``g``).
     gossip_period: float = 2.0
-    #: Delay jitter fraction; 0 means deterministic worst-case delays.
+    #: Delay jitter fraction: a delay bound ``d`` becomes a uniform draw from
+    #: ``[(1 - jitter) * d, d]``; 0 means deterministic worst-case delays.
     jitter: float = 0.0
     #: Per-message loss probability (safety must be unaffected).
     loss_probability: float = 0.0
@@ -122,6 +119,12 @@ class SimulationParams:
     replica: ReplicaConfig = field(default_factory=ReplicaConfig)
 
     def __post_init__(self) -> None:
+        if self.df < 0 or self.dg < 0:
+            raise ConfigurationError("delays must be non-negative")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ConfigurationError("jitter must be within [0, 1]")
+        if not 0.0 <= self.loss_probability < 1.0:
+            raise ConfigurationError("loss probability must be within [0, 1)")
         if self.request_fanout < 1:
             raise ConfigurationError("request_fanout must be at least 1")
         if self.frontend_policy not in ("affinity", "round_robin", "random"):
@@ -153,16 +156,7 @@ class SimulatedCluster(Deployment):
         # seeded event loop.
         self.rng = rng if rng is not None else random.Random(seed)
         self.simulator = simulator if simulator is not None else Simulator()
-        self.network = SimulatedNetwork(
-            NetworkModel(
-                df=self.params.df,
-                dg=self.params.dg,
-                jitter=self.params.jitter,
-                loss_probability=self.params.loss_probability,
-                spike_factor=self.params.spike_factor,
-            ),
-            self.rng,
-        )
+        self.network = SimulatedNetwork(self.params, self.rng)
         self.metrics = MetricsCollector()
 
         #: Where a message of each kind lands after its network delay.
@@ -492,7 +486,7 @@ class SimulatedCluster(Deployment):
         the receiver's cumulative ack would stall on the gap until the next
         full-state fallback."""
         network, now = self.network, self.simulator.now
-        if network.should_drop(kind, source, destination):
+        if network.should_drop(kind, now, source, destination):
             return
         if kind == "gossip":
             message = self.replicas[source].make_gossip(destination)

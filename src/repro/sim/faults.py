@@ -4,7 +4,10 @@ The paper's fault-tolerance claims are of two kinds: *safety* is unaffected
 by message loss, duplication, reordering and crashes (with the stable-storage
 caveat for locally generated labels), and *performance* recovers once the
 timing assumptions hold again (Theorem 9.4).  The fault classes below inject
-exactly those disturbances into a :class:`~repro.sim.cluster.SimulatedCluster`.
+exactly those disturbances into a :class:`~repro.sim.cluster.SimulatedCluster`:
+a :class:`ReplicaCrash` is a crash/recover event pair, every other fault a
+window the cluster's network asks on each send (see :mod:`repro.sim.network`).
+Every fault validates its parameters when it is built.
 """
 
 from __future__ import annotations
@@ -25,13 +28,15 @@ class ReplicaCrash:
     recover_at: Optional[float] = None
     volatile_memory: bool = True
 
+    def __post_init__(self) -> None:
+        if self.recover_at is not None and self.recover_at <= self.at:
+            raise ValueError("recover_at must come after the crash time")
+
     def install(self, cluster: SimulatedCluster) -> None:
         cluster.simulator.schedule_at(
             self.at, lambda: cluster.crash_replica(self.replica, self.volatile_memory)
         )
         if self.recover_at is not None:
-            if self.recover_at <= self.at:
-                raise ValueError("recover_at must come after the crash time")
             cluster.simulator.schedule_at(
                 self.recover_at, lambda: cluster.recover_replica(self.replica)
             )
@@ -40,8 +45,46 @@ class ReplicaCrash:
         return self.recover_at if self.recover_at is not None else self.at
 
 
+class _Window:
+    """A fault active during ``[start, end)``: it opens at its ``start``
+    event and from then on the network asks it one :attr:`question` per
+    send until ``now >= end``.  :meth:`verdict` answers for one target, or
+    returns ``None`` when the window does not cover it."""
+
+    question: str
+    start: float
+    end: float
+
+    def __post_init__(self) -> None:
+        if self.end <= self.start:
+            raise ValueError(f"{type(self).__name__} end must come after its start")
+
+    def install(self, cluster: SimulatedCluster) -> None:
+        cluster.simulator.schedule_at(self.start, lambda: self.open(cluster))
+
+    def open(self, cluster: SimulatedCluster) -> None:
+        cluster.network.windows.append(self)
+
+    def end_time(self) -> float:
+        return self.end
+
+
+class _ProbabilityWindow(_Window):
+    """A window whose verdict is one per-send coin probability."""
+
+    probability: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError(f"{type(self).__name__} probability must be within [0, 1]")
+
+    def verdict(self) -> float:
+        return self.probability
+
+
 @dataclass
-class GossipOutage:
+class GossipOutage(_Window):
     """Partition a replica away from gossip during ``[start, end)``.
 
     Messages to and from the replica are dropped by the network, which is how
@@ -53,20 +96,14 @@ class GossipOutage:
     start: float
     end: float
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        if self.end <= self.start:
-            raise ValueError("outage end must come after its start")
-        cluster.simulator.schedule_at(
-            self.start, lambda: cluster.network.partition(self.replica)
-        )
-        cluster.simulator.schedule_at(self.end, lambda: cluster.network.heal(self.replica))
+    question = "cut"
 
-    def end_time(self) -> float:
-        return self.end
+    def verdict(self, source: str, destination: str) -> Optional[bool]:
+        return self.replica in (source, destination) or None
 
 
 @dataclass
-class DelaySpike:
+class DelaySpike(_Window):
     """Multiply message delays by the network's ``spike_factor`` during
     ``[start, end)`` — a period in which the timing assumptions of
     Section 9.1 do not hold."""
@@ -74,19 +111,14 @@ class DelaySpike:
     start: float
     end: float
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        if self.end <= self.start:
-            raise ValueError("spike end must come after its start")
-        cluster.simulator.schedule_at(
-            self.start, lambda: cluster.network.start_delay_spike(self.end)
-        )
+    question = "spike"
 
-    def end_time(self) -> float:
-        return self.end
+    def verdict(self) -> bool:
+        return True
 
 
 @dataclass
-class AsymmetricPartition:
+class AsymmetricPartition(_Window):
     """Sever the *directed* link ``source -> destination`` during
     ``[start, end)``: the destination stops hearing the source, while
     traffic the other way still flows.
@@ -101,51 +133,39 @@ class AsymmetricPartition:
     start: float
     end: float
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        if self.end <= self.start:
-            raise ValueError("partition end must come after its start")
-        cluster.simulator.schedule_at(
-            self.start,
-            lambda: cluster.network.partition_link(self.source, self.destination),
-        )
-        cluster.simulator.schedule_at(
-            self.end, lambda: cluster.network.heal_link(self.source, self.destination)
-        )
+    question = "cut"
 
-    def end_time(self) -> float:
-        return self.end
+    def verdict(self, source: str, destination: str) -> Optional[bool]:
+        return (source, destination) == (self.source, self.destination) or None
 
 
 @dataclass
-class StragglerReplica:
+class StragglerReplica(_Window):
     """Multiply message delays to and from one replica by ``factor`` during
     ``[start, end)`` — a persistently slow node rather than a global spike.
 
     Unlike :class:`DelaySpike` this is per-node and ignores the network's
     ``spike_factor``; the two compose multiplicatively when both are
-    active."""
+    active, as do two stragglers at either end of one message."""
 
     replica: str
     factor: float
     start: float
     end: float
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        if self.end <= self.start:
-            raise ValueError("straggler end must come after its start")
-        cluster.simulator.schedule_at(
-            self.start, lambda: cluster.network.set_straggler(self.replica, self.factor)
-        )
-        cluster.simulator.schedule_at(
-            self.end, lambda: cluster.network.clear_straggler(self.replica)
-        )
+    question = "slowdown"
 
-    def end_time(self) -> float:
-        return self.end
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.factor < 1.0:
+            raise ValueError("straggler factor must be >= 1 (never speeds up)")
+
+    def verdict(self, node: str) -> Optional[float]:
+        return self.factor if node == self.replica else None
 
 
 @dataclass
-class DuplicateMessages:
+class DuplicateMessages(_ProbabilityWindow):
     """Deliver a second copy of each message with ``probability`` during
     ``[start, end)``.
 
@@ -157,20 +177,11 @@ class DuplicateMessages:
     end: float
     probability: float = 1.0
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        if self.end <= self.start:
-            raise ValueError("duplication end must come after its start")
-        cluster.simulator.schedule_at(
-            self.start,
-            lambda: cluster.network.start_duplication(self.end, self.probability),
-        )
-
-    def end_time(self) -> float:
-        return self.end
+    question = "duplicate"
 
 
 @dataclass
-class CorruptTransfers:
+class CorruptTransfers(_ProbabilityWindow):
     """Flip bytes in checkpoint-transfer chunks with ``probability`` during
     ``[start, end)``.
 
@@ -183,25 +194,16 @@ class CorruptTransfers:
     end: float
     probability: float = 1.0
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        if self.end <= self.start:
-            raise ValueError("corruption end must come after its start")
-        cluster.simulator.schedule_at(
-            self.start,
-            lambda: cluster.network.start_corruption(self.end, self.probability),
-        )
-
-    def end_time(self) -> float:
-        return self.end
+    question = "corrupt"
 
 
 @dataclass
-class ClockSkew:
+class ClockSkew(_Window):
     """Skew each affected replica's local clock by a fixed offset drawn
     uniformly from ``[-max_skew, +max_skew]`` during ``[start, end)``.
 
-    The offsets are drawn from the dedicated ``fault_rng`` stream at
-    install time (one draw per affected replica, in replica-id order), so
+    The offsets are drawn from the dedicated ``fault_rng`` stream when the
+    window opens (one draw per affected replica, in replica-id order), so
     enabling the adversary never consumes primary-stream randomness — the
     delivery schedule is bit-identical with and without it.  The algorithm
     is asynchronous and never reads clocks for correctness; the only
@@ -216,27 +218,21 @@ class ClockSkew:
     max_skew: float = 5.0
     replicas: Optional[List[str]] = None
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        if self.end <= self.start:
-            raise ValueError("skew end must come after its start")
+    question = "skew"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_skew < 0:
             raise ValueError("max_skew must be non-negative")
-        targets = list(self.replicas) if self.replicas is not None else list(cluster.replica_ids)
 
-        def begin() -> None:
-            for node in targets:
-                offset = cluster.network.fault_rng.uniform(-self.max_skew, self.max_skew)
-                cluster.network.set_clock_skew(node, offset)
+    def open(self, cluster: SimulatedCluster) -> None:
+        targets = self.replicas if self.replicas is not None else cluster.replica_ids
+        draw = cluster.network.fault_rng.uniform
+        self.offsets = {node: draw(-self.max_skew, self.max_skew) for node in targets}
+        super().open(cluster)
 
-        def finish() -> None:
-            for node in targets:
-                cluster.network.clear_clock_skew(node)
-
-        cluster.simulator.schedule_at(self.start, begin)
-        cluster.simulator.schedule_at(self.end, finish)
-
-    def end_time(self) -> float:
-        return self.end
+    def verdict(self, node: str) -> Optional[float]:
+        return self.offsets.get(node)
 
 
 @dataclass
@@ -292,7 +288,8 @@ def fault_to_dict(fault: Any) -> Dict[str, Any]:
 
 def fault_from_dict(doc: Dict[str, Any]) -> Any:
     """Rebuild a fault from :func:`fault_to_dict` output.  Unknown keys
-    (e.g. the sharded harness's ``shard`` attribution) are ignored."""
+    (e.g. the sharded harness's ``shard`` attribution) are ignored; malformed
+    parameters raise ``ValueError`` here, not when the fault fires."""
     fields = dict(doc)
     kind = fields.pop("kind", None)
     if kind not in FAULT_KINDS:

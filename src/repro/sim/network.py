@@ -3,55 +3,35 @@
 Delays follow the Section 9.1 parameters: ``df`` bounds front-end <-> replica
 delivery, ``dg`` bounds replica <-> replica (gossip) delivery.  Deliveries may
 optionally be jittered below the bound (the bound is an upper bound in the
-paper), dropped, or delayed by fault windows (used for the Theorem 9.4
-recovery experiment E4).
+paper) or dropped; both are read straight off
+:class:`~repro.sim.cluster.SimulationParams`.
 
-Beyond the symmetric partition / delay-spike model, the network supports the
-richer adversaries of the conformance suite: *directed* link partitions (A
-hears B but not vice versa), per-node straggler factors (a persistently slow
-replica), message duplication windows, and checkpoint-transfer corruption
-windows.  Fault-window randomness (duplicate / corrupt coin flips) is drawn
-from a dedicated ``fault_rng`` stream so that enabling an adversary never
-perturbs the primary delay/loss stream — a cluster with a duplication window
-sees exactly the same primary deliveries as one without, which is what makes
-the duplicate-idempotence twin tests (and the conformance vectors) exact.
+Every other disturbance is a fault *window* (:mod:`repro.sim.faults`) that
+the network asks on each send: is this link cut, how much slower is this
+node, is a delay spike on, with what probability is this send duplicated or
+this transfer corrupted, what is this node's clock offset.  A window answers
+from its opening event until ``now >= end``; when several open windows
+answer the same question for the same target, the most recently opened one
+governs, so overlapping windows never cut each other short.  Fault-window
+randomness (duplicate / corrupt coin flips) is drawn from a dedicated
+``fault_rng`` stream so that enabling an adversary never perturbs the
+primary delay/loss stream — a cluster with a duplication window sees exactly
+the same primary deliveries as one without, which is what makes the
+duplicate-idempotence twin tests (and the conformance vectors) exact.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional
+
+if TYPE_CHECKING:
+    from repro.sim.cluster import SimulationParams
 
 #: Seed of the auxiliary fault stream.  A fixed constant: fault coins must be
 #: reproducible per cluster without consuming draws from the primary rng.
 FAULT_STREAM_SEED = 0x5E5D5
-
-
-@dataclass
-class NetworkModel:
-    """Delay / loss configuration.
-
-    ``df`` and ``dg`` are the *maximum* delays; with ``jitter`` in ``(0, 1]``
-    the actual delay is drawn uniformly from ``[(1-jitter)*d, d]``.  Loss is
-    applied per message.  ``partition`` is a set of replica identifiers that
-    are currently unreachable (messages to or from them are dropped).
-    """
-
-    df: float = 1.0
-    dg: float = 1.0
-    jitter: float = 0.0
-    loss_probability: float = 0.0
-    #: Multiplier applied to delays during a delay-spike fault window.
-    spike_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.df < 0 or self.dg < 0:
-            raise ValueError("delays must be non-negative")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ValueError("loss probability must be within [0, 1)")
 
 
 @dataclass
@@ -82,104 +62,46 @@ class MessageCounters:
 
 
 class SimulatedNetwork:
-    """Computes delays and applies loss/partition policy for the cluster."""
+    """Computes delays and applies loss and the open fault windows for the
+    cluster."""
 
-    def __init__(self, model: NetworkModel, rng: random.Random) -> None:
-        self.model = model
+    def __init__(self, params: "SimulationParams", rng: random.Random) -> None:
+        self.params = params
         self.rng = rng
         self.counters = MessageCounters()
-        #: Replica / client identifiers currently partitioned away.
-        self.partitioned: Set[str] = set()
-        #: Directed ``(source, destination)`` pairs currently severed —
-        #: the asymmetric-partition adversary (A hears B but not vice versa).
-        self.partitioned_links: Set[Tuple[str, str]] = set()
-        #: Per-node persistent delay multipliers (straggler replicas);
-        #: messages to *or* from a straggler are slowed by its factor.
-        self.stragglers: Dict[str, float] = {}
-        #: When > simulator time, delays are multiplied by ``spike_factor``.
-        self._spike_until: float = float("-inf")
-        #: Duplication window: until when / with what per-message probability.
-        self._duplicate_until: float = float("-inf")
-        self._duplicate_probability: float = 0.0
-        #: Corruption window for checkpoint transfers.
-        self._corrupt_until: float = float("-inf")
-        self._corrupt_probability: float = 0.0
-        #: Per-node local-clock offsets (the clock-skew adversary): a node's
-        #: local clock reads ``now + skew``.  Only message *timestamps* are
-        #: affected — delivery scheduling always uses true simulated time, and
-        #: the algorithm itself never reads clocks (its correctness is
-        #: asynchronous), so skew is observable but never schedule-perturbing.
-        self.clock_skews: Dict[str, float] = {}
+        #: Open fault windows, in opening order (a window appends itself when
+        #: its start event fires; closed ones are pruned when next asked).
+        self.windows: List[Any] = []
         #: Auxiliary stream for fault-window coin flips (see module docstring).
         self.fault_rng = random.Random(FAULT_STREAM_SEED)
 
-    # -- fault control ---------------------------------------------------------
-
-    def partition(self, node: str) -> None:
-        """Disconnect *node*: messages to or from it are dropped."""
-        self.partitioned.add(node)
-
-    def heal(self, node: str) -> None:
-        """Reconnect *node*."""
-        self.partitioned.discard(node)
-
-    def partition_link(self, source: str, destination: str) -> None:
-        """Sever the directed link ``source -> destination`` only; traffic in
-        the other direction still flows (asymmetric partition)."""
-        self.partitioned_links.add((source, destination))
-
-    def heal_link(self, source: str, destination: str) -> None:
-        """Restore the directed link ``source -> destination``."""
-        self.partitioned_links.discard((source, destination))
-
-    def set_straggler(self, node: str, factor: float) -> None:
-        """Multiply delays of messages to or from *node* by *factor*."""
-        if factor < 1.0:
-            raise ValueError("straggler factor must be >= 1 (never speeds up)")
-        self.stragglers[node] = factor
-
-    def clear_straggler(self, node: str) -> None:
-        """Restore *node* to normal speed."""
-        self.stragglers.pop(node, None)
-
-    def start_delay_spike(self, until: float) -> None:
-        """Multiply delays by ``spike_factor`` until simulation time *until*."""
-        self._spike_until = until
-
-    def start_duplication(self, until: float, probability: float) -> None:
-        """Deliver a second copy of each message with *probability* until
-        simulation time *until*."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("duplication probability must be within [0, 1]")
-        self._duplicate_until = until
-        self._duplicate_probability = probability
-
-    def start_corruption(self, until: float, probability: float) -> None:
-        """Flip bytes in checkpoint-transfer chunks with *probability* until
-        simulation time *until*."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("corruption probability must be within [0, 1]")
-        self._corrupt_until = until
-        self._corrupt_probability = probability
-
-    def set_clock_skew(self, node: str, offset: float) -> None:
-        """Skew *node*'s local clock by *offset* time units (either sign)."""
-        self.clock_skews[node] = offset
-
-    def clear_clock_skew(self, node: str) -> None:
-        """Re-synchronize *node*'s local clock with simulated time."""
-        self.clock_skews.pop(node, None)
-
-    def local_clock(self, node: str, now: float) -> float:
-        """What *node*'s local clock reads at true simulated time *now*."""
-        return now + self.clock_skews.get(node, 0.0)
+    def _ask(self, question: str, now: float, *target: str) -> Any:
+        """The verdict of the most recently opened window still open at
+        *now* that answers *question* for *target*, or ``None``.  Simulated
+        time never runs backwards, so a window closed at *now* is dropped."""
+        windows = self.windows
+        if any(now >= window.end for window in windows):
+            windows[:] = [window for window in windows if now < window.end]
+        for window in reversed(windows):
+            if window.question == question:
+                verdict = window.verdict(*target)
+                if verdict is not None:
+                    return verdict
+        return None
 
     # -- delay / loss decisions ------------------------------------------------
 
+    def local_clock(self, node: str, now: float) -> float:
+        """What *node*'s local clock reads at true simulated time *now*.
+        Only message *timestamps* are skewed — delivery scheduling always
+        uses true simulated time, and the algorithm never reads clocks."""
+        offset = self._ask("skew", now, node) if self.windows else None
+        return now if offset is None else now + offset
+
     def _base_delay(self, kind: str, rng: random.Random) -> float:
-        bound = self.model.df if kind in ("request", "response") else self.model.dg
-        if self.model.jitter > 0:
-            low = (1.0 - self.model.jitter) * bound
+        bound = self.params.df if kind in ("request", "response") else self.params.dg
+        if self.params.jitter > 0:
+            low = (1.0 - self.params.jitter) * bound
             return rng.uniform(low, bound)
         return bound
 
@@ -193,22 +115,21 @@ class SimulatedNetwork:
     ) -> float:
         """The delivery delay for a message of the given kind sent at *now*."""
         delay = self._base_delay(kind, self.rng if _rng is None else _rng)
-        if now < self._spike_until:
-            delay *= max(self.model.spike_factor, 1.0)
-        for node in (source, destination):
-            if node is not None and node in self.stragglers:
-                delay *= self.stragglers[node]
+        if self.windows:
+            if self._ask("spike", now):
+                delay *= max(self.params.spike_factor, 1.0)
+            for node in (source, destination):
+                factor = None if node is None else self._ask("slowdown", now, node)
+                if factor is not None:
+                    delay *= factor
         return delay
 
-    def should_drop(self, kind: str, source: str, destination: str) -> bool:
-        """Loss and partition policy."""
-        if source in self.partitioned or destination in self.partitioned:
+    def should_drop(self, kind: str, now: float, source: str, destination: str) -> bool:
+        """Partition and loss policy: a cut link drops before the loss coin."""
+        if self.windows and self._ask("cut", now, source, destination):
             self.counters.dropped += 1
             return True
-        if (source, destination) in self.partitioned_links:
-            self.counters.dropped += 1
-            return True
-        if self.model.loss_probability > 0 and self.rng.random() < self.model.loss_probability:
+        if self.params.loss_probability > 0 and self.rng.random() < self.params.loss_probability:
             self.counters.dropped += 1
             return True
         return False
@@ -220,7 +141,7 @@ class SimulatedNetwork:
         source: Optional[str] = None,
         destination: Optional[str] = None,
     ) -> Optional[float]:
-        """Inside an active duplication window, decide whether this send gets
+        """Inside an open duplication window, decide whether this send gets
         a second delivery; returns the extra copy's delay, or ``None``.
 
         Both the coin flip and the duplicate's jitter come from the fault
@@ -229,19 +150,17 @@ class SimulatedNetwork:
         particular a duplicated delta-gossip message carries the *same*
         seqno, which the receiver's cumulative-ack stream deduplicates.
         """
-        if now >= self._duplicate_until or self._duplicate_probability <= 0.0:
-            return None
-        if self.fault_rng.random() >= self._duplicate_probability:
+        probability = self._ask("duplicate", now) if self.windows else None
+        if not probability or self.fault_rng.random() >= probability:
             return None
         self.counters.duplicated += 1
         return self.delay_for(kind, now, source, destination, _rng=self.fault_rng)
 
     def should_corrupt_transfer(self, now: float) -> bool:
-        """Inside an active corruption window, decide whether this transfer
+        """Inside an open corruption window, decide whether this transfer
         chunk gets tampered in flight (coin from the fault stream)."""
-        if now >= self._corrupt_until or self._corrupt_probability <= 0.0:
-            return False
-        if self.fault_rng.random() >= self._corrupt_probability:
+        probability = self._ask("corrupt", now) if self.windows else None
+        if not probability or self.fault_rng.random() >= probability:
             return False
         self.counters.corrupted += 1
         return True

@@ -443,7 +443,7 @@ class ShardedCluster(ShardSet):
 
     def _send_slice(self, leg: _PairMigration) -> None:
         """(Re-)send the whole slice in digest-verified chunks over the
-        source shard's network — subject to its loss, delay and
+        source shard's network — subject to its loss, delay, duplication and
         transfer-corruption adversaries, with byte accounting on the
         ``transfer`` kind.  Each send uses a fresh epoch; a lost or rejected
         body simply waits out ``resend_at`` and ships again."""
@@ -453,13 +453,17 @@ class ShardedCluster(ShardSet):
         network = self.shards[leg.source].network
         now = self.simulator.now
         for chunk in chunks:
-            if network.should_drop("transfer", leg.source, leg.destination):
+            if network.should_drop("transfer", now, leg.source, leg.destination):
                 continue
             network.record_sent("transfer", payload_size=chunk.size_estimate())
             if network.should_corrupt_transfer(now):
                 chunk = tamper_chunk(chunk)
+            deliver = lambda c=chunk: self._deliver_migration_chunk(leg, c)
             delay = network.delay_for("transfer", now, leg.source, leg.destination)
-            self.simulator.schedule(delay, lambda c=chunk: self._deliver_migration_chunk(leg, c))
+            self.simulator.schedule(delay, deliver)
+            dup = network.maybe_duplicate("transfer", now, leg.source, leg.destination)
+            if dup is not None:
+                self.simulator.schedule(dup, deliver)
         leg.resend_at = now + max(4 * self.params.dg, 2 * self.params.gossip_period)
 
     def _deliver_migration_chunk(self, leg: _PairMigration, chunk) -> None:

@@ -856,12 +856,12 @@ class TestSimulatedAdvertPull:
         to_drop = {"pull": 2, "transfer": 3}
         original = cluster.network.should_drop
 
-        def lossy(kind, source, destination):
+        def lossy(kind, now, source, destination):
             if to_drop.get(kind, 0) > 0:
                 to_drop[kind] -= 1
                 cluster.network.counters.dropped += 1
                 return True
-            return original(kind, source, destination)
+            return original(kind, now, source, destination)
 
         cluster.network.should_drop = lossy
         self.finish_and_check(cluster)

@@ -23,6 +23,7 @@ from repro.service.keyed import KeyedStore
 from repro.service.reshard import ReshardPlan, SliceLeg, cut_slice
 from repro.service.router import ShardRouter
 from repro.sim.cluster import SimulationParams
+from repro.sim.faults import CorruptTransfers, DuplicateMessages
 from repro.sim.sharded import ShardedCluster
 
 KEYS = [f"k{i}" for i in range(16)]
@@ -242,14 +243,37 @@ class TestReshardUnderFaults:
         rng = random.Random(3)
         chained_traffic(cluster, rng, 16)
         for shard in cluster.shards.values():
-            shard.network.start_corruption(
-                until=cluster.now + 30.0, probability=1.0
-            )
+            CorruptTransfers(
+                start=cluster.now, end=cluster.now + 30.0, probability=1.0
+            ).install(shard)
         handle = cluster.add_shard("s2")
         cluster.run_until_resharded(handle, max_time=20_000.0)
         assert handle.done
         assert handle.transfer_rejections > 0  # corrupted chunks were caught
         finish(cluster)
+
+    def test_duplicated_slice_chunks_are_idempotent(self):
+        """Migration chunks face the duplication adversary like every other
+        send: under a 100% duplication window each chunk is delivered twice,
+        and the slice assembly absorbs the copies."""
+        cluster = make_cluster(num_shards=2, seed=3)
+        chained_traffic(cluster, random.Random(3), 16)
+        for shard in cluster.shards.values():
+            DuplicateMessages(start=cluster.now, end=cluster.now + 200.0).install(shard)
+        delivered = []
+        deliver = cluster._deliver_migration_chunk
+
+        def counting(leg, chunk):
+            delivered.append(chunk)
+            deliver(leg, chunk)
+
+        cluster._deliver_migration_chunk = counting
+        handle = cluster.add_shard("s2")
+        cluster.run_until_resharded(handle, max_time=20_000.0)
+        assert handle.done
+        sent = sum(shard.network.counters.transfer for shard in cluster.shards.values())
+        assert 0 < sent < len(delivered)
+        finish(cluster)  # includes check_reshard_handoffs
 
     def test_source_crash_mid_handoff_blocks_until_recovery(self):
         # Volatile crashes can lose a replica's owed responses; the fault

@@ -66,6 +66,7 @@ from repro.conformance.scenario import (
 )
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulationParams
+from repro.sim.faults import CorruptTransfers
 from repro.sim.sharded import ShardedCluster
 
 FUZZ_SEEDS = list(range(int(os.environ.get("FUZZ_SEEDS", "20"))))
@@ -446,10 +447,11 @@ def reshard_under_faults(seed, fast_core):
     corrupting = rng.random() < 0.6
     if corrupting:
         for shard in cluster.shards.values():
-            shard.network.start_corruption(
-                until=cluster.now + rng.uniform(10.0, 25.0),
+            CorruptTransfers(
+                start=cluster.now,
+                end=cluster.now + rng.uniform(10.0, 25.0),
                 probability=rng.uniform(0.5, 1.0),
-            )
+            ).install(shard)
 
     grow = num_shards == 2 or rng.random() < 0.6
     if grow:

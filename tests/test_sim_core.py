@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from repro.common import OperationIdGenerator
+from repro.common import ConfigurationError, OperationIdGenerator
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.sim.events import EventQueue, Simulator
 from repro.sim.metrics import LatencyRecord, LatencySummary, MetricsCollector, classify_operation
-from repro.sim.network import NetworkModel, SimulatedNetwork
+from repro.sim.cluster import SimulationParams
+from repro.sim.faults import DelaySpike, GossipOutage
+from repro.sim.network import SimulatedNetwork
 
 
 class TestEventQueue:
@@ -92,49 +94,48 @@ class TestSimulator:
         assert sim.now == 2.0
 
 
-class TestNetworkModel:
+class TestSimulatedNetwork:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NetworkModel(df=-1)
-        with pytest.raises(ValueError):
-            NetworkModel(jitter=2.0)
-        with pytest.raises(ValueError):
-            NetworkModel(loss_probability=1.0)
+        with pytest.raises(ConfigurationError):
+            SimulationParams(df=-1)
+        with pytest.raises(ConfigurationError):
+            SimulationParams(jitter=2.0)
+        with pytest.raises(ConfigurationError):
+            SimulationParams(loss_probability=1.0)
 
     def test_deterministic_delays(self):
-        network = SimulatedNetwork(NetworkModel(df=2.0, dg=3.0), random.Random(0))
+        network = SimulatedNetwork(SimulationParams(df=2.0, dg=3.0), random.Random(0))
         assert network.delay_for("request", now=0.0) == 2.0
         assert network.delay_for("response", now=0.0) == 2.0
         assert network.delay_for("gossip", now=0.0) == 3.0
 
     def test_jitter_stays_below_bound(self):
-        network = SimulatedNetwork(NetworkModel(df=2.0, dg=3.0, jitter=0.5), random.Random(0))
+        network = SimulatedNetwork(SimulationParams(df=2.0, dg=3.0, jitter=0.5), random.Random(0))
         for _ in range(50):
             assert 1.0 <= network.delay_for("request", 0.0) <= 2.0
             assert 1.5 <= network.delay_for("gossip", 0.0) <= 3.0
 
     def test_delay_spike(self):
-        network = SimulatedNetwork(NetworkModel(df=1.0, dg=1.0, spike_factor=5.0), random.Random(0))
-        network.start_delay_spike(until=10.0)
+        network = SimulatedNetwork(SimulationParams(spike_factor=5.0), random.Random(0))
+        network.windows.append(DelaySpike(start=0.0, end=10.0))  # what opening does
         assert network.delay_for("request", now=5.0) == 5.0
         assert network.delay_for("request", now=15.0) == 1.0
 
     def test_partition_drops(self):
-        network = SimulatedNetwork(NetworkModel(), random.Random(0))
-        network.partition("r1")
-        assert network.should_drop("gossip", "r0", "r1")
-        assert network.should_drop("gossip", "r1", "r0")
-        network.heal("r1")
-        assert not network.should_drop("gossip", "r0", "r1")
+        network = SimulatedNetwork(SimulationParams(), random.Random(0))
+        network.windows.append(GossipOutage("r1", start=0.0, end=10.0))
+        assert network.should_drop("gossip", 5.0, "r0", "r1")
+        assert network.should_drop("gossip", 5.0, "r1", "r0")
+        assert not network.should_drop("gossip", 10.0, "r0", "r1")
         assert network.counters.dropped == 2
 
     def test_loss_probability_one_sided(self):
-        always = SimulatedNetwork(NetworkModel(loss_probability=0.999), random.Random(1))
-        dropped = sum(always.should_drop("request", "a", "b") for _ in range(100))
+        always = SimulatedNetwork(SimulationParams(loss_probability=0.999), random.Random(1))
+        dropped = sum(always.should_drop("request", 0.0, "a", "b") for _ in range(100))
         assert dropped > 90
 
     def test_record_sent_counts(self):
-        network = SimulatedNetwork(NetworkModel(), random.Random(0))
+        network = SimulatedNetwork(SimulationParams(), random.Random(0))
         network.record_sent("request")
         network.record_sent("response")
         network.record_sent("gossip", payload_size=7)

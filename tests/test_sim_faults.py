@@ -22,6 +22,7 @@ from repro.sim.cluster import (
 )
 from repro.sim.faults import (
     AsymmetricPartition,
+    ClockSkew,
     CorruptTransfers,
     DelaySpike,
     DuplicateMessages,
@@ -29,12 +30,18 @@ from repro.sim.faults import (
     GossipOutage,
     ReplicaCrash,
     StragglerReplica,
+    fault_from_dict,
 )
 
 
 def make_cluster(**params_kwargs):
     params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0, **params_kwargs)
     return SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=1)
+
+
+def cut(cluster, source, destination):
+    """Would the (loss-free) network drop a send on this link right now?"""
+    return cluster.network.should_drop("gossip", cluster.now, source, destination)
 
 
 class TestReplicaCrash:
@@ -82,19 +89,19 @@ class TestGossipOutage:
         cluster = make_cluster()
         GossipOutage("r1", start=2.0, end=6.0).install(cluster)
         cluster.run(1.9)
-        assert "r1" not in cluster.network.partitioned
+        assert not cut(cluster, "r0", "r1")
         cluster.run(0.2)
-        assert "r1" in cluster.network.partitioned
+        assert cut(cluster, "r0", "r1")
         cluster.run(4.0)  # past t=6.0
-        assert "r1" not in cluster.network.partitioned
+        assert not cut(cluster, "r0", "r1")
 
     def test_partitioned_replica_drops_messages_both_ways(self):
         cluster = make_cluster()
-        cluster.network.partition("r1")
+        GossipOutage("r1", start=0.0, end=6.0).open(cluster)
         dropped_before = cluster.network.counters.dropped
-        assert cluster.network.should_drop("gossip", "r0", "r1")
-        assert cluster.network.should_drop("gossip", "r1", "r0")
-        assert not cluster.network.should_drop("gossip", "r0", "r2")
+        assert cut(cluster, "r0", "r1")
+        assert cut(cluster, "r1", "r0")
+        assert not cut(cluster, "r0", "r2")
         assert cluster.network.counters.dropped == dropped_before + 2
 
     def test_end_time_and_validation(self):
@@ -132,20 +139,19 @@ class TestAsymmetricPartition:
         cluster = make_cluster()
         AsymmetricPartition("r0", "r1", start=2.0, end=6.0).install(cluster)
         cluster.run(1.9)
-        assert ("r0", "r1") not in cluster.network.partitioned_links
-        assert not cluster.network.should_drop("gossip", "r0", "r1")
+        assert not cut(cluster, "r0", "r1")
         cluster.run(0.2)  # inside the window
-        assert cluster.network.should_drop("gossip", "r0", "r1")
-        assert not cluster.network.should_drop("gossip", "r1", "r0")  # reverse flows
-        assert not cluster.network.should_drop("gossip", "r0", "r2")
+        assert cut(cluster, "r0", "r1")
+        assert not cut(cluster, "r1", "r0")  # reverse flows
+        assert not cut(cluster, "r0", "r2")
         cluster.run(4.0)  # past t=6.0
-        assert not cluster.network.should_drop("gossip", "r0", "r1")
+        assert not cut(cluster, "r0", "r1")
 
     def test_drops_are_counted(self):
         cluster = make_cluster()
-        cluster.network.partition_link("r2", "r0")
+        AsymmetricPartition("r2", "r0", start=0.0, end=6.0).open(cluster)
         before = cluster.network.counters.dropped
-        assert cluster.network.should_drop("gossip", "r2", "r0")
+        assert cut(cluster, "r2", "r0")
         assert cluster.network.counters.dropped == before + 1
 
     def test_end_time_and_validation(self):
@@ -170,14 +176,13 @@ class TestStragglerReplica:
 
     def test_two_stragglers_compound(self):
         cluster = make_cluster()
-        cluster.network.set_straggler("r0", 2.0)
-        cluster.network.set_straggler("r1", 3.0)
+        StragglerReplica("r0", factor=2.0, start=0.0, end=5.0).open(cluster)
+        StragglerReplica("r1", factor=3.0, start=0.0, end=5.0).open(cluster)
         assert cluster.network.delay_for("gossip", cluster.now, "r0", "r1") == 6.0
 
     def test_factor_below_one_rejected(self):
-        cluster = make_cluster()
         with pytest.raises(ValueError):
-            cluster.network.set_straggler("r1", 0.5)
+            StragglerReplica("r1", factor=0.5, start=0.0, end=5.0)
 
     def test_end_time_and_validation(self):
         assert StragglerReplica("r1", factor=2.0, start=1.0, end=4.0).end_time() == 4.0
@@ -190,7 +195,7 @@ class TestDuplicateMessages:
         cluster = make_cluster()
         network = cluster.network
         assert network.maybe_duplicate("gossip", 0.0, "r0", "r1") is None
-        network.start_duplication(until=10.0, probability=1.0)
+        DuplicateMessages(start=0.0, end=10.0, probability=1.0).open(cluster)
         extra = network.maybe_duplicate("gossip", 5.0, "r0", "r1")
         assert extra is not None and extra > 0.0
         assert network.counters.duplicated == 1
@@ -198,7 +203,7 @@ class TestDuplicateMessages:
         # so the overhead metrics stay comparable across the adversary.
         assert network.counters.gossip == 0
         assert network.maybe_duplicate("gossip", 10.0, "r0", "r1") is None  # window over
-        network.start_duplication(until=20.0, probability=0.0)
+        DuplicateMessages(start=10.0, end=20.0, probability=0.0).open(cluster)
         assert network.maybe_duplicate("gossip", 15.0, "r0", "r1") is None
 
     def test_end_time_and_validation(self):
@@ -206,7 +211,7 @@ class TestDuplicateMessages:
         with pytest.raises(ValueError):
             DuplicateMessages(start=9.0, end=9.0).install(make_cluster())
         with pytest.raises(ValueError):
-            make_cluster().network.start_duplication(until=1.0, probability=1.5)
+            DuplicateMessages(start=0.0, end=1.0, probability=1.5)
 
     @staticmethod
     def _run_twin(duplicate):
@@ -264,7 +269,7 @@ class TestCorruptTransfers:
         cluster = make_cluster()
         network = cluster.network
         assert not network.should_corrupt_transfer(0.0)
-        network.start_corruption(until=10.0, probability=1.0)
+        CorruptTransfers(start=0.0, end=10.0, probability=1.0).open(cluster)
         assert network.should_corrupt_transfer(5.0)
         assert network.counters.corrupted == 1
         assert not network.should_corrupt_transfer(10.0)  # window over
@@ -274,7 +279,7 @@ class TestCorruptTransfers:
         with pytest.raises(ValueError):
             CorruptTransfers(start=9.0, end=9.0).install(make_cluster())
         with pytest.raises(ValueError):
-            make_cluster().network.start_corruption(until=1.0, probability=-0.1)
+            CorruptTransfers(start=0.0, end=1.0, probability=-0.1)
 
     def test_tampered_transfer_rejected_clean_transfer_adopted(self):
         """The digest check end of the story, in isolation: a receiver that
@@ -456,6 +461,102 @@ class TestMalformedTransferHeaders:
         _assert_rejected_then_healed(cluster)
 
 
+def _skew_of(cluster, node):
+    return round(cluster.network.local_clock(node, cluster.now) - cluster.now, 9)
+
+
+#: kind -> (outer window, inner window of the same kind and target, probe).
+#: The outer window spans [1, 9), the inner one [3, 6) ends first.
+OVERLAPS = {
+    "outage": (
+        GossipOutage("r1", start=1.0, end=9.0),
+        GossipOutage("r1", start=3.0, end=6.0),
+        lambda cluster: cut(cluster, "r0", "r1"),
+    ),
+    "asymmetric_partition": (
+        AsymmetricPartition("r0", "r1", start=1.0, end=9.0),
+        AsymmetricPartition("r0", "r1", start=3.0, end=6.0),
+        lambda cluster: cut(cluster, "r0", "r1"),
+    ),
+    "spike": (
+        DelaySpike(start=1.0, end=9.0),
+        DelaySpike(start=3.0, end=6.0),
+        lambda cluster: cluster.network.delay_for("gossip", cluster.now),
+    ),
+    "straggler": (
+        StragglerReplica("r1", factor=2.0, start=1.0, end=9.0),
+        StragglerReplica("r1", factor=3.0, start=3.0, end=6.0),
+        lambda cluster: cluster.network.delay_for("gossip", cluster.now, "r1", "r0"),
+    ),
+    "duplication": (
+        DuplicateMessages(start=1.0, end=9.0, probability=1.0),
+        DuplicateMessages(start=3.0, end=6.0, probability=0.0),
+        lambda cluster: cluster.network.maybe_duplicate("gossip", cluster.now) is not None,
+    ),
+    "corruption": (
+        CorruptTransfers(start=1.0, end=9.0, probability=1.0),
+        CorruptTransfers(start=3.0, end=6.0, probability=0.0),
+        lambda cluster: cluster.network.should_corrupt_transfer(cluster.now),
+    ),
+    "clock_skew": (
+        ClockSkew(start=1.0, end=9.0, max_skew=4.0, replicas=["r1"]),
+        ClockSkew(start=3.0, end=6.0, max_skew=4.0, replicas=["r1"]),
+        lambda cluster: _skew_of(cluster, "r1"),
+    ),
+}
+
+
+class TestOverlappingWindows:
+    @pytest.mark.parametrize("kind", sorted(OVERLAPS))
+    def test_outer_window_outlives_an_inner_one(self, kind):
+        """The inner window closing leaves the outer one in force until
+        its own end."""
+        outer, inner, probe = OVERLAPS[kind]
+        cluster = make_cluster(spike_factor=4.0)
+        FaultSchedule().add(outer).add(inner).install(cluster)
+        cluster.run(2.0)  # only the outer window is open
+        outer_answer = probe(cluster)
+        cluster.run(5.0)  # t=7: the inner window has closed
+        assert probe(cluster) == outer_answer
+        cluster.run(3.0)  # t=10: nothing open
+        assert probe(cluster) != outer_answer
+
+    def test_most_recently_opened_window_governs(self):
+        cluster = make_cluster()
+        for kind in ("straggler", "duplication"):
+            outer, inner, _probe = OVERLAPS[kind]
+            FaultSchedule().add(outer).add(inner).install(cluster)
+        cluster.run(4.0)  # both pairs open
+        network = cluster.network
+        assert network.delay_for("gossip", cluster.now, "r1", "r0") == 3.0
+        assert network.maybe_duplicate("gossip", cluster.now) is None
+
+
+#: Malformed fault documents: each must be refused when it loads.
+MALFORMED = {
+    "crash": {"kind": "replica_crash", "replica": "r0", "at": 5.0, "recover_at": 5.0},
+    "outage": {"kind": "gossip_outage", "replica": "r0", "start": 4.0, "end": 4.0},
+    "spike": {"kind": "delay_spike", "start": 4.0, "end": 3.0},
+    "partition": {
+        "kind": "asymmetric_partition",
+        "source": "r0",
+        "destination": "r1",
+        "start": 2.0,
+        "end": 2.0,
+    },
+    "straggler": {"kind": "straggler", "replica": "r0", "factor": 0.5, "start": 1.0, "end": 4.0},
+    "duplicate": {"kind": "duplicate_messages", "start": 1.0, "end": 4.0, "probability": 1.5},
+    "corrupt": {"kind": "corrupt_transfers", "start": 1.0, "end": 4.0, "probability": -0.1},
+    "skew": {"kind": "clock_skew", "start": 1.0, "end": 4.0, "max_skew": -1.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_fault_document_fails_on_load(name):
+    with pytest.raises(ValueError):
+        fault_from_dict(MALFORMED[name])
+
+
 class TestFaultSchedule:
     def test_add_chains_and_install_installs_everything(self):
         cluster = make_cluster()
@@ -469,10 +570,10 @@ class TestFaultSchedule:
         schedule.install(cluster)
         cluster.run(2.5)
         assert cluster.nodes["r0"].crashed
-        assert "r1" in cluster.network.partitioned
+        assert cut(cluster, "r1", "r2")
         cluster.run(3.0)
         assert not cluster.nodes["r0"].crashed
-        assert "r1" not in cluster.network.partitioned
+        assert not cut(cluster, "r1", "r2")
 
     def test_last_fault_time_is_the_max_end_time(self):
         schedule = (
