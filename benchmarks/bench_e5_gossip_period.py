@@ -25,8 +25,8 @@ def run_gossip_period(gossip_period: float, seed: int = 0):
                         strict_fraction=0.5)
     result = run_workload(cluster, spec, seed=seed + 5,
                           drain_time=20 * (gossip_period + params.dg))
-    strict = result.latency_summary("strict").mean
-    nonstrict = result.latency_summary("nonstrict_no_prev").mean
+    strict = result.latency_summary(category="strict").mean
+    nonstrict = result.latency_summary(category="nonstrict_no_prev").mean
     stabilization = result.metrics.stabilization_summary().mean
     return strict, nonstrict, stabilization
 

@@ -18,7 +18,7 @@ from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
 from repro.sim.cluster import SimulationParams
 from repro.sim.sharded import ShardedCluster
-from repro.sim.workload import KeyedWorkloadSpec, run_keyed_workload
+from repro.sim.workload import KeyedWorkloadSpec, WorkloadResult, run_workload
 
 from conftest import emit_bench_json, monotonically_nondecreasing, print_table
 
@@ -31,7 +31,7 @@ NUM_KEYS = 64
 
 
 def run_shard_count(num_shards: int, seed: int = 0,
-                    key_distribution: str = "uniform") -> "KeyedWorkloadResult":
+                    key_distribution: str = "uniform") -> WorkloadResult:
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         service_time=SERVICE_TIME, frontend_policy="affinity",
@@ -47,7 +47,7 @@ def run_shard_count(num_shards: int, seed: int = 0,
         strict_fraction=0.0, num_keys=NUM_KEYS, key_distribution=key_distribution,
         zipf_exponent=1.5,
     )
-    return run_keyed_workload(cluster, spec, seed=seed + 1, drain_time=2_000.0)
+    return run_workload(cluster, spec, seed=seed + 1, drain_time=2_000.0)
 
 
 def test_e9_throughput_scales_with_shards(benchmark):
@@ -84,12 +84,13 @@ def test_e9_throughput_scales_with_shards(benchmark):
     # Key skew: zipfian keys concentrate load on fewer shards.
     skewed = run_shard_count(4, key_distribution="zipfian")
     uniform = results[4]
-    per_shard = skewed.throughput_by_shard()
+    per_shard = skewed.metrics.throughput_by_shard(skewed.duration)
+    uniform_per_shard = uniform.metrics.throughput_by_shard(uniform.duration)
     print_table(
         "E9b: per-shard throughput at 4 shards, uniform vs zipfian keys",
         ["shard", "uniform", "zipfian"],
         [
-            (sid, f"{uniform.throughput_by_shard()[sid]:.2f}", f"{per_shard[sid]:.2f}")
+            (sid, f"{uniform_per_shard[sid]:.2f}", f"{per_shard[sid]:.2f}")
             for sid in sorted(per_shard)
         ],
     )

@@ -18,7 +18,7 @@ from repro import (
     ReplicaConfig,
     ShardedCluster,
     SimulationParams,
-    run_keyed_workload,
+    run_workload,
 )
 
 
@@ -58,10 +58,11 @@ def workload_demo(seed: int = 11) -> None:
         num_keys=48, key_distribution="zipfian", zipf_exponent=1.4,
         prev_policy="last_on_key",
     )
-    result = run_keyed_workload(cluster, spec, seed=seed + 1)
+    result = run_workload(cluster, spec, seed=seed + 1)
     print(f"  completed {result.metrics.completed}/{result.submitted} operations, "
           f"total throughput {result.throughput:.2f} ops/time")
-    for shard, throughput in sorted(result.throughput_by_shard().items()):
+    per_shard = result.metrics.throughput_by_shard(result.duration)
+    for shard, throughput in sorted(per_shard.items()):
         completed = result.metrics.completed_by_shard()[shard]
         print(f"    {shard}: {completed:4d} ops  ({throughput:.2f} ops/time)")
     print(f"  peak/mean imbalance: {result.metrics.imbalance():.2f}")

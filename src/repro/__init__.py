@@ -93,7 +93,6 @@ from repro.sim import (
     SimulatedCluster,
     SimulationParams,
     WorkloadSpec,
-    run_keyed_workload,
     run_workload,
 )
 from repro.sim.sharded import LiveReshard
@@ -175,7 +174,6 @@ __all__ = [
     "WorkloadSpec",
     "KeyedWorkloadSpec",
     "run_workload",
-    "run_keyed_workload",
     "MetricsCollector",
     "PerShardMetrics",
     "FaultSchedule",

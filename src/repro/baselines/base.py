@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 from repro.common import ConfigurationError, OperationId, OperationIdGenerator
 from repro.core.operations import OperationDescriptor, make_operation
 from repro.datatypes.base import Operator, SerialDataType
-from repro.sim.cluster import SimulationParams
+from repro.sim.cluster import SimulationParams, drive_until
 from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import SimulatedNetwork
@@ -74,18 +74,14 @@ class BaselineServiceBase:
 
     def run_until_idle(self, max_time: float = 10_000.0, max_events: int = 5_000_000) -> None:
         self.start()
-        deadline = self.simulator.now + max_time
-        events = 0
-        while self.outstanding_operations() and self.simulator.now < deadline:
-            if not self.simulator.step():
-                break
-            events += 1
-            if events >= max_events:
-                break
+        drive_until(
+            self.simulator, lambda: not self.outstanding_operations(), max_time, max_events
+        )
         self.metrics.finished_at = self.simulator.now
 
     def outstanding_operations(self) -> int:
-        return len(set(self.requested) - set(self.responded))
+        # Responses are only ever recorded for requested operations.
+        return len(self.requested) - len(self.responded)
 
     # -- client interface ----------------------------------------------------------
 
@@ -123,10 +119,7 @@ class BaselineServiceBase:
         max_time: float = 10_000.0,
     ) -> Tuple[OperationDescriptor, Any]:
         operation = self.submit(client, operator, prev, strict)
-        deadline = self.simulator.now + max_time
-        while operation.id not in self.responded and self.simulator.now < deadline:
-            if not self.simulator.step():
-                break
+        drive_until(self.simulator, lambda: operation.id in self.responded, max_time)
         if operation.id not in self.responded:
             raise RuntimeError(f"operation {operation.id} received no response")
         return operation, self.responded[operation.id]

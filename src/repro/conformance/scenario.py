@@ -38,12 +38,7 @@ from repro.datatypes.base import Operator
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.faults import FaultSchedule, fault_from_dict
 from repro.sim.sharded import ShardedCluster
-from repro.sim.workload import (
-    KeyedWorkloadSpec,
-    WorkloadSpec,
-    run_keyed_workload,
-    run_workload,
-)
+from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
 
 #: Outcome-group key used by the single-cluster harness (the sharded harness
 #: keys groups by shard id).
@@ -181,8 +176,9 @@ class ScenarioRun:
 
 def _cluster_class(runtime: str) -> type:
     """The per-group cluster class for *runtime*: the plain simulator, or the
-    :class:`~repro.net.wire.WireCluster` twin that pushes every message
-    through the binary codec (``--runtime=net``).  Late import: conformance
+    :class:`~repro.net.wire.WireCluster` twin that pushes every cluster
+    message through the binary codec (``--runtime=net``; live-reshard slice
+    chunks bypass it).  Late import: conformance
     must not depend on ``repro.net`` unless asked to."""
     if runtime == "sim":
         return SimulatedCluster
@@ -196,7 +192,7 @@ def _cluster_class(runtime: str) -> type:
 def build_scenario(spec: ScenarioSpec, runtime: str = "sim") -> ScenarioRun:
     """Instantiate the harness and install the fault schedule (scenario not
     yet run).  ``runtime="net"`` swaps every cluster for the wire-codec twin
-    — same seeds, same schedule, every message round-tripped through
+    — same seeds, same schedule, every cluster message round-tripped through
     :mod:`repro.net.codec` — so replay mismatches isolate codec loss."""
     type_factory, _mix = DATA_TYPES[spec.data_type]
     cluster_class = _cluster_class(runtime)
@@ -240,16 +236,13 @@ def run_scenario(spec: ScenarioSpec, runtime: str = "sim") -> ScenarioRun:
     and the generator share)."""
     run = build_scenario(spec, runtime=runtime)
     _type_factory, mix = DATA_TYPES[spec.data_type]
-    if spec.harness == "sim":
-        workload = WorkloadSpec(operator_factory=mix, **spec.workload)
-        run.workload_result = run_workload(
-            run.driver, workload, seed=spec.workload_seed, drain_time=spec.drain_time
-        )
-    else:
-        workload = KeyedWorkloadSpec(operator_factory=mix, **spec.workload)
-        run.workload_result = run_keyed_workload(
-            run.driver, workload, seed=spec.workload_seed, drain_time=spec.drain_time
-        )
+    spec_type = WorkloadSpec if spec.harness == "sim" else KeyedWorkloadSpec
+    run.workload_result = run_workload(
+        run.driver,
+        spec_type(operator_factory=mix, **spec.workload),
+        seed=spec.workload_seed,
+        drain_time=spec.drain_time,
+    )
     last_fault = max(
         (schedule.last_fault_time() for schedule in run.schedules), default=0.0
     )

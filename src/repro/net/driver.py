@@ -28,17 +28,14 @@ import argparse
 import asyncio
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import percentile
 from repro.config import ReplicaConfig
 from repro.datatypes.base import Operator
 from repro.net.runtime import NetCluster, NetParams, OperationFailed
-from repro.sim.workload import CLIENT_SEED_STRIDE, zipfian_cdf
-
-#: Builds one operator given the per-client RNG and the operation index.
-OperatorFactory = Callable[[random.Random, int], Operator]
+from repro.sim.workload import CLIENT_SEED_STRIDE, OperatorFactory, zipfian_cdf
 
 
 def _default_factory(rng: random.Random, index: int) -> Operator:

@@ -2,8 +2,9 @@
 
 :class:`WireCluster` subclasses :class:`~repro.sim.cluster.SimulatedCluster`
 and overrides its :meth:`~repro.sim.cluster.SimulatedCluster._transit` hook so
-that **every** message — request, response, gossip, pull, transfer — is
-pushed through the binary codec on its way from sender to receiver:
+that every message a cluster sends — request, response, gossip, pull,
+transfer — is pushed through the binary codec on its way from sender to
+receiver:
 
     message object --encode--> frame bytes --decode--> fresh message object
 
@@ -20,6 +21,12 @@ things at once:
 * exact **bytes-on-the-wire** accounting per message kind
   (:class:`WireStats`), replacing the ``wire_estimate`` op-ref counts in the
   E8/E11 payload claims — benchmark E13 is built on this harness.
+
+One kind of traffic never crosses the hook: the slice chunks of a live
+reshard.  :meth:`~repro.sim.sharded.ShardedCluster._send_slice` schedules them
+on the source shard's network directly, not through a cluster's ``_transit``,
+so a ``--runtime=net`` replay proves nothing about slice bytes and
+:class:`WireStats` does not count them.
 """
 
 from __future__ import annotations

@@ -13,8 +13,14 @@ that throughput saturation and scaling are observable.
 * :mod:`repro.sim.network` — message delays, loss, partitions, delay spikes;
 * :mod:`repro.sim.cluster` — the simulated ESDS deployment (replicas, front
   ends, gossip timers) with a synchronous ``execute`` facade;
-* :mod:`repro.sim.workload` — client workload generators (operation mix,
-  arrival processes, strict fraction, dependency policies);
+* :mod:`repro.sim.workload` — one client-workload engine for every
+  simulated harness: ``WorkloadSpec`` (operation mix, arrival process,
+  strict fraction, dependency policy) and its keyed subclass
+  ``KeyedWorkloadSpec`` (keyspace, uniform or zipfian keys, per-key
+  ``prev`` chains) both run through ``run_workload``, which returns one
+  ``WorkloadResult`` (``throughput``, ``mean_latency`` and the keyword-only
+  ``latency_summary(*, category=None, shard=None)``; per-shard breakdowns
+  live on its ``metrics``);
 * :mod:`repro.sim.metrics` — latency / throughput / message accounting;
 * :mod:`repro.sim.faults` — crash, restart and timing-violation schedules.
 """
@@ -26,12 +32,9 @@ from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import (
     ClientWorkload,
-    KeyedClientWorkload,
-    KeyedWorkloadResult,
     KeyedWorkloadSpec,
     WorkloadResult,
     WorkloadSpec,
-    run_keyed_workload,
     run_workload,
     zipfian_cdf,
 )
@@ -51,10 +54,7 @@ __all__ = [
     "WorkloadResult",
     "WorkloadSpec",
     "run_workload",
-    "KeyedClientWorkload",
-    "KeyedWorkloadResult",
     "KeyedWorkloadSpec",
-    "run_keyed_workload",
     "zipfian_cdf",
     "DelaySpike",
     "FaultSchedule",

@@ -97,15 +97,11 @@ class SimulationParams:
     spike_factor: float = 1.0
     #: Time a replica is busy processing one client request.
     service_time: float = 0.0
-    #: Time a replica is busy processing one gossip message.
-    gossip_processing_time: float = 0.0
     #: Number of replicas each request is sent to (>=1; extras are redundant).
     request_fanout: int = 1
     #: Front-end routing policy: "affinity" (client pinned to one replica),
     #: "round_robin" or "random".
     frontend_policy: str = "affinity"
-    #: Stagger the first gossip tick of each replica to avoid lock-step bursts.
-    gossip_stagger: bool = True
     #: Track the time at which each operation becomes stable everywhere
     #: (adds bookkeeping cost; needed by experiment E5).
     track_stabilization: bool = False
@@ -199,10 +195,10 @@ class SimulatedCluster(Deployment):
         if self._gossip_started:
             return
         self._gossip_started = True
+        # The first gossip tick of each replica is staggered across one
+        # period so the replicas never gossip in lock-step bursts.
         for index, rid in enumerate(self.replica_ids):
-            offset = 0.0
-            if self.params.gossip_stagger and len(self.replica_ids) > 1:
-                offset = (index / len(self.replica_ids)) * self.params.gossip_period
+            offset = (index / len(self.replica_ids)) * self.params.gossip_period
             self._every(self.params.gossip_period, rid, self._gossip_round, first=offset)
         if self.params.replica.compaction_interval is not None:
             for rid in self.replica_ids:
@@ -587,7 +583,7 @@ class SimulatedCluster(Deployment):
                 self._gossip_flush_at[destination] = self.simulator.now
                 self.simulator.schedule(0.0, lambda: self._flush_gossip(destination))
             return
-        self._process_gossip(destination, [message])
+        self._step(destination, [message])
 
     def _flush_gossip(self, destination: str) -> None:
         """Hand every gossip message buffered for *destination* to its node
@@ -596,16 +592,6 @@ class SimulatedCluster(Deployment):
         batch = self._gossip_inbox[destination]
         self._gossip_inbox[destination] = []
         if batch and not self.nodes[destination].crashed:
-            self._process_gossip(destination, batch)
-
-    def _process_gossip(self, destination: str, batch: List[GossipMessage]) -> None:
-        if self.params.gossip_processing_time > 0:
-            # The merge cost is charged per message; only the post-merge
-            # sweep is amortized across a batch.
-            self._step_when_free(
-                destination, self.params.gossip_processing_time * len(batch), batch
-            )
-        else:
             self._step(destination, batch)
 
     def _update_stabilization(self) -> None:

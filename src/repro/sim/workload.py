@@ -1,18 +1,19 @@
-"""Client workload generation for the simulated cluster.
+"""Client workload generation for the simulated harnesses.
 
 ``WorkloadSpec`` describes what clients do: the operator mix, how often they
 submit, what fraction of requests are strict, and how ``prev`` dependencies
-are chosen.  ``run_workload`` installs the workload on a cluster, runs the
-simulation for the requested duration plus a drain phase, and returns the
-collected metrics — this is the engine behind benchmarks E1, E2, E5, E7 and
-E8.
+are chosen.  ``KeyedWorkloadSpec`` adds a keyspace for
+:class:`~repro.sim.sharded.ShardedCluster`: every request also picks a key
+(uniformly or zipfian-skewed) and ``prev`` dependencies chain per key (the
+session-guarantee pattern, which by construction never crosses a shard
+boundary).
 
-``KeyedWorkloadSpec`` / ``run_keyed_workload`` are the multi-object
-counterparts for :class:`~repro.sim.sharded.ShardedCluster`: clients pick a
-key per request (uniformly or zipfian-skewed), mix strict and non-strict
-requests, and may chain per-key ``prev`` dependencies (the session-guarantee
-pattern, which by construction never crosses a shard boundary).  This is the
-engine behind benchmark E9.
+One engine runs both kinds: :class:`ClientWorkload` schedules one client's
+submissions, and :func:`run_workload` installs the workload on every client
+of a cluster (single-object, sharded or a baseline service), runs the
+submission window plus a drain phase, and returns a :class:`WorkloadResult`.
+This is the engine behind benchmarks E1, E2, E5, E7, E8 and E9 and every
+conformance scenario.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common import MetricsError, OperationId
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
-from repro.sim.cluster import SimulatedCluster
 from repro.sim.metrics import LatencySummary, MetricsCollector, PerShardMetrics
-from repro.sim.sharded import ShardedCluster
 
 #: An operator generator receives the per-client RNG and a running index and
 #: returns the operator to submit.
@@ -46,14 +45,24 @@ CLIENT_SEED_STRIDE = 1009
 
 def default_drain_time(params) -> float:
     """Generous default drain window after the last submission: ~10 gossip
-    rounds plus request round trips, shared by the keyed and unkeyed
-    engines so their runs stay comparable."""
+    rounds plus request round trips."""
     return 10 * (params.gossip_period + params.dg) + 10 * params.df
 
 
 def interarrival_gap(rng: random.Random, mean: float, poisson: bool) -> float:
     """One submission gap: exponential with the given mean, or fixed."""
     return rng.expovariate(1.0 / mean) if poisson else mean
+
+
+def zipfian_cdf(num_keys: int, exponent: float) -> List[float]:
+    """Cumulative distribution of a zipfian law over ``num_keys`` ranks.
+
+    ``P(rank r) ∝ 1 / r^exponent``; rank 1 is the hottest key.  Returned as a
+    cumulative list suitable for :func:`bisect.bisect_left` sampling.
+    """
+    weights = [1.0 / (rank ** exponent) for rank in range(1, num_keys + 1)]
+    total = sum(weights)
+    return list(itertools.accumulate(weight / total for weight in weights))
 
 
 @dataclass
@@ -95,132 +104,6 @@ class WorkloadSpec:
             raise ValueError("strict_fraction must be within [0, 1]")
         if self.mean_interarrival <= 0:
             raise ValueError("mean_interarrival must be positive")
-
-
-class ClientWorkload:
-    """Submission schedule for a single client."""
-
-    def __init__(self, client_id: str, spec: WorkloadSpec, seed: int) -> None:
-        self.client_id = client_id
-        self.spec = spec
-        self.rng = random.Random(seed)
-        self._own_history: List[OperationId] = []
-
-    def _next_gap(self) -> float:
-        return interarrival_gap(
-            self.rng, self.spec.mean_interarrival, self.spec.poisson_arrivals
-        )
-
-    def _prev_for(self) -> Tuple[OperationId, ...]:
-        if self.spec.prev_policy == "none" or not self._own_history:
-            return ()
-        if self.spec.prev_policy == "last_own":
-            return (self._own_history[-1],)
-        return (self.rng.choice(self._own_history),)
-
-    def install(self, cluster: SimulatedCluster, start_time: float = 0.0) -> List[OperationDescriptor]:
-        """Schedule every submission of this client on *cluster*.
-
-        Returns the operation descriptors in submission order.
-        """
-        submitted: List[OperationDescriptor] = []
-        when = start_time
-        for index in range(self.spec.operations_per_client):
-            when += self._next_gap()
-            operator = self.spec.operator_factory(self.rng, index)
-            strict = self.rng.random() < self.spec.strict_fraction
-            prev = self._prev_for()
-            operation = cluster.submit(
-                self.client_id, operator, prev=prev, strict=strict, at=when
-            )
-            self._own_history.append(operation.id)
-            submitted.append(operation)
-        return submitted
-
-
-@dataclass
-class WorkloadResult:
-    """Everything a benchmark needs from one simulated run."""
-
-    cluster: SimulatedCluster
-    metrics: MetricsCollector
-    duration: float
-    submitted: int
-
-    @property
-    def throughput(self) -> float:
-        """Completed operations per unit time over the submission window."""
-        return self.metrics.completed / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def mean_latency(self) -> float:
-        """Mean latency over every completed operation.
-
-        Raises :class:`~repro.common.MetricsError` when nothing completed —
-        a mean of an empty set is a workload bug (nothing drained, or every
-        request was lost), not a number.
-        """
-        return self.latency_summary().mean
-
-    def latency_summary(self, category: Optional[str] = None) -> LatencySummary:
-        summary = self.metrics.latency_summary(category)
-        if summary.count == 0:
-            label = f" in category {category!r}" if category is not None else ""
-            raise MetricsError(
-                f"no operations completed{label}: latency is undefined "
-                f"({self.submitted} submitted, {self.metrics.outstanding} outstanding; "
-                f"did the run include a drain phase?)"
-            )
-        return summary
-
-
-def run_workload(
-    cluster: SimulatedCluster,
-    spec: WorkloadSpec,
-    seed: int = 0,
-    drain_time: Optional[float] = None,
-) -> WorkloadResult:
-    """Install *spec* on every client of *cluster*, run to completion, and
-    return the collected metrics.
-
-    ``drain_time`` bounds the extra time allowed after the last submission for
-    outstanding (typically strict) operations to complete; by default it is
-    generous enough for several gossip rounds.
-    """
-    cluster.start()
-    submitted = 0
-    for index, client in enumerate(cluster.client_ids):
-        workload = ClientWorkload(client, spec, seed=seed * CLIENT_SEED_STRIDE + index)
-        submitted += len(workload.install(cluster, start_time=cluster.now))
-
-    submission_window = spec.operations_per_client * spec.mean_interarrival
-    if drain_time is None:
-        drain_time = default_drain_time(cluster.params)
-    cluster.run(submission_window)
-    cluster.run_until_idle(max_time=drain_time)
-    duration = max(cluster.metrics.finished_at - cluster.metrics.started_at, submission_window)
-    return WorkloadResult(
-        cluster=cluster,
-        metrics=cluster.metrics,
-        duration=duration,
-        submitted=submitted,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Keyed workloads for the sharded service layer (benchmark E9)
-# ---------------------------------------------------------------------------
-
-
-def zipfian_cdf(num_keys: int, exponent: float) -> List[float]:
-    """Cumulative distribution of a zipfian law over ``num_keys`` ranks.
-
-    ``P(rank r) ∝ 1 / r^exponent``; rank 1 is the hottest key.  Returned as a
-    cumulative list suitable for :func:`bisect.bisect_left` sampling.
-    """
-    weights = [1.0 / (rank ** exponent) for rank in range(1, num_keys + 1)]
-    total = sum(weights)
-    return list(itertools.accumulate(weight / total for weight in weights))
 
 
 @dataclass
@@ -267,46 +150,54 @@ class KeyedWorkloadSpec(WorkloadSpec):
             raise ValueError("zipf_exponent must be positive")
 
 
-class KeyedClientWorkload:
-    """Submission schedule for a single client of a sharded cluster."""
+class ClientWorkload:
+    """Submission schedule for a single client.
 
-    def __init__(self, client_id: str, spec: KeyedWorkloadSpec, seed: int) -> None:
+    Per request the client RNG draws the gap, then (keyed specs only) the
+    key, then the operator, the strict flag and finally the ``prev`` pick.
+    ``prev`` history is kept per key — under the one key ``None`` when the
+    spec is unkeyed — and a keyed request is submitted as
+    ``submit(client, key, operator, ...)``.
+    """
+
+    def __init__(self, client_id: str, spec: WorkloadSpec, seed: int) -> None:
         self.client_id = client_id
         self.spec = spec
         self.rng = random.Random(seed)
         #: This client's operation history per key (for prev policies).
-        self._history_by_key: Dict[str, List[OperationId]] = {}
-        keys = [f"k{i}" for i in range(spec.num_keys)]
-        if spec.key_distribution == "zipfian":
-            # Which concrete key gets which popularity rank is decided by the
-            # spec-level seed, shared by every client: a workload has ONE set
-            # of hot keys, and varying zipf_rank_seed moves the hot spot.
-            random.Random(spec.zipf_rank_seed).shuffle(keys)
-            self._cdf = zipfian_cdf(spec.num_keys, spec.zipf_exponent)
-        else:
-            self._cdf = None
-        self._keys = keys
+        self._history_by_key: Dict[Optional[str], List[OperationId]] = {}
+        self._keys: Optional[List[str]] = None
+        self._cdf: Optional[List[float]] = None
+        if isinstance(spec, KeyedWorkloadSpec):
+            self._keys = [f"k{i}" for i in range(spec.num_keys)]
+            if spec.key_distribution == "zipfian":
+                # Which concrete key gets which popularity rank is decided by
+                # the spec-level seed, shared by every client: a workload has
+                # ONE set of hot keys, and varying zipf_rank_seed moves it.
+                random.Random(spec.zipf_rank_seed).shuffle(self._keys)
+                self._cdf = zipfian_cdf(spec.num_keys, spec.zipf_exponent)
 
     def _next_gap(self) -> float:
         return interarrival_gap(
             self.rng, self.spec.mean_interarrival, self.spec.poisson_arrivals
         )
 
-    def _choose_key(self) -> str:
+    def _choose_key(self) -> Optional[str]:
+        if self._keys is None:
+            return None
         if self._cdf is None:
             return self.rng.choice(self._keys)
         rank = bisect.bisect_left(self._cdf, self.rng.random())
         return self._keys[min(rank, len(self._keys) - 1)]
 
-    def _prev_for(self, key: str) -> Tuple[OperationId, ...]:
-        history = self._history_by_key.get(key)
+    def _prev_for(self, history: List[OperationId]) -> Tuple[OperationId, ...]:
         if self.spec.prev_policy == "none" or not history:
             return ()
-        if self.spec.prev_policy == "last_on_key":
+        if self.spec.prev_policy in ("last_own", "last_on_key"):
             return (history[-1],)
         return (self.rng.choice(history),)
 
-    def install(self, cluster: ShardedCluster, start_time: float = 0.0) -> List[OperationDescriptor]:
+    def install(self, cluster, start_time: float = 0.0) -> List[OperationDescriptor]:
         """Schedule every submission of this client on *cluster*.
 
         Returns the operation descriptors in submission order.
@@ -318,69 +209,85 @@ class KeyedClientWorkload:
             key = self._choose_key()
             operator = self.spec.operator_factory(self.rng, index)
             strict = self.rng.random() < self.spec.strict_fraction
+            history = self._history_by_key.setdefault(key, [])
+            target = (self.client_id,) if key is None else (self.client_id, key)
             operation = cluster.submit(
-                self.client_id, key, operator,
-                prev=self._prev_for(key), strict=strict, at=when,
+                *target, operator, prev=self._prev_for(history), strict=strict, at=when
             )
-            self._history_by_key.setdefault(key, []).append(operation.id)
+            history.append(operation.id)
             submitted.append(operation)
         return submitted
 
 
 @dataclass
-class KeyedWorkloadResult:
-    """Everything benchmark E9 needs from one sharded run."""
+class WorkloadResult:
+    """Everything a benchmark needs from one simulated run.
 
-    cluster: ShardedCluster
-    metrics: PerShardMetrics
+    ``metrics`` is the cluster's collector: a :class:`MetricsCollector`, or
+    a :class:`PerShardMetrics` for a sharded run (read per-shard breakdowns
+    from it directly).
+    """
+
+    cluster: Any
+    metrics: Union[MetricsCollector, PerShardMetrics]
     duration: float
     submitted: int
 
     @property
     def throughput(self) -> float:
-        """Total committed-ops throughput over the run."""
+        """Completed operations per unit time over the run."""
         return self.metrics.throughput(self.duration)
 
     @property
     def mean_latency(self) -> float:
-        """Mean latency across shards (raises
-        :class:`~repro.common.MetricsError` when nothing completed)."""
+        """Mean latency over every completed operation.
+
+        Raises :class:`~repro.common.MetricsError` when nothing completed —
+        a mean of an empty set is a workload bug (nothing drained, or every
+        request was lost), not a number.
+        """
         return self.latency_summary().mean
 
     def latency_summary(
-        self, *, shard: Optional[str] = None, category: Optional[str] = None
+        self, *, category: Optional[str] = None, shard: Optional[str] = None
     ) -> LatencySummary:
-        summary = self.metrics.latency_summary(shard=shard, category=category)
+        """Latency statistics, optionally for one operation class and (sharded
+        runs only) one shard.  Keyword-only, so a positional string can never
+        filter the wrong axis."""
+        where = {} if shard is None else {"shard": shard}
+        summary = self.metrics.latency_summary(category=category, **where)
         if summary.count == 0:
-            where = f" on shard {shard!r}" if shard is not None else ""
+            place = f" on shard {shard!r}" if shard is not None else ""
             label = f" in category {category!r}" if category is not None else ""
             raise MetricsError(
-                f"no operations completed{where}{label}: latency is undefined "
-                f"({self.submitted} submitted)"
+                f"no operations completed{place}{label}: latency is undefined "
+                f"({self.submitted} submitted, {self.metrics.outstanding} outstanding; "
+                f"did the run include a drain phase?)"
             )
         return summary
 
-    def throughput_by_shard(self) -> Dict[str, float]:
-        return self.metrics.throughput_by_shard(self.duration)
 
-
-def run_keyed_workload(
-    cluster: ShardedCluster,
-    spec: KeyedWorkloadSpec,
+def run_workload(
+    cluster,
+    spec: WorkloadSpec,
     seed: int = 0,
     drain_time: Optional[float] = None,
-) -> KeyedWorkloadResult:
-    """Install *spec* on every client of the sharded *cluster*, run to
-    completion, and return per-shard metrics.
+) -> WorkloadResult:
+    """Install *spec* on every client of *cluster*, run to completion, and
+    return the collected metrics.
 
-    Mirrors :func:`run_workload`: the simulation runs over the submission
-    window, then drains outstanding (typically strict) operations.
+    A :class:`KeyedWorkloadSpec` needs a keyed cluster
+    (:class:`~repro.sim.sharded.ShardedCluster`); a plain spec runs on a
+    :class:`~repro.sim.cluster.SimulatedCluster` or a baseline service.  The
+    simulation runs over the submission window, then ``drain_time`` bounds
+    the extra time allowed for outstanding (typically strict) operations to
+    complete; by default it is generous enough for several gossip rounds.
     """
     cluster.start()
     started_at = cluster.now
     submitted = 0
     for index, client in enumerate(cluster.client_ids):
-        workload = KeyedClientWorkload(client, spec, seed=seed * CLIENT_SEED_STRIDE + index)
+        workload = ClientWorkload(client, spec, seed=seed * CLIENT_SEED_STRIDE + index)
         submitted += len(workload.install(cluster, start_time=started_at))
 
     submission_window = spec.operations_per_client * spec.mean_interarrival
@@ -389,9 +296,4 @@ def run_keyed_workload(
     cluster.run(submission_window)
     cluster.run_until_idle(max_time=drain_time)
     duration = max(cluster.now - started_at, submission_window)
-    return KeyedWorkloadResult(
-        cluster=cluster,
-        metrics=cluster.metrics,
-        duration=duration,
-        submitted=submitted,
-    )
+    return WorkloadResult(cluster, cluster.metrics, duration, submitted)

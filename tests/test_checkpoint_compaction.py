@@ -37,7 +37,7 @@ from repro.datatypes import CounterType, GSetType, RegisterType
 from repro.service.frontend import ShardedFrontend
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
-from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_keyed_workload, run_workload
+from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
 from repro.spec.users import SafeUsers
 from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.serializability import check_recorded_trace, check_system_trace
@@ -790,7 +790,7 @@ class TestServiceLayerCompaction:
                 operations_per_client=20, mean_interarrival=0.5,
                 num_keys=4, prev_policy="last_on_key", strict_fraction=0.2,
             )
-            run_keyed_workload(cluster, spec, seed=8)
+            run_workload(cluster, spec, seed=8)
             return cluster
 
         plain, compacted = run(False), run(True)

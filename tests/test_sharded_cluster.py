@@ -10,9 +10,9 @@ from repro.sim.cluster import SimulationParams
 from repro.sim.metrics import PerShardMetrics
 from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import (
-    KeyedClientWorkload,
+    ClientWorkload,
     KeyedWorkloadSpec,
-    run_keyed_workload,
+    run_workload,
     zipfian_cdf,
 )
 
@@ -109,7 +109,7 @@ class TestKeyedWorkloads:
         spec = KeyedWorkloadSpec(operations_per_client=12, mean_interarrival=0.8,
                                  strict_fraction=0.25, num_keys=12,
                                  prev_policy="last_on_key")
-        result = run_keyed_workload(cluster, spec, seed=9)
+        result = run_workload(cluster, spec, seed=9)
         assert cluster.outstanding_operations() == 0
         assert result.metrics.completed == result.submitted == 36
         assert sum(result.metrics.completed_by_shard().values()) == 36
@@ -127,7 +127,7 @@ class TestKeyedWorkloads:
         cluster = make_cluster(num_shards=3, client_ids=["c0"])
         spec = KeyedWorkloadSpec(operations_per_client=15, mean_interarrival=0.5,
                                  num_keys=3, prev_policy="last_on_key")
-        result = run_keyed_workload(cluster, spec, seed=4)
+        result = run_workload(cluster, spec, seed=4)
         assert cluster.outstanding_operations() == 0
         # Dependencies never cross keys (hence never cross shards), and each
         # chain is answered in submission order per key.
@@ -141,7 +141,7 @@ class TestKeyedWorkloads:
             spec = KeyedWorkloadSpec(operations_per_client=40, mean_interarrival=0.3,
                                      num_keys=32, key_distribution=distribution,
                                      zipf_exponent=1.6)
-            result = run_keyed_workload(cluster, spec, seed=2)
+            result = run_workload(cluster, spec, seed=2)
             assert cluster.outstanding_operations() == 0
             return result.metrics.imbalance()
 
@@ -157,9 +157,49 @@ class TestKeyedWorkloads:
 
     def test_rank_shuffle_shared_across_clients(self):
         spec = KeyedWorkloadSpec(num_keys=16, key_distribution="zipfian")
-        one = KeyedClientWorkload("c0", spec, seed=1)
-        two = KeyedClientWorkload("c1", spec, seed=999)
+        one = ClientWorkload("c0", spec, seed=1)
+        two = ClientWorkload("c1", spec, seed=999)
         assert one._keys == two._keys  # same rank-to-key assignment
+
+    def test_random_on_key_poisson_schedule_is_pinned(self):
+        # Exact submissions of a 2-client zipfian workload with Poisson gaps
+        # and random per-key prev picks: (op id, due time, key, strict, prev).
+        # Any change to the RNG draw order of the workload engine shows here.
+        cluster = make_cluster(replicas_per_shard=2, seed=5)
+        spec = KeyedWorkloadSpec(operations_per_client=8, mean_interarrival=0.5,
+                                 poisson_arrivals=True, strict_fraction=0.3,
+                                 num_keys=4, key_distribution="zipfian",
+                                 zipf_exponent=1.2, prev_policy="random_on_key")
+        log = []
+        submit = cluster.submit
+
+        def recording_submit(client, key, operator, prev=(), strict=False, at=None):
+            operation = submit(client, key, operator, prev=prev, strict=strict, at=at)
+            log.append((tuple(operation.id), round(at, 9), key, strict,
+                        sorted(tuple(dep) for dep in prev)))
+            return operation
+
+        cluster.submit = recording_submit
+        result = run_workload(cluster, spec, seed=3)
+        assert log == [
+            (("c0@s0", 0), 0.102203836, "k1", True, []),
+            (("c0@s1", 0), 0.202954876, "k2", False, []),
+            (("c0@s0", 1), 0.802733486, "k0", False, []),
+            (("c0@s0", 2), 2.209246814, "k3", False, []),
+            (("c0@s1", 1), 3.273693403, "k2", False, [("c0@s1", 0)]),
+            (("c0@s0", 3), 3.505356171, "k0", False, [("c0@s0", 1)]),
+            (("c0@s0", 4), 5.609693755, "k0", True, [("c0@s0", 1)]),
+            (("c0@s0", 5), 6.100001326, "k3", False, [("c0@s0", 2)]),
+            (("c1@s0", 0), 0.547053005, "k0", False, []),
+            (("c1@s1", 0), 0.752738174, "k2", True, []),
+            (("c1@s1", 1), 1.73177822, "k2", False, [("c1@s1", 0)]),
+            (("c1@s1", 2), 1.7321234, "k2", False, [("c1@s1", 0)]),
+            (("c1@s1", 3), 1.867136445, "k2", True, [("c1@s1", 0)]),
+            (("c1@s0", 1), 2.032703404, "k3", False, []),
+            (("c1@s0", 2), 2.467398075, "k0", False, [("c1@s0", 0)]),
+            (("c1@s1", 4), 3.447956194, "k2", False, [("c1@s1", 1)]),
+        ]
+        assert result.metrics.completed == result.submitted == 16
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -181,7 +221,7 @@ class TestPerShardMetrics:
         cluster = make_cluster(num_shards=2, client_ids=["c0"])
         spec = KeyedWorkloadSpec(operations_per_client=10, mean_interarrival=0.5,
                                  num_keys=8)
-        result = run_keyed_workload(cluster, spec, seed=1)
+        result = run_workload(cluster, spec, seed=1)
         metrics = result.metrics
         assert isinstance(metrics, PerShardMetrics)
         assert metrics.completed == 10
@@ -236,14 +276,14 @@ class TestEmptyWorkloadResultErrors:
         with pytest.raises(MetricsError, match="no operations completed"):
             _ = result.mean_latency
         with pytest.raises(MetricsError, match="category 'strict'"):
-            result.latency_summary("strict")
+            result.latency_summary(category="strict")
         assert result.throughput == 0.0  # throughput of nothing is just zero
 
     def test_keyed_workload_result_raises_metrics_error(self):
         from repro.sim.metrics import MetricsCollector
-        from repro.sim.workload import KeyedWorkloadResult
+        from repro.sim.workload import WorkloadResult
 
-        result = KeyedWorkloadResult(
+        result = WorkloadResult(
             cluster=make_cluster(),
             metrics=PerShardMetrics({"s0": MetricsCollector()}),
             duration=10.0,
@@ -258,7 +298,7 @@ class TestEmptyWorkloadResultErrors:
         cluster = make_cluster(client_ids=["c0"])
         spec = KeyedWorkloadSpec(operations_per_client=6, mean_interarrival=0.5,
                                  num_keys=4, strict_fraction=0.0)
-        result = run_keyed_workload(cluster, spec, seed=3)
+        result = run_workload(cluster, spec, seed=3)
         assert result.latency_summary(category="nonstrict_no_prev").count == 6
         with pytest.raises(MetricsError):
             result.latency_summary(category="strict")
