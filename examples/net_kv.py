@@ -6,8 +6,9 @@ Run with::
 
 Everything else in ``examples/`` drives the *simulated* cluster under
 virtual time.  This demo runs the same ESDS algorithm on
-:class:`repro.net.runtime.NetCluster`: one asyncio task per replica, TCP
-sockets on the loopback interface, and every message — request, response,
+:class:`repro.net.runtime.NetCluster`: one asyncio protocol per connection
+over TCP sockets on the loopback interface (a gossip timer per replica is
+its only task), and every message — request, response,
 gossip, pull, transfer — encoded through the compact binary wire codec
 (:mod:`repro.net.codec`).
 

@@ -49,7 +49,7 @@ class ReplicaConfig:
     #: Inert: selects nothing (its batch kernel is part of the production
     #: core).  Kept, with its one validation, only because the budget
     #: benchmark spells it; deleted with that benchmark's next change
-    #: (ROADMAP item 6).
+    #: (ROADMAP item 1(c)).
     batch_replay: bool = False
     #: Destination-specific delta gossip instead of full-state payloads.
     delta_gossip: bool = False

@@ -17,11 +17,12 @@ Three pieces (see docs/architecture.md, "The network runtime"):
   through the codec as real bytes (encode -> frame -> decode), which is what
   measures bytes-on-the-wire (benchmark E13) and replays conformance vectors
   over the net transport (``--runtime=net``).
-* :mod:`repro.net.runtime` / :mod:`repro.net.driver` — one asyncio task per
-  replica speaking the codec over TCP (or the in-process duplex-stream
-  transport), with per-peer bounded send queues and frame coalescing, plus a
-  concurrent multi-client load driver reporting ops/s, latency percentiles
-  and actual bytes per message kind.
+* :mod:`repro.net.runtime` / :mod:`repro.net.driver` — every replica
+  speaking the codec over TCP (or an in-process transport pair) through one
+  ``asyncio.Protocol`` per connection: a sans-IO frame parser in, per-peer
+  bounded pending lists flushed as one coalesced frame per loop iteration
+  out, plus a concurrent multi-client load driver reporting ops/s, latency
+  percentiles and actual bytes per message kind.
 """
 
 from repro.net.codec import (

@@ -60,8 +60,7 @@ bytes/tuples/frozensets/dicts plus the domain atoms ``Operator``,
 ``OperationId``, ``Label`` and ``INFINITY``.
 
 The transport layer length-prefixes each frame with a 4-byte big-endian
-length (:func:`write_frame` / :func:`read_frame` in
-:mod:`repro.net.runtime`).  A delta message's ``basis`` is *never* encoded —
+length (:class:`repro.net.runtime.FrameParser` takes the stream apart).  A delta message's ``basis`` is *never* encoded —
 the receiver provably already holds it (see
 :class:`repro.algorithm.messages.GossipMessage`) — so decoded deltas carry
 ``basis=None``, exactly like a message that crossed a real network.

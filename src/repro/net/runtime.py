@@ -1,76 +1,75 @@
 """The asyncio replica runtime: real concurrency, real bytes, same cores.
 
-One asyncio task group per replica speaks the binary codec
-(:mod:`repro.net.codec`) over a duplex stream transport, driving the
-*unchanged* replica cores through the same sans-IO
-:class:`~repro.algorithm.node.ReplicaNode` the seeded simulator drives: a
-decoded frame goes into ``handle``, the outbox goes onto the send links.
+Each replica speaks the binary codec (:mod:`repro.net.codec`) over real
+connections, driving the *unchanged* replica cores through the same sans-IO
+:class:`~repro.algorithm.node.ReplicaNode` the seeded simulator drives.
+Every connection end is one ``asyncio.Protocol`` (:class:`_Connection`):
+``data_received`` feeds a sans-IO :class:`FrameParser`, and each frame is
+decoded and handed over synchronously — to ``ReplicaNode.handle`` at a
+replica, whose outbox goes onto the send links, to the front end at a
+client.  The only tasks are each replica's gossip timer and short-lived dial
+attempts.
 
 Transports
-    ``tcp``
-        every replica listens on a loopback socket (OS-assigned port);
-        replicas dial one outgoing connection per peer, clients dial one
-        duplex connection per replica (requests out, responses back).
-    ``memory``
-        the same stream discipline over in-process pipes built from
-        ``asyncio.StreamReader`` pairs — no OS sockets, deterministic enough
-        for CI, and a crashed endpoint breaks its peers' writers exactly
-        like a reset socket would.
+    Replicas dial one connection per peer, clients one duplex connection
+    per replica (requests out, responses back).  ``tcp`` listens on
+    loopback sockets (OS-assigned ports); ``memory`` is an in-process
+    transport pair whose ``write`` schedules the peer's ``data_received``
+    with ``loop.call_soon`` and whose ``close`` delivers ``connection_lost``
+    to both ends, so a crashed endpoint looks to its peers like a closed
+    socket.
 
 Framing and flow control
-    Every frame is length-prefixed (4-byte big-endian).  Each sender->peer
-    link owns a **bounded** send queue drained by one writer task, which
-    **coalesces** everything currently queued into a single frame (one
-    magic/table overhead amortized over the batch).  A full queue means the
-    peer is slow: clients and the pull/transfer plane block on ``put``
-    (backpressure), while the gossip tick *skips* the peer for that round
-    before building a message — deliberately, since a skipped gossip is
-    indistinguishable from a lost one and, under delta gossip, building a
-    message that is then dropped would burn a stream seqno and stall the
-    receiver's cumulative ack.
+    Every frame is length-prefixed (4-byte big-endian); the first one names
+    the sender (the hello); a header announcing more than
+    :data:`MAX_FRAME_BYTES` is refused on the spot.  Each sender->peer link
+    keeps a pending list **bounded** by ``send_queue_limit``, which one
+    ``loop.call_soon`` flush per loop iteration **coalesces** into one frame
+    and one write (a writable link at its bound writes at once).  A link is
+    full while its peer is slow (the transport paused writing) or
+    unreachable (a dial is pending): the gossip tick
+    then *skips* the peer before building a message — a skipped gossip is
+    indistinguishable from a lost one, while under delta gossip a built,
+    then dropped message would burn a stream seqno — and any other message
+    is dropped and counted (``NetStats.messages_dropped``).  Clients encode
+    and write each request at submit, so one the wire cannot spell is
+    raised to its submitter and withdrawn; one toward a paused replica is
+    then dropped and counted too, and the front end's retry resends it.
 
 Descriptor windows and tables
     A connection is reliable and FIFO, so each direction of a
-    replica->replica connection owns a
+    replica->replica connection has a
     :class:`~repro.net.codec.DescriptorWindow`: a descriptor crosses in full
-    once and by back-reference afterwards.  The window's lifetime is the
-    connection's — the send link dials *before* it encodes and drops window
-    and connection together on a failed write; the serve task's half dies
-    with the task — so the first frame on every connection is spelled in
-    full and no handshake is needed after a crash or a rejected frame.
-    Every window — client links have one too, which stays empty — carries
-    the :class:`~repro.net.codec.DescriptorTable` of the endpoint it belongs
-    to: one per replica *incarnation* (:class:`_Endpoint`) and one per
-    client.  Through it a replica parses a descriptor once however many
-    links relay it, re-sends the bytes it received, and holds one object
-    per descriptor; a crashed replica's table goes with its endpoint.
+    once, by back-reference afterwards.  Each :class:`_Connection` makes its
+    own window and a send link dials *before* it encodes, so no handshake is
+    needed after a crash or a rejected frame.  Every window carries its
+    endpoint's :class:`~repro.net.codec.DescriptorTable` — one per replica
+    *incarnation* (:class:`_Endpoint`), one per client — so a replica parses
+    a descriptor once however many links relay it.
 
 Loss tolerance
-    Connections (re)connect lazily; a write onto a broken link loses the
-    batch, and nothing retransmits at the transport level.  That is the
-    algorithm's own fault model — gossip re-sends knowledge every period,
-    pulls are re-queued off the next advert, and the front end retries
-    unanswered requests — so replica crash/recovery needs no connection
-    handshake beyond re-dialing.  A message holding a value the wire cannot
-    spell is lost the same way, alone: the writer task counts it
-    (``NetStats.frames_unencodable``) and carries on, and a request that
-    cannot be spelled is raised to its submitter and withdrawn.
+    Links dial lazily, when something waits to be sent; a failed dial loses
+    what waited and holds the next one off for ``reconnect_delay``; nothing
+    retransmits at the transport level.  That is the algorithm's own fault
+    model — gossip re-sends knowledge every period, pulls are re-queued off
+    the next advert, front ends retry — so crash/recovery needs no
+    handshake beyond re-dialing.  A bad or oversized inbound frame costs its
+    connection (``NetStats.frames_rejected``) and reaches no core; a message
+    holding a value the wire cannot spell is lost alone
+    (``NetStats.frames_unencodable``), on a dialed link with its connection.
 
 The cluster shares :class:`~repro.deployment.Deployment` with the simulator
-and the action-level system (``requested`` / ``responded`` / ``trace`` /
-``replicas`` / ``compaction_ledger``, the Fig. 8 view, ``eventual_order``),
-so the Section 7/8 invariant checker and the serializability oracles run
-unmodified against a quiesced network deployment.
+and the action-level system, so the Section 7/8 invariant checker and the
+serializability oracles run unmodified against a quiesced deployment.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import struct
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithm.messages import ResponseMessage
 from repro.algorithm.node import ReplicaNode
@@ -85,6 +84,7 @@ from repro.net.codec import (
     FrameError,
     decode_frame,
     encode_frame_detailed,
+    encode_message,
 )
 
 #: Upper bound on one frame (a defensive limit, far above any real frame).
@@ -104,13 +104,14 @@ class NetParams:
 
     #: Seconds between gossip rounds at each replica.
     gossip_period: float = 0.05
-    #: Bounded per-peer send queue length (messages). Full queue = slow peer:
-    #: senders block (clients, pulls) or skip the round (gossip).
+    #: Bound on the messages a link holds between flushes (messages).  A full
+    #: link means a slow, paused or unreachable peer: the gossip tick skips
+    #: the round, and anything else handed to it is dropped and counted.
     send_queue_limit: int = 64
     #: Front ends re-send an unanswered request after this many seconds
     #: (redirecting away from replicas that NACKed, like the simulator).
     request_retry: float = 1.0
-    #: Delay before a broken link re-dials its peer.
+    #: Delay after a failed dial before a link dials its peer again.
     reconnect_delay: float = 0.05
     #: The replica-level features — the one :class:`~repro.config.ReplicaConfig`
     #: every harness takes.  Its simulator-only fields (``batch_gossip``,
@@ -145,8 +146,10 @@ class NetStats:
     payload_bytes_by_kind: Dict[str, int] = field(
         default_factory=lambda: {k: 0 for k in NetStats.KINDS}
     )
-    #: Gossip rounds skipped because a peer's send queue was full.
+    #: Gossip rounds skipped because the link to a peer was full.
     gossip_skipped: int = 0
+    #: Other outbound messages a full link or a paused client refused.
+    messages_dropped: int = 0
     #: Inbound frames that failed to decode or exceeded the size limit; each
     #: cost its sender the connection.
     frames_rejected: int = 0
@@ -165,184 +168,195 @@ class NetStats:
 
 
 # --------------------------------------------------------------------------- #
-# Stream helpers (shared by both transports)                                  #
+# Framing (sans-IO)                                                           #
 # --------------------------------------------------------------------------- #
 
-async def read_frame(reader) -> Optional[bytes]:
-    """Read one length-prefixed frame; ``None`` on EOF / reset."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise EsdsError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} limit")
-    try:
-        return await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None
+class FrameParser:
+    """Bytes in, length-prefixed frames out, with no I/O of its own.
+
+    :meth:`feed` takes whatever the transport delivered — any split of the
+    stream — and returns the frames it completes, in order; a partial frame
+    stays buffered until its last byte arrives.  A header announcing more
+    than :data:`MAX_FRAME_BYTES` raises :class:`~repro.net.codec.FrameError` as soon as
+    its four bytes are in: no byte of that body is awaited or kept, and the
+    connection, whose framing can no longer be trusted, is the caller's to
+    drop."""
+
+    __slots__ = ("_buffer", "_wanted")
+
+    def __init__(self) -> None:
+        #: The stream's unparsed tail (a partial frame), and how long it must
+        #: grow before parsing it again can complete a header or a frame.
+        self._buffer = bytearray()
+        self._wanted = 0
+
+    def feed(self, data: bytes) -> List[bytes]:
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            if len(buffer) < self._wanted:
+                return []
+            data = bytes(buffer)
+            buffer.clear()
+        frames: List[bytes] = []
+        start, end = 0, len(data)
+        while True:
+            if end - start < _LEN.size:
+                wanted = _LEN.size
+                break
+            (length,) = _LEN.unpack_from(data, start)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} limit")
+            stop = start + _LEN.size + length
+            if stop > end:
+                wanted = stop - start
+                break
+            frames.append(data[start + _LEN.size:stop])
+            start = stop
+        if start < end:
+            buffer += memoryview(data)[start:]
+            self._wanted = wanted
+        return frames
 
 
-async def write_frame(writer, frame: bytes) -> None:
-    """Write one length-prefixed frame."""
-    writer.write(_LEN.pack(len(frame)) + frame)
-    await writer.drain()
+class _Connection(asyncio.Protocol):
+    """One end of one connection, on either transport: each frame the
+    parser completes goes, synchronously and in order, to ``on_frame``.  An
+    :class:`EsdsError` out of a frame (bad, oversized, a hello that is not
+    UTF-8) costs the connection, never the reader, and is counted; a frame
+    is decoded whole before dispatch, so none of a bad one reaches a core.
+    The connection makes its own descriptor window and takes it along: the
+    sending half on a dialed replica link, the receiving half on an
+    accepted one, one (empty) window both ways on a client's."""
 
+    def __init__(self, stats: "NetStats", table: DescriptorTable) -> None:
+        self.stats = stats
+        self.window = DescriptorWindow(table)
+        #: A dialed replica link's peer never writes back.
+        self.on_frame: Callable[[bytes], None] = lambda frame: None
+        self.on_lost: Optional[Callable[[], None]] = None
+        self.on_resume: Optional[Callable[[], None]] = None
+        self.transport: Optional[asyncio.BaseTransport] = None
+        self.parser = FrameParser()
+        self.closed = False
+        self.paused = False
 
-def _close_quietly(writer) -> None:
-    try:
-        writer.close()
-    except Exception:
-        pass
+    def connection_made(self, transport) -> None:
+        self.transport = transport
 
+    def data_received(self, data: bytes) -> None:
+        if self.closed:
+            return
+        try:
+            for frame in self.parser.feed(data):
+                self.on_frame(frame)
+                if self.closed:
+                    return
+        except EsdsError:
+            self.stats.frames_rejected += 1
+            self.close()
 
-async def _read_hello(reader) -> Optional[str]:
-    frame = await read_frame(reader)
-    if frame is None:
-        return None
-    try:
-        return frame.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FrameError("hello frame is not UTF-8") from exc
+    def connection_lost(self, exc) -> None:
+        self.close()
 
+    def pause_writing(self) -> None:
+        self.paused = True
 
-async def _write_hello(writer, name: str) -> None:
-    await write_frame(writer, name.encode("utf-8"))
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.on_resume is not None:
+            self.on_resume()
 
-
-# --------------------------------------------------------------------------- #
-# In-process transport: StreamReader pairs wired back to back                 #
-# --------------------------------------------------------------------------- #
-
-class _MemoryWriter:
-    """Write end of an in-process pipe.  Closing it EOFs the peer's reader
-    and *breaks* the peer's write end, so a crashed endpoint surfaces to its
-    peers as a reset connection — same failure surface as a socket."""
-
-    def __init__(self, peer_reader: asyncio.StreamReader) -> None:
-        self._peer_reader = peer_reader
-        self._peer_writer: Optional["_MemoryWriter"] = None
-        self._closed = False
-        self._broken = False
-
-    def write(self, data: bytes) -> None:
-        if self._closed or self._broken:
-            raise ConnectionResetError("in-process peer closed")
-        self._peer_reader.feed_data(data)
-
-    async def drain(self) -> None:
-        if self._closed or self._broken:
-            raise ConnectionResetError("in-process peer closed")
-        # Yield to the event loop so readers run; there is no real buffer.
-        await asyncio.sleep(0)
+    def write(self, frame: bytes) -> None:
+        if not self.closed:
+            self.transport.write(_LEN.pack(len(frame)) + frame)
 
     def close(self) -> None:
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
-        self._peer_reader.feed_eof()
-        if self._peer_writer is not None:
-            self._peer_writer._broken = True
+        self.closed = True
+        if self.transport is not None:
+            self.transport.close()
+        if self.on_lost is not None:
+            self.on_lost()
 
-    def is_closing(self) -> bool:
-        return self._closed
 
-    async def wait_closed(self) -> None:
-        return
+# --------------------------------------------------------------------------- #
+# Transports: a name registry, listen and connect                             #
+# --------------------------------------------------------------------------- #
+
+class _MemoryPipe(asyncio.Transport):
+    """One end of an in-process connection.  ``write`` hands the bytes to
+    the peer's protocol on the next loop iteration; ``close`` delivers
+    ``connection_lost`` to both ends, after whatever was written before it.
+    Nothing is buffered, so it never pauses."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, protocol: asyncio.Protocol) -> None:
+        super().__init__()
+        self._loop = loop
+        self._protocol = protocol
+        self.peer: Optional["_MemoryPipe"] = None
+        self._closing = False
+
+    def write(self, data) -> None:
+        if not self._closing:
+            self._loop.call_soon(self.peer._protocol.data_received, bytes(data))
+
+    def close(self) -> None:
+        if self._closing:
+            return
+        for end in (self, self.peer):
+            end._closing = True
+            self._loop.call_soon(end._protocol.connection_lost, None)
 
 
 class _MemoryTransport:
-    """The registry of listening in-process nodes."""
+    """In-process listeners by name.  ``listen`` returns the function that
+    stops listening; ``connect`` pairs *protocol* with a fresh one of the
+    listener's, like an accepted socket."""
 
     def __init__(self) -> None:
-        self._handlers: Dict[str, Any] = {}
+        self._listeners: Dict[str, Callable[[], asyncio.Protocol]] = {}
 
-    async def listen(self, name: str, handler) -> "_MemoryServer":
-        self._handlers[name] = handler
-        return _MemoryServer(self, name)
+    async def listen(self, name: str, factory: Callable[[], asyncio.Protocol]):
+        self._listeners[name] = factory
+        return lambda: self._listeners.pop(name, None)
 
-    async def connect(self, name: str):
-        handler = self._handlers.get(name)
-        if handler is None:
+    async def connect(self, name: str, protocol: asyncio.Protocol) -> None:
+        factory = self._listeners.get(name)
+        if factory is None:
             raise ConnectionRefusedError(f"no listener named {name!r}")
-        here_reader = asyncio.StreamReader()
-        there_reader = asyncio.StreamReader()
-        here_writer = _MemoryWriter(there_reader)
-        there_writer = _MemoryWriter(here_reader)
-        here_writer._peer_writer = there_writer
-        there_writer._peer_writer = here_writer
-        asyncio.get_running_loop().create_task(handler(there_reader, there_writer))
-        return here_reader, here_writer
-
-
-class _MemoryServer:
-    def __init__(self, transport: _MemoryTransport, name: str) -> None:
-        self._transport = transport
-        self._name = name
-
-    def close(self) -> None:
-        self._transport._handlers.pop(self._name, None)
-
-    async def wait_closed(self) -> None:
-        return
-
-
-# --------------------------------------------------------------------------- #
-# TCP transport (loopback)                                                    #
-# --------------------------------------------------------------------------- #
-
-def _set_nodelay(writer) -> None:
-    """Disable Nagle on a TCP stream.  The protocol is strictly small
-    request/response and gossip frames; with Nagle on, every sub-MSS frame
-    waits for the peer's delayed ACK (~40ms on Linux loopback), which caps
-    a ping-pong client at ~25 ops/s regardless of how fast the replicas
-    are.  Both the dialing and the accepting side must opt out — either
-    side's Nagle re-introduces the stall."""
-    sock = writer.get_extra_info("socket")
-    if sock is not None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass  # not a TCP socket (or a platform without the knob)
+        loop = asyncio.get_running_loop()
+        here, there = _MemoryPipe(loop, protocol), _MemoryPipe(loop, factory())
+        here.peer, there.peer = there, here
+        there._protocol.connection_made(there)
+        protocol.connection_made(here)
 
 
 class _TcpTransport:
     """Loopback TCP with a name -> (host, port) registry, resolved at every
-    connect so a recovered replica's fresh port is picked up lazily."""
+    connect so a recovered replica's fresh port is picked up lazily.  The
+    event loop's socket transports disable Nagle on both ends (with it on,
+    every sub-MSS frame would wait ~40 ms for the peer's delayed ACK)."""
 
     def __init__(self) -> None:
         self._addresses: Dict[str, Tuple[str, int]] = {}
 
-    async def listen(self, name: str, handler):
-        async def accept(reader, writer):
-            _set_nodelay(writer)
-            await handler(reader, writer)
-
-        server = await asyncio.start_server(accept, "127.0.0.1", 0)
+    async def listen(self, name: str, factory: Callable[[], asyncio.Protocol]):
+        server = await asyncio.get_running_loop().create_server(factory, "127.0.0.1", 0)
         self._addresses[name] = server.sockets[0].getsockname()[:2]
-        return _TcpServer(self, name, server)
 
-    async def connect(self, name: str):
+        def stop() -> None:
+            self._addresses.pop(name, None)
+            server.close()
+
+        return stop
+
+    async def connect(self, name: str, protocol: asyncio.Protocol) -> None:
         address = self._addresses.get(name)
         if address is None:
             raise ConnectionRefusedError(f"no listener named {name!r}")
-        reader, writer = await asyncio.open_connection(*address)
-        _set_nodelay(writer)
-        return reader, writer
-
-
-class _TcpServer:
-    def __init__(self, transport: _TcpTransport, name: str, server: asyncio.AbstractServer) -> None:
-        self._transport = transport
-        self._name = name
-        self._server = server
-
-    def close(self) -> None:
-        self._transport._addresses.pop(self._name, None)
-        self._server.close()
-
-    async def wait_closed(self) -> None:
-        await self._server.wait_closed()
+        await asyncio.get_running_loop().create_connection(lambda: protocol, *address)
 
 
 # --------------------------------------------------------------------------- #
@@ -350,111 +364,135 @@ class _TcpServer:
 # --------------------------------------------------------------------------- #
 
 class _SendLink:
-    """One bounded outgoing queue + writer task toward a fixed peer.
+    """The way out toward one peer: a pending list bounded by
+    ``send_queue_limit``, flushed once per loop iteration as one frame.
 
-    ``dial=True`` links own their connection (replica->replica: lazily
-    (re)connected through the transport registry) and, with it, the sending
-    half of its :class:`~repro.net.codec.DescriptorWindow` — born with the
-    connection, dropped with it, so the first frame on every connection is
-    spelled in full; ``dial=False`` links write onto an already-accepted
-    connection's writer (replica->client responses ride the client's own
-    duplex connection), which carries no gossip: their window stays empty.
-    Every window of the link brings along *table*, the sending endpoint's
-    :class:`~repro.net.codec.DescriptorTable`."""
+    A *dialed* link (replica->replica) owns its connection, dialed lazily
+    when something waits to be sent; a *response* link (replica->client)
+    writes on the connection the client dialed.  A full link refuses what
+    it is handed and counts it; the gossip tick asks :meth:`full` first."""
 
     def __init__(self, cluster: "NetCluster", source: str, dest: str,
-                 table: DescriptorTable, writer=None) -> None:
+                 table: DescriptorTable, conn: Optional[_Connection] = None) -> None:
         self._cluster = cluster
         self._source = source
         self._dest = dest
         self._table = table
-        self._writer = writer
-        self._dial = writer is None
-        self._window: Optional[DescriptorWindow] = (
-            None if self._dial else DescriptorWindow(table)
-        )
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=cluster.params.send_queue_limit)
-        self.task = asyncio.get_running_loop().create_task(self._run())
+        self._limit = cluster.params.send_queue_limit
+        self._loop = asyncio.get_running_loop()
+        self._dial = conn is None
+        self.conn = conn
+        if conn is not None:
+            conn.on_resume = self._schedule_flush
+        self.pending: List[Tuple[str, Any]] = []
+        self.closed = False
+        self._flush_scheduled = False
+        self._dialing: Optional[asyncio.Task] = None
+        #: No dial starts before this loop time (set by a failed one).
+        self._dial_after = 0.0
 
-    async def send(self, kind: str, message) -> None:
-        await self.queue.put((kind, message))
+    @property
+    def window(self) -> Optional[DescriptorWindow]:
+        return None if self.conn is None else self.conn.window
 
-    def send_nowait(self, kind: str, message) -> bool:
-        try:
-            self.queue.put_nowait((kind, message))
-            return True
-        except asyncio.QueueFull:
-            return False
+    def full(self) -> bool:
+        """At the bound with no way out (peer paused or unreachable)?  On a
+        writable connection the bound caps a frame: reaching it flushes."""
+        if len(self.pending) >= self._limit and self.conn is not None and not self.conn.paused:
+            self._flush()
+        return len(self.pending) >= self._limit
+
+    def send(self, kind: str, message) -> None:
+        if self.full():
+            self._cluster.stats.messages_dropped += 1
+            return
+        self.pending.append((kind, message))
+        self._schedule_flush()
 
     def close(self) -> None:
-        self.task.cancel()
-        if self._writer is not None:
-            _close_quietly(self._writer)
-            self._writer = None
+        self.closed = True
+        self.pending.clear()
+        if self._dialing is not None:
+            self._dialing.cancel()
+        if self.conn is not None:
+            self.conn.close()
 
-    async def _run(self) -> None:
-        #: Messages of a batch that failed to encode, to be sent one by one.
-        singly: Deque[Tuple[str, Any]] = deque()
-        while True:
-            if singly:
-                batch: List[Tuple[str, Any]] = [singly.popleft()]
-            else:
-                # One frame takes everything queued; the bounded queue
-                # bounds the frame.
-                batch = [await self.queue.get()]
-                while not self.queue.empty():
-                    batch.append(self.queue.get_nowait())
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        self._flush_scheduled = False
+        conn = self.conn
+        if self.closed or not self.pending:
+            return
+        if conn is None:
             # Dial before encoding: a windowed frame advances the window, so
             # it must be written to the connection the window belongs to.
-            if self._writer is None and self._dial:
-                self._writer = await self._connect()
-                if self._writer is None:
-                    continue  # peer unreachable: the batch is lost (fault model)
-                self._window = DescriptorWindow(self._table)
-            try:
-                frame, sizes = encode_frame_detailed(
-                    [message for _, message in batch], self._window
-                )
-            except FrameError:
-                # A value the wire cannot spell costs the message that holds
-                # it — lost like any other — and never the link: the rest of
-                # its batch goes out one message a frame.  A half-encoded
-                # windowed frame has already advanced the window, so a dialed
-                # connection goes with it.
-                if len(batch) > 1:
-                    singly.extend(batch)
-                else:
-                    self._cluster.stats.frames_unencodable += 1
-                if self._dial:
-                    self._drop_connection()
-                continue
-            try:
-                await write_frame(self._writer, frame)
-            except (ConnectionError, OSError):
-                self._drop_connection()
-                continue  # batch lost; re-dial on the next one
-            self._cluster.stats.record_frame(batch, len(frame), sizes)
-
-    def _drop_connection(self) -> None:
-        if self._writer is not None:
-            _close_quietly(self._writer)
-        self._writer = None
-        self._window = None
-        if not self._dial:
-            # An accepted connection cannot be re-dialed from this side;
-            # the peer re-connects and a fresh link replaces this one.
-            self.task.cancel()
-
-    async def _connect(self):
+            if self._dialing is None:
+                self._dialing = self._loop.create_task(self._redial())
+            return
+        if conn.paused:
+            return  # ``resume_writing`` flushes
+        batch, self.pending = self.pending, []
         try:
-            reader, writer = await self._cluster.transport.connect(self._dest)
-            await _write_hello(writer, self._source)
-        except (ConnectionError, OSError):
-            await asyncio.sleep(self._cluster.params.reconnect_delay)
-            return None
-        # The reverse direction of a dialed replica link is unused; leave
-        # the reader unconsumed (EOF surfaces through write errors).
-        return writer
+            frame, sizes = encode_frame_detailed([message for _, message in batch], conn.window)
+        except FrameError:
+            self._drop_unspellable(batch)
+            return
+        conn.write(frame)
+        self._cluster.stats.record_frame(batch, len(frame), sizes)
+
+    def _drop_unspellable(self, batch: List[Tuple[str, Any]]) -> None:
+        """A value the wire cannot spell costs the message holding it, never
+        the link: the rest of the batch goes back to the head of the pending
+        list (spellability depends on a message's values alone, so a
+        stateless encode tells).  A half-encoded frame has already advanced
+        the window, so a dialed connection goes too."""
+        spellable = []
+        for kind, message in batch:
+            try:
+                encode_message(message)
+            except FrameError:
+                self._cluster.stats.frames_unencodable += 1
+            else:
+                spellable.append((kind, message))
+        self.pending[:0] = spellable
+        if self._dial:
+            self.conn.close()
+        self._schedule_flush()
+
+    def _lost(self, conn: _Connection) -> None:
+        if self.conn is conn:
+            self.conn = None
+            if self.pending:
+                self._schedule_flush()  # re-dials
+
+    async def _redial(self) -> None:
+        cluster = self._cluster
+        try:
+            delay = self._dial_after - self._loop.time()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            conn = _Connection(cluster.stats, self._table)
+            try:
+                await cluster.transport.connect(self._dest, conn)
+            except (ConnectionError, OSError):
+                # Unreachable: what waited is lost (the fault model).
+                self.pending.clear()
+                self._dial_after = self._loop.time() + cluster.params.reconnect_delay
+                return
+            except asyncio.CancelledError:
+                conn.close()  # the link closed under the dial
+                raise
+            conn.on_lost = lambda: self._lost(conn)
+            conn.on_resume = self._schedule_flush
+            conn.write(self._source.encode("utf-8"))  # the hello
+            self.conn = conn
+        finally:
+            self._dialing = None
+        self._flush()
 
 
 # --------------------------------------------------------------------------- #
@@ -462,62 +500,42 @@ class _SendLink:
 # --------------------------------------------------------------------------- #
 
 class _Endpoint:
-    """The connections and tasks of one incarnation of a replica: its
-    listening server, outgoing links, and the tasks serving what it
-    accepted.  A crash tears the endpoint down; recovery builds a new one
-    (and a new :class:`ReplicaNode`, so tasks of the dead incarnation keep
-    seeing ``crashed``)."""
+    """The connections of one incarnation of a replica: its listener,
+    outgoing links, the connections it accepted and its gossip timer.  A
+    crash tears the endpoint down; recovery builds a new one (and a new
+    :class:`ReplicaNode`, so callbacks of the dead incarnation keep seeing
+    ``crashed``)."""
 
     def __init__(self, node: ReplicaNode) -> None:
         self.node = node
         #: What this incarnation knows about descriptor spellings; shared by
-        #: the windows of all its links, gone with it.
+        #: the windows of all its connections, gone with it.
         self.table = DescriptorTable()
-        self.server = None
-        #: Outgoing replica->replica links.
+        self.stop_listening: Optional[Callable[[], None]] = None
+        #: Outgoing replica->replica links, and response links by client id.
         self.links: Dict[str, _SendLink] = {}
-        #: Response links keyed by client id (onto accepted connections).
         self.client_out: Dict[str, _SendLink] = {}
-        #: Tasks serving accepted connections (+ the gossip loop).
-        self.tasks: Set[asyncio.Task] = set()
+        #: The connections it accepted and has not lost.
+        self.accepted: Set[_Connection] = set()
+        self.gossip: Optional[asyncio.Task] = None
 
     def teardown(self) -> None:
         self.node.crashed = True
-        if self.server is not None:
-            self.server.close()
-            self.server = None
-        for task in self.tasks:
-            task.cancel()
-        self.tasks.clear()
+        if self.stop_listening is not None:
+            self.stop_listening()
+            self.stop_listening = None
+        if self.gossip is not None:
+            self.gossip.cancel()
         for link in self.links.values():
             link.close()
         self.links.clear()
-        for link in self.client_out.values():
-            link.close()
-        self.client_out.clear()
-
-
-class _ClientConn:
-    """A client's duplex connection to one replica.  It carries no gossip,
-    so one (empty) window serves both directions: it brings the client's
-    descriptor table to the codec."""
-
-    def __init__(self, writer, window: DescriptorWindow) -> None:
-        self.writer = writer
-        self.window = window
-        self.reader_task: Optional[asyncio.Task] = None
-        self.lock = asyncio.Lock()
-        self.dead = False
-
-    def close(self) -> None:
-        self.dead = True
-        if self.reader_task is not None:
-            self.reader_task.cancel()
-        _close_quietly(self.writer)
+        # An accepted connection takes the response link on it along.
+        for conn in list(self.accepted):
+            conn.close()
 
 
 class NetCluster(Deployment):
-    """A full ESDS deployment over asyncio streams.
+    """A full ESDS deployment over asyncio connections.
 
     Usage (an event loop must be running — tests wrap in ``asyncio.run``)::
 
@@ -556,7 +574,7 @@ class NetCluster(Deployment):
 
         self._endpoints: Dict[str, _Endpoint] = {}
         #: Live client connections, by client then replica; dialed lazily.
-        self._client_conns: Dict[str, Dict[str, _ClientConn]] = defaultdict(dict)
+        self._client_conns: Dict[str, Dict[str, _Connection]] = defaultdict(dict)
         #: One descriptor table per client, shared by its connections.
         self._client_tables: Dict[str, DescriptorTable] = defaultdict(DescriptorTable)
         self._futures: Dict[OperationId, asyncio.Future] = {}
@@ -598,85 +616,79 @@ class NetCluster(Deployment):
             endpoint.teardown()
         for conns in self._client_conns.values():
             for conn in list(conns.values()):
-                conn.close()
-            conns.clear()
+                conn.close()  # and forgets itself
         # Let cancellations unwind before the loop closes.
         await asyncio.sleep(0)
 
     async def _start_replica(self, rid: str) -> None:
         endpoint = _Endpoint(self.nodes[rid])
         self._endpoints[rid] = endpoint
-
-        async def serve(reader, writer) -> None:
-            await self._serve_connection(endpoint, reader, writer)
-
-        endpoint.server = await self.transport.listen(rid, serve)
+        endpoint.stop_listening = await self.transport.listen(
+            rid, lambda: self._accept(endpoint)
+        )
         for dest in self.replica_ids:
             if dest != rid:
                 endpoint.links[dest] = _SendLink(self, rid, dest, endpoint.table)
-        task = asyncio.get_running_loop().create_task(self._gossip_loop(endpoint))
-        endpoint.tasks.add(task)
+        endpoint.gossip = asyncio.get_running_loop().create_task(self._gossip_loop(endpoint))
 
     # -- replica side ----------------------------------------------------------
 
-    async def _serve_connection(self, endpoint: _Endpoint, reader, writer) -> None:
-        task = asyncio.current_task()
-        endpoint.tasks.add(task)
-        node = endpoint.node
-        response_link = None
-        # The receiving half of this connection's descriptor window: it lives
-        # and dies with this task.
-        window = DescriptorWindow(endpoint.table)
-        try:
-            sender = await _read_hello(reader)
-            if sender is None or node.crashed:
+    def _accept(self, endpoint: _Endpoint) -> _Connection:
+        """The protocol of a connection *endpoint* accepts: a hello naming
+        the sender (a client's connection doubles as its response channel,
+        replacing any stale one), then frames for the node."""
+        conn = _Connection(self.stats, endpoint.table)
+        endpoint.accepted.add(conn)
+        sender = None
+
+        def hello(frame: bytes) -> None:
+            nonlocal sender
+            try:
+                sender = frame.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FrameError("hello frame is not UTF-8") from exc
+            if endpoint.node.crashed:
+                conn.close()
                 return
             if sender in self.frontends:
-                # The client's duplex connection doubles as its response
-                # channel; a reconnect replaces any stale link.
                 old = endpoint.client_out.pop(sender, None)
                 if old is not None:
                     old.close()
-                response_link = _SendLink(
-                    self, node.id, sender, endpoint.table, writer=writer
+                endpoint.client_out[sender] = _SendLink(
+                    self, endpoint.node.id, sender, endpoint.table, conn
                 )
-                endpoint.client_out[sender] = response_link
-            while True:
-                frame = await read_frame(reader)
-                if frame is None or node.crashed:
-                    break
-                self.stats.frames_received += 1
-                self.stats.bytes_received += len(frame) + _LEN.size
-                await self._handle_frame(endpoint, decode_frame(frame, window))
-        except EsdsError:
-            # Hostile or corrupt bytes: after one bad frame the stream's
-            # framing cannot be trusted, so the *connection* goes — never the
-            # replica.  Nothing of the frame reached the core.
-            self.stats.frames_rejected += 1
-        except asyncio.CancelledError:
-            # Replica crash / cluster stop cancels serve tasks; exiting
-            # normally keeps asyncio's stream-protocol callback quiet.
-            pass
-        finally:
-            endpoint.tasks.discard(task)
-            if response_link is not None and endpoint.client_out.get(sender) is response_link:
-                del endpoint.client_out[sender]
-                response_link.close()
-            _close_quietly(writer)
+            conn.on_frame = lambda frame: self._dispatch(endpoint, self._decode(frame, conn))
 
-    async def _handle_frame(self, endpoint: _Endpoint, messages: Sequence[Any]) -> None:
+        def lost() -> None:
+            endpoint.accepted.discard(conn)
+            link = endpoint.client_out.get(sender)
+            if link is not None and link.conn is conn:
+                del endpoint.client_out[sender]
+                link.close()
+
+        conn.on_frame, conn.on_lost = hello, lost
+        return conn
+
+    def _decode(self, frame: bytes, conn: _Connection) -> List[Any]:
+        """A frame after the hello, counted and decoded."""
+        stats = self.stats
+        stats.frames_received += 1
+        stats.bytes_received += len(frame) + _LEN.size
+        return decode_frame(frame, conn.window)
+
+    def _dispatch(self, endpoint: _Endpoint, messages: Sequence[Any]) -> None:
         """One decoded frame — one sender's wakeup worth of messages — goes
         through the node as a single burst; its outbox goes onto the links.
-        Pulls, transfers and responses block on a full queue (backpressure).
         A response for a client with no connection here is lost, exactly
         like a dropped message; the front end's retry path recovers."""
         for kind, destination, message in endpoint.node.handle(messages):
             if kind == "response":
                 link = endpoint.client_out.get(destination)
+                if link is None:
+                    continue
             else:
                 link = endpoint.links[destination]
-            if link is not None:
-                await link.send(kind, message)
+            link.send(kind, message)
 
     async def _gossip_loop(self, endpoint: _Endpoint) -> None:
         loop = asyncio.get_running_loop()
@@ -686,51 +698,39 @@ class NetCluster(Deployment):
             if node.crashed:
                 return
             for dest, link in endpoint.links.items():
-                if link.queue.full():
+                if link.full():
                     # Skip *before* building: under delta gossip a built-
                     # then-dropped message would consume a stream seqno.
                     self.stats.gossip_skipped += 1
                     continue
                 message = node.core.make_gossip(dest)
                 message.sent_at = loop.time()
-                if not link.send_nowait("gossip", message):
-                    self.stats.gossip_skipped += 1
+                link.send("gossip", message)
 
     # -- client side -----------------------------------------------------------
 
-    async def _connect_client(self, cid: str, rid: str) -> Optional[_ClientConn]:
+    async def _connect_client(self, cid: str, rid: str) -> Optional[_Connection]:
+        conn = _Connection(self.stats, self._client_tables[cid])
         try:
-            reader, writer = await self.transport.connect(rid)
-            await _write_hello(writer, cid)
+            await self.transport.connect(rid, conn)
         except (ConnectionError, OSError):
             return None
-        conn = _ClientConn(writer, DescriptorWindow(self._client_tables[cid]))
-        conn.reader_task = asyncio.get_running_loop().create_task(
-            self._client_reader(cid, rid, conn, reader)
-        )
-        self._client_conns[cid][rid] = conn
-        return conn
+        conns = self._client_conns[cid]
 
-    async def _client_reader(self, cid: str, rid: str, conn: _ClientConn, reader) -> None:
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                self.stats.frames_received += 1
-                self.stats.bytes_received += len(frame) + _LEN.size
-                for message in decode_frame(frame, conn.window):
-                    if message.kind == "response":
-                        self._deliver_response(cid, message)
-        except EsdsError:
-            self.stats.frames_rejected += 1
-        finally:
-            # EOF, a rejected frame or cancellation: nobody reads this
-            # connection any more, so the next send must re-dial.
-            conn.dead = True
-            _close_quietly(conn.writer)
-            if self._client_conns[cid].get(rid) is conn:
-                del self._client_conns[cid][rid]
+        def lost() -> None:
+            # Nobody reads this connection any more: the next send re-dials.
+            if conns.get(rid) is conn:
+                del conns[rid]
+
+        def responses(frame: bytes) -> None:
+            for message in self._decode(frame, conn):
+                if message.kind == "response":
+                    self._deliver_response(cid, message)
+
+        conn.on_frame, conn.on_lost = responses, lost
+        conn.write(cid.encode("utf-8"))  # the hello
+        conns[rid] = conn
+        return conn
 
     def _deliver_response(self, cid: str, message: ResponseMessage) -> None:
         if not self.accept_response(cid, message):
@@ -745,17 +745,15 @@ class NetCluster(Deployment):
 
     async def _send_request(self, cid: str, rid: str, message) -> None:
         conn = self._client_conns[cid].get(rid)
-        if conn is None or conn.dead:
+        if conn is None:
             conn = await self._connect_client(cid, rid)
             if conn is None:
                 return  # replica unreachable: the send is lost
         frame, sizes = encode_frame_detailed([message], conn.window)
-        try:
-            async with conn.lock:
-                await write_frame(conn.writer, frame)
-        except (ConnectionError, OSError):
-            conn.close()
+        if conn.paused:  # lost, not buffered: the front end's retry resends it
+            self.stats.messages_dropped += 1
             return
+        conn.write(frame)
         self.stats.record_frame([("request", message)], len(frame), sizes)
 
     # -- public client API -----------------------------------------------------
@@ -845,9 +843,8 @@ class NetCluster(Deployment):
         self._endpoints[rid].teardown()
         self.replicas[rid].crash(volatile_memory=volatile_memory)
         for conns in self._client_conns.values():
-            conn = conns.pop(rid, None)
-            if conn is not None:
-                conn.close()
+            if rid in conns:
+                conns[rid].close()  # and forgets itself
         await asyncio.sleep(0)
 
     async def recover_replica(self, rid: str) -> None:

@@ -316,12 +316,9 @@ def test_table_cannot_grow_with_history(transport, monkeypatch):
             for rid, endpoint in cluster._endpoints.items():
                 core = cluster.replicas[rid]
                 assert core.checkpoint.count > total // 2, "compaction did not run"
-                # Beyond the core and the windows, each send link's writer
-                # task still holds the batch it wrote last.
-                links = len(endpoint.links) + len(endpoint.client_out)
-                bound = (
-                    core.tracked_op_count() + spy.held_by_windows_of(endpoint.table) + links
-                )
+                # Beyond the core and the windows nothing holds a
+                # descriptor: a send link lets go of its batch once flushed.
+                bound = core.tracked_op_count() + spy.held_by_windows_of(endpoint.table)
                 assert len(endpoint.table) <= bound < total // 4, (rid, len(endpoint.table))
             # A client's table knows its own requests, which the deployment's
             # book (``requested``) keeps for the oracles.
@@ -356,7 +353,7 @@ def test_recovered_incarnation_starts_from_an_empty_table(transport, volatile):
             assert await cluster.submit("c0", CounterType.read()) == 13
             # Every link of the new incarnation spells through the new table.
             assert all(
-                link._window is None or link._window.table is new
+                link.window is None or link.window.table is new
                 for link in cluster._endpoints["r1"].links.values()
             )
 

@@ -273,13 +273,13 @@ class TestWindowScope:
                     await cluster.submit("c0", CounterType.increment())
                 assert await cluster.quiesce(timeout=30.0)
                 link = cluster._endpoints["r0"].links["r1"]
-                old_window, before = link._window, spy.gossiped()
+                old_window, before = link.window, spy.gossiped()
                 assert old_window is not None and old_window.start + len(old_window.ops) >= 5
-                link._writer.close()  # the connection breaks under the link
+                link.conn.transport.close()  # the connection breaks under the link
                 for _ in range(5):
                     await cluster.submit("c0", CounterType.increment())
                 await converge_and_check(cluster)
-                assert link._window is not None and link._window is not old_window
+                assert link.window is not None and link.window is not old_window
                 assert spy.gossiped() == before + 1
                 assert await cluster.submit("c1", CounterType.read()) == 10
 
@@ -296,18 +296,18 @@ class TestWindowScope:
                 links = [cluster._endpoints[rid].links["r2"] for rid in ("r0", "r1")]
                 for _ in range(3):
                     await cluster.submit("c0", CounterType.increment(), timeout=10.0)
-                # A write or two fails before a link knows its peer is gone.
-                while any(link._writer is not None for link in links):
+                # The peer's close reaches each link within a loop iteration or two.
+                while any(link.conn is not None for link in links):
                     await asyncio.sleep(0.01)
                 del spy.gossip_encoded_against[:]
                 await asyncio.sleep(0.2)  # gossip rounds toward r2 come and go
                 for link in links:
-                    assert link._writer is None and link._window is None
-                    assert not link.task.done()
+                    assert link.conn is None and link.window is None
+                    assert not link.closed
                 # No gossip was encoded for r2: every gossip frame was spelled
                 # against the window of a link that has a connection.
                 connected = [
-                    link._window
+                    link.window
                     for endpoint in cluster._endpoints.values()
                     for link in endpoint.links.values()
                 ]
@@ -318,7 +318,7 @@ class TestWindowScope:
                 )
                 await cluster.recover_replica("r2")
                 await converge_and_check(cluster)
-                assert all(link._window is not None for link in links)
+                assert all(link.window is not None for link in links)
 
         asyncio.run(run())
 

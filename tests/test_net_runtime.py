@@ -2,8 +2,8 @@
 
 Unlike the wire twins (tests/test_net_wire.py), which pin the codec-bearing
 simulation twin to the plain simulator under virtual time, these run the
-*real* :class:`NetCluster`: one asyncio task per replica, real frames through
-the binary codec, gossip on wall-clock timers.  The in-process memory
+*real* :class:`NetCluster`: one asyncio protocol per connection, real frames
+through the binary codec, gossip on wall-clock timers.  The in-process memory
 transport keeps most of them fast and socket-free; the TCP class exercises
 the same paths over loopback sockets.
 
@@ -32,7 +32,7 @@ from repro.datatypes import CounterType
 from repro.datatypes.base import Operator
 from repro.net.codec import FrameError, decode_frame, encode_message
 from repro.net.driver import LoadSpec, run_load
-from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams, write_frame
+from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams
 from repro.service.keyed import KeyedStore
 from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.serializability import check_recorded_trace
@@ -109,6 +109,8 @@ class TestMemoryTransport:
 
         stats = asyncio.run(run())
         assert stats.frames_sent > 0 and stats.bytes_sent > 0
+        # Responses answered in the same loop iteration share a frame.
+        assert sum(stats.messages_by_kind.values()) > stats.frames_sent
         assert stats.messages_by_kind["request"] >= 21
         assert stats.messages_by_kind["gossip"] > 0
         # Payload bytes exclude the per-frame overhead bytes_sent includes.
@@ -200,14 +202,20 @@ class TestInvariantChecker:
                     for _ in range(60) for cid in cluster.client_ids
                 ))
                 assert await cluster.quiesce(timeout=30.0)
-                # One more operation at a time until one is still tracked
-                # (done, uncompacted) at every replica: each replica folds
-                # at most once per 32 operations, so this takes a few rounds.
-                while not set.intersection(
-                    *(set(core.labels) for core in cluster.replicas.values())
-                ):
+                # One more operation at a time until a prefix is compacted
+                # and one operation is still tracked (done, uncompacted) at
+                # every replica: each replica folds at most once per 32
+                # operations, a round or so after they are stable, so this
+                # takes a few rounds.
+                for _ in range(200):
+                    if cluster.compaction_ledger.prefix and set.intersection(
+                        *(set(core.labels) for core in cluster.replicas.values())
+                    ):
+                        break
                     await cluster.submit("c0", CounterType.increment())
                     assert await cluster.quiesce(timeout=30.0)
+                else:
+                    pytest.fail("no prefix compacted with an operation still tracked")
             return cluster
 
         cluster = asyncio.run(run())
@@ -254,6 +262,78 @@ class TestBackpressure:
         stats, value = asyncio.run(run())
         assert value == 2
         assert stats.gossip_skipped > 0
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_full_link_drops_and_counts_without_blocking(self, transport):
+        def transfer():
+            return CheckpointTransferMessage(
+                sender="r0", requester="r2", epoch=0, digest="00" * 8,
+                frontier=Label(1, "r0"), ids=OpIdSummary({}), values_chunk={},
+                chunk_index=0, chunk_count=1,
+            )
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            # No gossip round comes: the link toward r2 holds only what the
+            # test hands it.
+            async with make_cluster(
+                transport, send_queue_limit=1, reconnect_delay=5.0, gossip_period=60.0
+            ) as cluster:
+                await cluster.submit("c0", CounterType.increment())
+                # On a writable connection the bound caps a frame, not the
+                # link: reaching it writes the frame out at once.
+                healthy = cluster._endpoints["r0"].links["r1"]
+                healthy.send("gossip", cluster.replicas["r0"].make_gossip("r1"))
+                while healthy.pending:  # dialed and flushed
+                    await asyncio.sleep(0.01)
+                frames = cluster.stats.frames_sent
+                for _ in range(3):
+                    healthy.send("gossip", cluster.replicas["r0"].make_gossip("r1"))
+                assert cluster.stats.frames_sent == frames + 2 and len(healthy.pending) == 1
+                assert cluster.stats.messages_dropped == 0
+
+                await cluster.crash_replica("r2", volatile_memory=False)
+                link = cluster._endpoints["r0"].links["r2"]
+                # The first message dials, finds no listener and is lost; the
+                # next dial waits out reconnect_delay.
+                link.send("transfer", transfer())
+                while link.pending:
+                    await asyncio.sleep(0.01)
+                # A plain call, not a coroutine: the sender never waits.
+                assert link.send("transfer", transfer()) is None
+                assert link.send("transfer", transfer()) is None
+                assert len(link.pending) == 1 and cluster.stats.messages_dropped == 1
+                for expected in (2, 3, 4):
+                    begin = loop.time()
+                    assert await cluster.submit("c0", CounterType.increment()) == expected
+                    assert loop.time() - begin < cluster.params.request_retry / 2
+                # Still held, still undialed: the re-dial is seconds away.
+                assert len(link.pending) == 1 and link.conn is None
+                assert cluster.stats.messages_dropped == 1
+                return cluster.stats
+
+        stats = asyncio.run(run())
+        assert stats.frames_unencodable == 0 and stats.frames_rejected == 0
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_request_toward_a_paused_replica_is_dropped_then_retried(self, transport):
+        async def run():
+            async with make_cluster(transport, request_retry=0.05) as cluster:
+                assert await cluster.submit("c0", CounterType.increment()) == 1
+                affinity = cluster._affinity["c0"]
+                paused = cluster._client_conns["c0"][affinity]
+                paused.pause_writing()
+                requests = cluster.stats.messages_by_kind["request"]
+                # The first send is dropped, not buffered; the retry reaches
+                # the other replicas on fresh connections.
+                assert await cluster.submit("c0", CounterType.increment()) == 2
+                assert cluster.stats.messages_dropped >= 1
+                assert cluster.stats.messages_by_kind["request"] >= requests + 2
+                assert paused.paused and not paused.closed
+                return cluster.stats
+
+        stats = asyncio.run(run())
+        assert stats.frames_unencodable == 0 and stats.frames_rejected == 0
 
 
 class TestTcpTransport:
@@ -320,15 +400,14 @@ async def _after_bad_bytes(transport, bad_bytes, toward):
 
         victim = cluster._client_conns["c0"][rid]
         if toward == "client":
-            writer = cluster._endpoints[rid].client_out["c0"]._writer
+            transport = cluster._endpoints[rid].client_out["c0"].conn.transport
         else:
-            writer = victim.writer
-        writer.write(bad_bytes)
-        await writer.drain()
+            transport = victim.transport
+        transport.write(bad_bytes)
         await asyncio.sleep(0.1)  # let the reject and the EOF propagate
 
         assert cluster.stats.frames_rejected == 1
-        assert victim.dead and cluster._client_conns["c0"].get(rid) is not victim
+        assert victim.closed and cluster._client_conns["c0"].get(rid) is not victim
         assert {r: c.replayed_state() for r, c in cluster.replicas.items()} == states
         assert {r: c.tracked_op_count() for r, c in cluster.replicas.items()} == tracked
 
@@ -403,15 +482,14 @@ async def _after_hostile_replica_frame(transport, frame):
         tracked = {r: core.tracked_op_count() for r, core in cluster.replicas.items()}
 
         link = cluster._endpoints["r0"].links["r1"]
-        old_window = link._window
-        link._writer.write(_length_prefixed(frame))
-        await link._writer.drain()
+        old_window = link.window
+        link.conn.transport.write(_length_prefixed(frame))
         await asyncio.sleep(0.1)  # the reject, the close and a few gossip rounds
 
         assert cluster.stats.frames_rejected == 1
         assert {r: c.replayed_state() for r, c in cluster.replicas.items()} == states
         assert {r: c.tracked_op_count() for r, c in cluster.replicas.items()} == tracked
-        assert link._window is not old_window  # the connection went, the window with it
+        assert link.window is not old_window  # the connection went, the window with it
 
         for _ in range(4):
             begin = loop.time()
@@ -443,6 +521,19 @@ def test_transfer_chunk_outside_its_count_costs_the_connection_only(transport, i
     asyncio.run(_after_hostile_replica_frame(transport, frame))
 
 
+class Probe(asyncio.Protocol):
+    """A bare connection end: writes raw bytes, notices being dropped."""
+
+    transport = None
+    lost = False
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def connection_lost(self, exc):
+        self.lost = True
+
+
 @pytest.mark.parametrize("transport", ["memory", "tcp"])
 def test_non_utf8_hello_is_rejected_not_raised(transport):
     async def run():
@@ -450,12 +541,13 @@ def test_non_utf8_hello_is_rejected_not_raised(transport):
         leaked = []
         loop.set_exception_handler(lambda _loop, context: leaked.append(context))
         async with make_cluster(transport=transport) as cluster:
-            _reader, writer = await cluster.transport.connect("r0")
-            await write_frame(writer, b"\xff\xfe\xfd")
+            probe = Probe()
+            await cluster.transport.connect("r0", probe)
+            probe.transport.write(_length_prefixed(b"\xff\xfe\xfd"))
             await asyncio.sleep(0.1)
             assert cluster.stats.frames_rejected == 1
+            assert probe.lost  # the replica dropped the connection
             assert await cluster.submit("c0", CounterType.increment()) == 1
-            writer.close()
         gc.collect()
         await asyncio.sleep(0)
         assert leaked == []
@@ -513,8 +605,8 @@ async def _around_an_unspellable_value(transport, poison):
         assert cluster.outstanding_operations() == 0
         assert await cluster.quiesce(timeout=10.0)
         for endpoint in cluster._endpoints.values():
-            assert not any(link.task.done() for link in endpoint.links.values())
-            assert not any(link.task.done() for link in endpoint.client_out.values())
+            assert not any(link.closed for link in endpoint.links.values())
+            assert not any(link.closed for link in endpoint.client_out.values())
         stats = cluster.stats
     gc.collect()
     await asyncio.sleep(0)
@@ -549,11 +641,11 @@ class TestUnspellableValues:
     def test_unencodable_message_on_a_replica_link_drops_the_connection_only(self, transport):
         async def poison(cluster):
             link = cluster._endpoints["r0"].links["r1"]
-            while link._window is None:  # until the first gossip round dials
+            while link.window is None:  # until the first gossip round dials
                 await asyncio.sleep(0.01)
-            window = link._window
+            window = link.window
             # A transfer whose base state is too wide, as a pull would get it.
-            await link.send("transfer", CheckpointTransferMessage(
+            link.send("transfer", CheckpointTransferMessage(
                 sender="r0", requester="r1", epoch=0, digest="00" * 8,
                 frontier=Label(1, "r0"), ids=OpIdSummary({}), values_chunk={},
                 chunk_index=0, chunk_count=1, base_state=2**900,
@@ -561,8 +653,8 @@ class TestUnspellableValues:
             while cluster.stats.frames_unencodable == 0:
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.1)  # gossip goes on, over a new connection
-            assert not link.task.done()
-            assert link._window is not None and link._window is not window
+            assert not link.closed
+            assert link.window is not None and link.window is not window
 
         stats = asyncio.run(_around_an_unspellable_value(transport, poison))
         assert stats.frames_unencodable == 1 and stats.frames_rejected == 0
