@@ -14,7 +14,11 @@ from typing import Any, List, Optional, Sequence
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import SerialDataType
 from repro.sim.cluster import SimulationParams
+from repro.sim.events import FifoServer
 from repro.baselines.base import BaselineServiceBase
+
+#: The one server's endpoint name on the simulated network.
+SERVER = "server"
 
 
 class CentralizedAtomicService(BaselineServiceBase):
@@ -29,28 +33,20 @@ class CentralizedAtomicService(BaselineServiceBase):
     ) -> None:
         super().__init__(data_type, client_ids, params, seed)
         self._state = data_type.initial_state()
-        self._busy_until = 0.0
+        self._server = FifoServer(self.simulator)
         #: The serialization actually applied, for the atomicity tests.
         self.applied_order: List[OperationDescriptor] = []
 
     def _dispatch(self, operation: OperationDescriptor) -> None:
-        self.network.record_sent("request")
-        delay = self.network.delay_for("request", self.simulator.now)
-        self.simulator.schedule(delay, lambda: self._arrive(operation))
+        self.network.send("request", operation.id.client, SERVER, self._arrive, operation)
 
-    def _arrive(self, operation: OperationDescriptor) -> None:
-        start = max(self.simulator.now, self._busy_until)
-        finish = start + self.params.service_time
-        self._busy_until = finish
-        if finish <= self.simulator.now:
-            self._process(operation)
-        else:
-            self.simulator.schedule_at(finish, lambda: self._process(operation))
+    def _arrive(self, server: str, operation: OperationDescriptor) -> None:
+        self._server.serve(self.params.service_time, self._process, operation)
 
     def _process(self, operation: OperationDescriptor) -> None:
         self._state, value = self.data_type.apply(self._state, operation.op)
         self.applied_order.append(operation)
-        self._complete(operation, value)
+        self._complete(SERVER, operation, value)
 
     # -- inspection ---------------------------------------------------------------
 

@@ -4,9 +4,14 @@ Every baseline is a small discrete-event service with the same client-facing
 surface as :class:`~repro.sim.cluster.SimulatedCluster`: clients ``submit``
 operation descriptors (the ``strict`` flag and ``prev`` sets are accepted for
 interface compatibility even where the baseline's consistency model makes
-them redundant), messages take ``df`` / ``dg`` time, servers have a
-per-operation service time, and completed operations are recorded in a
-:class:`~repro.sim.metrics.MetricsCollector`.
+them redundant), servers have a per-operation service time, and completed
+operations are recorded in a :class:`~repro.sim.metrics.MetricsCollector`.
+
+Every message crosses :meth:`~repro.sim.network.SimulatedNetwork.send`
+between its real endpoints (client, server, replica), so it takes ``df`` /
+``dg`` time and is counted like the cluster's.  The baselines have no
+retransmission, so they reject ``loss_probability > 0`` at construction: a
+lost message would leave its operation unanswered for ever.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 from repro.common import ConfigurationError, OperationId, OperationIdGenerator
 from repro.core.operations import OperationDescriptor, make_operation
 from repro.datatypes.base import Operator, SerialDataType
-from repro.sim.cluster import SimulationParams, drive_until
+from repro.sim.cluster import SimulatedService, SimulationParams
 from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import SimulatedNetwork
 from repro.spec.guarantees import TraceRecord
 
 
-class BaselineServiceBase:
+class BaselineServiceBase(SimulatedService):
     """Common client plumbing for the baseline services."""
 
     def __init__(
@@ -38,9 +43,13 @@ class BaselineServiceBase:
             raise ConfigurationError("at least one client is required")
         self.data_type = data_type
         self.params = params or SimulationParams()
+        if self.params.loss_probability > 0:
+            raise ConfigurationError(
+                "the baseline services have no retransmission: loss_probability must be 0"
+            )
         self.rng = random.Random(seed)
         self.simulator = Simulator()
-        self.network = SimulatedNetwork(self.params, self.rng)
+        self.network = SimulatedNetwork(self.params, self.rng, self.simulator)
         self.client_ids: Tuple[str, ...] = tuple(client_ids)
         self.id_generators: Dict[str, OperationIdGenerator] = {
             c: OperationIdGenerator(c) for c in self.client_ids
@@ -49,35 +58,12 @@ class BaselineServiceBase:
         self.trace = TraceRecord()
         self.requested: Dict[OperationId, OperationDescriptor] = {}
         self.responded: Dict[OperationId, Any] = {}
-        self._started = False
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.metrics.started_at = self.simulator.now
-        self._on_start()
-
     def _on_start(self) -> None:
-        """Hook for subclasses (e.g. to start background propagation timers)."""
-
-    @property
-    def now(self) -> float:
-        return self.simulator.now
-
-    def run(self, duration: float, max_events: Optional[int] = None) -> None:
-        self.start()
-        self.simulator.run_until(self.simulator.now + duration, max_events)
-        self.metrics.finished_at = self.simulator.now
-
-    def run_until_idle(self, max_time: float = 10_000.0, max_events: int = 5_000_000) -> None:
-        self.start()
-        drive_until(
-            self.simulator, lambda: not self.outstanding_operations(), max_time, max_events
-        )
-        self.metrics.finished_at = self.simulator.now
+        """Extended by subclasses (e.g. to start background propagation timers)."""
+        self.metrics.started_at = self.simulator.now
 
     def outstanding_operations(self) -> int:
         # Responses are only ever recorded for requested operations.
@@ -104,9 +90,15 @@ class BaselineServiceBase:
         at: Optional[float] = None,
     ) -> OperationDescriptor:
         self.start()
+        # Validate the submission time before any bookkeeping: a rejected
+        # submit must not leave a phantom operation outstanding for ever.
+        when = self.simulator.now if at is None else at
+        if when < self.simulator.now:
+            raise ConfigurationError(
+                f"cannot submit in the past (at={when}, now={self.simulator.now})"
+            )
         operation = self.make_operation(client, operator, prev, strict)
         self.requested[operation.id] = operation
-        when = self.simulator.now if at is None else at
         self.simulator.schedule_at(when, lambda op=operation: self._client_request(op))
         return operation
 
@@ -119,10 +111,7 @@ class BaselineServiceBase:
         max_time: float = 10_000.0,
     ) -> Tuple[OperationDescriptor, Any]:
         operation = self.submit(client, operator, prev, strict)
-        drive_until(self.simulator, lambda: operation.id in self.responded, max_time)
-        if operation.id not in self.responded:
-            raise RuntimeError(f"operation {operation.id} received no response")
-        return operation, self.responded[operation.id]
+        return operation, self._await(operation, self.responded, max_time)
 
     # -- shared internals -------------------------------------------------------------
 
@@ -135,13 +124,14 @@ class BaselineServiceBase:
         """Subclasses route the request into the service."""
         raise NotImplementedError
 
-    def _complete(self, operation: OperationDescriptor, value: Any) -> None:
-        """Deliver the response back to the client after a ``df`` delay."""
-        self.network.record_sent("response")
-        delay = self.network.delay_for("response", self.simulator.now)
-        self.simulator.schedule(delay, lambda: self._deliver_response(operation, value))
+    def _complete(self, server: str, operation: OperationDescriptor, value: Any) -> None:
+        """Send the response from *server* back to the client."""
+        self.network.send(
+            "response", server, operation.id.client, self._deliver_response, (operation, value)
+        )
 
-    def _deliver_response(self, operation: OperationDescriptor, value: Any) -> None:
+    def _deliver_response(self, client: str, response: Tuple[OperationDescriptor, Any]) -> None:
+        operation, value = response
         if operation.id in self.responded:
             return
         self.responded[operation.id] = value

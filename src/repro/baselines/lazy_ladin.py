@@ -168,6 +168,7 @@ class LadinLazyReplicationService(BaselineServiceBase):
         if num_replicas < 2:
             raise ValueError("lazy replication needs at least two replicas")
         self.num_replicas = num_replicas
+        self.replica_ids = tuple(f"r{i}" for i in range(num_replicas))
         self.forced_operators = frozenset(forced_operators)
         self.replicas = [_LadinReplica(i, num_replicas, data_type) for i in range(num_replicas)]
         #: Per-client dependency timestamps (what the client has observed).
@@ -182,6 +183,7 @@ class LadinLazyReplicationService(BaselineServiceBase):
     # -- lifecycle ------------------------------------------------------------------
 
     def _on_start(self) -> None:
+        super()._on_start()
         self.simulator.schedule(self.params.gossip_period, self._gossip_tick)
 
     def _gossip_tick(self) -> None:
@@ -189,11 +191,13 @@ class LadinLazyReplicationService(BaselineServiceBase):
             for destination in self.replicas:
                 if source.index == destination.index:
                     continue
-                records = list(source.log)
-                self.network.record_sent("gossip", payload_size=len(records))
-                delay = self.network.delay_for("gossip", self.simulator.now)
-                self.simulator.schedule(
-                    delay, lambda d=destination, r=records: self._deliver_gossip(d, r)
+                self.network.send(
+                    "gossip",
+                    self.replica_ids[source.index],
+                    self.replica_ids[destination.index],
+                    lambda _rid, records, d=destination: self._deliver_gossip(d, records),
+                    list(source.log),
+                    size=len,
                 )
         self.simulator.schedule(self.params.gossip_period, self._gossip_tick)
 
@@ -220,38 +224,33 @@ class LadinLazyReplicationService(BaselineServiceBase):
     def _dispatch(self, operation: OperationDescriptor) -> None:
         kind = self._classify(operation.op)
         replica_index = self._pick_replica(kind)
-        self.network.record_sent("request")
-        delay = self.network.delay_for("request", self.simulator.now)
-        self.simulator.schedule(delay, lambda: self._arrive(operation, replica_index))
+        self.network.send(
+            "request",
+            operation.id.client,
+            self.replica_ids[replica_index],
+            lambda _rid, op: self._arrive(op, replica_index),
+            operation,
+        )
 
     def _arrive(self, operation: OperationDescriptor, replica_index: int) -> None:
         kind = self._classify(operation.op)
-        replica = self.replicas[replica_index]
-        client = operation.id.client
-        dependency = self.client_ts[client]
-
         if kind == "query":
-            if replica.can_answer(dependency):
-                value = replica.query_value(operation)
-                self._complete(operation, value)
-            else:
-                self._retry_queue.append((operation, replica_index))
+            # Answered once the replica has applied what the client has seen.
+            self._retry_queue.append((operation, replica_index))
+            self._retry_pending()
             return
 
         forced_seqno = None
         if kind == "forced":
             forced_seqno = self._forced_counter
             self._forced_counter += 1
-        record = replica.accept_update(operation, dependency, forced_seqno)
+        client = operation.id.client
+        record = self.replicas[replica_index].accept_update(
+            operation, self.client_ts[client], forced_seqno
+        )
         self.client_ts[client] = self.client_ts[client].merge(record.timestamp)
-        # The update's "value" is its timestamp acknowledgement; to stay
-        # comparable with ESDS we report the operator's reported value at the
-        # accepting replica once applied, or the timestamp if still pending.
-        if operation.id in replica.applied:
-            value = replica.query_value(operation) if self.data_type.is_read_only(operation.op) else record.timestamp
-        else:
-            value = record.timestamp
-        self._complete(operation, value)
+        # An update's value is its timestamp acknowledgement.
+        self._complete(self.replica_ids[replica_index], operation, record.timestamp)
         self._retry_pending()
 
     def _retry_pending(self) -> None:
@@ -261,7 +260,7 @@ class LadinLazyReplicationService(BaselineServiceBase):
             dependency = self.client_ts[operation.id.client]
             if replica.can_answer(dependency):
                 value = replica.query_value(operation)
-                self._complete(operation, value)
+                self._complete(self.replica_ids[replica_index], operation, value)
             else:
                 still_waiting.append((operation, replica_index))
         self._retry_queue = still_waiting

@@ -17,6 +17,7 @@ from repro.common import OperationId
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import SerialDataType
 from repro.sim.cluster import SimulationParams
+from repro.sim.events import FifoServer
 from repro.baselines.base import BaselineServiceBase
 
 
@@ -40,7 +41,7 @@ class PrimaryCopyService(BaselineServiceBase):
         self._backup_states: Dict[str, Any] = {
             rid: data_type.initial_state() for rid in self.replica_ids[1:]
         }
-        self._busy_until = 0.0
+        self._primary = FifoServer(self.simulator)
         self._pending_acks: Dict[OperationId, int] = {}
         self._pending_values: Dict[OperationId, Any] = {}
         self.applied_order: List[OperationDescriptor] = []
@@ -48,44 +49,31 @@ class PrimaryCopyService(BaselineServiceBase):
     # -- request path -------------------------------------------------------------
 
     def _dispatch(self, operation: OperationDescriptor) -> None:
-        self.network.record_sent("request")
-        delay = self.network.delay_for("request", self.simulator.now)
-        self.simulator.schedule(delay, lambda: self._arrive_at_primary(operation))
+        primary = self.replica_ids[0]
+        self.network.send("request", operation.id.client, primary, self._arrive, operation)
 
-    def _arrive_at_primary(self, operation: OperationDescriptor) -> None:
-        start = max(self.simulator.now, self._busy_until)
-        finish = start + self.params.service_time
-        self._busy_until = finish
-        if finish <= self.simulator.now:
-            self._apply_at_primary(operation)
-        else:
-            self.simulator.schedule_at(finish, lambda: self._apply_at_primary(operation))
+    def _arrive(self, primary: str, operation: OperationDescriptor) -> None:
+        self._primary.serve(self.params.service_time, self._apply_at_primary, operation)
 
     def _apply_at_primary(self, operation: OperationDescriptor) -> None:
         self._primary_state, value = self.data_type.apply(self._primary_state, operation.op)
         self.applied_order.append(operation)
-        backups = self.replica_ids[1:]
+        primary, *backups = self.replica_ids
         if not backups:
-            self._complete(operation, value)
+            self._complete(primary, operation, value)
             return
         self._pending_acks[operation.id] = len(backups)
         self._pending_values[operation.id] = value
         for backup in backups:
-            self.network.record_sent("gossip")
-            delay = self.network.delay_for("gossip", self.simulator.now)
-            self.simulator.schedule(
-                delay, lambda b=backup, op=operation: self._apply_at_backup(b, op)
-            )
+            self.network.send("gossip", primary, backup, self._apply_at_backup, operation)
 
     def _apply_at_backup(self, backup: str, operation: OperationDescriptor) -> None:
         state, _ = self.data_type.apply(self._backup_states[backup], operation.op)
         self._backup_states[backup] = state
         # Acknowledgement travels back to the primary.
-        self.network.record_sent("gossip")
-        delay = self.network.delay_for("gossip", self.simulator.now)
-        self.simulator.schedule(delay, lambda op=operation: self._ack(op))
+        self.network.send("gossip", backup, self.replica_ids[0], self._ack, operation)
 
-    def _ack(self, operation: OperationDescriptor) -> None:
+    def _ack(self, primary: str, operation: OperationDescriptor) -> None:
         remaining = self._pending_acks.get(operation.id)
         if remaining is None:
             return
@@ -95,7 +83,7 @@ class PrimaryCopyService(BaselineServiceBase):
             return
         del self._pending_acks[operation.id]
         value = self._pending_values.pop(operation.id)
-        self._complete(operation, value)
+        self._complete(primary, operation, value)
 
     # -- inspection ---------------------------------------------------------------
 

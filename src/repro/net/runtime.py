@@ -792,6 +792,8 @@ class NetCluster(Deployment):
         return await self.execute(operation, timeout=timeout)
 
     async def execute(self, operation: OperationDescriptor, timeout: float = 30.0) -> Any:
+        if operation.id in self.requested:
+            raise ConfigurationError(f"operation identifier {operation.id} reused")
         client = operation.id.client
         frontend = self.frontends[client]
         frontend.request(operation)

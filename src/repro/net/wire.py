@@ -10,9 +10,9 @@ receiver:
 
 The receiver therefore operates on a genuinely deserialized copy (anything
 the codec lost would change behaviour), while the event schedule is
-bit-identical to the plain simulator's: the hook sits between the network's
-loss/delay decisions and delivery, consuming no randomness.  That gives two
-things at once:
+bit-identical to the plain simulator's: the hook is the ``transit`` step of
+:meth:`~repro.sim.network.SimulatedNetwork.send`, after the loss decision and
+before the delay, and consumes no randomness.  That gives two things at once:
 
 * a *lockstep twin* proof that the codec is lossless over every message of
   every scenario (same seeds -> same responses, same eventual order, same
@@ -23,10 +23,11 @@ things at once:
   E8/E11 payload claims — benchmark E13 is built on this harness.
 
 One kind of traffic never crosses the hook: the slice chunks of a live
-reshard.  :meth:`~repro.sim.sharded.ShardedCluster._send_slice` schedules them
-on the source shard's network directly, not through a cluster's ``_transit``,
-so a ``--runtime=net`` replay proves nothing about slice bytes and
-:class:`WireStats` does not count them.
+reshard.  :meth:`~repro.sim.sharded.ShardedCluster._send_slice` puts them
+through the source shard's :meth:`~repro.sim.network.SimulatedNetwork.send`
+with no transit hook (chunks have no wire form), so a ``--runtime=net``
+replay proves nothing about slice bytes and :class:`WireStats` does not
+count them.
 """
 
 from __future__ import annotations

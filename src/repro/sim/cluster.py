@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from operator import methodcaller
 from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithm.checkpoint import CORRUPTION_MARKER
@@ -31,7 +32,7 @@ from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
 from repro.deployment import Deployment
-from repro.sim.events import Simulator
+from repro.sim.events import FifoServer, Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import SimulatedNetwork
 
@@ -53,23 +54,72 @@ def _tamper_transfer(message):
     return replace(message, base_state=(CORRUPTION_MARKER, message.base_state))
 
 
-def drive_until(
-    simulator: Simulator,
-    is_done: Callable[[], bool],
-    max_time: float,
-    max_events: Optional[int] = None,
-) -> None:
-    """Step *simulator* until *is_done* holds, the queue drains, or the
-    time/event budget is exhausted — the one drive loop behind every
-    "run until answered" facade (single-cluster and sharded alike)."""
-    deadline = simulator.now + max_time
-    events = 0
-    while not is_done() and simulator.now < deadline:
-        if not simulator.step():
-            break
-        events += 1
-        if max_events is not None and events >= max_events:
-            break
+_size_estimate = methodcaller("size_estimate")
+
+#: Safety cap on the events one ``run_until_idle`` / ``run_until_resharded``
+#: processes, whatever its time budget.
+IDLE_EVENT_CAP = 5_000_000
+
+
+class SimulatedService:
+    """The clock facade every simulated service shares — a cluster, a
+    sharded cluster, a baseline.  The host provides ``simulator``,
+    ``metrics``, ``_on_start()`` and ``outstanding_operations()``."""
+
+    simulator: Simulator
+    _started = False
+
+    def start(self) -> None:
+        """Start the service's timers.  Called automatically on first use."""
+        if not self._started:
+            self._started = True
+            self._on_start()
+
+    @property
+    def now(self) -> float:
+        """Current simulation time."""
+        return self.simulator.now
+
+    def run(self, duration: float) -> None:
+        """Advance simulated time by *duration*."""
+        self.start()
+        self.simulator.run_until(self.simulator.now + duration)
+        self._finished()
+
+    def run_until_idle(self, max_time: float = 10_000.0) -> None:
+        """Run until every submitted operation has been answered (or the time
+        budget is exhausted — e.g. when a replica stays crashed and strict
+        operations cannot complete)."""
+        self.start()
+        self._drive(lambda: not self.outstanding_operations(), max_time, IDLE_EVENT_CAP)
+        self._finished()
+
+    def _finished(self) -> None:
+        self.metrics.finished_at = self.simulator.now
+
+    def _drive(
+        self, is_done: Callable[[], bool], max_time: float, max_events: Optional[int] = None
+    ) -> None:
+        """Step the simulator until *is_done* holds, the queue drains, or the
+        time/event budget is exhausted."""
+        simulator = self.simulator
+        deadline = simulator.now + max_time
+        events = 0
+        while not is_done() and simulator.now < deadline:
+            if not simulator.step():
+                break
+            events += 1
+            if max_events is not None and events >= max_events:
+                break
+
+    def _await(self, operation: OperationDescriptor, answers: Dict, max_time: float) -> Any:
+        """Run until *answers* holds *operation*'s value, and return it."""
+        self._drive(lambda: operation.id in answers, max_time)
+        if operation.id not in answers:
+            raise RuntimeError(
+                f"operation {operation.id} received no response within {max_time} time units"
+            )
+        return answers[operation.id]
 
 
 @dataclass
@@ -130,7 +180,7 @@ class SimulationParams:
         self.replica.require_single_policy("SimulationParams")
 
 
-class SimulatedCluster(Deployment):
+class SimulatedCluster(SimulatedService, Deployment):
     """A full ESDS deployment under simulated time."""
 
     def __init__(
@@ -152,7 +202,7 @@ class SimulatedCluster(Deployment):
         # seeded event loop.
         self.rng = rng if rng is not None else random.Random(seed)
         self.simulator = simulator if simulator is not None else Simulator()
-        self.network = SimulatedNetwork(self.params, self.rng)
+        self.network = SimulatedNetwork(self.params, self.rng, self.simulator)
         self.metrics = MetricsCollector()
 
         #: Where a message of each kind lands after its network delay.
@@ -166,9 +216,8 @@ class SimulatedCluster(Deployment):
         #: Submitted-but-unanswered operation identifiers (kept incrementally
         #: in sync with ``requested`` / ``responded``).
         self._unanswered: Set[OperationId] = set()
-        self._replica_busy_until: Dict[str, float] = {rid: 0.0 for rid in self.replica_ids}
+        self._servers = {rid: FifoServer(self.simulator) for rid in self.replica_ids}
         self._round_robin_index = 0
-        self._gossip_started = False
         #: Set by :meth:`stop` when this cluster is retired (a drained shard
         #: after a live reshard): timers stop rescheduling themselves.
         self._stopped = False
@@ -189,12 +238,8 @@ class SimulatedCluster(Deployment):
     # Lifecycle                                                             #
     # ===================================================================== #
 
-    def start(self) -> None:
-        """Start the gossip (and compaction) timers.  Called automatically on
-        first use."""
-        if self._gossip_started:
-            return
-        self._gossip_started = True
+    def _on_start(self) -> None:
+        """Start the gossip (and compaction) timers."""
         # The first gossip tick of each replica is staggered across one
         # period so the replicas never gossip in lock-step bursts.
         for index, rid in enumerate(self.replica_ids):
@@ -242,27 +287,6 @@ class SimulatedCluster(Deployment):
     def compacted_prefix(self) -> List[OperationDescriptor]:
         """The cluster-wide compacted stable prefix, in the agreed order."""
         return self.compaction_ledger.prefix
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.simulator.now
-
-    def run(self, duration: float, max_events: Optional[int] = None) -> None:
-        """Advance simulated time by *duration*."""
-        self.start()
-        self.simulator.run_until(self.simulator.now + duration, max_events)
-        self.metrics.finished_at = self.simulator.now
-
-    def run_until_idle(self, max_time: float = 10_000.0, max_events: int = 5_000_000) -> None:
-        """Run until every submitted operation has been answered (or the time
-        budget is exhausted — e.g. when a replica stays crashed and strict
-        operations cannot complete)."""
-        self.start()
-        drive_until(
-            self.simulator, lambda: not self.outstanding_operations(), max_time, max_events
-        )
-        self.metrics.finished_at = self.simulator.now
 
     def outstanding_operations(self) -> int:
         """Number of submitted operations that have not been answered yet.
@@ -384,12 +408,7 @@ class SimulatedCluster(Deployment):
     ) -> Tuple[OperationDescriptor, Any]:
         """Synchronous facade: submit, run until answered, return the value."""
         operation = self.submit(client, operator, prev, strict)
-        drive_until(self.simulator, lambda: operation.id in self.responded, max_time)
-        if operation.id not in self.responded:
-            raise RuntimeError(
-                f"operation {operation.id} received no response within {max_time} time units"
-            )
-        return operation, self.responded[operation.id]
+        return operation, self._await(operation, self.responded, max_time)
 
     def value_of(self, operation: OperationDescriptor) -> Any:
         """The value returned to the client for *operation* (KeyError if
@@ -474,42 +493,29 @@ class SimulatedCluster(Deployment):
         return message
 
     def _send(self, kind: str, source: str, destination: str, message=None) -> None:
-        """Put one message on the simulated network: loss decision, counters,
-        in-flight tampering, transit hook, delay, delivery, duplicate — in
-        that order for every kind, because the order of RNG draws is what a
-        seed replays.  Gossip passes no *message*: it is built here, after
-        the loss decision — a dropped send must not consume a delta seqno, or
-        the receiver's cumulative ack would stall on the gap until the next
-        full-state fallback."""
-        network, now = self.network, self.simulator.now
-        if network.should_drop(kind, now, source, destination):
-            return
-        if kind == "gossip":
-            message = self.replicas[source].make_gossip(destination)
-            # Stamped with the sender's *local* clock: under the clock-skew
-            # adversary this diverges from simulated time — observability
-            # only, the algorithm never reads it.
-            message.sent_at = network.local_clock(source, now)
-            network.record_sent(kind, payload_size=message.size_estimate())
-        elif kind == "transfer":
-            network.record_sent(kind, payload_size=message.size_estimate())
-            if network.should_corrupt_transfer(now):
-                # Tampered before transit: the corrupted payload is what
-                # crosses the wire, so the codec must carry it faithfully for
-                # the receiver's digest check to reject it.
-                message = _tamper_transfer(message)
-        else:
-            network.record_sent(kind)
-        message = self._transit(kind, message)
-        deliver = self._deliver[kind]
-        delay = network.delay_for(kind, now, source, destination)
-        self.simulator.schedule(delay, lambda: deliver(destination, message))
-        # A duplicated delivery reuses the *same* message object: a second
-        # make_gossip would consume a fresh delta seqno and turn channel
-        # duplication into distinct stream entries.
-        dup = network.maybe_duplicate(kind, now, source, destination)
-        if dup is not None:
-            self.simulator.schedule(dup, lambda: deliver(destination, message))
+        """Put one message on the simulated network.  Gossip passes no
+        *message*: it is built only if the send survives the loss decision,
+        so a dropped send consumes no delta seqno.  A corrupted transfer is
+        tampered before transit, so the codec must carry the corruption."""
+        self.network.send(
+            kind,
+            source,
+            destination,
+            self._deliver[kind],
+            message,
+            build=self._make_gossip if kind == "gossip" else None,
+            size=_size_estimate,
+            tamper=_tamper_transfer,
+            transit=self._transit,
+        )
+
+    def _make_gossip(self, source: str, destination: str) -> GossipMessage:
+        message = self.replicas[source].make_gossip(destination)
+        # Stamped with the sender's *local* clock: under the clock-skew
+        # adversary this diverges from simulated time — observability only,
+        # the algorithm never reads it.
+        message.sent_at = self.network.local_clock(source, self.simulator.now)
+        return message
 
     # -- replica side: service time, then the node ---------------------------------
 
@@ -524,20 +530,10 @@ class SimulatedCluster(Deployment):
         if self.params.track_stabilization and messages[0].kind in ("gossip", "transfer"):
             self._update_stabilization()
 
-    def _step_when_free(self, replica: str, service: float, messages: Sequence[Any]) -> None:
-        """Queue *messages* behind the replica's current work, charge
-        *service* time for them, and step the node when that is served."""
-        start = max(self.simulator.now, self._replica_busy_until[replica])
-        finish = start + service
-        self._replica_busy_until[replica] = finish
-        if finish <= self.simulator.now:
-            self._step(replica, messages)
-        else:
-            self.simulator.schedule_at(finish, lambda: self._step(replica, messages))
-
     def _deliver_request(self, replica: str, message: RequestMessage) -> None:
+        """Requests queue for the replica's FIFO service time."""
         if not self.nodes[replica].crashed:
-            self._step_when_free(replica, self.params.service_time, [message])
+            self._servers[replica].serve(self.params.service_time, self._step, replica, [message])
 
     def _deliver_catchup(self, replica: str, message) -> None:
         """Pull requests and checkpoint transfers: no service time modelled."""

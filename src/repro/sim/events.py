@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 @dataclass(order=True)
@@ -58,9 +58,6 @@ class EventQueue:
     def __len__(self) -> int:
         return sum(1 for _time, _seq, event in self._heap if not event.cancelled)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 class Simulator:
     """The discrete-event loop: a clock plus an :class:`EventQueue`."""
@@ -68,7 +65,6 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
-        self.events_processed = 0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> _QueuedEvent:
         """Schedule *callback* to run *delay* time units from now."""
@@ -93,21 +89,16 @@ class Simulator:
             return False
         self.now = event.time
         event.callback()
-        self.events_processed += 1
         return True
 
-    def run_until(self, time: float, max_events: Optional[int] = None) -> None:
+    def run_until(self, time: float) -> None:
         """Process events until the clock passes *time* (or the queue drains)."""
-        processed = 0
         while True:
             next_time = self.queue.peek_time()
             if next_time is None or next_time > time:
                 self.now = max(self.now, time)
                 return
             self.step()
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                return
 
     def run_until_empty(self, max_events: int = 10_000_000) -> None:
         """Process events until nothing is scheduled (bounded as a safeguard)."""
@@ -116,3 +107,22 @@ class Simulator:
             processed += 1
             if processed >= max_events:
                 raise RuntimeError("simulation exceeded the maximum event budget")
+
+
+class FifoServer:
+    """One server in simulated time: a job waits for the work queued ahead
+    of it (FIFO), then takes its service time."""
+
+    def __init__(self, simulator: Simulator) -> None:
+        self.simulator = simulator
+        self.busy_until = 0.0
+
+    def serve(self, service: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` when this job is served (at once if now)."""
+        now = self.simulator.now
+        finish = max(now, self.busy_until) + service
+        self.busy_until = finish
+        if finish <= now:
+            callback(*args)
+        else:
+            self.simulator.schedule_at(finish, lambda: callback(*args))

@@ -1,4 +1,7 @@
-"""Network model for the simulator.
+"""The simulated network.  Every simulated message — a cluster's, a live
+reshard's slice chunk, a baseline service's — takes one path,
+:meth:`SimulatedNetwork.send`, which asks its questions in one order because
+the order of RNG draws is what a seed replays.
 
 Delays follow the Section 9.1 parameters: ``df`` bounds front-end <-> replica
 delivery, ``dg`` bounds replica <-> replica (gossip) delivery.  Deliveries may
@@ -24,10 +27,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:
     from repro.sim.cluster import SimulationParams
+    from repro.sim.events import Simulator
 
 #: Seed of the auxiliary fault stream.  A fixed constant: fault coins must be
 #: reproducible per cluster without consuming draws from the primary rng.
@@ -62,12 +66,13 @@ class MessageCounters:
 
 
 class SimulatedNetwork:
-    """Computes delays and applies loss and the open fault windows for the
-    cluster."""
+    """Carries messages on *simulator*: delays, loss and the open fault
+    windows."""
 
-    def __init__(self, params: "SimulationParams", rng: random.Random) -> None:
+    def __init__(self, params: SimulationParams, rng: random.Random, simulator: Simulator) -> None:
         self.params = params
         self.rng = rng
+        self.simulator = simulator
         self.counters = MessageCounters()
         #: Open fault windows, in opening order (a window appends itself when
         #: its start event fires; closed ones are pruned when next asked).
@@ -89,6 +94,46 @@ class SimulatedNetwork:
                     return verdict
         return None
 
+    # -- the one send path ------------------------------------------------------
+
+    def send(
+        self,
+        kind: str,
+        source: str,
+        destination: str,
+        deliver: Callable[[str, Any], None],
+        message: Any = None,
+        *,
+        build: Optional[Callable[[str, str], Any]] = None,
+        size: Optional[Callable[[Any], int]] = None,
+        tamper: Optional[Callable[[Any], Any]] = None,
+        transit: Optional[Callable[[str, Any], Any]] = None,
+    ) -> None:
+        """Send *message*; ``deliver(destination, message)`` runs on arrival.
+
+        In order: cut or loss; ``build(source, destination)`` makes the
+        message only if it survived; the per-kind count, ``size(message)``
+        being a gossip's or transfer's payload; a transfer's corruption
+        coin, applied by ``tamper``; ``transit(kind, message)``; the delay
+        and delivery; the duplicate coin.  A duplicate delivers the *same*
+        object, so a delta-gossip copy repeats its seqno."""
+        now = self.simulator.now
+        if self.should_drop(kind, now, source, destination):
+            return
+        if build is not None:
+            message = build(source, destination)
+        payload = size(message) if size is not None and kind in ("gossip", "transfer") else 0
+        self.record_sent(kind, payload)
+        if kind == "transfer" and self.should_corrupt_transfer(now):
+            message = tamper(message)
+        if transit is not None:
+            message = transit(kind, message)
+        arrive = lambda: deliver(destination, message)
+        self.simulator.schedule(self.delay_for(kind, now, source, destination), arrive)
+        dup = self.maybe_duplicate(kind, now, source, destination)
+        if dup is not None:
+            self.simulator.schedule(dup, arrive)
+
     # -- delay / loss decisions ------------------------------------------------
 
     def local_clock(self, node: str, now: float) -> float:
@@ -97,13 +142,6 @@ class SimulatedNetwork:
         uses true simulated time, and the algorithm never reads clocks."""
         offset = self._ask("skew", now, node) if self.windows else None
         return now if offset is None else now + offset
-
-    def _base_delay(self, kind: str, rng: random.Random) -> float:
-        bound = self.params.df if kind in ("request", "response") else self.params.dg
-        if self.params.jitter > 0:
-            low = (1.0 - self.params.jitter) * bound
-            return rng.uniform(low, bound)
-        return bound
 
     def delay_for(
         self,
@@ -114,7 +152,11 @@ class SimulatedNetwork:
         _rng: Optional[random.Random] = None,
     ) -> float:
         """The delivery delay for a message of the given kind sent at *now*."""
-        delay = self._base_delay(kind, self.rng if _rng is None else _rng)
+        params = self.params
+        delay = params.df if kind in ("request", "response") else params.dg
+        if params.jitter > 0:
+            rng = self.rng if _rng is None else _rng
+            delay = rng.uniform((1.0 - params.jitter) * delay, delay)
         if self.windows:
             if self._ask("spike", now):
                 delay *= max(self.params.spike_factor, 1.0)
@@ -142,16 +184,10 @@ class SimulatedNetwork:
         destination: Optional[str] = None,
     ) -> Optional[float]:
         """Inside an open duplication window, decide whether this send gets
-        a second delivery; returns the extra copy's delay, or ``None``.
-
-        Both the coin flip and the duplicate's jitter come from the fault
-        stream, so the primary delivery schedule is untouched.  The cluster
-        must reuse the already-built message for the extra delivery — in
-        particular a duplicated delta-gossip message carries the *same*
-        seqno, which the receiver's cumulative-ack stream deduplicates.
-        """
-        probability = self._ask("duplicate", now) if self.windows else None
-        if not probability or self.fault_rng.random() >= probability:
+        a second delivery; returns the extra copy's delay, or ``None``.  The
+        coin and the copy's jitter come from the fault stream, so the
+        primary delivery schedule is untouched."""
+        if not self._fault_coin("duplicate", now):
             return None
         self.counters.duplicated += 1
         return self.delay_for(kind, now, source, destination, _rng=self.fault_rng)
@@ -159,11 +195,14 @@ class SimulatedNetwork:
     def should_corrupt_transfer(self, now: float) -> bool:
         """Inside an open corruption window, decide whether this transfer
         chunk gets tampered in flight (coin from the fault stream)."""
-        probability = self._ask("corrupt", now) if self.windows else None
-        if not probability or self.fault_rng.random() >= probability:
+        if not self._fault_coin("corrupt", now):
             return False
         self.counters.corrupted += 1
         return True
+
+    def _fault_coin(self, question: str, now: float) -> bool:
+        probability = self._ask(question, now) if self.windows else None
+        return bool(probability) and self.fault_rng.random() < probability
 
     def record_sent(self, kind: str, payload_size: int = 0) -> None:
         if kind == "request":

@@ -32,6 +32,7 @@ from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
 from repro.service.reshard import (
+    MigrationChunk,
     ReshardPlan,
     SliceAssembly,
     SliceLeg,
@@ -43,10 +44,11 @@ from repro.service.reshard import (
 from repro.service.router import KeyRangeMove, ShardRouter, TransitionRouter
 from repro.service.shardset import ShardSet
 from repro.sim.cluster import (
+    IDLE_EVENT_CAP,
     ReplicaFactory,
     SimulatedCluster,
+    SimulatedService,
     SimulationParams,
-    drive_until,
 )
 from repro.sim.events import Simulator
 from repro.sim.metrics import PerShardMetrics
@@ -148,7 +150,7 @@ class LiveReshard(ReshardPlan):
         )
 
 
-class ShardedCluster(ShardSet):
+class ShardedCluster(SimulatedService, ShardSet):
     """N independent simulated ESDS shards on one seeded event loop.
 
     Parameters
@@ -208,7 +210,6 @@ class ShardedCluster(ShardSet):
         )
         #: Every submitted operation, across shards.
         self.requested: Dict[OperationId, OperationDescriptor] = {}
-        self._started = False
         #: The in-progress live reshard, if any (at most one at a time).
         self._migration: Optional[LiveReshard] = None
         #: Every reshard ever performed (completed ones included) — the
@@ -240,33 +241,12 @@ class ShardedCluster(ShardSet):
     # Lifecycle                                                             #
     # ===================================================================== #
 
-    def start(self) -> None:
+    def _on_start(self) -> None:
         """Start every shard's gossip timers on the shared event loop."""
-        if self._started:
-            return
-        self._started = True
         for shard in self.shards.values():
             shard.start()
 
-    @property
-    def now(self) -> float:
-        """Current simulation time (shared by every shard)."""
-        return self.simulator.now
-
-    def run(self, duration: float, max_events: Optional[int] = None) -> None:
-        """Advance the shared simulated time by *duration*."""
-        self.start()
-        self.simulator.run_until(self.simulator.now + duration, max_events)
-        for shard in self.shards.values():
-            shard.metrics.finished_at = self.simulator.now
-
-    def run_until_idle(self, max_time: float = 10_000.0, max_events: int = 5_000_000) -> None:
-        """Run until every submitted operation (on any shard) is answered, or
-        the time budget is exhausted."""
-        self.start()
-        drive_until(
-            self.simulator, lambda: not self.outstanding_operations(), max_time, max_events
-        )
+    def _finished(self) -> None:
         for shard in self.shards.values():
             shard.metrics.finished_at = self.simulator.now
 
@@ -319,12 +299,7 @@ class ShardedCluster(ShardSet):
         """Synchronous facade: submit, run until answered, return the value."""
         operation = self.submit(client, key, operator, prev, strict)
         shard = self.shards[self.directory.shard_of_operation(operation.id)]
-        drive_until(self.simulator, lambda: operation.id in shard.responded, max_time)
-        if operation.id not in shard.responded:
-            raise RuntimeError(
-                f"operation {operation.id} received no response within {max_time} time units"
-            )
-        return operation, shard.responded[operation.id]
+        return operation, self._await(operation, shard.responded, max_time)
 
     # ===================================================================== #
     # Live elastic resharding                                               #
@@ -386,17 +361,12 @@ class ShardedCluster(ShardSet):
             self._maybe_finalize_reshard(migration)
         return migration
 
-    def run_until_resharded(
-        self,
-        migration: LiveReshard,
-        max_time: float = 10_000.0,
-        max_events: int = 5_000_000,
-    ) -> None:
+    def run_until_resharded(self, migration: LiveReshard, max_time: float = 10_000.0) -> None:
         """Drive the shared event loop until *migration* completes (or the
         time/event budget runs out — e.g. a source replica stays crashed and
         the slice can never settle)."""
         self.start()
-        drive_until(self.simulator, lambda: migration.done, max_time, max_events)
+        self._drive(lambda: migration.done, max_time, IDLE_EVENT_CAP)
 
     def _migration_tick(self) -> None:
         migration = self._migration
@@ -445,26 +415,24 @@ class ShardedCluster(ShardSet):
         """(Re-)send the whole slice in digest-verified chunks over the
         source shard's network — subject to its loss, delay, duplication and
         transfer-corruption adversaries, with byte accounting on the
-        ``transfer`` kind.  Each send uses a fresh epoch; a lost or rejected
-        body simply waits out ``resend_at`` and ships again."""
+        ``transfer`` kind.  Chunks have no wire form, so they take no transit
+        hook.  Each send uses a fresh epoch; a lost or rejected body simply
+        waits out ``resend_at`` and ships again."""
         leg.epoch += 1
         chunk_size = self.config.for_shard(leg.destination).checkpoint_chunk
-        chunks = build_chunks(leg.ops, leg.values, chunk_size, leg.epoch)
         network = self.shards[leg.source].network
-        now = self.simulator.now
-        for chunk in chunks:
-            if network.should_drop("transfer", now, leg.source, leg.destination):
-                continue
-            network.record_sent("transfer", payload_size=chunk.size_estimate())
-            if network.should_corrupt_transfer(now):
-                chunk = tamper_chunk(chunk)
-            deliver = lambda c=chunk: self._deliver_migration_chunk(leg, c)
-            delay = network.delay_for("transfer", now, leg.source, leg.destination)
-            self.simulator.schedule(delay, deliver)
-            dup = network.maybe_duplicate("transfer", now, leg.source, leg.destination)
-            if dup is not None:
-                self.simulator.schedule(dup, deliver)
-        leg.resend_at = now + max(4 * self.params.dg, 2 * self.params.gossip_period)
+        deliver = lambda _destination, chunk: self._deliver_migration_chunk(leg, chunk)
+        for chunk in build_chunks(leg.ops, leg.values, chunk_size, leg.epoch):
+            network.send(
+                "transfer",
+                leg.source,
+                leg.destination,
+                deliver,
+                chunk,
+                size=MigrationChunk.size_estimate,
+                tamper=tamper_chunk,
+            )
+        leg.resend_at = self.simulator.now + max(4 * self.params.dg, 2 * self.params.gossip_period)
 
     def _deliver_migration_chunk(self, leg: _PairMigration, chunk) -> None:
         if leg.state != "transferring":

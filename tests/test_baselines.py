@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import ConfigurationError
 from repro.baselines.atomic import CentralizedAtomicService
 from repro.baselines.lazy_ladin import LadinLazyReplicationService, MultipartTimestamp
 from repro.baselines.primary_copy import PrimaryCopyService
@@ -42,6 +43,39 @@ class TestCentralizedAtomic:
         result = run_workload(service, spec, seed=1, drain_time=200.0)
         # Offered load is 8 ops/time-unit but one server at 0.5 per op caps at 2.
         assert result.throughput <= 2.0 + 0.2
+
+
+class TestSharedPlumbing:
+    def test_submit_in_the_past_leaves_no_phantom(self):
+        service = CentralizedAtomicService(CounterType(), ["c0"], params=PARAMS)
+        service.run(5.0)
+        with pytest.raises(ConfigurationError):
+            service.submit("c0", CounterType.increment(), at=1.0)
+        assert service.outstanding_operations() == 0
+        assert not service.requested
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda params: CentralizedAtomicService(CounterType(), ["c0"], params=params),
+            lambda params: PrimaryCopyService(CounterType(), 3, ["c0"], params=params),
+            lambda params: LadinLazyReplicationService(CounterType(), 3, ["c0"], params=params),
+        ],
+        ids=["atomic", "primary_copy", "ladin"],
+    )
+    def test_message_loss_rejected(self, build):
+        # No baseline retransmits, so a lost message would strand its
+        # operation: loss is refused up front instead of ignored.
+        with pytest.raises(ConfigurationError):
+            build(SimulationParams(loss_probability=0.1))
+        build(SimulationParams(loss_probability=0.0))
+
+    def test_messages_are_counted_between_real_endpoints(self):
+        service = PrimaryCopyService(CounterType(), 3, ["c0"], params=PARAMS)
+        service.execute("c0", CounterType.increment())
+        counters = service.network.counters
+        # Request to the primary, update and ack per backup, one response.
+        assert (counters.request, counters.gossip, counters.response) == (1, 4, 1)
 
 
 class TestPrimaryCopy:

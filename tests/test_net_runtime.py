@@ -142,6 +142,21 @@ class TestMemoryTransport:
 
         asyncio.run(run())
 
+    def test_reused_identifier_rejected(self):
+        async def run():
+            async with make_cluster() as cluster:
+                operation = cluster.make_operation("c0", CounterType.increment())
+                await cluster.execute(operation)
+                with pytest.raises(ConfigurationError):
+                    await cluster.execute(operation)
+                assert await cluster.quiesce(timeout=30.0)
+            return cluster
+
+        cluster = asyncio.run(run())
+        # One request event: the rejected re-execute recorded nothing.
+        assert len(cluster.trace.requests) == 1
+        AlgorithmInvariantChecker(cluster).check_all()
+
 
 class TestCrashRecovery:
     def test_volatile_crash_and_recovery_converges(self):

@@ -104,25 +104,27 @@ class TestSimulatedNetwork:
             SimulationParams(loss_probability=1.0)
 
     def test_deterministic_delays(self):
-        network = SimulatedNetwork(SimulationParams(df=2.0, dg=3.0), random.Random(0))
+        network = SimulatedNetwork(SimulationParams(df=2.0, dg=3.0), random.Random(0), Simulator())
         assert network.delay_for("request", now=0.0) == 2.0
         assert network.delay_for("response", now=0.0) == 2.0
         assert network.delay_for("gossip", now=0.0) == 3.0
 
     def test_jitter_stays_below_bound(self):
-        network = SimulatedNetwork(SimulationParams(df=2.0, dg=3.0, jitter=0.5), random.Random(0))
+        network = SimulatedNetwork(
+            SimulationParams(df=2.0, dg=3.0, jitter=0.5), random.Random(0), Simulator()
+        )
         for _ in range(50):
             assert 1.0 <= network.delay_for("request", 0.0) <= 2.0
             assert 1.5 <= network.delay_for("gossip", 0.0) <= 3.0
 
     def test_delay_spike(self):
-        network = SimulatedNetwork(SimulationParams(spike_factor=5.0), random.Random(0))
+        network = SimulatedNetwork(SimulationParams(spike_factor=5.0), random.Random(0), Simulator())
         network.windows.append(DelaySpike(start=0.0, end=10.0))  # what opening does
         assert network.delay_for("request", now=5.0) == 5.0
         assert network.delay_for("request", now=15.0) == 1.0
 
     def test_partition_drops(self):
-        network = SimulatedNetwork(SimulationParams(), random.Random(0))
+        network = SimulatedNetwork(SimulationParams(), random.Random(0), Simulator())
         network.windows.append(GossipOutage("r1", start=0.0, end=10.0))
         assert network.should_drop("gossip", 5.0, "r0", "r1")
         assert network.should_drop("gossip", 5.0, "r1", "r0")
@@ -130,12 +132,14 @@ class TestSimulatedNetwork:
         assert network.counters.dropped == 2
 
     def test_loss_probability_one_sided(self):
-        always = SimulatedNetwork(SimulationParams(loss_probability=0.999), random.Random(1))
+        always = SimulatedNetwork(
+            SimulationParams(loss_probability=0.999), random.Random(1), Simulator()
+        )
         dropped = sum(always.should_drop("request", 0.0, "a", "b") for _ in range(100))
         assert dropped > 90
 
     def test_record_sent_counts(self):
-        network = SimulatedNetwork(SimulationParams(), random.Random(0))
+        network = SimulatedNetwork(SimulationParams(), random.Random(0), Simulator())
         network.record_sent("request")
         network.record_sent("response")
         network.record_sent("gossip", payload_size=7)

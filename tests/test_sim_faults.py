@@ -588,4 +588,4 @@ class TestFaultSchedule:
         assert schedule.last_fault_time() == 0.0
         cluster = make_cluster()
         schedule.install(cluster)  # no-op besides starting the cluster
-        assert cluster._gossip_started
+        assert cluster._started
