@@ -23,9 +23,10 @@ import asyncio
 
 from repro.config import ReplicaConfig
 from repro.datatypes.counter import CounterType
-from repro.net.driver import LoadSpec, run_load
+from repro.net.driver import run_load
 from repro.net.runtime import NetCluster, NetParams
 from repro.service.keyed import KeyedStore
+from repro.sim.workload import KeyedWorkloadSpec
 
 
 async def session_demo(cluster: NetCluster) -> None:
@@ -67,8 +68,8 @@ async def failure_demo(cluster: NetCluster) -> None:
 
 async def load_demo(cluster: NetCluster) -> None:
     print("=== concurrent zipfian load (10 clients, closed loop) ===")
-    spec = LoadSpec(operations_per_client=50, mode="closed", num_keys=32, seed=3)
-    report = await run_load(cluster, spec)
+    spec = KeyedWorkloadSpec(operations_per_client=50, num_keys=32, key_distribution="zipfian")
+    report = await run_load(cluster, spec, mode="closed", seed=3)
     print("\n".join("  " + line for line in report.format().splitlines()))
     await cluster.quiesce(timeout=20.0)
     print("  converged: every replica replays the same order\n")

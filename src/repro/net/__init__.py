@@ -21,8 +21,9 @@ Three pieces (see docs/architecture.md, "The network runtime"):
   speaking the codec over TCP (or an in-process transport pair) through one
   ``asyncio.Protocol`` per connection: a sans-IO frame parser in, per-peer
   bounded pending lists flushed as one coalesced frame per loop iteration
-  out, plus a concurrent multi-client load driver reporting ops/s, latency
-  percentiles and actual bytes per message kind.
+  out, plus a concurrent multi-client load driver that plays the
+  simulator's seeded request plans (``repro.sim.workload``) and reports
+  ops/s, latency percentiles and actual bytes per message kind.
 """
 
 from repro.net.codec import (
@@ -50,7 +51,6 @@ __all__ = [
     "frame_digest",
     "message_digest",
     "DriverReport",
-    "LoadSpec",
     "run_load",
     "NetCluster",
     "NetParams",
@@ -58,7 +58,7 @@ __all__ = [
     "WireStats",
 ]
 
-_DRIVER_EXPORTS = ("DriverReport", "LoadSpec", "run_load")
+_DRIVER_EXPORTS = ("DriverReport", "run_load")
 
 
 def __getattr__(name):

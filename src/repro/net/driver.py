@@ -1,20 +1,22 @@
 """Concurrent multi-client load driver for the asyncio runtime.
 
-Drives a :class:`~repro.net.runtime.NetCluster` with one coroutine per
-client, in either loop discipline:
+Plays the seeded request plans of :class:`~repro.sim.workload.ClientWorkload`
+— the same requests, keys, strict flags and ``prev`` dependencies a
+simulated run submits for the same spec and seed — against a
+:class:`~repro.net.runtime.NetCluster`, one coroutine per client, in either
+loop discipline:
 
 * **closed loop** — each client keeps exactly one operation outstanding
-  (submit, await the value, optionally think, repeat): the classic
-  saturation-throughput shape;
-* **open loop** — arrivals follow a Poisson process with the configured mean
-  interarrival time, regardless of completions: the latency-under-offered-
-  load shape.
+  (submit, await the value, repeat; the plan's due times are ignored): the
+  classic saturation-throughput shape;
+* **open loop** — each request is submitted at its due time regardless of
+  completions, and timed from it: the latency-under-offered-load shape.
 
-Keys are drawn zipfian over a :class:`~repro.service.keyed.KeyedStore` (the
-same ``zipfian_cdf`` the simulator workloads use) when ``num_keys`` is set;
-otherwise operations hit the flat data type directly.  The report carries
-ops/s, latency percentiles from per-operation wall-clock timing, and the
-**actual bytes sent per message kind** out of the cluster's traffic stats.
+A :class:`~repro.sim.workload.KeyedWorkloadSpec` addresses a
+:class:`~repro.service.keyed.KeyedStore` (each operator wrapped in
+``KeyedStore.at(key, ...)``).  The report carries ops/s, latency
+percentiles from per-operation wall-clock timing, and the **actual bytes
+sent per message kind** out of the cluster's traffic stats.
 
 Runnable as a module (see the README quick-start)::
 
@@ -26,69 +28,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import percentile
 from repro.config import ReplicaConfig
-from repro.datatypes.base import Operator
 from repro.net.runtime import NetCluster, NetParams, OperationFailed
-from repro.sim.workload import CLIENT_SEED_STRIDE, OperatorFactory, zipfian_cdf
-
-
-def _default_factory(rng: random.Random, index: int) -> Operator:
-    return Operator("add", (1,))
-
-
-def keyed_factory(
-    num_keys: int,
-    zipf_exponent: float = 1.1,
-    inner: Optional[OperatorFactory] = None,
-) -> OperatorFactory:
-    """Zipfian-keyed operators over a :class:`~repro.service.keyed.KeyedStore`
-    (rank-to-key assignment is identity; spread clients via seeds)."""
-    from repro.service.keyed import KeyedStore
-
-    cdf = zipfian_cdf(num_keys, zipf_exponent)
-    base = inner or _default_factory
-
-    def factory(rng: random.Random, index: int) -> Operator:
-        from bisect import bisect_left
-
-        rank = bisect_left(cdf, rng.random())
-        return KeyedStore.at(f"k{min(rank, num_keys - 1)}", base(rng, index))
-
-    return factory
-
-
-@dataclass
-class LoadSpec:
-    """What each client does.  ``mode`` is ``"closed"`` or ``"open"``."""
-
-    operations_per_client: int = 100
-    mode: str = "closed"
-    #: Open loop: mean interarrival time (s) of the Poisson process.
-    mean_interarrival: float = 0.01
-    #: Closed loop: think time (s) between completion and next submit.
-    think_time: float = 0.0
-    #: Fraction of operations submitted strict (block until stable).
-    strict_fraction: float = 0.0
-    #: Zipfian keyed access when set (requires a KeyedStore data type).
-    num_keys: Optional[int] = None
-    zipf_exponent: float = 1.1
-    operator_factory: Optional[OperatorFactory] = None
-    seed: int = 0
-    #: Per-operation response timeout (s).
-    timeout: float = 30.0
-
-    def resolve_factory(self) -> OperatorFactory:
-        if self.operator_factory is not None:
-            return self.operator_factory
-        if self.num_keys is not None:
-            return keyed_factory(self.num_keys, self.zipf_exponent)
-        return _default_factory
+from repro.service.keyed import KeyedStore
+from repro.sim.workload import ClientWorkload, KeyedWorkloadSpec, WorkloadSpec
 
 
 @dataclass
@@ -131,61 +79,63 @@ class DriverReport:
         return "\n".join(lines)
 
 
-async def run_load(cluster: NetCluster, spec: LoadSpec) -> DriverReport:
-    """Run *spec* against a started *cluster* and report.  The byte counters
-    are deltas over the run (gossip idling before/after is excluded)."""
-    if spec.mode not in ("closed", "open"):
-        raise ValueError(f"unknown load mode {spec.mode!r}")
-    factory = spec.resolve_factory()
+async def run_load(
+    cluster: NetCluster,
+    spec: WorkloadSpec,
+    *,
+    mode: str = "closed",
+    seed: int = 0,
+    timeout: float = 30.0,
+) -> DriverReport:
+    """Play every client's plan of *spec* at *seed* against a started
+    *cluster* and report.  *timeout* bounds each operation's response.  The
+    byte counters are deltas over the run (gossip idling before/after is
+    excluded)."""
+    if mode not in ("closed", "open"):
+        raise ValueError(f"unknown load mode {mode!r}")
     latencies: List[float] = []
     failures = [0]
     loop = asyncio.get_running_loop()
 
-    async def one_op(
-        client: str, rng: random.Random, index: int, due: Optional[float] = None
-    ) -> None:
-        """One submission, timed from *due* (open loop) or from now."""
-        operator = factory(rng, index)
-        strict = spec.strict_fraction > 0 and rng.random() < spec.strict_fraction
-        begin = loop.time() if due is None else due
+    async def one_op(operation, begin: float) -> None:
         try:
-            await cluster.submit(client, operator, strict=strict, timeout=spec.timeout)
+            await cluster.execute(operation, timeout=timeout)
         except (OperationFailed, asyncio.TimeoutError):
             failures[0] += 1
             return
         latencies.append(loop.time() - begin)
 
-    async def closed_client(client: str, rng: random.Random) -> None:
-        for index in range(spec.operations_per_client):
-            await one_op(client, rng, index)
-            if spec.think_time > 0:
-                await asyncio.sleep(spec.think_time)
-
-    async def open_client(client: str, rng: random.Random) -> None:
-        # Due times are cumulative exponential gaps from the start, and each
-        # operation is timed from its due time: an event-loop stall delays
-        # every arrival due during it, and their latencies count the wait.
-        pending: List[asyncio.Task] = []
-        due = loop.time()
-        for index in range(spec.operations_per_client):
-            await asyncio.sleep(due - loop.time())
-            pending.append(loop.create_task(one_op(client, rng, index, due)))
-            due += rng.expovariate(1.0 / spec.mean_interarrival)
+    async def client(workload: ClientWorkload, start: float) -> None:
+        # Open loop: each operation is timed from its due time, so an
+        # event-loop stall delays every arrival due during it, and their
+        # latencies count the wait.  The sleep also lets the previous
+        # operation's task reach the cluster before a later one names it
+        # in ``prev``.
+        ids, pending = [], []
+        for request in workload.requests(start):
+            if mode == "open":
+                await asyncio.sleep(request.due - loop.time())
+            operator = request.operator
+            if request.key is not None:
+                operator = KeyedStore.at(request.key, operator)
+            operation = cluster.make_operation(
+                request.client, operator, [ids[i] for i in request.prev], request.strict
+            )
+            ids.append(operation.id)
+            if mode == "closed":
+                await one_op(operation, loop.time())
+            else:
+                pending.append(loop.create_task(one_op(operation, request.due)))
         await asyncio.gather(*pending)
 
-    runner = closed_client if spec.mode == "closed" else open_client
     sent_before = cluster.stats.bytes_sent
     received_before = cluster.stats.bytes_received
     payload_before = dict(cluster.stats.payload_bytes_by_kind)
     messages_before = dict(cluster.stats.messages_by_kind)
 
     start = loop.time()
-    await asyncio.gather(
-        *(
-            runner(cid, random.Random(spec.seed + i * CLIENT_SEED_STRIDE))
-            for i, cid in enumerate(cluster.client_ids)
-        )
-    )
+    workloads = ClientWorkload.for_clients(cluster.client_ids, spec, seed)
+    await asyncio.gather(*(client(workload, start) for workload in workloads))
     duration = loop.time() - start
 
     latencies.sort()
@@ -220,7 +170,6 @@ async def run_load(cluster: NetCluster, spec: LoadSpec) -> DriverReport:
 
 def _build_cluster(args: argparse.Namespace) -> NetCluster:
     from repro.datatypes.counter import CounterType
-    from repro.service.keyed import KeyedStore
 
     params = NetParams(
         gossip_period=args.gossip_period,
@@ -244,15 +193,17 @@ def _build_cluster(args: argparse.Namespace) -> NetCluster:
 
 async def _main_async(args: argparse.Namespace) -> DriverReport:
     cluster = _build_cluster(args)
-    spec = LoadSpec(
-        operations_per_client=args.ops,
-        mode=args.mode,
-        mean_interarrival=args.interarrival,
-        num_keys=args.keys if args.keys else None,
-        seed=args.seed,
+    # Gaps are exponential in both modes, so a seed plays the same requests
+    # whichever loop runs them; only the open loop submits at the due times.
+    arrivals = dict(
+        operations_per_client=args.ops, mean_interarrival=args.interarrival, poisson_arrivals=True
     )
+    if args.keys:
+        spec = KeyedWorkloadSpec(num_keys=args.keys, key_distribution="zipfian", **arrivals)
+    else:
+        spec = WorkloadSpec(**arrivals)
     async with cluster:
-        report = await run_load(cluster, spec)
+        report = await run_load(cluster, spec, mode=args.mode, seed=args.seed)
         await cluster.quiesce(timeout=10.0)
     return report
 

@@ -13,11 +13,13 @@ that throughput saturation and scaling are observable.
 * :mod:`repro.sim.network` — message delays, loss, partitions, delay spikes;
 * :mod:`repro.sim.cluster` — the simulated ESDS deployment (replicas, front
   ends, gossip timers) with a synchronous ``execute`` facade;
-* :mod:`repro.sim.workload` — one client-workload engine for every
-  simulated harness: ``WorkloadSpec`` (operation mix, arrival process,
-  strict fraction, dependency policy) and its keyed subclass
-  ``KeyedWorkloadSpec`` (keyspace, uniform or zipfian keys, per-key
-  ``prev`` chains) both run through ``run_workload``, which returns one
+* :mod:`repro.sim.workload` — one seeded request plan with two consumers:
+  ``WorkloadSpec`` (operation mix, arrival process, strict fraction,
+  dependency policy) and its keyed subclass ``KeyedWorkloadSpec``
+  (keyspace, uniform or zipfian keys, per-key ``prev`` chains) are drawn
+  by ``ClientWorkload.requests`` and played either by ``run_workload``
+  here or by ``repro.net.driver.run_load`` on the asyncio runtime;
+  ``run_workload`` returns one
   ``WorkloadResult`` (``throughput``, ``mean_latency`` and the keyword-only
   ``latency_summary(*, category=None, shard=None)``; per-shard breakdowns
   live on its ``metrics``);

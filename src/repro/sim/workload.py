@@ -1,19 +1,20 @@
-"""Client workload generation for the simulated harnesses.
+"""Client workload generation: one seeded request plan, two consumers.
 
 ``WorkloadSpec`` describes what clients do: the operator mix, how often they
 submit, what fraction of requests are strict, and how ``prev`` dependencies
-are chosen.  ``KeyedWorkloadSpec`` adds a keyspace for
-:class:`~repro.sim.sharded.ShardedCluster`: every request also picks a key
-(uniformly or zipfian-skewed) and ``prev`` dependencies chain per key (the
-session-guarantee pattern, which by construction never crosses a shard
+are chosen.  ``KeyedWorkloadSpec`` adds a keyspace: every request also picks
+a key (uniformly or zipfian-skewed) and ``prev`` dependencies chain per key
+(the session-guarantee pattern, which by construction never crosses a shard
 boundary).
 
-One engine runs both kinds: :class:`ClientWorkload` schedules one client's
-submissions, and :func:`run_workload` installs the workload on every client
-of a cluster (single-object, sharded or a baseline service), runs the
-submission window plus a drain phase, and returns a :class:`WorkloadResult`.
-This is the engine behind benchmarks E1, E2, E5, E7, E8 and E9 and every
-conformance scenario.
+:class:`ClientWorkload` is the one place that draws client requests: its
+sans-IO :meth:`~ClientWorkload.requests` yields one client's plan, a pure
+function of ``(spec, client, seed)``.  Two consumers play it.
+:func:`run_workload` installs every client's plan on a simulated cluster
+(single-object, sharded or a baseline service), runs the submission window
+plus a drain phase, and returns a :class:`WorkloadResult`; it is the engine
+behind benchmarks E1, E2, E5, E7, E8 and E9 and every conformance scenario.
+``repro.net.driver.run_load`` plays the same plans on the asyncio runtime.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Tuple, Union
 
-from repro.common import MetricsError, OperationId
+from repro.common import MetricsError
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
 from repro.sim.metrics import LatencySummary, MetricsCollector, PerShardMetrics
@@ -47,11 +49,6 @@ def default_drain_time(params) -> float:
     """Generous default drain window after the last submission: ~10 gossip
     rounds plus request round trips."""
     return 10 * (params.gossip_period + params.dg) + 10 * params.df
-
-
-def interarrival_gap(rng: random.Random, mean: float, poisson: bool) -> float:
-    """One submission gap: exponential with the given mean, or fixed."""
-    return rng.expovariate(1.0 / mean) if poisson else mean
 
 
 def zipfian_cdf(num_keys: int, exponent: float) -> List[float]:
@@ -150,22 +147,35 @@ class KeyedWorkloadSpec(WorkloadSpec):
             raise ValueError("zipf_exponent must be positive")
 
 
-class ClientWorkload:
-    """Submission schedule for a single client.
+class PlannedRequest(NamedTuple):
+    """One request of a client's plan.  ``due`` is the submission time (the
+    plan's ``start`` plus the gaps so far); ``prev`` holds indices into the
+    same client's earlier requests; ``key`` is ``None`` for an unkeyed spec."""
 
-    Per request the client RNG draws the gap, then (keyed specs only) the
-    key, then the operator, the strict flag and finally the ``prev`` pick.
-    ``prev`` history is kept per key — under the one key ``None`` when the
-    spec is unkeyed — and a keyed request is submitted as
-    ``submit(client, key, operator, ...)``.
+    due: float
+    client: str
+    key: Optional[str]
+    operator: Operator
+    strict: bool
+    prev: Tuple[int, ...]
+
+
+class ClientWorkload:
+    """One client's seeded request plan, and its simulator consumer.
+
+    :meth:`requests` is sans-IO: per request the client RNG draws the gap,
+    then (keyed specs only) the key, then the operator, the strict flag and
+    finally the ``prev`` pick, so the plan is a pure function of
+    ``(spec, client, seed)``.  ``prev`` history is kept per key — under the
+    one key ``None`` when the spec is unkeyed.  :meth:`install` plays the
+    plan on a simulated cluster; ``repro.net.driver.run_load`` plays it on
+    the asyncio runtime.
     """
 
     def __init__(self, client_id: str, spec: WorkloadSpec, seed: int) -> None:
         self.client_id = client_id
         self.spec = spec
-        self.rng = random.Random(seed)
-        #: This client's operation history per key (for prev policies).
-        self._history_by_key: Dict[Optional[str], List[OperationId]] = {}
+        self.seed = seed
         self._keys: Optional[List[str]] = None
         self._cdf: Optional[List[float]] = None
         if isinstance(spec, KeyedWorkloadSpec):
@@ -177,25 +187,40 @@ class ClientWorkload:
                 random.Random(spec.zipf_rank_seed).shuffle(self._keys)
                 self._cdf = zipfian_cdf(spec.num_keys, spec.zipf_exponent)
 
-    def _next_gap(self) -> float:
-        return interarrival_gap(
-            self.rng, self.spec.mean_interarrival, self.spec.poisson_arrivals
-        )
+    @classmethod
+    def for_clients(
+        cls, client_ids: Iterable[str], spec: WorkloadSpec, seed: int
+    ) -> List[ClientWorkload]:
+        """The plans of a run's clients: per-client seeds are derived from
+        the run seed as ``seed * CLIENT_SEED_STRIDE + client_index``."""
+        return [
+            cls(client, spec, seed * CLIENT_SEED_STRIDE + index)
+            for index, client in enumerate(client_ids)
+        ]
 
-    def _choose_key(self) -> Optional[str]:
-        if self._keys is None:
-            return None
-        if self._cdf is None:
-            return self.rng.choice(self._keys)
-        rank = bisect.bisect_left(self._cdf, self.rng.random())
-        return self._keys[min(rank, len(self._keys) - 1)]
-
-    def _prev_for(self, history: List[OperationId]) -> Tuple[OperationId, ...]:
-        if self.spec.prev_policy == "none" or not history:
-            return ()
-        if self.spec.prev_policy in ("last_own", "last_on_key"):
-            return (history[-1],)
-        return (self.rng.choice(history),)
+    def requests(self, start: float = 0.0) -> Iterator[PlannedRequest]:
+        """This client's requests in submission order, due from *start*."""
+        spec, rng = self.spec, random.Random(self.seed)
+        history_by_key: Dict[Optional[str], List[int]] = {}
+        due = start
+        for index in range(spec.operations_per_client):
+            gap = spec.mean_interarrival
+            due += rng.expovariate(1.0 / gap) if spec.poisson_arrivals else gap
+            key = None
+            if self._cdf is not None:
+                rank = bisect.bisect_left(self._cdf, rng.random())
+                key = self._keys[min(rank, len(self._keys) - 1)]
+            elif self._keys is not None:
+                key = rng.choice(self._keys)
+            operator = spec.operator_factory(rng, index)
+            strict = rng.random() < spec.strict_fraction
+            history = history_by_key.setdefault(key, [])
+            prev: Tuple[int, ...] = ()
+            if spec.prev_policy != "none" and history:
+                last = spec.prev_policy in ("last_own", "last_on_key")
+                prev = (history[-1] if last else rng.choice(history),)
+            history.append(index)
+            yield PlannedRequest(due, self.client_id, key, operator, strict, prev)
 
     def install(self, cluster, start_time: float = 0.0) -> List[OperationDescriptor]:
         """Schedule every submission of this client on *cluster*.
@@ -203,18 +228,15 @@ class ClientWorkload:
         Returns the operation descriptors in submission order.
         """
         submitted: List[OperationDescriptor] = []
-        when = start_time
-        for index in range(self.spec.operations_per_client):
-            when += self._next_gap()
-            key = self._choose_key()
-            operator = self.spec.operator_factory(self.rng, index)
-            strict = self.rng.random() < self.spec.strict_fraction
-            history = self._history_by_key.setdefault(key, [])
-            target = (self.client_id,) if key is None else (self.client_id, key)
+        for request in self.requests(start_time):
+            target = (request.client,) if request.key is None else (request.client, request.key)
             operation = cluster.submit(
-                *target, operator, prev=self._prev_for(history), strict=strict, at=when
+                *target,
+                request.operator,
+                prev=tuple(submitted[i].id for i in request.prev),
+                strict=request.strict,
+                at=request.due,
             )
-            history.append(operation.id)
             submitted.append(operation)
         return submitted
 
@@ -286,8 +308,7 @@ def run_workload(
     cluster.start()
     started_at = cluster.now
     submitted = 0
-    for index, client in enumerate(cluster.client_ids):
-        workload = ClientWorkload(client, spec, seed=seed * CLIENT_SEED_STRIDE + index)
+    for workload in ClientWorkload.for_clients(cluster.client_ids, spec, seed):
         submitted += len(workload.install(cluster, start_time=started_at))
 
     submission_window = spec.operations_per_client * spec.mean_interarrival

@@ -31,9 +31,12 @@ from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.datatypes.base import Operator
 from repro.net.codec import FrameError, decode_frame, encode_message
-from repro.net.driver import LoadSpec, run_load
+from repro.net import driver
+from repro.net.driver import run_load
 from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams
 from repro.service.keyed import KeyedStore
+from repro.sim.sharded import ShardedCluster
+from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
 from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.serializability import check_recorded_trace
 
@@ -245,6 +248,28 @@ class TestInvariantChecker:
             AlgorithmInvariantChecker(cluster).check_all()
 
 
+def record_net_plan(cluster):
+    """Wrap ``cluster.make_operation`` to log, per client, every operation
+    the driver makes as ``(key, operator, strict, prev ids, id)``."""
+    log, make = {}, cluster.make_operation
+
+    def recording_make(client, operator, prev=(), strict=False):
+        operation = make(client, operator, prev, strict)
+        key, inner = operator.args
+        log.setdefault(client, []).append((key, inner, strict, tuple(prev), operation.id))
+        return operation
+
+    cluster.make_operation = recording_make
+    return log
+
+
+def keyed_cluster():
+    return NetCluster(
+        KeyedStore(CounterType()), num_replicas=3, client_ids=("c0", "c1"),
+        params=NetParams(gossip_period=0.01), transport="memory", config=FAST,
+    )
+
+
 class TestLoadDriver:
     def test_open_loop_counts_an_event_loop_stall(self):
         """Arrivals due during a stall are timed from their due time, so
@@ -252,13 +277,84 @@ class TestLoadDriver:
 
         async def run():
             async with make_cluster(clients=("c0",)) as cluster:
-                spec = LoadSpec(operations_per_client=100, mode="open", mean_interarrival=0.01)
+                spec = WorkloadSpec(operations_per_client=100, mean_interarrival=0.01,
+                                    poisson_arrivals=True)
                 asyncio.get_running_loop().call_later(0.3, time.sleep, 0.3)
-                return await run_load(cluster, spec)
+                return await run_load(cluster, spec, mode="open")
 
         report = asyncio.run(run())
         assert report.failures == 0 and report.operations == 100
         assert report.latency_p95 >= 0.1
+
+    def test_simulator_and_runtime_submit_the_same_stream(self):
+        """One spec at one seed: the sharded simulator and the open-loop
+        driver submit, per client, the same keys, operators, strict flags
+        and ``prev`` dependencies (as indices into the client's stream)."""
+        spec = KeyedWorkloadSpec(operations_per_client=8, mean_interarrival=0.01,
+                                 poisson_arrivals=True, strict_fraction=0.3,
+                                 num_keys=4, key_distribution="zipfian",
+                                 prev_policy="random_on_key")
+        sharded = ShardedCluster(CounterType(), num_shards=2, replicas_per_shard=2,
+                                 client_ids=["c0", "c1"], seed=5)
+        sim_log, submit = {}, sharded.submit
+
+        def recording_submit(client, key, operator, prev=(), strict=False, at=None):
+            operation = submit(client, key, operator, prev=prev, strict=strict, at=at)
+            entry = (key, operator, strict, tuple(prev), operation.id)
+            sim_log.setdefault(client, []).append(entry)
+            return operation
+
+        sharded.submit = recording_submit
+        run_workload(sharded, spec, seed=3)
+
+        async def run():
+            async with keyed_cluster() as cluster:
+                log = record_net_plan(cluster)
+                report = await run_load(cluster, spec, mode="open", seed=3)
+                return log, report
+
+        net_log, report = asyncio.run(run())
+
+        def by_index(log):
+            streams = {}
+            for client, entries in log.items():
+                index = {entry[-1]: i for i, entry in enumerate(entries)}
+                streams[client] = [(key, operator, strict, sorted(index[p] for p in prev))
+                                   for key, operator, strict, prev, _ in entries]
+            return streams
+
+        assert by_index(net_log) == by_index(sim_log)
+        assert any(prev for stream in by_index(sim_log).values() for *_, prev in stream)
+        assert report.failures == 0 and report.operations == 16
+
+    def test_closed_loop_chains_prev_per_key(self):
+        """``last_on_key`` on the real runtime: every operation depends on
+        its client's previous operation on the same key."""
+        spec = KeyedWorkloadSpec(operations_per_client=15, num_keys=3,
+                                 prev_policy="last_on_key", strict_fraction=0.2)
+
+        async def run():
+            async with keyed_cluster() as cluster:
+                log = record_net_plan(cluster)
+                report = await run_load(cluster, spec, mode="closed", seed=1)
+                assert await cluster.quiesce(timeout=30.0)
+                return cluster, log, report
+
+        cluster, log, report = asyncio.run(run())
+        assert report.failures == 0 and report.operations == 30
+        for entries in log.values():
+            last_on = {}
+            for key, _, _, prev, op_id in entries:
+                assert prev == ((last_on[key],) if key in last_on else ())
+                last_on[key] = op_id
+        assert sum(1 for entries in log.values() for entry in entries if entry[3]) > 20
+        AlgorithmInvariantChecker(cluster).check_all()
+
+    def test_cli_open_loop_keyed_memory_run(self, capsys):
+        argv = ["--transport", "memory", "--mode", "open", "--keys", "8", "--ops", "5",
+                "--replicas", "3", "--clients", "2", "--interarrival", "0.005"]
+        assert driver.main(argv) == 0
+        assert "operations      10  (failures 0)" in capsys.readouterr().out
 
 
 class TestBackpressure:
