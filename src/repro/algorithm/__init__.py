@@ -13,8 +13,7 @@ Modules:
   replica label generation (Section 6.3);
 * :mod:`repro.algorithm.messages` — request, response and gossip messages
   (Section 6.1);
-* :mod:`repro.algorithm.channel` — reliable non-FIFO channels plus the lossy
-  / duplicating variants used in the fault-tolerance discussion (Section 9.3);
+* :mod:`repro.algorithm.channel` — reliable non-FIFO channels (Section 6.1);
 * :mod:`repro.algorithm.frontend` — the per-client front end (Section 6.2);
 * :mod:`repro.algorithm.replica` — the replica state machine (Section 6.3),
   including destination-specific delta gossip and the incremental
@@ -57,7 +56,7 @@ from repro.algorithm.messages import (
     RequestMessage,
     ResponseMessage,
 )
-from repro.algorithm.channel import Channel, LossyChannel
+from repro.algorithm.channel import Channel
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.replica import ReplicaCore
@@ -84,7 +83,6 @@ __all__ = [
     "RequestMessage",
     "ResponseMessage",
     "Channel",
-    "LossyChannel",
     "FrontEndCore",
     "ReplicaCore",
     "FastReplicaCore",

@@ -3,9 +3,9 @@
 The basic channel is reliable but not FIFO: it is a multiset of messages in
 transit, any of which may be delivered next.  The fault-tolerance discussion
 of Section 9.3 observes that the algorithm's safety is insensitive to message
-loss and duplication (a lost message is indistinguishable from a delayed one),
-so :class:`LossyChannel` adds explicit ``drop`` and ``duplicate`` steps that
-the fault-injection tests exercise.
+loss and duplication (a lost message is indistinguishable from a delayed one);
+the simulated network (:mod:`repro.sim.network`) is where loss and
+duplication are injected.
 """
 
 from __future__ import annotations
@@ -81,62 +81,3 @@ class Channel(Generic[M]):
             f"{len(self._in_transit)} in transit)"
         )
 
-
-class LossyChannel(Channel[M]):
-    """A channel that may additionally drop or duplicate in-transit messages.
-
-    Dropping is modelled, as the paper suggests, as an internal action that
-    removes a message without delivering it; duplication re-adds a copy.
-    Safety properties must be preserved under both (tests in
-    ``tests/test_fault_tolerance.py``).
-    """
-
-    def __init__(
-        self,
-        source: str,
-        destination: str,
-        drop_probability: float = 0.0,
-        duplicate_probability: float = 0.0,
-    ) -> None:
-        super().__init__(source, destination)
-        if not 0.0 <= drop_probability <= 1.0:
-            raise ValueError("drop_probability must be within [0, 1]")
-        if not 0.0 <= duplicate_probability <= 1.0:
-            raise ValueError("duplicate_probability must be within [0, 1]")
-        self.drop_probability = drop_probability
-        self.duplicate_probability = duplicate_probability
-        self.dropped = 0
-        self.duplicated = 0
-
-    def drop(self, message: Optional[M] = None, rng: Optional[random.Random] = None) -> M:
-        """Remove one in-transit message without delivering it."""
-        lost = super().receive(message, rng)
-        self.dropped += 1
-        return lost
-
-    def duplicate(self, message: Optional[M] = None, rng: Optional[random.Random] = None) -> M:
-        """Duplicate one in-transit message."""
-        if not self._in_transit:
-            raise LookupError("cannot duplicate on an empty channel")
-        chooser = rng if rng is not None else random
-        if message is None:
-            chosen = self._in_transit[chooser.randrange(len(self._in_transit))]
-        else:
-            chosen = self._in_transit[self._index_of(message)]
-        self._in_transit.append(chosen)
-        self.duplicated += 1
-        return chosen
-
-    def maybe_interfere(self, rng: random.Random) -> Optional[str]:
-        """Randomly drop or duplicate according to the configured
-        probabilities.  Returns ``"drop"``, ``"duplicate"`` or ``None``."""
-        if not self._in_transit:
-            return None
-        roll = rng.random()
-        if roll < self.drop_probability:
-            self.drop(rng=rng)
-            return "drop"
-        if roll < self.drop_probability + self.duplicate_probability:
-            self.duplicate(rng=rng)
-            return "duplicate"
-        return None

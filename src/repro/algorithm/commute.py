@@ -8,28 +8,31 @@ maintain a single *current state* ``cs_r`` updated as each operation is done
 (in arrival order), and compute each operation's value once, when it is done,
 instead of replaying history for every response.
 
-For strict operations the value must also agree with the eventual total
-order; Fig. 11 therefore computes strict values at memoization time (when the
-operation's position is fixed) and gates strict responses on
+Fig. 11 is the memoizing replica of Fig. 10 plus ``cs_r`` and the recorded
+values ``val_r``, so this class extends
+:class:`~repro.algorithm.memoized.MemoizedReplicaCore`, which owns the
+memoized prefix (``memoized``, ``ms``, the label-order memoize pass, its
+compaction and reset hooks).  For strict operations the value must also
+agree with the eventual total order: a response returns the memoized value
+once the operation is memoized (its position is then fixed) and ``val_r``
+before that, and strict responses are gated on
 ``x in ⋂_i stable_r[i] ∩ memoized_r``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set
+from typing import Any, Dict, Optional, Sequence, Set
 
-from repro.algorithm.labels import Label, label_sort_key
-from repro.algorithm.memoized import solid_set
+from repro.algorithm.labels import Label
+from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.messages import GossipMessage
-from repro.algorithm.replica import ReplicaCore
 from repro.common import SpecificationError
 from repro.core.operations import OperationDescriptor, client_specified_constraints
 from repro.core.orders import topological_total_order
 from repro.datatypes.base import SerialDataType
-from typing import Optional
 
 
-class CommuteReplicaCore(ReplicaCore):
+class CommuteReplicaCore(MemoizedReplicaCore):
     """Replica variant that exploits commutativity (Fig. 11)."""
 
     def __init__(self, replica_id: str, replica_ids: Sequence[str], data_type: SerialDataType) -> None:
@@ -37,12 +40,9 @@ class CommuteReplicaCore(ReplicaCore):
         #: ``cs_r`` — state after applying every operation done here, in the
         #: order they were done here.
         self.current_state: Any = data_type.initial_state()
-        #: ``val_r`` — the value recorded for each done operation.
+        #: ``val_r`` — the value recorded for each operation whose effect is
+        #: in ``cs_r``.
         self.values: Dict[OperationDescriptor, Any] = {}
-        #: ``memoized_r`` / ``ms_r`` — the stable-prefix bookkeeping reused
-        #: from Section 10.1 for strict operations.
-        self.memoized: Set[OperationDescriptor] = set()
-        self.memo_state: Any = data_type.initial_state()
 
     # ------------------------------------------------------------------- do_it
 
@@ -63,9 +63,10 @@ class CommuteReplicaCore(ReplicaCore):
         dropping its effect from the current state."""
 
     def receive_gossip(self, message: GossipMessage) -> None:
-        """Merge gossip; newly learned done operations are applied to ``cs_r``
-        in an order consistent with the client-specified constraints among
-        them (Fig. 11's receive loop).  Compaction runs only after that.
+        """Merge gossip and advance memoization; newly learned done
+        operations are applied to ``cs_r`` in an order consistent with the
+        client-specified constraints among them (Fig. 11's receive loop).
+        Compaction runs only after that.
 
         During an advert/pull catch-up window the derived state is left
         alone: ``cs_r`` is missing the awaited compacted prefix, so folding
@@ -73,8 +74,7 @@ class CommuteReplicaCore(ReplicaCore):
         window-closing hooks rebuild everything from the (possibly adopted)
         checkpoint base; the ``x not in self.values`` filter below keeps
         that rebuild and this incremental path from double-applying an
-        operation (``values`` records exactly the operations whose effect
-        is in ``cs_r``).
+        operation.
         """
         previously_done = set(self.done_here())
         super().receive_gossip(message)
@@ -83,7 +83,6 @@ class CommuteReplicaCore(ReplicaCore):
         self._apply_in_csc_order({
             x for x in self.done_here() - previously_done if x not in self.values
         })
-        self._memoize_available()
         if self.compaction is not None:
             self.maybe_compact()
 
@@ -105,36 +104,6 @@ class CommuteReplicaCore(ReplicaCore):
             )
             self.stats.memoized_applications += 1
             self.values[operation] = value
-
-    # -------------------------------------------------------------- memoization
-
-    def _memoize_available(self) -> List[OperationDescriptor]:
-        """``memoize_r(x)`` of Fig. 11: fold solid operations into ``ms_r`` in
-        label order, re-recording their value from the eventual order."""
-        performed: List[OperationDescriptor] = []
-        progressing = True
-        while progressing:
-            progressing = False
-            solid = solid_set(self)
-            for x in sorted(
-                solid - self.memoized,
-                key=lambda op: label_sort_key(self.label_of(op.id)),
-            ):
-                earlier = {
-                    y
-                    for y in self.done_here()
-                    if label_sort_key(self.label_of(y.id))
-                    < label_sort_key(self.label_of(x.id))
-                }
-                if not earlier <= self.memoized:
-                    break
-                self.memo_state, value = self.data_type.apply(self.memo_state, x.op)
-                self.stats.memoized_applications += 1
-                self.values[x] = value
-                self.memoized.add(x)
-                performed.append(x)
-                progressing = True
-        return performed
 
     # ---------------------------------------------------------------- responses
 
@@ -160,16 +129,16 @@ class CommuteReplicaCore(ReplicaCore):
             if operation not in self.memoized:
                 # Try to advance memoization before giving up; memoize is an
                 # internal action that is always enabled once solid.
-                self._memoize_available()
+                self.memoize_all_available()
                 if operation not in self.memoized:
                     return False
         return True
 
     def compute_value(self, operation: OperationDescriptor) -> Any:
-        """``v = val_r(x)`` — no replay at response time.  Compacted
-        operations are served from the checkpoint's retained values."""
-        if self.is_compacted(operation.id):
-            return ReplicaCore.compute_value(self, operation)
+        """The memoized value once the operation is memoized (or compacted),
+        ``v = val_r(x)`` before that — no replay at response time."""
+        if operation in self.memo_values or self.is_compacted(operation.id):
+            return super().compute_value(operation)
         if operation not in self.values:
             raise SpecificationError(
                 f"no recorded value for {operation.id} at replica {self.replica_id}"
@@ -178,41 +147,32 @@ class CommuteReplicaCore(ReplicaCore):
 
     # ------------------------------------------------------ compaction interplay
 
-    def _prepare_compaction(self) -> None:
-        """Fold everything solid into ``ms`` so the compactable prefix is
-        memoized (its eventual-order value recorded) before being dropped."""
-        self._memoize_available()
-
     def _after_compaction(self, removed) -> None:
-        self.memoized -= removed
+        super()._after_compaction(removed)
         for operation in removed:
             self.values.pop(operation, None)
 
     def _on_crash(self) -> None:
-        """``cs_r`` / ``val_r`` / the memo prefix are volatile: a crash with
-        volatile memory restarts them from the persisted checkpoint's base
-        state (re-learned operations are re-applied by the gossip path)."""
-        self.memoized = set()
-        self.memo_state = self.checkpoint.base_state
+        """``cs_r`` / ``val_r`` are volatile too: a crash with volatile
+        memory restarts them with the memo prefix from the persisted
+        checkpoint's base state (re-learned operations are re-applied by the
+        gossip path)."""
+        super()._on_crash()
         self.current_state = self.checkpoint.base_state
         self.values = {}
 
     def _on_checkpoint_adopted(self) -> None:
-        """Rebuild the derived state after wholesale checkpoint adoption: the
-        remaining done operations are re-applied onto the adopted base in an
-        order consistent with the client-specified constraints (sound under
-        the SafeUsers discipline, Lemma 10.6), and memoization restarts."""
-        self.memoized = set()
-        self.memo_state = self.checkpoint.base_state
-        self.current_state = self.checkpoint.base_state
-        self.values = {}
+        """Rebuild the derived state after wholesale checkpoint adoption, or
+        after a catch-up window closed through gossip re-delivery (``cs_r`` /
+        ``val_r`` advanced by ``do_it`` during the window miss the re-tracked
+        prefix): the remaining done operations are re-applied onto the base
+        in an order consistent with the client-specified constraints (sound
+        under the SafeUsers discipline, Lemma 10.6), and memoization
+        restarts."""
+        self._on_crash()
         self._apply_in_csc_order(set(self.done_here()))
 
-    def _on_catchup_healed(self) -> None:
-        """A catch-up window closed through gossip re-delivery: ``cs_r`` /
-        ``val_r`` advanced by ``do_it`` during the window miss the (now
-        re-tracked) prefix — rebuild exactly as after an adoption."""
-        self._on_checkpoint_adopted()
+    _on_catchup_healed = _on_checkpoint_adopted
 
     # ----------------------------------------------------------------- snapshot
 
@@ -220,5 +180,4 @@ class CommuteReplicaCore(ReplicaCore):
         data = super().snapshot()
         data["current_state"] = self.current_state
         data["values"] = dict(self.values)
-        data["memoized"] = set(self.memoized)
         return data

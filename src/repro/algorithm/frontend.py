@@ -77,11 +77,6 @@ class FrontEndCore:
 
     # -- replica-side actions --------------------------------------------------
 
-    def sendable_requests(self) -> List[RequestMessage]:
-        """A request message for each pending operation (any may be sent,
-        repeatedly, to any replica)."""
-        return [RequestMessage(x) for x in sorted(self.wait, key=lambda op: repr(op.id))]
-
     def make_request_message(self, operation: OperationDescriptor) -> RequestMessage:
         """Build a request message for a specific pending operation."""
         if operation not in self.wait:
@@ -136,10 +131,6 @@ class FrontEndCore:
         return False
 
     # -- inspection -------------------------------------------------------------
-
-    def pending_count(self) -> int:
-        """Number of operations awaiting a response."""
-        return len(self.wait)
 
     def snapshot(self) -> Dict[str, Any]:
         """Deep-enough copy of the front end state for invariant checks."""

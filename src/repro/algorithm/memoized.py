@@ -5,19 +5,23 @@ values (from scratch by default; with
 :meth:`repro.algorithm.replica.ReplicaCore.enable_incremental_replay` it
 re-applies only the suffix that changed since the previous replay).  This
 class is the paper's own optimization: once an operation is *solid* — stable
-at this replica,
-or locally constrained to precede an operation stable here — its place in the
-eventual total order is fixed (Lemma 10.2), so its value can be memoized and
-never recomputed.  The memoizing replica keeps
+at this replica, or locally constrained to precede an operation stable here —
+its place in the eventual total order is fixed (Lemma 10.2), so its value can
+be memoized and never recomputed.  The memoizing replica keeps
 
 * ``memoized`` — the operations whose values have been memoized (a prefix of
   the label order contained in ``solid``),
-* ``ms`` — the data state after applying exactly the memoized operations in
-  label order,
-* ``mv`` — the memoized value of each memoized operation,
+* ``memo_state`` (the paper's ``ms``) — the data state after applying exactly
+  the memoized operations in label order, on top of the checkpoint base,
+* ``memo_values`` (``mv``) — the memoized value of each memoized operation,
 
 and computes a response by starting from ``ms`` and replaying only the
 non-memoized suffix (``done[r] - memoized``).
+
+This class owns the memoized prefix for both Section 10 variants: the
+Commute replica (:mod:`repro.algorithm.commute`, Fig. 11) is this replica
+plus a current state, and only changes how a not-yet-memoized value is
+found.
 """
 
 from __future__ import annotations
@@ -31,66 +35,52 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import SerialDataType
 
 
-def solid_set(replica: ReplicaCore) -> Set[OperationDescriptor]:
-    """``solid_r`` — operations stable at *replica* or locally ordered
-    before one that is (the derived variable of Fig. 10, shared by the
-    memoizing and the Commute replica).
-
-    By Invariant 10.1, when ``stable_r[r]`` is nonempty this is the label
-    prefix of ``done_r[r]`` up to the largest stable label.
-    """
-    stable_here = replica.stable_here()
-    if not stable_here:
-        return set()
-    max_stable_label = max(
-        (replica.label_of(x.id) for x in stable_here), key=label_sort_key
-    )
-    return {
-        x
-        for x in replica.done_here()
-        if label_sort_key(replica.label_of(x.id)) <= label_sort_key(max_stable_label)
-    }
-
-
 class MemoizedReplicaCore(ReplicaCore):
     """ESDS-Alg' replica: identical external behaviour, memoized computation."""
 
     def __init__(self, replica_id: str, replica_ids: Sequence[str], data_type: SerialDataType) -> None:
         super().__init__(replica_id, replica_ids, data_type)
-        self.memoized: Set[OperationDescriptor] = set()
-        #: ``ms_r`` — state after applying the memoized prefix in label order.
-        self.memo_state: Any = data_type.initial_state()
-        #: ``mv_r`` — memoized value per memoized operation.
-        self.memo_values: Dict[OperationDescriptor, Any] = {}
+        self._restart_memo()
 
     # --------------------------------------------------------------- solid set
 
-    solid_operations = solid_set
+    def solid_operations(self) -> Set[OperationDescriptor]:
+        """``solid_r`` — operations stable here or locally ordered before one
+        that is (the derived variable of Fig. 10).
+
+        By Invariant 10.1, when ``stable_r[r]`` is nonempty this is the label
+        prefix of ``done_r[r]`` up to the largest stable label — so every
+        done operation ordered before a solid one is solid too.
+        """
+        stable_here = self.stable_here()
+        if not stable_here:
+            return set()
+        frontier = max(label_sort_key(self.label_of(x.id)) for x in stable_here)
+        return {x for x in self.done_here() if label_sort_key(self.label_of(x.id)) <= frontier}
 
     # -------------------------------------------------------------- memoization
 
-    def memoizable_operations(self) -> List[OperationDescriptor]:
-        """Operations for which ``memoize_r(x)`` is enabled: solid, not yet
-        memoized, and every locally earlier done operation already memoized."""
-        solid = self.solid_operations()
-        candidates: List[OperationDescriptor] = []
-        for x in sorted(solid - self.memoized, key=lambda op: label_sort_key(self.label_of(op.id))):
-            earlier = {
-                y
-                for y in self.done_here()
-                if label_sort_key(self.label_of(y.id)) < label_sort_key(self.label_of(x.id))
-            }
-            if earlier <= self.memoized:
-                candidates.append(x)
-        return candidates
-
     def memoize(self, operation: OperationDescriptor) -> Any:
         """``memoize_r(x)``: fold the operation into the memoized state and
-        record its value.  Returns the memoized value."""
-        if operation not in self.memoizable_operations():
+        record its value.  Enabled when *operation* is solid, not yet
+        memoized, and every locally earlier done operation is memoized.
+        Returns the memoized value."""
+        key = label_sort_key(self.label_of(operation.id))
+        if (
+            operation in self.memoized
+            or operation not in self.solid_operations()
+            or any(
+                y not in self.memoized
+                for y in self.done_here()
+                if label_sort_key(self.label_of(y.id)) < key
+            )
+        ):
             raise SpecificationError(
                 f"memoize precondition fails for {operation.id} at replica {self.replica_id}"
             )
+        return self._memoize(operation)
+
+    def _memoize(self, operation: OperationDescriptor) -> Any:
         self.memo_state, value = self.data_type.apply(self.memo_state, operation.op)
         self.stats.memoized_applications += 1
         self.memo_values[operation] = value
@@ -98,15 +88,32 @@ class MemoizedReplicaCore(ReplicaCore):
         return value
 
     def memoize_all_available(self) -> List[OperationDescriptor]:
-        """Memoize every operation that can currently be memoized, in order."""
-        performed: List[OperationDescriptor] = []
-        candidates = self.memoizable_operations()
-        while candidates:
-            target = candidates[0]
-            self.memoize(target)
-            performed.append(target)
-            candidates = self.memoizable_operations()
+        """Memoize every operation that can currently be memoized: the solid
+        operations not yet memoized, in label order.  ``solid`` is a label
+        prefix of ``done`` and ``memoized`` a prefix of ``solid``, so one
+        ordered pass enables each ``memoize_r(x)`` in turn."""
+        performed = sorted(
+            self.solid_operations() - self.memoized,
+            key=lambda op: label_sort_key(self.label_of(op.id)),
+        )
+        for operation in performed:
+            self._memoize(operation)
         return performed
+
+    def _restart_memo(self) -> None:
+        """Restart memoization from the checkpoint base state: the memo
+        prefix is volatile (a crash wipes its operations), no longer matches
+        the history after a wholesale checkpoint adoption, and is invalid
+        once a catch-up window closes through gossip re-delivery (it may
+        have advanced against the holed history).  It re-advances on the
+        next gossip."""
+        self.memoized: Set[OperationDescriptor] = set()
+        #: ``ms_r`` — state after applying the memoized prefix in label order.
+        self.memo_state: Any = self.checkpoint.base_state
+        #: ``mv_r`` — memoized value per memoized operation.
+        self.memo_values: Dict[OperationDescriptor, Any] = {}
+
+    _on_crash = _on_checkpoint_adopted = _on_catchup_healed = _restart_memo
 
     # ---------------------------------------------------------- value computation
 
@@ -151,8 +158,7 @@ class MemoizedReplicaCore(ReplicaCore):
         operations on top of a base that is missing the awaited compacted
         prefix, and a memo poisoned that way would outlive the window when
         it closes through gossip re-delivery.  The window-closing hooks
-        (:meth:`_on_checkpoint_adopted` / :meth:`_on_catchup_healed`) reset
-        the memo, and memoization simply resumes afterwards.
+        restart the memo, and memoization simply resumes afterwards.
         """
         super().receive_gossip(message)
         if not self.catching_up():
@@ -174,29 +180,6 @@ class MemoizedReplicaCore(ReplicaCore):
         self.memoized -= removed
         for operation in removed:
             self.memo_values.pop(operation, None)
-
-    def _on_checkpoint_adopted(self) -> None:
-        """After wholesale adoption (crash-recovery catch-up) the old memo
-        prefix no longer matches the history: restart memoization from the
-        adopted base state."""
-        self.memoized = set()
-        self.memo_state = self.checkpoint.base_state
-        self.memo_values = {}
-
-    def _on_crash(self) -> None:
-        """The memo prefix is volatile (its operations were wiped); restart
-        from the persisted checkpoint's base state."""
-        self.memoized = set()
-        self.memo_state = self.checkpoint.base_state
-        self.memo_values = {}
-
-    def _on_catchup_healed(self) -> None:
-        """A catch-up window closed through gossip re-delivery: anything
-        memoized against the holed history is invalid — restart memoization
-        from the checkpoint base (it re-advances on the next gossip)."""
-        self.memoized = set()
-        self.memo_state = self.checkpoint.base_state
-        self.memo_values = {}
 
     # ----------------------------------------------------------------- snapshot
 

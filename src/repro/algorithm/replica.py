@@ -25,7 +25,10 @@ paths exist:
   comparison detects position by position;
 * :class:`repro.algorithm.memoized.MemoizedReplicaCore` is the paper's own
   Section 10.1 variant, memoizing the *solid* prefix whose order can never
-  change again.
+  change again and replaying only the suffix after it;
+  :class:`repro.algorithm.commute.CommuteReplicaCore` (Section 10.3) is that
+  replica plus a current state, and answers a not-yet-memoized operation
+  from the value recorded when it was applied instead of replaying.
 
 Gossip likewise has two paths: the paper's full-state ``send_rr'`` (the
 default), and delta gossip (:meth:`ReplicaCore.configure_delta_gossip`), in

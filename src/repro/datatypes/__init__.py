@@ -27,9 +27,6 @@ from repro.datatypes.base import (
     Operator,
     SerialDataType,
     apply_sequence,
-    operators_commute,
-    operators_independent,
-    operator_oblivious_to,
 )
 from repro.datatypes.register import RegisterType
 from repro.datatypes.counter import CounterType
@@ -43,9 +40,6 @@ __all__ = [
     "Operator",
     "SerialDataType",
     "apply_sequence",
-    "operators_commute",
-    "operators_independent",
-    "operator_oblivious_to",
     "RegisterType",
     "CounterType",
     "GSetType",

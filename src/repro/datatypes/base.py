@@ -152,21 +152,3 @@ def apply_sequence(
         values.append(value)
     return current, values
 
-
-def operators_commute(data_type: SerialDataType, a: Operator, b: Operator) -> bool:
-    """Module-level convenience wrapper for :meth:`SerialDataType.commute`."""
-    return data_type.commute(a, b)
-
-
-def operator_oblivious_to(
-    data_type: SerialDataType, a: Operator, b: Operator
-) -> bool:
-    """Module-level convenience wrapper for :meth:`SerialDataType.oblivious`."""
-    return data_type.oblivious(a, b)
-
-
-def operators_independent(
-    data_type: SerialDataType, a: Operator, b: Operator
-) -> bool:
-    """Module-level convenience wrapper for :meth:`SerialDataType.independent`."""
-    return data_type.independent(a, b)

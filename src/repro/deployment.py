@@ -120,6 +120,16 @@ class Deployment:
         nodes = self.nodes
         return [rid for rid in self.replica_ids if not nodes[rid].crashed]
 
+    def affinity_replica(self, client: str) -> str:
+        """Where *client*'s first request goes: its affinity replica if that
+        one is live, else the first live replica (the affinity replica again
+        when none is)."""
+        primary = self._affinity[client]
+        if not self.nodes[primary].crashed:
+            return primary
+        live = self.live_replica_ids()
+        return live[0] if live else primary
+
     # -- clients ---------------------------------------------------------------
 
     def ensure_client(self, client_id: str) -> None:

@@ -802,7 +802,7 @@ class NetCluster(Deployment):
         future = asyncio.get_running_loop().create_future()
         self._futures[operation.id] = future
         message = frontend.make_request_message(operation)
-        targets: List[str] = [self._affinity[client]]
+        targets: List[str] = [self.affinity_replica(client)]
         deadline = asyncio.get_running_loop().time() + timeout
         try:
             while True:

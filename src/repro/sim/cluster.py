@@ -425,9 +425,7 @@ class SimulatedCluster(SimulatedService, Deployment):
         pool = self.live_replica_ids() or list(self.replica_ids)
         policy = self.params.frontend_policy
         if policy == "affinity":
-            primary = self._affinity[client]
-            if primary not in pool:
-                primary = pool[0]
+            primary = self.affinity_replica(client)
             ordered = [primary] + [rid for rid in pool if rid != primary]
         elif policy == "round_robin":
             start = self._round_robin_index % len(pool)

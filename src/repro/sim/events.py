@@ -100,14 +100,6 @@ class Simulator:
                 return
             self.step()
 
-    def run_until_empty(self, max_events: int = 10_000_000) -> None:
-        """Process events until nothing is scheduled (bounded as a safeguard)."""
-        processed = 0
-        while self.step():
-            processed += 1
-            if processed >= max_events:
-                raise RuntimeError("simulation exceeded the maximum event budget")
-
 
 class FifoServer:
     """One server in simulated time: a job waits for the work queued ahead

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.algorithm.channel import Channel, LossyChannel
+from repro.algorithm.channel import Channel
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.messages import ResponseMessage
 from repro.common import OperationIdGenerator, SpecificationError
@@ -53,38 +53,6 @@ class TestChannel:
         assert received != list(range(10))  # some reordering happened
 
 
-class TestLossyChannel:
-    def test_drop_removes_message(self):
-        channel = LossyChannel("a", "b")
-        channel.send("m")
-        channel.drop("m")
-        assert len(channel) == 0
-        assert channel.dropped == 1
-
-    def test_duplicate_adds_copy(self):
-        channel = LossyChannel("a", "b")
-        channel.send("m")
-        channel.duplicate("m")
-        assert len(channel) == 2
-        assert channel.duplicated == 1
-
-    def test_duplicate_empty_raises(self):
-        with pytest.raises(LookupError):
-            LossyChannel("a", "b").duplicate()
-
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            LossyChannel("a", "b", drop_probability=1.5)
-        with pytest.raises(ValueError):
-            LossyChannel("a", "b", duplicate_probability=-0.1)
-
-    def test_maybe_interfere(self):
-        channel = LossyChannel("a", "b", drop_probability=1.0)
-        channel.send("m")
-        assert channel.maybe_interfere(random.Random(0)) == "drop"
-        assert channel.maybe_interfere(random.Random(0)) is None  # now empty
-
-
 @pytest.fixture
 def gen():
     return OperationIdGenerator("alice")
@@ -96,7 +64,6 @@ class TestFrontEnd:
         op = make_operation(CounterType.increment(), gen.fresh())
         frontend.request(op)
         assert op in frontend.wait
-        assert [m.operation for m in frontend.sendable_requests()] == [op]
 
     def test_rejects_foreign_operations(self):
         frontend = FrontEndCore("alice")
@@ -149,7 +116,7 @@ class TestFrontEnd:
         frontend = FrontEndCore("alice")
         op = make_operation(CounterType.increment(), gen.fresh())
         frontend.request(op)
-        assert frontend.pending_count() == 1
+        assert len(frontend.wait) == 1
         snapshot = frontend.snapshot()
         assert snapshot["wait"] == {op}
         snapshot["wait"].clear()

@@ -33,7 +33,7 @@ from repro.datatypes.base import Operator
 from repro.net.codec import FrameError, decode_frame, encode_message
 from repro.net import driver
 from repro.net.driver import run_load
-from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams
+from repro.net.runtime import MAX_FRAME_BYTES, NetCluster, NetParams, OperationFailed
 from repro.service.keyed import KeyedStore
 from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
@@ -200,6 +200,59 @@ class TestCrashRecovery:
                 return value
 
         assert asyncio.run(run()) == 1
+
+
+    def test_first_request_skips_a_crashed_affinity_replica(self):
+        async def run():
+            async with make_cluster() as cluster:  # the default request_retry
+                # c0's affinity replica is r0: with it crashed, the first
+                # request must go to a live replica instead of being lost
+                # there until the retry timer redirects it.
+                await cluster.crash_replica("r0", volatile_memory=True)
+                loop = asyncio.get_running_loop()
+                begin = loop.time()
+                value = await cluster.submit("c0", CounterType.increment(), timeout=10.0)
+                return value, loop.time() - begin, cluster.params.request_retry
+
+        value, elapsed, retry = asyncio.run(run())
+        assert value == 1
+        assert elapsed < retry / 2, elapsed
+
+
+class TestStaleValueVerdict:
+    def test_nack_from_every_replica_fails_the_operation(self):
+        """An operation every replica compacted and whose value every
+        replica evicted is NACKed everywhere: ``execute`` raises
+        ``OperationFailed``, the verdict lands in the client book, and
+        nothing waits for the operation any more."""
+        async def run():
+            config = dataclasses.replace(
+                FAST, compaction=CompactionPolicy(min_batch=1, value_retention=1)
+            )
+            async with make_cluster(config=config, request_retry=0.05) as cluster:
+                lost = cluster.make_operation("c0", CounterType.increment())
+                # Done and answered at r1 behind the client's back (the
+                # response is discarded), so every replica may fold it; two
+                # later operations push its value out of the retention window.
+                cluster.nodes["r1"].handle([RequestMessage(lost)])
+                for _ in range(2):
+                    await cluster.submit("c1", CounterType.increment())
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while not all(
+                    core.is_compacted(lost.id) and lost.id not in core.checkpoint.values
+                    for core in cluster.replicas.values()
+                ):
+                    assert loop.time() < deadline, "the value was never evicted"
+                    await asyncio.sleep(cluster.params.gossip_period)
+                with pytest.raises(OperationFailed):
+                    await cluster.execute(lost, timeout=10.0)
+                return cluster, lost.id
+
+        cluster, op_id = asyncio.run(run())
+        assert cluster.failed[op_id] == "stale-value"
+        assert op_id not in cluster._futures
+        assert cluster.outstanding_operations() == 0
 
 
 class TestInvariantChecker:
@@ -744,7 +797,7 @@ class TestUnspellableValues:
             # It never left the client: nothing waits for it, anywhere.
             assert cluster.outstanding_operations() == 0
             assert (len(cluster.requested), len(cluster.trace.events)) == before
-            assert cluster.frontends["c0"].pending_count() == 0
+            assert not cluster.frontends["c0"].wait
 
         stats = asyncio.run(_around_an_unspellable_value(transport, poison))
         assert stats.frames_unencodable == 0 and stats.frames_rejected == 0

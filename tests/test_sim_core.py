@@ -50,7 +50,8 @@ class TestSimulator:
         times = []
         sim.schedule(5.0, lambda: times.append(sim.now))
         sim.schedule(2.0, lambda: times.append(sim.now))
-        sim.run_until_empty()
+        while sim.step():
+            pass
         assert times == [2.0, 5.0]
         assert sim.now == 5.0
 
@@ -66,7 +67,8 @@ class TestSimulator:
     def test_cannot_schedule_in_the_past(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        sim.run_until_empty()
+        while sim.step():
+            pass
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
         with pytest.raises(ValueError):
@@ -77,7 +79,8 @@ class TestSimulator:
         fired = []
         event = sim.schedule(1.0, lambda: fired.append(1))
         sim.cancel(event)
-        sim.run_until_empty()
+        while sim.step():
+            pass
         assert fired == []
 
     def test_nested_scheduling(self):
@@ -89,7 +92,8 @@ class TestSimulator:
             sim.schedule(1.0, lambda: fired.append("inner"))
 
         sim.schedule(1.0, outer)
-        sim.run_until_empty()
+        while sim.step():
+            pass
         assert fired == ["outer", "inner"]
         assert sim.now == 2.0
 
