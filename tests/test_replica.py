@@ -330,6 +330,34 @@ class TestCommuteReplica:
         states = {replica.current_state for replica in replicas.values()}
         assert states == {frozenset(elements)}
 
+    def test_memoized_value_replaces_recorded_value(self, gen):
+        """``val_r`` follows the order operations were done here; once an
+        operation is memoized its response value is the memoized one, which
+        follows the label order and so agrees across replicas."""
+        pair = ("r1", "r2")
+        replicas = {rid: CommuteReplicaCore(rid, pair, CounterType()) for rid in pair}
+        first = make_operation(CounterType.increment(), gen.fresh())
+        second = make_operation(CounterType.increment(), gen.fresh())
+        for rid, op in (("r1", first), ("r2", second)):
+            submit(replicas[rid], op)
+            replicas[rid].do_it(op)
+        assert replicas["r2"].compute_value(second) == 1
+        for _ in range(3):
+            replicas["r2"].receive_gossip(replicas["r1"].make_gossip())
+            replicas["r1"].receive_gossip(replicas["r2"].make_gossip())
+        for replica in replicas.values():
+            assert {first, second} <= replica.memoized
+        order = replicas["r1"].done_order()
+        assert order == replicas["r2"].done_order()
+        late = order[-1]
+        own = "r1" if late is first else "r2"
+        # The replica that did *late* itself recorded the value 1 for it ...
+        assert replicas[own].values[late] == 1
+        # ... but every replica now answers with its label-order value.
+        for replica in replicas.values():
+            assert replica.compute_value(late) == 2
+            assert replica.compute_value(order[0]) == 1
+
     def test_strict_response_requires_memoization(self, gen):
         replica = CommuteReplicaCore("r1", REPLICAS, CounterType())
         op = make_operation(CounterType.increment(), gen.fresh(), strict=True)

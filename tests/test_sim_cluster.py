@@ -84,6 +84,34 @@ class TestExecuteFacade:
         assert cluster.outstanding_operations() == 0
 
 
+class TestAffinityReplica:
+    def test_falls_back_to_first_live_replica(self):
+        cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"], params=PARAMS, seed=4)
+        assert cluster.affinity_replica("c0") == "r0"
+        assert cluster.affinity_replica("c1") == "r1"
+        cluster.crash_replica("r0")
+        assert cluster.affinity_replica("c0") == "r1"
+        assert cluster.affinity_replica("c1") == "r1"
+        cluster.crash_replica("r1")
+        assert cluster.affinity_replica("c0") == "r2"
+        assert cluster.affinity_replica("c1") == "r2"
+        cluster.crash_replica("r2")
+        # No replica is live: the affinity replica again.
+        assert cluster.affinity_replica("c0") == "r0"
+        assert cluster.affinity_replica("c1") == "r1"
+        cluster.recover_replica("r0")
+        assert cluster.affinity_replica("c0") == "r0"
+        assert cluster.affinity_replica("c1") == "r0"
+
+    def test_first_request_goes_past_a_crashed_affinity_replica(self):
+        cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=PARAMS, seed=4)
+        cluster.crash_replica("r0")
+        start = cluster.now
+        _, value = cluster.execute("c0", CounterType.increment())
+        assert value == 1
+        assert cluster.now - start == pytest.approx(2 * PARAMS.df)
+
+
 class TestTheorem93Bounds:
     @pytest.mark.parametrize("policy", ["affinity", "round_robin", "random"])
     def test_all_latencies_within_delta(self, policy):
