@@ -95,8 +95,8 @@ from repro.sim import (
     WorkloadSpec,
     run_workload,
 )
-from repro.sim.sharded import LiveReshard
-from repro.service import KeyedStore, ShardRouter, ShardedFrontend
+from repro.service import KeyedStore, ShardRouter
+from repro.service.reshard import LiveReshard
 from repro.service.router import KeyRangeMove
 from repro.net import NetCluster, NetParams, WireCluster, WireStats
 from repro.conformance import (
@@ -184,7 +184,6 @@ __all__ = [
     "KeyedStore",
     "ShardRouter",
     "KeyRangeMove",
-    "ShardedFrontend",
     "MetricsError",
     # networked runtime
     "NetCluster",

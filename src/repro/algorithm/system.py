@@ -204,12 +204,6 @@ class AlgorithmSystem(Deployment):
                 self.gossip_channels[(destination, pull.target)].send(pull)
         return delivered
 
-    def inject_operation(self, operation: OperationDescriptor) -> None:
-        """Request a migrated operation under the identity its source shard
-        minted it with (the sharded service's chain injection)."""
-        self.ensure_client(operation.id.client)
-        self.request(operation)
-
     # ====================================================================== #
     # Scheduling                                                             #
     # ====================================================================== #

@@ -3,7 +3,6 @@ against simulated measurements."""
 
 from repro.analysis.bounds import (
     TimingAssumptions,
-    operation_class,
     response_time_bound,
     check_latency_records_against_bounds,
     stabilization_time_bound,
@@ -11,7 +10,6 @@ from repro.analysis.bounds import (
 
 __all__ = [
     "TimingAssumptions",
-    "operation_class",
     "response_time_bound",
     "check_latency_records_against_bounds",
     "stabilization_time_bound",

@@ -38,18 +38,9 @@ class TimingAssumptions:
         return self.gossip_period + self.dg
 
 
-def operation_class(operation: OperationDescriptor) -> str:
-    """The three classes distinguished by Theorem 9.3."""
-    return classify_operation(operation)
-
-
 def response_time_bound(operation: OperationDescriptor, timing: TimingAssumptions) -> float:
     """``delta(x)`` — the Theorem 9.3 response-time bound for *operation*."""
-    if operation.strict:
-        return 2 * timing.df + 3 * timing.gossip_round
-    if operation.prev:
-        return 2 * timing.df + timing.gossip_round
-    return 2 * timing.df
+    return bound_by_class(timing)[classify_operation(operation)]
 
 
 def bound_by_class(timing: TimingAssumptions) -> Dict[str, float]:

@@ -3,20 +3,20 @@
 Every deployment harness — :class:`~repro.algorithm.system.AlgorithmSystem`,
 :class:`~repro.sim.cluster.SimulationParams` (and through it
 :class:`~repro.sim.cluster.SimulatedCluster`),
-:class:`~repro.service.frontend.ShardedFrontend`,
 :class:`~repro.sim.sharded.ShardedCluster` and
 :class:`~repro.net.runtime.NetCluster` — switches the same replica-level
 features: the fast core, delta gossip, incremental replay, checkpoint
 compaction, advert/pull gossip.  :class:`ReplicaConfig` is the only carrier
-of those ten decisions: the algorithm-level entry points take it as
+of those ten decisions: the algorithm-level entry point takes it as
 ``config=...``, and the two harness parameter classes hold it as their
 ``replica`` field next to their own timing/transport knobs.
 
 Two of the fields only mean something under the discrete-event simulator
 (``batch_gossip``, ``compaction_interval``); the algorithm-level entry
-points ignore them, which keeps one config object usable across every
+point ignores them, which keeps one config object usable across every
 harness.  ``compaction`` accepts a per-shard mapping only at the sharded
-entry points; the single-system entry points require a plain policy.
+entry point (``ShardedCluster(config=)``); the single-system entry points
+require a plain policy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Union
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.common import ConfigurationError
 
-#: Compaction configuration: one policy everywhere, or (sharded entry points
+#: Compaction configuration: one policy everywhere, or (sharded entry point
 #: only) a mapping from shard id to policy.
 CompactionLike = Union[None, CompactionPolicy, Mapping[str, CompactionPolicy]]
 
@@ -89,7 +89,7 @@ class ReplicaConfig:
 
     def require_single_policy(self, owner: str) -> Optional[CompactionPolicy]:
         """The compaction policy for a single-system harness (rejects the
-        per-shard mapping form, which only sharded entry points resolve)."""
+        per-shard mapping form, which only the sharded entry point resolves)."""
         if isinstance(self.compaction, Mapping):
             raise ConfigurationError(
                 f"{owner} manages one replica group; per-shard compaction "

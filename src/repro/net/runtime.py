@@ -758,24 +758,6 @@ class NetCluster(Deployment):
 
     # -- public client API -----------------------------------------------------
 
-    async def ingest(
-        self, operations: Sequence[OperationDescriptor], timeout: float = 30.0
-    ) -> Dict[OperationId, Any]:
-        """Replay a ``prev``-chained operation slice under its original
-        (possibly foreign) client identities — the network-side hook a
-        resharding coordinator uses to hand a migrated history to its new
-        owner.  Operations execute sequentially so every link's ``prev`` is
-        answered at the affinity replica before the next link is sent; the
-        returned mapping carries each operation's response value."""
-        values: Dict[OperationId, Any] = {}
-        for operation in operations:
-            self.ensure_client(operation.id.client)
-            if operation.id in self.responded:
-                values[operation.id] = self.responded[operation.id]
-                continue
-            values[operation.id] = await self.execute(operation, timeout=timeout)
-        return values
-
     async def submit(
         self,
         client: str,

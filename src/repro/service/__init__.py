@@ -18,27 +18,19 @@ Three pieces:
 * :class:`~repro.service.router.ShardRouter` — deterministic consistent
   hashing of keys onto shard identifiers (virtual nodes, stable across
   processes and ``PYTHONHASHSEED``);
-* :class:`~repro.service.frontend.ShardedFrontend` — N independent
-  :class:`~repro.algorithm.system.AlgorithmSystem` replica groups behind one
-  routing interface, with globally unique operation identifiers and
-  per-shard invariant / trace checking.
+* :mod:`~repro.service.reshard` — the one slice-migration rule by which a
+  key range moves between shards.
 
-What the frontend shares with its simulated-time counterpart
-(:class:`repro.sim.sharded.ShardedCluster`, one seeded event loop driving
-every shard) is :class:`~repro.service.shardset.ShardSet` — the replica
-groups, routing, merged results and verification fan-out — and
-:mod:`~repro.service.reshard`, the one slice-migration rule by which a key
-range moves between shards.
+The deployment that runs N such instances — one seeded event loop driving
+every shard, with globally unique operation identifiers, per-shard
+invariant / trace checking and live resharding — is
+:class:`repro.sim.sharded.ShardedCluster`.
 """
 
 from repro.service.keyed import KeyedStore
 from repro.service.router import ShardRouter
-from repro.service.shardset import ShardSet
-from repro.service.frontend import ShardedFrontend
 
 __all__ = [
     "KeyedStore",
     "ShardRouter",
-    "ShardSet",
-    "ShardedFrontend",
 ]

@@ -1,15 +1,14 @@
-"""Resharding's slice-migration rule, shared by both sharded harnesses.
+"""Resharding's slice-migration rule and the record of one ring change.
 
 When a key range moves between shards, the destination must end up with the
 *same per-key operation history in the same order* the source settled on —
 otherwise values computed after the flip could contradict answers the source
 already gave.  A ring change is planned into (source, destination) legs
-(:class:`ReshardPlan`; every joining shard id is validated before any shard
-is built), and each leg runs the same four steps, in whatever time its
-harness gives it: :meth:`ReshardPlan.freeze_slice`, then — once the source
-has settled — :func:`cut_slice`, a transfer, and :func:`inject_slice`.
-:class:`~repro.service.frontend.ShardedFrontend` runs them back to back;
-:class:`~repro.sim.sharded.ShardedCluster` paces them with simulated timers.
+(:class:`LiveReshard`; every joining shard id is validated before any shard
+is built), and each leg runs four steps: :meth:`LiveReshard.freeze_slice`,
+then — once the source has settled — :func:`cut_slice`, a transfer, and
+:func:`inject_slice`.  :class:`~repro.sim.sharded.ShardedCluster` paces them
+with simulated timers; this module owns no clock.
 
 * **Slice** — the moving keys' full operation history in the source shard's
   eventual order.  Membership is frozen at the flip, by key hash; the slice
@@ -17,7 +16,7 @@ has settled — :func:`cut_slice`, a transfer, and :func:`inject_slice`.
   source replica, so the order is frozen too (Invariant 7.2: the stable
   prefix is never reordered).
 
-* **Chunked, digest-verified transfer** (simulator only) — the slice ships
+* **Chunked, digest-verified transfer** — the slice ships
   in label-order chunks mirroring the checkpoint-transfer path: every chunk
   carries the whole slice's :class:`~repro.algorithm.checkpoint.OpIdSummary`,
   the chained fold-order digest and a content digest over operations *and*
@@ -56,7 +55,13 @@ from repro.algorithm.checkpoint import (
 )
 from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.core.operations import OperationDescriptor, make_operation
-from repro.service.router import KeyRangeMove, KeyspaceDirectory, ShardRouter, stable_hash
+from repro.service.router import (
+    KeyRangeMove,
+    KeyspaceDirectory,
+    ShardRouter,
+    TransitionRouter,
+    stable_hash,
+)
 
 def slice_digest(
     ops: Sequence[OperationDescriptor], values: Mapping[OperationId, Any]
@@ -222,7 +227,27 @@ def chain_ops(
 
 class SliceLeg:
     """One (source, destination) leg of a reshard: the key ranges changing
-    hands and, once frozen, the slice of history that moves with them."""
+    hands and, once frozen, the slice of history that moves with them.
+
+    State machine (the steps are this module's; the sharded cluster owns
+    their timing)::
+
+        waiting ──flip──> closing ──settled──> transferring ──verified──> done
+
+    * **waiting**: the leg's key ranges still route to the source.
+    * **flip** (at ``flip_at``): the transition router starts routing the
+      ranges to the destination, the moving operation set is frozen from the
+      directory, and per-key barriers are installed.
+    * **closing**: the source answers its remaining in-flight operations and
+      gossips the slice to stability at every source replica (dual-route
+      window — old traffic answered by the source, new traffic held at the
+      destination behind the barriers).
+    * **transferring**: the cut slice (source eventual order + recorded
+      response values) ships in digest-verified chunks; loss and corruption
+      heal by whole-slice re-send under a fresh epoch.
+    * **done**: the verified slice was chain-injected into the destination
+      and the barriers tightened to the per-key tails.
+    """
 
     def __init__(self, source: str, destination: str, ranges: Tuple[KeyRangeMove, ...]) -> None:
         self.source = source
@@ -234,18 +259,28 @@ class SliceLeg:
         #: order, and the source-recorded response values.
         self.ops: List[OperationDescriptor] = []
         self.values: Dict[OperationId, Any] = {}
+        self.flip_at = 0.0
+        self.state = "waiting"
+        self.epoch = 0
+        self.assembly = SliceAssembly()
+        self.resend_at = 0.0
+        self._stable_ok: set = set()
 
 
-class ReshardPlan:
-    """A ring change from *old* to *new*, validated and split into legs (one
-    per (source, destination), in sorted order).
+class LiveReshard:
+    """Handle (and permanent record) of one ring change from *old* to *new*,
+    validated and split into legs (one per (source, destination), in sorted
+    order).
 
-    A joining shard id that names a group the harness already holds — one
-    retired by an earlier reshard — is rejected here, before the harness
-    builds or mutates anything."""
+    A joining shard id that names a group in *groups* — one retired by an
+    earlier reshard — is rejected here, before anything is built or
+    mutated.  Returned by :meth:`~repro.sim.sharded.ShardedCluster.reshard`
+    and its ``add_shard`` / ``drain_shard`` conveniences; the caller keeps
+    driving the shared event loop and polls :attr:`done`.
+    """
 
     def __init__(
-        self, old: ShardRouter, new: ShardRouter, groups: Collection[str], leg: type = SliceLeg
+        self, old: ShardRouter, new: ShardRouter, groups: Collection[str], started_at: float
     ) -> None:
         self.joining = tuple(s for s in new.shard_ids if s not in old.shard_ids)
         for shard in self.joining:
@@ -258,15 +293,56 @@ class ReshardPlan:
         for move in self.plan:
             by_pair.setdefault((move.source, move.destination), []).append(move)
         self.legs: List[SliceLeg] = [
-            leg(source, destination, tuple(moves))
+            SliceLeg(source, destination, tuple(moves))
             for (source, destination), moves in sorted(by_pair.items())
         ]
         self._hash_cache: Dict[str, int] = {}
+        self.leaving = tuple(s for s in old.shard_ids if s not in new.shard_ids)
+        self.new_router = new
+        self.transition = TransitionRouter(old, new, self.plan)
+        self.started_at = started_at
+        self.completed_at: Optional[float] = None
+
+    @property
+    def done(self) -> bool:
+        """Has the ring fully flipped, with every slice injected, every
+        migrated operation re-answerable at its destination, and every
+        drained shard retired?"""
+        return self.completed_at is not None
 
     @property
     def moved_operations(self) -> int:
         """Operations migrated across all legs (known once frozen)."""
         return sum(len(leg.slice_ids) for leg in self.legs)
+
+    @property
+    def transfer_rejections(self) -> int:
+        """Digest-verification rejections across all legs (each healed by a
+        whole-slice re-send)."""
+        return sum(leg.assembly.rejections for leg in self.legs)
+
+    def pending_ids_for(self, shard: str) -> set:
+        """Migrated identifiers bound for *shard* whose chain injection has
+        not completed — post-flip operations on moving keys may name them in
+        barrier ``prev`` constraints before the destination knows them."""
+        pending: set = set()
+        for leg in self.legs:
+            if leg.destination == shard and leg.state != "done":
+                pending |= leg.slice_ids
+        return pending
+
+    def summary(self) -> Dict[str, Any]:
+        """Benchmark/reporting snapshot of this reshard."""
+        return {
+            "started_at": self.started_at,
+            "completed_at": self.completed_at,
+            "joining": list(self.joining),
+            "leaving": list(self.leaving),
+            "legs": len(self.legs),
+            "moved_ranges": len(self.plan),
+            "moved_operations": self.moved_operations,
+            "transfer_rejections": self.transfer_rejections,
+        }
 
     def freeze_slice(self, leg: SliceLeg, directory: KeyspaceDirectory) -> None:
         """Freeze *leg*'s slice membership and install its per-key barriers.
@@ -287,6 +363,13 @@ class ReshardPlan:
         leg.slice_ids = frozenset(op_id for ids in key_ops.values() for op_id in ids)
         for key, ids in key_ops.items():
             directory.migration_barriers[key] = frozenset(ids)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = "done" if self.done else "in-progress"
+        return (
+            f"LiveReshard({len(self.transition.old.shard_ids)}->"
+            f"{len(self.new_router.shard_ids)} shards, {state})"
+        )
 
 
 def cut_slice(leg: SliceLeg, source: Any) -> List[OperationDescriptor]:

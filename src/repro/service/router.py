@@ -15,9 +15,8 @@ rebalancing, and the one :class:`TestRouterStability` pins down.
 the ring: globally unique operation identifiers (one counter per client per
 shard, minted under the ``client@shard`` composite identity so each shard
 sees a contiguous seqno run per client), the same-shard ``prev``
-validation, and the operation-to-shard/key records both the algorithm-level
-and the simulated sharded frontends need.  Keeping it here means the two
-frontends cannot drift apart on the routing rules.
+validation, and the operation-to-shard/key records the sharded cluster
+needs.
 """
 
 from __future__ import annotations
@@ -243,7 +242,7 @@ class TransitionRouter:
 
 
 class KeyspaceDirectory:
-    """Routing plus operation bookkeeping shared by the sharded frontends.
+    """Routing plus operation bookkeeping of the sharded cluster.
 
     Mints globally unique identifiers (one counter per client *per shard*,
     under the :func:`composite_client` identity — each shard's view of a

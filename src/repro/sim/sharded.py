@@ -1,23 +1,25 @@
 """A sharded multi-object ESDS deployment under simulated time.
 
-``ShardedCluster`` is the simulation counterpart of
-:class:`~repro.service.frontend.ShardedFrontend`: every shard is a complete
-:class:`~repro.sim.cluster.SimulatedCluster` (replicas, front ends, its own
-network and gossip timers) managing a :class:`~repro.service.keyed.KeyedStore`
-slice of the keyspace, and all shards share ONE seeded discrete-event loop so
-that cross-shard interleavings are reproducible from a single seed.  Gossip
-within a shard uses the batched same-instant fast path by default (each
-shard's replicas coalesce simultaneous arrivals), which is what keeps the
-event count linear in the shard count.
+``ShardedCluster`` is the service layer's sharded deployment: every shard is
+a complete :class:`~repro.sim.cluster.SimulatedCluster` (replicas, front
+ends, its own network and gossip timers) managing a
+:class:`~repro.service.keyed.KeyedStore` slice of one keyspace behind a
+:class:`~repro.service.router.ShardRouter` and one
+:class:`~repro.service.router.KeyspaceDirectory`, and all shards share ONE
+seeded discrete-event loop so that cross-shard interleavings are
+reproducible from a single seed.  Gossip within a shard uses the batched
+same-instant fast path by default (each shard's replicas coalesce
+simultaneous arrivals), which is what keeps the event count linear in the
+shard count.
 
 Shards are fully independent — no messages cross shard boundaries — so total
 throughput scales with the shard count at fixed replicas-per-shard until the
 workload's key skew concentrates load (benchmark E9 measures both effects).
 
-What both sharded harnesses share — construction, routing, the merged
-results, the verification fan-out — is :class:`~repro.service.shardset.ShardSet`,
-and a reshard leg's steps are :mod:`repro.service.reshard`'s.  This module
-owns only what needs simulated time: flip stagger, the settle poll, chunked
+The cluster owns construction, routing lookups, the merged results and the
+per-shard verification fan-out.  Of resharding, a leg's steps and the
+record of a ring change are :mod:`repro.service.reshard`'s; this module owns
+only what needs simulated time: flip stagger, the settle poll, chunked
 network sends with resend, and the leg timers.
 """
 
@@ -25,24 +27,24 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common import ConfigurationError, InvariantViolation, OperationId
+from repro.common import ConfigurationError, InvariantViolation, OperationId, ensure_not_stale
 from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator, SerialDataType
+from repro.service.keyed import KeyedStore
 from repro.service.reshard import (
+    LiveReshard,
     MigrationChunk,
-    ReshardPlan,
-    SliceAssembly,
     SliceLeg,
     build_chunks,
     cut_slice,
     inject_slice,
     tamper_chunk,
 )
-from repro.service.router import KeyRangeMove, ShardRouter, TransitionRouter
-from repro.service.shardset import ShardSet
+from repro.service.router import KeyspaceDirectory, ShardRouter, composite_client
 from repro.sim.cluster import (
     IDLE_EVENT_CAP,
     ReplicaFactory,
@@ -54,103 +56,7 @@ from repro.sim.events import Simulator
 from repro.sim.metrics import PerShardMetrics
 
 
-class _PairMigration(SliceLeg):
-    """One (source, destination) leg of a live reshard, paced in simulated
-    time.
-
-    State machine (the steps are :mod:`repro.service.reshard`'s; this class
-    owns only their timing)::
-
-        waiting ──flip──> closing ──settled──> transferring ──verified──> done
-
-    * **waiting**: the leg's key ranges still route to the source.
-    * **flip** (at ``flip_at``): the transition router starts routing the
-      ranges to the destination, the moving operation set is frozen from the
-      directory, and per-key barriers are installed.
-    * **closing**: the source answers its remaining in-flight operations and
-      gossips the slice to stability at every source replica (dual-route
-      window — old traffic answered by the source, new traffic held at the
-      destination behind the barriers).
-    * **transferring**: the cut slice (source eventual order + recorded
-      response values) ships in digest-verified chunks; loss and corruption
-      heal by whole-slice re-send under a fresh epoch.
-    * **done**: the verified slice was chain-injected into the destination
-      and the barriers tightened to the per-key tails.
-    """
-
-    def __init__(self, source: str, destination: str, ranges: Tuple[KeyRangeMove, ...]) -> None:
-        super().__init__(source, destination, ranges)
-        self.flip_at = 0.0
-        self.state = "waiting"
-        self.epoch = 0
-        self.assembly = SliceAssembly()
-        self.resend_at = 0.0
-        self._stable_ok: set = set()
-
-
-class LiveReshard(ReshardPlan):
-    """Handle (and permanent record) of one live ring change.
-
-    Returned by :meth:`ShardedCluster.reshard` /
-    :meth:`~ShardedCluster.add_shard` / :meth:`~ShardedCluster.drain_shard`;
-    the caller keeps driving the shared event loop and polls :attr:`done`.
-    """
-
-    def __init__(
-        self, old: ShardRouter, new: ShardRouter, groups: Collection[str], started_at: float
-    ) -> None:
-        super().__init__(old, new, groups, leg=_PairMigration)
-        self.leaving = tuple(s for s in old.shard_ids if s not in new.shard_ids)
-        self.new_router = new
-        self.transition = TransitionRouter(old, new, self.plan)
-        self.started_at = started_at
-        self.completed_at: Optional[float] = None
-
-    @property
-    def done(self) -> bool:
-        """Has the ring fully flipped, with every slice injected, every
-        migrated operation re-answerable at its destination, and every
-        drained shard retired?"""
-        return self.completed_at is not None
-
-    @property
-    def transfer_rejections(self) -> int:
-        """Digest-verification rejections across all legs (each healed by a
-        whole-slice re-send)."""
-        return sum(leg.assembly.rejections for leg in self.legs)
-
-    def pending_ids_for(self, shard: str) -> set:
-        """Migrated identifiers bound for *shard* whose chain injection has
-        not completed — post-flip operations on moving keys may name them in
-        barrier ``prev`` constraints before the destination knows them."""
-        pending: set = set()
-        for leg in self.legs:
-            if leg.destination == shard and leg.state != "done":
-                pending |= leg.slice_ids
-        return pending
-
-    def summary(self) -> Dict[str, Any]:
-        """Benchmark/reporting snapshot of this reshard."""
-        return {
-            "started_at": self.started_at,
-            "completed_at": self.completed_at,
-            "joining": list(self.joining),
-            "leaving": list(self.leaving),
-            "legs": len(self.legs),
-            "moved_ranges": len(self.plan),
-            "moved_operations": self.moved_operations,
-            "transfer_rejections": self.transfer_rejections,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "done" if self.done else "in-progress"
-        return (
-            f"LiveReshard({len(self.transition.old.shard_ids)}->"
-            f"{len(self.new_router.shard_ids)} shards, {state})"
-        )
-
-
-class ShardedCluster(SimulatedService, ShardSet):
+class ShardedCluster(SimulatedService):
     """N independent simulated ESDS shards on one seeded event loop.
 
     Parameters
@@ -162,7 +68,10 @@ class ShardedCluster(SimulatedService, ShardSet):
     replicas_per_shard:
         Replicas in each shard's ESDS group (at least two).
     client_ids:
-        Clients; every shard hosts a front end for each client.
+        Clients; each shard hosts a front end for every client under the
+        ``client@shard`` composite identity, and identifier counters run
+        per (client, shard) so each shard's seqnos are contiguous while
+        operation identifiers stay globally unique.
     params:
         Per-shard :class:`SimulationParams`.  When omitted, the defaults are
         used with ``batch_gossip=True`` (the per-shard batched-gossip fast
@@ -204,10 +113,22 @@ class ShardedCluster(SimulatedService, ShardSet):
         self._seed = seed
         self._cluster_class = cluster_class
         self._shard_index: Dict[str, int] = {}
-        super().__init__(
-            base_type, num_shards, replicas_per_shard, client_ids, router, replica_factory,
-            virtual_nodes, config if config is not None else self.params.replica,
-        )
+        self.base_type = base_type
+        self.store_type = KeyedStore(base_type)
+        self.router = router or ShardRouter.for_count(num_shards, virtual_nodes=virtual_nodes)
+        self.shard_ids: Tuple[str, ...] = self.router.shard_ids
+        self.client_ids: Tuple[str, ...] = tuple(client_ids)
+        self.config = config if config is not None else self.params.replica
+        self._replicas_per_shard = replicas_per_shard
+        self._replica_factory = replica_factory
+        #: Every group ever built, by shard id: a shard drained out of the
+        #: ring keeps its group, so its history stays readable.
+        self.shards: Dict[str, SimulatedCluster] = {
+            shard: self._build_shard(shard) for shard in self.shard_ids
+        }
+        #: Shared routing/bookkeeping: unique identifiers, same-shard prev
+        #: validation, operation-to-shard/key records, migration barriers.
+        self.directory = KeyspaceDirectory(self.router, self.client_ids, base_type)
         #: Every submitted operation, across shards.
         self.requested: Dict[OperationId, OperationDescriptor] = {}
         #: The in-progress live reshard, if any (at most one at a time).
@@ -218,24 +139,24 @@ class ShardedCluster(SimulatedService, ShardSet):
 
     def _build_shard(self, shard: str) -> SimulatedCluster:
         """One shard's simulated cluster on the shared event loop (also used
-        by :meth:`add_shard` when resharding live)."""
+        by :meth:`add_shard` when resharding live).  Its front ends live
+        under the composite per-shard client identities the directory mints
+        ids with (one contiguous seqno run per client per shard)."""
         index = self._shard_index.setdefault(shard, len(self._shard_index))
         return self._cluster_class(
             self.store_type,
             self._replicas_per_shard,
-            self._shard_clients(shard),
+            [composite_client(c, shard) for c in self.client_ids],
             params=dataclasses.replace(self.params, replica=self.config.for_shard(shard)),
             replica_factory=self._replica_factory,
             simulator=self.simulator,
             rng=random.Random(self._seed * 7919 + index + 1),
         )
 
-    def _check_trace(self, shard: SimulatedCluster) -> None:
-        from repro.verification.serializability import check_recorded_trace
-
-        check_recorded_trace(
-            shard.data_type, shard.trace, witness=shard.eventual_order()
-        )
+    def _adopt_router(self, router: Any) -> None:
+        self.router = router
+        self.directory.router = router
+        self.shard_ids = router.shard_ids
 
     # ===================================================================== #
     # Lifecycle                                                             #
@@ -302,6 +223,71 @@ class ShardedCluster(SimulatedService, ShardSet):
         return operation, self._await(operation, shard.responded, max_time)
 
     # ===================================================================== #
+    # Routing and results                                                   #
+    # ===================================================================== #
+
+    def shard_of(self, key: str) -> str:
+        """The shard identifier owning *key*."""
+        return self.router.shard_for(key)
+
+    def shard_of_operation(self, op_id: OperationId) -> str:
+        """The shard a previously requested operation was routed to."""
+        return self.directory.shard_of_operation(op_id)
+
+    def key_of_operation(self, op_id: OperationId) -> str:
+        """The key a previously requested operation addressed."""
+        return self.directory.key_of_operation(op_id)
+
+    def last_operation_on(self, key: str) -> Optional[OperationId]:
+        """The most recently requested operation on *key* (any client)."""
+        return self.directory.last_operation_on(key)
+
+    def _merged(self, answers: Callable[[Any], Dict[OperationId, Any]]) -> Dict[OperationId, Any]:
+        merged: Dict[OperationId, Any] = {}
+        for sid, group in self.shards.items():
+            for op_id, answer in answers(group).items():
+                if self.directory.shard_of_operation(op_id) == sid:
+                    merged[op_id] = answer
+                else:
+                    merged.setdefault(op_id, answer)
+        return merged
+
+    @property
+    def responded(self) -> Dict[OperationId, Any]:
+        """Every delivered response, across all shards.
+
+        After a reshard, a migrated operation is answered both by its
+        minting shard and by the destination's re-answer of the injected
+        chain; the minting shard's value is the one the client saw, so it
+        wins the merge.  (The two agree whenever the handoff preserved the
+        per-key order, which the trace and handoff oracles verify.)"""
+        return self._merged(attrgetter("responded"))
+
+    @property
+    def failed(self) -> Dict[OperationId, str]:
+        """Operations declared unanswerable — every replica of their shard
+        NACKed the retransmit because the compacted response value aged out
+        of its retained-value ledger (finite ``value_retention``) — across
+        all shards, the minting shard's verdict preferred as in
+        :attr:`responded`."""
+        return self._merged(attrgetter("failed"))
+
+    def value_of(self, operation: OperationDescriptor) -> Any:
+        """The value returned for *operation* (KeyError when unanswered,
+        :class:`~repro.common.StaleValueError` when it failed for good)."""
+        group = self.shards[self.directory.shard_of_operation(operation.id)]
+        ensure_not_stale(group.failed, operation.id)
+        return group.responded[operation.id]
+
+    def outstanding_operations(self) -> int:
+        """Requested operations neither answered nor failed, across shards."""
+        return sum(group.outstanding_operations() for group in self.shards.values())
+
+    def eventual_orders(self) -> Dict[str, List[OperationId]]:
+        """Each shard's eventual total order (by system-wide minimum label)."""
+        return {sid: group.eventual_order() for sid, group in self.shards.items()}
+
+    # ===================================================================== #
     # Live elastic resharding                                               #
     # ===================================================================== #
 
@@ -330,13 +316,13 @@ class ShardedCluster(SimulatedService, ShardSet):
         """Change the consistent-hash ring **under traffic**.
 
         The ring change is planned into (source, destination) legs by
-        :class:`~repro.service.reshard.ReshardPlan`; each leg runs the
-        :class:`_PairMigration` state machine independently, with flips
-        staggered by *flip_stagger* (default: one gossip period) so the ring
-        is genuinely mixed-ownership for a while.  Joining shards are built
-        and started immediately; the routing table becomes a
-        :class:`TransitionRouter` that flips per leg, and snaps to
-        *new_router* when the last leg completes.
+        :class:`~repro.service.reshard.LiveReshard`; each leg runs the
+        :class:`~repro.service.reshard.SliceLeg` state machine
+        independently, with flips staggered by *flip_stagger* (default: one
+        gossip period) so the ring is genuinely mixed-ownership for a while.
+        Joining shards are built and started immediately; the routing table
+        becomes a :class:`~repro.service.router.TransitionRouter` that flips
+        per leg, and snaps to *new_router* when the last leg completes.
 
         Returns the :class:`LiveReshard` handle; keep driving the event loop
         (``run`` / ``run_until_idle``) and poll ``handle.done``.
@@ -393,7 +379,7 @@ class ShardedCluster(SimulatedService, ShardSet):
             return
         self.simulator.schedule(0.5 * self.params.gossip_period, self._migration_tick)
 
-    def _leg_settled(self, leg: _PairMigration) -> bool:
+    def _leg_settled(self, leg: SliceLeg) -> bool:
         """Is this leg's slice order frozen — every moving operation answered
         (or failed for good) by the source, and stable at every source
         replica?  Stability freezes the slice's relative order (Invariant
@@ -411,7 +397,7 @@ class ShardedCluster(SimulatedService, ShardSet):
                 return False
         return True
 
-    def _send_slice(self, leg: _PairMigration) -> None:
+    def _send_slice(self, leg: SliceLeg) -> None:
         """(Re-)send the whole slice in digest-verified chunks over the
         source shard's network — subject to its loss, delay, duplication and
         transfer-corruption adversaries, with byte accounting on the
@@ -434,7 +420,7 @@ class ShardedCluster(SimulatedService, ShardSet):
             )
         leg.resend_at = self.simulator.now + max(4 * self.params.dg, 2 * self.params.gossip_period)
 
-    def _deliver_migration_chunk(self, leg: _PairMigration, chunk) -> None:
+    def _deliver_migration_chunk(self, leg: SliceLeg, chunk) -> None:
         if leg.state != "transferring":
             return  # late duplicate of an already-injected slice
         rejected_before = leg.assembly.rejections
@@ -545,5 +531,21 @@ class ShardedCluster(SimulatedService, ShardSet):
     def check_invariants(self) -> None:
         """Run the Section 7/8 invariant checker on every shard (faithful
         at network quiescence), then audit every reshard handoff."""
-        super().check_invariants()
+        from repro.verification.invariants import AlgorithmInvariantChecker
+
+        for shard in self.shards.values():
+            AlgorithmInvariantChecker(shard).check_all()
         self.check_reshard_handoffs()
+
+    def check_traces(self) -> None:
+        """Check the Theorem 5.7/5.8 guarantees on every shard's trace."""
+        from repro.verification.serializability import check_recorded_trace
+
+        for shard in self.shards.values():
+            check_recorded_trace(shard.data_type, shard.trace, witness=shard.eventual_order())
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}({self.store_type.name}, shards={len(self.shard_ids)}, "
+            f"clients={len(self.client_ids)})"
+        )

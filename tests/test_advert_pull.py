@@ -34,8 +34,8 @@ from repro.common import ConfigurationError, OperationIdGenerator
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, GSetType, RegisterType
-from repro.service.frontend import ShardedFrontend
 from repro.sim.cluster import SimulatedCluster, SimulationParams
+from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import WorkloadSpec, run_workload
 from repro.spec.users import SafeUsers
 from repro.verification.invariants import AlgorithmInvariantChecker
@@ -876,9 +876,9 @@ class TestSimulatedAdvertPull:
 
 class TestShardedAdvertPull:
     def drive(self, advert, seed=41):
-        frontend = ShardedFrontend(
+        cluster = ShardedCluster(
             CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=["alice", "bob"],
+            client_ids=["alice", "bob"], seed=seed,
             config=ReplicaConfig(
                 compaction=CompactionPolicy(min_batch=1),
                 advert_gossip=advert,
@@ -887,13 +887,14 @@ class TestShardedAdvertPull:
         )
         rng = random.Random(seed)
         keys = ["k0", "k1", "k2"]
-        for index in range(10):
-            client = rng.choice(list(frontend.client_ids))
+        for _ in range(10):
+            client = rng.choice(list(cluster.client_ids))
             key = rng.choice(keys)
-            frontend.request(client, key, CounterType.increment())
-        frontend.run_random(rng, steps=500)
-        frontend.drain(rng)
-        return frontend
+            cluster.submit(client, key, CounterType.increment())
+            cluster.run(0.5)
+        cluster.run_until_idle()
+        cluster.run(60.0)  # extra gossip so every shard quiesces
+        return cluster
 
     def test_sharded_twins_agree_and_verify(self):
         eager = self.drive(advert=False)
@@ -903,7 +904,7 @@ class TestShardedAdvertPull:
         advert.check_traces()
         folded = sum(
             r.checkpoint.count
-            for system in advert.shards.values()
-            for r in system.replicas.values()
+            for shard in advert.shards.values()
+            for r in shard.replicas.values()
         )
         assert folded > 0

@@ -70,14 +70,16 @@ class TestRequestPath:
 
     def test_group_surface_matches_the_simulated_cluster(self, system, gen):
         """``requested`` / ``responded`` / ``failed`` /
-        ``outstanding_operations`` / ``inject_operation`` read the same way
-        as on a :class:`~repro.sim.cluster.SimulatedCluster`."""
+        ``outstanding_operations`` read the same way as on a
+        :class:`~repro.sim.cluster.SimulatedCluster`, and a client admitted
+        late under a composite ``client@shard`` identity requests as usual."""
         first = make_operation(RegisterType.write("a"), gen.fresh())
         system.request(first)
         migrated = make_operation(
             RegisterType.write("b"), OperationIdGenerator("carol@s0").fresh(), prev={first.id}
         )
-        system.inject_operation(migrated)
+        system.ensure_client("carol@s0")
+        system.request(migrated)
         assert "carol@s0" in system.frontends
         assert system.requested == {first.id: first, migrated.id: migrated}
         assert system.outstanding_operations() == 2

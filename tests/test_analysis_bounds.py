@@ -8,7 +8,6 @@ from repro.analysis.bounds import (
     TimingAssumptions,
     bound_by_class,
     check_latency_records_against_bounds,
-    operation_class,
     response_time_bound,
     stabilization_time_bound,
     summarize_bounds_vs_measured,
@@ -16,7 +15,7 @@ from repro.analysis.bounds import (
 from repro.common import OperationIdGenerator
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
-from repro.sim.metrics import LatencyRecord
+from repro.sim.metrics import LatencyRecord, classify_operation
 
 TIMING = TimingAssumptions(df=1.0, dg=2.0, gossip_period=3.0)
 
@@ -38,7 +37,7 @@ class TestBoundValues:
     def test_bound_by_class_matches_per_operation(self, gen):
         table = bound_by_class(TIMING)
         plain = make_operation(CounterType.increment(), gen.fresh())
-        assert table[operation_class(plain)] == response_time_bound(plain, TIMING)
+        assert table[classify_operation(plain)] == response_time_bound(plain, TIMING)
         assert set(table) == {"nonstrict_no_prev", "nonstrict_with_prev", "strict"}
 
     def test_bounds_are_ordered(self):

@@ -34,7 +34,6 @@ from repro.common import ConfigurationError, OperationId, OperationIdGenerator
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, GSetType, RegisterType
-from repro.service.frontend import ShardedFrontend
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
@@ -726,39 +725,35 @@ class TestSimulatedCompaction:
 
 
 class TestServiceLayerCompaction:
-    def test_sharded_frontend_threads_policy_per_shard(self):
+    def test_sharded_cluster_threads_policy_per_shard(self):
         policy = CompactionPolicy(min_batch=1)
-        frontend = ShardedFrontend(
+        cluster = ShardedCluster(
             CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=["c0"],
+            client_ids=["c0"], seed=5,
             config=ReplicaConfig(compaction={"s0": policy}),
         )
-        s0_cores = frontend.shards["s0"].replicas.values()
-        s1_cores = frontend.shards["s1"].replicas.values()
+        s0_cores = cluster.shards["s0"].replicas.values()
+        s1_cores = cluster.shards["s1"].replicas.values()
         assert all(core.compaction is policy for core in s0_cores)
         assert all(core.compaction is None for core in s1_cores)
 
-        rng = random.Random(5)
-        written = []
         for index in range(12):
-            written.append(frontend.request("c0", f"k{index % 4}",
-                                            CounterType.increment()))
-        frontend.run_random(rng, steps=1500)
-        frontend.drain(rng)
-        assert frontend.outstanding_operations() == 0
-        frontend.check_invariants()
-        frontend.check_traces()
-        compacted = sum(
-            core.checkpoint.count for core in frontend.shards["s0"].replicas.values()
-        )
+            cluster.submit("c0", f"k{index % 4}", CounterType.increment())
+            cluster.run(0.5)
+        cluster.run_until_idle()
+        cluster.run(60.0)  # extra gossip so every shard quiesces
+        assert cluster.outstanding_operations() == 0
+        cluster.check_invariants()
+        cluster.check_traces()
+        compacted = sum(core.checkpoint.count for core in s0_cores)
         assert compacted > 0
         # Ids are minted per (client, shard), so a shard's compacted prefix
         # is a contiguous per-client seqno run: the summary holds at most
         # one interval per client, not one fragment per interleaving.
-        for core in frontend.shards["s0"].replicas.values():
+        for core in s0_cores:
             if core.checkpoint.count:
                 intervals = sum(len(iv) for iv in core.checkpoint.ids.ranges.values())
-                assert intervals <= len(frontend.client_ids)
+                assert intervals <= len(cluster.client_ids)
 
     def test_sharded_cluster_accepts_per_shard_disable(self):
         """Mapping a shard to ``None`` disables compaction there — and drops

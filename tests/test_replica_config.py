@@ -1,14 +1,14 @@
 """Tests for :class:`ReplicaConfig`, the only carrier of the ten replica
 features.
 
-The algorithm-level entry points (:class:`AlgorithmSystem`,
-:class:`ShardedFrontend`) take it as ``config=``; the harness parameter
-classes (:class:`SimulationParams`, :class:`NetParams`) hold it as their
-``replica`` field, which ``NetCluster(config=)`` / ``ShardedCluster(config=)``
-replace.  Where two surviving spellings reach the same deployment the tests
-run it both ways on identical seeded workloads; incoherent combinations and
-misplaced per-shard mappings must be rejected through every entry point; and
-no harness parameter class may grow a mirror of a replica feature again.
+The algorithm-level entry point (:class:`AlgorithmSystem`) takes it as
+``config=``; the harness parameter classes (:class:`SimulationParams`,
+:class:`NetParams`) hold it as their ``replica`` field, which
+``NetCluster(config=)`` / ``ShardedCluster(config=)`` replace.  Where two
+surviving spellings reach the same deployment the tests run it both ways on
+identical seeded workloads; incoherent combinations and misplaced per-shard
+mappings must be rejected through every entry point; and no harness
+parameter class may grow a mirror of a replica feature again.
 """
 
 import asyncio
@@ -26,7 +26,6 @@ from repro.conformance.scenario import ScenarioSpec
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.net.runtime import NetCluster, NetParams
-from repro.service.frontend import ShardedFrontend
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
 
@@ -128,8 +127,7 @@ class TestNetClusterTwin:
             SimulationParams(replica=per_shard)
         with pytest.raises(ConfigurationError):
             AlgorithmSystem(CounterType(), ["r1", "r2"], ["c0"], config=per_shard)
-        # The sharded entry points are where the mapping resolves.
-        ShardedFrontend(CounterType(), config=per_shard)
+        # The sharded entry point is where the mapping resolves.
         ShardedCluster(CounterType(), config=per_shard)
 
 

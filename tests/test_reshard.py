@@ -1,12 +1,10 @@
 """Tests for live elastic resharding (:meth:`ShardedCluster.reshard` and
 friends): ring changes under traffic, the dual-route handoff window, the
 digest-verified slice transfer, response equivalence against a statically
-sharded oracle twin (Theorem 5.8 across the handoff), the PR 6 fault
-adversaries replayed mid-migration, and the synchronous
-:class:`ShardedFrontend` flavour plus the :class:`NetCluster` ingest hook.
+sharded oracle twin (Theorem 5.8 across the handoff), the fault adversaries
+replayed mid-migration, and the slice rule of :mod:`repro.service.reshard`.
 """
 
-import asyncio
 import random
 from types import SimpleNamespace
 
@@ -18,9 +16,8 @@ from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.net.runtime import NetCluster
 from repro.net.wire import WireCluster
-from repro.service.frontend import ShardedFrontend
 from repro.service.keyed import KeyedStore
-from repro.service.reshard import ReshardPlan, SliceLeg, cut_slice
+from repro.service.reshard import LiveReshard, SliceLeg, cut_slice
 from repro.service.router import ShardRouter
 from repro.sim.cluster import SimulationParams
 from repro.sim.faults import CorruptTransfers, DuplicateMessages
@@ -333,104 +330,8 @@ class TestWireReshard:
         assert set(cluster.shard_ids) == {"s0", "s1", "s2"}
 
 
-class TestFrontendReshard:
-    def test_synchronous_add_and_drain(self):
-        rng = random.Random(4)
-        fe = ShardedFrontend(
-            CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=("c0", "c1"),
-        )
-
-        def traffic(n):
-            for _ in range(n):
-                client = rng.choice(fe.client_ids)
-                key = rng.choice(KEYS)
-                prev = fe.last_operation_on(key)
-                fe.request(client, key, CounterType.increment(),
-                           prev=(prev,) if prev else ())
-                fe.run_random(rng, 3)
-
-        traffic(16)
-        plan = fe.add_shard("s2", rng)
-        assert plan and all(move.destination == "s2" for move in plan)
-        traffic(12)
-        fe.drain(rng)
-        assert fe.outstanding_operations() == 0
-        fe.check_invariants()
-        fe.check_traces()
-        before = dict(fe.responded)
-        plan2 = fe.drain_shard("s0", rng)
-        assert all(move.source == "s0" for move in plan2)
-        traffic(8)
-        fe.drain(rng)
-        assert fe.outstanding_operations() == 0
-        fe.check_invariants()
-        fe.check_traces()
-        assert set(fe.shard_ids) == {"s1", "s2"}
-        # Migration re-answers must agree with what clients already saw.
-        for op_id, value in before.items():
-            assert fe.responded[op_id] == value
-
-    def test_history_returning_to_former_owner(self):
-        """Add a shard then drain it again: migrated histories return to
-        shards that still hold them, exercising the skip-and-per-key-chain
-        path."""
-        rng = random.Random(31)
-        fe = ShardedFrontend(CounterType(), num_shards=2,
-                             replicas_per_shard=2, client_ids=("c0", "c1"))
-        for i in range(20):
-            key = KEYS[i % len(KEYS)]
-            prev = fe.last_operation_on(key)
-            fe.request(rng.choice(fe.client_ids), key, CounterType.increment(),
-                       prev=(prev,) if prev else ())
-            fe.run_random(rng, 3)
-        fe.add_shard("s2", rng)
-        for i in range(10):
-            key = KEYS[i % len(KEYS)]
-            prev = fe.last_operation_on(key)
-            fe.request(rng.choice(fe.client_ids), key, CounterType.increment(),
-                       prev=(prev,) if prev else ())
-            fe.run_random(rng, 3)
-        fe.drain_shard("s2", rng)
-        fe.drain(rng)
-        assert fe.outstanding_operations() == 0
-        fe.check_invariants()
-        fe.check_traces()
-        assert set(fe.shard_ids) == {"s0", "s1"}
-
-    def test_retired_frontend_shard_id_cannot_rejoin(self):
-        rng = random.Random(8)
-        fe = ShardedFrontend(CounterType(), num_shards=2,
-                             replicas_per_shard=2, client_ids=("c0",))
-        fe.drain_shard("s0", rng)
-        with pytest.raises(ConfigurationError):
-            fe.add_shard("s0", rng)
-
-    def test_rejected_reshard_builds_no_phantom_shard(self):
-        rng = random.Random(8)
-        fe = ShardedFrontend(CounterType(), num_shards=2,
-                             replicas_per_shard=2, client_ids=("c0",))
-        for i in range(6):
-            fe.request("c0", KEYS[i], CounterType.increment())
-        fe.drain_shard("s1", rng)
-        shards, ring = dict(fe.shards), fe.router.shard_ids
-        with pytest.raises(ConfigurationError, match="retired"):
-            fe.reshard(ShardRouter(["s0", "s7", "s1"]), rng)
-        assert fe.shards == shards and fe.router.shard_ids == ring
-        fe.add_shard("s7", rng)
-        for i in range(6):
-            prev = fe.last_operation_on(KEYS[i])
-            fe.request("c0", KEYS[i], CounterType.increment(), prev=(prev,))
-        fe.drain(rng)
-        assert set(fe.shard_ids) == {"s0", "s7"}
-        assert fe.outstanding_operations() == 0
-        fe.check_invariants()
-        fe.check_traces()
-        assert sorted(fe.responded.values()) == [1] * 6 + [2] * 6
-
-
 class TestSliceRule:
-    """The harness-independent leg steps of :mod:`repro.service.reshard`."""
+    """The leg steps of :mod:`repro.service.reshard`, off any clock."""
 
     @staticmethod
     def slice_of(count):
@@ -443,8 +344,8 @@ class TestSliceRule:
     def test_plan_rejects_a_retired_id_before_anything_is_built(self):
         old = ShardRouter(["s0"])
         with pytest.raises(ConfigurationError, match="'s1' was retired"):
-            ReshardPlan(old, ShardRouter(["s0", "s7", "s1"]), groups={"s0", "s1"})
-        plan = ReshardPlan(old, ShardRouter(["s0", "s7"]), groups={"s0", "s1"})
+            LiveReshard(old, ShardRouter(["s0", "s7", "s1"]), {"s0", "s1"}, started_at=0.0)
+        plan = LiveReshard(old, ShardRouter(["s0", "s7"]), {"s0", "s1"}, started_at=0.0)
         assert plan.joining == ("s7",)
         assert {(leg.source, leg.destination) for leg in plan.legs} == {("s0", "s7")}
 
@@ -476,30 +377,7 @@ class TestSliceRule:
         assert leg.ops == []  # nothing was cut
 
 
-class TestNetIngest:
-    def test_ingest_replays_foreign_chained_slice(self):
-        async def main():
-            cluster = NetCluster(CounterType(), num_replicas=2,
-                                 client_ids=("c0",))
-            async with cluster:
-                ops, prev = [], ()
-                for i in range(4):
-                    op = make_operation(
-                        CounterType.increment(), OperationId("ghost@s0", i),
-                        frozenset(prev), strict=False,
-                    )
-                    ops.append(op)
-                    prev = (op.id,)
-                values = await cluster.ingest(ops)
-                assert [values[op.id] for op in ops] == [1, 2, 3, 4]
-                assert "ghost@s0" in cluster.client_ids
-                # Re-ingesting is idempotent: answered links are not re-sent.
-                again = await cluster.ingest(ops)
-                assert again == values
-                await cluster.quiesce()
-
-        asyncio.run(main())
-
+class TestNetClusterConfig:
     def test_config_kwarg_replaces_net_params_replica(self):
         cfg = ReplicaConfig(fast_core=True, delta_gossip=True,
                             incremental_replay=True)

@@ -24,8 +24,8 @@ from repro.common import OperationIdGenerator, StaleValueError
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
-from repro.service.frontend import ShardedFrontend
 from repro.sim.cluster import SimulatedCluster, SimulationParams
+from repro.sim.sharded import ShardedCluster
 from repro.verification.invariants import AlgorithmInvariantChecker
 
 
@@ -208,7 +208,7 @@ class TestSystemNackPath:
 
 
 # --------------------------------------------------------------------------- #
-# Simulated cluster and sharded frontend surfacing                            #
+# Simulated cluster and sharded cluster surfacing                            #
 # --------------------------------------------------------------------------- #
 
 
@@ -242,38 +242,33 @@ class TestSimulatedNackSurfacing:
             cluster.value_of(target)
         AlgorithmInvariantChecker(cluster).check_all()
 
-    def test_sharded_frontend_surfaces_stale_failures(self):
-        frontend = ShardedFrontend(
-            CounterType(), num_shards=2, replicas_per_shard=2,
-            client_ids=["alice"],
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1, value_retention=0)),
+    def test_sharded_cluster_surfaces_stale_failures(self):
+        """A shard's stale-value verdict reaches the sharded surface: the
+        merged ``failed``, ``outstanding_operations`` and ``value_of``."""
+        params = SimulationParams(
+            replica=ReplicaConfig(
+                compaction=CompactionPolicy(min_batch=1, value_retention=0),
+                compaction_interval=2.0,
+            ),
+            retransmit_interval=4.0,
         )
-        op = frontend.request("alice", "hot-key", CounterType.increment())
-        shard = frontend.shard_of_operation(op.id)
-        system = frontend.shards[shard]
-        # Shard-level front ends live under the composite per-shard client
-        # identity the directory mints ids with ("alice@<shard>").
-        client = op.id.client
-        replicas = list(system.replica_ids)
-        system.send_request(client, replicas[0], op)
-        system.receive_request(client, replicas[0], rng=random.Random(0))
-        system.replicas[replicas[0]].do_all_ready()
-        system.send_response(replicas[0], op)  # lost
-        for _ in range(3):
-            for src in replicas:
-                for dst in replicas:
-                    if src == dst:
-                        continue
-                    system.send_gossip(src, dst)
-                    for message in system.gossip_channels[(src, dst)].contents():
-                        system.receive_gossip(src, dst, message)
-        for replica in replicas:
-            system.send_request(client, replica, op)
-            system.receive_request(client, replica, rng=random.Random(0))
-            for message in system.response_channels[(replica, client)].contents():
-                if message.stale:
-                    system.receive_response(replica, client, message)
-        assert frontend.failed[op.id] == "stale-value"
-        assert frontend.outstanding_operations() == 0
+        cluster = ShardedCluster(
+            CounterType(), num_shards=2, replicas_per_shard=2,
+            client_ids=["alice"], params=params, seed=7,
+        )
+        target = cluster.submit("alice", "hot-key", CounterType.increment())
+        shard = cluster.shards[cluster.shard_of_operation(target.id)]
+        original_send = shard._send
+
+        def drop_real_responses(kind, source, destination, message=None):
+            if kind == "response" and message.operation.id == target.id and not message.stale:
+                return  # every real response for the target is lost
+            original_send(kind, source, destination, message)
+
+        shard._send = drop_real_responses
+        cluster.run_until_idle(max_time=400.0)
+        assert target.id not in cluster.responded
+        assert cluster.failed[target.id] == "stale-value"
+        assert cluster.outstanding_operations() == 0
         with pytest.raises(StaleValueError):
-            frontend.value_of(op)
+            cluster.value_of(target)

@@ -1,17 +1,13 @@
 """Tests for the sharded multi-object service layer
-(:mod:`repro.service`): the keyed data-type adapter, the consistent-hash
-router, and the sharded algorithm frontend."""
-
-import random
+(:mod:`repro.service`): the keyed data-type adapter and the consistent-hash
+router.  The sharded deployment itself is tested in
+``test_sharded_cluster.py`` and ``test_reshard.py``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.common import ConfigurationError
-from repro.config import ReplicaConfig
 from repro.datatypes import CounterType, GSetType, RegisterType
-from repro.service.frontend import ShardedFrontend
 from repro.service.keyed import KeyedStore
 from repro.service.router import ShardRouter, stable_hash
 
@@ -231,120 +227,3 @@ class TestShardRouter:
         with pytest.raises(ConfigurationError):
             ShardRouter.for_count(0)
         assert len(ShardRouter.for_count(1)) == 1
-
-
-class TestShardedFrontend:
-    def make_frontend(self, **kwargs):
-        defaults = dict(
-            num_shards=3, replicas_per_shard=2, client_ids=["alice", "bob"]
-        )
-        defaults.update(kwargs)
-        return ShardedFrontend(CounterType(), **defaults)
-
-    def test_requests_route_by_key_and_responses_arrive(self):
-        frontend = self.make_frontend()
-        rng = random.Random(7)
-        operations = []
-        for index in range(9):
-            client = "alice" if index % 2 == 0 else "bob"
-            operations.append(
-                frontend.request(client, f"k{index % 3}", CounterType.increment())
-            )
-        frontend.run_random(rng, 500)
-        frontend.drain(rng)
-        assert frontend.outstanding_operations() == 0
-        # Each key's increments all landed on one shard, so the final read
-        # per key equals the number of increments on it.
-        for key in ("k0", "k1", "k2"):
-            read = frontend.request("alice", key, CounterType.read(),
-                                    prev=[frontend.last_operation_on(key)], strict=True)
-            frontend.run_random(rng, 300)
-            frontend.drain(rng)
-            assert frontend.value_of(read) == 3
-
-    def test_same_key_same_shard(self):
-        frontend = self.make_frontend()
-        first = frontend.request("alice", "stable-key", CounterType.increment())
-        second = frontend.request("bob", "stable-key", CounterType.increment())
-        assert frontend.shard_of_operation(first.id) == frontend.shard_of_operation(second.id)
-        assert frontend.key_of_operation(first.id) == "stable-key"
-        assert frontend.shard_of("stable-key") == frontend.shard_of_operation(first.id)
-
-    def test_cross_shard_prev_is_rejected(self):
-        frontend = self.make_frontend(num_shards=4)
-        # Find two keys living on different shards.
-        keys = [f"k{i}" for i in range(64)]
-        by_shard = {}
-        for key in keys:
-            by_shard.setdefault(frontend.shard_of(key), key)
-        assert len(by_shard) >= 2
-        key_a, key_b = list(by_shard.values())[:2]
-        op_a = frontend.request("alice", key_a, CounterType.increment())
-        with pytest.raises(ConfigurationError):
-            frontend.request("alice", key_b, CounterType.increment(), prev=[op_a.id])
-        # Unknown prev is also rejected.
-        from repro.common import OperationId
-
-        with pytest.raises(ConfigurationError):
-            frontend.request("alice", key_a, CounterType.increment(),
-                             prev=[OperationId("alice", 999)])
-
-    def test_operation_ids_unique_across_shards(self):
-        frontend = self.make_frontend(num_shards=4)
-        ids = [
-            frontend.request("alice", f"k{i}", CounterType.increment()).id
-            for i in range(20)
-        ]
-        assert len(set(ids)) == 20
-
-    def test_invariants_and_traces_hold_per_shard(self):
-        for delta in (False, True):
-            frontend = self.make_frontend(config=ReplicaConfig(delta_gossip=delta))
-            rng = random.Random(11)
-            for index in range(12):
-                key = f"k{index % 4}"
-                prev = [frontend.last_operation_on(key)] if rng.random() < 0.5 and \
-                    frontend.last_operation_on(key) else []
-                frontend.request(
-                    "alice" if rng.random() < 0.5 else "bob", key,
-                    CounterType.increment() if rng.random() < 0.7 else CounterType.read(),
-                    prev=prev, strict=rng.random() < 0.3,
-                )
-                frontend.run_random(rng, 30)
-                frontend.check_invariants()
-            frontend.run_random(rng, 300)
-            frontend.drain(rng)
-            frontend.check_invariants()
-            frontend.check_traces()
-            assert frontend.outstanding_operations() == 0
-
-    def test_eventual_orders_respect_per_key_prev_chains(self):
-        frontend = self.make_frontend()
-        rng = random.Random(3)
-        chains = {}
-        for index in range(10):
-            key = f"k{index % 2}"
-            prev = [chains[key]] if key in chains else []
-            op = frontend.request("alice", key, CounterType.increment(), prev=prev)
-            chains[key] = op.id
-        frontend.run_random(rng, 400)
-        frontend.drain(rng)
-        for shard, order in frontend.eventual_orders().items():
-            position = {op_id: i for i, op_id in enumerate(order)}
-            system = frontend.shards[shard]
-            for op in system.users.requested:
-                for dep in op.prev:
-                    assert position[dep] < position[op.id]
-
-    def test_custom_replica_factory_is_forwarded(self):
-        frontend = self.make_frontend(replica_factory=MemoizedReplicaCore)
-        for system in frontend.shards.values():
-            assert all(
-                isinstance(replica, MemoizedReplicaCore)
-                for replica in system.replicas.values()
-            )
-
-    def test_unknown_client_rejected(self):
-        frontend = self.make_frontend()
-        with pytest.raises(ConfigurationError):
-            frontend.request("mallory", "k0", CounterType.increment())

@@ -1,8 +1,11 @@
 """Tests for :class:`repro.sim.sharded.ShardedCluster` and the keyed
 workload generators (the simulated-time half of the service layer)."""
 
+import random
+
 import pytest
 
+from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.common import ConfigurationError, MetricsError, OperationId
 from repro.config import ReplicaConfig
 from repro.datatypes import CounterType
@@ -70,8 +73,13 @@ class TestShardedClusterBasics:
         with pytest.raises(ConfigurationError):
             cluster.submit("c0", key_a, CounterType.increment(),
                            prev=[OperationId("c0", 999)])
+
+    def test_unknown_client_rejected(self):
+        cluster = make_cluster()
         with pytest.raises(ConfigurationError):
-            cluster.submit("nobody", key_a, CounterType.increment())
+            cluster.submit("nobody", "k0", CounterType.increment())
+        assert not cluster.requested
+        assert cluster.last_operation_on("k0") is None
 
     def test_past_submission_rejected_without_phantom_bookkeeping(self):
         # Regression: a submit at a time already in the past must fail BEFORE
@@ -93,6 +101,44 @@ class TestShardedClusterBasics:
             flat.submit("c0", CounterType.increment(), at=5.0)
         assert flat.outstanding_operations() == 0
         assert not flat.requested
+
+    def test_custom_replica_factory_is_forwarded(self):
+        cluster = make_cluster(replica_factory=MemoizedReplicaCore)
+        assert all(
+            isinstance(replica, MemoizedReplicaCore)
+            for shard in cluster.shards.values()
+            for replica in shard.replicas.values()
+        )
+
+    def test_same_key_same_shard(self):
+        cluster = make_cluster(num_shards=3)
+        first = cluster.submit("c0", "stable-key", CounterType.increment())
+        second = cluster.submit("c1", "stable-key", CounterType.increment())
+        owner = cluster.shard_of("stable-key")
+        assert cluster.shard_of_operation(first.id) == owner
+        assert cluster.shard_of_operation(second.id) == owner
+        for sid, shard in cluster.shards.items():
+            held = {first.id, second.id} & set(shard.requested)
+            assert held == ({first.id, second.id} if sid == owner else set())
+
+    def test_requests_route_by_key_and_responses_arrive(self):
+        cluster = make_cluster(num_shards=3)
+        for index in range(9):
+            cluster.submit("c0" if index % 2 == 0 else "c1", f"k{index % 3}",
+                           CounterType.increment())
+        cluster.run_until_idle()
+        assert cluster.outstanding_operations() == 0
+        for _ in range(60):
+            if cluster.fully_converged():
+                break
+            cluster.run(cluster.params.gossip_period + cluster.params.dg)
+        assert cluster.fully_converged()
+        # Each key's increments all landed on one shard, so a strict read
+        # per key sees exactly the three increments on it.
+        for key in ("k0", "k1", "k2"):
+            _, value = cluster.execute("c0", key, CounterType.read(),
+                                       prev=[cluster.last_operation_on(key)], strict=True)
+            assert value == 3
 
     def test_routing_metadata(self):
         cluster = make_cluster()
@@ -134,6 +180,38 @@ class TestKeyedWorkloads:
         for op in cluster.requested.values():
             for dep in op.prev:
                 assert cluster.key_of_operation(dep) == cluster.key_of_operation(op.id)
+        # Each shard's eventual order places every dependency first.
+        for sid, order in cluster.eventual_orders().items():
+            position = {op_id: i for i, op_id in enumerate(order)}
+            for op in cluster.shards[sid].requested.values():
+                for dep in op.prev:
+                    assert position[dep] < position[op.id]
+
+    @pytest.mark.parametrize("delta", [False, True], ids=["full-gossip", "delta-gossip"])
+    def test_invariants_and_traces_hold_per_shard(self, delta):
+        cluster = make_cluster(
+            num_shards=3, params=SimulationParams(replica=ReplicaConfig(delta_gossip=delta)),
+        )
+        rng = random.Random(11)
+        for index in range(12):
+            key = f"k{index % 4}"
+            last = cluster.last_operation_on(key)
+            cluster.submit(
+                rng.choice(["c0", "c1"]), key,
+                CounterType.increment() if rng.random() < 0.7 else CounterType.read(),
+                prev=[last] if last is not None and rng.random() < 0.5 else [],
+                strict=rng.random() < 0.3,
+            )
+            cluster.run(rng.uniform(0.0, 2.0))
+        cluster.run_until_idle()
+        assert cluster.outstanding_operations() == 0
+        cluster.check_traces()
+        for _ in range(60):
+            if cluster.fully_converged():
+                break
+            cluster.run(cluster.params.gossip_period + cluster.params.dg)
+        assert cluster.fully_converged()
+        cluster.check_invariants()
 
     def test_zipfian_skews_load_relative_to_uniform(self):
         def imbalance(distribution):

@@ -9,8 +9,11 @@ from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import InvariantViolation, OperationIdGenerator, SimulationRelationError
+from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, GSetType, RegisterType
+from repro.service.keyed import KeyedStore
+from repro.service.router import composite_client
 from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.simulation_check import (
     AlgorithmToSpecSimulation,
@@ -44,6 +47,11 @@ def build_operations(rng, clients, count, data_type_name="counter", strict_rate=
             operator = rng.choice(
                 [CounterType.increment(), CounterType.add(3), CounterType.read()]
             )
+        elif data_type_name == "keyed":
+            operator = KeyedStore.at(
+                rng.choice(["a", "b"]),
+                rng.choice([CounterType.increment(), CounterType.add(3), CounterType.read()]),
+            )
         elif data_type_name == "gset":
             operator = rng.choice(
                 [GSetType.insert(rng.randint(0, 5)), GSetType.size()]
@@ -57,13 +65,27 @@ def build_operations(rng, clients, count, data_type_name="counter", strict_rate=
         yield op
 
 
+#: The plain counter, and the group one shard of a sharded service is: a
+#: keyed store under ``client@shard`` ids, with delta gossip off and on.
+SHARD_CLIENTS = [composite_client("alice", "s0"), composite_client("bob", "s0")]
+RANDOM_RUN_INPUTS = {
+    "counter": (CounterType(), ["alice", "bob"], "counter", ReplicaConfig()),
+    "keyed": (KeyedStore(CounterType()), SHARD_CLIENTS, "keyed", ReplicaConfig()),
+    "keyed-delta": (
+        KeyedStore(CounterType()), SHARD_CLIENTS, "keyed", ReplicaConfig(delta_gossip=True)
+    ),
+}
+
+
 class TestAlgorithmInvariants:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_invariants_hold_on_random_executions(self, seed):
+    @pytest.mark.parametrize("inputs", list(RANDOM_RUN_INPUTS))
+    def test_invariants_hold_on_random_executions(self, seed, inputs):
+        data_type, clients, data_type_name, config = RANDOM_RUN_INPUTS[inputs]
         rng = random.Random(seed)
-        system = AlgorithmSystem(CounterType(), ["r1", "r2", "r3"], ["alice", "bob"])
+        system = AlgorithmSystem(data_type, ["r1", "r2", "r3"], clients, config=config)
         checker = AlgorithmInvariantChecker(system)
-        operations = list(build_operations(rng, ["alice", "bob"], 5))
+        operations = list(build_operations(rng, clients, 5, data_type_name))
         drive_random_run(system, rng, operations, checker=checker)
         checker.check_all()
 
