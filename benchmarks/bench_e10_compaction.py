@@ -54,15 +54,14 @@ TIMING_ASSERTS = os.environ.get("E10_TIMING_ASSERTS", "1") == "1"
 
 def run_history(total_ops: int, compaction: bool, seed: int = 1, fast: bool = False):
     """One seeded run; all arms share every other parameter (delta gossip,
-    incremental replay, batched gossip — the PR 1 hot path).  ``fast``
-    switches the replica variant to :class:`FastReplicaCore`; the execution
-    (responses, witness, folds) is identical by contract, only the wall
-    clock moves."""
+    batched gossip).  ``fast`` switches the replica variant to
+    :class:`FastReplicaCore`, whose replay cache replaces the reference
+    core's from-scratch replay; the execution (responses, witness, folds) is
+    identical by contract, only the wall clock moves."""
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         replica=ReplicaConfig(
             delta_gossip=True,
-            incremental_replay=True,
             batch_gossip=True,
             fast_core=fast,
             compaction=POLICY if compaction else None,

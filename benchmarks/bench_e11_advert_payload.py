@@ -47,7 +47,6 @@ def run_history(total_ops: int, advert: bool, seed: int = 1):
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         replica=ReplicaConfig(
-            incremental_replay=True,
             batch_gossip=True,
             compaction=POLICY,
             compaction_interval=8.0,

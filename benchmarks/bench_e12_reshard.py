@@ -59,7 +59,7 @@ READ_FRACTION = 0.3
 def make_params() -> SimulationParams:
     return SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
-        replica=ReplicaConfig(batch_gossip=True, incremental_replay=True),
+        replica=ReplicaConfig(batch_gossip=True),
     )
 
 

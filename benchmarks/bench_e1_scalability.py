@@ -59,14 +59,14 @@ def run_centralized(seed: int = 0) -> float:
 
 
 def run_wall_clock(fast: bool, seed: int = 3):
-    """The seeded wall-clock twin: an E1-style non-strict workload on the
-    PR 1 hot path (delta gossip, incremental replay, batched gossip), with
-    the replica variant as the only difference."""
+    """The seeded wall-clock twin: an E1-style non-strict workload with
+    delta gossip and batched gossip, with the replica core as the only
+    difference — so the ratio also covers the production core's replay
+    cache against the reference core's from-scratch Fig. 7 replay."""
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         replica=ReplicaConfig(
             delta_gossip=True,
-            incremental_replay=True,
             batch_gossip=True,
             fast_core=fast,
         ),

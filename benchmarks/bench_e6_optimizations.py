@@ -1,19 +1,19 @@
 """E6 — ablation of the Section 10 optimizations.
 
 The abstract replica recomputes the whole label-ordered history for every
-response; the memoizing replica (Section 10.1, ESDS-Alg') replays only the
-non-solid suffix; the Commute replica (Section 10.3) computes each value once
-as the operation is done.  The benchmark counts data-type operator
-applications per delivered response for the three variants on the same
-workload and checks that the external results agree.
+response; the production core (``FastReplicaCore``) caches the post-states
+of its last replay and re-applies only the suffix that changed; the
+memoizing replica (Section 10.1, ESDS-Alg') replays only the non-solid
+suffix; the Commute replica (Section 10.3) computes each value once as the
+operation is done.  The benchmark counts data-type operator applications per
+delivered response for the four variants on the same workload and checks
+that the external results agree.
 """
 
-import dataclasses
-
 from repro.algorithm.commute import CommuteReplicaCore
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.replica import ReplicaCore
-from repro.config import ReplicaConfig
 from repro.datatypes import GSetType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
@@ -31,10 +31,9 @@ def gset_mix(rng, index):
     return GSetType.size()
 
 
-def run_variant(factory, seed: int = 0, config: ReplicaConfig = ReplicaConfig()):
+def run_variant(factory, seed: int = 0):
     cluster = SimulatedCluster(GSetType(), num_replicas=3,
-                               client_ids=["c0", "c1"],
-                               params=dataclasses.replace(PARAMS, replica=config),
+                               client_ids=["c0", "c1"], params=PARAMS,
                                seed=seed, replica_factory=factory)
     spec = WorkloadSpec(operations_per_client=40, mean_interarrival=0.5,
                         strict_fraction=0.1, operator_factory=gset_mix)
@@ -52,12 +51,12 @@ def run_variant(factory, seed: int = 0, config: ReplicaConfig = ReplicaConfig())
 
 def test_e6_memoization_and_commutativity_cut_recomputation(benchmark):
     variants = [
-        ("abstract (ESDS-Alg)", ReplicaCore, ReplicaConfig()),
-        ("incremental replay", ReplicaCore, ReplicaConfig(incremental_replay=True)),
-        ("memoized (ESDS-Alg')", MemoizedReplicaCore, ReplicaConfig()),
-        ("commute (Fig. 11)", CommuteReplicaCore, ReplicaConfig()),
+        ("abstract (ESDS-Alg)", ReplicaCore),
+        ("incremental replay", FastReplicaCore),
+        ("memoized (ESDS-Alg')", MemoizedReplicaCore),
+        ("commute (Fig. 11)", CommuteReplicaCore),
     ]
-    outcomes = {name: run_variant(factory, config=config) for name, factory, config in variants}
+    outcomes = {name: run_variant(factory) for name, factory in variants}
 
     rows = [
         (
@@ -67,7 +66,7 @@ def test_e6_memoization_and_commutativity_cut_recomputation(benchmark):
             f"{outcomes[name]['per_response']:.1f}",
             outcomes[name]["total_applications"],
         )
-        for name, _factory, _config in variants
+        for name, _factory in variants
     ]
     print_table(
         "E6: operator applications spent computing response values",
@@ -84,8 +83,8 @@ def test_e6_memoization_and_commutativity_cut_recomputation(benchmark):
     # Commute replica performs no response-time replay at all.
     assert memo["value_applications"] < 0.5 * plain["value_applications"]
     assert commute["value_applications"] == 0
-    # The incremental replay cache replays only changed suffixes and returns
-    # the exact same values as the from-scratch path.
+    # The production core's replay cache replays only changed suffixes and
+    # returns the exact same values as the from-scratch path.
     assert incremental["value_applications"] < 0.5 * plain["value_applications"]
     assert incremental["values"] == plain["values"]
     # Even counting the bookkeeping applications (memoize / current-state

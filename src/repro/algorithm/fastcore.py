@@ -64,22 +64,25 @@ one optimised path beside the reference automaton, selected by
   reset by re-sorts, folds, rebuilds, and by the one event that can
   re-block a solid position: a retransmitted request re-entering
   ``pending`` for an already-done operation.
-* **Epoch-tagged, int-keyed replay cache** — ``done_order`` bumps an order
-  epoch on every full re-sort; while the epoch is unchanged the cached
-  replay order is by construction a prefix of the current order (appends
-  and consistent head-trims only), so ``_compute_value_incremental`` just
-  applies the new tail.  After a re-sort it compares the cached
-  ``(packed key, id)`` rows against the fresh key backbone: packed keys are
-  injective on labels, so the longest matching prefix is the one the base
-  class finds with ``label_sort_key`` tuples, without a hash.
+* **Replay cache** — the reference core replays the whole done order on
+  every response (Fig. 7); this core keeps the ids, post-states and values
+  of its last replay and applies only the positions past them.  The cache
+  is always a prefix of the clean order: ``do_it`` appends past it, a splice
+  truncates it at the first position it touches, a fold head-trims it with
+  the order, a full re-sort truncates it at the first position whose id
+  moved, and a volatile crash or a checkpoint adoption drops it.  A fold
+  therefore needs no check that the cache's head is the folded prefix: both
+  are heads of the same order.  A post-state depends only on the operations
+  before it, not on their labels, so ids are all a row needs.
 
 Equivalence argument: every override either computes the same value through
 a cheaper representation (int sort keys, one derived set, set differences),
 skips work that is provably a no-op under a maintained invariant (fresh
 label scan, coverage tests on tracked elements, stability probes of rows
-that cannot refuse, replay prefix comparison), defers work to before its
-first reader (the splice buffers), or memoizes a predicate that is monotone
-between the events that reset it (the solid prefix).  ``_stable_all`` is settled
+that cannot refuse, replaying an order prefix whose post-states are
+cached), defers work to before its first reader (the splice buffers), or
+memoizes a predicate that is monotone between the events that reset it
+(the solid prefix).  ``_stable_all`` is settled
 on read from ``_stable_settled`` and the ``_stable_fresh`` worklist, which
 has three maintenance sites: a gossip merge (and a direct
 ``_promote_stable``) adds the operations that just entered ``stable[me]`` or
@@ -166,10 +169,13 @@ class FastReplicaCore(ReplicaCore):
         self._undone: Set[Any] = set()
         #: Cached ``repr(id)`` scheduling sort keys.
         self._repr_cache: Dict[Any, str] = {}
-        #: Bumped on every full ``done_order`` re-sort; while unchanged, the
-        #: replay cache's order is a prefix of the current order.
-        self._order_epoch = 0
-        self._replay_epoch = -1
+        #: Replay cache (volatile), always a prefix of the clean done order:
+        #: the ids of the replayed operations, the state after each, and the
+        #: value each reported (entries past a truncation are stale until
+        #: the next replay overwrites them; nothing reads them before).
+        self._replay_order: List[Any] = []
+        self._replay_states: List[Any] = []
+        self._replay_values: Dict[Any, Any] = {}
         #: Set once a label is supplied explicitly; disables the O(1)
         #: fresh-label path (the monotonicity invariant no longer holds).
         self._explicit_labels = False
@@ -211,7 +217,8 @@ class FastReplicaCore(ReplicaCore):
         """Re-derive every mirror from the authoritative sets after a
         wholesale checkpoint adoption or a volatile crash.  Both mark the
         order dirty, so buffered splices are subsumed by the coming re-sort,
-        and both void the marking knowledge behind the absorbed memo."""
+        and both void the marking knowledge behind the absorbed memo and
+        every cached replay state."""
         self._stable_settled = set.intersection(*self.stable.values())
         self._stable_fresh = set()
         done_here = self.done[self.replica_id]
@@ -222,6 +229,13 @@ class FastReplicaCore(ReplicaCore):
         self._deferred_done = {}
         self._deferred_reorders = {}
         self._solid = 0
+        self._replay_order = []
+        self._replay_states = []
+        self._replay_values = {}
+
+    def _truncate_replay(self, length: int) -> None:
+        del self._replay_order[length:]
+        del self._replay_states[length:]
 
     # ------------------------------------------------------------------ order
 
@@ -248,8 +262,16 @@ class FastReplicaCore(ReplicaCore):
             self._order_cache = [items[i] for i in ranked]
             self._order_keys = [keys[i] for i in ranked]
             self._order_dirty = False
-            self._order_epoch += 1
             self.stats.done_order_sorts += 1
+            # The cached replay stays valid up to the first position whose
+            # operation the re-sort moved.
+            replayed = self._replay_order
+            order = self._order_cache
+            keep = 0
+            limit = min(len(replayed), len(order))
+            while keep < limit and replayed[keep] == order[keep].id:
+                keep += 1
+            self._truncate_replay(keep)
         return self._order_cache
 
     # ----------------------------------------------------------- request path
@@ -291,6 +313,10 @@ class FastReplicaCore(ReplicaCore):
             if label is not None:
                 self._explicit_labels = True
             assigned = super().do_it(operation, label)
+            if not self._order_dirty:
+                # The base class appended to the order (the label exceeds
+                # every done label); the key backbone must follow.
+                self._order_keys.append(self._label_key(assigned))
             self._register_done_here(operation)
             return assigned
         if not self.can_do(operation):
@@ -381,48 +407,28 @@ class FastReplicaCore(ReplicaCore):
         # stable-everywhere iff compacted (the base class's first branch).
         return self.is_compacted(operation.id)
 
-    def _compute_value_incremental(self, operation) -> Any:
-        order = self.done_order()  # flushes splices, may re-sort
-        keys = self._order_keys  # parallel to the now clean order
-        replay_order = self._replay_order
+    def compute_value(self, operation) -> Any:
+        """The reference replay, resumed past the cached prefix: only the
+        positions of the done order not yet replayed are applied."""
+        if operation.id not in self._done_index:
+            # Compacted (answered from the checkpoint) or not done here
+            # (refused): the reference path handles both.
+            return super().compute_value(operation)
+        order = self.done_order()  # flushes splices; a re-sort trims the cache
+        replayed = self._replay_order
         states = self._replay_states
-        values = self._replay_values
-        if self._replay_epoch == self._order_epoch:
-            # Same epoch: the cached order is a prefix of the current one
-            # (only appends and consistent head-trims happened).
-            prefix = len(replay_order)
-        else:
-            # A full re-sort happened since the cache was built: compare the
-            # cached (packed key, id) rows against the fresh backbone.  Packed
-            # keys are injective on labels, so the longest matching prefix is
-            # exactly the one the base class finds with label_sort_key tuples.
-            self._replay_epoch = self._order_epoch
-            prefix = 0
-            limit = min(len(keys), len(replay_order))
-            while prefix < limit:
-                cached_key, cached_id = replay_order[prefix]
-                if cached_key != keys[prefix] or cached_id != order[prefix].id:
-                    break
-                prefix += 1
-            if prefix == len(keys) and operation.id in values:
-                return values[operation.id]
-            del replay_order[prefix:]
-            del states[prefix:]
-            retained = {op_id for _key, op_id in replay_order}
-            values = self._replay_values = {
-                op_id: v for op_id, v in values.items() if op_id in retained
-            }
-        if prefix < len(order):
+        start = len(states)
+        if start < len(order):
+            values = self._replay_values
             apply = self.data_type.apply
-            state = states[prefix - 1] if prefix else self.checkpoint.base_state
-            for i in range(prefix, len(order)):
-                x = order[i]
+            state = states[-1] if start else self.checkpoint.base_state
+            for x in order[start:]:
                 state, reported = apply(state, x.op)
-                replay_order.append((keys[i], x.id))
+                replayed.append(x.id)
                 states.append(state)
                 values[x.id] = reported
-            self.stats.value_applications += len(order) - prefix
-        return values[operation.id]
+            self.stats.value_applications += len(order) - start
+        return self._replay_values[operation.id]
 
     # ------------------------------------------------------------ gossip path
 
@@ -551,12 +557,11 @@ class FastReplicaCore(ReplicaCore):
             if max_rank >= generator._next_rank:
                 generator._next_rank = max_rank + 1
 
-        # Instead of marking the order dirty (a full re-sort plus a full
-        # replay-prefix comparison downstream), splice the changes into the
-        # sorted order in place and truncate the replay cache at the first
-        # affected position — at once, or when the active batch ends.  Label
-        # lowerings of *undone* operations do not move anything in the order
-        # and need no bookkeeping at all.
+        # Instead of marking the order dirty (a full re-sort downstream),
+        # splice the changes into the sorted order in place and truncate the
+        # replay cache at the first affected position — at once, or when the
+        # active batch ends.  Label lowerings of *undone* operations do not
+        # move anything in the order and need no bookkeeping at all.
         if reorders or new_done_me:
             if self._batch_depth:
                 deferred_done = self._deferred_done
@@ -665,12 +670,10 @@ class FastReplicaCore(ReplicaCore):
         globally unique and each done operation has exactly one), so
         ``bisect_left`` on the key backbone locates elements exactly.  The
         replay cache is truncated at the first affected position — entries
-        below it were never moved, so it remains a prefix of the new order
-        and the epoch-tagged fast path in ``_compute_value_incremental``
-        stays valid (stale ``_replay_values`` entries beyond the truncation
-        point are always overwritten by the tail replay before being read),
+        below it were never moved, so it remains a prefix of the new order —
         and the solid-prefix memo is clamped at it.  A splice that bails out
-        to a full re-sort sets ``_order_dirty``, whose re-sort resets both.
+        to a full re-sort sets ``_order_dirty``, whose re-sort trims the
+        cache and resets the memo.
         """
         keys = self._order_keys
         cache = self._order_cache
@@ -683,8 +686,8 @@ class FastReplicaCore(ReplicaCore):
             pos = bisect_left(keys, old_key)
             if pos >= len(keys) or cache[pos].id != op_id:  # pragma: no cover
                 # Mirror out of sync (an op done without a tracked label):
-                # fall back to a full re-sort; the epoch bump re-validates
-                # the replay cache through the int-keyed prefix comparison.
+                # fall back to a full re-sort, which also trims the replay
+                # cache to the prefix that did not move.
                 self._order_dirty = True
                 return
             x = cache.pop(pos)
@@ -711,9 +714,7 @@ class FastReplicaCore(ReplicaCore):
             cache.insert(pos, x)
             if pos < min_pos:
                 min_pos = pos
-        if min_pos < len(self._replay_order):
-            del self._replay_order[min_pos:]
-            del self._replay_states[min_pos:]
+        self._truncate_replay(min_pos)
         if min_pos < self._solid:
             self._solid = min_pos
 
@@ -755,24 +756,31 @@ class FastReplicaCore(ReplicaCore):
 
     def _after_compaction(self, removed) -> None:
         # The base class already head-trimmed ``_order_cache`` by the folded
-        # prefix; trim the key backbone to match (the prefix property of the
-        # replay cache is preserved — ``_rebase_replay_cache`` trimmed it by
-        # the same count).
+        # prefix; trim the key backbone and the replay cache to match.  The
+        # replay cache is a prefix of the same clean order, so its head is
+        # the folded prefix (or a head of it) and the trim keeps it a prefix.
         count = len(removed)
         if not self._order_dirty:
             if len(self._order_keys) == len(self._order_cache) + count:
                 del self._order_keys[:count]
             else:  # pragma: no cover - defensive
                 self._order_dirty = True
+        if self._order_dirty:  # pragma: no cover - defensive
+            self._truncate_replay(0)
+        else:
+            del self._replay_order[:count]
+            del self._replay_states[:count]
         # The fold removed *removed* from every row.
         self._stable_settled -= removed
         self._stable_fresh -= removed
         self._solid = 0
         done_index = self._done_index
         repr_cache = self._repr_cache
+        values = self._replay_values
         for x in removed:
             done_index.pop(x.id, None)
             repr_cache.pop(x.id, None)
+            values.pop(x.id, None)
 
     def _coverage_position(self, coverage):
         # Absorbed memo: once a coverage with this (or a larger) frontier has

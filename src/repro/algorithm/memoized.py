@@ -1,13 +1,11 @@
 """The memoizing replica ESDS-Alg' (Section 10.1, Fig. 10).
 
-The base replica replays its ``done`` set in label order to compute response
-values (from scratch by default; with
-:meth:`repro.algorithm.replica.ReplicaCore.enable_incremental_replay` it
-re-applies only the suffix that changed since the previous replay).  This
-class is the paper's own optimization: once an operation is *solid* — stable
-at this replica, or locally constrained to precede an operation stable here —
-its place in the eventual total order is fixed (Lemma 10.2), so its value can
-be memoized and never recomputed.  The memoizing replica keeps
+The base replica replays its whole ``done`` set in label order to compute
+each response value (Fig. 7's ``send_rc``).  This class is the paper's own
+optimization: once an operation is *solid* — stable at this replica, or
+locally constrained to precede an operation stable here — its place in the
+eventual total order is fixed (Lemma 10.2), so its value can be memoized
+and never recomputed.  The memoizing replica keeps
 
 * ``memoized`` — the operations whose values have been memoized (a prefix of
   the label order contained in ``solid``),

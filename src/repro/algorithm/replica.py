@@ -13,16 +13,14 @@ Each replica keeps:
 
 The local constraints ``lc_r`` order identifiers by label; they totally order
 ``done[r]`` (Invariant 7.15), so the value returned for an operation is
-computed by replaying ``done[r]`` in label order.  Three value-computation
-paths exist:
+computed by replaying ``done[r]`` in label order.  This class does exactly
+that, from scratch on every response (the paper's unoptimized ``send_rc``);
+it is the readable executable specification.  Each other core has one way
+of its own to do less replay:
 
-* the base path recomputes from scratch on every response (the paper's
-  unoptimized ``send_rc``);
-* with :meth:`ReplicaCore.enable_incremental_replay` (the
-  ``ReplicaConfig(incremental_replay=True)`` switch) the replica checkpoints
-  its last replay and re-applies only the suffix that changed — labels
-  merged via gossip can reorder the unstable tail, which the checkpoint
-  comparison detects position by position;
+* :class:`repro.algorithm.fastcore.FastReplicaCore`, the production core,
+  caches the post-states of its last replay and re-applies only the suffix
+  of the label order that changed since;
 * :class:`repro.algorithm.memoized.MemoizedReplicaCore` is the paper's own
   Section 10.1 variant, memoizing the *solid* prefix whose order can never
   change again and replaying only the suffix after it;
@@ -263,13 +261,6 @@ class ReplicaCore:
         self._label_journal_ids: List[OperationId] = []
         self._label_journal_floor: int = 0
 
-        #: Incremental-replay cache (volatile): the label order, per-position
-        #: post-states and values of the last response replay.
-        self._incremental_replay: bool = False
-        self._replay_order: List[Tuple[Tuple, OperationId]] = []
-        self._replay_states: List[Any] = []
-        self._replay_values: Dict[OperationId, Any] = {}
-
         #: Stability-driven checkpoint compaction (Section 7.2 / Theorem 5.8
         #: made operational — see :mod:`repro.algorithm.checkpoint`).  The
         #: checkpoint lives in stable storage: it survives volatile crashes.
@@ -322,16 +313,6 @@ class ReplicaCore:
             raise ConfigurationError("checkpoint_chunk must be at least 1 or None")
         self.advert_gossip = enabled
         self.checkpoint_chunk = checkpoint_chunk
-
-    def enable_incremental_replay(self, enabled: bool = True) -> None:
-        """Switch the incremental value-replay cache on or off.
-
-        The cache changes no observable value — only how many operator
-        applications :meth:`compute_value` performs.
-        """
-        self._incremental_replay = enabled
-        if not enabled:
-            self._reset_replay_cache()
 
     def configure_compaction(
         self, policy: Optional[CompactionPolicy] = None, enabled: bool = True
@@ -555,13 +536,10 @@ state_independent`: its tracked history has a hole below the awaited
         constraints totally order ``done_r[r]``, so the value is unique and is
         obtained by replaying the done operations in label order.
 
-        By default the replay starts from the checkpoint base state (the
-        initial state while nothing has been compacted — the paper's
-        unoptimized path) and covers the tracked suffix; with incremental
-        replay enabled, the longest prefix of the current label order that
-        matches the previous replay is reused from its cached state and only
-        the changed tail is re-applied.  The value of a compacted operation
-        is fixed and served from the checkpoint's retained values.
+        The replay starts from the checkpoint base state (the initial state
+        while nothing has been compacted) and covers the tracked suffix.  The
+        value of a compacted operation is fixed and served from the
+        checkpoint's retained values.
         """
         if self.is_compacted(operation.id):
             try:
@@ -575,8 +553,6 @@ state_independent`: its tracked history has a hole below the awaited
             raise SpecificationError(
                 f"cannot compute a value for {operation.id}: not done at {self.replica_id}"
             )
-        if self._incremental_replay:
-            return self._compute_value_incremental(operation)
         state = self.checkpoint.base_state
         value: Any = None
         for x in self.done_order():
@@ -585,48 +561,6 @@ state_independent`: its tracked history has a hole below the awaited
             if x.id == operation.id:
                 value = reported
         return value
-
-    def _compute_value_incremental(self, operation: OperationDescriptor) -> Any:
-        """Replay only the suffix of the label order that changed since the
-        last replay.
-
-        The cache keys each position on ``(label sort key, id)``: a gossip
-        merge that lowers an operation's label (reordering the unstable tail)
-        changes the key at the first affected position, invalidating exactly
-        the checkpoints from there on.
-        """
-        order = self.done_order()
-        keys = [(label_sort_key(self.label_of(x.id)), x.id) for x in order]
-
-        prefix = 0
-        limit = min(len(keys), len(self._replay_order))
-        while prefix < limit and keys[prefix] == self._replay_order[prefix]:
-            prefix += 1
-
-        if prefix == len(keys) and operation.id in self._replay_values:
-            return self._replay_values[operation.id]
-
-        # Drop invalidated checkpoints (and the values computed beyond them).
-        del self._replay_order[prefix:]
-        del self._replay_states[prefix:]
-        retained = {op_id for _key, op_id in self._replay_order}
-        self._replay_values = {
-            op_id: v for op_id, v in self._replay_values.items() if op_id in retained
-        }
-
-        state = self._replay_states[prefix - 1] if prefix else self.checkpoint.base_state
-        for x in order[prefix:]:
-            state, reported = self.data_type.apply(state, x.op)
-            self.stats.value_applications += 1
-            self._replay_order.append((label_sort_key(self.label_of(x.id)), x.id))
-            self._replay_states.append(state)
-            self._replay_values[x.id] = reported
-        return self._replay_values[operation.id]
-
-    def _reset_replay_cache(self) -> None:
-        self._replay_order = []
-        self._replay_states = []
-        self._replay_values = {}
 
     def make_response(self, operation: OperationDescriptor) -> ResponseMessage:
         """``send_rc(("response", x, v))``: compute the value, drop the
@@ -1040,7 +974,6 @@ state_independent`: its tracked history has a hole below the awaited
                 del self._order_cache[: len(prefix)]
             else:  # pragma: no cover - defensive; the prefix is the cache head
                 self._order_dirty = True
-        self._rebase_replay_cache(prefix)
         self._after_compaction(removed)
         self._state_version += 1
         self.stats.compactions += 1
@@ -1051,28 +984,6 @@ state_independent`: its tracked history has a hole below the awaited
 
     def _after_compaction(self, removed: Set[OperationDescriptor]) -> None:
         """Hook for subclasses to drop their own per-operation records."""
-
-    def _rebase_replay_cache(self, prefix: List[OperationDescriptor]) -> None:
-        """Trim the incremental-replay cache by the compacted prefix (its
-        cached states are absolute, so the remaining positions stay valid).
-
-        The trim is sound only when the cache's leading entries are *exactly*
-        the compacted prefix: if the cache predates a gossip merge that slid
-        an operation into the prefix, its retained states are missing that
-        operation's effect and the whole cache must be dropped instead.
-        """
-        if not self._replay_order:
-            return
-        count = len(prefix)
-        if len(self._replay_order) < count or any(
-            self._replay_order[index][1] != prefix[index].id for index in range(count)
-        ):
-            self._reset_replay_cache()
-            return
-        del self._replay_order[:count]
-        del self._replay_states[:count]
-        for operation in prefix:
-            self._replay_values.pop(operation.id, None)
 
     def _coverage_position(self, coverage) -> Tuple[Set[OperationDescriptor], int]:
         """How much of *coverage* (a checkpoint body or advert — anything
@@ -1379,7 +1290,6 @@ state_independent`: its tracked history has a hole below the awaited
             if self._behind_frontier(advert.frontier)
         }
         self._order_dirty = True
-        self._reset_replay_cache()
         self._on_checkpoint_adopted()
         self._refresh_await()
         self._state_version += 1
@@ -1431,7 +1341,7 @@ state_independent`: its tracked history has a hole below the awaited
         crash is indistinguishable from message delay); with volatile memory
         everything except the stable storage — the locally generated labels,
         the incarnation epoch, and the compaction checkpoint — is discarded,
-        including all delta-gossip bookkeeping and the replay cache.
+        including all delta-gossip bookkeeping.
 
         Persisting the checkpoint is what makes compaction crash-safe: the
         forgotten per-operation records below the frontier can never be
@@ -1465,7 +1375,6 @@ state_independent`: its tracked history has a hole below the awaited
         self._label_journal_versions = []
         self._label_journal_ids = []
         self._label_journal_floor = self._label_version
-        self._reset_replay_cache()
         self._order_cache = []
         self._order_dirty = True
         self._on_crash()

@@ -5,11 +5,13 @@ Every deployment harness — :class:`~repro.algorithm.system.AlgorithmSystem`,
 :class:`~repro.sim.cluster.SimulatedCluster`),
 :class:`~repro.sim.sharded.ShardedCluster` and
 :class:`~repro.net.runtime.NetCluster` — switches the same replica-level
-features: the fast core, delta gossip, incremental replay, checkpoint
-compaction, advert/pull gossip.  :class:`ReplicaConfig` is the only carrier
-of those ten decisions: the algorithm-level entry point takes it as
-``config=...``, and the two harness parameter classes hold it as their
-``replica`` field next to their own timing/transport knobs.
+features: the fast core, delta gossip, checkpoint compaction, advert/pull
+gossip.  :class:`ReplicaConfig` is the only carrier of those decisions: the
+algorithm-level entry point takes it as ``config=...``, and the two harness
+parameter classes hold it as their ``replica`` field next to their own
+timing/transport knobs.  Two of its ten fields, ``batch_replay`` and
+``incremental_replay``, select nothing: each core has exactly one way to
+compute a value.
 
 Two of the fields only mean something under the discrete-event simulator
 (``batch_gossip``, ``compaction_interval``); the algorithm-level entry
@@ -55,7 +57,10 @@ class ReplicaConfig:
     delta_gossip: bool = False
     #: With delta gossip, the periodic full-state fallback interval.
     full_state_interval: int = 8
-    #: Cache the last response replay, re-applying only the changed suffix.
+    #: Inert: selects nothing (the production core always caches its last
+    #: response replay, the reference core always replays as Fig. 7 does).
+    #: Kept only because the budget benchmark spells it; deleted with that
+    #: benchmark's next change (ROADMAP item 1(c)).
     incremental_replay: bool = False
     #: Stability-driven checkpoint compaction policy (``None`` = disabled).
     #: Sharded entry points additionally accept a per-shard mapping.
@@ -113,8 +118,6 @@ class ReplicaConfig:
         field must already be a plain policy here)."""
         if self.delta_gossip:
             core.configure_delta_gossip(True, self.full_state_interval)
-        if self.incremental_replay:
-            core.enable_incremental_replay()
         if self.compaction is not None:
             core.configure_compaction(self.compaction)
         if self.advert_gossip:

@@ -72,6 +72,8 @@ def random_params(rng: random.Random, delta_gossip: bool) -> SimulationParams:
         replica=ReplicaConfig(
             delta_gossip=delta_gossip,
             full_state_interval=rng.choice([4, 8]),
+            # Inert, but serialized into the vectors: the draw stays so the
+            # corpus stays byte-identical until the field is deleted.
             incremental_replay=rng.random() < 0.5,
             batch_gossip=rng.random() < 0.5,
         ),

@@ -178,7 +178,6 @@ def _build_cluster(args: argparse.Namespace) -> NetCluster:
             advert_gossip=args.gossip == "advert",
             compaction=CompactionPolicy() if args.gossip == "advert" else None,
             fast_core=args.fast_core,
-            incremental_replay=True,
         ),
     )
     data_type: Any = KeyedStore(CounterType()) if args.keys else CounterType()

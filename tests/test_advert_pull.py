@@ -25,6 +25,7 @@ import pytest
 
 from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy
 from repro.algorithm.commute import CommuteReplicaCore
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.labels import LabelGenerator
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.messages import checkpoint_transfers
@@ -157,13 +158,12 @@ class TestAdvertBasics:
 
 
 def build_system(advert, factory=None, delta=False, data_type=None, users=None,
-                 chunk=None, incremental=False):
+                 chunk=None):
     return AlgorithmSystem(
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
         config=ReplicaConfig(
             delta_gossip=delta,
-            incremental_replay=incremental,
             full_state_interval=5,
             compaction=CompactionPolicy(min_batch=1),
             advert_gossip=advert,
@@ -222,16 +222,12 @@ class TestAdvertLockstepEquivalence:
         advert = drive_random(build_system(advert=True), seed)
         assert gossip_payload(advert) < gossip_payload(eager)
 
-    @pytest.mark.parametrize("factory, incremental", [
-        (None, True), (MemoizedReplicaCore, False),
+    @pytest.mark.parametrize("factory", [
+        FastReplicaCore, MemoizedReplicaCore,
     ], ids=["incremental", "memoized"])
-    def test_optimized_replicas_agree_under_advert_gossip(self, factory, incremental):
-        eager = drive_random(
-            build_system(advert=False, factory=factory, incremental=incremental), seed=17
-        )
-        advert = drive_random(
-            build_system(advert=True, factory=factory, incremental=incremental), seed=17
-        )
+    def test_optimized_replicas_agree_under_advert_gossip(self, factory):
+        eager = drive_random(build_system(advert=False, factory=factory), seed=17)
+        advert = drive_random(build_system(advert=True, factory=factory), seed=17)
         assert eager.trace.responses == advert.trace.responses
         assert sum(r.checkpoint.count for r in advert.replicas.values()) > 0
 

@@ -26,6 +26,7 @@ from repro.algorithm.checkpoint import (
     OpIdSummary,
 )
 from repro.algorithm.commute import CommuteReplicaCore
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.messages import RequestMessage
 from repro.algorithm.replica import ReplicaCore
@@ -225,17 +226,14 @@ class TestReplicaCompaction:
         assert ops[0].id not in r1.checkpoint.values
         assert ops[0] not in r1.pending
 
-    @pytest.mark.parametrize("factory, incremental", [
-        (ReplicaCore, False), (ReplicaCore, True),
-        (MemoizedReplicaCore, False), (CommuteReplicaCore, False),
+    @pytest.mark.parametrize("factory", [
+        ReplicaCore, FastReplicaCore, MemoizedReplicaCore, CommuteReplicaCore,
     ], ids=["base", "incremental", "memoized", "commute"])
-    def test_every_variant_answers_retransmits_for_compacted_ops(self, factory, incremental):
+    def test_every_variant_answers_retransmits_for_compacted_ops(self, factory):
         """The checkpoint-value answer path is part of the replica contract:
         every variant must honour it (the Commute override once broke it)."""
         ids = ["r1", "r2"]
-        config = ReplicaConfig(
-            incremental_replay=incremental, compaction=CompactionPolicy(min_batch=1)
-        )
+        config = ReplicaConfig(compaction=CompactionPolicy(min_batch=1))
         r1 = factory("r1", ids, CounterType())
         config.configure_core(r1)
         r2 = factory("r2", ids, CounterType())
@@ -503,14 +501,12 @@ class TestDoneOrderCache:
 # --------------------------------------------------------------------------- #
 
 
-def build_system(compaction, factory=None, delta=False, data_type=None, users=None,
-                 incremental=False):
+def build_system(compaction, factory=None, delta=False, data_type=None, users=None):
     return AlgorithmSystem(
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
         config=ReplicaConfig(
             delta_gossip=delta,
-            incremental_replay=incremental,
             full_state_interval=5,
             compaction=CompactionPolicy(min_batch=1) if compaction else None,
         ),
@@ -558,14 +554,12 @@ class TestLockstepEquivalence:
                 plain.replicas[rid].rcvd
             )
 
-    @pytest.mark.parametrize("factory, incremental", [
-        (None, True), (MemoizedReplicaCore, False),
+    @pytest.mark.parametrize("factory", [
+        FastReplicaCore, MemoizedReplicaCore,
     ], ids=["incremental", "memoized"])
-    def test_optimized_replicas_agree_under_compaction(self, factory, incremental):
+    def test_optimized_replicas_agree_under_compaction(self, factory):
         plain = drive_random(build_system(compaction=False), seed=17)
-        variant = drive_random(
-            build_system(compaction=True, factory=factory, incremental=incremental), seed=17
-        )
+        variant = drive_random(build_system(compaction=True, factory=factory), seed=17)
         assert plain.trace.responses == variant.trace.responses
         assert sum(r.checkpoint.count for r in variant.replicas.values()) > 0
 

@@ -1,4 +1,4 @@
-"""Delta gossip (§10.4, ack-based) and the incremental replay cache.
+"""Delta gossip (§10.4, ack-based) and the production core's replay cache.
 
 The load-bearing property: delta gossip only ever omits knowledge the
 destination has *acknowledged*, so merging a delta leaves the receiver in
@@ -15,7 +15,9 @@ import random
 import pytest
 
 from repro.algorithm import replica as replica_module
+from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.delta import PeerInState, PeerOutState
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.messages import RequestMessage
 from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
@@ -305,18 +307,23 @@ class TestDeltaInSimulation:
         assert value == 9
 
 
-def incremental_core(replica_id, ids, data_type):
-    """A reference core with ``ReplicaConfig(incremental_replay=True)``."""
-    core = ReplicaCore(replica_id, ids, data_type)
-    ReplicaConfig(incremental_replay=True).configure_core(core)
-    return core
+def replay_from_scratch(core):
+    """Every tracked value as the reference core's Fig. 7 replay finds it."""
+    state = core.checkpoint.base_state
+    values = {}
+    for x in core.done_order():
+        state, values[x.id] = core.data_type.apply(state, x.op)
+    return values
 
 
 class TestIncrementalReplay:
+    """The replay cache of :class:`FastReplicaCore`, against the reference
+    core's from-scratch replay."""
+
     def test_values_identical_and_replay_work_lower(self):
-        def drive(incremental, seed=3):
+        def drive(fast, seed=3):
             system = AlgorithmSystem(CounterType(), ["r1", "r2"], ["a"],
-                                     config=ReplicaConfig(incremental_replay=incremental))
+                                     config=ReplicaConfig(fast_core=fast))
             gen = OperationIdGenerator("a")
             rng = random.Random(seed)
             for index in range(10):
@@ -331,13 +338,13 @@ class TestIncrementalReplay:
             return system, applications
 
         plain, plain_apps = drive(False)
-        incremental, incremental_apps = drive(True)
-        assert plain.trace.responses == incremental.trace.responses
-        assert incremental_apps < plain_apps
+        fast, fast_apps = drive(True)
+        assert plain.trace.responses == fast.trace.responses
+        assert fast_apps < plain_apps
 
     def test_label_reordering_invalidates_cached_suffix(self):
         ids = ["r1", "r2"]
-        r1 = incremental_core("r1", ids, RegisterType())
+        r1 = FastReplicaCore("r1", ids, RegisterType())
         r2 = ReplicaCore("r2", ids, RegisterType())
         gen = OperationIdGenerator("c")
         a = make_operation(RegisterType.write("a"), gen.fresh())
@@ -365,7 +372,7 @@ class TestIncrementalReplay:
 
     def test_crash_clears_the_cache(self):
         ids = ["r1", "r2"]
-        replica = incremental_core("r1", ids, CounterType())
+        replica = FastReplicaCore("r1", ids, CounterType())
         gen = OperationIdGenerator("c")
         op = make_operation(CounterType.increment(), gen.fresh())
         replica.receive_request(RequestMessage(op))
@@ -374,6 +381,93 @@ class TestIncrementalReplay:
         replica.crash(volatile_memory=True)
         assert replica._replay_order == []
         assert replica._replay_values == {}
+
+    @pytest.mark.parametrize("resort", [False, True], ids=["splice", "resort"])
+    def test_fold_right_after_a_label_lowering_merge(self, resort):
+        """One message lowers a label below a cached position and makes the
+        head of the order stable, so the fold runs right after the reorder.
+        The splice truncates the cache first — or, when a recovery has left
+        the order dirty, the full re-sort the fold's prefix scan triggers —
+        so the fold's head-trim never keeps a state that misses an
+        operation's effect."""
+        ids = ["a", "b"]
+        a = ReplicaCore("a", ids, RegisterType())
+        b = FastReplicaCore("b", ids, RegisterType())
+        for core in (a, b):
+            core.configure_compaction(CompactionPolicy(min_batch=1))
+        gen = OperationIdGenerator("c")
+        x = make_operation(RegisterType.write("x"), gen.fresh())
+        y = make_operation(RegisterType.write("y"), gen.fresh())
+        z = make_operation(RegisterType.read(), gen.fresh())
+        # b labels y below x; a labels x below both.
+        for op in (y, x):
+            b.receive_request(RequestMessage(op))
+            b.do_all_ready()
+        a.receive_request(RequestMessage(x))
+        a.do_all_ready()
+        a.make_response(x)
+        a.receive_gossip(b.make_gossip())  # x and y now stable at a
+        b.receive_request(RequestMessage(z))
+        b.do_all_ready()
+        assert [b.make_response(op).value for op in (y, x, z)] == ["y", "x", "x"]
+        assert b._replay_order == [y.id, x.id, z.id]
+        if resort:
+            # Recovery keeps the cache but marks the order dirty, so the
+            # merge below cannot splice.
+            b.crash(volatile_memory=False)
+            b.recover_from_stable_storage()
+            assert b._order_dirty and b._replay_order == [y.id, x.id, z.id]
+        b.receive_gossip(a.make_gossip())  # x moves first; x and y fold
+        assert b.checkpoint.count == 2
+        assert b.done_order() == [z]
+        assert b.compute_value(z) == replay_from_scratch(b)[z.id] == "y"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_answer_matches_a_from_scratch_replay(self, seed):
+        """Random requests (some done at two replicas, so merges lower
+        labels), gossip, responses, folds and crashes on production cores:
+        after each step every tracked value at the replicas that acted
+        equals the reference replay.  A crashed replica is checked only
+        after its next action, so a kept-memory crash's dirty order meets
+        merges it cannot splice."""
+        ids = ["r1", "r2", "r3"]
+        cores = {i: FastReplicaCore(i, ids, RegisterType()) for i in ids}
+        for core in cores.values():
+            core.configure_compaction(CompactionPolicy(min_batch=1))
+
+        def check(replica):
+            expected = replay_from_scratch(replica)
+            for op in replica.done_here():
+                assert replica.compute_value(op) == expected[op.id]
+
+        rng = random.Random(seed)
+        gen = OperationIdGenerator("c")
+        for step in range(400):
+            rid = rng.choice(ids)
+            core = cores[rid]
+            roll = rng.random()
+            if roll < 0.3:
+                operator = RegisterType.write(step) if rng.random() < 0.6 else RegisterType.read()
+                op = make_operation(operator, gen.fresh())
+                for target in rng.sample(ids, rng.choice([1, 2])):
+                    cores[target].receive_request(RequestMessage(op))
+                    cores[target].do_all_ready()
+                    check(cores[target])
+            elif roll < 0.85:
+                source = rng.choice([i for i in ids if i != rid])
+                core.receive_gossip(cores[source].make_gossip())
+                core.do_all_ready()
+                check(core)
+            elif roll < 0.95:
+                for op in core.ready_responses():
+                    core.make_response(op)
+                check(core)
+            else:
+                core.crash(volatile_memory=rng.random() < 0.5)
+                core.recover_from_stable_storage()
+        for core in cores.values():
+            check(core)
+            assert core.stats.compactions
 
 
 class TestPeerStateConstruction:

@@ -28,6 +28,7 @@ from repro.datatypes import CounterType
 from repro.net.runtime import NetCluster, NetParams
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
+from repro.sim.workload import WorkloadSpec, run_workload
 
 FEATURES = dict(
     fast_core=True,
@@ -176,3 +177,23 @@ class TestIncoherentCombinations:
                 CounterType(), 3, ["c0"], params=SimulationParams(replica=config), seed=1
             )
             assert all(type(r) is FastReplicaCore for r in cluster.replicas.values())
+
+    @pytest.mark.parametrize("fast_core", [False, True], ids=["reference", "production"])
+    def test_incremental_replay_is_inert(self, fast_core):
+        # Each core has exactly one way to compute a value: seeded clusters
+        # differing only in the flag answer alike and replay alike.
+        def run(incremental):
+            config = ReplicaConfig(fast_core=fast_core, delta_gossip=True,
+                                   incremental_replay=incremental)
+            cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"],
+                                       params=SimulationParams(replica=config), seed=7)
+            spec = WorkloadSpec(operations_per_client=30, mean_interarrival=0.5,
+                                strict_fraction=0.2)
+            run_workload(cluster, spec, seed=8)
+            return cluster.responded, cluster.total_value_applications()
+
+        plain, plain_apps = run(False)
+        flagged, flagged_apps = run(True)
+        assert len(plain) == 60
+        assert plain == flagged
+        assert plain_apps == flagged_apps

@@ -14,7 +14,6 @@ from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType
-from repro.net.runtime import NetCluster
 from repro.net.wire import WireCluster
 from repro.service.keyed import KeyedStore
 from repro.service.reshard import LiveReshard, SliceLeg, cut_slice
@@ -376,10 +375,3 @@ class TestSliceRule:
             cut_slice(leg, source)
         assert leg.ops == []  # nothing was cut
 
-
-class TestNetClusterConfig:
-    def test_config_kwarg_replaces_net_params_replica(self):
-        cfg = ReplicaConfig(fast_core=True, delta_gossip=True,
-                            incremental_replay=True)
-        cluster = NetCluster(CounterType(), num_replicas=2, config=cfg)
-        assert cluster.params.replica == cfg

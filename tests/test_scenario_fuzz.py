@@ -306,13 +306,12 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     (:class:`FastReplicaCore`) — plain, and layered over the
     aggressive-compaction + advert/pull tweak (the paths where folds trim the
     key backbone and the solid compaction prefix, and coverage summaries are
-    absorbed).  The batch arms force coalesced gossip delivery and
-    incremental replay, which the random draw turns on for only half the
-    seeds, so every scenario runs the deferred splices of
-    ``receive_gossip_batch`` and the int-keyed incremental replay; they spell the
-    inert ``batch_replay=True`` as the budget benchmark does.  The core is
-    an optimization, not a semantic change, so every oracle must hold
-    exactly as for the base core."""
+    absorbed).  The batch arms force coalesced gossip delivery, which the
+    random draw turns on for only half the seeds, so every scenario runs
+    the deferred splices of ``receive_gossip_batch``; they spell the inert
+    ``batch_replay=True`` and ``incremental_replay=True`` as the budget
+    benchmark does.  The core is an optimization, not a semantic change,
+    so every oracle must hold exactly as for the base core."""
     mode = "delta" if delta_gossip else "full"
     kind = _CORE_TWEAK_KINDS[tweak]
     spec = random_sim_spec(
