@@ -23,6 +23,7 @@ Two tables:
 
 import os
 import time
+from functools import partial
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.config import ReplicaConfig
@@ -70,6 +71,9 @@ def run_history(total_ops: int, compaction: bool, seed: int = 1, fast: bool = Fa
     )
     cluster = SimulatedCluster(CounterType(), NUM_REPLICAS, CLIENTS,
                                params=params, seed=seed)
+    ledger_peak = {"entries": 0, "footprint": 0, "fold": 0}
+    for core in cluster.replicas.values():
+        core.on_compact = partial(_watch_ledger, ledger_peak, core.on_compact)
     spec = WorkloadSpec(operations_per_client=total_ops // len(CLIENTS),
                         mean_interarrival=INTERARRIVAL,
                         strict_fraction=STRICT_FRACTION)
@@ -87,7 +91,18 @@ def run_history(total_ops: int, compaction: bool, seed: int = 1, fast: bool = Fa
         "messages": counters.total(),
         "gossip_payload": counters.gossip_payload,
         "value_applications": cluster.total_value_applications(),
+        "ledger_peak": ledger_peak,
     }
+
+
+def _watch_ledger(peak, record, prefix, checkpoint):
+    """Chain a replica's fold hook, keeping the peak retained-value ledger
+    size after any fold (live entries and entries in storage) and the
+    largest fold batch."""
+    record(prefix, checkpoint)
+    peak["entries"] = max(peak["entries"], len(checkpoint.values))
+    peak["footprint"] = max(peak["footprint"], checkpoint.values.footprint)
+    peak["fold"] = max(peak["fold"], len(prefix))
 
 
 def test_e10_compaction_bounds_state_and_sustains_throughput():
@@ -228,6 +243,13 @@ def test_e10_long_run_keeps_memory_flat(benchmark):
     assert outcome["compacted"] > 0.95 * LONG_RUN_OPS
     for replica in cluster.replicas.values():
         assert replica.checkpoint.ids.interval_count <= 4 * len(CLIENTS)
+    # The retained-value ledger is bounded too, after every fold of both
+    # cores: at most value_retention live entries, and no more in storage
+    # than that plus one fold batch (folds share the ledger, never copy it).
+    for run in (outcome, fast):
+        peak = run["ledger_peak"]
+        assert 0 < peak["entries"] <= POLICY.value_retention
+        assert peak["footprint"] <= POLICY.value_retention + peak["fold"]
 
     if TIMING_ASSERTS:
         # The in-process ratio is machine-independent; the bar is generous

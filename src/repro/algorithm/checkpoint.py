@@ -17,7 +17,9 @@ its label order into a :class:`Checkpoint`:
 * ``values`` — the response values of recently compacted operations, kept so
   a retransmitted request for an already-compacted operation can still be
   answered (the value of a compacted operation can never change again, by
-  the same argument as Lemma 10.2).
+  the same argument as Lemma 10.2).  They live in a :class:`ValueLedger`, an
+  immutable oldest-first mapping whose per-fold parts successive
+  checkpoints share.
 
 After compaction the per-operation records — the descriptor in ``rcvd``, the
 per-replica ``done[i]`` / ``stable[i]`` memberships, the label map entry, the
@@ -38,25 +40,26 @@ crash never loses it, and recovery rebuilds from it.
 
 Checkpoints are functional values: compaction produces a *new*
 :class:`Checkpoint`, so a reference captured by an in-flight gossip message
-or an acknowledged delta basis stays internally consistent forever.
+or an acknowledged delta basis stays internally consistent forever.  A fold
+costs O(batch), not O(retained values): the new checkpoint's ledger appends
+one part to the old one's shared parts instead of copying them.  Nor need it
+apply the folded operators again: by the same fixed-value argument, a replay
+of the folded prefix that a replica has already made (the production core's
+replay cache) holds the new base state and the folded values, and
+:meth:`Checkpoint.extend` takes them from it; only without one does the fold
+apply every operator, as Fig. 7's replay would.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithm.labels import Label
 from repro.common import ConfigurationError, InvariantViolation, OperationId
@@ -134,12 +137,88 @@ def _covered(intervals: Iterable[Tuple[int, int]]) -> int:
     return sum(hi - lo + 1 for lo, hi in intervals)
 
 
-def _evict_oldest(values: Dict[OperationId, Any], retention: Optional[int]) -> Dict[OperationId, Any]:
-    """Bound an insertion-ordered (oldest-first) value ledger in place."""
-    if retention is not None:
-        while len(values) > retention:
-            del values[next(iter(values))]
-    return values
+class ValueLedger(Mapping):
+    """The retained-value ledger: an immutable, oldest-first mapping from
+    folded identifiers to their fixed response values.
+
+    The entries live in a tuple of *parts*, one plain dict per fold, oldest
+    first, which successive ledgers share.  :meth:`extended` appends the new
+    fold's part and evicts from the front by dropping whole parts and
+    rebuilding only the head one, so a fold costs O(batch) and never copies
+    the retained entries.  A part is never mutated once a ledger holds it,
+    so a ledger captured by an in-flight message or a delta basis never
+    sees a later fold, and a ledger stores exactly its live entries.
+
+    Lookups (``[]`` and ``in``) probe the parts newest first, since a
+    retransmit asks about a recent operation, and only a request for an
+    already-compacted operation asks.  Iteration is oldest first: the order
+    the codec writes and eviction consumes.
+    """
+
+    __slots__ = ("_parts", "_len")
+
+    def __init__(
+        self, values: Optional[Mapping[OperationId, Any]] = None, retention: Optional[int] = None
+    ) -> None:
+        part = dict(values) if values else {}
+        self._set((part,) if part else (), len(part), retention)
+
+    def _set(
+        self, parts: Tuple[Dict[OperationId, Any], ...], length: int, retention: Optional[int]
+    ) -> None:
+        """Install *parts* holding *length* entries, evicting the oldest
+        beyond *retention*."""
+        excess = length - retention if retention is not None else 0
+        if excess > 0:
+            drop = 0
+            while drop < len(parts) and len(parts[drop]) <= excess:
+                excess -= len(parts[drop])
+                drop += 1
+            parts = parts[drop:]
+            if excess:
+                parts = (dict(islice(parts[0].items(), excess, None)),) + parts[1:]
+            length = retention
+        self._parts = parts
+        self._len = length
+
+    def extended(self, part: Dict[OperationId, Any], retention: Optional[int]) -> "ValueLedger":
+        """A new ledger with *part* (one fold's values, identifiers this
+        ledger does not hold) appended, evicting the oldest entries beyond
+        *retention*.  The new ledger owns *part*; this one is unchanged."""
+        ledger = ValueLedger.__new__(ValueLedger)
+        parts = self._parts + (part,) if part else self._parts
+        ledger._set(parts, self._len + len(part), retention)
+        return ledger
+
+    @property
+    def footprint(self) -> int:
+        """Entries held in storage (equal to ``len`` while eviction rebuilds
+        the head part; anything more would be slack)."""
+        return sum(map(len, self._parts))
+
+    def __getitem__(self, op_id: OperationId) -> Any:
+        for part in reversed(self._parts):
+            if op_id in part:
+                return part[op_id]
+        raise KeyError(op_id)
+
+    def __iter__(self) -> Iterator[OperationId]:
+        return chain.from_iterable(self._parts)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def items(self) -> ItemsView:
+        return _LedgerItems(self)
+
+
+class _LedgerItems(ItemsView):
+    """Oldest-first items without a per-key lookup."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[OperationId, Any]]:
+        return chain.from_iterable(part.items() for part in self._mapping._parts)
 
 
 class OpIdSummary:
@@ -344,20 +423,26 @@ class CheckpointAdvert:
 class Checkpoint:
     """The collapsed stable prefix of one replica (see module docstring).
 
-    Immutable: :meth:`extend` returns a new checkpoint.  ``values`` maps
-    recently compacted identifiers to their fixed response values, in label
-    (insertion) order so retention eviction drops the oldest first.
+    Immutable: :meth:`extend` returns a new checkpoint.  ``values`` is a
+    :class:`ValueLedger` mapping recently compacted identifiers to their
+    fixed response values, oldest (label order) first so retention eviction
+    drops the oldest first; successive checkpoints share its parts.  Any
+    other mapping passed in is copied into a ledger on construction.
     """
 
     base_state: Any
     frontier: Optional[Label]
     ids: OpIdSummary
-    values: Mapping[OperationId, Any]
+    values: ValueLedger
     #: Chained digest of the fold order (one link per folded operation, see
     #: :func:`chain_order_digest`).  Batch-boundary independent: replicas
     #: that folded the same agreed prefix hold the same value however their
     #: compaction ticks sliced it.
     order_digest: str = GENESIS_ORDER_DIGEST
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.values, ValueLedger):
+            object.__setattr__(self, "values", ValueLedger(self.values))
 
     @classmethod
     def empty(cls, initial_state: Any) -> "Checkpoint":
@@ -379,28 +464,41 @@ class Checkpoint:
         data_type,
         labels: Mapping[OperationId, Label],
         value_retention: Optional[int] = None,
+        replayed: Optional[Tuple[Any, Sequence[Any]]] = None,
     ) -> Tuple["Checkpoint", int]:
         """Fold *prefix* (the next label-order stable operations) in.
 
         Returns ``(new_checkpoint, operator_applications)``.  *labels* must
         hold the replica's current label for each prefix operation; the last
         one becomes the new frontier.
+
+        *replayed*, when given, is ``(post_state, values)``: the data state
+        after the whole prefix and the value of each prefix operation, in
+        prefix order, as a replay of *prefix* from this checkpoint's base
+        state computed them (a replica's replay cache holds exactly that
+        for a prefix of its clean order).  The fold then applies nothing;
+        otherwise it applies every prefix operator, as Fig. 7's replay
+        would.  ``operator_applications`` counts what this fold applied:
+        ``len(prefix)`` or 0.  Either way the new ledger shares this one's
+        parts and adds one part of ``len(prefix)`` entries.
         """
-        state = self.base_state
-        values = dict(self.values)
-        applications = 0
-        for operation in prefix:
-            state, value = data_type.apply(state, operation.op)
-            applications += 1
-            values[operation.id] = value
-        _evict_oldest(values, value_retention)
+        if replayed is None:
+            state = self.base_state
+            part: Dict[OperationId, Any] = {}
+            for operation in prefix:
+                state, part[operation.id] = data_type.apply(state, operation.op)
+            applications = len(prefix)
+        else:
+            state, values = replayed
+            part = dict(zip((x.id for x in prefix), values))
+            applications = 0
         frontier = labels[prefix[-1].id] if prefix else self.frontier
         return (
             Checkpoint(
                 base_state=state,
                 frontier=frontier,
                 ids=self.ids.with_ids(x.id for x in prefix),
-                values=values,
+                values=self.values.extended(part, value_retention),
                 order_digest=chain_order_digest(
                     self.order_digest, (x.id for x in prefix)
                 ),
@@ -410,21 +508,21 @@ class Checkpoint:
 
     def merged_values(
         self, newer_values: Mapping[OperationId, Any], value_retention: Optional[int] = None
-    ) -> Dict[OperationId, Any]:
+    ) -> ValueLedger:
         """This checkpoint's retained values extended with *newer_values*
         (used when a recovering replica adopts a peer's checkpoint wholesale
         but wants to keep any retained values of its own).
 
         This checkpoint covers a *prefix* of the adopted one, so its values
         are the older entries: they are inserted first, keeping the merged
-        dict oldest-first so that retention eviction — which pops from the
-        front — drops the oldest values, matching the compaction path.
+        ledger oldest-first so that retention eviction — which drops from
+        the front — drops the oldest values, matching the compaction path.
         Overlapping keys agree by construction (a compacted value is fixed
         forever), so the overlay direction cannot change any value.
         """
-        merged = dict(self.values)
-        merged.update(newer_values)
-        return _evict_oldest(merged, value_retention)
+        merged = dict(self.values.items())
+        merged.update(newer_values.items())
+        return ValueLedger(merged, value_retention)
 
     def wire_estimate(self) -> int:
         """Crude wire-size contribution (for the E8-style payload metric):
@@ -443,8 +541,8 @@ class Checkpoint:
             self.count,
             canonical_repr(self.base_state),
             tuple(
-                (repr(op_id), canonical_repr(self.values[op_id]))
-                for op_id in sorted(self.values)
+                (repr(op_id), canonical_repr(value))
+                for op_id, value in sorted(self.values.items(), key=itemgetter(0))
             ),
             self.order_digest,
         ))

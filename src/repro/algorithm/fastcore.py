@@ -112,7 +112,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.algorithm.labels import Label, label_sort_key
 from repro.algorithm.messages import GossipMessage, RequestMessage
 from repro.algorithm.replica import ReplicaCore
-from repro.common import INFINITY, OperationId, SpecificationError
+from repro.common import OperationId, SpecificationError
 
 #: Sort key of "no label yet": after every finite packed label key.
 _INFINITE_KEY = float("inf")
@@ -753,6 +753,16 @@ class FastReplicaCore(ReplicaCore):
             pos += 1
         self._solid = pos
         return order[:pos]
+
+    def _replayed_prefix(self, count):
+        # The fold is the head of the clean order (``compactable_prefix``
+        # read it) and the cache a prefix of the same order, so a cache
+        # reaching the fold's boundary holds the fold's post-state and values.
+        states = self._replay_states
+        if len(states) < count:
+            return None
+        values = self._replay_values
+        return states[count - 1], [values[op_id] for op_id in self._replay_order[:count]]
 
     def _after_compaction(self, removed) -> None:
         # The base class already head-trimmed ``_order_cache`` by the folded

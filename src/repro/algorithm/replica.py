@@ -142,7 +142,8 @@ class ReplicaStats:
     #: Checkpoint compactions performed and operations folded into them.
     compactions: int = 0
     compacted_operations: int = 0
-    #: Operator applications spent folding operations into the checkpoint.
+    #: Operator applications spent folding operations into the checkpoint
+    #: (none for a fold the production core takes from its replay cache).
     compaction_applications: int = 0
     #: Assembled checkpoint transfers discarded because their recomputed
     #: content digest did not match the one the chunks were sent under
@@ -954,6 +955,7 @@ state_independent`: its tracked history has a hole below the awaited
         self.checkpoint, applications = self.checkpoint.extend(
             prefix, self.data_type, self.labels,
             value_retention=self.compaction.value_retention,
+            replayed=self._replayed_prefix(len(prefix)),
         )
         self.stats.compaction_applications += applications
         removed = set(prefix)
@@ -981,6 +983,13 @@ state_independent`: its tracked history has a hole below the awaited
         if self.on_compact is not None:
             self.on_compact(prefix, self.checkpoint)
         return len(prefix)
+
+    def _replayed_prefix(self, count: int) -> Optional[Tuple[Any, List[Any]]]:
+        """The post-state and values of the first *count* done-order
+        operations, when a replay already holds them (``None`` here: the
+        reference core keeps no replay, so a fold applies every operator
+        as Fig. 7's replay would)."""
+        return None
 
     def _after_compaction(self, removed: Set[OperationDescriptor]) -> None:
         """Hook for subclasses to drop their own per-operation records."""

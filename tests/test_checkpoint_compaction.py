@@ -8,7 +8,8 @@ same seeded scheduler goes through an execution with identical responses,
 identical eventual order and identical invariant obligations, while its
 tracked per-operation state stays proportional to the unstable suffix.
 
-The suite covers: the compact id summary, lockstep equivalence against an
+The suite covers: the compact id summary, the shared retained-value ledger
+(a captured checkpoint never sees a later fold), lockstep equivalence against an
 uncompacted twin (action-level and simulated, all replica variants), the
 sorted-suffix ``done_order`` cache, retransmitted requests for compacted
 operations, value-retention eviction, crash + incarnation-bump recovery
@@ -16,6 +17,7 @@ through the persisted checkpoint, delta gossip to a peer behind the
 frontier, and the compaction config threading in the sharded service layer.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -24,17 +26,20 @@ from repro.algorithm.checkpoint import (
     Checkpoint,
     CompactionPolicy,
     OpIdSummary,
+    ValueLedger,
 )
 from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
-from repro.algorithm.messages import RequestMessage
-from repro.algorithm.replica import ReplicaCore
+from repro.algorithm.labels import Label
+from repro.algorithm.messages import GossipMessage, RequestMessage, checkpoint_transfers
+from repro.algorithm.replica import ReplicaCore, TransferAssembly
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationId, OperationIdGenerator
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, GSetType, RegisterType
+from repro.net.codec import encode_message
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
@@ -109,6 +114,94 @@ class TestOpIdSummary:
             ReplicaConfig(compaction_interval=1.0)  # interval without policy
         with pytest.raises(ConfigurationError):
             ReplicaConfig(compaction=CompactionPolicy(), compaction_interval=0.0)
+
+
+# --------------------------------------------------------------------------- #
+# The retained-value ledger is shared, never copied, and never mutated         #
+# --------------------------------------------------------------------------- #
+
+
+def fold_batch(checkpoint, ids, retention):
+    """Fold one batch of ``add(seqno)`` operations with the given ids."""
+    ops = [make_operation(CounterType.add(op_id.seqno), op_id) for op_id in ids]
+    labels = {op.id: Label(op.id.seqno, "r1") for op in ops}
+    folded, applications = checkpoint.extend(
+        ops, CounterType(), labels, value_retention=retention
+    )
+    assert applications == len(ops)
+    return folded
+
+
+def captured_checkpoint(origin, retention, gen):
+    """A checkpoint built the way *origin* builds one: a fold, an adoption
+    merge (``merged_values``), or a reassembled transfer (``assemble``)."""
+    older = fold_batch(Checkpoint.empty(0), [gen.fresh() for _ in range(2)], retention)
+    newer = fold_batch(older, [gen.fresh() for _ in range(3)], retention)
+    if origin == "extend":
+        return newer
+    if origin == "merged_values":
+        return dataclasses.replace(
+            newer, values=older.merged_values(dict(newer.values.items()), retention)
+        )
+    transfers = checkpoint_transfers(newer, "r2", "r1", epoch=0, chunk=2)
+    return TransferAssembly(
+        digest=newer.digest(), epoch=0, frontier=newer.frontier,
+        chunk_count=len(transfers), chunks={m.chunk_index: m for m in transfers},
+    ).assemble()
+
+
+def observe(checkpoint, ids):
+    """Everything a holder of *checkpoint* can read off its ledger."""
+    values = checkpoint.values
+    return (
+        list(values.items()),
+        len(values),
+        [op_id in values for op_id in ids],
+        dataclasses.replace(checkpoint).digest(),  # recomputed, not cached
+        checkpoint.value_chunks(2),
+        checkpoint.value_chunks(None),
+        encode_message(GossipMessage(
+            sender="r2", received=frozenset(), done=frozenset(), checkpoint=checkpoint,
+        )),
+    )
+
+
+class TestValueLedger:
+    @pytest.mark.parametrize("retention", [None, 0, 1, 4])
+    @pytest.mark.parametrize("origin", ["extend", "merged_values", "assemble"])
+    def test_captured_checkpoint_never_sees_a_later_fold(self, origin, retention):
+        """A checkpoint held by an in-flight gossip message or a delta basis
+        keeps its ledger, digest, chunks and bytes however far later folds
+        (two branches of them, sharing its parts) evict past its head."""
+        gen = OperationIdGenerator("c")
+        captured = captured_checkpoint(origin, retention, gen)
+        every_id = [OperationId("c", seqno) for seqno in range(40)]
+        before = observe(captured, every_id)
+        folded = list(captured.values.items())
+        for _branch in range(2):
+            checkpoint, model, state = captured, list(folded), captured.base_state
+            for size in (1, 3, 2, 4):
+                batch = [gen.fresh() for _ in range(size)]
+                checkpoint = fold_batch(checkpoint, batch, retention)
+                for op_id in batch:
+                    state += op_id.seqno  # a counter add reports the new total
+                    model.append((op_id, state))
+                kept = model if retention is None else model[len(model) - retention:]
+                assert list(checkpoint.values.items()) == kept
+                assert len(checkpoint.values) == checkpoint.values.footprint == len(kept)
+                assert all(op_id in checkpoint.values for op_id, _ in kept)
+                assert all(checkpoint.values[op_id] == value for op_id, value in kept)
+            assert observe(captured, every_id) == before
+
+    def test_a_dict_handed_to_a_checkpoint_is_copied(self):
+        values = {OperationId("c", 0): 1}
+        checkpoint = Checkpoint(
+            base_state=1, frontier=Label(0, "r1"),
+            ids=OpIdSummary().with_ids(values), values=values,
+        )
+        assert isinstance(checkpoint.values, ValueLedger)
+        values[OperationId("c", 1)] = 2
+        assert list(checkpoint.values.items()) == [(OperationId("c", 0), 1)]
 
 
 # --------------------------------------------------------------------------- #
