@@ -18,8 +18,8 @@ from repro import (
     ReplicaCrash,
     SimulatedCluster,
     SimulationParams,
+    check_trace,
 )
-from repro.verification.serializability import check_recorded_trace
 
 
 def main() -> None:
@@ -56,7 +56,7 @@ def main() -> None:
     expected = 6 * 100 - 450
     assert audited == expected, f"audit mismatch: {audited} != {expected}"
 
-    check_recorded_trace(cluster.data_type, cluster.trace, witness=cluster.eventual_order())
+    check_trace(cluster).raise_for_failure()
     print("\nevery strict response is explained by the eventual total order "
           "(Theorem 5.8 check passed)")
     strict = cluster.metrics.latency_summary("strict")

@@ -78,8 +78,10 @@ from repro.config import ReplicaConfig
 from repro.verification import (
     AlgorithmInvariantChecker,
     AlgorithmToSpecSimulation,
+    Verdict,
     check_esds2_implements_esds1,
-    check_system_trace,
+    check_outcome,
+    check_trace,
 )
 from repro.sim import (
     DelaySpike,
@@ -163,7 +165,9 @@ __all__ = [
     "AlgorithmInvariantChecker",
     "AlgorithmToSpecSimulation",
     "check_esds2_implements_esds1",
-    "check_system_trace",
+    "check_trace",
+    "check_outcome",
+    "Verdict",
     # unified cluster configuration
     "ReplicaConfig",
     # simulation

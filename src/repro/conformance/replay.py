@@ -49,7 +49,9 @@ def replay_doc(
     Always verifies the content digest and re-runs the oracle suite on the
     fresh execution; unless *oracles_only* (or the vector carries no
     expectation), also asserts equality with the recorded outcome.  Returns
-    the observed outcome; raises :class:`ConformanceError` on any failure.
+    the observed outcome; raises :class:`ConformanceError` on a mismatch, and
+    the oracle's :class:`~repro.common.InvariantViolation` (the failing
+    check's name in ``.check``) when an oracle fails.
 
     ``runtime="net"`` replays on the :class:`~repro.net.wire.WireCluster`
     twin so every message crosses the binary codec — the recorded outcome
@@ -101,14 +103,18 @@ def dump_failure_artifact(spec: ScenarioSpec, error: BaseException, directory: P
     """Write a spec-only vector capturing a failing scenario (no ``expected``
     section — there is no known-good outcome to record).  Replaying the
     artifact re-executes the scenario and re-runs the oracles, reproducing
-    the failure deterministically."""
+    the failure deterministically.  An oracle failure also records the name
+    of the check that failed (``info["check"]``)."""
     directory.mkdir(parents=True, exist_ok=True)
+    info = {"failure": f"{type(error).__name__}: {error}"}
+    if getattr(error, "check", None) is not None:
+        info["check"] = error.check
     doc = seal(
         {
             "name": spec.name,
             "scenario": spec.to_doc(),
             "expected": None,
-            "info": {"failure": f"{type(error).__name__}: {error}"},
+            "info": info,
         }
     )
     path = directory / f"{spec.name}.json"
@@ -157,7 +163,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 replay_path(path, oracles_only=args.oracles_only, runtime=args.runtime)
         except Exception as exc:  # report every failure, then exit non-zero
             failures += 1
-            print(f"FAIL {path}: {exc}", file=sys.stderr)
+            check = getattr(exc, "check", None)
+            named = f" [{check}]" if check is not None else ""
+            print(f"FAIL {path}{named}: {exc}", file=sys.stderr)
         else:
             if not args.quiet:
                 verb = "verified" if args.digests_only else "replayed"

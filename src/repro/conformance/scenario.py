@@ -32,7 +32,7 @@ from repro.conformance.codec import (
     encode_value,
     state_digest,
 )
-from repro.conformance.oracles import check_cluster_outcome, witness_order
+from repro.conformance.oracles import check_cluster_outcome
 from repro.datatypes import CounterType, GSetType, RegisterType
 from repro.datatypes.base import Operator
 from repro.sim.cluster import SimulatedCluster, SimulationParams
@@ -312,10 +312,10 @@ def collect_outcome(run: ScenarioRun) -> ScenarioOutcome:
     outcome.responses = dict(run.driver.responded)
     outcome.failed = dict(run.driver.failed)
     for group, cluster in run.clusters.items():
-        lost, stuck = check_cluster_outcome(cluster)
-        outcome.lost[group] = _client_order(lost)
-        outcome.stuck[group] = _client_order(stuck)
-        outcome.witness[group] = witness_order(cluster, lost | stuck)
+        verdict = check_cluster_outcome(cluster)
+        outcome.lost[group] = _client_order(verdict.lost)
+        outcome.stuck[group] = _client_order(verdict.stuck)
+        outcome.witness[group] = verdict.witness
         outcome.replica_digests[group] = {
             replica_id: state_digest(replica.replayed_state())
             for replica_id, replica in cluster.replicas.items()

@@ -538,11 +538,11 @@ class ShardedCluster(SimulatedService):
         self.check_reshard_handoffs()
 
     def check_traces(self) -> None:
-        """Check the Theorem 5.7/5.8 guarantees on every shard's trace."""
-        from repro.verification.serializability import check_recorded_trace
+        """Check the Theorem 5.8 guarantee on every shard's trace."""
+        from repro.verification.outcome import check_trace
 
         for shard in self.shards.values():
-            check_recorded_trace(shard.data_type, shard.trace, witness=shard.eventual_order())
+            check_trace(shard).raise_for_failure()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -12,9 +12,10 @@ over randomly explored executions:
 * :mod:`repro.verification.simulation_check` — lock-step forward-simulation
   checking from the algorithm to ESDS-II (Theorem 8.4 / Fig. 9) and from
   ESDS-II to ESDS-I (Fig. 4);
-* :mod:`repro.verification.serializability` — end-to-end trace checks of the
-  Section 5.2 guarantees using the algorithm's minimum-label order as the
-  witness for the eventual total order.
+* :mod:`repro.verification.outcome` — the one outcome oracle:
+  :func:`check_trace` (the Section 5.2 guarantees at any step, with the
+  algorithm's minimum-label order as the witness for the eventual total
+  order) and :func:`check_outcome` (every check at quiescence).
 """
 
 from repro.verification.invariants import AlgorithmInvariantChecker, SpecInvariantChecker
@@ -22,12 +23,14 @@ from repro.verification.simulation_check import (
     AlgorithmToSpecSimulation,
     check_esds2_implements_esds1,
 )
-from repro.verification.serializability import check_system_trace
+from repro.verification.outcome import Verdict, check_outcome, check_trace
 
 __all__ = [
     "AlgorithmInvariantChecker",
     "SpecInvariantChecker",
     "AlgorithmToSpecSimulation",
     "check_esds2_implements_esds1",
-    "check_system_trace",
+    "Verdict",
+    "check_outcome",
+    "check_trace",
 ]

@@ -40,7 +40,7 @@ from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import WorkloadSpec, run_workload
 from repro.spec.users import SafeUsers
 from repro.verification.invariants import AlgorithmInvariantChecker
-from repro.verification.serializability import check_system_trace
+from repro.verification.outcome import check_trace
 
 
 # --------------------------------------------------------------------------- #
@@ -272,7 +272,7 @@ class TestAdvertLockstepEquivalence:
 
     def test_trace_oracle_passes_with_advert_gossip(self):
         system = drive_random(build_system(advert=True, delta=True), seed=13)
-        check_system_trace(system, check_nonstrict=False)
+        check_trace(system).raise_for_failure()
 
     def test_simulation_relation_holds_with_advert_gossip(self):
         from repro.verification.simulation_check import AlgorithmToSpecSimulation
@@ -732,7 +732,7 @@ class TestCatchupStateIndependentGating:
         system.drain(rng)
         assert not r3.catching_up()
         AlgorithmInvariantChecker(system).check_all()
-        check_system_trace(system)
+        check_trace(system).raise_for_failure()
 
     def test_read_still_refuses_during_catchup(self):
         system, gen, rng = register_system_with_behind_replica()

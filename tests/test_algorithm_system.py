@@ -14,7 +14,7 @@ from repro.common import (
 )
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, RegisterType
-from repro.verification.serializability import check_system_trace
+from repro.verification.outcome import check_trace
 
 
 @pytest.fixture
@@ -154,7 +154,7 @@ class TestRandomExecution:
         system.drain(rng)
         system.run_random(rng, steps=400)
         assert len(system.trace.responses) == 6
-        check_system_trace(system, check_nonstrict=False)
+        check_trace(system).raise_for_failure()
 
     def test_witness_covers_all_requests(self):
         system = AlgorithmSystem(CounterType(), ["r1", "r2"], ["alice"])
@@ -179,4 +179,4 @@ class TestWithMemoizedReplicas:
         system.drain(rng)
         system.run_random(rng, steps=300)
         assert len(system.trace.responses) == 4
-        check_system_trace(system)
+        check_trace(system).raise_for_failure()

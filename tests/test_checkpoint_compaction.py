@@ -45,7 +45,7 @@ from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
 from repro.spec.users import SafeUsers
 from repro.verification.invariants import AlgorithmInvariantChecker
-from repro.verification.serializability import check_recorded_trace, check_system_trace
+from repro.verification.outcome import check_trace
 
 
 # --------------------------------------------------------------------------- #
@@ -701,7 +701,7 @@ class TestLockstepEquivalence:
 
     def test_trace_oracle_passes_on_compacted_system(self):
         system = drive_random(build_system(compaction=True, delta=True), seed=13)
-        check_system_trace(system, check_nonstrict=False)
+        check_trace(system).raise_for_failure()
 
     def test_simulation_relation_holds_with_compaction(self):
         """The forward simulation to ESDS-II must keep matching after folds:
@@ -763,8 +763,7 @@ class TestSimulatedCompaction:
         assert compacted.metrics.peak_tracked_ops() < plain.metrics.peak_tracked_ops()
         assert len(compacted.compacted_prefix) > 0
         AlgorithmInvariantChecker(compacted).check_all()
-        check_recorded_trace(compacted.data_type, compacted.trace,
-                             witness=compacted.eventual_order())
+        check_trace(compacted).raise_for_failure()
 
     def test_crash_mid_compaction_with_incarnation_bump(self):
         """A replica crashes (volatile) while the cluster has compacted, the

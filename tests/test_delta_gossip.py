@@ -28,7 +28,7 @@ from repro.datatypes import CounterType, RegisterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
 from repro.verification.invariants import AlgorithmInvariantChecker
-from repro.verification.serializability import check_system_trace
+from repro.verification.outcome import check_trace
 from repro.verification.simulation_check import AlgorithmToSpecSimulation
 
 
@@ -91,7 +91,7 @@ class TestDeltaFullEquivalence:
 
     def test_trace_checks_pass_with_delta(self):
         system = drive_random(build_system(delta=True), seed=13)
-        check_system_trace(system, check_nonstrict=False)
+        check_trace(system).raise_for_failure()
 
 
 class TestDeltaInvariants:

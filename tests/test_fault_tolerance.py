@@ -14,7 +14,7 @@ from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.faults import DelaySpike, FaultSchedule, GossipOutage, ReplicaCrash
 from repro.sim.workload import WorkloadSpec, run_workload
 from repro.verification.invariants import AlgorithmInvariantChecker
-from repro.verification.serializability import check_recorded_trace, check_system_trace
+from repro.verification.outcome import check_trace
 
 
 class TestMessageLossAndDuplicationSafety:
@@ -46,7 +46,7 @@ class TestMessageLossAndDuplicationSafety:
         system.drain(rng)
         system.run_random(rng, 300)
         checker.check_all()
-        check_system_trace(system)
+        check_trace(system).raise_for_failure()
 
     @staticmethod
     def _interfere(system, rng):
@@ -77,8 +77,7 @@ class TestMessageLossAndDuplicationSafety:
         # With redundant sends and retransmission every request completes
         # despite 20% message loss.
         assert result.metrics.completed == 20
-        check_recorded_trace(cluster.data_type, cluster.trace,
-                             witness=cluster.eventual_order())
+        check_trace(cluster).raise_for_failure()
 
 
 class TestCrashRecovery:
@@ -91,8 +90,7 @@ class TestCrashRecovery:
                             strict_fraction=0.2)
         run_workload(cluster, spec, seed=6, drain_time=300.0)
         assert cluster.outstanding_operations() == 0
-        check_recorded_trace(cluster.data_type, cluster.trace,
-                             witness=cluster.eventual_order())
+        check_trace(cluster).raise_for_failure()
 
     def test_unrecovered_crash_blocks_strict_but_not_nonstrict(self):
         params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0)

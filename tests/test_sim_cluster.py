@@ -16,7 +16,7 @@ from repro.datatypes import BankAccountType, CounterType, RegisterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.workload import WorkloadSpec, run_workload
 from repro.verification.invariants import AlgorithmInvariantChecker
-from repro.verification.serializability import check_recorded_trace
+from repro.verification.outcome import check_trace
 
 PARAMS = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0)
 
@@ -146,8 +146,7 @@ class TestTraceConsistency:
                             poisson_arrivals=True)
         run_workload(cluster, spec, seed=seed + 50)
         assert cluster.outstanding_operations() == 0
-        check_recorded_trace(cluster.data_type, cluster.trace,
-                             witness=cluster.eventual_order())
+        check_trace(cluster).raise_for_failure()
 
     def test_memoized_replicas_equivalent_externally(self):
         params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0)

@@ -20,6 +20,18 @@ def gen():
     return OperationIdGenerator("alice")
 
 
+class CountingCounter(CounterType):
+    """A counter that counts its ``apply`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.applications = 0
+
+    def apply(self, state, operator):
+        self.applications += 1
+        return super().apply(state, operator)
+
+
 class TestTraceRecord:
     def test_requests_and_responses_views(self, gen):
         trace = TraceRecord()
@@ -100,6 +112,28 @@ class TestEventualTotalOrder:
         )
 
 
+    def test_witness_check_is_one_replay(self, gen):
+        """Linear in the trace: n operations with m strict responses cost n
+        applications (one replay of the witness), not n per strict response;
+        the search replays once per linear extension, and a prev chain has
+        exactly one."""
+        counter = CountingCounter()
+        trace = TraceRecord()
+        history = []
+        for index in range(30):
+            prev = [history[-1].id] if history else []
+            strict = index % 3 == 0
+            op = make_operation(CounterType.increment(), gen.fresh(), prev=prev, strict=strict)
+            history.append(op)
+            trace.record_request(op)
+            trace.record_response(op, index + 1)
+        assert check_eventual_total_order(counter, trace, [op.id for op in history])
+        assert counter.applications == 30
+        counter.applications = 0
+        assert check_strict_responses_explained(counter, trace)
+        assert counter.applications == 30
+
+
 class TestPerResponseExplanations:
     def test_every_response_has_an_order(self, gen):
         register = RegisterType()
@@ -153,6 +187,17 @@ class TestAtomicityCorollary:
         assert check_atomicity_when_all_strict(counter, trace)
         assert check_atomicity_when_all_strict(counter, trace, eventual_order=[a.id, b.id])
         assert not check_atomicity_when_all_strict(counter, trace, eventual_order=[b.id, a.id])
+
+    def test_witness_omitting_an_answered_operation_is_rejected(self, gen):
+        counter = CounterType()
+        a = make_operation(CounterType.increment(), gen.fresh(), strict=True)
+        b = make_operation(CounterType.increment(), gen.fresh(), strict=True)
+        trace = TraceRecord()
+        trace.record_request(a)
+        trace.record_request(b)
+        trace.record_response(a, 1)
+        trace.record_response(b, 2)
+        assert not check_atomicity_when_all_strict(counter, trace, eventual_order=[a.id])
 
     def test_rejects_traces_with_nonstrict_requests(self, gen):
         counter = CounterType()
