@@ -109,21 +109,14 @@ class SerialDataType(ABC):
     def outcome(self, operators: Sequence[Operator], state: Any = None) -> Any:
         """Apply ``operators`` in sequence and return the final state
         (the paper's ``tau+(...).s``)."""
-        current = self.initial_state() if state is None else state
-        for op in operators:
-            current, _ = self.apply(current, op)
-        return current
+        return apply_sequence(self, operators, state)[0]
 
     def value_of_last(self, operators: Sequence[Operator], state: Any = None) -> Any:
         """Apply ``operators`` in sequence and return the value reported by
         the last one (the paper's ``tau+(...).v``)."""
         if not operators:
             raise ValueError("value_of_last requires a nonempty sequence")
-        current = self.initial_state() if state is None else state
-        value: Any = None
-        for op in operators:
-            current, value = self.apply(current, op)
-        return value
+        return apply_sequence(self, operators, state)[1][-1]
 
     def check_operator(self, operator: Operator) -> None:
         """Raise ``ValueError`` if *operator* is not an operator of this type.

@@ -229,16 +229,20 @@ class Deployment:
         )
         return [x.id for x in self.compaction_ledger.prefix] + labelled + unlabelled
 
-    def _all_stable_at(self, replicas: Iterable[ReplicaCore]) -> bool:
-        requested = set(self.requested.values())
-        return all(replica.knows_stable(op) for replica in replicas for op in requested)
+    def converging_replica_ids(self) -> Sequence[str]:
+        """The replicas convergence is judged at: all of them, so a replica
+        left crashed keeps the deployment from converging."""
+        return self.replica_ids
 
-    def fully_converged(self) -> bool:
-        """Has every requested operation become stable at every replica?
-        (A compacted operation is stable by construction.)  At convergence
-        no gossip in transit can carry new information, which is when the
-        Fig. 8 view of a timed driver is faithful."""
-        return self._all_stable_at(self.replicas.values())
+    def fully_converged(self, operations: Optional[Iterable[OperationDescriptor]] = None) -> bool:
+        """Has every requested operation (every one of *operations*) become
+        stable at every converging replica?  (A compacted operation is
+        stable by construction.)  At convergence no gossip in transit can
+        carry new information, which is when the Fig. 8 view of a timed
+        driver is faithful."""
+        targets = set(self.requested.values() if operations is None else operations)
+        replicas = [self.replicas[rid] for rid in self.converging_replica_ids()]
+        return all(replica.knows_stable(op) for replica in replicas for op in targets)
 
     # -- derived variables (Fig. 8) --------------------------------------------
 

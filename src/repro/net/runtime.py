@@ -841,11 +841,11 @@ class NetCluster(Deployment):
 
     # -- convergence -----------------------------------------------------------
 
-    def fully_converged(self) -> bool:
-        """Has every requested operation become stable at every *live*
-        replica?  A crashed replica learns nothing until it recovers, and a
-        deployment that lost one must still be able to quiesce."""
-        return self._all_stable_at(self.replicas[rid] for rid in self.live_replica_ids())
+    def converging_replica_ids(self) -> List[str]:
+        """The *live* replicas: a crashed replica learns nothing until it
+        recovers, and a deployment that lost one must still be able to
+        quiesce."""
+        return self.live_replica_ids()
 
     def outstanding_operations(self) -> int:
         return len(self._futures)
