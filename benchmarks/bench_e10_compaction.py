@@ -11,11 +11,13 @@ gossip period and offered load, not on how long the service has been up.
 
 Two tables:
 
-* **E10a** runs the same seeded workload with and without compaction at
-  growing history lengths: responses are identical operation for operation,
-  the uncompacted baseline's peak tracked state equals the total history and
-  its wall-clock time grows superlinearly, while the compacted run's peak
-  state stays flat and its wall-clock time stays proportional to the load.
+* **E10a** runs the same seeded workload on the reference core without
+  compaction and on the production core with it (and with delta gossip, the
+  production path) at growing history lengths: responses and the witness
+  order are identical operation for operation, the uncompacted baseline's
+  peak tracked state equals the total history and its wall-clock time grows
+  superlinearly, while the compacted run's peak state stays flat and its
+  wall-clock time stays proportional to the load.
 * **E10b** is the long-run demonstration (50k operations by default; set
   ``E10_LONG_OPS`` to resize): sustained throughput with a peak tracked
   state hundreds of times smaller than the history.
@@ -53,21 +55,20 @@ LONG_RUN_OPS = int(os.environ.get("E10_LONG_OPS", "50000"))
 TIMING_ASSERTS = os.environ.get("E10_TIMING_ASSERTS", "1") == "1"
 
 
-def run_history(total_ops: int, compaction: bool, seed: int = 1, fast: bool = False):
-    """One seeded run; all arms share every other parameter (delta gossip,
-    batched gossip).  ``fast`` switches the replica variant to
-    :class:`FastReplicaCore`, whose replay cache replaces the reference
-    core's from-scratch replay; the execution (responses, witness, folds) is
-    identical by contract, only the wall clock moves."""
+def run_history(total_ops: int, compaction: bool, seed: int = 1):
+    """One seeded run with batched gossip: the production core with
+    compaction and delta gossip, or (without *compaction*) the reference
+    core with neither.  The extensions induce the same execution
+    (responses, witness), so only memory and the wall clock move."""
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         replica=ReplicaConfig(
+            fast_core=True,
             delta_gossip=True,
             batch_gossip=True,
-            fast_core=fast,
-            compaction=POLICY if compaction else None,
-            compaction_interval=COMPACTION_INTERVAL if compaction else None,
-        ),
+            compaction=POLICY,
+            compaction_interval=COMPACTION_INTERVAL,
+        ) if compaction else ReplicaConfig(batch_gossip=True),
     )
     cluster = SimulatedCluster(CounterType(), NUM_REPLICAS, CLIENTS,
                                params=params, seed=seed)
@@ -112,40 +113,33 @@ def test_e10_compaction_bounds_state_and_sustains_throughput():
     for total in sizes:
         plain = run_history(total, compaction=False)
         compacted = run_history(total, compaction=True)
-        fast = run_history(total, compaction=True, fast=True)
-        outcomes[total] = (plain, compacted, fast)
+        outcomes[total] = (plain, compacted)
         rows.append((
             total,
             plain["peak_tracked"],
             compacted["peak_tracked"],
             f"{plain['wall']:.2f}s",
             f"{compacted['wall']:.2f}s",
-            f"{fast['wall']:.2f}s",
             f"{compacted['wall_ops_per_sec']:.0f}",
-            f"{fast['wall_ops_per_sec']:.0f}",
         ))
     print_table(
-        "E10a: peak tracked ops and wall-clock, uncompacted vs compacted "
-        f"vs fast core ({NUM_REPLICAS} replicas, identical seeded load)",
+        "E10a: peak tracked ops and wall-clock, reference core uncompacted vs "
+        f"production core compacted ({NUM_REPLICAS} replicas, identical seeded load)",
         ["history", "peak tracked (plain)", "peak tracked (compacted)",
-         "wall (plain)", "wall (compacted)", "wall (fast)",
-         "ops/s (compacted)", "ops/s (fast)"],
+         "wall (plain)", "wall (compacted)", "ops/s (compacted)"],
         rows,
     )
 
-    for total, (plain, compacted, fast) in outcomes.items():
-        # Identical responses, operation for operation — compaction and the
-        # fast core are optimizations, not semantic changes.
+    for total, (plain, compacted) in outcomes.items():
+        # Identical responses and witness order, operation for operation —
+        # compaction and the production core are optimizations, not
+        # semantic changes.
         assert plain["cluster"].responded == compacted["cluster"].responded
-        assert fast["cluster"].responded == compacted["cluster"].responded
-        assert fast["cluster"].eventual_order() == compacted["cluster"].eventual_order()
+        assert plain["cluster"].eventual_order() == compacted["cluster"].eventual_order()
         assert plain["result"].metrics.completed == total
-        # The baseline tracks the whole history; the compacted run must not,
-        # and the fast core changes no algorithmic event counts.
+        # The baseline tracks the whole history; the compacted run must not.
         assert plain["peak_tracked"] == total
         assert compacted["compacted"] > 0
-        assert fast["peak_tracked"] == compacted["peak_tracked"]
-        assert fast["compacted"] == compacted["compacted"]
 
     # Bounded memory: the compacted peak is set by the unstable-suffix
     # window, so it must NOT grow with the history length (allow jitter).
@@ -158,7 +152,7 @@ def test_e10_compaction_bounds_state_and_sustains_throughput():
     # several-fold by the largest size; 1.0x would already pass the bar).
     # Skippable via E10_TIMING_ASSERTS=0 for noisy shared runners.
     largest = sizes[-1]
-    plain, compacted, fast = outcomes[largest]
+    plain, compacted = outcomes[largest]
     if TIMING_ASSERTS:
         assert compacted["wall"] <= plain["wall"], (
             f"compaction slowed the run down: {compacted['wall']:.2f}s vs "
@@ -172,13 +166,6 @@ def test_e10_compaction_bounds_state_and_sustains_throughput():
         compacted_cost_large = compacted["wall"] / largest
         assert plain_cost_large > 1.5 * plain_cost_small
         assert compacted_cost_large < 2.0 * compacted_cost_small
-        # The fast core must actually be faster on the same execution (the
-        # in-process ratio is immune to machine speed, just not to noise —
-        # hence the generous bar; the regression gate holds the band).
-        assert fast["wall"] < compacted["wall"], (
-            f"fast core slower than base: {fast['wall']:.2f}s vs "
-            f"{compacted['wall']:.2f}s at {largest} ops"
-        )
 
     emit_bench_json("E10", {
         "history_sizes": sizes,
@@ -186,46 +173,33 @@ def test_e10_compaction_bounds_state_and_sustains_throughput():
         "peak_tracked_compacted": {t: outcomes[t][1]["peak_tracked"] for t in sizes},
         "wall_seconds_plain": {t: outcomes[t][0]["wall"] for t in sizes},
         "wall_seconds_compacted": {t: outcomes[t][1]["wall"] for t in sizes},
-        "wall_seconds_fast": {t: outcomes[t][2]["wall"] for t in sizes},
+        # The compacted arm runs on the production core, so the "fast"
+        # keys (one of them banded) read it too.
+        "wall_seconds_fast": {t: outcomes[t][1]["wall"] for t in sizes},
         "ops_per_sec_plain": {t: outcomes[t][0]["wall_ops_per_sec"] for t in sizes},
         "ops_per_sec_compacted": {t: outcomes[t][1]["wall_ops_per_sec"] for t in sizes},
-        "ops_per_sec_fast": {t: outcomes[t][2]["wall_ops_per_sec"] for t in sizes},
-        "fast_core_speedup": {
-            t: outcomes[t][1]["wall"] / outcomes[t][2]["wall"] for t in sizes
-        },
+        "ops_per_sec_fast": {t: outcomes[t][1]["wall_ops_per_sec"] for t in sizes},
         "messages": {t: outcomes[t][1]["messages"] for t in sizes},
         "gossip_payload": {t: outcomes[t][1]["gossip_payload"] for t in sizes},
     })
 
 
 def test_e10_long_run_keeps_memory_flat(benchmark):
-    """The headline long run: ≥50k operations (the uncompacted baseline is
-    two orders of magnitude slower here and is not run), peak tracked state
-    bounded by the unstable-suffix window — under 1% of the history.  The
-    same seeded run repeats on the fast core: identical responses and fold
-    counts, several-fold wall-clock speedup."""
+    """The headline long run on the production core: ≥50k operations (the
+    uncompacted reference is two orders of magnitude slower here and is not
+    run), peak tracked state bounded by the unstable-suffix window — under
+    1% of the history."""
     outcome = run_history(LONG_RUN_OPS, compaction=True, seed=5)
-    fast = run_history(LONG_RUN_OPS, compaction=True, seed=5, fast=True)
     cluster = outcome["cluster"]
     assert outcome["result"].metrics.completed == LONG_RUN_OPS
 
-    # Execution identity of the fast core at full scale: every response,
-    # the witness order and the fold accounting match the base run.
-    assert fast["cluster"].responded == cluster.responded
-    assert fast["cluster"].eventual_order() == cluster.eventual_order()
-    assert fast["peak_tracked"] == outcome["peak_tracked"]
-    assert fast["compacted"] == outcome["compacted"]
-
-    speedup = outcome["wall"] / fast["wall"]
     per_replica_peak = dict(cluster.metrics.tracked_ops_peak)
     print_table(
         f"E10b: long run, {LONG_RUN_OPS} operations with compaction",
         ["measurement", "value"],
         [
             ("operations completed", outcome["result"].metrics.completed),
-            ("wall-clock ops/s (base core)", f"{outcome['wall_ops_per_sec']:.0f}"),
-            ("wall-clock ops/s (fast core)", f"{fast['wall_ops_per_sec']:.0f}"),
-            ("fast-core speedup", f"{speedup:.2f}x"),
+            ("wall-clock ops/s", f"{outcome['wall_ops_per_sec']:.0f}"),
             ("peak tracked ops (worst replica)", outcome["peak_tracked"]),
             ("operations folded into checkpoints", outcome["compacted"]),
             ("checkpoint id-summary intervals",
@@ -243,24 +217,18 @@ def test_e10_long_run_keeps_memory_flat(benchmark):
     assert outcome["compacted"] > 0.95 * LONG_RUN_OPS
     for replica in cluster.replicas.values():
         assert replica.checkpoint.ids.interval_count <= 4 * len(CLIENTS)
-    # The retained-value ledger is bounded too, after every fold of both
-    # cores: at most value_retention live entries, and no more in storage
-    # than that plus one fold batch (folds share the ledger, never copy it).
-    for run in (outcome, fast):
-        peak = run["ledger_peak"]
-        assert 0 < peak["entries"] <= POLICY.value_retention
-        assert peak["footprint"] <= POLICY.value_retention + peak["fold"]
-
-    if TIMING_ASSERTS:
-        # The in-process ratio is machine-independent; the bar is generous
-        # against scheduler noise, the regression gate holds the real band.
-        assert speedup > 1.3, f"fast core speedup collapsed: {speedup:.2f}x"
+    # The retained-value ledger is bounded too, after every fold: at most
+    # value_retention live entries, and no more in storage than that plus
+    # one fold batch (folds share the ledger, never copy it).
+    peak = outcome["ledger_peak"]
+    assert 0 < peak["entries"] <= POLICY.value_retention
+    assert peak["footprint"] <= POLICY.value_retention + peak["fold"]
 
     emit_bench_json("E10_LONG", {
         "operations": LONG_RUN_OPS,
+        # One run, on the production core: both keys read it.
         "wall_ops_per_sec": outcome["wall_ops_per_sec"],
-        "wall_ops_per_sec_fast": fast["wall_ops_per_sec"],
-        "fast_core_speedup": speedup,
+        "wall_ops_per_sec_fast": outcome["wall_ops_per_sec"],
         "peak_tracked_ops": outcome["peak_tracked"],
         "per_replica_peaks": per_replica_peak,
         "compacted_operations": outcome["compacted"],

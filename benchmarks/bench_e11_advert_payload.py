@@ -47,6 +47,7 @@ def run_history(total_ops: int, advert: bool, seed: int = 1):
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         replica=ReplicaConfig(
+            fast_core=True,
             batch_gossip=True,
             compaction=POLICY,
             compaction_interval=8.0,

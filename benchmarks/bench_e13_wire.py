@@ -245,7 +245,7 @@ def test_e13_json_twin_spells_value_objects_before_plain_tuples():
 def mode_params(mode: str) -> SimulationParams:
     features = dict(batch_gossip=True)
     if mode != "full":
-        features.update(delta_gossip=True, full_state_interval=8)
+        features.update(fast_core=True, delta_gossip=True, full_state_interval=8)
     if mode == "advert":
         features.update(
             compaction=CompactionPolicy(), compaction_interval=8.0, advert_gossip=True
@@ -361,6 +361,7 @@ def steady_gossip_bytes(total_ops: int, advert: bool, seed: int = 5) -> int:
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
         replica=ReplicaConfig(
+            fast_core=True,
             batch_gossip=True,
             compaction=CompactionPolicy(min_batch=16, value_retention=None),
             compaction_interval=8.0,

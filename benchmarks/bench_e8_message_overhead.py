@@ -23,7 +23,7 @@ DURATION_OPS = 20
 def run_replicas(num_replicas: int, seed: int = 0, delta_gossip: bool = False):
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
-        replica=ReplicaConfig(delta_gossip=delta_gossip, full_state_interval=8),
+        replica=ReplicaConfig(fast_core=True, delta_gossip=delta_gossip, full_state_interval=8),
     )
     cluster = SimulatedCluster(CounterType(), num_replicas, ["c0", "c1"],
                                params=params, seed=seed)

@@ -15,9 +15,9 @@ Modules:
   (Section 6.1);
 * :mod:`repro.algorithm.channel` — reliable non-FIFO channels (Section 6.1);
 * :mod:`repro.algorithm.frontend` — the per-client front end (Section 6.2);
-* :mod:`repro.algorithm.replica` — the replica state machine (Section 6.3),
-  replaying every response from scratch as Fig. 7 does, including
-  destination-specific delta gossip;
+* :mod:`repro.algorithm.replica` — the replica state machine (Section 6.3)
+  with crash recovery (Section 9.3), replaying every response from scratch
+  as Fig. 7 does, and nothing else;
 * :mod:`repro.algorithm.delta` — per-peer seqno/ack/epoch bookkeeping for
   delta gossip (an ack-based, crash-safe form of Section 10.4);
 * :mod:`repro.algorithm.checkpoint` — stability-driven checkpoint compaction
@@ -25,8 +25,10 @@ Modules:
   base state, bounding replica memory by the unstable suffix);
 * :mod:`repro.algorithm.fastcore` — the production replica core: interned
   label keys, one derived knowledge set, order splices deferred across a
-  gossip batch, a memoized compaction prefix and a response-replay cache
-  (the reference automaton above stays the oracle); :mod:`repro.algorithm.batchcore` holds only the
+  gossip batch, a memoized compaction prefix and a response-replay cache,
+  and the one home of the extensions (delta gossip, compaction, adverts,
+  pull/transfer, catch-up, stale NACKs); the reference automaton above
+  stays the oracle; :mod:`repro.algorithm.batchcore` holds only the
   ``core_factory`` that picks between the two;
 * :mod:`repro.algorithm.memoized` — the memoizing replica ESDS-Alg'
   (Section 10.1);

@@ -55,16 +55,19 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithm.labels import Label
 from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
+
+if TYPE_CHECKING:  # pragma: no cover - messages imports this module
+    from repro.algorithm.messages import CheckpointTransferMessage
 
 
 #: Seed of the chained fold-order digest — the digest of "nothing folded yet".
@@ -387,7 +390,7 @@ class CheckpointAdvert:
     digest its own chunks carry), the chained fold-order digest (so a
     receiver can verify its *own* would-be fold order against the
     advertiser's before absorbing the stability assertion — see
-    ``ReplicaCore._absorb_coverage``), and the per-client interval summary
+    ``FastReplicaCore._absorb_coverage``), and the per-client interval summary
     of the folded identifiers.  A receiver that still tracks (or has itself
     compacted) every advertised identifier learns their
     everywhere-stability from the advert alone; a receiver missing any of
@@ -599,6 +602,56 @@ class Checkpoint:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Checkpoint(count={self.count}, frontier={self.frontier})"
+
+
+@dataclass
+class TransferAssembly:
+    """Receiver-side reassembly state for one in-flight checkpoint transfer
+    (keyed per sender; a chunk under a newer digest or sender epoch replaces
+    the partial assembly — the newer checkpoint is nested over the older —
+    while chunks from an *older* transfer, delayed on the unordered network,
+    are ignored rather than allowed to clobber the newer assembly).
+
+    Every chunk repeats the transfer header; one that contradicts the chunks
+    already held (:meth:`agrees_with`) is refused, which is what makes
+    :meth:`assemble`'s indexing total."""
+
+    digest: str
+    epoch: int
+    frontier: Label
+    chunk_count: int
+    chunks: Dict[int, "CheckpointTransferMessage"] = field(default_factory=dict)
+
+    def agrees_with(self, message: "CheckpointTransferMessage") -> bool:
+        """Whether *message* repeats the header of the chunks already held
+        (``digest`` and ``epoch`` select the assembly and are compared by
+        the caller)."""
+        held = next(iter(self.chunks.values()), message)
+        return (
+            message.chunk_count == self.chunk_count
+            and message.frontier == self.frontier
+            and message.order_digest == held.order_digest
+            and message.ids == held.ids
+        )
+
+    def complete(self) -> bool:
+        return len(self.chunks) == self.chunk_count
+
+    def assemble(self) -> Checkpoint:
+        """Rebuild the checkpoint from a complete chunk set (value slices are
+        concatenated in chunk order, preserving the ledger's oldest-first
+        insertion order)."""
+        values: Dict[OperationId, Any] = {}
+        for index in range(self.chunk_count):
+            values.update(self.chunks[index].values_chunk)
+        final = self.chunks[self.chunk_count - 1]
+        return Checkpoint(
+            base_state=final.base_state,
+            frontier=final.frontier,
+            ids=final.ids,
+            values=values,
+            order_digest=final.order_digest,
+        )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Fig. 11 is the memoizing replica of Fig. 10 plus ``cs_r`` and the recorded
 values ``val_r``, so this class extends
 :class:`~repro.algorithm.memoized.MemoizedReplicaCore`, which owns the
 memoized prefix (``memoized``, ``ms``, the label-order memoize pass, its
-compaction and reset hooks).  For strict operations the value must also
+reset hook).  For strict operations the value must also
 agree with the eventual total order: a response returns the memoized value
 once the operation is memoized (its position is then fixed) and ``val_r``
 before that, and strict responses are gated on
@@ -56,35 +56,13 @@ class CommuteReplicaCore(MemoizedReplicaCore):
 
     # ------------------------------------------------------------------ gossip
 
-    def _post_merge(self) -> None:
-        """Compaction is deferred to the end of :meth:`receive_gossip`: the
-        base hook would fold an operation learned in this very message before
-        the ``newly_done`` replay below applies it to ``cs_r``, permanently
-        dropping its effect from the current state."""
-
     def receive_gossip(self, message: GossipMessage) -> None:
         """Merge gossip and advance memoization; newly learned done
         operations are applied to ``cs_r`` in an order consistent with the
-        client-specified constraints among them (Fig. 11's receive loop).
-        Compaction runs only after that.
-
-        During an advert/pull catch-up window the derived state is left
-        alone: ``cs_r`` is missing the awaited compacted prefix, so folding
-        more operations into it would only deepen the corruption.  The
-        window-closing hooks rebuild everything from the (possibly adopted)
-        checkpoint base; the ``x not in self.values`` filter below keeps
-        that rebuild and this incremental path from double-applying an
-        operation.
-        """
+        client-specified constraints among them (Fig. 11's receive loop)."""
         previously_done = set(self.done_here())
         super().receive_gossip(message)
-        if self.catching_up():
-            return
-        self._apply_in_csc_order({
-            x for x in self.done_here() - previously_done if x not in self.values
-        })
-        if self.compaction is not None:
-            self.maybe_compact()
+        self._apply_in_csc_order(self.done_here() - previously_done)
 
     def _apply_in_csc_order(self, operations: Set[OperationDescriptor]) -> None:
         """Fold *operations* into ``cs_r`` in an order consistent with the
@@ -109,19 +87,8 @@ class CommuteReplicaCore(MemoizedReplicaCore):
 
     def response_ready(self, operation: OperationDescriptor) -> bool:
         """Fig. 11 strengthens the strict gate: the operation must also be
-        memoized (its eventual-order value is then fixed).  A retransmitted
-        compacted operation keeps the base-class contract — answerable from
-        the checkpoint's retained values."""
-        if operation not in self.pending:
-            return False
-        if self.is_compacted(operation.id):
-            return operation.id in self.checkpoint.values
-        if self.catching_up():
-            # Advert/pull catch-up: ``cs_r`` / ``val_r`` are missing the
-            # effects of the awaited compacted prefix (same replay gate as
-            # the base replica).
-            return False
-        if operation not in self.done_here():
+        memoized (its eventual-order value is then fixed)."""
+        if operation not in self.pending or operation not in self.done_here():
             return False
         if operation.strict:
             if not self.is_stable_everywhere(operation):
@@ -135,9 +102,9 @@ class CommuteReplicaCore(MemoizedReplicaCore):
         return True
 
     def compute_value(self, operation: OperationDescriptor) -> Any:
-        """The memoized value once the operation is memoized (or compacted),
-        ``v = val_r(x)`` before that — no replay at response time."""
-        if operation in self.memo_values or self.is_compacted(operation.id):
+        """The memoized value once the operation is memoized, ``v = val_r(x)``
+        before that — no replay at response time."""
+        if operation in self.memo_values:
             return super().compute_value(operation)
         if operation not in self.values:
             raise SpecificationError(
@@ -145,34 +112,13 @@ class CommuteReplicaCore(MemoizedReplicaCore):
             )
         return self.values[operation]
 
-    # ------------------------------------------------------ compaction interplay
-
-    def _after_compaction(self, removed) -> None:
-        super()._after_compaction(removed)
-        for operation in removed:
-            self.values.pop(operation, None)
-
     def _on_crash(self) -> None:
         """``cs_r`` / ``val_r`` are volatile too: a crash with volatile
-        memory restarts them with the memo prefix from the persisted
-        checkpoint's base state (re-learned operations are re-applied by the
-        gossip path)."""
+        memory restarts them with the memo prefix from the initial state
+        (re-learned operations are re-applied by the gossip path)."""
         super()._on_crash()
-        self.current_state = self.checkpoint.base_state
+        self.current_state = self.data_type.initial_state()
         self.values = {}
-
-    def _on_checkpoint_adopted(self) -> None:
-        """Rebuild the derived state after wholesale checkpoint adoption, or
-        after a catch-up window closed through gossip re-delivery (``cs_r`` /
-        ``val_r`` advanced by ``do_it`` during the window miss the re-tracked
-        prefix): the remaining done operations are re-applied onto the base
-        in an order consistent with the client-specified constraints (sound
-        under the SafeUsers discipline, Lemma 10.6), and memoization
-        restarts."""
-        self._on_crash()
-        self._apply_in_csc_order(set(self.done_here()))
-
-    _on_catchup_healed = _on_checkpoint_adopted
 
     # ----------------------------------------------------------------- snapshot
 

@@ -19,7 +19,11 @@ provably already holds everything the delta omits, so merging a delta leaves
 the receiver in exactly the state a full message would have produced — delta
 and full gossip induce identical executions under the same scheduler.  (A
 delta against merely *sent* state would not have this property over the
-paper's reorderable, lossy channels.)
+paper's reorderable, lossy channels.)  Delta gossip runs on the production
+core only, so the claim is checked against Fig. 7 itself: the delta row of
+the seeded differential in ``tests/test_fastcore.py`` runs the reference
+core's full-state gossip and the production core's deltas in lockstep and
+compares responses, witness order and replayed states.
 
 Crash recovery (Section 9.3) is handled by an incarnation ``epoch`` kept in
 the replica's stable storage alongside its generated labels: a replica that
@@ -33,7 +37,7 @@ Checkpoint coverage follows the same never-resend-below-the-acked-frontier
 rule as the payload sets: a delta attaches the sender's checkpoint (as body
 or, under advert/pull gossip, as a compact advert) only when its frontier
 advanced past what the acknowledged basis already conveyed — see
-``ReplicaCore._checkpoint_attachment`` — so acked knowledge is never shipped
+``FastReplicaCore._checkpoint_attachment`` — so acked knowledge is never shipped
 twice in either mode.
 """
 

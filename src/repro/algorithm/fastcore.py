@@ -1,12 +1,52 @@
 """The production replica core: :class:`FastReplicaCore`.
 
-A drop-in :class:`~repro.algorithm.replica.ReplicaCore` subclass that keeps
-the *authoritative* state exactly as the base class does (``pending`` /
+A :class:`~repro.algorithm.replica.ReplicaCore` subclass that keeps the
+*authoritative* state exactly as the reference automaton does (``pending`` /
 ``rcvd`` / ``done[i]`` / ``stable[i]`` / ``labels`` — so ``snapshot()``, the
-invariant checker and every harness keep working unchanged) but re-implements
-the profiled hot paths with interned keys and derived indexes.  It is the
-one optimised path beside the reference automaton, selected by
-``fast_core=True`` on :class:`~repro.config.ReplicaConfig`:
+invariant checker and every harness keep working unchanged), re-implements
+the profiled hot paths with interned keys and derived indexes, and is the
+one home of the extensions the paper does not have.  It is the one
+production path beside the reference automaton, selected by
+``fast_core=True`` on :class:`~repro.config.ReplicaConfig`.
+
+Extensions
+----------
+
+Each is switched on by its ``configure_*`` method (which
+:meth:`~repro.config.ReplicaConfig.configure_core` calls); with all of them
+off this core runs Fig. 7 exactly as the reference does.
+
+* **Delta gossip** (:meth:`FastReplicaCore.configure_delta_gossip`) — each
+  message to a peer carries only the knowledge that peer has not
+  acknowledged, against an acknowledged snapshot (:mod:`repro.algorithm.delta`
+  holds the seqno/ack/epoch machinery).  A label-change journal lets a delta
+  enumerate just the labels stored since the peer's basis; an incarnation
+  ``epoch`` in stable storage voids the acknowledgements a volatile crash
+  wiped, and deltas resting on them are refused until a full state arrives.
+* **Checkpoint compaction** (:meth:`FastReplicaCore.configure_compaction`) —
+  the stable-everywhere prefix of the label order is folded into a
+  :class:`~repro.algorithm.checkpoint.Checkpoint` and its per-operation
+  records are dropped, bounding the tracked state by the unstable suffix.
+  The checkpoint is stable storage (it survives a volatile crash), rides on
+  full-state and frontier-advancing gossip, and a peer that fell behind the
+  frontier adopts it wholesale.  A coverage is absorbed only after this
+  replica's would-be fold order reproduces its chained ``order_digest``.
+* **Adverts and pull/transfer** (:meth:`FastReplicaCore.configure_advert_gossip`)
+  — gossip attaches a compact advert instead of the checkpoint body; a
+  replica behind the advertised frontier queues a pull, enters catch-up
+  (no replay-based answers, no compaction) and adopts the body once the
+  transfer chunks reassemble to their content digest.
+* **Stale-response NACKs** — a retransmit for a compacted operation whose
+  retained value aged out is answered with an explicit NACK.
+
+The reference core runs none of these, so the lockstep differential in
+``tests/test_fastcore.py`` checks each one against the paper: delta gossip
+must give identical executions, compaction equal responses and replayed
+states, and adverts with pull/transfer the outcome oracle and the Section
+7/8 invariants.
+
+Hot paths
+---------
 
 * **Label interning** — a finite label ``(rank, replica)`` packs into the
   single int ``rank * len(replicas) + replica_index`` (replica indices
@@ -43,8 +83,8 @@ one optimised path beside the reference automaton, selected by
   ``do_it`` skips the existing-label scan entirely
   (:meth:`~repro.algorithm.labels.LabelGenerator.fresh_monotone`).  The
   first explicitly supplied label (harness-driven ``do_it(x, label)``)
-  permanently falls back to the base path, which re-validates against the
-  done set.
+  permanently falls back to the reference path, which re-validates against
+  the done set.
 * **Order splices, deferred across a batch** — a gossip merge splices the
   operations it makes done, and the done operations whose label it lowers,
   into the sorted order by bisecting the key backbone, instead of marking
@@ -98,21 +138,36 @@ worklist with the rows other than ``me``; an operation such a read drops
 re-enters the worklist when it next enters a row.  A merge also settles a
 worklist grown past twice the smallest other row (which bounds the
 everywhere-stable set), so a replica that never reads holds no more than
-the eager set would.  Lockstep seeded twins
-against :class:`ReplicaCore` (responses, witness order, state digests) and
-the conformance corpus enforce the argument in CI.
+the eager set would.  The lockstep differential against
+:class:`~repro.algorithm.replica.ReplicaCore` (responses, witness order,
+replayed states) and the conformance corpus enforce the argument in CI.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.algorithm.checkpoint import (
+    Checkpoint,
+    CheckpointAdvert,
+    CompactionPolicy,
+    TransferAssembly,
+    chain_order_digest,
+)
+from repro.algorithm.delta import GossipSnapshot, PeerInState, PeerOutState
 from repro.algorithm.labels import Label, label_sort_key
-from repro.algorithm.messages import GossipMessage, RequestMessage
+from repro.algorithm.messages import (
+    CheckpointTransferMessage,
+    GossipMessage,
+    PullRequestMessage,
+    RequestMessage,
+    checkpoint_transfers,
+)
 from repro.algorithm.replica import ReplicaCore
-from repro.common import OperationId, SpecificationError
+from repro.common import ConfigurationError, OperationId, SpecificationError
+from repro.core.operations import OperationDescriptor
 
 #: Sort key of "no label yet": after every finite packed label key.
 _INFINITE_KEY = float("inf")
@@ -140,10 +195,10 @@ def _iter_interval_diff(theirs, mine):
 
 
 class FastReplicaCore(ReplicaCore):
-    """The production core.  Externally indistinguishable from
-    :class:`ReplicaCore` (same responses, witness order, digests, message
-    payloads); only wall-clock time and the counter of replay work
-    (``value_applications``) may differ."""
+    """The production core.  With no extension switched on it is externally
+    indistinguishable from :class:`ReplicaCore` (same responses, witness
+    order, digests, message payloads); only wall-clock time and the counter
+    of replay work (``value_applications``) may differ."""
 
     def __init__(self, replica_id, replica_ids, data_type) -> None:
         super().__init__(replica_id, replica_ids, data_type)
@@ -194,6 +249,123 @@ class FastReplicaCore(ReplicaCore):
         #: pending by a previous ``compactable_prefix`` walk.
         self._solid = 0
 
+        #: Incarnation number, kept in stable storage: bumped on every crash
+        #: with volatile memory so peers can tell that acknowledgements
+        #: issued before the crash are void.
+        self._epoch: int = 0
+        #: Monotone counter bumped on every state mutation, so make_gossip
+        #: can reuse the previous payload snapshot when nothing changed
+        #: (idle gossip ticks dominate long runs).
+        self._state_version: int = 0
+        self._snapshot_cache: Optional[Tuple[int, GossipSnapshot]] = None
+
+        #: Delta-gossip configuration and per-peer bookkeeping (volatile).
+        self.delta_gossip: bool = False
+        self.full_state_interval: int = 8
+        self._peer_out: Dict[str, PeerOutState] = {}
+        self._peer_in: Dict[str, PeerInState] = {}
+        #: Peers whose delta gossip cannot be trusted yet because this
+        #: replica crashed with volatile memory: until a peer demonstrates a
+        #: post-crash basis (any full-state message), its deltas may be
+        #: computed against acknowledgements the previous incarnation issued
+        #: for knowledge that no longer exists here, and merging them could
+        #: absorb stability for operations sitting above an invisible gap.
+        self._unsynced_peers: Set[str] = set()
+        #: Label-change journal (volatile): every store into ``labels`` is
+        #: stamped with a monotone version, so a delta send enumerates only
+        #: the entries touched since the peer's acked basis instead of
+        #: scanning the whole label map.  ``_label_journal_floor`` is the
+        #: highest pruned version: a basis at or above it can use the
+        #: journal, an older one falls back to the full scan.
+        self._label_version: int = 0
+        self._label_journal_versions: List[int] = []
+        self._label_journal_ids: List[OperationId] = []
+        self._label_journal_floor: int = 0
+
+        #: Stability-driven checkpoint compaction (Section 7.2 / Theorem 5.8
+        #: made operational — see :mod:`repro.algorithm.checkpoint`).  The
+        #: checkpoint lives in stable storage: it survives volatile crashes.
+        self.compaction: Optional[CompactionPolicy] = None
+        #: Harness hook invoked after each compaction with the folded batch
+        #: (in label order) and the new checkpoint; used by the system/sim
+        #: layers to keep the shared compacted-prefix ledger.
+        self.on_compact: Optional[Callable[[List[OperationDescriptor], Checkpoint], None]] = None
+        #: Retransmitted requests whose compacted value aged out of the
+        #: ledger: queued for an explicit stale-response NACK instead of
+        #: being silently dropped; drained by the harness.
+        self._stale_nacks: List[OperationDescriptor] = []
+
+        #: Advert/pull gossip configuration: with it enabled, gossip carries
+        #: a compact checkpoint advert instead of the checkpoint body, and a
+        #: behind peer pulls the body on demand (optionally chunked).
+        self.advert_gossip: bool = False
+        self.checkpoint_chunk: Optional[int] = None
+        #: Outgoing pull requests queued by staleness detection (volatile);
+        #: keyed by the advertising peer, drained by the harness.
+        self._pull_queue: Dict[str, CheckpointAdvert] = {}
+        #: Partial checkpoint-transfer assemblies, keyed by sender (volatile).
+        self._transfer_in: Dict[str, TransferAssembly] = {}
+        #: The highest-frontier advert whose coverage this replica detected
+        #: itself *missing* part of (volatile).  While set, the replica is in
+        #: catch-up: its label order has a hole below the advertised
+        #: frontier, so local replays are untrustworthy — it neither answers
+        #: tracked requests nor compacts until the hole closes (via an
+        #: adopted transfer, or via ordinary gossip from a peer that still
+        #: tracks the missing operations).  Eager shipping never needs this:
+        #: there the body rides on the very message that reveals the gap.
+        self._await: Optional[CheckpointAdvert] = None
+        #: Memo for :meth:`catching_up`: (state version it was computed at,
+        #: result) — the re-evaluation scans ``done_here``, and response
+        #: predicates call it once per pending operation.
+        self._await_check: Optional[Tuple[int, bool]] = None
+
+    # ------------------------------------------------------------ configuration
+
+    def configure_delta_gossip(self, enabled: bool = True, full_state_interval: int = 8) -> None:
+        """Switch destination-specific delta gossip on or off.
+
+        ``full_state_interval`` is the periodic full-state fallback: every
+        that-many sends to a peer, a full message is sent even when a delta
+        basis is available, bounding how long a peer that silently lost state
+        can stay behind.
+        """
+        if full_state_interval < 1:
+            raise ConfigurationError("full_state_interval must be at least 1")
+        self.delta_gossip = enabled
+        self.full_state_interval = full_state_interval
+
+    def configure_advert_gossip(
+        self, enabled: bool = True, checkpoint_chunk: Optional[int] = None
+    ) -> None:
+        """Switch advert/pull checkpoint gossip on or off.
+
+        With it on, full-state (and frontier-advancing delta) messages attach
+        a :class:`~repro.algorithm.checkpoint.CheckpointAdvert` instead of
+        the checkpoint body, bounding their steady-state payload; a receiver
+        that detects it is behind the advertised frontier issues a pull
+        request and the advertiser streams the body back in
+        ``checkpoint_chunk``-sized value slices (``None`` = one message).
+        Orthogonal to both delta gossip and the compaction policy itself.
+        """
+        if checkpoint_chunk is not None and checkpoint_chunk < 1:
+            raise ConfigurationError("checkpoint_chunk must be at least 1 or None")
+        self.advert_gossip = enabled
+        self.checkpoint_chunk = checkpoint_chunk
+
+    def configure_compaction(
+        self, policy: Optional[CompactionPolicy] = None, enabled: bool = True
+    ) -> None:
+        """Switch stability-driven checkpoint compaction on or off.
+
+        With *enabled* true, the replica opportunistically folds the
+        stable-everywhere prefix of its label order into the checkpoint after
+        gossip merges (once at least ``policy.min_batch`` operations are
+        compactable), dropping their per-operation records.  Disabling stops
+        further compaction but keeps the existing checkpoint — already-folded
+        operations cannot be un-compacted.
+        """
+        self.compaction = (policy or CompactionPolicy()) if enabled else None
+
     # ------------------------------------------------------------- interning
 
     def _label_key(self, label) -> Any:
@@ -233,13 +405,27 @@ class FastReplicaCore(ReplicaCore):
         self._replay_states = []
         self._replay_values = {}
 
+    _on_crash = _rebuild_fast_state
+
     def _truncate_replay(self, length: int) -> None:
         del self._replay_order[length:]
         del self._replay_states[length:]
 
     # ------------------------------------------------------------------ order
 
+    def is_compacted(self, op_id: OperationId) -> bool:
+        """Whether *op_id* has been folded into the checkpoint (its record
+        dropped; it is received, done and stable at every replica, and its
+        value is fixed forever).  Tracked implies not compacted, so a
+        done-here operation (the common case on the response path) skips
+        the interval bisect entirely."""
+        if op_id in self._done_index:
+            return False
+        return self.checkpoint.covers(op_id)
+
     def done_order(self) -> List:
+        """The *tracked* (non-compacted) done operations in label order;
+        a fold trims the folded prefix off the cached order."""
         if self._deferred_done or self._deferred_reorders:
             self._flush_order_changes()
         if self._order_dirty:
@@ -277,20 +463,48 @@ class FastReplicaCore(ReplicaCore):
     # ----------------------------------------------------------- request path
 
     def receive_request(self, message: RequestMessage) -> None:
-        super().receive_request(message)
+        """``receive_cr(("request", x))``.
+
+        A retransmitted request for an already-compacted operation is queued
+        for a response without re-tracking the operation: its value is fixed
+        and (retention permitting) retained by the checkpoint.  When the
+        value has already aged out of a finite retention window this replica
+        can provably never answer it — a permanently unanswerable ``pending``
+        entry would grow without bound under retransmission — so the request
+        is queued for an explicit stale-response NACK instead (see
+        :meth:`take_stale_nacks`): the front end learns the value is gone
+        rather than waiting forever.
+        """
         operation = message.operation
+        if self.is_compacted(operation.id):
+            if operation.id in self.checkpoint.values:
+                self.pending.add(operation)
+                self._state_version += 1
+            else:
+                self._stale_nacks.append(operation)
+            return
+        super().receive_request(message)
+        self._state_version += 1
         if operation.id in self._done_index:
             # Retransmit of an already-done operation: it re-enters pending,
             # so a previously verified-solid position may block again — the
             # one event that shrinks the solid prefix.
             self._solid = 0
-        elif operation in self.rcvd:
+        else:
             self._undone.add(operation)
 
+    def take_stale_nacks(self) -> List[OperationDescriptor]:
+        """Drain the queued stale-response NACKs (retransmits for compacted
+        operations whose retained value was evicted).  The harness turns each
+        into a ``ResponseMessage(..., stale=True, sender=...)`` so the front
+        end can stop waiting once every replica has NACKed."""
+        nacks, self._stale_nacks = self._stale_nacks, []
+        return nacks
+
     def can_do(self, operation) -> bool:
-        # Tracked implies not compacted, so membership in ``rcvd`` subsumes
-        # the base class's coverage pre-check; a compacted operation is
-        # never in ``rcvd`` and fails here exactly as it does there.
+        # Compacted operations count as done (they are done everywhere).  A
+        # compacted operation is never in ``rcvd``, so it fails the first
+        # test.
         if operation not in self.rcvd or operation in self.done[self.replica_id]:
             return False
         prev = operation.prev
@@ -312,9 +526,14 @@ class FastReplicaCore(ReplicaCore):
         if label is not None or self._explicit_labels:
             if label is not None:
                 self._explicit_labels = True
+                frontier = self.checkpoint.frontier
+                if frontier is not None and label <= frontier:
+                    raise SpecificationError("new label must exceed the compaction frontier")
             assigned = super().do_it(operation, label)
+            self._note_label_change(operation.id)
+            self._state_version += 1
             if not self._order_dirty:
-                # The base class appended to the order (the label exceeds
+                # The reference appended to the order (the label exceeds
                 # every done label); the key backbone must follow.
                 self._order_keys.append(self._label_key(assigned))
             self._register_done_here(operation)
@@ -324,8 +543,8 @@ class FastReplicaCore(ReplicaCore):
                 f"do_it precondition fails for {operation.id} at replica {self.replica_id}"
             )
         # Every tracked label passed through fresh()/observed(), so the
-        # generator's next rank already exceeds all of them: the base
-        # class's existing-label scan would find nothing to skip past.
+        # generator's next rank already exceeds all of them: the reference's
+        # existing-label scan would find nothing to skip past.
         assigned = self._label_generator.fresh_monotone()
         self.done[self.replica_id].add(operation)
         self.labels[operation.id] = assigned
@@ -345,14 +564,11 @@ class FastReplicaCore(ReplicaCore):
         self._done_index[operation.id] = operation
         self._undone.discard(operation)
 
-    def is_compacted(self, op_id) -> bool:
-        # Tracked implies not compacted, so a done-here operation (the common
-        # case on the response path) skips the interval bisect entirely.
-        if op_id in self._done_index:
-            return False
-        return self.checkpoint.covers(op_id)
-
     # ---------------------------------------------------------- response path
+
+    def knows_stable(self, operation) -> bool:
+        # A compacted operation is stable here by construction.
+        return operation in self.stable_here() or self.is_compacted(operation.id)
 
     def ready_responses(self) -> List:
         ready = [x for x in self.pending if self.response_ready(x)]
@@ -360,20 +576,32 @@ class FastReplicaCore(ReplicaCore):
         return ready
 
     def response_ready(self, operation) -> bool:
-        # The common case — a tracked, done-here operation outside catch-up —
-        # resolves on the done index and the stable-everywhere set alone.  Tracked
-        # implies not compacted, so the base class's coverage branch cannot
-        # apply; everything else (compacted values, catch-up gating, the
-        # not-done cases) delegates so the semantics stay in one place.
+        """Precondition of ``send_rc(("response", x, v))``.
+
+        A compacted operation is answerable exactly when its fixed value is
+        still retained by the checkpoint (always, under the default unbounded
+        ``value_retention``).
+
+        A replica in advert/pull catch-up answers from retained checkpoint
+        values, and — the one replay-based exception — operations whose
+        reported value is :meth:`~repro.datatypes.base.SerialDataType.\
+state_independent`: its tracked history has a hole below the awaited
+        frontier, so a local replay could omit compacted effects, but a
+        state-independent value is the same over any prefix.  Everything
+        else waits; liveness is preserved by the pull retries (or by a
+        peer that still tracks everything answering instead).
+        """
         if operation not in self.pending:
             return False
-        if operation.id in self._done_index:
-            if self.catching_up():
-                return super().response_ready(operation)
-            if operation.strict and not self.is_stable_everywhere(operation):
-                return False
-            return True
-        return super().response_ready(operation)
+        # Tracked implies not compacted: the done index decides first.
+        done = operation.id in self._done_index
+        if not done and self.checkpoint.covers(operation.id):
+            return operation.id in self.checkpoint.values
+        if self.catching_up() and not self.data_type.state_independent(operation.op):
+            return False
+        if not done:
+            return False
+        return not operation.strict or self.is_stable_everywhere(operation)
 
     @property
     def _stable_all(self) -> Set[Any]:
@@ -404,16 +632,27 @@ class FastReplicaCore(ReplicaCore):
         if operation in self._stable_all:
             return True
         # Tracked implies not compacted; an untracked operation is
-        # stable-everywhere iff compacted (the base class's first branch).
+        # stable-everywhere iff compacted (compaction only ever folds
+        # operations already known stable everywhere).
         return self.is_compacted(operation.id)
 
     def compute_value(self, operation) -> Any:
         """The reference replay, resumed past the cached prefix: only the
-        positions of the done order not yet replayed are applied."""
+        positions of the done order not yet replayed are applied, on top of
+        the checkpoint base state.  The value of a compacted operation is
+        fixed and served from the checkpoint's retained values."""
         if operation.id not in self._done_index:
-            # Compacted (answered from the checkpoint) or not done here
-            # (refused): the reference path handles both.
-            return super().compute_value(operation)
+            if self.checkpoint.covers(operation.id):
+                try:
+                    return self.checkpoint.values[operation.id]
+                except KeyError:
+                    raise SpecificationError(
+                        f"value of compacted operation {operation.id} was evicted at "
+                        f"{self.replica_id} (raise CompactionPolicy.value_retention)"
+                    ) from None
+            raise SpecificationError(
+                f"cannot compute a value for {operation.id}: not done at {self.replica_id}"
+            )
         order = self.done_order()  # flushes splices; a re-sort trims the cache
         replayed = self._replay_order
         states = self._replay_states
@@ -432,7 +671,188 @@ class FastReplicaCore(ReplicaCore):
 
     # ------------------------------------------------------------ gossip path
 
+    def _note_label_change(self, op_id: OperationId) -> None:
+        """Record a store into ``labels`` in the label-change journal.
+
+        Every site that inserts or replaces a label entry must call this (or
+        inline the equivalent) so delta gossip's changed-since-basis
+        enumeration stays exact.  Deletions (compaction, adoption filtering)
+        need no entry: a delta iterates the sender's current labels, so a
+        deleted entry simply never appears — exactly as under the full scan.
+        """
+        self._label_version += 1
+        self._label_journal_versions.append(self._label_version)
+        self._label_journal_ids.append(op_id)
+
+    def make_gossip(self, destination: Optional[str] = None) -> GossipMessage:
+        """``send_rr'(("gossip", R, D, L, S))``.
+
+        Without a *destination* (or with delta gossip disabled) the payload is
+        the replica's full current received/done/label/stable knowledge, as in
+        Fig. 7.  With delta gossip enabled and a destination given, the
+        payload carries only what the destination has not acknowledged — see
+        :mod:`repro.algorithm.delta`.
+        """
+        self.stats.gossip_sent += 1
+        if not self.delta_gossip or destination is None:
+            return GossipMessage(
+                sender=self.replica_id,
+                received=frozenset(self.rcvd),
+                done=frozenset(self.done_here()),
+                labels=dict(self.labels),
+                stable=frozenset(self.stable_here()),
+                epoch=self._epoch,
+                **self._checkpoint_attachment(self.checkpoint),
+            )
+        if destination == self.replica_id:
+            raise SpecificationError("a replica does not gossip with itself")
+        if destination not in self.done:
+            raise SpecificationError(f"gossip to unknown replica {destination!r}")
+
+        out = self._peer_out_state(destination)
+        snapshot = self._payload_snapshot()
+        seqno = out.next_seqno
+        out.next_seqno += 1
+        out.record_send(seqno, snapshot)
+
+        basis = out.basis
+        send_full = basis is None or out.sends_since_full + 1 >= self.full_state_interval
+        ack_state = self._peer_in.get(destination)
+        acks = dict(
+            ack=ack_state.frontier if ack_state is not None else 0,
+            ack_epoch=ack_state.epoch if ack_state is not None else 0,
+            ack_stream=ack_state.stream if ack_state is not None else 0,
+        )
+        if send_full:
+            out.sends_since_full = 0
+            return GossipMessage(
+                sender=self.replica_id,
+                received=snapshot.received,
+                done=snapshot.done,
+                labels=dict(snapshot.labels),
+                stable=snapshot.stable,
+                epoch=self._epoch,
+                stream=out.stream,
+                seqno=seqno,
+                **acks,
+                **self._checkpoint_attachment(snapshot.checkpoint),
+            )
+        out.sends_since_full += 1
+        # A delta never resends knowledge at or below the acked basis — which
+        # includes everything compacted since: those operations simply left
+        # the payload snapshot.  The checkpoint itself travels (as body or
+        # advert) only when the frontier advanced past what the basis already
+        # conveyed — the same "nothing below the acked frontier is resent"
+        # rule the payload sets follow.
+        basis_count = basis.checkpoint.count if basis.checkpoint is not None else 0
+        advanced = snapshot.checkpoint is not None and snapshot.checkpoint.count > basis_count
+        return GossipMessage(
+            sender=self.replica_id,
+            received=snapshot.received - basis.received,
+            done=snapshot.done - basis.done,
+            labels=self._labels_since(snapshot, basis),
+            stable=snapshot.stable - basis.stable,
+            epoch=self._epoch,
+            stream=out.stream,
+            seqno=seqno,
+            **acks,
+            is_delta=True,
+            basis=basis,
+            **self._checkpoint_attachment(snapshot.checkpoint if advanced else None),
+        )
+
+    def _labels_since(self, snapshot: GossipSnapshot, basis: GossipSnapshot) -> Dict[OperationId, Label]:
+        """The label entries of *snapshot* that differ from *basis* — the
+        delta payload's ``L`` component.
+
+        Labels change only through journaled stores, so when the journal
+        still reaches back to the basis version the enumeration walks just
+        the entries touched since then (a handful in steady state) and
+        produces exactly what the full scan over ``snapshot.labels`` would.
+        A basis older than the pruned journal horizon falls back to that
+        full scan.
+        """
+        basis_labels = basis.labels
+        snap_labels = snapshot.labels
+        if basis.label_version < self._label_journal_floor:
+            return {
+                op_id: label
+                for op_id, label in snap_labels.items()
+                if basis_labels.get(op_id) != label
+            }
+        versions = self._label_journal_versions
+        start = bisect_right(versions, basis.label_version)
+        delta: Dict[OperationId, Label] = {}
+        snap_get = snap_labels.get
+        basis_get = basis_labels.get
+        for op_id in self._label_journal_ids[start:]:
+            label = snap_get(op_id)
+            # A journaled id absent from the snapshot was compacted away
+            # since the store — the full scan would not have sent it either.
+            if label is not None and basis_get(op_id) != label:
+                delta[op_id] = label
+        if len(versions) > 4096:
+            self._prune_label_journal()
+        return delta
+
+    def _prune_label_journal(self) -> None:
+        """Drop journal entries every peer's acked basis is already past."""
+        horizon = min(
+            (
+                out.basis.label_version
+                for out in self._peer_out.values()
+                if out.basis is not None
+            ),
+            default=self._label_version,
+        )
+        cut = bisect_right(self._label_journal_versions, horizon)
+        if cut:
+            del self._label_journal_versions[:cut]
+            del self._label_journal_ids[:cut]
+            self._label_journal_floor = horizon
+
+    def _checkpoint_attachment(self, checkpoint: Optional[Checkpoint]) -> Dict[str, Any]:
+        """The checkpoint-coverage field for an outgoing gossip message: the
+        body under eager shipping, the compact advert under advert/pull."""
+        if checkpoint is None or not checkpoint.count:
+            return {}
+        if self.advert_gossip:
+            return {"advert": checkpoint.advert()}
+        return {"checkpoint": checkpoint}
+
+    def _payload_snapshot(self) -> GossipSnapshot:
+        """The current ``(R, D, L, S)`` payload, reusing the previous
+        immutable snapshot when no state mutation happened since — in steady
+        state every gossip tick sends the same (empty-delta) payload, so the
+        copies would otherwise dominate the cost the deltas save."""
+        if self._snapshot_cache is not None and self._snapshot_cache[0] == self._state_version:
+            return self._snapshot_cache[1]
+        snapshot = GossipSnapshot(
+            received=frozenset(self.rcvd),
+            done=frozenset(self.done_here()),
+            labels=dict(self.labels),
+            stable=frozenset(self.stable_here()),
+            checkpoint=self.checkpoint,
+            label_version=self._label_version,
+        )
+        self._snapshot_cache = (self._state_version, snapshot)
+        return snapshot
+
     def receive_gossip(self, message: GossipMessage) -> None:
+        """``receive_r'r(("gossip", R, D, L, S))`` — merge the sender's
+        knowledge into ours (Fig. 7).
+
+        The merge is a union/minimum either way, so full and delta messages
+        go through the same effect; a delta merge simply touches fewer
+        elements.  Knowledge at or below this replica's compaction frontier
+        is already folded into the checkpoint and is filtered out instead of
+        re-tracked; an attached sender checkpoint ahead of ours is merged
+        first (see :meth:`_merge_checkpoint`), while an attached *advert* is
+        either absorbed as stability knowledge (when everything it covers is
+        still tracked or compacted here) or queued for a pull (see
+        :meth:`_consider_advert`).  Delta bookkeeping (seqno frontier, acks,
+        epochs) is updated afterwards.
+        """
         sender = message.sender
         me = self.replica_id
         if sender == me:
@@ -446,9 +866,17 @@ class FastReplicaCore(ReplicaCore):
             self._consider_advert(sender, message.advert)
 
         if not self._delta_basis_trusted(message):
-            # Stale-basis delta after our volatile crash — same refusal as the
-            # base class: keep the self-contained attachments, drop the
-            # payload, and do not acknowledge the seqno.
+            # The sender has not yet observed our post-crash incarnation: its
+            # delta was computed against acknowledgements we issued before
+            # losing our volatile state, so it can silently omit operations
+            # (and their labels) that we no longer hold while still asserting
+            # stability for operations ordered after them.  Merging such a
+            # payload can convince us to compact a prefix with a hole in it.
+            # Discard the payload (the self-contained checkpoint/advert above
+            # were still processed) and do not acknowledge the seqno: the
+            # unacked knowledge stays in the sender's window and is re-sent —
+            # at the latest as the full state it falls back to once it sees
+            # our bumped epoch or our ack regression.
             self.stats.stale_basis_deltas_skipped += 1
             self._record_gossip_bookkeeping(message, merged=False)
             self.stats.gossip_received += 1
@@ -510,7 +938,7 @@ class FastReplicaCore(ReplicaCore):
 
         # label_r <- min(label_r, L); note the maximum incoming rank so the
         # generator invariant behind fresh_monotone() is maintained (the
-        # base class calls observed() per entry).  Lowered labels of
+        # reference calls observed() per entry).  Lowered labels of
         # previously done operations are collected for the incremental
         # order-maintenance pass below.
         newly_done_ids = {x.id for x in new_done_me} if new_done_me else frozenset()
@@ -718,6 +1146,57 @@ class FastReplicaCore(ReplicaCore):
         if min_pos < self._solid:
             self._solid = min_pos
 
+    def _delta_basis_trusted(self, message: GossipMessage) -> bool:
+        """Whether a gossip payload's basis is sound to merge.
+
+        Full-state payloads are self-contained and always trusted; a trusted
+        full state also re-synchronises the sender after our own volatile
+        crash.  A delta is only trusted once the sender has demonstrated a
+        post-crash basis, because the acknowledgements our previous
+        incarnation issued described knowledge that was wiped."""
+        sender = message.sender
+        if not message.is_delta:
+            self._unsynced_peers.discard(sender)
+            return True
+        return sender not in self._unsynced_peers
+
+    def _peer_out_state(self, peer: str) -> PeerOutState:
+        """The send-side delta bookkeeping toward *peer*, created on first
+        use (not built and thrown away on every send and receipt)."""
+        out = self._peer_out.get(peer)
+        if out is None:
+            out = self._peer_out[peer] = PeerOutState()
+        return out
+
+    def _record_gossip_bookkeeping(self, message: GossipMessage,
+                                   merged: bool = True) -> None:
+        """Advance the delta-gossip seqno/ack/epoch state for one receipt.
+
+        With ``merged=False`` (a skipped stale-basis delta) the seqno is not
+        recorded: acknowledging a payload we discarded would let the sender
+        drop that knowledge from every future delta."""
+        sender = message.sender
+        in_state = self._peer_in.get(sender)
+        if in_state is None:
+            in_state = self._peer_in[sender] = PeerInState(epoch=message.epoch)
+        if message.epoch > in_state.epoch:
+            # The sender restarted: its seqno streams start over and every
+            # acknowledgement it issued before the crash is void.  A partial
+            # checkpoint transfer from the old incarnation is abandoned too —
+            # the persisted checkpoint survives the crash, so the retry pull
+            # fetches the same (or a newer, nested) body.
+            in_state.reset(message.epoch)
+            self._peer_out_state(sender).reset()
+            self._transfer_in.pop(sender, None)
+        if merged and message.seqno is not None and message.epoch == in_state.epoch:
+            in_state.record_receipt(message.stream, message.seqno,
+                                    is_full=not message.is_delta)
+        out = self._peer_out_state(sender)
+        if (message.ack is not None
+                and message.ack_epoch == self._epoch
+                and message.ack_stream == out.stream):
+            out.apply_ack(message.ack)
+
     def _promote_stable(self) -> None:
         # Direct calls (the fast receive_gossip promotes inline).  done[me]
         # contains every other row (Invariant 7.1), so the others decide.
@@ -730,8 +1209,17 @@ class FastReplicaCore(ReplicaCore):
             stable_me |= new
             self._stable_fresh |= new
 
-    def _mark_coverage_stable(self, tracked) -> None:
-        super()._mark_coverage_stable(tracked)
+    def _mark_coverage_stable(self, tracked: Set[OperationDescriptor]) -> None:
+        """Absorb a checkpoint's stability assertion for operations still
+        tracked here (sound: the sender verified ``x in stable_sender[i]``
+        for every replica ``i`` before compacting, and ``stable_sender[i]``
+        is within ``stable_i[i]``)."""
+        if not tracked:
+            return
+        for i in self.replica_ids:
+            self.done[i] |= tracked
+            self.stable[i] |= tracked
+        self._state_version += 1
         # Now in every row: settled outright.
         self._stable_settled |= tracked
 
@@ -754,45 +1242,108 @@ class FastReplicaCore(ReplicaCore):
         self._solid = pos
         return order[:pos]
 
-    def _replayed_prefix(self, count):
-        # The fold is the head of the clean order (``compactable_prefix``
-        # read it) and the cache a prefix of the same order, so a cache
-        # reaching the fold's boundary holds the fold's post-state and values.
-        states = self._replay_states
-        if len(states) < count:
-            return None
-        values = self._replay_values
-        return states[count - 1], [values[op_id] for op_id in self._replay_order[:count]]
+    def maybe_compact(self, force: bool = False) -> int:
+        """Fold the compactable prefix into the checkpoint when the policy
+        says so (*force* ignores the ``min_batch`` amortization gate — the
+        simulator's interval-driven compaction tick uses it).  Returns the
+        number of operations folded.
 
-    def _after_compaction(self, removed) -> None:
-        # The base class already head-trimmed ``_order_cache`` by the folded
-        # prefix; trim the key backbone and the replay cache to match.  The
-        # replay cache is a prefix of the same clean order, so its head is
-        # the folded prefix (or a head of it) and the trim keeps it a prefix.
-        count = len(removed)
-        if not self._order_dirty:
-            if len(self._order_keys) == len(self._order_cache) + count:
-                del self._order_keys[:count]
-            else:  # pragma: no cover - defensive
-                self._order_dirty = True
-        if self._order_dirty:  # pragma: no cover - defensive
-            self._truncate_replay(0)
-        else:
+        A replica in advert/pull catch-up never compacts: its label order is
+        missing part of the agreed prefix, so what it would fold is not a
+        prefix of the system-wide order (the ledger would flag the
+        divergence).  Compaction resumes once the hole closes."""
+        if self.compaction is None or self.catching_up():
+            return 0
+        prefix = self.compactable_prefix()
+        if not prefix or (not force and len(prefix) < self.compaction.min_batch):
+            return 0
+        return self._compact(prefix)
+
+    def _compact(self, prefix: List[OperationDescriptor]) -> int:
+        """Fold *prefix* into the checkpoint and drop its per-operation
+        records from every tracked structure.
+
+        The fold is the head of the clean order (``compactable_prefix`` read
+        it) and the replay cache a prefix of the same order, so a cache that
+        reaches the fold's boundary holds the fold's post-state and values,
+        and trimming the folded head off both keeps the cache a prefix."""
+        count = len(prefix)
+        states = self._replay_states
+        replayed = None
+        if len(states) >= count:
+            values = self._replay_values
+            replayed = states[count - 1], [values[op_id] for op_id in self._replay_order[:count]]
+        self.checkpoint, applications = self.checkpoint.extend(
+            prefix, self.data_type, self.labels,
+            value_retention=self.compaction.value_retention,
+            replayed=replayed,
+        )
+        self.stats.compaction_applications += applications
+        removed = set(prefix)
+        self.rcvd -= removed
+        for i in self.replica_ids:
+            self.done[i] -= removed
+            self.stable[i] -= removed
+        done_index = self._done_index
+        repr_cache = self._repr_cache
+        values = self._replay_values
+        for x in prefix:
+            op_id = x.id
+            self.labels.pop(op_id, None)
+            self._stable_storage.pop(op_id, None)
+            done_index.pop(op_id, None)
+            repr_cache.pop(op_id, None)
+            values.pop(op_id, None)
+        # Locally generated labels must keep exceeding the frontier even
+        # though the compacted labels left the generator's inputs.
+        self._label_generator.observed(self.checkpoint.frontier)
+        self._drop_unanswerable_pending()
+        order = self._order_cache
+        if (
+            not self._order_dirty
+            and len(self._order_keys) == len(order)
+            and [x.id for x in order[:count]] == [x.id for x in prefix]
+        ):
+            del order[:count]
+            del self._order_keys[:count]
             del self._replay_order[:count]
             del self._replay_states[:count]
+        else:  # pragma: no cover - defensive; the prefix is the order's head
+            self._order_dirty = True
+            self._truncate_replay(0)
         # The fold removed *removed* from every row.
         self._stable_settled -= removed
         self._stable_fresh -= removed
         self._solid = 0
-        done_index = self._done_index
-        repr_cache = self._repr_cache
-        values = self._replay_values
-        for x in removed:
-            done_index.pop(x.id, None)
-            repr_cache.pop(x.id, None)
-            values.pop(x.id, None)
+        self._state_version += 1
+        self.stats.compactions += 1
+        self.stats.compacted_operations += count
+        if self.on_compact is not None:
+            self.on_compact(prefix, self.checkpoint)
+        return count
 
-    def _coverage_position(self, coverage):
+    def _drop_unanswerable_pending(self) -> None:
+        """Prune pending entries this replica can provably never answer: a
+        compacted operation whose retained value has been evicted (by a local
+        fold under finite retention, or by an adopted checkpoint whose sender
+        evicted it).  Left in place they would sit in ``pending`` forever —
+        ``response_ready`` can never become true for them again."""
+        if not self.pending:
+            return
+        self.pending = {
+            op
+            for op in self.pending
+            if not (self.checkpoint.covers(op.id) and op.id not in self.checkpoint.values)
+        }
+
+    # ------------------------------------------------------- checkpoint coverage
+
+    def _coverage_position(self, coverage) -> Tuple[Set[OperationDescriptor], int]:
+        """How much of *coverage* (a checkpoint body or advert — anything
+        with ``covers``/``ids``/``count``) this replica already holds:
+        the covered operations still tracked here, and the number of covered
+        identifiers missing entirely (neither tracked nor in our own
+        checkpoint)."""
         # Absorbed memo: once a coverage with this (or a larger) frontier has
         # been fully absorbed — every covered operation marked done+stable
         # everywhere or folded into our own checkpoint — a nested coverage
@@ -805,8 +1356,8 @@ class FastReplicaCore(ReplicaCore):
         absorbed = self._absorbed_frontier
         if absorbed is not None and label_sort_key(frontier) <= label_sort_key(absorbed):
             return set(), 0
-        # The base class scans every done-here operation against the incoming
-        # coverage — per attached checkpoint, on every gossip message.  In
+        # Scanning every done-here operation against the incoming coverage
+        # would run per attached checkpoint, on every gossip message.  In
         # steady state the incoming summary covers only slightly more than our
         # own checkpoint, so enumerate that interval difference instead and
         # probe the done index: tracked operations are never covered by our
@@ -819,9 +1370,10 @@ class FastReplicaCore(ReplicaCore):
         if diff_count > 2 * len(done_index) + 64 or (
             ours.count and not ours.issubset(cov_ids)
         ):
-            # Far behind (crash recovery) or non-nested summaries: the base
-            # scan over done-here is the cheaper/safer path.
-            tracked, missing = super()._coverage_position(coverage)
+            # Far behind (crash recovery) or non-nested summaries: the scan
+            # over done-here is the cheaper/safer path.
+            tracked = {x for x in self.done_here() if coverage.covers(x.id)}
+            missing = diff_count - len(tracked)
         else:
             tracked = set()
             missing = 0
@@ -836,11 +1388,345 @@ class FastReplicaCore(ReplicaCore):
                         missing += 1
         return tracked, missing
 
-    def _note_coverage_absorbed(self, frontier) -> None:
-        # Memoize only once the absorption actually happened — a
-        # zero-missing scan can still be refused by the fold-order check
-        # (`_absorb_coverage`), and a refused coverage must be re-examined
-        # by every subsequent advert until the body is adopted.
-        self._absorbed_frontier = frontier
 
-    _on_checkpoint_adopted = _on_crash = _rebuild_fast_state
+    def _behind_frontier(self, frontier: Label) -> bool:
+        """Whether *frontier* is ahead of our own compaction frontier."""
+        ours = self.checkpoint.frontier
+        return ours is None or label_sort_key(ours) < label_sort_key(frontier)
+
+    def _absorb_coverage(self, coverage, tracked: Set[OperationDescriptor]) -> bool:
+        """Absorb *coverage*'s everywhere-stability assertion — but only
+        after verifying that folding the still-tracked covered operations
+        onto our own checkpoint in **our** label order reproduces the
+        compactor's chained fold order (``order_digest``).
+
+        The assertion alone names identifiers, not labels.  In normal
+        operation knowing "done at ``i``" implies having merged ``i``'s
+        label, so every replica that reaches everywhere-stability holds the
+        agreed minimum and folds the same order.  A volatile crash breaks
+        that implication: the recovered replica can re-learn (or re-do,
+        via retransmission) every covered operation yet hold labels that
+        are *not* the agreed minima — its merged-label knowledge was
+        volatile, and peers that already compacted those operations can
+        never re-teach it.  Folding by those labels would break the
+        stable-prefix agreement (Invariant 7.2), so on a digest mismatch
+        this returns ``False`` and the caller must pull/adopt the body,
+        which replaces the mislabelled copies wholesale.
+        """
+        if not tracked:
+            return True  # nothing new to absorb (nested or already-absorbed)
+        ordered = sorted(tracked, key=lambda x: label_sort_key(self.label_of(x.id)))
+        simulated = chain_order_digest(
+            self.checkpoint.order_digest, (x.id for x in ordered)
+        )
+        if simulated != coverage.order_digest:
+            self.stats.coverage_order_mismatches += 1
+            return False
+        self._mark_coverage_stable(tracked)
+        # Memoize only once the absorption actually happened — a refused
+        # coverage must be re-examined by every subsequent advert until the
+        # body is adopted.
+        self._absorbed_frontier = coverage.frontier
+        return True
+
+    def _merge_checkpoint(self, incoming: Checkpoint) -> None:
+        """Merge a checkpoint body ahead of our frontier (eager gossip
+        attaches it to messages; advert/pull delivers it via transfers).
+
+        The checkpoint asserts that everything it covers is stable at every
+        replica.  If we still track all of its operations *and* our fold
+        order matches its ``order_digest`` (:meth:`_absorb_coverage`) we
+        simply record that stability (and let our own policy fold them); if
+        some are missing or our labels disagree — we are recovering from a
+        crash with volatile memory, or joined a stream late — we adopt the
+        checkpoint wholesale as our new base instead of waiting for a
+        full-history replay that compacted peers can no longer send.
+        """
+        ours = self.checkpoint
+        if incoming.count == 0 or not self._behind_frontier(incoming.frontier):
+            return  # nested checkpoints: ours already covers the incoming one
+        tracked, missing = self._coverage_position(incoming)
+        if missing == 0 and self._absorb_coverage(incoming, tracked):
+            self._refresh_await()
+            return
+        if not ours.ids.issubset(incoming.ids):  # pragma: no cover - defensive
+            raise SpecificationError(
+                f"non-nested checkpoints at {self.replica_id}: the stable prefix "
+                "is totally ordered, so a larger frontier must cover a smaller one"
+            )
+        retention = self.compaction.value_retention if self.compaction is not None else None
+        self.checkpoint = Checkpoint(
+            base_state=incoming.base_state,
+            frontier=incoming.frontier,
+            ids=incoming.ids,
+            values=ours.merged_values(incoming.values, retention),
+            order_digest=incoming.order_digest,
+        )
+        covers = self.checkpoint.covers
+        self.rcvd = {x for x in self.rcvd if not covers(x.id)}
+        for i in self.replica_ids:
+            self.done[i] = {x for x in self.done[i] if not covers(x.id)}
+            self.stable[i] = {x for x in self.stable[i] if not covers(x.id)}
+        self.labels = {op_id: l for op_id, l in self.labels.items() if not covers(op_id)}
+        for op_id in [op_id for op_id in self._stable_storage if covers(op_id)]:
+            del self._stable_storage[op_id]
+        self._drop_unanswerable_pending()
+        self._label_generator.observed(self.checkpoint.frontier)
+        # Queued pulls the adopted frontier now satisfies would only fetch
+        # bodies we already hold.
+        self._pull_queue = {
+            peer: advert
+            for peer, advert in self._pull_queue.items()
+            if self._behind_frontier(advert.frontier)
+        }
+        self._order_dirty = True
+        self._rebuild_fast_state()
+        self._refresh_await()
+        self._state_version += 1
+
+    # ------------------------------------------------------- advert/pull catch-up
+
+    def _consider_advert(self, sender: str, advert: CheckpointAdvert) -> None:
+        """Staleness detection against a received checkpoint advert.
+
+        When everything the advert covers is still tracked (or compacted)
+        here *and* our would-be fold order matches the advertised
+        ``order_digest`` (see :meth:`_absorb_coverage`), the advert alone
+        conveys the stability knowledge the body would have — no transfer
+        needed, which is the steady-state path that keeps the wire payload
+        flat.  Otherwise this replica is behind the advertised frontier or
+        holds mislabelled copies (crash recovery, late join): it queues a
+        pull request toward the advertiser and enters catch-up (see
+        ``_await``); the queue entry survives lost pulls and transfers
+        because every subsequent advert re-runs this check.
+        """
+        if advert.count == 0 or not self._behind_frontier(advert.frontier):
+            return
+        tracked, missing = self._coverage_position(advert)
+        if missing == 0 and self._absorb_coverage(advert, tracked):
+            self._refresh_await()
+        else:
+            self._pull_queue[sender] = advert
+            if self._await is None or label_sort_key(advert.frontier) > label_sort_key(
+                self._await.frontier
+            ):
+                self._await = advert
+                self._await_check = None
+
+    def catching_up(self) -> bool:
+        """Whether this replica currently knows it is missing part of an
+        advertised compacted prefix (the advert/pull catch-up window).
+        Memoized per state version: the answer can only change when state
+        changes, and callers probe it once per pending operation."""
+        if self._await is None:
+            return False
+        if self._await_check is not None and self._await_check[0] == self._state_version:
+            return self._await_check[1]
+        self._refresh_await()
+        result = self._await is not None
+        self._await_check = (self._state_version, result)
+        return result
+
+    def _refresh_await(self) -> None:
+        """Re-evaluate the catch-up condition against the awaited advert.
+
+        The hole can close two ways: a transfer was adopted (our frontier
+        moved past the awaited one), or ordinary gossip from peers that
+        still track the missing operations re-delivered them all — in which
+        case the advert's stability assertion now applies and is absorbed,
+        exactly as if ``missing`` had been zero on first receipt.
+        """
+        if self._await is None:
+            return
+        if not self._behind_frontier(self._await.frontier):
+            # Our frontier moved past the awaited one: only adoption can do
+            # that while compaction is gated, and adoption already rebuilt
+            # the derived state.
+            self._await = None
+            return
+        tracked, missing = self._coverage_position(self._await)
+        if missing == 0 and self._absorb_coverage(self._await, tracked):
+            self._await = None
+
+    def take_pending_pulls(self) -> List[PullRequestMessage]:
+        """Drain the queued pull requests as sendable messages.
+
+        Dropped pulls (or transfers) re-queue themselves: the next advert
+        from a peer we are still behind re-enters the queue via
+        :meth:`_consider_advert`, so retry needs no timer of its own.
+        """
+        pulls = [
+            PullRequestMessage(
+                requester=self.replica_id,
+                target=peer,
+                digest=advert.digest,
+                frontier=advert.frontier,
+                have_frontier=self.checkpoint.frontier,
+            )
+            for peer, advert in self._pull_queue.items()
+        ]
+        self._pull_queue.clear()
+        return pulls
+
+    def receive_pull_request(self, message: PullRequestMessage) -> List[CheckpointTransferMessage]:
+        """Answer a pull with transfer chunks of our *current* checkpoint.
+
+        The pull's ``digest`` echoes the identity of the advert that
+        triggered it and is not compared with anything: the current
+        checkpoint may have advanced past it (concurrent compaction), and
+        that is fine — checkpoints are nested, so the newer body covers
+        everything the requester asked for.  This is where the content
+        digest is computed, once per body cut into chunks.  An empty
+        checkpoint (possible after a volatile crash wiped nothing but the
+        peer pulled against a stale advert from a previous incarnation — the
+        checkpoint itself persists, so in practice only when nothing was
+        ever compacted) yields no chunks; the requester retries off later
+        adverts.
+        """
+        if message.target != self.replica_id:
+            raise SpecificationError(
+                f"pull request for {message.target!r} delivered to {self.replica_id!r}"
+            )
+        if self.checkpoint.count == 0:
+            return []
+        return checkpoint_transfers(
+            self.checkpoint,
+            sender=self.replica_id,
+            requester=message.requester,
+            epoch=self._epoch,
+            chunk=self.checkpoint_chunk,
+        )
+
+    def receive_transfer(self, message: CheckpointTransferMessage) -> None:
+        """Accumulate one transfer chunk; adopt the checkpoint when the
+        assembly completes.
+
+        Chunks are keyed per sender: a chunk under a newer digest (the
+        sender compacted again mid-transfer) or a newer sender epoch (the
+        sender crashed and recovered) replaces the partial assembly — in
+        both cases the replacement checkpoint is nested over the abandoned
+        one, so nothing is lost beyond the re-pulled chunks.
+
+        The assembled body is verified against the content digest *its own
+        chunks* carry, never against the advert that prompted the pull.  A
+        malformed chunk or a body that fails the check is rejected and
+        re-pulled (``stats.transfer_rejections``); nothing a peer can put in
+        a chunk makes this raise.
+        """
+        if message.requester != self.replica_id:
+            raise SpecificationError(
+                f"transfer for {message.requester!r} delivered to {self.replica_id!r}"
+            )
+        if not self._behind_frontier(message.frontier):
+            self._transfer_in.pop(message.sender, None)
+            return  # already caught up through another peer's transfer
+        assembly = self._transfer_in.get(message.sender)
+        if assembly is not None and (
+            message.epoch < assembly.epoch
+            or label_sort_key(message.frontier) < label_sort_key(assembly.frontier)
+        ):
+            return  # delayed straggler from an older, superseded transfer
+        if assembly is not None and (
+            assembly.digest != message.digest or assembly.epoch != message.epoch
+        ):
+            assembly = None  # a newer transfer replaces the partial assembly
+        if not 0 <= message.chunk_index < message.chunk_count or (
+            assembly is not None and not assembly.agrees_with(message)
+        ):
+            # A chunk header corrupted in flight (or hostile): an index no
+            # assembly of ``chunk_count`` chunks has, or a header that
+            # contradicts the chunks already held — there is no telling
+            # which side is the intact one, so the whole assembly goes.
+            self._reject_transfer(message.sender)
+            return
+        if assembly is None:
+            assembly = TransferAssembly(
+                digest=message.digest,
+                epoch=message.epoch,
+                frontier=message.frontier,
+                chunk_count=message.chunk_count,
+            )
+            self._transfer_in[message.sender] = assembly
+        assembly.chunks[message.chunk_index] = message
+        if not assembly.complete():
+            return
+        assembled = assembly.assemble()
+        if assembled.digest() != assembly.digest:
+            # The body was corrupted in flight: the chunks were sent under
+            # the sender's content digest, and the checkpoint reassembled
+            # from them no longer hashes to it.
+            self._reject_transfer(message.sender)
+            return
+        del self._transfer_in[message.sender]
+        self._merge_checkpoint(assembled)
+        self._post_merge()
+
+    def _reject_transfer(self, sender: str) -> None:
+        """Discard *sender*'s assembly and re-queue the pull right away:
+        waiting for the next advert is not enough on its own — a cluster
+        that has quiesced (or one whose compaction stopped advancing) may
+        never advertise again, and a corrupted *final* transfer would strand
+        the catch-up."""
+        self.stats.transfer_rejections += 1
+        self._transfer_in.pop(sender, None)
+        if self._await is not None:
+            self._pull_queue[sender] = self._await
+
+    # ------------------------------------------------------------- state sizing
+
+    def replayed_state(self) -> Any:
+        """The data state after the full history as seen here: the checkpoint
+        base plus the tracked done suffix in label order.  Inspection helper
+        (does not touch the stats counters)."""
+        state = self.checkpoint.base_state
+        for x in self.done_order():
+            state, _value = self.data_type.apply(state, x.op)
+        return state
+
+    # ----------------------------------------------------- crash/recovery (9.3)
+
+    def crash(self, volatile_memory: bool = True) -> None:
+        """Simulate a crash.  Beside the reference core's stable storage
+        (the locally generated labels), the incarnation epoch and the
+        compaction checkpoint survive a crash with volatile memory; all
+        delta-gossip, catch-up and NACK bookkeeping is discarded.
+
+        Persisting the checkpoint is what makes compaction crash-safe: the
+        forgotten per-operation records below the frontier can never be
+        re-learned from peers (they may have compacted too), so the folded
+        base state must survive.  Recovery then only needs gossip for the
+        unstable suffix.
+        """
+        if not volatile_memory:
+            return
+        self._epoch += 1
+        self._peer_out = {}
+        self._peer_in = {}
+        # Until a peer shows us a post-crash basis (a full-state message),
+        # its deltas may rest on acks our previous incarnation issued.
+        self._unsynced_peers = {i for i in self.replica_ids if i != self.replica_id}
+        self._pull_queue = {}
+        self._transfer_in = {}
+        self._await = None
+        self._await_check = None
+        self._stale_nacks = []
+        self._state_version += 1
+        self._snapshot_cache = None
+        # The rebuilt label map starts empty (recovery re-inserts below);
+        # no pre-crash basis survives (_peer_out was just cleared), so the
+        # journal restarts with the floor at the current version.
+        self._label_journal_versions = []
+        self._label_journal_ids = []
+        self._label_journal_floor = self._label_version
+        super().crash(volatile_memory)
+
+    def recover_from_stable_storage(self) -> None:
+        """Reload the locally generated labels (peers fall back to full-state
+        gossip once they observe the bumped epoch, or at the latest after
+        ``full_state_interval`` sends).  Stable storage never holds a
+        compacted identifier — a fold and an adoption prune it — so every
+        reloaded label is tracked, and each store is journaled."""
+        super().recover_from_stable_storage()
+        for op_id in self._stable_storage:
+            self._note_label_change(op_id)
+        self._state_version += 1

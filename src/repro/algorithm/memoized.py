@@ -10,7 +10,7 @@ and never recomputed.  The memoizing replica keeps
 * ``memoized`` — the operations whose values have been memoized (a prefix of
   the label order contained in ``solid``),
 * ``memo_state`` (the paper's ``ms``) — the data state after applying exactly
-  the memoized operations in label order, on top of the checkpoint base,
+  the memoized operations in label order, from the initial state,
 * ``memo_values`` (``mv``) — the memoized value of each memoized operation,
 
 and computes a response by starting from ``ms`` and replaying only the
@@ -99,28 +99,22 @@ class MemoizedReplicaCore(ReplicaCore):
         return performed
 
     def _restart_memo(self) -> None:
-        """Restart memoization from the checkpoint base state: the memo
-        prefix is volatile (a crash wipes its operations), no longer matches
-        the history after a wholesale checkpoint adoption, and is invalid
-        once a catch-up window closes through gossip re-delivery (it may
-        have advanced against the holed history).  It re-advances on the
-        next gossip."""
+        """Restart memoization from the initial state: the memo prefix is
+        volatile (a crash wipes its operations).  It re-advances on the next
+        gossip."""
         self.memoized: Set[OperationDescriptor] = set()
         #: ``ms_r`` — state after applying the memoized prefix in label order.
-        self.memo_state: Any = self.checkpoint.base_state
+        self.memo_state: Any = self.data_type.initial_state()
         #: ``mv_r`` — memoized value per memoized operation.
         self.memo_values: Dict[OperationDescriptor, Any] = {}
 
-    _on_crash = _on_checkpoint_adopted = _on_catchup_healed = _restart_memo
+    _on_crash = _restart_memo
 
     # ---------------------------------------------------------- value computation
 
     def compute_value(self, operation: OperationDescriptor) -> Any:
         """Use the memoized value when available; otherwise replay only the
-        non-memoized suffix starting from ``ms_r`` (Fig. 10's send_rc).  The
-        value of a compacted operation is served from the checkpoint."""
-        if self.is_compacted(operation.id):
-            return ReplicaCore.compute_value(self, operation)
+        non-memoized suffix starting from ``ms_r`` (Fig. 10's send_rc)."""
         if operation not in self.done_here():
             raise SpecificationError(
                 f"cannot compute a value for {operation.id}: not done at {self.replica_id}"
@@ -151,33 +145,9 @@ class MemoizedReplicaCore(ReplicaCore):
         Memoizing eagerly after each gossip keeps ``ms`` close to the stable
         frontier, which is what a production implementation would do; it does
         not change external behaviour (memoize is an internal action).
-
-        Not during an advert/pull catch-up window, though: ``ms`` would fold
-        operations on top of a base that is missing the awaited compacted
-        prefix, and a memo poisoned that way would outlive the window when
-        it closes through gossip re-delivery.  The window-closing hooks
-        restart the memo, and memoization simply resumes afterwards.
         """
         super().receive_gossip(message)
-        if not self.catching_up():
-            self.memoize_all_available()
-
-    # ------------------------------------------------------ compaction interplay
-
-    def _prepare_compaction(self) -> None:
-        """Fold everything solid into ``ms`` first, so the compactable prefix
-        (stable everywhere, within solid) is always covered by the memoized
-        prefix when its records are dropped — ``ms`` then remains the state
-        after exactly ``checkpoint + memoized`` in label order."""
         self.memoize_all_available()
-
-    def _after_compaction(self, removed) -> None:
-        """Compacted operations leave the memoized bookkeeping; their effect
-        is already inside ``ms`` (which equals the checkpoint base plus the
-        remaining memoized prefix) and their values moved to the checkpoint."""
-        self.memoized -= removed
-        for operation in removed:
-            self.memo_values.pop(operation, None)
 
     # ----------------------------------------------------------------- snapshot
 

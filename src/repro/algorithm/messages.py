@@ -22,7 +22,7 @@ evaluated on the *effective* message ``delta ∪ basis`` — the knowledge the
 message actually conveys, which the receiver reconstructs for free because it
 already holds the basis.
 
-With advert/pull gossip (:meth:`repro.algorithm.replica.ReplicaCore.
+With advert/pull gossip (:meth:`repro.algorithm.fastcore.FastReplicaCore.
 configure_advert_gossip`) the gossip message carries a compact
 :class:`~repro.algorithm.checkpoint.CheckpointAdvert` instead of the
 checkpoint body, and two further replica-to-replica message types complete
@@ -356,7 +356,7 @@ def incremental_gossip(previous: GossipMessage, current: GossipMessage) -> Gossi
     operation folded between the two messages leaves *current*'s sets
     entirely; its stability travels via the carried-over checkpoint instead
     of a set difference.  The production path in
-    :meth:`repro.algorithm.replica.ReplicaCore.make_gossip` instead computes
+    :meth:`repro.algorithm.fastcore.FastReplicaCore.make_gossip` instead computes
     deltas against *acknowledged* state (see :mod:`repro.algorithm.delta`),
     which stays correct over the paper's reorderable, lossy channels.
     """

@@ -5,13 +5,13 @@ Every deployment harness — :class:`~repro.algorithm.system.AlgorithmSystem`,
 :class:`~repro.sim.cluster.SimulatedCluster`),
 :class:`~repro.sim.sharded.ShardedCluster` and
 :class:`~repro.net.runtime.NetCluster` — switches the same replica-level
-features: the fast core, delta gossip, checkpoint compaction, advert/pull
-gossip.  :class:`ReplicaConfig` is the only carrier of those decisions: the
-algorithm-level entry point takes it as ``config=...``, and the two harness
-parameter classes hold it as their ``replica`` field next to their own
-timing/transport knobs.  Two of its ten fields, ``batch_replay`` and
-``incremental_replay``, select nothing: each core has exactly one way to
-compute a value.
+features: the production core and the extensions only it runs (delta
+gossip, checkpoint compaction, advert/pull gossip).  :class:`ReplicaConfig`
+is the only carrier of those decisions: the algorithm-level entry point
+takes it as ``config=...``, and the two harness parameter classes hold it
+as their ``replica`` field next to their own timing/transport knobs.  Two
+of its ten fields, ``batch_replay`` and ``incremental_replay``, select
+nothing: each core has exactly one way to compute a value.
 
 Two of the fields only mean something under the discrete-event simulator
 (``batch_gossip``, ``compaction_interval``); the algorithm-level entry
@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.common import ConfigurationError
 
 #: Compaction configuration: one policy everywhere, or (sharded entry point
@@ -38,10 +39,11 @@ CompactionLike = Union[None, CompactionPolicy, Mapping[str, CompactionPolicy]]
 class ReplicaConfig:
     """Replica-level feature flags shared by every deployment entry point.
 
-    Parameters mirror the per-feature ``configure_*`` switches on
-    :class:`~repro.algorithm.replica.ReplicaCore`; see each harness for what
-    the feature does there.  Instances are immutable and reusable across
-    harnesses and shards.
+    The extension parameters mirror the per-feature ``configure_*`` switches
+    on :class:`~repro.algorithm.fastcore.FastReplicaCore`, the only core
+    that has them: ``delta_gossip``, ``compaction`` and ``advert_gossip``
+    require ``fast_core=True``.  See each harness for what a feature does
+    there.  Instances are immutable and reusable across harnesses and shards.
     """
 
     #: Use :class:`~repro.algorithm.fastcore.FastReplicaCore`, the production
@@ -75,6 +77,11 @@ class ReplicaConfig:
     compaction_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.extended and not self.fast_core:
+            raise ConfigurationError(
+                "delta_gossip, compaction and advert_gossip run on the production "
+                "core only: set fast_core=True"
+            )
         if self.batch_replay and not self.fast_core:
             raise ConfigurationError(
                 "batch_replay=True requires fast_core=True: the batch kernel "
@@ -89,6 +96,11 @@ class ReplicaConfig:
                 raise ConfigurationError("compaction_interval requires a compaction policy")
             if self.compaction_interval <= 0:
                 raise ConfigurationError("compaction_interval must be positive")
+
+    @property
+    def extended(self) -> bool:
+        """Whether any extension of the production core is switched on."""
+        return self.delta_gossip or self.compaction is not None or self.advert_gossip
 
     # -- harness adapters ------------------------------------------------------
 
@@ -115,7 +127,14 @@ class ReplicaConfig:
 
     def configure_core(self, core) -> None:
         """Apply the feature switches to one replica core (the compaction
-        field must already be a plain policy here)."""
+        field must already be a plain policy here).  Only the production
+        core has the extensions; any other core with one switched on is a
+        configuration error."""
+        if self.extended and not isinstance(core, FastReplicaCore):
+            raise ConfigurationError(
+                f"{type(core).__name__} has no delta_gossip, compaction or "
+                "advert_gossip: they run on FastReplicaCore only"
+            )
         if self.delta_gossip:
             core.configure_delta_gossip(True, self.full_state_interval)
         if self.compaction is not None:

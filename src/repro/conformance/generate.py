@@ -70,6 +70,8 @@ def random_params(rng: random.Random, delta_gossip: bool) -> SimulationParams:
         frontend_policy=rng.choice(["affinity", "round_robin", "random"]),
         retransmit_interval=4.0,  # masks loss and crash windows
         replica=ReplicaConfig(
+            # The extensions run on the production core only.
+            fast_core=delta_gossip,
             delta_gossip=delta_gossip,
             full_state_interval=rng.choice([4, 8]),
             # Inert, but serialized into the vectors: the draw stays so the
@@ -185,11 +187,15 @@ def _sim_spec(
     replica = params.replica
     if compaction:
         replica = dataclasses.replace(
-            replica, compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0
+            replica,
+            fast_core=True,
+            compaction=CompactionPolicy(min_batch=1),
+            compaction_interval=1.0,
         )
     if advert:
         replica = dataclasses.replace(
             replica,
+            fast_core=True,
             advert_gossip=True,
             checkpoint_chunk=rng.choice([2, 5]) if chunked else None,
         )
@@ -261,6 +267,7 @@ def _adversarial_spec(mode: str, seed: int) -> ScenarioSpec:
         frontend_policy="round_robin",
         retransmit_interval=4.0,
         replica=ReplicaConfig(
+            fast_core=True,
             delta_gossip=False,  # full-state gossip re-advertises every tick
             batch_gossip=rng.random() < 0.5,
             compaction=CompactionPolicy(min_batch=1),

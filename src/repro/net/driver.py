@@ -177,7 +177,8 @@ def _build_cluster(args: argparse.Namespace) -> NetCluster:
             delta_gossip=args.gossip in ("delta", "advert"),
             advert_gossip=args.gossip == "advert",
             compaction=CompactionPolicy() if args.gossip == "advert" else None,
-            fast_core=args.fast_core,
+            # Delta and advert gossip run on the production core only.
+            fast_core=args.fast_core or args.gossip != "full",
         ),
     )
     data_type: Any = KeyedStore(CounterType()) if args.keys else CounterType()
@@ -224,7 +225,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--keys", type=int, default=0,
                         help="zipfian keyed access over this many keys (0 = flat counter)")
     parser.add_argument("--fast-core", action="store_true",
-                        help="production replica core (default: the reference automaton)")
+                        help="production replica core with full gossip (default: the "
+                        "reference automaton; delta and advert gossip always use "
+                        "the production core)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     report = asyncio.run(_main_async(args))

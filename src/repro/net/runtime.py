@@ -540,7 +540,8 @@ class NetCluster(Deployment):
     Usage (an event loop must be running — tests wrap in ``asyncio.run``)::
 
         cluster = NetCluster(Counter(), num_replicas=4, client_ids=("c0",),
-                             config=ReplicaConfig(delta_gossip=True), transport="tcp")
+                             config=ReplicaConfig(fast_core=True, delta_gossip=True),
+                             transport="tcp")
         async with cluster:
             value = await cluster.submit("c0", Operator("add", (5,)))
             await cluster.quiesce()

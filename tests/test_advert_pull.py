@@ -12,8 +12,9 @@ steady-state full-state payload no longer carries the retained-value ledger
 (benchmark E11 quantifies the scaling).
 
 The suite covers: advert wire accounting and digests, transfer chunking and
-reassembly, lockstep equivalence against eager shipping (action-level for
-every replica variant, simulated, sharded), per-step invariants, and the
+reassembly, lockstep equivalence against eager shipping (action-level,
+simulated, sharded; adverts run on the production core only), per-step
+invariants, and the
 adversarial delivery cases — pull lost, transfer lost mid-chunk, sender
 crash (incarnation bump) between advert and transfer, digest moved on by
 concurrent compaction — each converging with clean invariants.
@@ -24,21 +25,17 @@ import random
 import pytest
 
 from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy
-from repro.algorithm.commute import CommuteReplicaCore
-from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.labels import LabelGenerator
-from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.messages import checkpoint_transfers
-from repro.algorithm.replica import TransferAssembly
+from repro.algorithm.checkpoint import TransferAssembly
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
-from repro.datatypes import CounterType, GSetType, RegisterType
+from repro.datatypes import CounterType, RegisterType
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import WorkloadSpec, run_workload
-from repro.spec.users import SafeUsers
 from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.outcome import check_trace
 
@@ -147,7 +144,8 @@ class TestAdvertBasics:
         system_kwargs = dict(num_replicas=2)
         with pytest.raises(ConfigurationError):
             ReplicaConfig(checkpoint_chunk=0)
-        replica = SimulatedCluster(CounterType(), **system_kwargs).replicas["r0"]
+        params = SimulationParams(replica=ReplicaConfig(fast_core=True))
+        replica = SimulatedCluster(CounterType(), params=params, **system_kwargs).replicas["r0"]
         with pytest.raises(ConfigurationError):
             replica.configure_advert_gossip(True, checkpoint_chunk=0)
 
@@ -163,6 +161,7 @@ def build_system(advert, factory=None, delta=False, data_type=None, users=None,
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
         config=ReplicaConfig(
+            fast_core=True,
             delta_gossip=delta,
             full_state_interval=5,
             compaction=CompactionPolicy(min_batch=1),
@@ -222,40 +221,10 @@ class TestAdvertLockstepEquivalence:
         advert = drive_random(build_system(advert=True), seed)
         assert gossip_payload(advert) < gossip_payload(eager)
 
-    @pytest.mark.parametrize("factory", [
-        FastReplicaCore, MemoizedReplicaCore,
-    ], ids=["incremental", "memoized"])
-    def test_optimized_replicas_agree_under_advert_gossip(self, factory):
-        eager = drive_random(build_system(advert=False, factory=factory), seed=17)
-        advert = drive_random(build_system(advert=True, factory=factory), seed=17)
-        assert eager.trace.responses == advert.trace.responses
-        assert sum(r.checkpoint.count for r in advert.replicas.values()) > 0
-
-    def test_commute_replicas_agree_under_advert_gossip(self):
-        def commuting_drive(system, seed):
-            rng = random.Random(seed)
-            gens = {c: OperationIdGenerator(c) for c in system.client_ids}
-            for index in range(8):
-                client = rng.choice(list(system.client_ids))
-                system.request(make_operation(GSetType.insert(index),
-                                              gens[client].fresh()))
-            system.run_random(rng, steps=600)
-            system.drain(rng)
-            return system
-
-        eager = commuting_drive(
-            build_system(False, factory=CommuteReplicaCore, data_type=GSetType(),
-                         users=SafeUsers(GSetType())), 23)
-        advert = commuting_drive(
-            build_system(True, factory=CommuteReplicaCore, data_type=GSetType(),
-                         users=SafeUsers(GSetType())), 23)
-        assert eager.trace.responses == advert.trace.responses
-        assert sum(r.checkpoint.count for r in advert.replicas.values()) > 0
-
     def test_invariants_hold_at_every_step(self):
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2"], ["alice"],
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
+            config=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         gen = OperationIdGenerator("alice")
         rng = random.Random(1)
@@ -279,7 +248,7 @@ class TestAdvertLockstepEquivalence:
 
         system = AlgorithmSystem(
             RegisterType(), ["r1", "r2"], ["alice"],
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
+            config=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         sim = AlgorithmToSpecSimulation(system)
         gen = OperationIdGenerator("alice")
@@ -303,6 +272,7 @@ def compacted_system_with_behind_replica(chunk=2, requests=6):
     system = AlgorithmSystem(
         CounterType(), ["r1", "r2", "r3"], ["alice"],
         config=ReplicaConfig(
+            fast_core=True,
             compaction=CompactionPolicy(min_batch=1),
             advert_gossip=True,
             checkpoint_chunk=chunk,
@@ -460,106 +430,13 @@ class TestPullCatchup:
         assert system.responded[op.id] == 7
         AlgorithmInvariantChecker(system).check_all()
 
-    def test_memoized_state_is_rebuilt_when_catchup_heals_via_gossip(self):
-        """The memo hazard behind the heal path: operations learned during
-        the catch-up window must not be memoized onto a base missing the
-        awaited prefix — and when the window closes through ordinary gossip
-        (no adoption hook runs), the poisoned memo must be rebuilt, or a
-        later response serves the wrong value."""
-        system = AlgorithmSystem(
-            CounterType(), ["r1", "r2", "r3"], ["alice"],
-            replica_factory=MemoizedReplicaCore,
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
-        )
-        # Only r1 folds, so r2 keeps the full history for the heal path.
-        system.replicas["r2"].configure_compaction(enabled=False)
-        system.replicas["r3"].configure_compaction(enabled=False)
-        gen = OperationIdGenerator("alice")
-        rng = random.Random(7)
-        for _ in range(5):
-            system.request(make_operation(CounterType.increment(), gen.fresh()))
-        system.run_random(rng, steps=400)
-        system.drain(rng)
-        assert system.replicas["r1"].checkpoint.count == 5
-        r3 = system.replicas["r3"]
-        r3.crash(volatile_memory=True)
-        r3.recover_from_stable_storage()
-        # A sixth operation lands at r1 only, then r1's gossip reaches r3:
-        # the advert opens the window while the payload makes op6 done here.
-        op6 = make_operation(CounterType.increment(), gen.fresh())
-        system.request(op6)
-        system.send_request("alice", "r1", op6)
-        system.receive_request("alice", "r1")
-        system.replicas["r1"].do_all_ready()
-        system.send_gossip("r1", "r3")
-        deliver_all(system, ("r1", "r3"))
-        assert r3.catching_up() and op6 in r3.done_here()
-        assert op6 not in r3.memoized  # memoization held back in the window
-        # The pull is lost; r2's full-history gossip heals the hole instead.
-        channel = system.gossip_channels[("r3", "r1")]
-        for message in [m for m in channel.contents() if m.kind == "pull"]:
-            channel.receive(message)
-        system.send_gossip("r2", "r3")
-        deliver_all(system, ("r2", "r3"))
-        assert not r3.catching_up()
-        # A retransmit to the healed replica must answer with the full
-        # history's value (6 increments), not a holed-memo value.
-        system.send_request("alice", "r3", op6)
-        system.receive_request("alice", "r3")
-        assert r3.response_ready(op6)
-        assert r3.make_response(op6).value == 6
-        system.drain(rng)
-        AlgorithmInvariantChecker(system).check_all()
-
-    def test_commute_state_is_rebuilt_when_catchup_heals_via_gossip(self):
-        """Same hazard for the Commute variant's ``cs_r`` / ``val_r``."""
-        system = AlgorithmSystem(
-            GSetType(), ["r1", "r2", "r3"], ["alice"],
-            replica_factory=CommuteReplicaCore, users=SafeUsers(GSetType()),
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
-        )
-        system.replicas["r2"].configure_compaction(enabled=False)
-        system.replicas["r3"].configure_compaction(enabled=False)
-        gen = OperationIdGenerator("alice")
-        rng = random.Random(9)
-        for index in range(5):
-            system.request(make_operation(GSetType.insert(index), gen.fresh()))
-        system.run_random(rng, steps=400)
-        system.drain(rng)
-        assert system.replicas["r1"].checkpoint.count == 5
-        r3 = system.replicas["r3"]
-        r3.crash(volatile_memory=True)
-        r3.recover_from_stable_storage()
-        op6 = make_operation(GSetType.insert(99), gen.fresh())
-        system.request(op6)
-        system.send_request("alice", "r1", op6)
-        system.receive_request("alice", "r1")
-        system.replicas["r1"].do_all_ready()
-        system.send_gossip("r1", "r3")
-        deliver_all(system, ("r1", "r3"))
-        assert r3.catching_up()
-        channel = system.gossip_channels[("r3", "r1")]
-        for message in [m for m in channel.contents() if m.kind == "pull"]:
-            channel.receive(message)
-        system.send_gossip("r2", "r3")
-        deliver_all(system, ("r2", "r3"))
-        assert not r3.catching_up()
-        system.send_request("alice", "r3", op6)
-        system.receive_request("alice", "r3")
-        assert r3.response_ready(op6)
-        expected = system.replicas["r1"].compute_value(op6)
-        assert r3.make_response(op6).value == expected
-        assert r3.replayed_state() == system.replicas["r1"].replayed_state()
-        system.drain(rng)
-        AlgorithmInvariantChecker(system).check_all()
-
     def test_catch_up_can_heal_through_ordinary_gossip(self):
         """If some peer still tracks everything the advert covered, plain
         gossip re-delivers the missing operations and catch-up ends without
         any transfer — the advert's stability assertion is absorbed late."""
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2", "r3"], ["alice"],
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
+            config=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1), advert_gossip=True),
         )
         # Only r1 compacts; r2 keeps tracking the full history.
         system.replicas["r2"].configure_compaction(enabled=False)
@@ -661,6 +538,7 @@ def register_system_with_behind_replica(requests=6):
     system = AlgorithmSystem(
         RegisterType(), ["r1", "r2", "r3"], ["alice"],
         config=ReplicaConfig(
+            fast_core=True,
             compaction=CompactionPolicy(min_batch=1),
             advert_gossip=True,
             checkpoint_chunk=2,
@@ -773,6 +651,7 @@ class TestCatchupStateIndependentGating:
 
 def sim_params(advert, retransmit_interval=None, **features):
     defaults = dict(
+        fast_core=True,
         compaction=CompactionPolicy(min_batch=4), compaction_interval=8.0,
         advert_gossip=advert,
     )
@@ -876,6 +755,7 @@ class TestShardedAdvertPull:
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["alice", "bob"], seed=seed,
             config=ReplicaConfig(
+                fast_core=True,
                 compaction=CompactionPolicy(min_batch=1),
                 advert_gossip=advert,
                 checkpoint_chunk=2,

@@ -10,7 +10,8 @@ tracked per-operation state stays proportional to the unstable suffix.
 
 The suite covers: the compact id summary, the shared retained-value ledger
 (a captured checkpoint never sees a later fold), lockstep equivalence against an
-uncompacted twin (action-level and simulated, all replica variants), the
+uncompacted twin (action-level and simulated; compaction runs on the
+production core only), the
 sorted-suffix ``done_order`` cache, retransmitted requests for compacted
 operations, value-retention eviction, crash + incarnation-bump recovery
 through the persisted checkpoint, delta gossip to a peer behind the
@@ -28,22 +29,20 @@ from repro.algorithm.checkpoint import (
     OpIdSummary,
     ValueLedger,
 )
-from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.fastcore import FastReplicaCore
-from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.labels import Label
 from repro.algorithm.messages import GossipMessage, RequestMessage, checkpoint_transfers
-from repro.algorithm.replica import ReplicaCore, TransferAssembly
+from repro.algorithm.checkpoint import TransferAssembly
+from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationId, OperationIdGenerator
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
-from repro.datatypes import CounterType, GSetType, RegisterType
+from repro.datatypes import CounterType, RegisterType
 from repro.net.codec import encode_message
 from repro.sim.cluster import SimulatedCluster, SimulationParams
 from repro.sim.sharded import ShardedCluster
 from repro.sim.workload import KeyedWorkloadSpec, WorkloadSpec, run_workload
-from repro.spec.users import SafeUsers
 from repro.verification.invariants import AlgorithmInvariantChecker
 from repro.verification.outcome import check_trace
 
@@ -113,7 +112,7 @@ class TestOpIdSummary:
         with pytest.raises(ConfigurationError):
             ReplicaConfig(compaction_interval=1.0)  # interval without policy
         with pytest.raises(ConfigurationError):
-            ReplicaConfig(compaction=CompactionPolicy(), compaction_interval=0.0)
+            ReplicaConfig(fast_core=True, compaction=CompactionPolicy(), compaction_interval=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -210,8 +209,11 @@ class TestValueLedger:
 
 
 def make_pair(policy=None, data_type=None, delta=False):
+    """Two replicas: production cores when an extension is on, reference
+    cores otherwise."""
     ids = ["r1", "r2"]
-    replicas = [ReplicaCore(rid, ids, data_type or CounterType()) for rid in ids]
+    core = FastReplicaCore if policy is not None or delta else ReplicaCore
+    replicas = [core(rid, ids, data_type or CounterType()) for rid in ids]
     for replica in replicas:
         if policy is not None:
             replica.configure_compaction(policy)
@@ -319,64 +321,15 @@ class TestReplicaCompaction:
         assert ops[0].id not in r1.checkpoint.values
         assert ops[0] not in r1.pending
 
-    @pytest.mark.parametrize("factory", [
-        ReplicaCore, FastReplicaCore, MemoizedReplicaCore, CommuteReplicaCore,
-    ], ids=["base", "incremental", "memoized", "commute"])
-    def test_every_variant_answers_retransmits_for_compacted_ops(self, factory):
-        """The checkpoint-value answer path is part of the replica contract:
-        every variant must honour it (the Commute override once broke it)."""
-        ids = ["r1", "r2"]
-        config = ReplicaConfig(compaction=CompactionPolicy(min_batch=1))
-        r1 = factory("r1", ids, CounterType())
-        config.configure_core(r1)
-        r2 = factory("r2", ids, CounterType())
-        config.configure_core(r2)
-        gen = OperationIdGenerator("c")
-        ops = feed(r1, 4, gen)
-        for op in list(r1.ready_responses()):
-            r1.make_response(op)
-        exchange(r1, r2, rounds=3)
-        assert r1.checkpoint.count == 4
-        r1.receive_request(RequestMessage(ops[1]))  # response was lost; retransmit
-        assert r1.response_ready(ops[1])
-        assert r1.make_response(ops[1]).value == 2
-        assert ops[1] not in r1.pending
-
-    def test_commute_state_survives_fold_of_op_learned_as_stable(self):
-        """Regression: an operation a Commute replica first learns from a
-        message that already lists it stable (crash-recovery catch-up) must
-        reach ``cs_r`` before any compaction folds it — otherwise later
-        values are computed from a state missing its effect."""
-        ids = ["r1", "r2"]
-        r1 = CommuteReplicaCore("r1", ids, CounterType())
-        r2 = CommuteReplicaCore("r2", ids, CounterType())
-        gen = OperationIdGenerator("c")
-        ops = feed(r1, 1, gen)
-        for op in list(r1.ready_responses()):
-            r1.make_response(op)
-        exchange(r1, r2, rounds=2)  # r1 now knows the op is stable everywhere
-        assert ops[0] in r1.stable_here()
-        r2.crash(volatile_memory=True)
-        r2.recover_from_stable_storage()
-        r2.configure_compaction(CompactionPolicy(min_batch=1))
-        # One message delivers the op as done+stable AND triggers the fold.
-        r2.receive_gossip(r1.make_gossip())
-        assert r2.checkpoint.count == 1
-        assert r2.current_state == 1  # cs_r saw the op before the fold
-        # A further increment done at r2 is computed on top of that state.
-        follow_up = feed(r2, 1, OperationIdGenerator("d"))[0]
-        assert r2.compute_value(follow_up) == 2
-        assert r2.replayed_state() == 2
-
     def test_adoption_prunes_unanswerable_pending_entries(self):
         """A recovering replica holding a retransmitted request it cannot
         answer after adopting a peer's checkpoint (the operation is covered
         but its value was evicted at the sender) must drop the entry rather
         than keep it pending forever."""
         ids = ["r1", "r2"]
-        r1 = ReplicaCore("r1", ids, CounterType())
+        r1 = FastReplicaCore("r1", ids, CounterType())
         r1.configure_compaction(CompactionPolicy(min_batch=1, value_retention=1))
-        r2 = ReplicaCore("r2", ids, CounterType())
+        r2 = FastReplicaCore("r2", ids, CounterType())
         gen = OperationIdGenerator("c")
         ops = feed(r1, 5, gen)
         for op in list(r1.ready_responses()):
@@ -456,9 +409,9 @@ class TestReplicaCompaction:
         """A peer that never compacted (no policy) still adopts a gossiped
         checkpoint when it is missing part of the prefix after a crash."""
         ids = ["r1", "r2"]
-        r1 = ReplicaCore("r1", ids, CounterType())
+        r1 = FastReplicaCore("r1", ids, CounterType())
         r1.configure_compaction(CompactionPolicy(min_batch=1))
-        r2 = ReplicaCore("r2", ids, CounterType())
+        r2 = FastReplicaCore("r2", ids, CounterType())
         gen = OperationIdGenerator("c")
         feed(r1, 7, gen)
         for op in list(r1.ready_responses()):
@@ -474,11 +427,44 @@ class TestReplicaCompaction:
         # Invariant: nothing below the adopted frontier is tracked.
         assert all(r2.checkpoint.frontier < label for label in r2.labels.values())
 
+    def test_a_mislabelled_copy_is_refused_and_the_body_adopted(self):
+        """A volatile crash loses the merged minimum labels: a replica that
+        re-does the covered operations from retransmits orders them by its
+        own fresh labels.  Its would-be fold order then fails the
+        checkpoint's ``order_digest``, so it adopts the body instead of
+        absorbing the stability assertion over the wrong order."""
+        ids = ["r1", "r2"]
+        r1 = FastReplicaCore("r1", ids, RegisterType())
+        r1.configure_compaction(CompactionPolicy(min_batch=1))
+        r2 = FastReplicaCore("r2", ids, RegisterType())
+        gen = OperationIdGenerator("c")
+        x = make_operation(RegisterType.write("x"), gen.fresh())
+        y = make_operation(RegisterType.write("y"), gen.fresh())
+        for replica, order in ((r1, (x, y)), (r2, (y, x))):
+            for op in order:
+                replica.receive_request(RequestMessage(op))
+                replica.do_all_ready()
+            for op in order:
+                replica.make_response(op)
+        exchange(r1, r2, rounds=3)
+        assert r1.checkpoint.count == 2 and r2.checkpoint.count == 0
+        assert r1.replayed_state() == r2.replayed_state() == "y"
+        r2.crash(volatile_memory=True)
+        r2.recover_from_stable_storage()
+        for op in (y, x):  # retransmits re-do y before x
+            r2.receive_request(RequestMessage(op))
+            r2.do_all_ready()
+        assert r2.label_of(y.id) < r2.label_of(x.id)
+        r2.receive_gossip(r1.make_gossip())  # full state, checkpoint attached
+        assert r2.stats.coverage_order_mismatches == 1
+        assert r2.checkpoint.count == 2
+        assert r2.replayed_state() == "y"
+
     def test_labels_generated_after_adoption_exceed_adopted_frontier(self):
         ids = ["r1", "r2"]
-        r1 = ReplicaCore("r1", ids, CounterType())
+        r1 = FastReplicaCore("r1", ids, CounterType())
         r1.configure_compaction(CompactionPolicy(min_batch=1))
-        r2 = ReplicaCore("r2", ids, CounterType())
+        r2 = FastReplicaCore("r2", ids, CounterType())
         gen = OperationIdGenerator("c")
         feed(r1, 5, gen)
         for op in list(r1.ready_responses()):
@@ -599,6 +585,7 @@ def build_system(compaction, factory=None, delta=False, data_type=None, users=No
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
         config=ReplicaConfig(
+            fast_core=delta or compaction,
             delta_gossip=delta,
             full_state_interval=5,
             compaction=CompactionPolicy(min_batch=1) if compaction else None,
@@ -647,44 +634,17 @@ class TestLockstepEquivalence:
                 plain.replicas[rid].rcvd
             )
 
-    @pytest.mark.parametrize("factory", [
-        FastReplicaCore, MemoizedReplicaCore,
-    ], ids=["incremental", "memoized"])
-    def test_optimized_replicas_agree_under_compaction(self, factory):
+    def test_optimized_replicas_agree_under_compaction(self):
         plain = drive_random(build_system(compaction=False), seed=17)
-        variant = drive_random(build_system(compaction=True, factory=factory), seed=17)
+        variant = drive_random(build_system(compaction=True), seed=17)
+        assert isinstance(variant.replicas["r1"], FastReplicaCore)
         assert plain.trace.responses == variant.trace.responses
         assert sum(r.checkpoint.count for r in variant.replicas.values()) > 0
-
-    def test_commute_replicas_agree_under_compaction(self):
-        def build(compaction):
-            return drive_random(
-                build_system(compaction, factory=CommuteReplicaCore,
-                             data_type=GSetType(), users=SafeUsers(GSetType())),
-                seed=23, strict_fraction=0.0)
-
-        def commuting_drive(system, seed):
-            rng = random.Random(seed)
-            gens = {c: OperationIdGenerator(c) for c in system.client_ids}
-            for index in range(8):
-                client = rng.choice(list(system.client_ids))
-                system.request(make_operation(GSetType.insert(index),
-                                              gens[client].fresh()))
-            system.run_random(rng, steps=600)
-            system.drain(rng)
-            return system
-
-        plain = commuting_drive(build_system(False, factory=CommuteReplicaCore,
-                                             data_type=GSetType(), users=SafeUsers(GSetType())), 23)
-        compacted = commuting_drive(build_system(True, factory=CommuteReplicaCore,
-                                                 data_type=GSetType(), users=SafeUsers(GSetType())), 23)
-        assert plain.trace.responses == compacted.trace.responses
-        assert sum(r.checkpoint.count for r in compacted.replicas.values()) > 0
 
     def test_invariants_hold_at_every_step_with_compaction(self):
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2"], ["alice"],
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1)),
+            config=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1)),
         )
         gen = OperationIdGenerator("alice")
         rng = random.Random(1)
@@ -712,7 +672,7 @@ class TestLockstepEquivalence:
 
         system = AlgorithmSystem(
             RegisterType(), ["r1", "r2"], ["alice"],
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1)),
+            config=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1)),
         )
         sim = AlgorithmToSpecSimulation(system)
         gen = OperationIdGenerator("alice")
@@ -734,6 +694,8 @@ def sim_params(compaction, retransmit_interval=None, **features):
     if compaction:
         features.setdefault("compaction", CompactionPolicy(min_batch=4))
         features.setdefault("compaction_interval", 8.0)
+    # The extensions run on the production core only.
+    features.setdefault("fast_core", compaction or features.get("delta_gossip", False))
     return SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0, retransmit_interval=retransmit_interval,
         replica=ReplicaConfig(**features),
@@ -794,6 +756,7 @@ class TestSimulatedCompaction:
         params = SimulationParams(
             df=1.0, dg=1.0, gossip_period=2.0,
             replica=ReplicaConfig(
+                fast_core=True,
                 compaction=CompactionPolicy(min_batch=10_000),
                 compaction_interval=5.0,
             ),
@@ -816,7 +779,7 @@ class TestServiceLayerCompaction:
         cluster = ShardedCluster(
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["c0"], seed=5,
-            config=ReplicaConfig(compaction={"s0": policy}),
+            config=ReplicaConfig(fast_core=True, compaction={"s0": policy}),
         )
         s0_cores = cluster.shards["s0"].replicas.values()
         s1_cores = cluster.shards["s1"].replicas.values()
@@ -848,6 +811,7 @@ class TestServiceLayerCompaction:
             CounterType(), num_shards=2, replicas_per_shard=2,
             client_ids=["c0"], seed=0,
             config=ReplicaConfig(
+                fast_core=True,
                 compaction={"s0": None, "s1": CompactionPolicy(min_batch=1)},
                 compaction_interval=5.0,
             ),
@@ -863,6 +827,7 @@ class TestServiceLayerCompaction:
                 CounterType(), num_shards=2, replicas_per_shard=2,
                 client_ids=["c0", "c1"], seed=6,
                 config=ReplicaConfig(
+                    fast_core=compaction,
                     batch_gossip=True,
                     compaction=CompactionPolicy(min_batch=2) if compaction else None,
                 ),

@@ -171,6 +171,7 @@ def _compacting_params():
         frontend_policy="round_robin",
         retransmit_interval=4.0,
         replica=ReplicaConfig(
+            fast_core=True,
             compaction=CompactionPolicy(min_batch=1),
             compaction_interval=1.0,
             advert_gossip=True,

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.algorithm import replica as replica_module
+from repro.algorithm import fastcore as fastcore_module
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.delta import PeerInState, PeerOutState
 from repro.algorithm.fastcore import FastReplicaCore
@@ -36,7 +36,7 @@ def build_system(delta: bool, full_state_interval: int = 5,
                  replica_ids=("r1", "r2", "r3"), clients=("alice", "bob")):
     return AlgorithmSystem(
         CounterType(), list(replica_ids), list(clients),
-        config=ReplicaConfig(delta_gossip=delta, full_state_interval=full_state_interval),
+        config=ReplicaConfig(fast_core=delta, delta_gossip=delta, full_state_interval=full_state_interval),
     )
 
 
@@ -112,7 +112,7 @@ class TestDeltaInvariants:
 
     def test_simulation_relation_holds_with_delta(self):
         system = AlgorithmSystem(RegisterType(), ["r1", "r2"], ["alice"],
-                                 config=ReplicaConfig(delta_gossip=True, full_state_interval=3))
+                                 config=ReplicaConfig(fast_core=True, delta_gossip=True, full_state_interval=3))
         sim = AlgorithmToSpecSimulation(system)
         gen = OperationIdGenerator("alice")
         rng = random.Random(2)
@@ -126,8 +126,8 @@ class TestDeltaInvariants:
 class TestDeltaMechanics:
     def setup_pair(self, full_state_interval=100):
         ids = ["r1", "r2"]
-        r1 = ReplicaCore("r1", ids, CounterType())
-        r2 = ReplicaCore("r2", ids, CounterType())
+        r1 = FastReplicaCore("r1", ids, CounterType())
+        r2 = FastReplicaCore("r2", ids, CounterType())
         for replica in (r1, r2):
             replica.configure_delta_gossip(True, full_state_interval)
         return r1, r2
@@ -264,6 +264,7 @@ class TestDeltaInSimulation:
         params = SimulationParams(
             df=1.0, dg=1.0, gossip_period=2.0,
             replica=ReplicaConfig(
+                fast_core=delta,
                 delta_gossip=delta, full_state_interval=8, batch_gossip=batch
             ),
         )
@@ -290,7 +291,7 @@ class TestDeltaInSimulation:
 
     def test_cluster_crash_recovery_with_delta(self):
         params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0,
-                                  replica=ReplicaConfig(delta_gossip=True, full_state_interval=4))
+                                  replica=ReplicaConfig(fast_core=True, delta_gossip=True, full_state_interval=4))
         cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=11)
         for _ in range(6):
             cluster.execute("c0", CounterType.increment())
@@ -391,7 +392,7 @@ class TestIncrementalReplay:
         so the fold's head-trim never keeps a state that misses an
         operation's effect."""
         ids = ["a", "b"]
-        a = ReplicaCore("a", ids, RegisterType())
+        a = FastReplicaCore("a", ids, RegisterType())
         b = FastReplicaCore("b", ids, RegisterType())
         for core in (a, b):
             core.configure_compaction(CompactionPolicy(min_batch=1))
@@ -487,8 +488,8 @@ class TestPeerStateConstruction:
                 built.append("out")
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(replica_module, "PeerInState", CountingIn)
-        monkeypatch.setattr(replica_module, "PeerOutState", CountingOut)
+        monkeypatch.setattr(fastcore_module, "PeerInState", CountingIn)
+        monkeypatch.setattr(fastcore_module, "PeerOutState", CountingOut)
         pair = TestDeltaMechanics()
         r1, r2 = pair.setup_pair(full_state_interval=7)
         pair.feed(r1, 3, OperationIdGenerator("c"))
@@ -514,8 +515,8 @@ class TestPeerStateConstruction:
         # A receipt that first shows a peer's bumped epoch, with nothing
         # sent to it yet, still leaves a reset out-state (stream 1) behind.
         ids = ["r1", "r2"]
-        r1 = ReplicaCore("r1", ids, CounterType())
-        r2 = ReplicaCore("r2", ids, CounterType())
+        r1 = FastReplicaCore("r1", ids, CounterType())
+        r2 = FastReplicaCore("r2", ids, CounterType())
         for replica in (r1, r2):
             replica.configure_delta_gossip(True, 100)
         r1.receive_gossip(r2.make_gossip("r1"))

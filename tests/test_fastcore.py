@@ -1,22 +1,27 @@
-"""Lockstep twin equivalence for :class:`FastReplicaCore`.
+"""The reference-versus-production differential for :class:`FastReplicaCore`.
 
-The fast core's whole contract is *execution identity*: driven by the same
-seeded scheduler, a fast cluster must go through the same responses, the
-same eventual witness order and the same final replica states as a base
-cluster — the speed comes from cheaper representations, never from a
-different execution.  This suite enforces the contract three ways:
+The reference :class:`ReplicaCore` runs Fig. 7 and nothing else; the
+production core adds cheaper representations and every extension.  Driven
+by the same seeded scheduler, a production cluster running an extension
+must go through the same responses, the same eventual witness order and
+the same final replica states as a reference cluster running none — the
+extensions save bytes and memory, never change an execution.  This suite
+enforces that three ways:
 
-* **Seeded twins** across the deployment matrix (plain, delta+incremental,
-  compaction, advert/pull; counter, register, g-set; unsharded and sharded),
-  comparing responses, failures, the witness order and per-replica replayed
-  states — once undisturbed, once with a replica volatile-crashed mid-load
-  and recovered.
-* **Conformance-corpus replay**: every checked-in vector re-runs with
-  ``fast_core=True`` and must match the recorded outcome byte for byte
-  (responses, witness, per-replica digests) — the corpus was generated by
-  the base core, so any divergence is a fast-core bug by construction.
-  Every vector re-runs on the wire-codec net twin as well, whose per-frame
-  delivery drives the deferred splices of ``receive_gossip_batch``.
+* **Seeded differential** across the deployment matrix (the production core
+  plain, with delta gossip, with compaction, with adverts and pull/transfer;
+  counter, register, g-set; unsharded and sharded) against the plain
+  reference, comparing responses, failures, the witness order and
+  per-replica replayed states, and passing the production side through the
+  outcome oracle (``check_outcome``, Section 7/8 invariants included) —
+  once undisturbed, once with a replica volatile-crashed mid-load and
+  recovered.  The delta row is the lockstep test of
+  :mod:`repro.algorithm.delta`'s identical-executions claim.
+* **Conformance-corpus replay**: every checked-in vector the reference core
+  generated re-runs with ``fast_core=True`` and must match the recorded
+  outcome byte for byte (responses, witness, per-replica digests), on the
+  simulator and on the wire-codec net twin, whose per-frame delivery drives
+  the deferred splices of ``receive_gossip_batch``.
 * **Mirror audits**: after a twin run, every fast replica's derived state
   (the stable-everywhere set, done index, undone set, packed-key backbone,
   drained splice buffers, solid compaction prefix) is checked against its
@@ -25,6 +30,8 @@ different execution.  This suite enforces the contract three ways:
 
 import collections
 import dataclasses
+import functools
+import json
 import random
 from pathlib import Path
 
@@ -58,9 +65,15 @@ from repro.sim.workload import (
     WorkloadSpec,
     run_workload,
 )
+from repro.verification.outcome import check_outcome
 
 VECTOR_DIR = Path(__file__).resolve().parent / "vectors"
-VECTOR_FILES = sorted(VECTOR_DIR.glob("*.json"))
+#: The vectors the reference core generated: those with no extension (the
+#: others run on the production core already).
+VECTOR_FILES = [
+    path for path in sorted(VECTOR_DIR.glob("*.json"))
+    if not json.loads(path.read_text(encoding="utf-8"))["scenario"]["replica"]["fast_core"]
+]
 
 #: The deployment matrix every twin pair runs under.
 CONFIGS = {
@@ -90,10 +103,12 @@ DATA_TYPES = {
 
 
 def run_cluster(data_type_name, config, fast, crash=False):
+    """One seeded cluster: the production core under *config*, or (with
+    *fast* false) the reference core with no extension."""
     type_factory, mix = DATA_TYPES[data_type_name]
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
-        replica=ReplicaConfig(fast_core=fast, **CONFIGS[config]),
+        replica=ReplicaConfig(fast_core=True, **CONFIGS[config]) if fast else ReplicaConfig(),
     )
     cluster = SimulatedCluster(
         type_factory(), 3, ["c1", "c2"], params=params, seed=11
@@ -118,6 +133,13 @@ def run_cluster(data_type_name, config, fast, crash=False):
     )
     run_workload(cluster, spec, seed=7)
     return cluster
+
+
+@functools.lru_cache(maxsize=None)
+def reference_cluster(data_type_name, crash):
+    """The reference run every production configuration is compared with
+    (read-only, so shared)."""
+    return run_cluster(data_type_name, "plain", fast=False, crash=crash)
 
 
 def assert_twin_equivalent(base, fast):
@@ -222,50 +244,52 @@ class TestBatchKernel:
         assert_mirrors_consistent(core)
 
 
-class TestSeededTwins:
+class TestSeededDifferential:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("data_type_name", sorted(DATA_TYPES))
-    def test_fast_cluster_matches_base_cluster(self, data_type_name, config):
-        base = run_cluster(data_type_name, config, fast=False)
+    def test_production_cluster_matches_reference(self, data_type_name, config):
+        reference = reference_cluster(data_type_name, False)
         fast = run_cluster(data_type_name, config, fast=True)
         assert all(
             isinstance(r, FastReplicaCore) for r in fast.replicas.values()
         )
         assert not any(
-            isinstance(r, FastReplicaCore) for r in base.replicas.values()
+            isinstance(r, FastReplicaCore) for r in reference.replicas.values()
         )
-        assert_twin_equivalent(base, fast)
+        assert_twin_equivalent(reference, fast)
+        check_outcome(fast).raise_for_failure()
         for core in fast.replicas.values():
             assert_mirrors_consistent(core)
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("data_type_name", sorted(DATA_TYPES))
-    def test_crashed_fast_cluster_matches_base_cluster(self, data_type_name, config):
+    def test_crashed_production_cluster_matches_reference(self, data_type_name, config):
         # The crash empties the derived state (splice buffers, solid prefix,
         # backbone) and the rejoin rebuilds it from gossip or an adopted
-        # checkpoint: the rebuilt replica must go on exactly as the base.
-        base = run_cluster(data_type_name, config, fast=False, crash=True)
+        # checkpoint: the rebuilt replica must go on exactly as the reference.
+        reference = reference_cluster(data_type_name, True)
         fast = run_cluster(data_type_name, config, fast=True, crash=True)
-        assert_twin_equivalent(base, fast)
+        assert_twin_equivalent(reference, fast)
+        check_outcome(fast).raise_for_failure()
         rejoined = fast.replicas[fast.replica_ids[-1]]
         assert rejoined._epoch > 0, "the crash never happened"
         for core in fast.replicas.values():
             assert_mirrors_consistent(core)
 
-    def test_sharded_twins_match(self):
+    def test_sharded_production_matches_reference(self):
         def run(fast):
             params = SimulationParams(
                 df=1.0,
                 dg=1.0,
                 gossip_period=2.0,
                 replica=ReplicaConfig(
+                    fast_core=True,
                     delta_gossip=True,
                     incremental_replay=True,
                     batch_gossip=True,
-                    fast_core=fast,
                     compaction=CompactionPolicy(min_batch=8, value_retention=64),
                     compaction_interval=10.0,
-                ),
+                ) if fast else ReplicaConfig(batch_gossip=True),
             )
             cluster = ShardedCluster(
                 CounterType(),
@@ -318,6 +342,16 @@ def assert_same_checkpoint(reference, fast):
     assert checkpoint_bytes(fast) == checkpoint_bytes(reference)
 
 
+class ColdReplicaCore(FastReplicaCore):
+    """The production core with its replay cache emptied after every value:
+    each fold then applies its whole prefix, as Fig. 7's replay would."""
+
+    def compute_value(self, operation):
+        value = super().compute_value(operation)
+        self._truncate_replay(0)
+        return value
+
+
 class FoldLog:
     """Every fold one core performs: ``(len(prefix), checkpoint after,
     operator applications the fold performed)``."""
@@ -335,13 +369,13 @@ class FoldLog:
 
 
 def fold_twins(seed, steps=900):
-    """Drive a reference and a production trio in lockstep through one
-    seeded schedule (delta gossip, compaction, duplicate submissions,
-    volatile crashes) and compare every fold.  Returns the event counts."""
+    """Drive a cold and a production trio in lockstep through one seeded
+    schedule (delta gossip, compaction, duplicate submissions, volatile
+    crashes) and compare every fold.  Returns the event counts."""
     rng = random.Random(seed)
     policy = CompactionPolicy(min_batch=2, value_retention=5)
     sides = []
-    for cls in (ReplicaCore, FastReplicaCore):
+    for cls in (ColdReplicaCore, FastReplicaCore):
         cores = {rid: cls(rid, FOLD_REPLICAS, CounterType()) for rid in FOLD_REPLICAS}
         for core in cores.values():
             core.configure_delta_gossip(full_state_interval=3)
@@ -414,7 +448,7 @@ def fold_twins(seed, steps=900):
             for (count, checkpoint, applied), (fast_count, fast_checkpoint, fast_applied) in new:
                 assert fast_count == count
                 assert_same_checkpoint(checkpoint, fast_checkpoint)
-                # The reference applies every folded operator (Fig. 7); the
+                # The cold core applies every folded operator (Fig. 7); the
                 # production core applies none when its cache reaches the
                 # fold's boundary, and all of them otherwise.
                 assert applied == count
@@ -440,7 +474,7 @@ class TestFoldFromReplayCache:
     def test_fold_applications_are_pinned(self):
         """A fold the cache covers applies nothing at the production core;
         after a volatile crash drops the cache, the next fold applies its
-        whole prefix.  The reference applies every fold's prefix."""
+        whole prefix.  The cold core applies every fold's prefix."""
         def script(cls):
             core = cls("r1", ["r1", "r2"], CounterType())
             peer = cls("r2", ["r1", "r2"], CounterType())
@@ -464,7 +498,7 @@ class TestFoldFromReplayCache:
             assert core.checkpoint.count == 5
             return log.folds
 
-        reference, fast = script(ReplicaCore), script(FastReplicaCore)
+        reference, fast = script(ColdReplicaCore), script(FastReplicaCore)
         assert [(n, applied) for n, _, applied in reference] == [(3, 3), (2, 2)]
         assert [(n, applied) for n, _, applied in fast] == [(3, 0), (2, 2)]
         for (_, checkpoint, _), (_, fast_checkpoint, _) in zip(reference, fast):
@@ -473,7 +507,7 @@ class TestFoldFromReplayCache:
 
 def _fast_spec(doc):
     spec = ScenarioSpec.from_doc(doc["scenario"])
-    assert not spec.params.replica.fast_core, "corpus must be generated by the base core"
+    assert not spec.params.replica.fast_core, "the subject is a vector the reference generated"
     return dataclasses.replace(
         spec,
         params=dataclasses.replace(

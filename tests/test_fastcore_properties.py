@@ -124,7 +124,7 @@ def drive_random_system(seed, steps, compaction=False):
         list(REPLICAS),
         ["alice", "bob"],
         replica_factory=FastReplicaCore,
-        config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1) if compaction else None),
+        config=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1) if compaction else None),
     )
     rng = random.Random(seed)
     generators = {c: OperationIdGenerator(c) for c in ("alice", "bob")}

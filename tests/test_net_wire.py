@@ -34,8 +34,9 @@ from repro.sim.workload import WorkloadSpec, run_workload
 
 CONFIGS = {
     "full": {},
-    "delta": dict(delta_gossip=True, incremental_replay=True),
+    "delta": dict(fast_core=True, delta_gossip=True, incremental_replay=True),
     "advert": dict(
+        fast_core=True,
         delta_gossip=True,
         incremental_replay=True,
         batch_gossip=True,

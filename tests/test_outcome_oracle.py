@@ -10,7 +10,6 @@ whether the deployment is the action-level :class:`AlgorithmSystem`, a
 """
 
 import asyncio
-import dataclasses
 import random
 
 import pytest
@@ -54,8 +53,8 @@ def reversed_prev_edge(deployment) -> None:
 def diverged_replica(deployment, replica_ids=None) -> None:
     for rid in replica_ids or deployment.replica_ids[-1:]:
         core = deployment.replicas[rid]
-        base = core.checkpoint.base_state
-        core.checkpoint = dataclasses.replace(core.checkpoint, base_state=base + 1000)
+        state = core.replayed_state() + 1000
+        core.replayed_state = lambda: state
 
 
 def every_replica_diverged(deployment) -> None:

@@ -18,7 +18,11 @@ import random
 import pytest
 
 from repro.algorithm.checkpoint import CompactionPolicy
+from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.fastcore import FastReplicaCore
+from repro.algorithm.memoized import MemoizedReplicaCore
+from repro.algorithm.node import build_replicas
+from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationIdGenerator
 from repro.config import ReplicaConfig
@@ -118,6 +122,7 @@ class TestNetClusterTwin:
 
     def test_mapping_compaction_rejected_outside_sharded_entry_points(self):
         per_shard = ReplicaConfig(
+            fast_core=True,
             compaction={"s0": CompactionPolicy(min_batch=4, value_retention=8)}
         )
         with pytest.raises(ConfigurationError):
@@ -166,6 +171,29 @@ class TestIncoherentCombinations:
         with pytest.raises(ConfigurationError):
             ScenarioSpec.from_doc(doc)
 
+    @pytest.mark.parametrize("extension", [
+        dict(delta_gossip=True),
+        dict(compaction=CompactionPolicy()),
+        dict(advert_gossip=True),
+    ], ids=["delta_gossip", "compaction", "advert_gossip"])
+    def test_extensions_require_the_production_core(self, extension):
+        # The reference core is Fig. 7 alone: an extension without
+        # fast_core is refused where the config is made.
+        with pytest.raises(ConfigurationError, match="fast_core=True"):
+            ReplicaConfig(**extension)
+        assert ReplicaConfig(fast_core=True, **extension).extended
+
+    @pytest.mark.parametrize("factory", [
+        ReplicaCore, MemoizedReplicaCore, CommuteReplicaCore,
+    ], ids=["reference", "memoized", "commute"])
+    def test_an_extension_on_another_core_is_a_configuration_error(self, factory):
+        # A factory overrides the core fast_core selects; one without the
+        # extensions is refused by name, not by a missing attribute.
+        with pytest.raises(ConfigurationError, match=factory.__name__):
+            build_replicas(CONFIG, ["r1", "r2"], CounterType(), factory)
+        plain = build_replicas(ReplicaConfig(fast_core=True), ["r1", "r2"], CounterType(), factory)
+        assert all(type(core) is factory for core in plain.values())
+
     def test_batch_replay_is_inert(self):
         # The batch kernel is part of the production core: the flag still
         # validates, but builds the very class fast_core alone does.
@@ -183,7 +211,7 @@ class TestIncoherentCombinations:
         # Each core has exactly one way to compute a value: seeded clusters
         # differing only in the flag answer alike and replay alike.
         def run(incremental):
-            config = ReplicaConfig(fast_core=fast_core, delta_gossip=True,
+            config = ReplicaConfig(fast_core=fast_core, delta_gossip=fast_core,
                                    incremental_replay=incremental)
             cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"],
                                        params=SimulationParams(replica=config), seed=7)

@@ -27,6 +27,7 @@ from repro.sim.cluster import SimulatedCluster, SimulationParams
 
 IDS = ("r0", "r1")
 CONFIG = ReplicaConfig(
+    fast_core=True,
     delta_gossip=True,
     advert_gossip=True,
     checkpoint_chunk=1,

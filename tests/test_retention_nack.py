@@ -18,7 +18,7 @@ import pytest
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.frontend import FrontEndCore
 from repro.algorithm.messages import RequestMessage, ResponseMessage
-from repro.algorithm.replica import ReplicaCore
+from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import OperationIdGenerator, StaleValueError
 from repro.config import ReplicaConfig
@@ -39,7 +39,7 @@ def compacted_evicted_pair():
     ``value_retention=0`` — its value is gone everywhere."""
     ids = ["r1", "r2"]
     policy = CompactionPolicy(min_batch=1, value_retention=0)
-    r1, r2 = (ReplicaCore(rid, ids, CounterType()) for rid in ids)
+    r1, r2 = (FastReplicaCore(rid, ids, CounterType()) for rid in ids)
     for replica in (r1, r2):
         replica.configure_compaction(policy)
     op = make_operation(CounterType.increment(), OperationIdGenerator("alice").fresh())
@@ -64,7 +64,7 @@ class TestReplicaNackQueue:
 
     def test_retained_value_still_answers_without_nack(self):
         ids = ["r1", "r2"]
-        r1, r2 = (ReplicaCore(rid, ids, CounterType()) for rid in ids)
+        r1, r2 = (FastReplicaCore(rid, ids, CounterType()) for rid in ids)
         for replica in (r1, r2):
             replica.configure_compaction(CompactionPolicy(min_batch=1))
         op = make_operation(CounterType.increment(), OperationIdGenerator("a").fresh())
@@ -163,7 +163,7 @@ class TestSystemNackPath:
     def test_retransmit_after_eviction_fails_explicitly(self):
         system = AlgorithmSystem(
             CounterType(), ["r1", "r2"], ["alice"],
-            config=ReplicaConfig(compaction=CompactionPolicy(min_batch=1, value_retention=0)),
+            config=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1, value_retention=0)),
         )
         gen = OperationIdGenerator("alice")
         op = make_operation(CounterType.increment(), gen.fresh())
@@ -219,6 +219,7 @@ class TestSimulatedNackSurfacing:
         # the remaining replicas until every one has NACKed.
         params = SimulationParams(
             replica=ReplicaConfig(
+                fast_core=True,
                 compaction=CompactionPolicy(min_batch=1, value_retention=0),
                 compaction_interval=2.0,
             ),
@@ -247,6 +248,7 @@ class TestSimulatedNackSurfacing:
         merged ``failed``, ``outstanding_operations`` and ``value_of``."""
         params = SimulationParams(
             replica=ReplicaConfig(
+                fast_core=True,
                 compaction=CompactionPolicy(min_batch=1, value_retention=0),
                 compaction_interval=2.0,
             ),

@@ -210,13 +210,17 @@ def _with_replica(params, **features):
 
 def _aggressive_compaction(rng, params):
     return _with_replica(
-        params, compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0
+        params,
+        fast_core=True,
+        compaction=CompactionPolicy(min_batch=1),
+        compaction_interval=1.0,
     )
 
 
 def _advert_pull(rng, params):
     return _with_replica(
         params,
+        fast_core=True,
         compaction=CompactionPolicy(min_batch=1),
         compaction_interval=1.0,
         advert_gossip=True,
@@ -286,10 +290,6 @@ def _fast_core(rng, params):
     return _with_replica(params, fast_core=True)
 
 
-def _fast_core_advert(rng, params):
-    return _with_replica(_advert_pull(rng, params), fast_core=True)
-
-
 def _batch_kernel(rng, params):
     return _with_replica(
         params,
@@ -306,30 +306,37 @@ def _batch_kernel_advert(rng, params):
 
 _CORE_TWEAK_KINDS = {
     _fast_core: "fast",
-    _fast_core_advert: "fast-advert",
     _batch_kernel: "batch",
     _batch_kernel_advert: "batch-advert",
 }
 
 
 @pytest.mark.parametrize(
-    "tweak",
-    [_fast_core, _fast_core_advert, _batch_kernel, _batch_kernel_advert],
-    ids=["plain", "advert-compact", "batch", "batch-advert-compact"],
+    "delta_gossip, tweak",
+    [
+        (False, _fast_core),
+        (False, _batch_kernel),
+        (False, _batch_kernel_advert),
+        (True, _batch_kernel),
+        (True, _batch_kernel_advert),
+    ],
+    ids=["full-plain", "full-batch", "full-batch-advert-compact", "delta-batch",
+         "delta-batch-advert-compact"],
 )
-@pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
 @pytest.mark.parametrize("seed", COMPACTION_SEEDS)
 def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     """The corpus seeds re-run on the production core
-    (:class:`FastReplicaCore`) — plain, and layered over the
-    aggressive-compaction + advert/pull tweak (the paths where folds trim the
-    key backbone and the solid compaction prefix, and coverage summaries are
-    absorbed).  The batch arms force coalesced gossip delivery, which the
-    random draw turns on for only half the seeds, so every scenario runs
-    the deferred splices of ``receive_gossip_batch``; they spell the inert
-    ``batch_replay=True`` and ``incremental_replay=True`` as the budget
-    benchmark does.  The core is an optimization, not a semantic change,
-    so every oracle must hold exactly as for the base core."""
+    (:class:`FastReplicaCore`) — plain with full gossip (the delta arm and
+    the advert arms above already run on it), and batched.  The batch arms
+    force coalesced gossip delivery, which the random draw turns on for
+    only half the seeds, so every scenario runs the deferred splices of
+    ``receive_gossip_batch`` — alone and layered over the
+    aggressive-compaction + advert/pull tweak (the paths where folds trim
+    the key backbone and the solid compaction prefix, and coverage
+    summaries are absorbed); they spell the inert ``batch_replay=True`` and
+    ``incremental_replay=True`` as the budget benchmark does.  The core is
+    an optimization, not a semantic change, so every oracle must hold
+    exactly as for the reference core."""
     mode = "delta" if delta_gossip else "full"
     kind = _CORE_TWEAK_KINDS[tweak]
     spec = random_sim_spec(
@@ -426,16 +433,21 @@ def test_random_reshard_on_fast_core_preserves_guarantees(seed):
 def reshard_under_faults(seed, fast_core):
     rng = random.Random(7000 + seed)
     num_shards = rng.choice([2, 3])
+    client_ids = [f"c{i}" for i in range(rng.randint(1, 2))]
+    # Delta gossip runs on the production core only: the reference arm
+    # keeps the draw (so the rest of the schedule is unchanged) and gossips
+    # full state.
+    delta_gossip = rng.random() < 0.5 and fast_core
     cluster = ShardedCluster(
         CounterType(),
         num_shards=num_shards,
         replicas_per_shard=3,
-        client_ids=[f"c{i}" for i in range(rng.randint(1, 2))],
+        client_ids=client_ids,
         params=SimulationParams(
             replica=ReplicaConfig(
                 fast_core=fast_core,
                 batch_gossip=True,
-                delta_gossip=rng.random() < 0.5,
+                delta_gossip=delta_gossip,
                 full_state_interval=rng.choice([4, 8]),
             ),
             retransmit_interval=4.0,

@@ -190,7 +190,7 @@ class TestKeyedWorkloads:
     @pytest.mark.parametrize("delta", [False, True], ids=["full-gossip", "delta-gossip"])
     def test_invariants_and_traces_hold_per_shard(self, delta):
         cluster = make_cluster(
-            num_shards=3, params=SimulationParams(replica=ReplicaConfig(delta_gossip=delta)),
+            num_shards=3, params=SimulationParams(replica=ReplicaConfig(fast_core=delta, delta_gossip=delta)),
         )
         rng = random.Random(11)
         for index in range(12):

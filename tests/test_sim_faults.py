@@ -34,6 +34,11 @@ from repro.sim.faults import (
 )
 
 
+#: The production core with no extension switched on: a transfer receiver
+#: (only the production core has the pull/transfer plane).
+PRODUCTION_PARAMS = SimulationParams(replica=ReplicaConfig(fast_core=True))
+
+
 def make_cluster(**params_kwargs):
     params = SimulationParams(df=1.0, dg=1.0, gossip_period=2.0, **params_kwargs)
     return SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=1)
@@ -216,7 +221,7 @@ class TestDuplicateMessages:
     @staticmethod
     def _run_twin(duplicate):
         params = SimulationParams(
-            df=1.0, dg=1.0, gossip_period=2.0, replica=ReplicaConfig(delta_gossip=True)
+            df=1.0, dg=1.0, gossip_period=2.0, replica=ReplicaConfig(fast_core=True, delta_gossip=True)
         )
         cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=11)
         if duplicate:
@@ -252,7 +257,7 @@ def _checkpointed_cluster(seed=5):
         df=1.0,
         dg=1.0,
         gossip_period=1.0,
-        replica=ReplicaConfig(compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0),
+        replica=ReplicaConfig(fast_core=True, compaction=CompactionPolicy(min_batch=1), compaction_interval=1.0),
     )
     cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=seed)
     for _ in range(4):
@@ -290,7 +295,7 @@ class TestCorruptTransfers:
         # A replica from an untouched twin deployment plays the behind
         # receiver: empty checkpoint, empty history — maximally behind.
         receiver = SimulatedCluster(
-            CounterType(), 3, ["c0"], params=SimulationParams(), seed=99
+            CounterType(), 3, ["c0"], params=PRODUCTION_PARAMS, seed=99
         ).replicas["r1"]
         pull = PullRequestMessage(
             requester="r1",
@@ -340,6 +345,7 @@ def _corrupted_catchup_run(**replica_overrides):
         frontend_policy="round_robin",
         retransmit_interval=4.0,
         replica=ReplicaConfig(
+            fast_core=True,
             compaction=CompactionPolicy(min_batch=1),
             compaction_interval=1.0,
             advert_gossip=True,
@@ -410,7 +416,7 @@ class TestMalformedTransferHeaders:
             prefix, data_type, labels
         )
         receiver = SimulatedCluster(
-            data_type, 3, ["c0"], params=SimulationParams(), seed=99
+            data_type, 3, ["c0"], params=PRODUCTION_PARAMS, seed=99
         ).replicas["r1"]
         receiver._consider_advert("r0", donor.advert())
         assert [pull.target for pull in receiver.take_pending_pulls()] == ["r0"]

@@ -14,10 +14,12 @@ suite pins it five ways:
   forced folds, a volatile crash, recovery and the checkpoint adoption that
   follows (pulled in chunks, or eager on full-state gossip) — and before it reads, the unsettled lazy state and Invariants
   7.1 / 7.2 are checked, and the read itself changes nothing authoritative;
-* both predicates equal :class:`ReplicaCore`'s on a lockstep twin, for
-  tracked, compacted and never-seen identifiers;
+* on a lockstep twin, both predicates know at least what
+  :class:`ReplicaCore`'s do, and only what is true, for tracked, compacted
+  and never-seen identifiers;
 * random merge interleavings on 2, 3 and 5 replicas, with forced folds and
-  coverage marking, keep every row equal to :class:`ReplicaCore`'s;
+  coverage marking, keep every row equal to :class:`ReplicaCore`'s outside
+  the prefix the production core folded;
 * a long no-compaction cold catch-up — the shape on which the derived state
   is widest — leaves the reference and production readers identical;
 * no private attribute of the production core is written without being read
@@ -52,6 +54,10 @@ PRODUCTION = ReplicaConfig(fast_core=True)
 
 
 def build_system(core_config, min_batch, advert=True):
+    """A production system with every extension (the reference core, with
+    none, when *core_config* is ``None``)."""
+    if core_config is None:
+        return AlgorithmSystem(CounterType(), list(REPLICAS), list(CLIENTS))
     config = replace(
         core_config,
         delta_gossip=True,
@@ -154,8 +160,8 @@ def test_audit_holds_after_every_action(advert, seed):
     crashed.recover_from_stable_storage()
     check(crashed)
     adoptions = []
-    adopted_hook = crashed._on_checkpoint_adopted
-    crashed._on_checkpoint_adopted = lambda: (adoptions.append(1), adopted_hook())
+    rebuild = crashed._rebuild_fast_state  # an adoption's last step
+    crashed._rebuild_fast_state = lambda: (adoptions.append(1), rebuild())
 
     submit(system, generators, rng, 6)
     system.run_random(rng, steps=400, step_hook=audit_all)
@@ -193,7 +199,11 @@ def drive_twin(core_config, seed, steps):
     st.integers(min_value=0, max_value=900),
 )
 def test_predicates_match_reference_core(seed, steps):
-    base, operations, generators = drive_twin(ReplicaConfig(), seed, steps)
+    """The reference runs Fig. 7 alone; the production twin compacts and
+    gossips deltas and checkpoints.  A checkpoint's coverage can tell the
+    production core that an operation is stable everywhere before Fig. 7's
+    messages tell the reference, never after — and only when it is true."""
+    base, operations, generators = drive_twin(None, seed, steps)
     twin, twin_operations, _ = drive_twin(PRODUCTION, seed, steps)
     assert operations == twin_operations
     never_seen = [
@@ -202,13 +212,36 @@ def test_predicates_match_reference_core(seed, steps):
     for rid in REPLICAS:
         reference, core = base.replicas[rid], twin.replicas[rid]
         assert type(reference) is ReplicaCore and isinstance(core, FastReplicaCore)
-        assert core.checkpoint.count == reference.checkpoint.count
-        assert core.compactable_prefix() == reference.compactable_prefix()
+        folded = reference.done_order()[: core.checkpoint.count]
+        assert all(core.is_compacted(x.id) for x in folded)
+        prefix = core.compactable_prefix()
+        assert prefix[: len(reference_prefix(reference, core))] == reference_prefix(
+            reference, core
+        )
+        assert all(core.is_stable_everywhere(x) and x not in core.pending for x in prefix)
         for operation in operations + never_seen:
-            assert core.is_stable_everywhere(operation) == reference.is_stable_everywhere(
-                operation
-            ), (rid, operation.id, core.is_compacted(operation.id))
+            if reference.is_stable_everywhere(operation):
+                assert core.is_stable_everywhere(operation), (rid, operation.id)
+            if core.is_stable_everywhere(operation):
+                assert all(
+                    operation in r.done_here() or r.is_compacted(operation.id)
+                    for r in twin.replicas.values()
+                ), (rid, operation.id)
         assert not any(core.is_stable_everywhere(x) for x in never_seen)
+
+
+def reference_prefix(reference, core):
+    """The compactable prefix by its definition, on the reference's rows:
+    the longest run of *core*'s unfolded done order, in the reference's
+    label order, that is stable everywhere and not pending."""
+    prefix = []
+    for x in reference.done_order():
+        if core.is_compacted(x.id):
+            continue
+        if x in reference.pending or not reference.is_stable_everywhere(x):
+            break
+        prefix.append(x)
+    return prefix
 
 
 # --------------------------------------------------------------------------- #
@@ -216,23 +249,29 @@ def test_predicates_match_reference_core(seed, steps):
 # --------------------------------------------------------------------------- #
 
 
-def tracked_state(core):
-    # Each core holds its own checkpoint object.
-    return {k: v for k, v in core.snapshot().items() if k != "checkpoint"}
+def tracked_state(core, covered):
+    """The Fig. 7 state outside what *covered* (a checkpoint) folded."""
+    keep = lambda ops: {x for x in ops if not covered.covers(x.id)}
+    return {
+        "pending": keep(core.pending),
+        "rcvd": keep(core.rcvd),
+        "done": {i: keep(ops) for i, ops in core.done.items()},
+        "stable": {i: keep(ops) for i, ops in core.stable.items()},
+        "labels": {k: v for k, v in core.labels.items() if not covered.covers(k)},
+    }
+
+
+def mark_everywhere(core, operations):
+    """Fig. 7's rows after learning that *operations* are stable at every
+    replica (what ``_mark_coverage_stable`` records)."""
+    for i in core.replica_ids:
+        core.done[i] |= operations
+        core.stable[i] |= operations
 
 
 STEP_KINDS = (
     "request", "request", "do", "send", "send", "deliver", "deliver", "fold", "mark", "read",
 )
-
-
-def lockstep_cores(cls, ids):
-    cores = {rid: cls(rid, ids, CounterType()) for rid in ids}
-    for core in cores.values():
-        # Adverts, never bodies: a coverage the order digest refuses queues
-        # a pull (never served here) instead of an adoption.
-        core.configure_advert_gossip(True)
-    return cores
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,11 +286,13 @@ def lockstep_cores(cls, ids):
 def test_random_merges_keep_the_reference_rows(n, steps):
     """Gossip merges in any delivery order, forced folds and coverage
     marking leave ``stable[me]`` and every done row equal to
-    :class:`ReplicaCore`'s; with two replicas the promotion loop visits no
-    row at all."""
+    :class:`ReplicaCore`'s, outside what the production core folded; with
+    two replicas the promotion loop visits no row at all.  A production
+    message's checkpoint asserts stability everywhere, which Fig. 7's
+    messages cannot say, so the reference is told it directly."""
     ids = [f"r{i}" for i in range(n)]
-    reference = lockstep_cores(ReplicaCore, ids)
-    twin = lockstep_cores(FastReplicaCore, ids)
+    reference = {rid: ReplicaCore(rid, ids, CounterType()) for rid in ids}
+    twin = {rid: FastReplicaCore(rid, ids, CounterType()) for rid in ids}
     generator = OperationIdGenerator("c")
     in_flight = []
     for kind, a, b in steps:
@@ -272,30 +313,41 @@ def test_random_merges_keep_the_reference_rows(n, steps):
             ref, core = reference[destination], twin[destination]
             ref.receive_gossip(ref_message)
             core.receive_gossip(core_message)
-            assert core.stable[destination] == ref.stable[destination]
+            coverage = core_message.checkpoint
+            if coverage is not None:
+                # The production core absorbed this (or adopted the body,
+                # folding what it covers out of the comparison).
+                mark_everywhere(ref, {x for x in ref.done_here() if coverage.covers(x.id)})
+            rows = tracked_state(ref, core.checkpoint)
+            assert core.stable[destination] == rows["stable"][destination]
             for i in ids:
-                assert core.done[i] == ref.done[i]
+                assert core.done[i] == rows["done"][i]
         elif kind == "fold":
             # The reference picks the prefix, so the twin folds without
             # reading (and so settling) its own set first.
-            prefix = [] if ref.catching_up() else ref.compactable_prefix()
-            for side in (ref, core) if prefix else ():
-                side.configure_compaction(CompactionPolicy(min_batch=1))
-                side._prepare_compaction()
-                side._compact(prefix)
-                side.configure_compaction(enabled=False)
+            prefix = reference_prefix(ref, core)
+            if prefix:
+                core.configure_compaction(CompactionPolicy(min_batch=1))
+                core._compact(prefix)
+                core.configure_compaction(enabled=False)
         elif kind == "mark":
             # Sound coverage knowledge: what another replica knows is stable
             # everywhere, restricted to what is tracked here.
             source = reference[ids[b % n]]
             tracked = set.intersection(*source.stable.values()) & ref.done_here()
-            ref._mark_coverage_stable(set(tracked))
-            core._mark_coverage_stable(set(tracked))
+            mark_everywhere(ref, tracked)
+            core._mark_coverage_stable(tracked & core.done_here())
         elif kind == "read":
-            assert core._stable_all == set.intersection(*ref.stable.values())
-            assert core.compactable_prefix() == ref.compactable_prefix()
-        assert tracked_state(core) == tracked_state(ref)
-        assert core.checkpoint.count == ref.checkpoint.count
+            everywhere = set.intersection(*ref.stable.values())
+            assert core._stable_all == {
+                x for x in everywhere if not core.is_compacted(x.id)
+            }
+            assert core.compactable_prefix() == reference_prefix(ref, core)
+        assert tracked_state(core, core.checkpoint) == tracked_state(ref, core.checkpoint)
+        # A fold only ever takes what the reference knows stable everywhere.
+        assert all(
+            ref.is_stable_everywhere(x) for x in ref.done_here() if core.is_compacted(x.id)
+        )
         assert_invariants_7_1_and_7_2(core)
         assert_lazy_state(core)
     for rid in ids:
@@ -356,8 +408,12 @@ def test_long_cold_catchup_is_lockstep_identical():
     ids, stream = record_stream(5000)
     readers = {}
     for name, cls in (("base", ReplicaCore), ("production", FastReplicaCore)):
+        # The reference merges each delta as Fig. 7 merges any message: by
+        # union and label minimum, which a complete stream makes the full
+        # knowledge.
         reader = cls("reader", ids, CounterType())
-        CATCHUP_CONFIG.configure_core(reader)
+        if cls is FastReplicaCore:
+            CATCHUP_CONFIG.configure_core(reader)
         for batch in stream:
             reader.receive_gossip_batch(batch)
             reader.do_all_ready()
@@ -375,7 +431,7 @@ def test_long_cold_catchup_is_lockstep_identical():
     assert reader.done_order() == order
     assert knowledge(reader) == knowledge(base)
     assert reader._stable_all == stable
-    assert reader.compactable_prefix() == base.compactable_prefix()
+    assert reader.compactable_prefix() == reference_prefix(base, reader)
     assert reader.compute_value(order[-1]) == base.compute_value(order[-1])
     assert_mirrors_consistent(reader)
 

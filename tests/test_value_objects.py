@@ -248,14 +248,16 @@ def run_cluster(data_type_name, seed, production):
     type_factory, mix = LOCKSTEP_TYPES[data_type_name]
     params = SimulationParams(
         df=1.0, dg=1.0, gossip_period=2.0,
+        # The reference core runs no extension; the production core runs
+        # all of them.
         replica=ReplicaConfig(
-            fast_core=production,
+            fast_core=True,
             delta_gossip=True,
             incremental_replay=True,
             advert_gossip=True,
             compaction=CompactionPolicy(min_batch=8, value_retention=32),
             compaction_interval=10.0,
-        ),
+        ) if production else ReplicaConfig(),
     )
     cluster = SimulatedCluster(type_factory(), 3, ["c1", "c2"], params=params, seed=seed)
     spec = WorkloadSpec(

@@ -72,7 +72,7 @@ RANDOM_RUN_INPUTS = {
     "counter": (CounterType(), ["alice", "bob"], "counter", ReplicaConfig()),
     "keyed": (KeyedStore(CounterType()), SHARD_CLIENTS, "keyed", ReplicaConfig()),
     "keyed-delta": (
-        KeyedStore(CounterType()), SHARD_CLIENTS, "keyed", ReplicaConfig(delta_gossip=True)
+        KeyedStore(CounterType()), SHARD_CLIENTS, "keyed", ReplicaConfig(fast_core=True, delta_gossip=True)
     ),
 }
 
