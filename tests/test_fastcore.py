@@ -21,7 +21,11 @@ enforces that three ways:
   generated re-runs with ``fast_core=True`` and must match the recorded
   outcome byte for byte (responses, witness, per-replica digests), on the
   simulator and on the wire-codec net twin, whose per-frame delivery drives
-  the deferred splices of ``receive_gossip_batch``.
+  the deferred splices of ``receive_gossip_batch``.  Conversely, every
+  vector the production core generated (each runs an extension) re-runs on
+  the reference core with its extensions off and must give the recorded
+  responses, casualties, states and (outside compaction through a volatile
+  crash) witness order, on both runtimes.
 * **Mirror audits**: after a twin run, every fast replica's derived state
   (the stable-everywhere set, done index, undone set, packed-key backbone,
   drained splice buffers, solid compaction prefix) is checked against its
@@ -68,11 +72,21 @@ from repro.sim.workload import (
 from repro.verification.outcome import check_outcome
 
 VECTOR_DIR = Path(__file__).resolve().parent / "vectors"
-#: The vectors the reference core generated: those with no extension (the
-#: others run on the production core already).
+
+
+def _generated_by_production_core(path):
+    return json.loads(path.read_text(encoding="utf-8"))["scenario"]["replica"]["fast_core"]
+
+
+#: The vectors the reference core generated: those with no extension.
 VECTOR_FILES = [
     path for path in sorted(VECTOR_DIR.glob("*.json"))
-    if not json.loads(path.read_text(encoding="utf-8"))["scenario"]["replica"]["fast_core"]
+    if not _generated_by_production_core(path)
+]
+#: The vectors the production core generated: each runs an extension.
+EXTENSION_VECTOR_FILES = [
+    path for path in sorted(VECTOR_DIR.glob("*.json"))
+    if _generated_by_production_core(path)
 ]
 
 #: The deployment matrix every twin pair runs under.
@@ -516,6 +530,57 @@ def _fast_spec(doc):
     )
 
 
+def reference_replica_config(config):
+    """*config* on the reference core with every extension switched off —
+    the other side of the differential.  The simulator-only and inert
+    fields stay as they are, so the schedule does not change."""
+    return dataclasses.replace(
+        config,
+        fast_core=False,
+        batch_replay=False,
+        delta_gossip=False,
+        compaction=None,
+        compaction_interval=None,
+        advert_gossip=False,
+        checkpoint_chunk=None,
+    )
+
+
+def _reference_spec(spec):
+    assert spec.params.replica.extended, "the subject is a vector that runs an extension"
+    return dataclasses.replace(
+        spec,
+        params=dataclasses.replace(
+            spec.params, replica=reference_replica_config(spec.params.replica)
+        ),
+    )
+
+
+def _compacts_through_a_volatile_crash(spec):
+    return spec.params.replica.compaction is not None and any(
+        fault["kind"] == "replica_crash" and fault["volatile_memory"]
+        for fault in spec.faults
+    )
+
+
+def assert_reference_reproduces_extension_vector(path, runtime):
+    """The reference core, with the vector's extensions switched off, must
+    give the recorded responses, failures, casualties and per-replica
+    states — and the recorded witness order, except where a compacting
+    deployment crashes a replica with volatile memory: its checkpoint keeps
+    the agreed labels of the folded operations, which the reference replica
+    forgets, so the two may order operations differently.  The reference's
+    own witness still passes the oracle that ``collect_outcome`` runs."""
+    doc = loads_vector(path.read_text(encoding="utf-8"), str(path))
+    spec = ScenarioSpec.from_doc(doc["scenario"])
+    expected = ScenarioOutcome.from_doc(doc["expected"])
+    observed = collect_outcome(run_scenario(_reference_spec(spec), runtime=runtime))
+    if _compacts_through_a_volatile_crash(spec):
+        observed = dataclasses.replace(observed, witness=expected.witness)
+    mismatches = compare_outcomes(expected, observed)
+    assert mismatches == [], f"{path.name}: {mismatches}"
+
+
 class TestConformanceCorpusReplay:
     @pytest.mark.parametrize("path", VECTOR_FILES, ids=lambda p: p.stem)
     def test_fast_core_reproduces_corpus_vector(self, path):
@@ -534,3 +599,11 @@ class TestConformanceCorpusReplay:
         observed = collect_outcome(run_scenario(_fast_spec(doc), runtime="net"))
         mismatches = compare_outcomes(expected, observed)
         assert mismatches == [], f"{path.name}: {mismatches}"
+
+    @pytest.mark.parametrize("path", EXTENSION_VECTOR_FILES, ids=lambda p: p.stem)
+    def test_reference_core_reproduces_extension_vector(self, path):
+        assert_reference_reproduces_extension_vector(path, "sim")
+
+    @pytest.mark.parametrize("path", EXTENSION_VECTOR_FILES, ids=lambda p: p.stem)
+    def test_reference_core_reproduces_extension_vector_over_net(self, path):
+        assert_reference_reproduces_extension_vector(path, "net")

@@ -28,9 +28,10 @@ equivalence argument says the observable guarantees are identical, and this
 suite is the randomized regression net enforcing it.  A smaller batch of
 scenarios exercises the sharded service layer with per-shard faults; another
 re-runs the corpus seeds with *aggressive* checkpoint compaction; a further
-batch forces **advert/pull** gossip on top of that; the extended-fault
-batch turns on the full adversary mix; and the reshard batch changes the
-consistent-hash ring **live** mid-load (grow or drain, driven directly
+batch forces **advert/pull** gossip on top of that; the differential
+batch runs each extension against the reference core with none; the
+extended-fault batch turns on the full adversary mix; and the reshard
+batch changes the consistent-hash ring **live** mid-load (grow or drain, driven directly
 against :class:`~repro.sim.sharded.ShardedCluster`) while transfer
 corruption and volatile crash/recovery fire, re-checking every per-shard
 oracle plus the handoff audit afterwards.
@@ -46,6 +47,8 @@ import random
 from pathlib import Path
 
 import pytest
+
+from test_fastcore import reference_replica_config
 
 from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.fastcore import FastReplicaCore
@@ -65,6 +68,8 @@ from repro.conformance.scenario import (
     DATA_TYPE_NAMES,
     UNSHARDED,
     ScenarioSpec,
+    collect_outcome,
+    compare_outcomes,
     run_scenario,
 )
 from repro.datatypes import CounterType
@@ -348,6 +353,63 @@ def test_random_scenarios_with_fast_core(seed, delta_gossip, tweak):
     assert run.workload_result.submitted == expected
     for replica in run.clusters[UNSHARDED].replicas.values():
         assert isinstance(replica, FastReplicaCore)
+
+
+#: The extension arms the reference differential draws: (delta_gossip,
+#: params tweak) for the spec the production core runs.
+_DIFFERENTIAL_ARMS = {
+    "delta": (True, None),
+    "compact-full": (False, _aggressive_compaction),
+    "compact-delta": (True, _aggressive_compaction),
+    "advert-full": (False, _advert_pull),
+    "advert-delta": (True, _advert_pull),
+}
+
+
+def _crashes_keep_memory(spec):
+    """*spec* with every replica crash keeping its memory."""
+    return dataclasses.replace(
+        spec,
+        faults=tuple(
+            dict(fault, volatile_memory=False) if fault["kind"] == "replica_crash" else fault
+            for fault in spec.faults
+        ),
+    )
+
+
+@pytest.mark.parametrize("arm", list(_DIFFERENTIAL_ARMS))
+@pytest.mark.parametrize("seed", COMPACTION_SEEDS)
+def test_random_scenarios_match_the_reference_core(seed, arm):
+    """Each extension on a random fault schedule against the reference core
+    with no extension: the production run (checked by every oracle) and the
+    reference run of the same spec must give the same responses, failures,
+    casualties, witness order and per-replica states.  Delta gossip keeps
+    the spec's volatile crashes.  The compaction and advert arms crash with
+    stable memory instead: a checkpoint survives a volatile crash that
+    wipes the reference replica, so there the two may lose different
+    operations and order them differently (the other compaction arms check
+    those runs against the oracles)."""
+    delta_gossip, tweak = _DIFFERENTIAL_ARMS[arm]
+    spec = random_sim_spec(
+        f"fuzz-differential-{arm}-{seed:03d}", seed, delta_gossip, params_tweak=tweak
+    )
+    if tweak is not None:
+        spec = _crashes_keep_memory(spec)
+    assert spec.params.replica.fast_core and spec.params.replica.extended
+    run, _results = run_checked(spec)
+    production = collect_outcome(run)
+    reference_spec = dataclasses.replace(
+        spec,
+        params=dataclasses.replace(
+            spec.params, replica=reference_replica_config(spec.params.replica)
+        ),
+    )
+    reference_run = run_scenario(reference_spec)
+    for cluster in reference_run.clusters.values():
+        for replica in cluster.replicas.values():
+            assert not isinstance(replica, FastReplicaCore)
+    mismatches = compare_outcomes(production, collect_outcome(reference_run))
+    assert mismatches == [], f"{spec.name}: {mismatches}"
 
 
 @pytest.mark.parametrize("delta_gossip", [False, True], ids=["full", "delta"])
