@@ -8,7 +8,7 @@ steady-state wire payload grows with the history (linearly under unbounded
 Advert/pull gossip replaces the body with a compact advert (frontier label,
 digest, per-client id intervals): a caught-up peer learns everything it
 needs from the advert alone, and only a genuinely behind peer pulls the
-body, as chunked transfers, on demand.
+body, in one transfer message, on demand.
 
 The table runs the same seeded workload at growing history lengths under
 both modes and reports the size of a steady-state full-state gossip message

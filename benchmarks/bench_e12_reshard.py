@@ -2,7 +2,7 @@
 
 The service layer can change its consistent-hash ring **while serving
 requests** (`ShardedCluster.reshard`): moving key ranges are frozen,
-snapshot via the digest-verified chunked transfer path, replayed at the
+shipped as one digest-verified slice message, replayed at the
 destination, and dual-routed during the handoff window.  This experiment
 quantifies what that costs the client:
 

@@ -189,16 +189,13 @@ def _json_message(message: Any) -> Dict[str, Any]:
             "kind": kind,
             "sender": message.sender,
             "requester": message.requester,
-            "epoch": message.epoch,
             "digest": message.digest,
             "frontier": _json_value(message.frontier),
             "ids": _json_summary(message.ids),
-            "values_chunk": [
+            "values": [
                 [f"{op_id.client}#{op_id.seqno}", _json_value(value)]
-                for op_id, value in message.values_chunk.items()
+                for op_id, value in message.values.items()
             ],
-            "chunk_index": message.chunk_index,
-            "chunk_count": message.chunk_count,
             "base_state": _json_value(message.base_state),
         }
     raise ValueError(f"cannot JSON-encode message kind {kind!r}")

@@ -55,19 +55,16 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithm.labels import Label
 from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
-
-if TYPE_CHECKING:  # pragma: no cover - messages imports this module
-    from repro.algorithm.messages import CheckpointTransferMessage
 
 
 #: Seed of the chained fold-order digest — the digest of "nothing folded yet".
@@ -117,20 +114,8 @@ def canonical_repr(value: Any) -> str:
     return repr(value)
 
 
-def chunk_slices(items: Sequence[Any], chunk: Optional[int]) -> List[List[Any]]:
-    """Split *items* into order-preserving slices of at most *chunk* entries
-    (``None`` or a covering chunk size yields a single slice; an empty input
-    still yields one empty slice, so transfers always carry at least one
-    chunk to anchor the digest).  Shared by checkpoint value transfer and
-    resharding migration transfer."""
-    items = list(items)
-    if chunk is None or chunk >= max(len(items), 1):
-        return [items]
-    return [items[i : i + chunk] for i in range(0, len(items), chunk)]
-
-
 #: Marker wrapped around a payload entry tampered in flight by the corruption
-#: adversary (checkpoint transfers and migration chunks alike) — any
+#: adversary (checkpoint transfers and migration slices alike) — any
 #: repr-visible change would do; a distinct tag keeps debugging obvious.
 CORRUPTION_MARKER = "__corrupted__"
 
@@ -387,7 +372,7 @@ class CheckpointAdvert:
     caught up: the frontier label, the checkpoint's fold *identity* in the
     ``digest`` slot (:meth:`Checkpoint.identity` — it names the prefix, it
     verifies nothing; a transferred body is verified against the content
-    digest its own chunks carry), the chained fold-order digest (so a
+    digest its own message carries), the chained fold-order digest (so a
     receiver can verify its *own* would-be fold order against the
     advertiser's before absorbing the stability assertion — see
     ``FastReplicaCore._absorb_coverage``), and the per-client interval summary
@@ -536,7 +521,7 @@ class Checkpoint:
     def _digest(self) -> str:
         # Retained values are hashed content-and-all (sorted by id, so the
         # digest is independent of insertion order): a transfer receiver
-        # recomputes this over the assembled body, so any bit of a value or
+        # recomputes this over the received body, so any bit of a value or
         # of the base state flipped in flight changes the digest.
         material = repr((
             self.frontier,
@@ -556,10 +541,10 @@ class Checkpoint:
         base state, retained values (contents included) and fold order.
 
         It costs a pass over the whole body, so it is evaluated only where
-        a body crosses a boundary: the sender stamps it on every transfer
-        chunk and the receiver recomputes it over the assembled checkpoint,
-        rejecting bodies corrupted in flight.  Gossip never asks for it —
-        adverts and pulls name a checkpoint by :meth:`identity`."""
+        a body crosses a boundary: the sender stamps it on the transfer and
+        the receiver recomputes it over the received checkpoint, rejecting
+        bodies corrupted in flight.  Gossip never asks for it — adverts and
+        pulls name a checkpoint by :meth:`identity`."""
         return self._digest
 
     def identity(self) -> str:
@@ -591,67 +576,8 @@ class Checkpoint:
         """The compact advert for this checkpoint (``None`` while empty)."""
         return self._advert
 
-    def value_chunks(self, chunk: Optional[int]) -> List[Dict[OperationId, Any]]:
-        """The retained-value ledger split into label-order slices of at most
-        *chunk* entries (``None`` or a covering chunk size yields a single
-        slice).  Slicing the insertion-ordered ledger keeps reassembly
-        order-preserving, which :meth:`merged_values`'s oldest-first eviction
-        depends on; each slice corresponds to a contiguous client-interval
-        range of the folded identifiers."""
-        return [dict(part) for part in chunk_slices(list(self.values.items()), chunk)]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Checkpoint(count={self.count}, frontier={self.frontier})"
-
-
-@dataclass
-class TransferAssembly:
-    """Receiver-side reassembly state for one in-flight checkpoint transfer
-    (keyed per sender; a chunk under a newer digest or sender epoch replaces
-    the partial assembly — the newer checkpoint is nested over the older —
-    while chunks from an *older* transfer, delayed on the unordered network,
-    are ignored rather than allowed to clobber the newer assembly).
-
-    Every chunk repeats the transfer header; one that contradicts the chunks
-    already held (:meth:`agrees_with`) is refused, which is what makes
-    :meth:`assemble`'s indexing total."""
-
-    digest: str
-    epoch: int
-    frontier: Label
-    chunk_count: int
-    chunks: Dict[int, "CheckpointTransferMessage"] = field(default_factory=dict)
-
-    def agrees_with(self, message: "CheckpointTransferMessage") -> bool:
-        """Whether *message* repeats the header of the chunks already held
-        (``digest`` and ``epoch`` select the assembly and are compared by
-        the caller)."""
-        held = next(iter(self.chunks.values()), message)
-        return (
-            message.chunk_count == self.chunk_count
-            and message.frontier == self.frontier
-            and message.order_digest == held.order_digest
-            and message.ids == held.ids
-        )
-
-    def complete(self) -> bool:
-        return len(self.chunks) == self.chunk_count
-
-    def assemble(self) -> Checkpoint:
-        """Rebuild the checkpoint from a complete chunk set (value slices are
-        concatenated in chunk order, preserving the ledger's oldest-first
-        insertion order)."""
-        values: Dict[OperationId, Any] = {}
-        for index in range(self.chunk_count):
-            values.update(self.chunks[index].values_chunk)
-        final = self.chunks[self.chunk_count - 1]
-        return Checkpoint(
-            base_state=final.base_state,
-            frontier=final.frontier,
-            ids=final.ids,
-            values=values,
-            order_digest=final.order_digest,
-        )
 
 
 @dataclass(frozen=True)

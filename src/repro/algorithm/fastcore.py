@@ -34,8 +34,8 @@ off this core runs Fig. 7 exactly as the reference does.
 * **Adverts and pull/transfer** (:meth:`FastReplicaCore.configure_advert_gossip`)
   — gossip attaches a compact advert instead of the checkpoint body; a
   replica behind the advertised frontier queues a pull, enters catch-up
-  (no replay-based answers, no compaction) and adopts the body once the
-  transfer chunks reassemble to their content digest.
+  (no replay-based answers, no compaction) and adopts the body once one
+  transfer message carrying it matches its content digest.
 * **Stale-response NACKs** — a retransmit for a compacted operation whose
   retained value aged out is answered with an explicit NACK.
 
@@ -81,10 +81,10 @@ Hot paths
   ``fresh``/``observed`` (gossip merges note the maximum incoming rank), so
   the generator's next rank already exceeds every tracked label and
   ``do_it`` skips the existing-label scan entirely
-  (:meth:`~repro.algorithm.labels.LabelGenerator.fresh_monotone`).  The
-  first explicitly supplied label (harness-driven ``do_it(x, label)``)
-  permanently falls back to the reference path, which re-validates against
-  the done set.
+  (:meth:`~repro.algorithm.labels.LabelGenerator.fresh_monotone`).  An
+  explicitly supplied label (harness-driven ``do_it(x, label)``) takes the
+  reference path, which validates it against the done set, and is then
+  observed like a gossiped one.
 * **Order splices, deferred across a batch** — a gossip merge splices the
   operations it makes done, and the done operations whose label it lowers,
   into the sorted order by bisecting the key backbone, instead of marking
@@ -153,7 +153,6 @@ from repro.algorithm.checkpoint import (
     Checkpoint,
     CheckpointAdvert,
     CompactionPolicy,
-    TransferAssembly,
     chain_order_digest,
 )
 from repro.algorithm.delta import GossipSnapshot, PeerInState, PeerOutState
@@ -163,7 +162,7 @@ from repro.algorithm.messages import (
     GossipMessage,
     PullRequestMessage,
     RequestMessage,
-    checkpoint_transfers,
+    checkpoint_transfer,
 )
 from repro.algorithm.replica import ReplicaCore
 from repro.common import ConfigurationError, OperationId, SpecificationError
@@ -231,9 +230,6 @@ class FastReplicaCore(ReplicaCore):
         self._replay_order: List[Any] = []
         self._replay_states: List[Any] = []
         self._replay_values: Dict[Any, Any] = {}
-        #: Set once a label is supplied explicitly; disables the O(1)
-        #: fresh-label path (the monotonicity invariant no longer holds).
-        self._explicit_labels = False
         #: Frontier of the largest checkpoint coverage fully absorbed (every
         #: covered operation marked done+stable everywhere, or folded).  A
         #: nested coverage re-attached to later gossip is a no-op.
@@ -297,14 +293,11 @@ class FastReplicaCore(ReplicaCore):
 
         #: Advert/pull gossip configuration: with it enabled, gossip carries
         #: a compact checkpoint advert instead of the checkpoint body, and a
-        #: behind peer pulls the body on demand (optionally chunked).
+        #: behind peer pulls the body on demand.
         self.advert_gossip: bool = False
-        self.checkpoint_chunk: Optional[int] = None
         #: Outgoing pull requests queued by staleness detection (volatile);
         #: keyed by the advertising peer, drained by the harness.
         self._pull_queue: Dict[str, CheckpointAdvert] = {}
-        #: Partial checkpoint-transfer assemblies, keyed by sender (volatile).
-        self._transfer_in: Dict[str, TransferAssembly] = {}
         #: The highest-frontier advert whose coverage this replica detected
         #: itself *missing* part of (volatile).  While set, the replica is in
         #: catch-up: its label order has a hole below the advertised
@@ -334,23 +327,17 @@ class FastReplicaCore(ReplicaCore):
         self.delta_gossip = enabled
         self.full_state_interval = full_state_interval
 
-    def configure_advert_gossip(
-        self, enabled: bool = True, checkpoint_chunk: Optional[int] = None
-    ) -> None:
+    def configure_advert_gossip(self, enabled: bool = True) -> None:
         """Switch advert/pull checkpoint gossip on or off.
 
         With it on, full-state (and frontier-advancing delta) messages attach
         a :class:`~repro.algorithm.checkpoint.CheckpointAdvert` instead of
         the checkpoint body, bounding their steady-state payload; a receiver
         that detects it is behind the advertised frontier issues a pull
-        request and the advertiser streams the body back in
-        ``checkpoint_chunk``-sized value slices (``None`` = one message).
+        request and the advertiser sends the body back in one message.
         Orthogonal to both delta gossip and the compaction policy itself.
         """
-        if checkpoint_chunk is not None and checkpoint_chunk < 1:
-            raise ConfigurationError("checkpoint_chunk must be at least 1 or None")
         self.advert_gossip = enabled
-        self.checkpoint_chunk = checkpoint_chunk
 
     def configure_compaction(
         self, policy: Optional[CompactionPolicy] = None, enabled: bool = True
@@ -523,13 +510,14 @@ class FastReplicaCore(ReplicaCore):
         return ready
 
     def do_it(self, operation, label: Optional[Label] = None) -> Label:
-        if label is not None or self._explicit_labels:
-            if label is not None:
-                self._explicit_labels = True
-                frontier = self.checkpoint.frontier
-                if frontier is not None and label <= frontier:
-                    raise SpecificationError("new label must exceed the compaction frontier")
+        if label is not None:
+            # An explicit label (harness-driven) goes through the reference's
+            # validation once; observing it keeps fresh_monotone valid.
+            frontier = self.checkpoint.frontier
+            if frontier is not None and label <= frontier:
+                raise SpecificationError("new label must exceed the compaction frontier")
             assigned = super().do_it(operation, label)
+            self._label_generator.observed(assigned)
             self._note_label_change(operation.id)
             self._state_version += 1
             if not self._order_dirty:
@@ -1181,13 +1169,9 @@ state_independent`: its tracked history has a hole below the awaited
             in_state = self._peer_in[sender] = PeerInState(epoch=message.epoch)
         if message.epoch > in_state.epoch:
             # The sender restarted: its seqno streams start over and every
-            # acknowledgement it issued before the crash is void.  A partial
-            # checkpoint transfer from the old incarnation is abandoned too —
-            # the persisted checkpoint survives the crash, so the retry pull
-            # fetches the same (or a newer, nested) body.
+            # acknowledgement it issued before the crash is void.
             in_state.reset(message.epoch)
             self._peer_out_state(sender).reset()
-            self._transfer_in.pop(sender, None)
         if merged and message.seqno is not None and message.epoch == in_state.epoch:
             in_state.record_receipt(message.stream, message.seqno,
                                     is_full=not message.is_delta)
@@ -1568,19 +1552,21 @@ state_independent`: its tracked history has a hole below the awaited
         self._pull_queue.clear()
         return pulls
 
-    def receive_pull_request(self, message: PullRequestMessage) -> List[CheckpointTransferMessage]:
-        """Answer a pull with transfer chunks of our *current* checkpoint.
+    def receive_pull_request(
+        self, message: PullRequestMessage
+    ) -> Optional[CheckpointTransferMessage]:
+        """Answer a pull with a transfer of our *current* checkpoint.
 
         The pull's ``digest`` echoes the identity of the advert that
         triggered it and is not compared with anything: the current
         checkpoint may have advanced past it (concurrent compaction), and
         that is fine — checkpoints are nested, so the newer body covers
         everything the requester asked for.  This is where the content
-        digest is computed, once per body cut into chunks.  An empty
-        checkpoint (possible after a volatile crash wiped nothing but the
-        peer pulled against a stale advert from a previous incarnation — the
-        checkpoint itself persists, so in practice only when nothing was
-        ever compacted) yields no chunks; the requester retries off later
+        digest is computed, once per answered pull.  An empty checkpoint
+        (possible after a volatile crash wiped nothing but the peer pulled
+        against a stale advert from a previous incarnation — the checkpoint
+        itself persists, so in practice only when nothing was ever
+        compacted) yields no transfer; the requester retries off later
         adverts.
         """
         if message.target != self.replica_id:
@@ -1588,87 +1574,41 @@ state_independent`: its tracked history has a hole below the awaited
                 f"pull request for {message.target!r} delivered to {self.replica_id!r}"
             )
         if self.checkpoint.count == 0:
-            return []
-        return checkpoint_transfers(
-            self.checkpoint,
-            sender=self.replica_id,
-            requester=message.requester,
-            epoch=self._epoch,
-            chunk=self.checkpoint_chunk,
+            return None
+        return checkpoint_transfer(
+            self.checkpoint, sender=self.replica_id, requester=message.requester
         )
 
     def receive_transfer(self, message: CheckpointTransferMessage) -> None:
-        """Accumulate one transfer chunk; adopt the checkpoint when the
-        assembly completes.
+        """Adopt the checkpoint a transfer carries.
 
-        Chunks are keyed per sender: a chunk under a newer digest (the
-        sender compacted again mid-transfer) or a newer sender epoch (the
-        sender crashed and recovered) replaces the partial assembly — in
-        both cases the replacement checkpoint is nested over the abandoned
-        one, so nothing is lost beyond the re-pulled chunks.
-
-        The assembled body is verified against the content digest *its own
-        chunks* carry, never against the advert that prompted the pull.  A
-        malformed chunk or a body that fails the check is rejected and
-        re-pulled (``stats.transfer_rejections``); nothing a peer can put in
-        a chunk makes this raise.
+        The body is verified against the content digest the message
+        itself carries, never against the advert that prompted the pull.
+        A body that fails the check is rejected and re-pulled
+        (``stats.transfer_rejections``); nothing a peer can put in a
+        transfer makes this raise.
         """
         if message.requester != self.replica_id:
             raise SpecificationError(
                 f"transfer for {message.requester!r} delivered to {self.replica_id!r}"
             )
         if not self._behind_frontier(message.frontier):
-            self._transfer_in.pop(message.sender, None)
             return  # already caught up through another peer's transfer
-        assembly = self._transfer_in.get(message.sender)
-        if assembly is not None and (
-            message.epoch < assembly.epoch
-            or label_sort_key(message.frontier) < label_sort_key(assembly.frontier)
-        ):
-            return  # delayed straggler from an older, superseded transfer
-        if assembly is not None and (
-            assembly.digest != message.digest or assembly.epoch != message.epoch
-        ):
-            assembly = None  # a newer transfer replaces the partial assembly
-        if not 0 <= message.chunk_index < message.chunk_count or (
-            assembly is not None and not assembly.agrees_with(message)
-        ):
-            # A chunk header corrupted in flight (or hostile): an index no
-            # assembly of ``chunk_count`` chunks has, or a header that
-            # contradicts the chunks already held — there is no telling
-            # which side is the intact one, so the whole assembly goes.
+        body = message.body()
+        if body.digest() != message.digest:
+            # The body was corrupted in flight: it was sent under the
+            # sender's content digest and no longer hashes to it.
             self._reject_transfer(message.sender)
             return
-        if assembly is None:
-            assembly = TransferAssembly(
-                digest=message.digest,
-                epoch=message.epoch,
-                frontier=message.frontier,
-                chunk_count=message.chunk_count,
-            )
-            self._transfer_in[message.sender] = assembly
-        assembly.chunks[message.chunk_index] = message
-        if not assembly.complete():
-            return
-        assembled = assembly.assemble()
-        if assembled.digest() != assembly.digest:
-            # The body was corrupted in flight: the chunks were sent under
-            # the sender's content digest, and the checkpoint reassembled
-            # from them no longer hashes to it.
-            self._reject_transfer(message.sender)
-            return
-        del self._transfer_in[message.sender]
-        self._merge_checkpoint(assembled)
+        self._merge_checkpoint(body)
         self._post_merge()
 
     def _reject_transfer(self, sender: str) -> None:
-        """Discard *sender*'s assembly and re-queue the pull right away:
-        waiting for the next advert is not enough on its own — a cluster
-        that has quiesced (or one whose compaction stopped advancing) may
-        never advertise again, and a corrupted *final* transfer would strand
-        the catch-up."""
+        """Re-queue the pull to *sender* right away: waiting for the next
+        advert is not enough on its own — a cluster that has quiesced (or
+        one whose compaction stopped advancing) may never advertise again,
+        and a corrupted transfer would strand the catch-up."""
         self.stats.transfer_rejections += 1
-        self._transfer_in.pop(sender, None)
         if self._await is not None:
             self._pull_queue[sender] = self._await
 
@@ -1706,7 +1646,6 @@ state_independent`: its tracked history has a hole below the awaited
         # its deltas may rest on acks our previous incarnation issued.
         self._unsynced_peers = {i for i in self.replica_ids if i != self.replica_id}
         self._pull_queue = {}
-        self._transfer_in = {}
         self._await = None
         self._await_check = None
         self._stale_nacks = []

@@ -28,14 +28,14 @@ configure_advert_gossip`) the gossip message carries a compact
 checkpoint body, and two further replica-to-replica message types complete
 the protocol: a :class:`PullRequestMessage` from a peer that detected it is
 behind the advertised frontier, and the :class:`CheckpointTransferMessage`
-chunks that answer it.  They travel on the same gossip channels; harnesses
-dispatch on ``message.kind``.
+that answers it with the whole checkpoint body.  They travel on the same
+gossip channels; harnesses dispatch on ``message.kind``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, Optional
 
 from repro.algorithm.checkpoint import Checkpoint, CheckpointAdvert, OpIdSummary
 from repro.algorithm.delta import GossipSnapshot
@@ -257,92 +257,61 @@ class PullRequestMessage:
 
 @dataclass(frozen=True)
 class CheckpointTransferMessage:
-    """One chunk of a checkpoint body answering a pull request.
+    """A whole checkpoint body answering a pull request, in one message.
 
-    The retained-value ledger is split into label-order slices (contiguous
-    client-interval ranges of the folded identifiers) of at most the
-    sender's configured chunk size; every chunk repeats the transfer
-    header (``digest``, ``frontier``, ``ids``, ``order_digest``,
-    ``chunk_count``) so chunks can arrive in any order and partial transfers
-    are resumable across re-pulls, and only the **final** assembly needs the
-    ``base_state`` blob, carried by the last chunk
-    (``chunk_index == chunk_count - 1``).  ``digest`` is the sender's
-    *content* digest (:meth:`~repro.algorithm.checkpoint.Checkpoint.digest`,
-    computed when the body is cut into chunks): the receiver recomputes it
-    over the assembled checkpoint and rejects a mismatch.
-
-    ``epoch`` is the sender's incarnation at send time: a receiver that
-    observes a newer epoch from the sender discards its partial assembly
-    (the retry path re-pulls from the recovered sender, whose persisted
-    checkpoint survives the crash).
+    It carries the base state, the retained-value ledger (oldest first, the
+    order :meth:`~repro.algorithm.checkpoint.Checkpoint.merged_values`'
+    eviction depends on), the id summary, the frontier and the fold-order
+    digest.  ``digest`` is the sender's *content* digest
+    (:meth:`~repro.algorithm.checkpoint.Checkpoint.digest`, computed when
+    the pull is answered): the receiver recomputes it over :meth:`body` and
+    rejects a mismatch.  A lost or rejected transfer costs one re-pull, as
+    a lost gossip message costs one more round.
     """
 
     sender: str
     requester: str
-    epoch: int
     digest: str
     frontier: Label
     ids: OpIdSummary
-    values_chunk: Dict[OperationId, Any]
-    chunk_index: int
-    chunk_count: int
-    base_state: Any = None
-    #: The checkpoint's chained fold-order digest, repeated on every chunk
-    #: like the rest of the transfer identity (the assembled checkpoint's
-    #: content digest covers it, so a corrupted value is rejected with the
-    #: body).
-    order_digest: str = ""
+    values: Dict[OperationId, Any]
+    base_state: Any
+    order_digest: str
 
     @property
     def kind(self) -> str:
         return "transfer"
 
-    @property
-    def carries_state(self) -> bool:
-        return self.chunk_index == self.chunk_count - 1
+    def body(self) -> Checkpoint:
+        """The checkpoint this message carries (unverified)."""
+        return Checkpoint(
+            base_state=self.base_state,
+            frontier=self.frontier,
+            ids=self.ids,
+            values=self.values,
+            order_digest=self.order_digest,
+        )
 
     def size_estimate(self) -> int:
-        """Wire-size contribution of one chunk: its value slice, plus the
-        interval summary repeated for identity, plus the state blob on the
-        final chunk."""
-        size = 1 + self.ids.interval_count + len(self.values_chunk)
-        if self.carries_state:
-            size += 1
-        return size
+        """Wire-size contribution: the state blob, the interval summary and
+        the retained values."""
+        return 2 + self.ids.interval_count + len(self.values)
 
 
-def checkpoint_transfers(
-    checkpoint: Checkpoint,
-    sender: str,
-    requester: str,
-    epoch: int,
-    chunk: Optional[int] = None,
-) -> List[CheckpointTransferMessage]:
-    """Build the transfer chunks answering a pull with *checkpoint*.
-
-    With ``chunk=None`` the transfer is a single message; otherwise the
-    retained-value ledger is streamed in slices of at most *chunk* values so
-    a recovering replica catches up from a sequence of bounded messages
-    instead of one giant one.
-    """
-    slices = checkpoint.value_chunks(chunk)
-    digest = checkpoint.digest()
-    return [
-        CheckpointTransferMessage(
-            sender=sender,
-            requester=requester,
-            epoch=epoch,
-            digest=digest,
-            frontier=checkpoint.frontier,
-            ids=checkpoint.ids,
-            values_chunk=values,
-            chunk_index=index,
-            chunk_count=len(slices),
-            base_state=checkpoint.base_state if index == len(slices) - 1 else None,
-            order_digest=checkpoint.order_digest,
-        )
-        for index, values in enumerate(slices)
-    ]
+def checkpoint_transfer(
+    checkpoint: Checkpoint, sender: str, requester: str
+) -> CheckpointTransferMessage:
+    """The transfer answering a pull with *checkpoint*."""
+    return CheckpointTransferMessage(
+        sender=sender,
+        requester=requester,
+        digest=checkpoint.digest(),
+        frontier=checkpoint.frontier,
+        ids=checkpoint.ids,
+        values=dict(checkpoint.values),
+        base_state=checkpoint.base_state,
+        order_digest=checkpoint.order_digest,
+    )
 
 
 def incremental_gossip(previous: GossipMessage, current: GossipMessage) -> GossipMessage:

@@ -67,7 +67,7 @@ class ReplicaNode:
         Runs of consecutive gossip messages merge through one
         ``receive_gossip_batch`` call (the production core defers its order
         splices across the run), each followed by the pulls it provoked.  A
-        pull request only yields its transfer chunks.  Once per burst —
+        pull request only yields its transfer.  Once per burst —
         unless only pulls arrived — comes the sweep: stale-value NACKs (if a
         request arrived), the ``do_it`` sweep (a request, merged knowledge or
         an adopted checkpoint can all unblock ``prev`` chains), then every
@@ -96,9 +96,10 @@ class ReplicaNode:
             elif kind == "transfer":
                 core.receive_transfer(message)
             elif kind == "pull":
-                for transfer in core.receive_pull_request(message):
+                transfer = core.receive_pull_request(message)
+                if transfer is not None:
                     outbox.append(("transfer", transfer.requester, transfer))
-                continue  # transfers only: nothing for the sweep to find
+                continue  # a transfer only: nothing for the sweep to find
             else:
                 continue  # e.g. a response frame sent to a replica: ignored
             sweep = True

@@ -79,9 +79,9 @@ class ReplicaStats:
     #: Operator applications spent folding operations into the checkpoint
     #: (none for a fold the production core takes from its replay cache).
     compaction_applications: int = 0
-    #: Assembled checkpoint transfers discarded because their recomputed
-    #: content digest did not match the one the chunks were sent under
-    #: (corruption in flight); each rejection is healed by a later re-pull.
+    #: Checkpoint transfers discarded because their recomputed content
+    #: digest did not match the one they were sent under (corruption in
+    #: flight); each rejection is healed by a re-pull.
     transfer_rejections: int = 0
     #: Coverage absorptions refused because this replica's would-be fold
     #: order did not reproduce the compactor's chained ``order_digest``

@@ -190,11 +190,12 @@ class AlgorithmSystem(Deployment):
         protocol's pull-request and checkpoint-transfer messages, which share
         the gossip channels.  Receiving a gossip message whose advert shows
         this replica behind enqueues a pull; receiving a pull enqueues the
-        transfer chunks back toward the requester."""
+        transfer back toward the requester."""
         delivered = self.gossip_channels[(source, destination)].receive(message, rng)
         replica = self.replicas[destination]
         if delivered.kind == "pull":
-            for transfer in replica.receive_pull_request(delivered):
+            transfer = replica.receive_pull_request(delivered)
+            if transfer is not None:
                 self.gossip_channels[(destination, transfer.requester)].send(transfer)
         elif delivered.kind == "transfer":
             replica.receive_transfer(delivered)

@@ -10,7 +10,7 @@ gossip, checkpoint compaction, advert/pull gossip).  :class:`ReplicaConfig`
 is the only carrier of those decisions: the algorithm-level entry point
 takes it as ``config=...``, and the two harness parameter classes hold it
 as their ``replica`` field next to their own timing/transport knobs.  Two
-of its ten fields, ``batch_replay`` and ``incremental_replay``, select
+of its nine fields, ``batch_replay`` and ``incremental_replay``, select
 nothing: each core has exactly one way to compute a value.
 
 Two of the fields only mean something under the discrete-event simulator
@@ -69,8 +69,6 @@ class ReplicaConfig:
     compaction: CompactionLike = None
     #: Advert/pull checkpoint gossip (compact advert + on-demand transfer).
     advert_gossip: bool = False
-    #: With advert gossip, retained values per transfer chunk (``None`` = 1 msg).
-    checkpoint_chunk: Optional[int] = None
     #: Simulator-only: coalesce same-instant gossip arrivals per replica.
     batch_gossip: bool = False
     #: Simulator-only: force a compaction sweep at this simulated interval.
@@ -89,8 +87,6 @@ class ReplicaConfig:
             )
         if self.full_state_interval < 1:
             raise ConfigurationError("full_state_interval must be at least 1")
-        if self.checkpoint_chunk is not None and self.checkpoint_chunk < 1:
-            raise ConfigurationError("checkpoint_chunk must be at least 1 or None")
         if self.compaction_interval is not None:
             if self.compaction is None:
                 raise ConfigurationError("compaction_interval requires a compaction policy")
@@ -140,4 +136,4 @@ class ReplicaConfig:
         if self.compaction is not None:
             core.configure_compaction(self.compaction)
         if self.advert_gossip:
-            core.configure_advert_gossip(True, self.checkpoint_chunk)
+            core.configure_advert_gossip(True)

@@ -179,7 +179,6 @@ def _sim_spec(
     delta_gossip: bool,
     compaction: bool = False,
     advert: bool = False,
-    chunked: bool = False,
 ) -> ScenarioSpec:
     rng = _mode_rng(mode, seed)
     data_type = rng.choice(DATA_TYPE_NAMES)
@@ -193,12 +192,7 @@ def _sim_spec(
             compaction_interval=1.0,
         )
     if advert:
-        replica = dataclasses.replace(
-            replica,
-            fast_core=True,
-            advert_gossip=True,
-            checkpoint_chunk=rng.choice([2, 5]) if chunked else None,
-        )
+        replica = dataclasses.replace(replica, fast_core=True, advert_gossip=True)
     params = dataclasses.replace(params, replica=replica)
     num_replicas = rng.randint(2, 4)
     clients = tuple(f"c{i}" for i in range(rng.randint(1, 3)))
@@ -258,6 +252,8 @@ def _adversarial_spec(mode: str, seed: int) -> ScenarioSpec:
     clean re-pull heals it."""
     rng = _mode_rng(mode, seed)
     data_type = rng.choice(DATA_TYPE_NAMES)
+    batch_gossip = rng.random() < 0.5
+    rng.choice([None, 2])  # discarded: once the transfer chunk size; keeps later draws put
     params = SimulationParams(
         df=1.0,
         dg=1.0,
@@ -269,11 +265,10 @@ def _adversarial_spec(mode: str, seed: int) -> ScenarioSpec:
         replica=ReplicaConfig(
             fast_core=True,
             delta_gossip=False,  # full-state gossip re-advertises every tick
-            batch_gossip=rng.random() < 0.5,
+            batch_gossip=batch_gossip,
             compaction=CompactionPolicy(min_batch=1),
             compaction_interval=1.0,
             advert_gossip=True,
-            checkpoint_chunk=rng.choice([None, 2]),
         ),
     )
     num_replicas = rng.randint(3, 4)
@@ -344,8 +339,8 @@ MODES = {
     "advert": lambda mode, seed: _sim_spec(
         mode, seed, delta_gossip=False, compaction=True, advert=True
     ),
-    "advert-chunk": lambda mode, seed: _sim_spec(
-        mode, seed, delta_gossip=True, compaction=True, advert=True, chunked=True
+    "advert-delta": lambda mode, seed: _sim_spec(
+        mode, seed, delta_gossip=True, compaction=True, advert=True
     ),
     "sharded": _sharded_spec,
     "adversarial": _adversarial_spec,

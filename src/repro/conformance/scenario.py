@@ -177,8 +177,8 @@ class ScenarioRun:
 def _cluster_class(runtime: str) -> type:
     """The per-group cluster class for *runtime*: the plain simulator, or the
     :class:`~repro.net.wire.WireCluster` twin that pushes every cluster
-    message through the binary codec (``--runtime=net``; live-reshard slice
-    chunks bypass it).  Late import: conformance
+    message through the binary codec (``--runtime=net``; live-reshard slices
+    bypass it).  Late import: conformance
     must not depend on ``repro.net`` unless asked to."""
     if runtime == "sim":
         return SimulatedCluster

@@ -5,7 +5,7 @@ Three pieces (see docs/architecture.md, "The network runtime"):
 
 * :mod:`repro.net.codec` — an SSZ-inspired deterministic binary encoding for
   every protocol message (request, response/NACK, gossip full/delta/advert,
-  pull, checkpoint-transfer chunk) with varint interval packing, per-frame
+  pull, checkpoint transfer) with varint interval packing, per-frame
   interned identifier tables and length-prefixed framing; content digests are
   computed over the canonical encoding.  On a replica->replica connection a
   link-owned :class:`~repro.net.codec.DescriptorWindow` spells a descriptor in

@@ -72,12 +72,12 @@ the sender's fold prefix that *identifies* a checkpoint and verifies
 nothing.  Transfer frames carry
 :meth:`repro.algorithm.checkpoint.Checkpoint.digest` — the PR 4 content
 hash that *verifies* a transferred body, computed only when one is sent or
-reassembled and deliberately left on its original material so the
+received and deliberately left on its original material so the
 checked-in conformance corpus stays valid.  :func:`message_digest` /
 :func:`frame_digest` are the wire-level counterparts computed over this
 canonical encoding.
 
-Hot-path notes (wire version 4):
+Hot-path notes (wire version 5):
 
 * A descriptor is parsed **once per replica** and spelled **once** — by the
   client that issues it.  The link window makes it cross each connection in
@@ -132,7 +132,7 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
 
 #: Bump on any change to the wire layout.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 MAGIC = b"\xe5\x0d"
 
@@ -811,24 +811,19 @@ def _encode_pull(enc: _Encoder, message: PullRequestMessage) -> None:
 
 
 def _encode_transfer(enc: _Encoder, message: CheckpointTransferMessage) -> None:
-    enc.byte(1 if message.base_state is not None else 0)
     enc.ident(message.sender)
     enc.ident(message.requester)
-    enc.u(message.epoch)
     enc.ident(message.digest)
     enc.ident(message.order_digest)
     enc.label(message.frontier)
     enc.summary(message.ids)
-    enc.u(message.chunk_index)
-    enc.u(message.chunk_count)
-    # Chunk slices preserve the ledger's insertion order (reassembly and
-    # retention eviction depend on it) — ordered pairs, like the checkpoint.
-    enc.u(len(message.values_chunk))
-    for op_id, value in message.values_chunk.items():
+    # The retained values keep the ledger's insertion order (retention
+    # eviction depends on it) — ordered pairs, like the checkpoint.
+    enc.u(len(message.values))
+    for op_id, value in message.values.items():
         enc.op_id(op_id)
         enc.value(value)
-    if message.base_state is not None:
-        enc.value(message.base_state)
+    enc.value(message.base_state)
 
 
 _ENCODERS = {
@@ -1278,34 +1273,24 @@ def _decode_pull(dec: _Decoder) -> PullRequestMessage:
 
 
 def _decode_transfer(dec: _Decoder) -> CheckpointTransferMessage:
-    flags = dec.byte()
     sender = dec.ident()
     requester = dec.ident()
-    epoch = dec.u()
     digest = dec.ident()
     order_digest = dec.ident()
     frontier = dec.label()
     ids = dec.summary()
-    chunk_index = dec.u()
-    chunk_count = dec.u()
-    if chunk_index >= chunk_count:  # and so ``chunk_count == 0`` as well
-        raise FrameError(f"transfer chunk {chunk_index} of {chunk_count}")
-    values_chunk = {}
+    values = {}
     for _ in range(dec.u()):
         op_id = dec.op_id()
-        values_chunk[op_id] = dec.value()
-    base_state = dec.value() if flags & 1 else None
+        values[op_id] = dec.value()
     return CheckpointTransferMessage(
         sender=sender,
         requester=requester,
-        epoch=epoch,
         digest=digest,
         frontier=frontier,
         ids=ids,
-        values_chunk=values_chunk,
-        chunk_index=chunk_index,
-        chunk_count=chunk_count,
-        base_state=base_state,
+        values=values,
+        base_state=dec.value(),
         order_digest=order_digest,
     )
 

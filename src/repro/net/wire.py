@@ -22,10 +22,10 @@ before the delay, and consumes no randomness.  That gives two things at once:
   (:class:`WireStats`), replacing the ``wire_estimate`` op-ref counts in the
   E8/E11 payload claims — benchmark E13 is built on this harness.
 
-One kind of traffic never crosses the hook: the slice chunks of a live
+One kind of traffic never crosses the hook: the slice messages of a live
 reshard.  :meth:`~repro.sim.sharded.ShardedCluster._send_slice` puts them
 through the source shard's :meth:`~repro.sim.network.SimulatedNetwork.send`
-with no transit hook (chunks have no wire form), so a ``--runtime=net``
+with no transit hook (a slice has no wire form), so a ``--runtime=net``
 replay proves nothing about slice bytes and :class:`WireStats` does not
 count them.
 """

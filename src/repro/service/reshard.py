@@ -16,14 +16,13 @@ with simulated timers; this module owns no clock.
   source replica, so the order is frozen too (Invariant 7.2: the stable
   prefix is never reordered).
 
-* **Chunked, digest-verified transfer** — the slice ships
-  in label-order chunks mirroring the checkpoint-transfer path: every chunk
-  carries the whole slice's :class:`~repro.algorithm.checkpoint.OpIdSummary`,
-  the chained fold-order digest and a content digest over operations *and*
-  source-recorded response values.  The receiver reassembles, recomputes
-  both digests, and rejects any tampered or truncated body — the sender
-  then re-sends the slice (heal-by-re-pull, same discipline as corrupted
-  checkpoint transfers).
+* **Digest-verified transfer** — the slice ships in one message, like a
+  checkpoint transfer: its operations in label order, the slice's
+  :class:`~repro.algorithm.checkpoint.OpIdSummary`, the chained fold-order
+  digest and a content digest over operations *and* source-recorded
+  response values.  The receiver recomputes both digests and rejects any
+  tampered or truncated body — the sender then re-sends the slice
+  (heal-by-re-pull, same discipline as corrupted checkpoint transfers).
 
 * **Chain injection** — verified operations are injected into the
   destination as *ordinary* requests, with their original ``prev`` sets
@@ -51,7 +50,6 @@ from repro.algorithm.checkpoint import (
     OpIdSummary,
     canonical_repr,
     chain_order_digest,
-    chunk_slices,
 )
 from repro.common import ConfigurationError, InvariantViolation, OperationId
 from repro.core.operations import OperationDescriptor, make_operation
@@ -82,21 +80,16 @@ def slice_digest(
 
 
 @dataclass(frozen=True)
-class MigrationChunk:
-    """One label-order slice of a key-range migration transfer.
+class MigrationSlice:
+    """A whole key-range migration slice in one message.
 
-    Every chunk carries the whole slice's id summary and digests, so the
-    receiver can verify the assembled body end to end no matter which chunk
-    arrives last; ``epoch`` distinguishes re-sends after a rejection or a
-    loss timeout (chunks of different epochs never mix in one assembly).
+    It carries the slice's operations in slice (label) order, the
+    source-recorded response values of the answered ones, the slice's id
+    summary and both digests, so the receiver verifies the body end to end
+    (:meth:`verified_ops`).
     """
 
-    epoch: int
-    seq: int
-    total: int
     ops: Tuple[OperationDescriptor, ...]
-    #: Source-recorded response values of this chunk's answered operations,
-    #: in slice (label) order.
     values: Tuple[Tuple[OperationId, Any], ...]
     ids: OpIdSummary
     order_digest: str
@@ -104,94 +97,46 @@ class MigrationChunk:
 
     def size_estimate(self) -> int:
         """Wire-size contribution in op-ref units (rides the transfer-kind
-        accounting, like checkpoint transfer chunks)."""
+        accounting, like a checkpoint transfer)."""
         return len(self.ops) + len(self.values) + self.ids.interval_count + 2
 
-
-def build_chunks(
-    ops: Sequence[OperationDescriptor],
-    values: Mapping[OperationId, Any],
-    chunk: Optional[int],
-    epoch: int,
-) -> List[MigrationChunk]:
-    """Split a frozen slice into transfer chunks of at most *chunk*
-    operations each (``None`` = a single chunk), in slice order."""
-    ops = list(ops)
-    ids = OpIdSummary().with_ids(op.id for op in ops)
-    order = chain_order_digest(GENESIS_ORDER_DIGEST, (op.id for op in ops))
-    digest = slice_digest(ops, values)
-    slices = chunk_slices(ops, chunk)
-    chunks: List[MigrationChunk] = []
-    for seq, part in enumerate(slices):
-        chunks.append(
-            MigrationChunk(
-                epoch=epoch,
-                seq=seq,
-                total=len(slices),
-                ops=tuple(part),
-                values=tuple(
-                    (op.id, values[op.id]) for op in part if op.id in values
-                ),
-                ids=ids,
-                order_digest=order,
-                digest=digest,
-            )
-        )
-    return chunks
-
-
-def tamper_chunk(chunk: MigrationChunk) -> MigrationChunk:
-    """The corruption adversary's bit-flip on one migration chunk: a value
-    is wrapped (or, value-free chunks, an operation is dropped) while the
-    digest fields ride along intact — the receiver's recomputation must
-    catch either mutation."""
-    if chunk.values:
-        (op_id, value), *rest = chunk.values
-        return replace(
-            chunk, values=((op_id, (CORRUPTION_MARKER, value)), *rest)
-        )
-    return replace(chunk, ops=chunk.ops[1:])
-
-
-class SliceAssembly:
-    """Destination-side reassembly of one slice with end-to-end verification.
-
-    Chunks arrive unordered (and possibly duplicated, lost, or re-sent under
-    a newer epoch); the newest epoch wins.  When every sequence number of
-    the current epoch is present the body is assembled in slice order and
-    both digests are recomputed: a mismatch rejects the body (counted in
-    ``rejections``) and resets the assembly for the sender's re-send.
-    """
-
-    def __init__(self) -> None:
-        self._epoch: Optional[int] = None
-        self._chunks: Dict[int, MigrationChunk] = {}
-        self.rejections = 0
-
-    def receive(self, chunk: MigrationChunk) -> Optional[List[OperationDescriptor]]:
-        """Absorb one chunk; returns the verified slice operations when this
-        chunk completes the slice, ``None`` otherwise (including on a digest
-        rejection, which bumps ``rejections``)."""
-        if self._epoch is None or chunk.epoch > self._epoch:
-            self._epoch = chunk.epoch
-            self._chunks = {}
-        elif chunk.epoch < self._epoch:
-            return None  # stale re-send; a newer epoch is already assembling
-        self._chunks[chunk.seq] = chunk
-        if len(self._chunks) < chunk.total:
-            return None
-        parts = [self._chunks[seq] for seq in range(chunk.total)]
-        self._chunks = {}
-        ops = [op for part in parts for op in part.ops]
-        values = {op_id: value for part in parts for op_id, value in part.values}
+    def verified_ops(self) -> Optional[List[OperationDescriptor]]:
+        """The slice's operations if both digests recompute over the body,
+        ``None`` if it was tampered with or truncated in flight."""
+        ops = list(self.ops)
         if (
             chain_order_digest(GENESIS_ORDER_DIGEST, (op.id for op in ops))
-            != chunk.order_digest
-            or slice_digest(ops, values) != chunk.digest
+            != self.order_digest
+            or slice_digest(ops, dict(self.values)) != self.digest
         ):
-            self.rejections += 1
             return None
         return ops
+
+
+def build_slice(
+    ops: Sequence[OperationDescriptor], values: Mapping[OperationId, Any]
+) -> MigrationSlice:
+    """The message that ships a frozen slice."""
+    return MigrationSlice(
+        ops=tuple(ops),
+        values=tuple((op.id, values[op.id]) for op in ops if op.id in values),
+        ids=OpIdSummary().with_ids(op.id for op in ops),
+        order_digest=chain_order_digest(GENESIS_ORDER_DIGEST, (op.id for op in ops)),
+        digest=slice_digest(ops, values),
+    )
+
+
+def tamper_slice(message: MigrationSlice) -> MigrationSlice:
+    """The corruption adversary's bit-flip on one migration slice: a value
+    is wrapped (or, in a value-free slice, an operation is dropped) while
+    the digest fields ride along intact — the receiver's recomputation
+    must catch either mutation."""
+    if message.values:
+        (op_id, value), *rest = message.values
+        return replace(
+            message, values=((op_id, (CORRUPTION_MARKER, value)), *rest)
+        )
+    return replace(message, ops=message.ops[1:])
 
 
 def chain_ops(
@@ -243,8 +188,8 @@ class SliceLeg:
       window — old traffic answered by the source, new traffic held at the
       destination behind the barriers).
     * **transferring**: the cut slice (source eventual order + recorded
-      response values) ships in digest-verified chunks; loss and corruption
-      heal by whole-slice re-send under a fresh epoch.
+      response values) ships in one digest-verified message; loss and
+      corruption heal by re-sending it.
     * **done**: the verified slice was chain-injected into the destination
       and the barriers tightened to the per-key tails.
     """
@@ -261,8 +206,8 @@ class SliceLeg:
         self.values: Dict[OperationId, Any] = {}
         self.flip_at = 0.0
         self.state = "waiting"
-        self.epoch = 0
-        self.assembly = SliceAssembly()
+        #: Slices that failed digest verification (each healed by a re-send).
+        self.rejections = 0
         self.resend_at = 0.0
         self._stable_ok: set = set()
 
@@ -319,7 +264,7 @@ class LiveReshard:
     def transfer_rejections(self) -> int:
         """Digest-verification rejections across all legs (each healed by a
         whole-slice re-send)."""
-        return sum(leg.assembly.rejections for leg in self.legs)
+        return sum(leg.rejections for leg in self.legs)
 
     def pending_ids_for(self, shard: str) -> set:
         """Migrated identifiers bound for *shard* whose chain injection has

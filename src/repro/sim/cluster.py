@@ -38,19 +38,19 @@ from repro.sim.network import SimulatedNetwork
 
 
 def _tamper_transfer(message):
-    """Flip bytes in one checkpoint-transfer chunk (corruption adversary).
+    """Flip bytes in one checkpoint transfer (corruption adversary).
 
     The tampered copy keeps the original digest field, modelling payload
     bits flipped in flight while the digest rides along intact: the
-    receiver recomputes the assembled checkpoint's digest and rejects the
-    mismatch.  One retained value is replaced when the chunk carries any;
-    otherwise the base-state blob of the final chunk is tampered.
+    receiver recomputes the checkpoint's digest and rejects the mismatch.
+    One retained value is replaced when the transfer carries any;
+    otherwise the base-state blob is tampered.
     """
-    if message.values_chunk:
-        first = next(iter(message.values_chunk))
-        tampered = dict(message.values_chunk)
+    if message.values:
+        first = next(iter(message.values))
+        tampered = dict(message.values)
         tampered[first] = (CORRUPTION_MARKER, tampered[first])
-        return replace(message, values_chunk=tampered)
+        return replace(message, values=tampered)
     return replace(message, base_state=(CORRUPTION_MARKER, message.base_state))
 
 

@@ -182,13 +182,13 @@ class DuplicateMessages(_ProbabilityWindow):
 
 @dataclass
 class CorruptTransfers(_ProbabilityWindow):
-    """Flip bytes in checkpoint-transfer chunks with ``probability`` during
-    ``[start, end)``.
+    """Flip bytes in checkpoint transfers and reshard slices with
+    ``probability`` during ``[start, end)``.
 
-    The receiver recomputes the assembled checkpoint's sha-256 content
-    digest against the one the chunks were sent under and discards a
-    mismatching body; the next advert that still shows it behind re-queues
-    the pull, so a corrupted transfer costs a retry, never safety."""
+    The receiver recomputes the body's sha-256 content digest against the
+    one it was sent under and discards a mismatching body; the pull (or the
+    slice) is sent again, so a corrupted transfer costs a retry, never
+    safety."""
 
     start: float
     end: float

@@ -1,5 +1,5 @@
 """The simulated network.  Every simulated message — a cluster's, a live
-reshard's slice chunk, a baseline service's — takes one path,
+reshard's slice, a baseline service's — takes one path,
 :meth:`SimulatedNetwork.send`, which asks its questions in one order because
 the order of RNG draws is what a seed replays.
 
@@ -48,7 +48,7 @@ class MessageCounters:
     ``duplicated`` counts *extra* deliveries injected by a duplication
     window — deliberately excluded from the per-kind send counters so the
     overhead metrics stay comparable with and without the adversary.
-    ``corrupted`` counts transfer chunks tampered in flight."""
+    ``corrupted`` counts transfers tampered in flight."""
 
     request: int = 0
     response: int = 0
@@ -194,7 +194,7 @@ class SimulatedNetwork:
 
     def should_corrupt_transfer(self, now: float) -> bool:
         """Inside an open corruption window, decide whether this transfer
-        chunk gets tampered in flight (coin from the fault stream)."""
+        gets tampered in flight (coin from the fault stream)."""
         if not self._fault_coin("corrupt", now):
             return False
         self.counters.corrupted += 1

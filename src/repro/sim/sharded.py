@@ -19,8 +19,8 @@ workload's key skew concentrates load (benchmark E9 measures both effects).
 The cluster owns construction, routing lookups, the merged results and the
 per-shard verification fan-out.  Of resharding, a leg's steps and the
 record of a ring change are :mod:`repro.service.reshard`'s; this module owns
-only what needs simulated time: flip stagger, the settle poll, chunked
-network sends with resend, and the leg timers.
+only what needs simulated time: flip stagger, the settle poll, slice
+sends with resend, and the leg timers.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from repro.datatypes.base import Operator, SerialDataType
 from repro.service.keyed import KeyedStore
 from repro.service.reshard import (
     LiveReshard,
-    MigrationChunk,
+    MigrationSlice,
     SliceLeg,
-    build_chunks,
+    build_slice,
     cut_slice,
     inject_slice,
-    tamper_chunk,
+    tamper_slice,
 )
 from repro.service.router import KeyspaceDirectory, ShardRouter, composite_client
 from repro.sim.cluster import (
@@ -398,38 +398,32 @@ class ShardedCluster(SimulatedService):
         return True
 
     def _send_slice(self, leg: SliceLeg) -> None:
-        """(Re-)send the whole slice in digest-verified chunks over the
+        """(Re-)send the whole slice in one digest-verified message over the
         source shard's network — subject to its loss, delay, duplication and
         transfer-corruption adversaries, with byte accounting on the
-        ``transfer`` kind.  Chunks have no wire form, so they take no transit
-        hook.  Each send uses a fresh epoch; a lost or rejected body simply
-        waits out ``resend_at`` and ships again."""
-        leg.epoch += 1
-        chunk_size = self.config.for_shard(leg.destination).checkpoint_chunk
-        network = self.shards[leg.source].network
-        deliver = lambda _destination, chunk: self._deliver_migration_chunk(leg, chunk)
-        for chunk in build_chunks(leg.ops, leg.values, chunk_size, leg.epoch):
-            network.send(
-                "transfer",
-                leg.source,
-                leg.destination,
-                deliver,
-                chunk,
-                size=MigrationChunk.size_estimate,
-                tamper=tamper_chunk,
-            )
+        ``transfer`` kind.  A slice has no wire form, so it takes no transit
+        hook.  A lost or rejected slice waits out ``resend_at`` and ships
+        again; any intact copy is the same slice, whichever send it was."""
+        self.shards[leg.source].network.send(
+            "transfer",
+            leg.source,
+            leg.destination,
+            lambda _destination, message: self._deliver_slice(leg, message),
+            build_slice(leg.ops, leg.values),
+            size=MigrationSlice.size_estimate,
+            tamper=tamper_slice,
+        )
         leg.resend_at = self.simulator.now + max(4 * self.params.dg, 2 * self.params.gossip_period)
 
-    def _deliver_migration_chunk(self, leg: SliceLeg, chunk) -> None:
+    def _deliver_slice(self, leg: SliceLeg, message: MigrationSlice) -> None:
         if leg.state != "transferring":
             return  # late duplicate of an already-injected slice
-        rejected_before = leg.assembly.rejections
-        ops = leg.assembly.receive(chunk)
+        ops = message.verified_ops()
         if ops is None:
-            if leg.assembly.rejections > rejected_before:
-                # Digest mismatch: heal by re-pull — re-send promptly under
-                # a fresh epoch instead of waiting out the loss timeout.
-                leg.resend_at = self.simulator.now
+            # Digest mismatch: heal by re-pull — re-send promptly instead
+            # of waiting out the loss timeout.
+            leg.rejections += 1
+            leg.resend_at = self.simulator.now
             return
         inject_slice(leg, ops, self.directory, self.shards[leg.destination])
         leg.state = "done"

@@ -32,7 +32,7 @@ are then evaluated against the **checkpoint + suffix** view:
   values = replay values).
 
 Under **advert/pull** gossip the gossip channels additionally carry pull
-requests and checkpoint-transfer chunks.  Those are not ``(R, D, L, S)``
+requests and checkpoint transfers.  Those are not ``(R, D, L, S)``
 messages: the per-message Section 7 checks apply only to ``kind ==
 "gossip"`` traffic, while :meth:`invariant_advert_pull_messages` checks the
 catch-up protocol's own structural claims (an advertised or transferred

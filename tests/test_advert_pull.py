@@ -11,13 +11,12 @@ responses and identical invariant obligations as the eager twin, while its
 steady-state full-state payload no longer carries the retained-value ledger
 (benchmark E11 quantifies the scaling).
 
-The suite covers: advert wire accounting and digests, transfer chunking and
-reassembly, lockstep equivalence against eager shipping (action-level,
+The suite covers: advert wire accounting and digests, the one-message
+transfer, lockstep equivalence against eager shipping (action-level,
 simulated, sharded; adverts run on the production core only), per-step
-invariants, and the
-adversarial delivery cases — pull lost, transfer lost mid-chunk, sender
-crash (incarnation bump) between advert and transfer, digest moved on by
-concurrent compaction — each converging with clean invariants.
+invariants, and the adversarial delivery cases — pull lost, transfer lost,
+sender crash (incarnation bump) between advert and transfer, digest moved
+on by concurrent compaction — each converging with clean invariants.
 """
 
 import random
@@ -26,10 +25,9 @@ import pytest
 
 from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy
 from repro.algorithm.labels import LabelGenerator
-from repro.algorithm.messages import checkpoint_transfers
-from repro.algorithm.checkpoint import TransferAssembly
+from repro.algorithm.messages import checkpoint_transfer
 from repro.algorithm.system import AlgorithmSystem
-from repro.common import ConfigurationError, OperationIdGenerator
+from repro.common import OperationIdGenerator, SpecificationError
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
 from repro.datatypes import CounterType, RegisterType
@@ -41,7 +39,7 @@ from repro.verification.outcome import check_trace
 
 
 # --------------------------------------------------------------------------- #
-# Advert, digest and transfer-chunk basics                                    #
+# Advert, digest and transfer basics                                          #
 # --------------------------------------------------------------------------- #
 
 
@@ -94,36 +92,41 @@ class TestAdvertBasics:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
-    def test_value_chunks_preserve_ledger_order(self):
-        checkpoint, prefix = small_checkpoint(5)
-        chunks = checkpoint.value_chunks(2)
-        assert [len(chunk) for chunk in chunks] == [2, 2, 1]
-        flattened = {}
-        for chunk in chunks:
-            flattened.update(chunk)
-        assert list(flattened) == list(checkpoint.values)
-        assert checkpoint.value_chunks(None) == [dict(checkpoint.values)]
-
-    def test_transfer_chunks_reassemble_to_the_original(self):
+    def test_transfer_carries_the_whole_body(self):
         checkpoint, _ = small_checkpoint(7)
-        transfers = checkpoint_transfers(
-            checkpoint, sender="r1", requester="r2", epoch=3, chunk=3
-        )
-        assert len(transfers) == 3
-        assert all(t.digest == checkpoint.digest() for t in transfers)
-        assert [t.carries_state for t in transfers] == [False, False, True]
-        assembly = TransferAssembly(
-            digest=checkpoint.digest(), epoch=3, frontier=checkpoint.frontier,
-            chunk_count=len(transfers),
-        )
-        for transfer in reversed(transfers):  # order must not matter
-            assembly.chunks[transfer.chunk_index] = transfer
-        assert assembly.complete()
-        rebuilt = assembly.assemble()
+        transfer = checkpoint_transfer(checkpoint, sender="r1", requester="r2")
+        assert transfer.digest == checkpoint.digest()
+        # The ledger's oldest-first order survives (eviction depends on it).
+        assert list(transfer.values) == list(checkpoint.values)
+        rebuilt = transfer.body()
         assert rebuilt.base_state == checkpoint.base_state
         assert rebuilt.frontier == checkpoint.frontier
-        assert dict(rebuilt.values) == dict(checkpoint.values)
+        assert list(rebuilt.values.items()) == list(checkpoint.values.items())
         assert rebuilt.digest() == checkpoint.digest()
+
+    def test_transfer_keeps_the_ledger_eviction_order(self):
+        # Under a retention cap the transfer carries only the retained
+        # values, oldest first; a receiver that extends the rebuilt body
+        # must evict exactly what the donor evicts.
+        checkpoint, _ = small_checkpoint(7, retention=3)
+        assert len(checkpoint.values) == 3
+        transfer = checkpoint_transfer(checkpoint, sender="r1", requester="r2")
+        assert list(transfer.values.items()) == list(checkpoint.values.items())
+        rebuilt = transfer.body()
+        gen = OperationIdGenerator("d")
+        label_gen = LabelGenerator("r1")
+        label_gen.observed(checkpoint.frontier)
+        extra, labels, existing = [], {}, []
+        for _ in range(2):
+            op = make_operation(CounterType.increment(), gen.fresh())
+            label = label_gen.fresh(existing)
+            existing.append(label)
+            labels[op.id] = label
+            extra.append(op)
+        donor_next, _ = checkpoint.extend(extra, CounterType(), labels, value_retention=3)
+        receiver_next, _ = rebuilt.extend(extra, CounterType(), labels, value_retention=3)
+        assert list(receiver_next.values.items()) == list(donor_next.values.items())
+        assert receiver_next.digest() == donor_next.digest()
 
     def test_incremental_gossip_carries_the_advert(self):
         """The textbook incremental-gossip helper must stay drop-in
@@ -140,23 +143,13 @@ class TestAdvertBasics:
         assert delta.advert == second.advert
         assert delta.checkpoint is None
 
-    def test_chunk_configuration_validation(self):
-        system_kwargs = dict(num_replicas=2)
-        with pytest.raises(ConfigurationError):
-            ReplicaConfig(checkpoint_chunk=0)
-        params = SimulationParams(replica=ReplicaConfig(fast_core=True))
-        replica = SimulatedCluster(CounterType(), params=params, **system_kwargs).replicas["r0"]
-        with pytest.raises(ConfigurationError):
-            replica.configure_advert_gossip(True, checkpoint_chunk=0)
-
 
 # --------------------------------------------------------------------------- #
 # Lockstep equivalence: advert/pull vs eager shipping                         #
 # --------------------------------------------------------------------------- #
 
 
-def build_system(advert, factory=None, delta=False, data_type=None, users=None,
-                 chunk=None):
+def build_system(advert, factory=None, delta=False, data_type=None, users=None):
     return AlgorithmSystem(
         data_type or CounterType(), ["r1", "r2", "r3"], ["alice", "bob"],
         replica_factory=factory, users=users,
@@ -166,7 +159,6 @@ def build_system(advert, factory=None, delta=False, data_type=None, users=None,
             full_state_interval=5,
             compaction=CompactionPolicy(min_batch=1),
             advert_gossip=advert,
-            checkpoint_chunk=chunk,
         ),
     )
 
@@ -212,8 +204,7 @@ class TestAdvertLockstepEquivalence:
             assert (eager.replicas[rid].checkpoint.count
                     == advert.replicas[rid].checkpoint.count)
         # No replica ever fell behind in a crash-free run, so nothing pulled.
-        assert all(not r._pull_queue and not r._transfer_in
-                   for r in advert.replicas.values())
+        assert all(not r._pull_queue for r in advert.replicas.values())
 
     @pytest.mark.parametrize("seed", [0, 11])
     def test_advert_mode_ships_less_payload(self, seed):
@@ -265,7 +256,7 @@ class TestAdvertLockstepEquivalence:
 # --------------------------------------------------------------------------- #
 
 
-def compacted_system_with_behind_replica(chunk=2, requests=6):
+def compacted_system_with_behind_replica(requests=6):
     """An advert-mode system in which r1/r2 folded everything while r3 (its
     own compaction off) crashed with volatile memory and recovered — so r3
     is missing the whole compacted prefix and must pull it."""
@@ -275,7 +266,6 @@ def compacted_system_with_behind_replica(chunk=2, requests=6):
             fast_core=True,
             compaction=CompactionPolicy(min_batch=1),
             advert_gossip=True,
-            checkpoint_chunk=chunk,
         ),
     )
     system.replicas["r3"].configure_compaction(enabled=False)
@@ -312,33 +302,19 @@ class TestPullCatchup:
                  if m.kind == "pull"]
         assert len(pulls) == 1
         # The pull echoes the advert's fold identity; the content digest
-        # rides on the transfer chunks, where a body actually crosses.
+        # rides on the transfer, where a body actually crosses.
         advertised = system.replicas["r1"].checkpoint
         assert pulls[0].digest == advertised.advert().digest == advertised.identity()
         assert advertised.identity() != advertised.digest()
         deliver_all(system, ("r3", "r1"))
         transfers = [m for m in system.gossip_channels[("r1", "r3")].contents()
                      if m.kind == "transfer"]
-        assert len(transfers) == 3  # 6 values in chunks of 2
-        assert all(t.digest == advertised.digest() for t in transfers)
+        assert len(transfers) == 1  # the whole body, 6 values, in one message
+        assert transfers[0].digest == advertised.digest()
         deliver_all(system, ("r1", "r3"))
         assert system.replicas["r3"].checkpoint.count == 6
         system.drain(rng)
         AlgorithmInvariantChecker(system).check_all()
-
-    def test_transfer_chunks_adopt_only_when_complete_in_any_order(self):
-        system, _gen, _rng = compacted_system_with_behind_replica()
-        system.send_gossip("r1", "r3")
-        deliver_all(system, ("r1", "r3"))
-        deliver_all(system, ("r3", "r1"))
-        transfers = [m for m in system.gossip_channels[("r1", "r3")].contents()
-                     if m.kind == "transfer"]
-        r3 = system.replicas["r3"]
-        for transfer in reversed(transfers[1:]):
-            system.receive_gossip("r1", "r3", transfer)
-            assert r3.checkpoint.count == 0  # incomplete: nothing adopted yet
-        system.receive_gossip("r1", "r3", transfers[0])
-        assert r3.checkpoint.count == 6
 
     def test_lost_pull_is_retried_off_the_next_advert(self):
         system, _gen, rng = compacted_system_with_behind_replica()
@@ -356,44 +332,125 @@ class TestPullCatchup:
         assert system.replicas["r3"].checkpoint.count == 6
         AlgorithmInvariantChecker(system).check_all()
 
-    def test_transfer_lost_mid_chunk_heals_on_retry(self):
+    def test_lost_transfer_heals_on_retry(self):
         system, _gen, rng = compacted_system_with_behind_replica()
         system.send_gossip("r1", "r3")
         deliver_all(system, ("r1", "r3"))
         deliver_all(system, ("r3", "r1"))
         channel = system.gossip_channels[("r1", "r3")]
-        transfers = [m for m in channel.contents() if m.kind == "transfer"]
-        system.receive_gossip("r1", "r3", transfers[0])  # first chunk lands
-        channel.receive(transfers[1])  # second chunk is lost in transit
+        (transfer,) = [m for m in channel.contents() if m.kind == "transfer"]
+        channel.receive(transfer)  # the transfer is lost in transit
         assert system.replicas["r3"].checkpoint.count == 0
-        # Re-advert, re-pull: the fresh transfer set completes the assembly
-        # (same digest, so the surviving chunk still counts).
+        # Re-advert, re-pull: a fresh transfer carries the whole body again.
         system.send_gossip("r1", "r3")
         system.drain(rng)
         assert system.replicas["r3"].checkpoint.count == 6
         AlgorithmInvariantChecker(system).check_all()
+
+    def test_duplicate_transfer_is_a_no_op(self):
+        # A retransmitted (or network-duplicated) transfer lands after the
+        # first copy was adopted: no longer behind, so nothing happens.
+        system, _gen, rng = compacted_system_with_behind_replica()
+        system.send_gossip("r1", "r3")
+        deliver_all(system, ("r1", "r3"))
+        deliver_all(system, ("r3", "r1"))
+        (transfer,) = [m for m in system.gossip_channels[("r1", "r3")].contents()
+                       if m.kind == "transfer"]
+        r3 = system.replicas["r3"]
+        r3.receive_transfer(transfer)
+        adopted = r3.checkpoint
+        assert adopted.count == 6
+        r3.receive_transfer(transfer)
+        assert r3.checkpoint is adopted
+        assert r3.stats.transfer_rejections == 0
+        assert r3.take_pending_pulls() == []
+        system.drain(rng)
+        AlgorithmInvariantChecker(system).check_all()
+
+    def test_second_donors_transfer_is_ignored(self):
+        # r1 and r2 folded the same prefix; whichever transfer lands first
+        # catches r3 up and the other one finds it no longer behind.
+        system, _gen, rng = compacted_system_with_behind_replica()
+        r2_body = system.replicas["r2"].checkpoint
+        assert r2_body.digest() == system.replicas["r1"].checkpoint.digest()
+        first = checkpoint_transfer(r2_body, sender="r2", requester="r3")
+        second = checkpoint_transfer(
+            system.replicas["r1"].checkpoint, sender="r1", requester="r3"
+        )
+        r3 = system.replicas["r3"]
+        r3.receive_transfer(first)
+        adopted = r3.checkpoint
+        assert adopted.digest() == r2_body.digest()
+        r3.receive_transfer(second)
+        assert r3.checkpoint is adopted
+        assert r3.stats.transfer_rejections == 0
+        system.drain(rng)
+        AlgorithmInvariantChecker(system).check_all()
+
+    def test_misdelivered_pull_or_transfer_is_a_specification_error(self):
+        # Addressing is the channel's job, not a peer's: a pull or a
+        # transfer handed to the wrong replica is a harness bug and raises,
+        # unlike a corrupted body, which costs a re-pull.
+        system, _gen, _rng = compacted_system_with_behind_replica()
+        system.send_gossip("r1", "r3")
+        deliver_all(system, ("r1", "r3"))
+        pull = next(m for m in system.gossip_channels[("r3", "r1")].contents()
+                    if m.kind == "pull")
+        with pytest.raises(SpecificationError, match="pull request for 'r1'"):
+            system.replicas["r2"].receive_pull_request(pull)
+        transfer = system.replicas["r1"].receive_pull_request(pull)
+        with pytest.raises(SpecificationError, match="transfer for 'r3'"):
+            system.replicas["r2"].receive_transfer(transfer)
+        assert system.replicas["r2"].stats.transfer_rejections == 0
+        system.replicas["r3"].receive_transfer(transfer)
+        assert system.replicas["r3"].checkpoint.count == 6
+
+    def test_stale_transfer_does_not_clobber_a_newer_checkpoint(self):
+        """A delayed transfer of a superseded body (older digest, lower
+        frontier) may land after a newer one on the unordered network; it
+        must be ignored, not rejected and not adopted."""
+        system, gen, rng = compacted_system_with_behind_replica()
+        r1, r3 = system.replicas["r1"], system.replicas["r3"]
+        old_transfer = checkpoint_transfer(r1.checkpoint, sender="r1", requester="r3")
+        # Model the sender compacting further before the old transfer lands:
+        # extend its checkpoint directly (two more increments above the
+        # frontier) and send the newer body.
+        label_gen = LabelGenerator("r1")
+        label_gen.observed(r1.checkpoint.frontier)
+        extra, labels, existing = [], {}, []
+        for _ in range(2):
+            op = make_operation(CounterType.increment(), gen.fresh())
+            label = label_gen.fresh(existing)
+            existing.append(label)
+            labels[op.id] = label
+            extra.append(op)
+        newer, _apps = r1.checkpoint.extend(extra, r1.data_type, labels)
+        new_transfer = checkpoint_transfer(newer, sender="r1", requester="r3")
+        assert new_transfer.digest != old_transfer.digest
+        r3.receive_transfer(new_transfer)
+        assert r3.checkpoint.digest() == newer.digest()
+        r3.receive_transfer(old_transfer)  # the straggler: ignored
+        assert r3.checkpoint.digest() == newer.digest()
+        assert r3.checkpoint.count == 8
+        assert r3.stats.transfer_rejections == 0
 
     def test_sender_crash_between_advert_and_transfer(self):
         system, _gen, rng = compacted_system_with_behind_replica()
         system.send_gossip("r1", "r3")
         deliver_all(system, ("r1", "r3"))
         deliver_all(system, ("r3", "r1"))
-        transfers = [m for m in system.gossip_channels[("r1", "r3")].contents()
-                     if m.kind == "transfer"]
-        system.receive_gossip("r1", "r3", transfers[0])  # partial assembly
-        old_epoch = transfers[0].epoch
+        channel = system.gossip_channels[("r1", "r3")]
+        (transfer,) = [m for m in channel.contents() if m.kind == "transfer"]
+        old_epoch = system.replicas["r1"]._epoch
         # The advertiser crashes with volatile memory: incarnation bump, but
-        # the checkpoint itself is stable storage.
+        # the checkpoint itself is stable storage.  Its answer dies with it.
         system.replicas["r1"].crash(volatile_memory=True)
         system.replicas["r1"].recover_from_stable_storage()
-        for transfer in transfers[1:]:  # stragglers from the dead incarnation
-            system.gossip_channels[("r1", "r3")].receive(transfer)
-        # Observing the bumped epoch drops r3's partial assembly...
+        channel.receive(transfer)
+        assert system.replicas["r3"].checkpoint.count == 0
+        # The re-advert re-pulls; the recovered sender answers from its
+        # persisted checkpoint.
         system.send_gossip("r1", "r3")
-        deliver_all(system, ("r1", "r3"))
-        assert "r1" not in system.replicas["r3"]._transfer_in
-        # ...and the re-advert re-pulls; the recovered sender answers from
-        # its persisted checkpoint under the new epoch.
         system.drain(rng)
         r3 = system.replicas["r3"]
         assert r3.checkpoint.count == 6
@@ -461,44 +518,6 @@ class TestPullCatchup:
         system.drain(rng)
         AlgorithmInvariantChecker(system).check_all()
 
-    def test_stale_chunks_do_not_clobber_a_newer_assembly(self):
-        """Delayed stragglers from a superseded transfer (older digest,
-        lower frontier) must be ignored — on the unordered network they can
-        interleave with the chunks of the replacement transfer."""
-        system, gen, _rng = compacted_system_with_behind_replica()
-        r1, r3 = system.replicas["r1"], system.replicas["r3"]
-        system.send_gossip("r1", "r3")
-        deliver_all(system, ("r1", "r3"))
-        pull = next(m for m in system.gossip_channels[("r3", "r1")].contents()
-                    if m.kind == "pull")
-        old_transfers = r1.receive_pull_request(pull)
-        # Model the sender compacting further before the old chunks land:
-        # extend its checkpoint directly (two more increments above the
-        # frontier) and chunk the newer body.
-        label_gen = LabelGenerator("r1")
-        label_gen.observed(r1.checkpoint.frontier)
-        extra, labels, existing = [], {}, []
-        for _ in range(2):
-            op = make_operation(CounterType.increment(), gen.fresh())
-            label = label_gen.fresh(existing)
-            existing.append(label)
-            labels[op.id] = label
-            extra.append(op)
-        newer, _apps = r1.checkpoint.extend(extra, r1.data_type, labels)
-        new_transfers = checkpoint_transfers(
-            newer, sender="r1", requester="r3", epoch=0, chunk=3
-        )
-        assert new_transfers[0].digest != old_transfers[0].digest
-        # Interleave: new chunk 0, then every old chunk, then the rest new.
-        r3.receive_transfer(new_transfers[0])
-        for transfer in old_transfers:
-            r3.receive_transfer(transfer)  # stragglers: ignored
-        assert r3._transfer_in["r1"].digest == new_transfers[0].digest
-        assert 0 in r3._transfer_in["r1"].chunks
-        for transfer in new_transfers[1:]:
-            r3.receive_transfer(transfer)
-        assert r3.checkpoint.count == newer.count == 8
-
     def test_digest_mismatch_after_concurrent_compaction(self):
         system, gen, rng = compacted_system_with_behind_replica()
         system.send_gossip("r1", "r3")
@@ -517,10 +536,9 @@ class TestPullCatchup:
         assert current.digest() != advertised_digest
         # Answering the stale-digest pull ships the *current* checkpoint —
         # nested over the advertised one, so adoption still catches r3 up.
-        transfers = system.replicas["r1"].receive_pull_request(pull)
-        assert all(t.digest == current.digest() for t in transfers)
-        for transfer in transfers:
-            system.replicas["r3"].receive_transfer(transfer)
+        transfer = system.replicas["r1"].receive_pull_request(pull)
+        assert transfer.digest == current.digest()
+        system.replicas["r3"].receive_transfer(transfer)
         assert system.replicas["r3"].checkpoint.count >= 6
         system.drain(rng)
         AlgorithmInvariantChecker(system).check_all()
@@ -541,7 +559,6 @@ def register_system_with_behind_replica(requests=6):
             fast_core=True,
             compaction=CompactionPolicy(min_batch=1),
             advert_gossip=True,
-            checkpoint_chunk=2,
         ),
     )
     system.replicas["r3"].configure_compaction(enabled=False)
@@ -692,9 +709,8 @@ class TestSimulatedAdvertPull:
         assert (advert.network.counters.gossip_payload
                 < eager.network.counters.gossip_payload)
 
-    def crash_recovery_cluster(self, chunk=3):
-        params = sim_params(True, checkpoint_chunk=chunk,
-                            compaction=CompactionPolicy(min_batch=1),
+    def crash_recovery_cluster(self):
+        params = sim_params(True, compaction=CompactionPolicy(min_batch=1),
                             compaction_interval=4.0, retransmit_interval=4.0)
         cluster = SimulatedCluster(CounterType(), 3, ["c0"], params=params, seed=1)
         # r1 never folds on its own, so a volatile crash leaves it without
@@ -758,7 +774,6 @@ class TestShardedAdvertPull:
                 fast_core=True,
                 compaction=CompactionPolicy(min_batch=1),
                 advert_gossip=advert,
-                checkpoint_chunk=2,
             ),
         )
         rng = random.Random(seed)

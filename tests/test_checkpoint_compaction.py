@@ -31,8 +31,7 @@ from repro.algorithm.checkpoint import (
 )
 from repro.algorithm.fastcore import FastReplicaCore
 from repro.algorithm.labels import Label
-from repro.algorithm.messages import GossipMessage, RequestMessage, checkpoint_transfers
-from repro.algorithm.checkpoint import TransferAssembly
+from repro.algorithm.messages import GossipMessage, RequestMessage, checkpoint_transfer
 from repro.algorithm.replica import ReplicaCore
 from repro.algorithm.system import AlgorithmSystem
 from repro.common import ConfigurationError, OperationId, OperationIdGenerator
@@ -133,7 +132,7 @@ def fold_batch(checkpoint, ids, retention):
 
 def captured_checkpoint(origin, retention, gen):
     """A checkpoint built the way *origin* builds one: a fold, an adoption
-    merge (``merged_values``), or a reassembled transfer (``assemble``)."""
+    merge (``merged_values``), or a received transfer (``transfer``)."""
     older = fold_batch(Checkpoint.empty(0), [gen.fresh() for _ in range(2)], retention)
     newer = fold_batch(older, [gen.fresh() for _ in range(3)], retention)
     if origin == "extend":
@@ -142,11 +141,7 @@ def captured_checkpoint(origin, retention, gen):
         return dataclasses.replace(
             newer, values=older.merged_values(dict(newer.values.items()), retention)
         )
-    transfers = checkpoint_transfers(newer, "r2", "r1", epoch=0, chunk=2)
-    return TransferAssembly(
-        digest=newer.digest(), epoch=0, frontier=newer.frontier,
-        chunk_count=len(transfers), chunks={m.chunk_index: m for m in transfers},
-    ).assemble()
+    return checkpoint_transfer(newer, "r2", "r1").body()
 
 
 def observe(checkpoint, ids):
@@ -157,8 +152,7 @@ def observe(checkpoint, ids):
         len(values),
         [op_id in values for op_id in ids],
         dataclasses.replace(checkpoint).digest(),  # recomputed, not cached
-        checkpoint.value_chunks(2),
-        checkpoint.value_chunks(None),
+        checkpoint_transfer(checkpoint, "r2", "r1"),
         encode_message(GossipMessage(
             sender="r2", received=frozenset(), done=frozenset(), checkpoint=checkpoint,
         )),
@@ -167,10 +161,10 @@ def observe(checkpoint, ids):
 
 class TestValueLedger:
     @pytest.mark.parametrize("retention", [None, 0, 1, 4])
-    @pytest.mark.parametrize("origin", ["extend", "merged_values", "assemble"])
+    @pytest.mark.parametrize("origin", ["extend", "merged_values", "transfer"])
     def test_captured_checkpoint_never_sees_a_later_fold(self, origin, retention):
         """A checkpoint held by an in-flight gossip message or a delta basis
-        keeps its ledger, digest, chunks and bytes however far later folds
+        keeps its ledger, digest, transfer and bytes however far later folds
         (two branches of them, sharing its parts) evict past its head."""
         gen = OperationIdGenerator("c")
         captured = captured_checkpoint(origin, retention, gen)

@@ -175,7 +175,6 @@ def _compacting_params():
             compaction=CompactionPolicy(min_batch=1),
             compaction_interval=1.0,
             advert_gossip=True,
-            checkpoint_chunk=2,
         ),
     )
 
@@ -210,10 +209,10 @@ class TestDigestIsOffTheGossipTick:
         ).install(cluster)
         _drive(cluster)
         assert cluster.network.counters.transfer > 0
-        assert callers and set(callers) <= {"checkpoint_transfers", "receive_transfer"}
-        # One hash per body cut into chunks, at most one per assembled body.
-        assert callers.count("checkpoint_transfers") <= cluster.network.counters.pull
-        assert callers.count("receive_transfer") <= callers.count("checkpoint_transfers")
+        assert callers and set(callers) <= {"checkpoint_transfer", "receive_transfer"}
+        # One hash per answered pull, at most one per received body.
+        assert callers.count("checkpoint_transfer") <= cluster.network.counters.pull
+        assert callers.count("receive_transfer") <= callers.count("checkpoint_transfer")
         states = {replica.replayed_state() for replica in cluster.replicas.values()}
         assert len(states) == 1
 

@@ -214,7 +214,7 @@ class TestGenerator:
             "full-compact",
             "delta-compact",
             "advert",
-            "advert-chunk",
+            "advert-delta",
             "sharded",
             "adversarial",
         }
@@ -222,7 +222,9 @@ class TestGenerator:
 
 class TestCorpus:
     def test_corpus_size_and_composition(self):
-        assert len(VECTOR_FILES) >= 40
+        # Exactly the generated cells: a stale or stray vector fails here.
+        expected = {f"{mode}_{seed:03d}.json" for mode in MODES for seed in range(5)}
+        assert {path.name for path in VECTOR_FILES} == expected
         adversarial = [p for p in VECTOR_FILES if p.name.startswith("adversarial")]
         assert adversarial, "corpus must include adversarial vectors"
 

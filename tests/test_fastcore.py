@@ -257,6 +257,23 @@ class TestBatchKernel:
         assert core.compute_value(extra) == 3
         assert_mirrors_consistent(core)
 
+    def test_fresh_labels_stay_on_the_fast_path_after_an_explicit_one(self, monkeypatch):
+        # The explicit label is observed, so the next fresh label exceeds
+        # it without the reference's existing-label scan.
+        core, _operations = done_core("r1", 2)
+        ids = OperationIdGenerator("x")
+        extra, later = (make_operation(CounterType.add(1), ids.fresh()) for _ in range(2))
+        for operation in (extra, later):
+            core.receive_request(RequestMessage(operation=operation))
+        core.do_it(extra, Label(10, "r1"))
+        reference_calls = []
+        monkeypatch.setattr(
+            ReplicaCore, "do_it", lambda *args: reference_calls.append(args)
+        )
+        assert core.do_it(later) == Label(11, "r1")
+        assert reference_calls == []
+        assert_mirrors_consistent(core)
+
 
 class TestSeededDifferential:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -542,7 +559,6 @@ def reference_replica_config(config):
         compaction=None,
         compaction_interval=None,
         advert_gossip=False,
-        checkpoint_chunk=None,
     )
 
 

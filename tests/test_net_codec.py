@@ -16,6 +16,7 @@ Hypothesis property tests drive randomly generated values and summaries
 through the full encode/decode path.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -181,22 +182,25 @@ class TestRoundTrips:
         (decoded,) = decode_frame(encode_message(bare))
         assert decoded == bare and decoded.have_frontier is None
 
-    def test_transfer_chunks(self):
+    def test_transfer(self):
         checkpoint = sample_checkpoint()
-        final = CheckpointTransferMessage(
-            sender="r0", requester="r2", epoch=3, digest=checkpoint.digest(),
+        message = CheckpointTransferMessage(
+            sender="r0", requester="r2", digest=checkpoint.digest(),
             frontier=checkpoint.frontier, ids=checkpoint.ids,
-            values_chunk={OperationId("c1", 5): "x"},
-            chunk_index=1, chunk_count=2, base_state=7,
+            values={OperationId("c1", 5): "x", OperationId("c0", 2): None},
+            base_state=7, order_digest="cd34" * 4,
         )
-        (decoded,) = decode_frame(encode_message(final))
-        assert (decoded.sender, decoded.requester, decoded.epoch) == ("r0", "r2", 3)
-        assert decoded.digest == final.digest
-        assert decoded.frontier == final.frontier
-        assert_summary_equal(decoded.ids, final.ids)
-        assert list(decoded.values_chunk.items()) == list(final.values_chunk.items())
-        assert decoded.carries_state and decoded.base_state == 7
-        assert decoded == final
+        (decoded,) = decode_frame(encode_message(message))
+        assert (decoded.sender, decoded.requester) == ("r0", "r2")
+        assert decoded.digest == message.digest
+        assert decoded.frontier == message.frontier
+        assert_summary_equal(decoded.ids, message.ids)
+        assert list(decoded.values.items()) == list(message.values.items())
+        assert decoded.base_state == 7
+        assert decoded == message
+        # A ``None`` base state is a value like any other.
+        bare = dataclasses.replace(message, base_state=None)
+        assert decode_frame(encode_message(bare)) == [bare]
 
     def test_mixed_coalesced_frame_with_size_attribution(self):
         messages = [
@@ -364,16 +368,15 @@ class TestVarints:
     def test_interval_packing_round_trips(self, ranges):
         summary = OpIdSummary(ranges)
         message = CheckpointTransferMessage(
-            sender="r0", requester="r1", epoch=0, digest="00",
-            frontier=Label(0, "r0"), ids=summary, values_chunk={},
-            chunk_index=0, chunk_count=1, base_state=0,
+            sender="r0", requester="r1", digest="00", frontier=Label(0, "r0"),
+            ids=summary, values={}, base_state=0, order_digest="00",
         )
         (decoded,) = decode_frame(encode_message(message))
         assert_summary_equal(decoded.ids, summary)
 
 
 # --------------------------------------------------------------------------- #
-# Stateless frames, pinned byte for byte (wire version 4)
+# Stateless frames, pinned byte for byte (wire version 5)
 # --------------------------------------------------------------------------- #
 
 
@@ -391,31 +394,22 @@ def every_kind():
         sample_gossip(advert=advert, is_delta=False),
         PullRequestMessage("r2", "r0", "ab12" * 4, Label(17, "r0"), Label(3, "r2")),
         CheckpointTransferMessage(
-            sender="r0", requester="r2", epoch=3, digest="ef56" * 4,
+            sender="r0", requester="r2", digest="ef56" * 4,
             frontier=checkpoint.frontier, ids=checkpoint.ids,
-            values_chunk={OperationId("c1", 5): "x"}, chunk_index=1, chunk_count=2,
-            base_state=7, order_digest="cd34" * 4,
+            values={OperationId("c1", 5): "x"}, base_state=7, order_digest="cd34" * 4,
         ),
     ]
 
 
-#: ``encode_frame(every_kind())`` under wire version 4.  What differs from the
-#: version-3 bytes (390 of them; these are 389) is the full form of the six
-#: descriptors, and nothing else:
-#:
-#: * the form is ``client reference | body length | body`` — one length varint
-#:   per descriptor that v3 did not have (+6 bytes);
-#: * inside the body the fields read seqno, ``prev`` count and strict flag as
-#:   one varint, operator value, ``prev`` (v3: operator value, id, strict
-#:   byte, ``prev`` count, ``prev``), so everything after the client reference
-#:   is frame-independent, and a byte shorter (-6 bytes);
-#: * ``prev`` identifiers spell their client inline instead of by table
-#:   reference: one zero byte for the descriptor's own client (three of the
-#:   four, +0 bytes), else the string with its length sent plus one (``c9``:
-#:   +2 bytes) — which is also why ``c9``, named only in a ``prev``, left the
-#:   identifier table (-3 bytes).
-WIRE_V4_EVERY_KIND = bytes.fromhex(
-    "e50d0409026330027232027230026331027231103030303030303030303030303030303010616231"
+#: ``encode_frame(every_kind())`` under wire version 5.  What differs from the
+#: version-4 bytes (389 of them; these are 385) is the version byte and the
+#: transfer, which crosses in one message: its flags byte (base state present),
+#: sender epoch, chunk index and chunk count are gone (-4 bytes, and its
+#: payload length says so).  Version 4 in turn changed only the full form of
+#: the six descriptors against version 3: a body-length varint, a
+#: frame-independent body and ``prev`` clients spelled inline.
+WIRE_V5_EVERY_KIND = bytes.fromhex(
+    "e50d0509026330027232027230026331027231103030303030303030303030303030303010616231"
     "32616231326162313261623132106566353665663536656635366566353610636433346364333463"
     "64333463643334061501001202050a050361646407010302000203633908240203000c02000a0503"
     "6164640701030209020501610702000e020304030605016203020158032f0202010904010002000c"
@@ -423,19 +417,19 @@ WIRE_V4_EVERY_KIND = bytes.fromhex(
     "0112040200010203030202010102050300020302000400030a05017840290000000000006f033602"
     "02010904010002000c02000a05036164640701030207030d06030a05047265616407000004010200"
     "02080203060a01120272311061623132616231326162313261623132106364333463643334636433"
-    "34636433340202633001020302633102020101024029000000000000090401010206220206011e05"
-    "01020103070812040200010203030202010102010201030a050178030e"
+    "34636433340202633001020302633102020101024029000000000000090401010206220206011a05"
+    "020107081204020001020303020201010201030a050178030e"
 )
 
 
-def test_frame_without_a_window_is_the_pinned_wire_v4_fixture():
+def test_frame_without_a_window_is_the_pinned_wire_v5_fixture():
     # Everything digests, vectors and the wire twin see is encoded without a
     # window: the same layout as on a link, no table, canonical bytes.
-    assert WIRE_V4_EVERY_KIND[2] == WIRE_VERSION == 4
-    assert encode_frame(every_kind()) == WIRE_V4_EVERY_KIND
-    assert encode_frame(every_kind(), None) == WIRE_V4_EVERY_KIND
-    assert encode_frame_detailed(every_kind(), window=None)[0] == WIRE_V4_EVERY_KIND
-    assert decode_frame(WIRE_V4_EVERY_KIND)[0] == every_kind()[0]
+    assert WIRE_V5_EVERY_KIND[2] == WIRE_VERSION == 5
+    assert encode_frame(every_kind()) == WIRE_V5_EVERY_KIND
+    assert encode_frame(every_kind(), None) == WIRE_V5_EVERY_KIND
+    assert encode_frame_detailed(every_kind(), window=None)[0] == WIRE_V5_EVERY_KIND
+    assert decode_frame(WIRE_V5_EVERY_KIND)[0] == every_kind()[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -462,18 +456,25 @@ class TestFrameErrors:
             with pytest.raises(FrameError):
                 decode_frame(frame[:cut])
 
-    @pytest.mark.parametrize("index, count", [(0, 0), (2, 2), (5, 2)])
-    def test_transfer_chunk_outside_its_count_rejected(self, index, count):
-        # The core's ``_reject_transfer`` is the second line of defence; a
-        # chunk that cannot belong to any assembly dies at the wire boundary.
+    @pytest.mark.parametrize("shape", ["values", "no-values", "no-base-state"])
+    def test_transfer_truncation_at_every_prefix_never_crashes(self, shape):
+        # A transfer is the one message whose body is a whole checkpoint:
+        # a cut anywhere in it, the value list and the base state included,
+        # is refused at the wire boundary and never reaches the core.
         checkpoint = sample_checkpoint()
+        values = {OperationId("c1", 5): "x", OperationId("c0", 2): (1, None)}
         message = CheckpointTransferMessage(
-            sender="r0", requester="r2", epoch=3, digest=checkpoint.digest(),
-            frontier=checkpoint.frontier, ids=checkpoint.ids, values_chunk={},
-            chunk_index=index, chunk_count=count,
+            sender="r0", requester="r2", digest=checkpoint.digest(),
+            frontier=checkpoint.frontier, ids=checkpoint.ids,
+            values={} if shape == "no-values" else values,
+            base_state=None if shape == "no-base-state" else 7,
+            order_digest="cd34" * 4,
         )
-        with pytest.raises(FrameError, match="transfer chunk"):
-            decode_frame(encode_message(message))
+        frame = encode_message(message)
+        assert decode_frame(frame) == [message]
+        for cut in range(len(frame)):
+            with pytest.raises(FrameError):
+                decode_frame(frame[:cut])
 
     def test_trailing_garbage_rejected(self):
         frame = encode_message(RequestMessage(op()))
@@ -531,9 +532,8 @@ def test_any_value_round_trips_through_response_values(value):
 def test_any_summary_round_trips(ranges):
     summary = OpIdSummary(ranges)
     message = CheckpointTransferMessage(
-        sender="r0", requester="r1", epoch=1, digest="aa",
-        frontier=Label(1, "r0"), ids=summary, values_chunk={},
-        chunk_index=0, chunk_count=1,
+        sender="r0", requester="r1", digest="aa", frontier=Label(1, "r0"),
+        ids=summary, values={}, base_state=None, order_digest="bb",
     )
     (decoded,) = decode_frame(encode_message(message))
     assert_summary_equal(decoded.ids, summary)

@@ -10,7 +10,7 @@ sound codec is invisible: the recorded outcomes must replay identically.
 The full-corpus sweep lives in CI (``python -m repro.conformance.replay
 tests/vectors --runtime=net``); here one vector per mode keeps the tier-1
 suite fast while still crossing the codec for every message kind (full and
-delta gossip, checkpoint bodies, adverts, chunked pulls/transfers, crash
+delta gossip, checkpoint bodies, adverts, pulls/transfers, crash
 recovery, sharding).
 """
 

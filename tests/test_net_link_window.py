@@ -414,9 +414,8 @@ def fuzz_corpus():
             frontier=Label(9, "r0"), have_frontier=Label(2, "r1"),
         ),
         CheckpointTransferMessage(
-            sender="r0", requester="r1", epoch=1, digest="ef" * 8, frontier=Label(9, "r0"),
-            ids=summary, values_chunk={x0.id: 1, x1.id: {1, 2}}, chunk_index=0, chunk_count=2,
-            base_state=7, order_digest="01" * 8,
+            sender="r0", requester="r1", digest="ef" * 8, frontier=Label(9, "r0"),
+            ids=summary, values={x0.id: 1, x1.id: {1, 2}}, base_state=7, order_digest="01" * 8,
         ),
     ]
     corpus = [(encode_message(message), ()) for message in stateless]

@@ -453,9 +453,8 @@ class TestBackpressure:
     def test_full_link_drops_and_counts_without_blocking(self, transport):
         def transfer():
             return CheckpointTransferMessage(
-                sender="r0", requester="r2", epoch=0, digest="00" * 8,
-                frontier=Label(1, "r0"), ids=OpIdSummary({}), values_chunk={},
-                chunk_index=0, chunk_count=1,
+                sender="r0", requester="r2", digest="00" * 8, frontier=Label(1, "r0"),
+                ids=OpIdSummary({}), values={}, base_state=None, order_digest="00" * 8,
             )
 
         async def run():
@@ -692,19 +691,28 @@ async def _after_hostile_replica_frame(transport, frame):
     assert leaked == []
 
 
-@pytest.mark.parametrize("transport", ["memory", "tcp"])
-@pytest.mark.parametrize("index, count", [(0, 0), (3, 3)])
-def test_transfer_chunk_outside_its_count_costs_the_connection_only(transport, index, count):
-    # Written raw on the live r0 -> r1 link: r1's codec refuses the chunk, so
-    # the core's ``_reject_transfer`` (and its re-pull) never runs.
+def _broken_transfer_frames():
+    """Transfer frames a replica link could carry after a fault: the body
+    ends early, or runs on past its last field."""
     frame = encode_message(CheckpointTransferMessage(
-        sender="r0", requester="r1", epoch=0, digest="00" * 8,
-        frontier=Label(1, "r0"), ids=OpIdSummary({"c0": [(0, 2)]}), values_chunk={},
-        chunk_index=index, chunk_count=count,
+        sender="r0", requester="r1", digest="00" * 8, frontier=Label(1, "r0"),
+        ids=OpIdSummary({"c0": [(0, 2)]}), values={OperationId("c0", 1): 1},
+        base_state=2, order_digest="00" * 8,
     ))
-    with pytest.raises(FrameError, match="transfer chunk"):
-        decode_frame(frame)
-    asyncio.run(_after_hostile_replica_frame(transport, frame))
+    return {"cut short": frame[:-1], "trailing byte": frame + b"\x00"}
+
+
+BROKEN_TRANSFERS = _broken_transfer_frames()
+
+
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+@pytest.mark.parametrize("name", sorted(BROKEN_TRANSFERS))
+def test_broken_transfer_frame_costs_the_connection_only(transport, name):
+    # Written raw on the live r0 -> r1 link: r1's codec refuses the frame,
+    # so the core's ``_reject_transfer`` (and its re-pull) never runs.
+    with pytest.raises(FrameError):
+        decode_frame(BROKEN_TRANSFERS[name])
+    asyncio.run(_after_hostile_replica_frame(transport, BROKEN_TRANSFERS[name]))
 
 
 class Probe(asyncio.Protocol):
@@ -832,9 +840,8 @@ class TestUnspellableValues:
             window = link.window
             # A transfer whose base state is too wide, as a pull would get it.
             link.send("transfer", CheckpointTransferMessage(
-                sender="r0", requester="r1", epoch=0, digest="00" * 8,
-                frontier=Label(1, "r0"), ids=OpIdSummary({}), values_chunk={},
-                chunk_index=0, chunk_count=1, base_state=2**900,
+                sender="r0", requester="r1", digest="00" * 8, frontier=Label(1, "r0"),
+                ids=OpIdSummary({}), values={}, base_state=2**900, order_digest="00" * 8,
             ))
             while cluster.stats.frames_unencodable == 0:
                 await asyncio.sleep(0.01)

@@ -130,7 +130,7 @@ class TestWireTwins:
             CorruptTransfers(start=0.0, end=40.0, probability=1.0),
         ]
         wire = run_cluster(WireCluster, "advert", faults=faults)
-        # The tampered chunks crossed the wire and were rejected by digest
+        # The tampered transfers crossed the wire and were rejected by digest
         # on arrival — then healed by a later re-pull (after the window).
         rejections = sum(
             r.stats.transfer_rejections for r in wire.replicas.values()

@@ -41,7 +41,6 @@ FEATURES = dict(
     incremental_replay=True,
     compaction=CompactionPolicy(min_batch=4, value_retention=64),
     advert_gossip=True,
-    checkpoint_chunk=3,
 )
 CONFIG = ReplicaConfig(**FEATURES)
 

@@ -16,7 +16,7 @@ from repro.core.operations import make_operation
 from repro.datatypes import CounterType
 from repro.net.wire import WireCluster
 from repro.service.keyed import KeyedStore
-from repro.service.reshard import LiveReshard, SliceLeg, cut_slice
+from repro.service.reshard import LiveReshard, SliceLeg, build_slice, cut_slice, tamper_slice
 from repro.service.router import ShardRouter
 from repro.sim.cluster import SimulationParams
 from repro.sim.faults import CorruptTransfers, DuplicateMessages
@@ -245,25 +245,25 @@ class TestReshardUnderFaults:
         handle = cluster.add_shard("s2")
         cluster.run_until_resharded(handle, max_time=20_000.0)
         assert handle.done
-        assert handle.transfer_rejections > 0  # corrupted chunks were caught
+        assert handle.transfer_rejections > 0  # corrupted slices were caught
         finish(cluster)
 
-    def test_duplicated_slice_chunks_are_idempotent(self):
-        """Migration chunks face the duplication adversary like every other
-        send: under a 100% duplication window each chunk is delivered twice,
-        and the slice assembly absorbs the copies."""
+    def test_duplicated_slices_are_idempotent(self):
+        """Migration slices face the duplication adversary like every other
+        send: under a 100% duplication window each slice is delivered twice,
+        and the copy that arrives after injection is ignored."""
         cluster = make_cluster(num_shards=2, seed=3)
         chained_traffic(cluster, random.Random(3), 16)
         for shard in cluster.shards.values():
             DuplicateMessages(start=cluster.now, end=cluster.now + 200.0).install(shard)
         delivered = []
-        deliver = cluster._deliver_migration_chunk
+        deliver = cluster._deliver_slice
 
-        def counting(leg, chunk):
-            delivered.append(chunk)
-            deliver(leg, chunk)
+        def counting(leg, message):
+            delivered.append(message)
+            deliver(leg, message)
 
-        cluster._deliver_migration_chunk = counting
+        cluster._deliver_slice = counting
         handle = cluster.add_shard("s2")
         cluster.run_until_resharded(handle, max_time=20_000.0)
         assert handle.done
@@ -375,3 +375,12 @@ class TestSliceRule:
             cut_slice(leg, source)
         assert leg.ops == []  # nothing was cut
 
+
+    @pytest.mark.parametrize("answered", [True, False], ids=["values", "no-values"])
+    def test_a_slice_verifies_intact_and_fails_tampered(self, answered):
+        # With values the adversary wraps one; without, it drops an operation.
+        ops = self.slice_of(3)
+        values = {op.id: index for index, op in enumerate(ops)} if answered else {}
+        message = build_slice(ops, values)
+        assert message.verified_ops() == ops
+        assert tamper_slice(message).verified_ops() is None

@@ -9,7 +9,7 @@ import pytest
 
 from repro.algorithm.checkpoint import Checkpoint, CompactionPolicy, OpIdSummary
 from repro.algorithm.labels import Label
-from repro.algorithm.messages import PullRequestMessage, checkpoint_transfers
+from repro.algorithm.messages import PullRequestMessage, checkpoint_transfer
 from repro.common import OperationIdGenerator
 from repro.config import ReplicaConfig
 from repro.core.operations import make_operation
@@ -304,29 +304,24 @@ class TestCorruptTransfers:
             frontier=donor.checkpoint.frontier,
             have_frontier=receiver.checkpoint.frontier,
         )
-        chunks = donor.receive_pull_request(pull)
-        assert chunks, "donor has a checkpoint, the pull must be answered"
+        transfer = donor.receive_pull_request(pull)
+        assert transfer is not None, "donor has a checkpoint, the pull must be answered"
 
-        tampered = [_tamper_transfer(chunk) for chunk in chunks]
-        assert any(
-            CORRUPTION_MARKER in repr(chunk.values_chunk) + repr(chunk.base_state)
-            for chunk in tampered
-        )
-        for chunk in tampered:
-            receiver.receive_transfer(chunk)
+        tampered = _tamper_transfer(transfer)
+        assert CORRUPTION_MARKER in repr(tampered.values) + repr(tampered.base_state)
+        receiver.receive_transfer(tampered)
         assert receiver.stats.transfer_rejections == 1
         assert receiver.checkpoint.count == 0  # nothing adopted
 
-        for chunk in chunks:
-            receiver.receive_transfer(chunk)
+        receiver.receive_transfer(transfer)
         assert receiver.stats.transfer_rejections == 1
         assert receiver.checkpoint.count == donor.checkpoint.count
         assert receiver.checkpoint.digest() == donor.checkpoint.digest()
 
     def test_corrupted_catchup_rejects_then_heals(self):
         """End to end: a volatile crash forces advert/pull catch-up, a
-        100% corruption window makes every transfer chunk arrive tampered —
-        the recovering replica must reject every assembly (never adopting a
+        100% corruption window makes every transfer arrive tampered — the
+        recovering replica must reject every body (never adopting a
         corrupt body) and keep re-pulling off later adverts until the window
         closes, after which it converges with the others."""
         cluster = _corrupted_catchup_run()
@@ -334,7 +329,7 @@ class TestCorruptTransfers:
         _assert_rejected_then_healed(cluster)
 
 
-def _corrupted_catchup_run(**replica_overrides):
+def _corrupted_catchup_run():
     """r1 crashes with volatile memory at t=8 and recovers at t=13 inside a
     100% transfer-corruption window [8, 19); the run continues well past the
     window so the reject-and-re-pull loop can heal off clean bodies."""
@@ -349,7 +344,6 @@ def _corrupted_catchup_run(**replica_overrides):
             compaction=CompactionPolicy(min_batch=1),
             compaction_interval=1.0,
             advert_gossip=True,
-            **replica_overrides,
         ),
     )
     cluster = SimulatedCluster(CounterType(), 3, ["c0", "c1"], params=params, seed=2)
@@ -371,7 +365,7 @@ def _assert_rejected_then_healed(cluster):
     rejections = sum(
         replica.stats.transfer_rejections for replica in cluster.replicas.values()
     )
-    assert rejections > 0, "the corruption window never hit an assembled transfer"
+    assert rejections > 0, "the corruption window never hit a transfer"
     # ... and the reject-and-re-pull loop healed once clean bodies flowed:
     # every replica converges to the same count — all surviving
     # increments, i.e. the full eventual order (the volatile crash may
@@ -389,24 +383,21 @@ def _later(frontier):
     return Label(frontier.rank + 1, frontier.replica)
 
 
-#: Chunk-header tampers: each maps one chunk of a two-chunk transfer to a
-#: copy whose *header* lies while its values stay intact.
+#: Header tampers: each maps a transfer to a copy whose *header* lies while
+#: its values stay intact.
 HEADER_TAMPERS = {
-    "index_past_count": lambda chunk: replace(chunk, chunk_index=5),
-    "zero_chunks": lambda chunk: replace(chunk, chunk_count=0),
-    "chunk_count": lambda chunk: replace(chunk, chunk_count=chunk.chunk_count + 1),
-    "frontier": lambda chunk: replace(chunk, frontier=_later(chunk.frontier)),
-    "ids": lambda chunk: replace(chunk, ids=OpIdSummary({"intruder": [(0, 3)]})),
-    "order_digest": lambda chunk: replace(chunk, order_digest="f" * 16),
+    "digest": lambda transfer: replace(transfer, digest="0" * 16),
+    "frontier": lambda transfer: replace(transfer, frontier=_later(transfer.frontier)),
+    "ids": lambda transfer: replace(transfer, ids=OpIdSummary({"intruder": [(0, 3)]})),
+    "order_digest": lambda transfer: replace(transfer, order_digest="f" * 16),
 }
 
 
 class TestMalformedTransferHeaders:
-    """A transfer chunk whose header was corrupted in flight (or forged)
-    must cost a retry, never the replica: ``receive_transfer`` used to store
-    chunks under whatever index they claimed, so indexes ``{0, 5}`` under
-    ``chunk_count=2`` "completed" the assembly and ``assemble()`` raised
-    ``KeyError: 1``."""
+    """A transfer whose header was corrupted in flight (or forged) must
+    cost a retry, never the replica: the content digest covers the
+    frontier, the id summary and the fold-order digest, so each lie is
+    rejected and the pull is queued again at once."""
 
     def _donor_and_behind_receiver(self):
         data_type, ids = CounterType(), OperationIdGenerator("c0")
@@ -425,35 +416,37 @@ class TestMalformedTransferHeaders:
     @pytest.mark.parametrize("kind", sorted(HEADER_TAMPERS))
     def test_tampered_header_is_rejected_and_repulled(self, kind):
         donor, receiver = self._donor_and_behind_receiver()
-        first, second = checkpoint_transfers(
-            donor, sender="r0", requester="r1", epoch=0, chunk=2
-        )
-        receiver.receive_transfer(first)
-        receiver.receive_transfer(HEADER_TAMPERS[kind](second))  # must not raise
+        transfer = checkpoint_transfer(donor, sender="r0", requester="r1")
+        receiver.receive_transfer(HEADER_TAMPERS[kind](transfer))  # must not raise
         assert receiver.stats.transfer_rejections == 1
         assert receiver.checkpoint.count == 0  # nothing adopted
-        assert "r0" not in receiver._transfer_in  # the assembly is gone ...
-        # ... and the pull is back in the queue without waiting for an advert.
+        # The pull is back in the queue without waiting for an advert.
         assert [pull.target for pull in receiver.take_pending_pulls()] == ["r0"]
 
-        for chunk in (first, second):
-            receiver.receive_transfer(chunk)
+        receiver.receive_transfer(transfer)
         assert receiver.stats.transfer_rejections == 1
         assert receiver.checkpoint.digest() == donor.digest()
 
-    def test_malformed_chunk_with_no_open_assembly(self):
+    def test_every_lie_in_a_row_costs_one_rejection_each(self):
+        # Each lie is judged on its own: no earlier rejection leaves state
+        # behind that makes a later lie (or the clean body) fare differently.
         donor, receiver = self._donor_and_behind_receiver()
-        (only,) = checkpoint_transfers(donor, sender="r0", requester="r1", epoch=0)
-        for tamper in ("zero_chunks", "index_past_count"):
-            receiver.receive_transfer(HEADER_TAMPERS[tamper](only))
-        assert receiver.stats.transfer_rejections == 2
-        assert receiver.checkpoint.count == 0 and not receiver._transfer_in
+        transfer = checkpoint_transfer(donor, sender="r0", requester="r1")
+        for rejected, kind in enumerate(sorted(HEADER_TAMPERS), start=1):
+            receiver.receive_transfer(HEADER_TAMPERS[kind](transfer))
+            assert receiver.stats.transfer_rejections == rejected
+            assert receiver.checkpoint.count == 0
+            assert [pull.target for pull in receiver.take_pending_pulls()] == ["r0"]
+        receiver.receive_transfer(transfer)
+        assert receiver.stats.transfer_rejections == len(HEADER_TAMPERS)
+        assert receiver.checkpoint.digest() == donor.digest()
+        assert receiver.take_pending_pulls() == []
 
     def test_header_corrupting_window_rejects_then_heals(self, monkeypatch):
         """The ``CorruptTransfers`` end-to-end story with the adversary
-        flipping chunk *headers* instead of values: every kind of header
+        flipping transfer *headers* instead of values: every kind of header
         lie arrives during catch-up, none raises, and the recovering replica
-        converges once clean chunks flow."""
+        converges once clean transfers flow."""
         kinds = sorted(HEADER_TAMPERS)
         sent = []
 
@@ -462,7 +455,7 @@ class TestMalformedTransferHeaders:
             return HEADER_TAMPERS[sent[-1]](message)
 
         monkeypatch.setattr("repro.sim.cluster._tamper_transfer", tamper_header)
-        cluster = _corrupted_catchup_run(checkpoint_chunk=2)
+        cluster = _corrupted_catchup_run()
         assert set(sent) == set(kinds), f"window too short to try every lie: {sent}"
         _assert_rejected_then_healed(cluster)
 

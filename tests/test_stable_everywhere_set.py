@@ -12,8 +12,9 @@ suite pins it five ways:
   sets; every position below the solid compaction prefix ``_solid`` is in it
   and not pending) holds after **every** action of a seeded random system, through
   forced folds, a volatile crash, recovery and the checkpoint adoption that
-  follows (pulled in chunks, or eager on full-state gossip) — and before it reads, the unsettled lazy state and Invariants
-  7.1 / 7.2 are checked, and the read itself changes nothing authoritative;
+  follows (pulled, or eager on full-state gossip) — and before it reads,
+  the unsettled lazy state and Invariants 7.1 / 7.2 are checked, and the
+  read itself changes nothing authoritative;
 * on a lockstep twin, both predicates know at least what
   :class:`ReplicaCore`'s do, and only what is true, for tracked, compacted
   and never-seen identifiers;
@@ -64,7 +65,6 @@ def build_system(core_config, min_batch, advert=True):
         incremental_replay=True,
         compaction=CompactionPolicy(min_batch=min_batch, value_retention=64),
         advert_gossip=advert,
-        checkpoint_chunk=2 if advert else None,
     )
     return AlgorithmSystem(CounterType(), list(REPLICAS), list(CLIENTS), config=config)
 
@@ -120,8 +120,8 @@ def assert_read_settles(core):
 @pytest.mark.parametrize("seed", [3, 17, 40])
 @pytest.mark.parametrize("advert", [True, False], ids=["advert-pull", "eager"])
 def test_audit_holds_after_every_action(advert, seed):
-    # The recovered replica adopts the folded prefix through a pulled,
-    # chunked transfer or from a checkpoint body riding full-state gossip.
+    # The recovered replica adopts the folded prefix through a pulled
+    # transfer or from a checkpoint body riding full-state gossip.
     system = build_system(PRODUCTION, min_batch=3, advert=advert)
     # r3 never folds on its own, so after its crash the agreed prefix can
     # only come back as an adopted checkpoint.
