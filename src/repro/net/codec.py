@@ -2,12 +2,14 @@
 
 Modelled on SSZ (simple-serialize): a small set of fixed composition rules,
 no self-describing schema on the wire, and one *canonical* encoding per value
-so that content digests can be computed over the bytes themselves.  The
-format is deliberately independent of ``PYTHONHASHSEED`` — every set is
+so that content digests can be computed over the bytes themselves.  A
+frame without a window is independent of ``PYTHONHASHSEED`` — every set is
 sorted before encoding (operation sets by identifier, value-level sets by
 their own encoded bytes) — so the same message encodes to the same bytes in
 every process, which is what makes :func:`message_digest` a usable content
-address.
+address.  A link frame (one spelled against a :class:`DescriptorWindow`)
+writes its descriptor union and labels in iteration order instead: its
+bytes are the link's business, and it decodes to the same message.
 
 Layout of one frame (all integers are LEB128 varints unless noted)::
 
@@ -25,14 +27,14 @@ by varint index.  Operation identifiers outside a descriptor body encode as
 ``(client ref, seqno)``; compacted-id summaries pack per-client seqno
 intervals as delta varints, so a steady-state advert costs a few bytes per
 client regardless of history length.  Gossip set triples
-(received/done/stable) are encoded as one sorted descriptor union plus a
+(received/done/stable) are encoded as one descriptor union plus a
 per-descriptor membership byte, since the three sets overlap almost
 completely.
 
 A descriptor has **two forms**.  The *full form* is ``client (frame-table
 reference) | varint length | body``; the body — seqno, ``prev`` count and
-strict flag in one varint, operator value, ``prev`` identifiers with their
-clients spelled inline — holds no table reference, so the same descriptor
+strict flag in one varint, ``prev`` identifiers with their clients spelled
+inline, operator value — holds no table reference, so the same descriptor
 has the same body bytes in every frame.  A replica->replica connection is reliable and FIFO, so each
 direction of it owns a :class:`DescriptorWindow`: the first time a
 descriptor crosses the connection it is spelled in full and appended to the
@@ -44,7 +46,8 @@ the ``drop`` rule that keeps the two ends in step and the window small.
 Because the body is frame-independent, an *endpoint* — one incarnation of a
 replica, one client — can remember it: all of an endpoint's windows share
 one :class:`DescriptorTable`, which maps ``(client, body bytes)`` to the
-live descriptor object and each live descriptor back to its bytes.  Decoding
+live descriptor object, each live descriptor back to its bytes, and the
+bytes of each parsed operator (the body's tail) to the operator.  Decoding
 a full form whose bytes the endpoint already holds skips the body and
 returns that object (one slice, one lookup: no parse, no new object);
 encoding a descriptor whose bytes are known appends them verbatim (a relay
@@ -77,7 +80,7 @@ checked-in conformance corpus stays valid.  :func:`message_digest` /
 :func:`frame_digest` are the wire-level counterparts computed over this
 canonical encoding.
 
-Hot-path notes (wire version 5):
+Hot-path notes (wire version 6):
 
 * A descriptor is parsed **once per replica** and spelled **once** — by the
   client that issues it.  The link window makes it cross each connection in
@@ -91,11 +94,15 @@ Hot-path notes (wire version 5):
   the response at the client.  The
   copies a replica holds of one descriptor are therefore one object, and the
   window's ``known is op`` test, the gossip encoder's union and the core's
-  set algebra all hit identity before they would try ``==``.
+  set algebra all hit identity before they would try ``==``.  A first
+  sight of a new descriptor whose operator the endpoint has parsed before
+  (``add(k)`` again) parses the seqno and ``prev`` only.
 * Encoders append varints in place (no per-varint ``bytes`` allocation) and
   frames are assembled from a pooled grow-only buffer — one payload copy
-  into the frame, no intermediate per-payload ``bytes``.  The canonical
-  ``(client, seqno)`` orders sort on keys built in C.
+  into the frame, no intermediate per-payload ``bytes``.  A link frame
+  sorts nothing; the canonical ``(client, seqno)`` orders of a frame
+  without a window sort on keys built in C, and the decoder builds
+  ``OperationId`` and ``Label`` with ``tuple.__new__``.
 * A :class:`~repro.algorithm.checkpoint.CheckpointAdvert` encodes
   *self-contained* (length-prefixed strings instead of table references),
   which makes its bytes frame-independent — and therefore memoizable, in
@@ -115,7 +122,6 @@ import struct
 import sys
 import weakref
 from collections import deque
-from operator import attrgetter
 from typing import Any, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.algorithm.checkpoint import Checkpoint, CheckpointAdvert, OpIdSummary
@@ -132,7 +138,7 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
 
 #: Bump on any change to the wire layout.
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 MAGIC = b"\xe5\x0d"
 
@@ -194,10 +200,11 @@ class FrameError(EsdsError):
 
 class _HeldDescriptor(weakref.ref):
     """A table entry: a weak reference to a descriptor, with the
-    ``(client, body bytes)`` it is filed under and its ``id()`` (which can no
-    longer be asked of it once it has died)."""
+    ``(client, body bytes)`` it is filed under, the bytes of its operator
+    (``None`` when it was spelled here, not parsed) and its ``id()`` (which
+    can no longer be asked of it once it has died)."""
 
-    __slots__ = ("key", "oid")
+    __slots__ = ("key", "operator", "oid")
 
 
 class DescriptorTable:
@@ -220,15 +227,24 @@ class DescriptorTable:
       when the core has folded a descriptor away and the windows have
       forgotten it, the entry goes with it.  The table has no size.
 
+    A parsed descriptor is also filed under its operator's bytes (the body's
+    tail), under the same three rules: :meth:`operator` hands a later body
+    with that tail the object the earlier parse built, so ``add(k)`` is
+    parsed once per endpoint.
+
     The advert encode memo lives here under the same rules (see
     :meth:`advert_bytes`), so nothing the codec remembers is shared between
     endpoints.
     """
 
-    __slots__ = ("_by_spelling", "_by_object", "_adverts", "_forget", "__weakref__")
+    __slots__ = (
+        "_by_spelling", "_by_object", "_by_operator", "_adverts", "_forget", "__weakref__"
+    )
 
     def __init__(self) -> None:
         self._by_spelling: Dict[Tuple[str, bytes], _HeldDescriptor] = {}
+        #: Operator bytes -> the latest descriptor parsed with them.
+        self._by_operator: Dict[bytes, _HeldDescriptor] = {}
         #: ``id(descriptor)`` -> its entry.  Sound as a key because the entry
         #: is removed by the descriptor's own death, before its ``id`` can be
         #: reused.
@@ -247,6 +263,8 @@ class DescriptorTable:
                 # but is not the filed entry.
                 if table._by_spelling.get(held.key) is held:
                     del table._by_spelling[held.key]
+                if table._by_operator.get(held.operator) is held:
+                    del table._by_operator[held.operator]
 
         self._forget = forget
 
@@ -265,26 +283,35 @@ class DescriptorTable:
         held = self._by_object.get(id(op))
         return None if held is None else held.key[1]
 
-    def remember(self, op: OperationDescriptor, body: bytes) -> None:
-        """File *op* — just parsed from *body*, or just spelled as it."""
+    def operator(self, spelling: bytes) -> Any:
+        """The operator a live descriptor was parsed from *spelling* as, if any."""
+        held = self._by_operator.get(spelling)
+        op = None if held is None else held()
+        return None if op is None else op.op
+
+    def remember(
+        self, op: OperationDescriptor, body: bytes, operator: Optional[bytes] = None
+    ) -> None:
+        """File *op* — just parsed from *body* (its operator from the
+        *operator* bytes), or just spelled as it."""
         held = _HeldDescriptor(op, self._forget)
         held.key = key = (op.id.client, body)
+        held.operator = operator
         held.oid = oid = id(op)
         self._by_object[oid] = held
         self._by_spelling.setdefault(key, held)
+        if operator is not None:
+            # The latest parse: descriptors die roughly oldest first.
+            self._by_operator[operator] = held
 
     def advert_bytes(self, advert: CheckpointAdvert) -> bytes:
         """The encoding of *advert*, spelled once per advert.  An advert is
         immutable and encodes self-contained (no frame-table references), so
         its bytes are a function of the advert alone and the advert itself is
-        the key — complete by construction, where the process-wide memo this
-        replaces was keyed ``(digest, order_digest)`` and needed the argument
-        that every encoded field follows from the fold prefix (which is why
-        one replica hit what another had encoded).  A checkpoint builds its
-        advert once, so a replica steadily re-advertising an unchanged
-        checkpoint (the common case between compactions) pays the encode
-        once per checkpoint, not per gossip message; the entry goes when the
-        advert does."""
+        the key.  A checkpoint builds its advert once, so a replica steadily
+        re-advertising an unchanged checkpoint pays the encode once per
+        checkpoint, not per gossip message; the entry goes when the advert
+        does."""
         spelling = self._adverts.get(advert)
         if spelling is None:
             spelling = self._adverts[advert] = _spell_advert(advert)
@@ -515,25 +542,20 @@ def _encode_value(out: bytearray, value: Any) -> None:
         raise FrameError(f"cannot encode value of type {type(value).__name__}: {value!r}")
 
 
-#: The canonical order of descriptors is that of their identifiers, which
-#: are tuples and order themselves: ``(client, seqno)``, compared in C.
-_DESCRIPTOR_ORDER = attrgetter("id")
-
-
 def _spell_descriptor(op: OperationDescriptor) -> bytes:
     """The *body* of a descriptor's full form: seqno, ``prev count << 1 |
-    strict`` (one varint), operator value, ``prev`` identifiers.  It holds no
-    reference into any frame's identifier table — a ``prev`` identifier
-    spells its client inline, as a string whose length is sent plus one, 0
-    standing for the descriptor's own client (the usual case: a client chains
-    on its own operations) — so the bytes are the same in every frame and can
-    be remembered, compared and re-sent."""
+    strict`` (one varint), ``prev`` identifiers, operator value — last, so
+    its bytes are the body's tail (see :meth:`DescriptorTable.operator`).  It
+    holds no reference into any frame's identifier table — a ``prev``
+    identifier spells its client inline, as a string whose length is sent
+    plus one, 0 standing for the descriptor's own client (the usual case: a
+    client chains on its own operations) — so the bytes are the same in
+    every frame and can be remembered, compared and re-sent."""
     out = bytearray()
     op_id = op.id
     _append_varint(out, zigzag(op_id.seqno))
     prev = op.prev
     _append_varint(out, len(prev) << 1 | (1 if op.strict else 0))
-    _encode_value(out, op.op)
     if prev:
         client = op_id.client
         for p in sorted(prev):
@@ -544,6 +566,7 @@ def _spell_descriptor(op: OperationDescriptor) -> bytes:
                 _append_varint(out, len(raw) + 1)
                 out += raw
             _append_varint(out, zigzag(p.seqno))
+    _encode_value(out, op.op)
     return bytes(out)
 
 
@@ -617,23 +640,7 @@ class _Encoder:
         out += body
 
     def summary(self, summary: OpIdSummary) -> None:
-        """Per-client seqno intervals as delta varints (the packing that
-        keeps adverts at a few bytes per client)."""
-        ranges = sorted(summary.ranges.items())
-        self.u(len(ranges))
-        for client, intervals in ranges:
-            self.ident(client)
-            self.u(len(intervals))
-            prev_hi: Optional[int] = None
-            for lo, hi in intervals:
-                if prev_hi is None:
-                    self.s(lo)
-                else:
-                    # Normalized intervals are disjoint and non-adjacent:
-                    # lo >= prev_hi + 2, so the gap below is non-negative.
-                    self.u(lo - prev_hi - 2)
-                self.u(hi - lo)
-                prev_hi = hi
+        _append_ranges(self.out, summary.ranges, self.ident)
 
     def checkpoint(self, checkpoint: Checkpoint) -> None:
         self.value(checkpoint.base_state)
@@ -669,20 +676,27 @@ def _spell_advert(advert: CheckpointAdvert) -> bytes:
     _append_str(out, advert.frontier.replica)
     _append_str(out, advert.digest)
     _append_str(out, advert.order_digest)
-    ranges = sorted(advert.ids.ranges.items())
+    _append_ranges(out, advert.ids.ranges, lambda client: _append_str(out, client))
+    return bytes(out)
+
+
+def _append_ranges(out: bytearray, ranges: Dict[str, Any], client) -> None:
+    """Per-client seqno intervals as delta varints (the packing that keeps
+    adverts at a few bytes per client); ``client(name)`` appends a name."""
     _append_varint(out, len(ranges))
-    for client, intervals in ranges:
-        _append_str(out, client)
+    for name, intervals in sorted(ranges.items()):
+        client(name)
         _append_varint(out, len(intervals))
         prev_hi: Optional[int] = None
         for lo, hi in intervals:
             if prev_hi is None:
                 _append_varint(out, zigzag(lo))
             else:
+                # Normalized intervals are disjoint and non-adjacent:
+                # lo >= prev_hi + 2, so the gap below is non-negative.
                 _append_varint(out, lo - prev_hi - 2)
             _append_varint(out, hi - lo)
             prev_hi = hi
-    return bytes(out)
 
 
 # --------------------------------------------------------------------------- #
@@ -756,41 +770,49 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
         enc.u(message.ack_epoch or 0)
         enc.u(message.ack_stream or 0)
 
-    # One sorted union of descriptors with a membership byte each: the three
-    # sets overlap almost completely (done and stable are subsets of the
-    # sender's knowledge), so each descriptor is encoded exactly once.  The
-    # union is the concatenation of its disjoint membership regions, cut by
-    # set algebra that reuses the hashes the sets store; each entry's code
-    # rides an argsort on ids.
-    ops: List[OperationDescriptor] = []
-    codes: List[int] = []
-    for code, region in _membership_regions(message.received, message.done, message.stable):
-        ops.extend(region)
-        codes.extend([code] * len(region))
-    ids = list(map(_DESCRIPTOR_ORDER, ops))
-    enc.u(len(ops))
-    for i in sorted(range(len(ops)), key=ids.__getitem__):
-        op = ops[i]
-        distance = 0
-        if window is not None:
-            distance = window.refer(op)
-            enc.u(distance)
-        if not distance:
-            enc.operation(op)
-        enc.byte(codes[i])
-
+    # One union of descriptors with a membership byte each: the three sets
+    # overlap almost completely (done and stable are subsets of the sender's
+    # knowledge), so each descriptor is encoded exactly once.  The union is
+    # the concatenation of its disjoint membership regions, cut by set
+    # algebra that reuses the hashes the sets store.  A link frame writes
+    # the regions, and the labels, in the order they come: only a frame
+    # without a window is canonical (digests, the wire twin, the corpus),
+    # and it argsorts the union by id, each entry's code riding along.
+    regions = _membership_regions(message.received, message.done, message.stable)
     labels = message.labels
-    enc.u(len(labels))
-    for op_id in sorted(labels):
-        label = labels[op_id]
-        head = 0
-        if window is not None:
+    if window is None:
+        ops: List[OperationDescriptor] = []
+        codes: List[int] = []
+        for code, region in regions:
+            ops.extend(region)
+            codes.extend([code] * len(region))
+        # Identifiers are tuples: ``(client, seqno)``, compared in C.
+        ids = [op.id for op in ops]
+        enc.u(len(ops))
+        for i in sorted(range(len(ops)), key=ids.__getitem__):
+            enc.operation(ops[i])
+            enc.byte(codes[i])
+        enc.u(len(labels))
+        for op_id in sorted(labels):
+            enc.op_id(op_id)
+            enc.label(labels[op_id])
+    else:
+        enc.u(sum(len(region) for _code, region in regions))
+        for code, region in regions:
+            for op in region:
+                distance = window.refer(op)
+                enc.u(distance)
+                if not distance:
+                    enc.operation(op)
+                enc.byte(code)
+        enc.u(len(labels))
+        for op_id, label in labels.items():
             head = window.refer_label(op_id, label)
             enc.u(head)
-        if not head:
-            enc.op_id(op_id)
-        if not head & 1:
-            enc.label(label)
+            if not head:
+                enc.op_id(op_id)
+            if not head & 1:
+                enc.label(label)
 
     if message.checkpoint is not None:
         enc.checkpoint(message.checkpoint)
@@ -932,6 +954,11 @@ def message_digest(message: Any) -> str:
 #: One shared object instead of a fresh empty frozenset per decoded descriptor.
 _NO_PREV: FrozenSet[OperationId] = frozenset()
 
+#: ``_new_tuple(OperationId, (client, seqno))`` builds a value object in C,
+#: skipping ``_make``'s Python-level length check (the decoder always hands
+#: over exactly the fields).
+_new_tuple = tuple.__new__
+
 
 class _Decoder:
     def __init__(
@@ -948,6 +975,8 @@ class _Decoder:
         self.window = window
         #: The window's endpoint table; ``None`` parses everything afresh.
         self.descriptors = None if window is None else window.table
+        #: The operator bytes of the last body parsed through the table.
+        self.operator_bytes: Optional[bytes] = None
 
     # -- primitives ----------------------------------------------------------
 
@@ -1048,12 +1077,10 @@ class _Decoder:
     # -- domain pieces -------------------------------------------------------
 
     def op_id(self) -> OperationId:
-        # ``_make`` is the cheapest public spelling: it skips the generated
-        # ``__new__``'s argument binding (keyword form costs twice as much).
-        return OperationId._make((self.ident(), self.s()))
+        return _new_tuple(OperationId, (self.ident(), self.s()))
 
     def label(self) -> Label:
-        return Label._make((self.s(), self.ident()))
+        return _new_tuple(Label, (self.s(), self.ident()))
 
     def operation(self) -> OperationDescriptor:
         """The full form.  When the endpoint already holds a descriptor of
@@ -1073,39 +1100,48 @@ class _Decoder:
         op = descriptors.find(client, body)
         if op is None:
             op = self.descriptor_body(client, end)
-            descriptors.remember(op, body)
+            descriptors.remember(op, body, self.operator_bytes)
         else:
             self.pos = end
         return op
 
     def descriptor_body(self, client: str, end: int) -> OperationDescriptor:
-        """Parse one descriptor body in place (mirrors
-        :func:`_spell_descriptor`); it must end exactly at *end*."""
+        """Parse one descriptor body in place (mirrors :func:`_spell_descriptor`);
+        it must end exactly at *end*.  With a table, the operator (the tail,
+        kept in ``operator_bytes``) is looked up by its bytes before a parse."""
         seqno = self.s()
         head = self.u()
-        op = self.value()
-        if head > 1:
-            prev = frozenset([self.prev_id(client) for _ in range(head >> 1)])
+        prev = frozenset([self.prev_id(client) for _ in range(head >> 1)]) if head > 1 else _NO_PREV
+        descriptors = self.descriptors
+        op = None
+        if descriptors is not None:
+            self.operator_bytes = tail = bytes(self.data[self.pos : end])
+            op = descriptors.operator(tail)
+        if op is None:
+            op = self.value()
         else:
-            prev = _NO_PREV
+            self.pos = end
         if self.pos != end:
             raise FrameError(
                 f"descriptor body ends {self.pos - end:+d} bytes off its declared length"
             )
         return OperationDescriptor(
-            op, OperationId._make((client, seqno)), prev, bool(head & 1)
+            op, _new_tuple(OperationId, (client, seqno)), prev, bool(head & 1)
         )
 
     def prev_id(self, own: str) -> OperationId:
         """One ``prev`` identifier of a descriptor of client *own*."""
         length = self.u()
         client = sys.intern(str(self.raw(length - 1), "utf-8")) if length else own
-        return OperationId._make((client, self.s()))
+        return _new_tuple(OperationId, (client, self.s()))
 
-    def summary(self) -> OpIdSummary:
+    def summary(self, client=None) -> OpIdSummary:
+        """Mirrors :func:`_append_ranges`; ``client()`` reads a name (by
+        default a table reference)."""
+        client = client or self.ident
         ranges: Dict[str, List[Tuple[int, int]]] = {}
         for _ in range(self.u()):
-            client = self.ident()
+            name = client()
             intervals: List[Tuple[int, int]] = []
             prev_hi: Optional[int] = None
             for _ in range(self.u()):
@@ -1113,7 +1149,7 @@ class _Decoder:
                 hi = lo + self.u()
                 intervals.append((lo, hi))
                 prev_hi = hi
-            ranges[client] = intervals
+            ranges[name] = intervals
         return OpIdSummary(ranges)
 
     def checkpoint(self) -> Checkpoint:
@@ -1121,10 +1157,7 @@ class _Decoder:
         frontier = self.label() if self.byte() else None
         ids = self.summary()
         order_digest = self.ident()
-        values = {}
-        for _ in range(self.u()):
-            op_id = self.op_id()
-            values[op_id] = self.value()
+        values = {self.op_id(): self.value() for _ in range(self.u())}
         return Checkpoint(
             base_state=base_state,
             frontier=frontier,
@@ -1135,24 +1168,13 @@ class _Decoder:
 
     def advert(self) -> CheckpointAdvert:
         # Self-contained strings, mirroring ``_spell_advert``.
-        frontier = Label._make((self.s(), self.text()))
+        frontier = _new_tuple(Label, (self.s(), self.text()))
         digest = self.text()
         order_digest = self.text()
-        ranges: Dict[str, List[Tuple[int, int]]] = {}
-        for _ in range(self.u()):
-            client = self.text()
-            intervals: List[Tuple[int, int]] = []
-            prev_hi: Optional[int] = None
-            for _ in range(self.u()):
-                lo = self.s() if prev_hi is None else prev_hi + 2 + self.u()
-                hi = lo + self.u()
-                intervals.append((lo, hi))
-                prev_hi = hi
-            ranges[client] = intervals
         return CheckpointAdvert(
             frontier=frontier,
             digest=digest,
-            ids=OpIdSummary(ranges),
+            ids=self.summary(self.text),
             order_digest=order_digest,
         )
 
@@ -1279,10 +1301,7 @@ def _decode_transfer(dec: _Decoder) -> CheckpointTransferMessage:
     order_digest = dec.ident()
     frontier = dec.label()
     ids = dec.summary()
-    values = {}
-    for _ in range(dec.u()):
-        op_id = dec.op_id()
-        values[op_id] = dec.value()
+    values = {dec.op_id(): dec.value() for _ in range(dec.u())}
     return CheckpointTransferMessage(
         sender=sender,
         requester=requester,

@@ -38,6 +38,8 @@ from repro.core.operations import OperationDescriptor, make_operation
 from repro.datatypes.base import Operator
 from repro.net.codec import (
     WIRE_VERSION,
+    DescriptorTable,
+    DescriptorWindow,
     FrameError,
     decode_frame,
     encode_frame,
@@ -266,9 +268,29 @@ print(fixture_digests())
 
 
 def fixture_digests():
+    """Digests of a stateless message and frame, and of what a link frame and
+    the stateless frame of a larger gossip message decode to.  A link frame
+    writes its sets and labels in iteration order, so its bytes may differ
+    under another hash seed; what it decodes to may not."""
     gossip = sample_gossip(checkpoint=sample_checkpoint())
     frame = encode_frame([RequestMessage(op()), gossip])
-    return message_digest(gossip), frame_digest(frame)
+    xs = [op("c%d" % (i % 3), i, args=(i,), prev=(("c9", i),) * (i % 2)) for i in range(16)]
+    larger = dataclasses.replace(
+        gossip,
+        received=gossip.received | frozenset(xs),
+        done=gossip.done | frozenset(xs[::2]),
+        stable=gossip.stable | frozenset(xs[::4]),
+        labels={**gossip.labels, **{x.id: Label(i, "r%d" % (i % 3)) for i, x in enumerate(xs)}},
+    )
+    link = encode_frame([larger], DescriptorWindow(DescriptorTable()))
+    (decoded,) = decode_frame(link, DescriptorWindow(DescriptorTable()))
+    (stateless,) = decode_frame(encode_message(larger))
+    return (
+        message_digest(gossip),
+        frame_digest(frame),
+        message_digest(decoded),
+        message_digest(stateless),
+    )
 
 
 class TestDeterminism:
@@ -299,7 +321,9 @@ class TestDeterminism:
             capture_output=True, text=True, env=env, check=True,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
-        assert out.stdout.strip() == repr(fixture_digests())
+        digests = fixture_digests()
+        assert out.stdout.strip() == repr(digests)
+        assert digests[2] == digests[3]
 
     def test_set_valued_checkpoint_digest_survives_decode(self):
         # CPython set iteration order depends on insertion history when
@@ -376,7 +400,7 @@ class TestVarints:
 
 
 # --------------------------------------------------------------------------- #
-# Stateless frames, pinned byte for byte (wire version 5)
+# Stateless frames, pinned byte for byte (wire version 6)
 # --------------------------------------------------------------------------- #
 
 
@@ -401,35 +425,40 @@ def every_kind():
     ]
 
 
-#: ``encode_frame(every_kind())`` under wire version 5.  What differs from the
-#: version-4 bytes (389 of them; these are 385) is the version byte and the
-#: transfer, which crosses in one message: its flags byte (base state present),
-#: sender epoch, chunk index and chunk count are gone (-4 bytes, and its
-#: payload length says so).  Version 4 in turn changed only the full form of
-#: the six descriptors against version 3: a body-length varint, a
-#: frame-independent body and ``prev`` clients spelled inline.
-WIRE_V5_EVERY_KIND = bytes.fromhex(
-    "e50d0509026330027232027230026331027231103030303030303030303030303030303010616231"
+#: ``encode_frame(every_kind())`` under wire version 6: 385 bytes, as in
+#: version 5.  What differs from the version-5 bytes is the version byte (2)
+#: and the body of each descriptor with ``prev``, whose operator value now
+#: comes after the ``prev`` identifiers: the request's ``c0:1`` body (bytes
+#: 92–109) and the gossip's ``c1:3`` body, once in each gossip message
+#: (bytes 175–187 and 264–276).  Each body keeps its length and its leading
+#: seqno and head bytes, so nothing else moves.
+#: Version 5 in turn sent the transfer as one message: version 4's flags
+#: byte, sender epoch, chunk index and chunk count are gone (-4 bytes).
+#: Version 4 changed only the full form of the six descriptors against
+#: version 3: a body-length varint, a frame-independent body and ``prev``
+#: clients spelled inline.
+WIRE_V6_EVERY_KIND = bytes.fromhex(
+    "e50d0609026330027232027230026331027231103030303030303030303030303030303010616231"
     "32616231326162313261623132106566353665663536656635366566353610636433346364333463"
-    "64333463643334061501001202050a050361646407010302000203633908240203000c02000a0503"
+    "64333463643334061501001202050002036339080a050361646407010302240203000c02000a0503"
     "6164640701030209020501610702000e020304030605016203020158032f0202010904010002000c"
-    "02000a05036164640701030207030d06030a0504726561640700000401020002080203060a01030e"
+    "02000a05036164640701030207030d060300040a050472656164070001020002080203060a01030e"
     "0112040200010203030202010102050300020302000400030a05017840290000000000006f033602"
-    "02010904010002000c02000a05036164640701030207030d06030a05047265616407000004010200"
+    "02010904010002000c02000a05036164640701030207030d060300040a0504726561640700010200"
     "02080203060a01120272311061623132616231326162313261623132106364333463643334636433"
     "34636433340202633001020302633102020101024029000000000000090401010206220206011a05"
     "020107081204020001020303020201010201030a050178030e"
 )
 
 
-def test_frame_without_a_window_is_the_pinned_wire_v5_fixture():
+def test_frame_without_a_window_is_the_pinned_wire_v6_fixture():
     # Everything digests, vectors and the wire twin see is encoded without a
     # window: the same layout as on a link, no table, canonical bytes.
-    assert WIRE_V5_EVERY_KIND[2] == WIRE_VERSION == 5
-    assert encode_frame(every_kind()) == WIRE_V5_EVERY_KIND
-    assert encode_frame(every_kind(), None) == WIRE_V5_EVERY_KIND
-    assert encode_frame_detailed(every_kind(), window=None)[0] == WIRE_V5_EVERY_KIND
-    assert decode_frame(WIRE_V5_EVERY_KIND)[0] == every_kind()[0]
+    assert WIRE_V6_EVERY_KIND[2] == WIRE_VERSION == 6
+    assert encode_frame(every_kind()) == WIRE_V6_EVERY_KIND
+    assert encode_frame(every_kind(), None) == WIRE_V6_EVERY_KIND
+    assert encode_frame_detailed(every_kind(), window=None)[0] == WIRE_V6_EVERY_KIND
+    assert decode_frame(WIRE_V6_EVERY_KIND)[0] == every_kind()[0]
 
 
 # --------------------------------------------------------------------------- #

@@ -212,14 +212,15 @@ def test_prev_clients_are_inline_and_a_second_spelling_is_a_second_entry():
         prev=[OperationId("c0", 6), OperationId("c10", 2)], strict=True,
     )
     body = codec._spell_descriptor(op)
-    # seqno; two prev and strict; the operator; own client as 0, c10 by name.
+    # seqno; two prev and strict; own client as 0, c10 by name; the operator
+    # last (wire version 6), so its bytes are the body's tail.
     assert body == (
-        bytes([14, 5]) + bytes([10, 5, 3]) + b"add" + bytes([7, 1, 3, 2])
-        + bytes([0, 12]) + bytes([4]) + b"c10" + bytes([4])
+        bytes([14, 5]) + bytes([0, 12]) + bytes([4]) + b"c10" + bytes([4])
+        + bytes([10, 5, 3]) + b"add" + bytes([7, 1, 3, 2])
     )
     # The same descriptor with its own client spelled out: not what the
     # encoder writes, but lossless — and, by its bytes, an entry of its own.
-    verbose = body[:12] + bytes([3]) + b"c0" + body[13:]
+    verbose = body[:2] + bytes([3]) + b"c0" + body[3:]
     table = DescriptorTable()
     decoded = []
     for spelling in (body, verbose, body):
@@ -229,9 +230,96 @@ def test_prev_clients_are_inline_and_a_second_spelling_is_a_second_entry():
         assert message.operation == op
         decoded.append(message.operation)
     assert decoded[0] is decoded[2] is not decoded[1] and len(table) == 2
+    # Two spellings of one operator's bytes: the second parse reused it.
+    assert decoded[1].op is decoded[0].op
     # Each is relayed as it came.
     for held, spelling in zip(decoded, (body, verbose)):
         assert spelling in encode_frame([RequestMessage(held)], DescriptorWindow(table))
+
+
+# --------------------------------------------------------------------------- #
+# The operator memo: one parse of an operator's bytes per endpoint            #
+# --------------------------------------------------------------------------- #
+
+
+def request_through(window, op):
+    (message,) = decode_frame(encode_message(RequestMessage(op)), window)
+    return message.operation
+
+
+def test_an_operator_is_parsed_once_per_endpoint_by_its_exact_bytes():
+    add_one, add_true = Operator("add", (1,)), Operator("add", (True,))
+    table = DescriptorTable()
+    window = DescriptorWindow(table)
+    first = request_through(window, make_operation(add_one, OperationId("c0", 1)))
+    # Equal operators, different bytes: a memo entry and an object each.
+    truthy = request_through(window, make_operation(add_true, OperationId("c0", 2)))
+    assert truthy.op == first.op and truthy.op is not first.op
+    assert type(truthy.op.args[0]) is bool and type(first.op.args[0]) is int
+    # Another client's descriptor with the same operator bytes: a hit is the
+    # very object of the earlier parse, and a new descriptor around it.
+    again = request_through(window, make_operation(add_one, OperationId("c1", 9)))
+    assert again.op is first.op and again is not first and again.id == ("c1", 9)
+    assert table.operator(codec._value_bytes(add_one)) is first.op
+    assert table.operator(codec._value_bytes(add_true)) is truthy.op
+    assert len(table._by_operator) == 2 and len(table) == 3
+    # A second endpoint parses for itself.
+    elsewhere = request_through(
+        DescriptorWindow(DescriptorTable()), make_operation(add_one, OperationId("c1", 9))
+    )
+    assert elsewhere.op == first.op and elsewhere.op is not first.op
+
+
+def test_an_operator_entry_dies_with_its_descriptor():
+    add_one = Operator("add", (1,))
+    spelling = codec._value_bytes(add_one)
+    table = DescriptorTable()
+    window = DescriptorWindow(table)
+    first = request_through(window, make_operation(add_one, OperationId("c0", 1)))
+    second = request_through(window, make_operation(add_one, OperationId("c0", 2)))
+    assert second.op is first.op
+    # Filed under the latest parse: the first one's death leaves it.
+    del first
+    gc.collect()
+    assert table.operator(spelling) is second.op
+    del second
+    gc.collect()
+    assert table.operator(spelling) is None and not table._by_operator and len(table) == 0
+    # The next parse files afresh.
+    third = request_through(window, make_operation(add_one, OperationId("c0", 3)))
+    assert third.op == add_one and table.operator(spelling) is third.op
+
+
+#: A request for c0's fifth operation with two ``prev`` (c0's third and
+#: fourth) whose body declares *cut* bytes: the prev identifiers run past it.
+PREV_OP = make_operation(
+    CounterType.increment(), OperationId("c0", 5),
+    prev=[OperationId("c0", 3), OperationId("c0", 4)],
+)
+PREV_BODY = codec._spell_descriptor(PREV_OP)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["miss", "hit"])
+@pytest.mark.parametrize("cut", [2, 3, 4, 5])
+def test_prev_identifiers_past_the_declared_length_are_a_frame_error(cut, held):
+    # seqno, head, (own client, seqno) twice, then the operator.
+    assert PREV_BODY[:6] == bytes([10, 4, 0, 6, 0, 8])
+    honest = bytes([1, 1]) + encode_varint(len(PREV_BODY)) + PREV_BODY
+    table = DescriptorTable()
+    if held:
+        # The table holds FIRST_OP, whose operator bytes are PREV_BODY's tail.
+        keep = request_through(DescriptorWindow(table), FIRST_OP)
+        assert table.operator(PREV_BODY[6:]) is keep.op
+    hostile = bytes([1, 1]) + encode_varint(cut) + PREV_BODY
+    for window in (DescriptorWindow(table), DescriptorWindow(), None):
+        with pytest.raises(FrameError):
+            decode_frame(frame_of(hostile), window)
+    gc.collect()
+    assert len(table) == (1 if held else 0)
+    (request,) = decode_frame(frame_of(honest), DescriptorWindow(table))
+    assert request.operation == PREV_OP
+    if held:
+        assert request.operation.op is keep.op
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,7 @@ def spin(depth):
 
 
 def test_self_ticks_partition_the_samples_and_recursion_counts_once():
-    own, cumulative = load().sample(lambda: [spin(5) for _ in range(8)], 0.001)
+    own, cumulative, lines = load().sample(lambda: [spin(5) for _ in range(8)], 0.001)
     total = sum(own.values())
     assert total >= 10
     here = (__file__, "spin")
@@ -33,6 +33,24 @@ def test_self_ticks_partition_the_samples_and_recursion_counts_once():
     assert own[here] <= cumulative[here] <= total
     assert max(cumulative.values()) == total
     assert any("genexpr" in name for _file, name in own)  # the frame that burns the CPU
+    assert not lines  # no function was named
+
+
+def test_lines_of_a_named_function_count_once_per_tick_on_the_line_that_runs():
+    own, cumulative, lines = load().sample(
+        lambda: [spin(5) for _ in range(8)], 0.001, lines_of={"spin"}
+    )
+    here = (__file__, "spin")
+    assert lines and {key[:2] for key in lines} == {here}
+    first = spin.__code__.co_firstlineno
+    recurse, burn = first + 2, first + 3  # ``return spin(...)``, ``return sum(...)``
+    assert {key[2] for key in lines} <= set(range(first, burn + 1))
+    # Recursion puts both lines on one stack: each still counts once a tick,
+    # and the line that burns the CPU is under nearly every tick of the
+    # function (a tick may land on a call's entry instead).
+    assert all(ticks <= cumulative[here] for ticks in lines.values())
+    assert lines[here + (burn,)] > cumulative[here] / 2
+    assert lines[here + (recurse,)] > 0
 
 
 def test_tcp_closed_at_smoke_scale_prints_the_three_tables():
@@ -56,3 +74,28 @@ def test_tcp_closed_at_smoke_scale_prints_the_three_tables():
     rows = [row for row in rows if row]
     assert len(rows) == 15 and all(0 < int(row[2]) <= samples for row in rows)
     assert any(row[3].startswith("src/repro/net/codec.py") for row in rows)
+
+
+def test_lines_flag_prints_the_named_functions_line_by_line():
+    done = subprocess.run(
+        [
+            sys.executable, str(SCRIPT), "--workload", "tcp_closed", "--scale", "0.02",
+            "--top", "3", "--lines", "_decode_gossip,_Decoder.descriptor_body",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] != "-- cumulative time by line"
+    table = lines[lines.index("-- cumulative time by line") + 1 :]
+    functions = [re.fullmatch(r"  +[\d.]+ %  +\d+  (\S+)", line) for line in table]
+    assert {row[1] for row in functions if row} <= {
+        "src/repro/net/codec.py:_decode_gossip",
+        "src/repro/net/codec.py:_Decoder.descriptor_body",
+    }
+    assert "src/repro/net/codec.py:_decode_gossip" in {row[1] for row in functions if row}
+    rows = [re.fullmatch(r"    +[\d.]+ %  +\d+  +(\d+)  (.*)", line) for line in table]
+    assert any(row and "dec.operation()" in row[2] for row in rows)
+    assert all(row or function for row, function in zip(rows, functions))
