@@ -2,7 +2,7 @@
 
     python3 benchmarks/sample_profile.py --workload tcp_closed [--seed 1]
         [--seconds 20] [--scale 1.0] [--top 15] [--interval-ms 2]
-        [--lines FUNC[,FUNC]]
+        [--lines FUNC[,FUNC]] [--within FUNC[,FUNC]]
 
 The budget's layer tracer (``budget/tracing.py``) answers *which layer*; a
 cost smeared over every layer — a ``__hash__``, a generated ``__init__`` —
@@ -18,6 +18,12 @@ line of the named functions (a bare name matches every function of that
 name; a qualified one, from Python 3.11, only itself).  A ``SIGPROF``
 handler runs at the next call or backward jump, so the time of a line that
 calls nothing (an in-place ``a |= b``) lands on the next line that does.
+
+``--within _record_stream`` keeps only the ticks whose stack holds a
+function of that name (matched as ``--lines`` matches), so one phase of a
+workload — here ``core_catchup``'s set-up, which records the stream the
+window then ingests — is profiled apart from the rest; every share is then
+a share of that phase.
 """
 
 from __future__ import annotations
@@ -46,11 +52,12 @@ def _name(code) -> str:
 
 
 def sample(
-    work, interval_s: float, lines_of: Collection[str] = ()
+    work, interval_s: float, lines_of: Collection[str] = (), within: Collection[str] = ()
 ) -> Tuple[Counter, Counter, Counter]:
     """Run ``work()`` under the sampler: ``(self, cumulative)`` tick counts
     per ``(file, function)``, and cumulative tick counts per ``(file,
-    function, line)`` of the functions named in *lines_of*."""
+    function, line)`` of the functions named in *lines_of*.  With *within*,
+    only the ticks whose stack holds a function it names are counted."""
     own: Counter = Counter()
     cumulative: Counter = Counter()
     lines: Counter = Counter()
@@ -58,12 +65,17 @@ def sample(
     def tick(_signum, frame) -> None:
         stack = []
         here = set()
+        inside = not within
         while frame is not None:
             code = frame.f_code
             stack.append((code.co_filename, _name(code)))
             if code.co_name in lines_of or stack[-1][1] in lines_of:
                 here.add(stack[-1] + (frame.f_lineno or 0,))  # None between lines
+            if not inside:
+                inside = code.co_name in within or stack[-1][1] in within
             frame = frame.f_back
+        if not inside:
+            return
         own[stack[0]] += 1
         cumulative.update(set(stack))  # once per tick, however deep the recursion
         lines.update(here)
@@ -109,8 +121,10 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=15)
     parser.add_argument("--interval-ms", type=float, default=2.0)
     parser.add_argument("--lines", default="", metavar="FUNC[,FUNC]")
+    parser.add_argument("--within", default="", metavar="FUNC[,FUNC]")
     args = parser.parse_args()
     lines_of = frozenset(name for name in args.lines.split(",") if name)
+    within = frozenset(name for name in args.within.split(",") if name)
 
     sys.path[:0] = [str(ROOT / "benchmarks" / "budget"), str(ROOT / "src")]
     import workloads  # the budget's own workload functions, unmodified
@@ -119,10 +133,11 @@ def main() -> int:
         parser.error(f"unknown workload; choose from {sorted(workloads.WORKLOADS)}")
     run = workloads.Run(args.workload, args.seed, args.seconds, args.scale)
     own, cumulative, lines = sample(
-        lambda: workloads.WORKLOADS[run.workload](run), args.interval_ms / 1000.0, lines_of
+        lambda: workloads.WORKLOADS[run.workload](run), args.interval_ms / 1000.0, lines_of, within
     )
     total = sum(own.values())
-    print(f"== {run.workload}  seed {run.seed}  scale {run.scale}  samples {total}")
+    phase = f"  within {args.within}" if within else ""
+    print(f"== {run.workload}  seed {run.seed}  scale {run.scale}{phase}  samples {total}")
     if not total:
         return 1
     function = lambda key: f"{_place(key[0])}:{key[1]}"

@@ -50,7 +50,7 @@ from repro.algorithm.checkpoint import (
     CompactionPolicy,
     OpIdSummary,
 )
-from repro.algorithm.delta import GossipSnapshot, PeerInState, PeerOutState
+from repro.algorithm.delta import PayloadCopy, PeerInState, PeerOutState, SendMark
 from repro.algorithm.messages import (
     CheckpointTransferMessage,
     GossipMessage,
@@ -79,9 +79,10 @@ __all__ = [
     "OpIdSummary",
     "PullRequestMessage",
     "GossipMessage",
-    "GossipSnapshot",
+    "PayloadCopy",
     "PeerInState",
     "PeerOutState",
+    "SendMark",
     "RequestMessage",
     "ResponseMessage",
     "Channel",

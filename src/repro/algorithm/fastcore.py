@@ -18,11 +18,13 @@ off this core runs Fig. 7 exactly as the reference does.
 
 * **Delta gossip** (:meth:`FastReplicaCore.configure_delta_gossip`) — each
   message to a peer carries only the knowledge that peer has not
-  acknowledged, against an acknowledged snapshot (:mod:`repro.algorithm.delta`
-  holds the seqno/ack/epoch machinery).  A label-change journal lets a delta
-  enumerate just the labels stored since the peer's basis; an incarnation
-  ``epoch`` in stable storage voids the acknowledgements a volatile crash
-  wiped, and deltas resting on them are refused until a full state arrives.
+  acknowledged (:mod:`repro.algorithm.delta` holds the seqno/ack/epoch
+  machinery).  Append-only change journals of ``R``, ``D[me]``, ``S[me]``
+  and the label stores, with one journal-position mark per send, let a
+  delta walk just what entered the payload since the peer's acked send; an
+  incarnation ``epoch`` in stable storage voids the acknowledgements a
+  volatile crash wiped, and deltas resting on them are refused until a full
+  state arrives.
 * **Checkpoint compaction** (:meth:`FastReplicaCore.configure_compaction`) —
   the stable-everywhere prefix of the label order is folded into a
   :class:`~repro.algorithm.checkpoint.Checkpoint` and its per-operation
@@ -124,9 +126,9 @@ cached), defers work to before its first reader (the splice buffers), or
 memoizes a predicate that is monotone between the events that reset it
 (the solid prefix).  ``_stable_all`` is settled
 on read from ``_stable_settled`` and the ``_stable_fresh`` worklist, which
-has three maintenance sites: a gossip merge (and a direct
-``_promote_stable``) adds the operations that just entered ``stable[me]`` or
-``stable[sender]`` — no other row changes in a merge, so nothing else can
+has three maintenance sites: a gossip merge adds the operations that just
+entered ``stable[me]`` or ``stable[sender]`` — no other row changes in a
+merge, so nothing else can
 newly be in every row, and an operation the merge itself promotes is not in
 ``stable[sender]`` yet — a compaction fold prunes what it removed, and the
 wholesale sites (checkpoint adoption, volatile crash) clear it and
@@ -145,7 +147,7 @@ replayed states) and the conformance corpus enforce the argument in CI.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -155,7 +157,7 @@ from repro.algorithm.checkpoint import (
     CompactionPolicy,
     chain_order_digest,
 )
-from repro.algorithm.delta import GossipSnapshot, PeerInState, PeerOutState
+from repro.algorithm.delta import ChangeJournal, PeerInState, PeerOutState, SendMark
 from repro.algorithm.labels import Label, label_sort_key
 from repro.algorithm.messages import (
     CheckpointTransferMessage,
@@ -172,6 +174,10 @@ from repro.core.operations import OperationDescriptor
 _INFINITE_KEY = float("inf")
 
 _ID = attrgetter("id")
+
+#: Unions over journal chunks start here: set arguments lend their stored
+#: hashes, where a list of descriptors would call ``__hash__`` per element.
+_EMPTY: frozenset = frozenset()
 
 
 def _iter_interval_diff(theirs, mine):
@@ -249,11 +255,9 @@ class FastReplicaCore(ReplicaCore):
         #: with volatile memory so peers can tell that acknowledgements
         #: issued before the crash are void.
         self._epoch: int = 0
-        #: Monotone counter bumped on every state mutation, so make_gossip
-        #: can reuse the previous payload snapshot when nothing changed
-        #: (idle gossip ticks dominate long runs).
+        #: Monotone counter bumped on every state mutation (the catch-up
+        #: memo is keyed by it).
         self._state_version: int = 0
-        self._snapshot_cache: Optional[Tuple[int, GossipSnapshot]] = None
 
         #: Delta-gossip configuration and per-peer bookkeeping (volatile).
         self.delta_gossip: bool = False
@@ -267,16 +271,20 @@ class FastReplicaCore(ReplicaCore):
         #: for knowledge that no longer exists here, and merging them could
         #: absorb stability for operations sitting above an invisible gap.
         self._unsynced_peers: Set[str] = set()
-        #: Label-change journal (volatile): every store into ``labels`` is
-        #: stamped with a monotone version, so a delta send enumerates only
-        #: the entries touched since the peer's acked basis instead of
-        #: scanning the whole label map.  ``_label_journal_floor`` is the
-        #: highest pruned version: a basis at or above it can use the
-        #: journal, an older one falls back to the full scan.
-        self._label_version: int = 0
-        self._label_journal_versions: List[int] = []
-        self._label_journal_ids: List[OperationId] = []
-        self._label_journal_floor: int = 0
+        #: Change journals (volatile): the sets of operations that entered
+        #: ``rcvd``, ``done[me]`` and ``stable[me]`` together (one per merge,
+        #: request or ``do_it``), and the ids whose label was stored, each in
+        #: order, so a delta send walks only what changed since the peer's
+        #: acked mark instead of copying the whole payload.
+        self._rcvd_journal = ChangeJournal()
+        self._done_journal = ChangeJournal()
+        self._stable_journal = ChangeJournal()
+        self._label_journal = ChangeJournal()
+        #: The oldest mark any peer retains, which the journals are pruned
+        #: to — marks are taken in time order, so its positions are the
+        #: smallest in every journal — or None while no peer retains one,
+        #: when nothing is journaled (a later mark starts at the ends).
+        self._floor: Optional[SendMark] = None
 
         #: Stability-driven checkpoint compaction (Section 7.2 / Theorem 5.8
         #: made operational — see :mod:`repro.algorithm.checkpoint`).  The
@@ -470,7 +478,10 @@ class FastReplicaCore(ReplicaCore):
             else:
                 self._stale_nacks.append(operation)
             return
+        tracked = len(self.rcvd)
         super().receive_request(message)
+        if self._floor is not None and len(self.rcvd) != tracked:
+            self._rcvd_journal.entries.append({operation})
         self._state_version += 1
         if operation.id in self._done_index:
             # Retransmit of an already-done operation: it re-enters pending,
@@ -519,6 +530,8 @@ class FastReplicaCore(ReplicaCore):
             assigned = super().do_it(operation, label)
             self._label_generator.observed(assigned)
             self._note_label_change(operation.id)
+            if self._floor is not None:
+                self._done_journal.entries.append({operation})
             self._state_version += 1
             if not self._order_dirty:
                 # The reference appended to the order (the label exceeds
@@ -536,7 +549,9 @@ class FastReplicaCore(ReplicaCore):
         assigned = self._label_generator.fresh_monotone()
         self.done[self.replica_id].add(operation)
         self.labels[operation.id] = assigned
-        self._note_label_change(operation.id)
+        if self._floor is not None:
+            self._done_journal.entries.append({operation})
+            self._label_journal.entries.append(operation.id)
         self._stable_storage[operation.id] = assigned
         if not self._order_dirty:
             # fresh_monotone's rank exceeds every tracked rank, so the new
@@ -660,17 +675,16 @@ state_independent`: its tracked history has a hole below the awaited
     # ------------------------------------------------------------ gossip path
 
     def _note_label_change(self, op_id: OperationId) -> None:
-        """Record a store into ``labels`` in the label-change journal.
+        """Record a store into ``labels`` in the label journal.
 
         Every site that inserts or replaces a label entry must call this (or
         inline the equivalent) so delta gossip's changed-since-basis
         enumeration stays exact.  Deletions (compaction, adoption filtering)
-        need no entry: a delta iterates the sender's current labels, so a
-        deleted entry simply never appears — exactly as under the full scan.
+        need no entry: a delta reads each journaled id's current label, so a
+        deleted entry simply never appears.
         """
-        self._label_version += 1
-        self._label_journal_versions.append(self._label_version)
-        self._label_journal_ids.append(op_id)
+        if self._floor is not None:
+            self._label_journal.entries.append(op_id)
 
     def make_gossip(self, destination: Optional[str] = None) -> GossipMessage:
         """``send_rr'(("gossip", R, D, L, S))``.
@@ -698,10 +712,17 @@ state_independent`: its tracked history has a hole below the awaited
             raise SpecificationError(f"gossip to unknown replica {destination!r}")
 
         out = self._peer_out_state(destination)
-        snapshot = self._payload_snapshot()
         seqno = out.next_seqno
         out.next_seqno += 1
-        out.record_send(seqno, snapshot)
+        checkpoint = self.checkpoint
+        mark = SendMark(
+            out.stream, seqno, self._rcvd_journal.end, self._done_journal.end,
+            self._stable_journal.end, self._label_journal.end, checkpoint,
+        )
+        if self._floor is None:
+            self._floor = mark  # the journals are empty: they start here
+        if out.record_send(mark):  # the cap dropped marks, perhaps the floor
+            self._prune_journals()
 
         basis = out.basis
         send_full = basis is None or out.sends_since_full + 1 >= self.full_state_interval
@@ -715,89 +736,78 @@ state_independent`: its tracked history has a hole below the awaited
             out.sends_since_full = 0
             return GossipMessage(
                 sender=self.replica_id,
-                received=snapshot.received,
-                done=snapshot.done,
-                labels=dict(snapshot.labels),
-                stable=snapshot.stable,
+                received=frozenset(self.rcvd),
+                done=frozenset(self.done_here()),
+                labels=dict(self.labels),
+                stable=frozenset(self.stable_here()),
                 epoch=self._epoch,
                 stream=out.stream,
                 seqno=seqno,
                 **acks,
-                **self._checkpoint_attachment(snapshot.checkpoint),
+                **self._checkpoint_attachment(checkpoint),
             )
         out.sends_since_full += 1
         # A delta never resends knowledge at or below the acked basis — which
-        # includes everything compacted since: those operations simply left
-        # the payload snapshot.  The checkpoint itself travels (as body or
-        # advert) only when the frontier advanced past what the basis already
-        # conveyed — the same "nothing below the acked frontier is resent"
-        # rule the payload sets follow.
-        basis_count = basis.checkpoint.count if basis.checkpoint is not None else 0
-        advanced = snapshot.checkpoint is not None and snapshot.checkpoint.count > basis_count
+        # includes everything compacted since: those operations are no longer
+        # live, so the journal slices drop them.  The checkpoint itself
+        # travels (as body or advert) only when the frontier advanced past
+        # what the basis already conveyed — the same "nothing below the acked
+        # frontier is resent" rule the payload sets follow.
+        advanced = checkpoint.count > basis.checkpoint.count
         return GossipMessage(
             sender=self.replica_id,
-            received=snapshot.received - basis.received,
-            done=snapshot.done - basis.done,
-            labels=self._labels_since(snapshot, basis),
-            stable=snapshot.stable - basis.stable,
+            received=_EMPTY.union(*self._rcvd_journal.since(basis.received)) & self.rcvd,
+            done=_EMPTY.union(*self._done_journal.since(basis.done)) & self.done_here(),
+            labels=self._labels_since(basis),
+            stable=_EMPTY.union(*self._stable_journal.since(basis.stable)) & self.stable_here(),
             epoch=self._epoch,
             stream=out.stream,
             seqno=seqno,
             **acks,
             is_delta=True,
             basis=basis,
-            **self._checkpoint_attachment(snapshot.checkpoint if advanced else None),
+            **self._checkpoint_attachment(checkpoint if advanced else None),
         )
 
-    def _labels_since(self, snapshot: GossipSnapshot, basis: GossipSnapshot) -> Dict[OperationId, Label]:
-        """The label entries of *snapshot* that differ from *basis* — the
-        delta payload's ``L`` component.
+    def _labels_since(self, basis: SendMark) -> Dict[OperationId, Label]:
+        """The label entries that differ from the ones at *basis* — the delta
+        payload's ``L`` component.
 
-        Labels change only through journaled stores, so when the journal
-        still reaches back to the basis version the enumeration walks just
-        the entries touched since then (a handful in steady state) and
-        produces exactly what the full scan over ``snapshot.labels`` would.
-        A basis older than the pruned journal horizon falls back to that
-        full scan.
-        """
-        basis_labels = basis.labels
-        snap_labels = snapshot.labels
-        if basis.label_version < self._label_journal_floor:
-            return {
-                op_id: label
-                for op_id, label in snap_labels.items()
-                if basis_labels.get(op_id) != label
-            }
-        versions = self._label_journal_versions
-        start = bisect_right(versions, basis.label_version)
+        Labels change only through journaled stores, and a stored label
+        differs from every label the id had before (an insertion follows no
+        label — a deleted entry belonged to a folded id, which is never
+        re-labelled — and a merge only ever lowers), so every journaled id
+        that still has a label is in the delta, with its current label."""
+        labels_get = self.labels.get
         delta: Dict[OperationId, Label] = {}
-        snap_get = snap_labels.get
-        basis_get = basis_labels.get
-        for op_id in self._label_journal_ids[start:]:
-            label = snap_get(op_id)
-            # A journaled id absent from the snapshot was compacted away
-            # since the store — the full scan would not have sent it either.
-            if label is not None and basis_get(op_id) != label:
+        for op_id in self._label_journal.since(basis.labels):
+            label = labels_get(op_id)
+            if label is not None:
                 delta[op_id] = label
-        if len(versions) > 4096:
-            self._prune_label_journal()
         return delta
 
-    def _prune_label_journal(self) -> None:
-        """Drop journal entries every peer's acked basis is already past."""
-        horizon = min(
-            (
-                out.basis.label_version
-                for out in self._peer_out.values()
-                if out.basis is not None
-            ),
-            default=self._label_version,
+    def _prune_journals(self) -> None:
+        """Re-find the floor — the oldest mark any peer retains: its basis,
+        or its oldest unacked send, which a later ack may make the basis —
+        and drop the journal entries below it.  A later mark's positions are
+        nowhere smaller, so the smallest position sum is the oldest mark.
+        With none retained the journals empty and stop recording until the
+        next send."""
+        self._floor = floor = min(
+            (mark for mark in (out.oldest() for out in self._peer_out.values())
+             if mark is not None),
+            key=lambda mark: mark.received + mark.done + mark.stable + mark.labels,
+            default=None,
         )
-        cut = bisect_right(self._label_journal_versions, horizon)
-        if cut:
-            del self._label_journal_versions[:cut]
-            del self._label_journal_ids[:cut]
-            self._label_journal_floor = horizon
+        if floor is None:
+            for journal in (self._rcvd_journal, self._done_journal,
+                            self._stable_journal, self._label_journal):
+                journal.prune(journal.end)
+            return
+        self._rcvd_journal.prune(floor.received)
+        self._done_journal.prune(floor.done)
+        self._stable_journal.prune(floor.stable)
+        self._label_journal.prune(floor.labels)
 
     def _checkpoint_attachment(self, checkpoint: Optional[Checkpoint]) -> Dict[str, Any]:
         """The checkpoint-coverage field for an outgoing gossip message: the
@@ -807,24 +817,6 @@ state_independent`: its tracked history has a hole below the awaited
         if self.advert_gossip:
             return {"advert": checkpoint.advert()}
         return {"checkpoint": checkpoint}
-
-    def _payload_snapshot(self) -> GossipSnapshot:
-        """The current ``(R, D, L, S)`` payload, reusing the previous
-        immutable snapshot when no state mutation happened since — in steady
-        state every gossip tick sends the same (empty-delta) payload, so the
-        copies would otherwise dominate the cost the deltas save."""
-        if self._snapshot_cache is not None and self._snapshot_cache[0] == self._state_version:
-            return self._snapshot_cache[1]
-        snapshot = GossipSnapshot(
-            received=frozenset(self.rcvd),
-            done=frozenset(self.done_here()),
-            labels=dict(self.labels),
-            stable=frozenset(self.stable_here()),
-            checkpoint=self.checkpoint,
-            label_version=self._label_version,
-        )
-        self._snapshot_cache = (self._state_version, snapshot)
-        return snapshot
 
     def receive_gossip(self, message: GossipMessage) -> None:
         """``receive_r'r(("gossip", R, D, L, S))`` — merge the sender's
@@ -891,9 +883,12 @@ state_independent`: its tracked history has a hole below the awaited
                     done = done - blocked
                     stable = stable - blocked
 
+        journaling = self._floor is not None
         new_rcvd = received - self.rcvd
         if new_rcvd:
             self.rcvd |= new_rcvd
+            if journaling:
+                self._rcvd_journal.entries.append(new_rcvd)
 
         done_sender = self.done[sender]
         new_done_sender = done - done_sender
@@ -904,6 +899,8 @@ state_independent`: its tracked history has a hole below the awaited
         new_done_me = done - done_me
         if new_done_me:
             done_me |= new_done_me
+            if journaling:
+                self._done_journal.entries.append(new_done_me)
             self._done_index.update(zip(map(_ID, new_done_me), new_done_me))
             self._undone -= new_done_me
         if new_rcvd:
@@ -936,9 +933,7 @@ state_independent`: its tracked history has a hole below the awaited
             covers = checkpoint.covers if checkpoint.count else None
             done_ids = self._done_index
             labels_get = labels.get
-            journal_versions = self._label_journal_versions
-            journal_ids = self._label_journal_ids
-            version = self._label_version
+            journal = self._label_journal.entries if journaling else None
             max_rank = -1
             for op_id, label in message.labels.items():
                 current = labels_get(op_id)
@@ -956,19 +951,16 @@ state_independent`: its tracked history has a hole below the awaited
                     # global minimum (Invariant 7.19); never re-track it.
                     if covers is None or not covers(op_id):
                         labels[op_id] = label
-                        version += 1
-                        journal_versions.append(version)
-                        journal_ids.append(op_id)
+                        if journal is not None:
+                            journal.append(op_id)
                 elif rank < current.rank or (
                     rank == current.rank and label.replica < current.replica
                 ):
                     labels[op_id] = label
-                    version += 1
-                    journal_versions.append(version)
-                    journal_ids.append(op_id)
+                    if journal is not None:
+                        journal.append(op_id)
                     if op_id in done_ids and op_id not in newly_done_ids:
                         reorders.append((current, op_id))
-            self._label_version = version
             generator = self._label_generator
             if max_rank >= generator._next_rank:
                 generator._next_rank = max_rank + 1
@@ -999,15 +991,17 @@ state_independent`: its tracked history has a hole below the awaited
             stable_sender |= new_stable_sender
         if changed:
             stable_me |= changed
-        changed |= new_stable_sender
+            if journaling:
+                self._stable_journal.entries.append(changed)
         # Only an operation that just entered ``stable[sender]`` or
         # ``stable[me]`` can newly be in every ``stable[i]`` (a merge
         # touches no other row): queue it for the next read to settle.  One
         # promoted below is not in ``stable[sender]`` (that row is within
         # ``stable[me]``, which lacked it), so it waits until it gets there.
-        if changed:
+        if changed or new_stable_sender:
             fresh = self._stable_fresh
             fresh |= changed
+            fresh |= new_stable_sender
             # Every row bounds the everywhere-stable set, so a worklist over
             # twice the smallest other row is mostly operations that cannot
             # settle yet (a replica that never reads and never hears from
@@ -1032,6 +1026,8 @@ state_independent`: its tracked history has a hole below the awaited
                     break
             if promote:
                 stable_me |= promote
+                if journaling:
+                    self._stable_journal.entries.append(promote)
 
         self._state_version += 1
         self._record_gossip_bookkeeping(message)
@@ -1167,31 +1163,25 @@ state_independent`: its tracked history has a hole below the awaited
         in_state = self._peer_in.get(sender)
         if in_state is None:
             in_state = self._peer_in[sender] = PeerInState(epoch=message.epoch)
+        out = self._peer_out_state(sender)
+        # Only the peer holding the floor can move it.
+        holds_floor = self._floor is not None and out.oldest() is self._floor
+        moved = False
         if message.epoch > in_state.epoch:
             # The sender restarted: its seqno streams start over and every
             # acknowledgement it issued before the crash is void.
             in_state.reset(message.epoch)
-            self._peer_out_state(sender).reset()
+            out.reset()
+            moved = True
         if merged and message.seqno is not None and message.epoch == in_state.epoch:
             in_state.record_receipt(message.stream, message.seqno,
                                     is_full=not message.is_delta)
-        out = self._peer_out_state(sender)
         if (message.ack is not None
                 and message.ack_epoch == self._epoch
                 and message.ack_stream == out.stream):
-            out.apply_ack(message.ack)
-
-    def _promote_stable(self) -> None:
-        # Direct calls (the fast receive_gossip promotes inline).  done[me]
-        # contains every other row (Invariant 7.1), so the others decide.
-        me = self.replica_id
-        stable_me = self.stable[me]
-        done = self.done
-        new = done[me].intersection(*(row for i, row in done.items() if i != me))
-        new -= stable_me
-        if new:
-            stable_me |= new
-            self._stable_fresh |= new
+            moved = out.apply_ack(message.ack) or moved
+        if moved and holds_floor:
+            self._prune_journals()
 
     def _mark_coverage_stable(self, tracked: Set[OperationDescriptor]) -> None:
         """Absorb a checkpoint's stability assertion for operations still
@@ -1200,6 +1190,10 @@ state_independent`: its tracked history has a hole below the awaited
         is within ``stable_i[i]``)."""
         if not tracked:
             return
+        if self._floor is not None:
+            # Every tracked operation is done here already (the coverage
+            # walk finds them in the done index), so only ``S[me]`` grows.
+            self._stable_journal.entries.append(tracked - self.stable_here())
         for i in self.replica_ids:
             self.done[i] |= tracked
             self.stable[i] |= tracked
@@ -1650,13 +1644,9 @@ state_independent`: its tracked history has a hole below the awaited
         self._await_check = None
         self._stale_nacks = []
         self._state_version += 1
-        self._snapshot_cache = None
-        # The rebuilt label map starts empty (recovery re-inserts below);
-        # no pre-crash basis survives (_peer_out was just cleared), so the
-        # journal restarts with the floor at the current version.
-        self._label_journal_versions = []
-        self._label_journal_ids = []
-        self._label_journal_floor = self._label_version
+        # No pre-crash mark survives (_peer_out was just cleared), so
+        # nothing reads the journals until the next send.
+        self._prune_journals()
         super().crash(volatile_memory)
 
     def recover_from_stable_storage(self) -> None:
@@ -1664,8 +1654,12 @@ state_independent`: its tracked history has a hole below the awaited
         gossip once they observe the bumped epoch, or at the latest after
         ``full_state_interval`` sends).  Stable storage never holds a
         compacted identifier — a fold and an adoption prune it — so every
-        reloaded label is tracked, and each store is journaled."""
+        reloaded label is tracked, and each one it changes is journaled (a
+        recovery that kept its memory changes none)."""
+        labels = self.labels
+        before = {op_id: labels.get(op_id) for op_id in self._stable_storage}
         super().recover_from_stable_storage()
-        for op_id in self._stable_storage:
-            self._note_label_change(op_id)
+        for op_id, label in before.items():
+            if labels[op_id] is not label:
+                self._note_label_change(op_id)
         self._state_version += 1

@@ -16,11 +16,12 @@ knowledge) or a *delta* (the Section 10.4 optimization): only the part of the
 sender's knowledge not already acknowledged by the destination, plus the
 ``epoch``/``seqno``/``ack`` bookkeeping described in
 :mod:`repro.algorithm.delta`.  A delta message also keeps a (non-transmitted)
-reference to the acknowledged ``basis`` snapshot it was computed against, so
-that the invariant checkers and the derived ``mc_r(m)`` constraints can be
-evaluated on the *effective* message ``delta ∪ basis`` — the knowledge the
-message actually conveys, which the receiver reconstructs for free because it
-already holds the basis.
+``basis``: the core attaches the mark of the acknowledged send it was cut
+from, and a harness that checks in-flight messages swaps in its own copy of
+the sender's payload at that send, so that the invariant checkers and the
+derived ``mc_r(m)`` constraints can be evaluated on the *effective* message
+``delta ∪ basis`` — the knowledge the message actually conveys, which the
+receiver reconstructs for free because it already holds the basis.
 
 With advert/pull gossip (:meth:`repro.algorithm.fastcore.FastReplicaCore.
 configure_advert_gossip`) the gossip message carries a compact
@@ -35,12 +36,12 @@ gossip channels; harnesses dispatch on ``message.kind``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional
+from typing import Any, Dict, FrozenSet, Optional, Union
 
 from repro.algorithm.checkpoint import Checkpoint, CheckpointAdvert, OpIdSummary
-from repro.algorithm.delta import GossipSnapshot
+from repro.algorithm.delta import PayloadCopy, SendMark
 from repro.algorithm.labels import Label, LabelOrInfinity
-from repro.common import INFINITY, OperationId
+from repro.common import INFINITY, OperationId, SpecificationError
 from repro.core.operations import OperationDescriptor
 
 
@@ -99,10 +100,15 @@ class GossipMessage:
       been received (or was subsumed by a received full-state message);
     * ``is_delta`` — whether ``received``/``done``/``labels``/``stable`` hold
       only the difference against the acknowledged ``basis``;
-    * ``basis`` — sender-side reference to the acknowledged snapshot the
-      delta was computed against.  It is **not** part of the wire payload
-      (the receiver provably already holds it); it exists so invariants and
-      message constraints can be checked against the effective knowledge;
+    * ``basis`` — sender-side reference to the acknowledged send the delta
+      was cut from.  The core attaches that send's
+      :class:`~repro.algorithm.delta.SendMark` (journal positions, no
+      payload); :meth:`repro.algorithm.system.AlgorithmSystem.send_gossip`
+      replaces it by a :class:`~repro.algorithm.delta.PayloadCopy` of the
+      sender's payload at that send, which the effective views below read.
+      It is **not** part of the wire payload (the receiver provably already
+      holds it), and it stays assignable: a harness that keeps messages
+      without checking them sets it to ``None``;
     * ``checkpoint`` — the sender's compaction checkpoint
       (:class:`~repro.algorithm.checkpoint.Checkpoint`), attached to
       full-state messages and to deltas whose frontier advanced past the
@@ -134,7 +140,7 @@ class GossipMessage:
     ack_epoch: Optional[int] = None
     ack_stream: Optional[int] = None
     is_delta: bool = False
-    basis: Optional[GossipSnapshot] = None
+    basis: Union[SendMark, PayloadCopy, None] = None
     checkpoint: Optional[Checkpoint] = None
     advert: Optional[CheckpointAdvert] = None
     sent_at: Optional[float] = None
@@ -154,35 +160,51 @@ class GossipMessage:
         label = self.labels.get(op_id)
         if label is not None:
             return label
-        if self.basis is not None:
-            return self.basis.labels.get(op_id, INFINITY)
+        basis = self._basis_payload()
+        if basis is not None:
+            return basis.labels.get(op_id, INFINITY)
         return INFINITY
 
     # -- effective (delta ∪ basis) views --------------------------------------
 
+    def _basis_payload(self) -> Optional[PayloadCopy]:
+        """The basis's payload, which only a harness's copy holds: a core's
+        bare mark cannot answer for the knowledge the delta omits."""
+        basis = self.basis
+        if isinstance(basis, SendMark):
+            raise SpecificationError(
+                "a delta's effective views need the basis payload; the sender's "
+                "mark carries none (AlgorithmSystem.send_gossip swaps its copy in)"
+            )
+        return basis
+
     def effective_received(self) -> FrozenSet[OperationDescriptor]:
         """``R`` of the equivalent full message."""
-        if self.basis is None:
+        basis = self._basis_payload()
+        if basis is None:
             return self.received
-        return self.received | self.basis.received
+        return self.received | basis.received
 
     def effective_done(self) -> FrozenSet[OperationDescriptor]:
         """``D`` of the equivalent full message."""
-        if self.basis is None:
+        basis = self._basis_payload()
+        if basis is None:
             return self.done
-        return self.done | self.basis.done
+        return self.done | basis.done
 
     def effective_stable(self) -> FrozenSet[OperationDescriptor]:
         """``S`` of the equivalent full message."""
-        if self.basis is None:
+        basis = self._basis_payload()
+        if basis is None:
             return self.stable
-        return self.stable | self.basis.stable
+        return self.stable | basis.stable
 
     def effective_labels(self) -> Dict[OperationId, Label]:
         """``L`` of the equivalent full message (basis overridden by delta)."""
-        if self.basis is None:
+        basis = self._basis_payload()
+        if basis is None:
             return dict(self.labels)
-        merged = dict(self.basis.labels)
+        merged = dict(basis.labels)
         merged.update(self.labels)
         return merged
 
@@ -195,8 +217,9 @@ class GossipMessage:
         convey at most the basis's checkpoint here."""
         if self.checkpoint is not None:
             return self.checkpoint
-        if self.basis is not None:
-            return self.basis.checkpoint
+        basis = self._basis_payload()
+        if basis is not None:
+            return basis.checkpoint
         return None
 
     def coverage(self):

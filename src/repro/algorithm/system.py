@@ -24,10 +24,11 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithm.channel import Channel
+from repro.algorithm.delta import PayloadCopy
 from repro.algorithm.labels import Label
 from repro.algorithm.messages import GossipMessage, RequestMessage, ResponseMessage
 from repro.algorithm.node import ReplicaFactory
-from repro.common import ConfigurationError, SpecificationError
+from repro.common import ConfigurationError, InvariantViolation, SpecificationError
 from repro.config import ReplicaConfig
 from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import SerialDataType
@@ -88,6 +89,10 @@ class AlgorithmSystem(Deployment):
         self.gossip_channels: Dict[Tuple[str, str], Channel[GossipMessage]] = {
             (a, b): Channel(a, b) for a in replica_ids for b in replica_ids if a != b
         }
+        #: Per gossip channel, the harness's own copy of the sender's payload
+        #: at each send of its current delta stream ``(epoch, stream)``, by
+        #: seqno: what a delta's basis mark resolves to.
+        self._sent_payloads: Dict[Tuple[str, str], Tuple[Tuple[int, int], Dict[int, PayloadCopy]]] = {}
         super().__init__(data_type, replica_ids, client_ids, self.config, replica_factory)
 
     # ====================================================================== #
@@ -175,12 +180,53 @@ class AlgorithmSystem(Deployment):
     def send_gossip(self, source: str, destination: str) -> GossipMessage:
         """``send_rr'(("gossip", ...))`` — a full-state message by default, or
         a destination-specific delta when the source replica has delta gossip
-        enabled."""
+        enabled.  A delta leaves here with its basis materialised: see
+        :meth:`_materialise_basis`."""
         if source == destination:
             raise SpecificationError("a replica does not gossip with itself")
         message = self.replicas[source].make_gossip(destination)
+        if message.seqno is not None:
+            self._materialise_basis(source, destination, message)
         self.gossip_channels[(source, destination)].send(message)
         return message
+
+    def _materialise_basis(self, source: str, destination: str, message: GossipMessage) -> None:
+        """Swap this harness's copy of the sender's payload at the acked send
+        in for the mark the core attached to a delta, after checking the
+        delta against it: ``R``, ``D`` and ``S`` must be the live payload
+        minus the copy, ``L`` the live entries whose label differs from it.
+        The copy is taken here, at every send, from the authoritative sets —
+        never from the journals the core cut the delta from — so the check
+        (and the Section 7 invariants that read the effective views) stays
+        independent of them.  Copies below a delta's basis are dropped: the
+        core has dropped their marks, so no later delta can rest on them."""
+        live = PayloadCopy.of(self.replicas[source])
+        stream = (message.epoch, message.stream)
+        book = self._sent_payloads.get((source, destination))
+        if book is None or book[0] != stream:
+            book = self._sent_payloads[(source, destination)] = (stream, {})
+        copies = book[1]
+        if message.is_delta:
+            mark = message.basis
+            basis = copies[mark.seqno]
+            labels = {
+                op_id: label for op_id, label in live.labels.items()
+                if basis.labels.get(op_id) != label
+            }
+            if (
+                message.received != live.received - basis.received
+                or message.done != live.done - basis.done
+                or message.stable != live.stable - basis.stable
+                or message.labels != labels
+            ):
+                raise InvariantViolation(
+                    f"delta gossip {source}->{destination} seqno {message.seqno}: the "
+                    f"payload is not the live state minus the state at seqno {mark.seqno}"
+                )
+            message.basis = basis
+            for seqno in [seqno for seqno in copies if seqno < mark.seqno]:
+                del copies[seqno]
+        copies[message.seqno] = live
 
     def receive_gossip(
         self, source: str, destination: str, message: Optional[GossipMessage] = None,

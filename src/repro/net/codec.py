@@ -335,8 +335,8 @@ class DescriptorWindow:
     Owned by the *link* — created with the connection, dropped with it — and
     never by the algorithm: "what I wrote on this connection before" is a
     sound basis only because the connection is reliable and FIFO, which the
-    paper's channels are not (``repro.algorithm.delta`` diffs against the
-    *acked* snapshot for that reason).  The two compose: the acked basis
+    paper's channels are not (``repro.algorithm.delta`` cuts deltas from
+    the *acked* send for that reason).  The two compose: the acked basis
     decides what knowledge travels, the window decides how each descriptor
     of it is spelled.
 

@@ -17,10 +17,9 @@ with simulated timers; this module owns no clock.
   prefix is never reordered).
 
 * **Digest-verified transfer** — the slice ships in one message, like a
-  checkpoint transfer: its operations in label order, the slice's
-  :class:`~repro.algorithm.checkpoint.OpIdSummary`, the chained fold-order
-  digest and a content digest over operations *and* source-recorded
-  response values.  The receiver recomputes both digests and rejects any
+  checkpoint transfer: its operations in label order, the chained
+  fold-order digest and a content digest over operations *and*
+  source-recorded response values.  The receiver recomputes both digests and rejects any
   tampered or truncated body — the sender then re-sends the slice
   (heal-by-re-pull, same discipline as corrupted checkpoint transfers).
 
@@ -47,7 +46,6 @@ from typing import Any, Callable, Collection, Dict, List, Mapping, Optional, Seq
 from repro.algorithm.checkpoint import (
     CORRUPTION_MARKER,
     GENESIS_ORDER_DIGEST,
-    OpIdSummary,
     canonical_repr,
     chain_order_digest,
 )
@@ -84,21 +82,19 @@ class MigrationSlice:
     """A whole key-range migration slice in one message.
 
     It carries the slice's operations in slice (label) order, the
-    source-recorded response values of the answered ones, the slice's id
-    summary and both digests, so the receiver verifies the body end to end
-    (:meth:`verified_ops`).
+    source-recorded response values of the answered ones and both digests,
+    so the receiver verifies the body end to end (:meth:`verified_ops`).
     """
 
     ops: Tuple[OperationDescriptor, ...]
     values: Tuple[Tuple[OperationId, Any], ...]
-    ids: OpIdSummary
     order_digest: str
     digest: str
 
     def size_estimate(self) -> int:
         """Wire-size contribution in op-ref units (rides the transfer-kind
         accounting, like a checkpoint transfer)."""
-        return len(self.ops) + len(self.values) + self.ids.interval_count + 2
+        return len(self.ops) + len(self.values) + 2
 
     def verified_ops(self) -> Optional[List[OperationDescriptor]]:
         """The slice's operations if both digests recompute over the body,
@@ -120,7 +116,6 @@ def build_slice(
     return MigrationSlice(
         ops=tuple(ops),
         values=tuple((op.id, values[op.id]) for op in ops if op.id in values),
-        ids=OpIdSummary().with_ids(op.id for op in ops),
         order_digest=chain_order_digest(GENESIS_ORDER_DIGEST, (op.id for op in ops)),
         digest=slice_digest(ops, values),
     )

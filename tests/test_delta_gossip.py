@@ -160,12 +160,22 @@ class TestDeltaMechanics:
         assert len(message.done) == 3
 
     def test_delta_carries_only_new_operations(self):
-        r1, r2 = self.setup_pair()
+        # The effective views read the basis payload, which the core does not
+        # keep: the pair gossips through the harness that materialises it.
+        system = AlgorithmSystem(
+            CounterType(), ["r1", "r2"], ["c"],
+            config=ReplicaConfig(fast_core=True, delta_gossip=True, full_state_interval=100),
+        )
+        r1 = system.replicas["r1"]
         gen = OperationIdGenerator("c")
         self.feed(r1, 4, gen)
-        self.exchange(r1, r2, rounds=2)
+        for _ in range(2):
+            for source, destination in (("r1", "r2"), ("r2", "r1")):
+                system.receive_gossip(
+                    source, destination, system.send_gossip(source, destination)
+                )
         fresh = self.feed(r1, 2, gen)
-        message = r1.make_gossip("r2")
+        message = system.send_gossip("r1", "r2")
         assert message.is_delta
         assert message.done == frozenset(fresh)
         # The effective view still describes the sender's full knowledge.

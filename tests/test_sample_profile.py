@@ -99,3 +99,42 @@ def test_lines_flag_prints_the_named_functions_line_by_line():
     rows = [re.fullmatch(r"    +[\d.]+ %  +\d+  +(\d+)  (.*)", line) for line in table]
     assert any(row and "dec.operation()" in row[2] for row in rows)
     assert all(row or function for row, function in zip(rows, functions))
+
+
+def burn():
+    return sum(i * i for i in range(400_000))
+
+
+def test_within_counts_only_the_ticks_under_the_named_function():
+    own, cumulative, lines = load().sample(
+        lambda: [f() for _ in range(6) for f in (lambda: spin(2), burn)],
+        0.001,
+        within={"spin"},
+    )
+    total = sum(own.values())
+    assert total >= 5
+    # Every counted tick has ``spin`` on its stack; ``burn``'s never do.
+    assert cumulative[(__file__, "spin")] == total
+    assert cumulative[(__file__, "burn")] == 0
+
+
+def test_within_profiles_the_catchup_setup_apart_from_its_window():
+    done = subprocess.run(
+        [
+            sys.executable, str(SCRIPT), "--workload", "core_catchup", "--scale", "0.05",
+            "--top", "5", "--interval-ms", "0.5", "--within", "_record_stream",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    header = r"== core_catchup  seed 1  scale 0.05  within _record_stream  samples (\d+)"
+    samples = int(re.fullmatch(header, lines[0])[1])
+    cumulative = lines[lines.index("-- cumulative time by function") + 1 :]
+    rows = [re.fullmatch(r"  +([\d.]+) %  +(\d+)  (\S.*)", line) for line in cumulative]
+    by_name = {row[3]: int(row[2]) for row in rows if row}
+    # The set-up is the whole of what was counted; the window's ingest
+    # (``core_catchup`` itself, outside ``_record_stream``) is not.
+    assert by_name["benchmarks/budget/workloads.py:_record_stream"] == samples

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.algorithm.checkpoint import CompactionPolicy
 from repro.algorithm.commute import CommuteReplicaCore
 from repro.algorithm.memoized import MemoizedReplicaCore
 from repro.algorithm.system import AlgorithmSystem
@@ -88,6 +89,44 @@ class TestAlgorithmInvariants:
         operations = list(build_operations(rng, clients, 5, data_type_name))
         drive_random_run(system, rng, operations, checker=checker)
         checker.check_all()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_invariants_hold_on_delta_runs_with_folds_adverts_and_a_crash(self, seed):
+        """The delta arm with every extension on: compaction, advert/pull and
+        a volatile crash in mid-run.  ``AlgorithmSystem.send_gossip`` checks
+        every delta against its own copy of the sender's payload at the
+        acknowledged send.  The invariants are checked at every step up to
+        the crash and once the run has drained: in between, what the peers
+        (and messages in transit) know of the crashed replica exceeds what
+        it still holds until gossip repairs it, which the Section 7
+        invariants, stated for crash-free runs, do not allow."""
+        rng = random.Random(seed)
+        clients = ["alice", "bob"]
+        system = AlgorithmSystem(
+            CounterType(), ["r1", "r2", "r3"], clients,
+            config=ReplicaConfig(
+                fast_core=True, delta_gossip=True, full_state_interval=4,
+                compaction=CompactionPolicy(min_batch=1), advert_gossip=True,
+            ),
+        )
+        sent = []
+        send_gossip = system.send_gossip
+
+        def recording_send(source, destination):
+            sent.append(send_gossip(source, destination))
+            return sent[-1]
+
+        system.send_gossip = recording_send
+        checker = AlgorithmInvariantChecker(system)
+        operations = list(build_operations(rng, clients, 8))
+        drive_random_run(system, rng, operations[:5], checker=checker)
+        system.replicas["r3"].crash(volatile_memory=True)
+        system.replicas["r3"].recover_from_stable_storage()
+        drive_random_run(system, rng, operations[5:])
+        system.drain(rng)
+        checker.check_all()
+        assert any(message.is_delta for message in sent)
+        assert system.replicas["r1"].checkpoint.count
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_invariants_hold_with_memoized_replicas(self, seed):
