@@ -8,7 +8,7 @@ sorted before encoding (operation sets by identifier, value-level sets by
 their own encoded bytes) — so the same message encodes to the same bytes in
 every process, which is what makes :func:`message_digest` a usable content
 address.  A link frame (one spelled against a :class:`DescriptorWindow`)
-writes its descriptor union and labels in iteration order instead: its
+writes its descriptor regions and labels in iteration order instead: its
 bytes are the link's business, and it decodes to the same message.
 
 Layout of one frame (all integers are LEB128 varints unless noted)::
@@ -27,9 +27,34 @@ by varint index.  Operation identifiers outside a descriptor body encode as
 ``(client ref, seqno)``; compacted-id summaries pack per-client seqno
 intervals as delta varints, so a steady-state advert costs a few bytes per
 client regardless of history length.  Gossip set triples
-(received/done/stable) are encoded as one descriptor union plus a
-per-descriptor membership byte, since the three sets overlap almost
+(received/done/stable) are encoded as one descriptor union cut into its
+disjoint membership regions, since the three sets overlap almost
 completely.
+
+A gossip payload's descriptors and labels are **columnar**.  An integer
+column is a width tag (1, 2, 4 or 8 bytes: the least that holds the column's
+maximum) and then every value at that width, little-endian; its count is
+written before it, and an empty column is its count alone.  After the
+header (flags, ``drop`` on a link, sender, epoch, stream, seqno, ack)::
+
+    regions_n  varint    non-empty membership regions, codes increasing
+    region     regions_n x:
+      code     1 byte    bit 1 received, 2 done, 4 stable
+      refs     varint n + column   window positions of back-references
+      full_n   varint
+      clients  column    frame-table references    } the region's
+      lengths  column    body lengths              } full forms
+      bodies   the bodies back to back             }
+    kept       varint n + column   positions whose label is unchanged
+    labels     varint n + column   positions of the other window entries,
+                 then (if n) zigzag rank base, a column of rank - base and
+                 a column of replica references
+    rows       varint n, then n x (client ref, zigzag seqno, zigzag rank,
+                 replica ref): labels of operations outside the window
+
+A frame without a window uses the same layout over a window of its own —
+the full forms it spells, in order — so it has no back-references and no
+unchanged labels, and it sorts each region and each label column by id.
 
 A descriptor has **two forms**.  The *full form* is ``client (frame-table
 reference) | varint length | body``; the body — seqno, ``prev`` count and
@@ -39,9 +64,9 @@ has the same body bytes in every frame.  A replica->replica connection is reliab
 direction of it owns a :class:`DescriptorWindow`: the first time a
 descriptor crosses the connection it is spelled in full and appended to the
 window at both ends; every later occurrence in a gossip payload on that
-connection is the second form, a varint *distance back into the window*,
-and decodes to the very object decoded at first sight.  See the class for
-the ``drop`` rule that keeps the two ends in step and the window small.
+connection is the second form, its *position in the window*, and decodes
+to the very object decoded at first sight.  See the class for the ``drop``
+rule that keeps the two ends in step and the window small.
 
 Because the body is frame-independent, an *endpoint* — one incarnation of a
 replica, one client — can remember it: all of an endpoint's windows share
@@ -80,23 +105,40 @@ checked-in conformance corpus stays valid.  :func:`message_digest` /
 :func:`frame_digest` are the wire-level counterparts computed over this
 canonical encoding.
 
-Hot-path notes (wire version 6):
+Hot-path notes (wire version 7):
 
 * A descriptor is parsed **once per replica** and spelled **once** — by the
   client that issues it.  The link window makes it cross each connection in
   full once (un-acked delta repeats, the periodic full-state message and the
   received -> done -> stable upgrades name it by back-reference, and a label
-  entry names its operation the same way, saying "unchanged" in its low bit
-  when the label is the last one sent for that entry — decoded as the same
-  ``Label`` object, so the fast core's ``current is label`` test hits); the
+  names its operation the same way, in the "unchanged" column when the label
+  is the last one sent for that entry — decoded as the same ``Label``
+  object, so the fast core's ``current is label`` test hits); the
   endpoint table makes a lookup of the first sight on the second and third
   link, of gossip about a descriptor the replica took as a request, and of
   the response at the client.  The
   copies a replica holds of one descriptor are therefore one object, and the
   window's ``known is op`` test, the gossip encoder's union and the core's
-  set algebra all hit identity before they would try ``==``.  A first
+  set algebra all hit identity before they would try ``==`` (the window
+  tests identity alone: an equal twin that is not the same object is
+  spelled again, which costs bytes, never correctness).  A first
   sight of a new descriptor whose operator the endpoint has parsed before
   (``add(k)`` again) parses the seqno and ``prev`` only.
+* A gossip payload is read and written a column at a time, not an entry at
+  a time: the decoder reads each integer column with one length-checked
+  ``struct.unpack_from`` (a hostile count is refused before anything is
+  allocated), resolves back-references with ``map(window.ops.__getitem__,
+  ...)``, looks every full form of the payload up in the endpoint table in
+  one batch (only misses are parsed, one by one) and builds the labels with
+  ``map(tuple.__new__, repeat(Label), zip(...))``.  The encoder classifies
+  the whole union against the window in one pass (a comprehension of index
+  lookups, then one ``map`` of identity tests), finds the known bodies with
+  one chain of ``map`` calls, and writes each column with one
+  ``bytes(...)`` (every value below 256) or ``struct.pack``.  The per-entry
+  work is C or one comprehension; what is left in Python is per region and
+  per column — a fixed cost per message, so a payload of a dozen
+  descriptors costs more to code than v6's rows did, and one of a hundred
+  much less (``docs/benchmarks.md``, "Issue 47").
 * Encoders append varints in place (no per-varint ``bytes`` allocation) and
   frames are assembled from a pooled grow-only buffer — one payload copy
   into the frame, no intermediate per-payload ``bytes``.  A link frame
@@ -122,7 +164,9 @@ import struct
 import sys
 import weakref
 from collections import deque
-from typing import Any, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import accumulate, compress, repeat
+from operator import add, attrgetter, eq, is_, itemgetter, ne, not_
+from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithm.checkpoint import Checkpoint, CheckpointAdvert, OpIdSummary
 from repro.algorithm.labels import Label
@@ -138,7 +182,7 @@ from repro.core.operations import OperationDescriptor
 from repro.datatypes.base import Operator
 
 #: Bump on any change to the wire layout.
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 MAGIC = b"\xe5\x0d"
 
@@ -205,6 +249,31 @@ class _HeldDescriptor(weakref.ref):
     can no longer be asked of it once it has died)."""
 
     __slots__ = ("key", "operator", "oid")
+
+
+class _Gone:
+    """A referent that dies at once (see :data:`_NO_ENTRY`)."""
+
+
+#: What a batched lookup finds where the table holds nothing: a dead entry
+#: (calling it gives ``None``) whose body is ``None``.
+_NO_ENTRY = _HeldDescriptor(_Gone())
+_NO_ENTRY.key = (None, None)
+
+_ID = attrgetter("id")
+_CLIENT = attrgetter("id.client")
+_KEY = attrgetter("key")
+_SECOND = itemgetter(1)
+_FIRST = itemgetter(0)
+#: ``_deref(entry)`` is the entry's descriptor, or ``None`` (called in C).
+_deref = weakref.ref.__call__
+#: Runs an iterator to its end in C (for maps called for their effect).
+_consume = deque(maxlen=0).extend
+
+
+def _where_none(values: Sequence[Any]) -> List[int]:
+    """The indices of *values* that are ``None``."""
+    return list(compress(range(len(values)), list(map(is_, values, repeat(None)))))
 
 
 class DescriptorTable:
@@ -278,10 +347,25 @@ class DescriptorTable:
         held = self._by_spelling.get((client, body))
         return None if held is None else held()
 
+    def find_all(self, keys: Iterable[Tuple[str, bytes]]) -> List[Optional[OperationDescriptor]]:
+        """:meth:`find` of every ``(client, body)`` key, in one pass of C."""
+        return list(map(_deref, map(self._by_spelling.get, keys, repeat(_NO_ENTRY))))
+
     def body_of(self, op: OperationDescriptor) -> Optional[bytes]:
         """The body bytes *op* arrived as or was spelled as, if known."""
-        held = self._by_object.get(id(op))
-        return None if held is None else held.key[1]
+        return self._by_object.get(id(op), _NO_ENTRY).key[1]
+
+    def bodies_of(self, ops: Sequence[OperationDescriptor]) -> List[bytes]:
+        """The body bytes of each of *ops*: looked up in one pass of C, and
+        spelled (and filed) only for those this endpoint has no bytes of."""
+        entries = map(self._by_object.get, map(id, ops), repeat(_NO_ENTRY))
+        bodies = list(map(_SECOND, map(_KEY, entries)))
+        if None in bodies:
+            for i in _where_none(bodies):
+                op = ops[i]
+                bodies[i] = body = _spell_descriptor(op)
+                self.remember(op, body)
+        return bodies
 
     def operator(self, spelling: bytes) -> Any:
         """The operator a live descriptor was parsed from *spelling* as, if any."""
@@ -342,12 +426,13 @@ class DescriptorWindow:
 
     Both ends hold the same two parallel lists, oldest first: the
     descriptors in first-sight order and, per descriptor, the last label a
-    windowed label entry carried for it.  The window is sender-driven and
+    windowed label entry carried for it.  A gossip payload names an entry by
+    its *position* in these lists.  The window is sender-driven and
     self-sizing: every windowed gossip payload starts with ``drop``, the
     number of oldest entries both ends forget, and the sender forgets what
     it first sent :data:`WINDOW_MESSAGES` gossip messages ago — so the window
-    is as large as the link is busy and no larger.  A distance that reaches
-    outside it is a :class:`FrameError`.
+    is as large as the link is busy and no larger.  A position at or past
+    the window's end is a :class:`FrameError`.
 
     *table* is the :class:`DescriptorTable` of the endpoint this end of the
     connection belongs to; every frame encoded or decoded with the window
@@ -392,44 +477,77 @@ class DescriptorWindow:
             return 0
         marks.popleft()
         drop = marks[0] - self.start
+        if not drop:
+            return 0
+        ids = list(map(_ID, self.ops[:drop]))
         index = self._index
-        for position, op in enumerate(self.ops[:drop], self.start):
-            # An identifier re-sent with a different descriptor moved on to
-            # a later entry; only the live one is unindexed with its entry.
-            if index.get(op.id) == position:
-                del index[op.id]
+        # An identifier re-sent with a different descriptor moved on to a
+        # later entry; only the live one is unindexed with its entry.
+        live = list(map(eq, map(index.get, ids), range(self.start, self.start + drop)))
+        _consume(map(index.__delitem__, compress(ids, live)))
         self.forget(drop)
         return drop
 
-    def refer(self, op: OperationDescriptor) -> int:
-        """Sender: the distance back to *op*, or 0 after appending it (first
-        sight: the caller spells it in full)."""
+    def refer(
+        self, union: List[OperationDescriptor]
+    ) -> Tuple[List[int], List[bool], List[OperationDescriptor]]:
+        """Sender: the position of each of *union* in the window, whether it
+        is the very object there (a back-reference), and the others, which
+        are appended in order (first sight: the caller spells them in full).
+        An equal twin of a carried descriptor that is not the same object is
+        spelled again, as an identifier re-sent with a different body is."""
         ops = self.ops
-        end = self.start + len(ops)
-        position = self._index.get(op.id)
-        if position is not None:
-            known = ops[position - self.start]
-            if known is op or known == op:
-                return end - position
-        self._index[op.id] = end
-        ops.append(op)
-        self.labels.append(None)
-        return 0
+        if not ops or not union:
+            return [], [], self._append(union)
+        start, get = self.start, self._index.get
+        # An identifier not in the window maps to the last entry, which is
+        # live under an identifier of its own: never the same object.
+        last = start + len(ops) - 1
+        slots = [get(op.id, last) - start for op in union]
+        known = list(map(is_, map(ops.__getitem__, slots), union))
+        if all(known):
+            return slots, known, []
+        return slots, known, self._append(list(compress(union, map(not_, known))))
 
-    def refer_label(self, op_id: OperationId, label: Label) -> int:
-        """Sender: the head of a label entry — 0 when the operation is not in
-        the window (the entry is spelled out), else ``distance << 1`` with
-        the low bit set when *label* is the last one sent for that entry."""
-        position = self._index.get(op_id)
-        if position is None:
-            return 0
-        slot = position - self.start
-        head = (len(self.ops) - slot) << 1
-        last = self.labels[slot]
-        if last is label or last == label:
-            return head | 1
-        self.labels[slot] = label
-        return head
+    def _append(self, fresh: List[OperationDescriptor]) -> List[OperationDescriptor]:
+        """Sender: append *fresh* as new entries."""
+        end = self.start + len(self.ops)
+        self._index.update(zip(map(_ID, fresh), range(end, end + len(fresh))))
+        self.ops += fresh
+        self.labels += repeat(None, len(fresh))
+        return fresh
+
+    def refer_labels(
+        self, labels: Dict[OperationId, Label]
+    ) -> Tuple[List[int], List[int], List[Label], List[OperationId]]:
+        """Sender: split *labels* into the positions of the entries whose
+        label is the last one sent for them (unchanged); the positions and
+        labels of the other entries in the window, which become the last
+        ones sent; and the identifiers of the operations outside the window
+        (spelled out)."""
+        start, get, last = self.start, self._index.get, self.labels
+        # One pass: the slot of each label's entry, or -1 outside the window
+        # (a slot is never negative).
+        slots = [get(op_id, start - 1) - start for op_id in labels]
+        values = list(labels.values())
+        rows: List[OperationId] = []
+        if -1 in slots:
+            inside = list(map(ne, slots, repeat(-1)))
+            rows = list(compress(labels, map(not_, inside)))
+            slots = list(compress(slots, inside))
+            values = list(compress(values, inside))
+        same = list(map(eq, map(last.__getitem__, slots), values))
+        if all(same):
+            return slots, [], [], rows
+        if not any(same):
+            kept, changed, sent = [], slots, values
+        else:
+            kept = list(compress(slots, same))
+            other = list(map(not_, same))
+            changed = list(compress(slots, other))
+            sent = list(compress(values, other))
+        _consume(map(last.__setitem__, changed, sent))
+        return kept, changed, sent, rows
 
 
 # --------------------------------------------------------------------------- #
@@ -468,6 +586,40 @@ def zigzag(value: int) -> int:
 
 def unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
+
+
+# --------------------------------------------------------------------------- #
+# Integer columns                                                             #
+# --------------------------------------------------------------------------- #
+
+#: Width tag (bytes per entry) -> its little-endian ``struct`` code.
+_COLUMN_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _append_column(out: bytearray, values: Sequence[int]) -> None:
+    """One non-empty column of unsigned integers (the caller writes the
+    count): a width tag — the least of 1, 2, 4 or 8 bytes that holds the
+    column's maximum — then every value at that width, little-endian, in one
+    C-level call."""
+    try:
+        narrow = bytes(values)  # refused unless every value is below 256
+    except ValueError:
+        pass
+    else:
+        out.append(1)
+        out += narrow
+        return
+    top = max(values)
+    if top < 0x10000:
+        width = 2
+    elif top < 1 << 32:
+        width = 4
+    elif top < 1 << 64:
+        width = 8
+    else:
+        raise FrameError(f"column value {top} is wider than 64 bits")
+    out.append(width)
+    out += struct.pack(f"<{len(values)}{_COLUMN_CODES[width]}", *values)
 
 
 # --------------------------------------------------------------------------- #
@@ -609,6 +761,17 @@ class _Encoder:
             self._order.append(text)
         self.u(index)
 
+    def idents(self, texts: Iterable[str]) -> List[int]:
+        """The table references of *texts* (interned in order of first
+        appearance), looked up in one pass of C."""
+        texts = list(texts)
+        table = self._table
+        for text in dict.fromkeys(texts):  # the few distinct ones, in order
+            if text not in table:
+                table[text] = len(self._order)
+                self._order.append(text)
+        return list(map(table.__getitem__, texts))
+
     def value(self, value: Any) -> None:
         _encode_value(self.out, value)
 
@@ -638,6 +801,69 @@ class _Encoder:
         out = self.out
         _append_varint(out, len(body))
         out += body
+
+    def regions(
+        self,
+        codes: Sequence[int],
+        sizes: Sequence[int],
+        slots: Sequence[int],
+        known: Sequence[bool],
+        fresh: Sequence[OperationDescriptor],
+        bodies: Sequence[bytes],
+    ) -> None:
+        """The membership regions of a gossip payload, as columns.  The union
+        is the regions back to back (*sizes* long each): at *slots*, where
+        *known*, a back-reference; the rest are *fresh*, spelled *bodies*, in
+        order.  Each region: its code; the positions of its back-references;
+        the count, client references and body lengths of its full forms, then
+        the bodies back to back."""
+        out = self.out
+        _append_varint(out, len(codes))
+        if fresh:
+            clients = self.idents(map(_CLIENT, fresh))
+            lengths = list(map(len, bodies))
+        start = first = 0
+        for code, size in zip(codes, sizes):
+            end = start + size
+            out.append(code)
+            refs = list(compress(slots[start:end], known[start:end])) if known else ()
+            _append_varint(out, len(refs))
+            if refs:
+                _append_column(out, refs)
+            spelled = size - len(refs)
+            _append_varint(out, spelled)
+            if spelled:
+                last = first + spelled
+                _append_column(out, clients[first:last])
+                _append_column(out, lengths[first:last])
+                out += b"".join(bodies[first:last])
+                first = last
+            start = end
+
+    def positions(self, positions: Sequence[int]) -> None:
+        """A column of window positions, with its count."""
+        _append_varint(self.out, len(positions))
+        if positions:
+            _append_column(self.out, positions)
+
+    def label_columns(self, positions: Sequence[int], labels: Sequence[Label]) -> None:
+        """Labels of window entries, as columns: positions, ranks as a base
+        plus unsigned offsets, replica references."""
+        self.positions(positions)
+        if positions:
+            ranks = list(map(_FIRST, labels))
+            base = min(ranks)
+            out = self.out
+            _append_varint(out, zigzag(base))
+            _append_column(out, [rank - base for rank in ranks])
+            _append_column(out, self.idents(map(_SECOND, labels)))
+
+    def label_rows(self, ids: Sequence[OperationId], labels: Dict[OperationId, Label]) -> None:
+        """Labels of operations outside the window, one row each."""
+        _append_varint(self.out, len(ids))
+        for op_id in ids:
+            self.op_id(op_id)
+            self.label(labels[op_id])
 
     def summary(self, summary: OpIdSummary) -> None:
         _append_ranges(self.out, summary.ranges, self.ident)
@@ -726,10 +952,17 @@ _G_SENT_AT = 32
 _G_WINDOW = 64
 
 
+#: The label columns of a payload without labels: three empty counts.
+_NO_LABELS = bytes(3)
+
+
 def _membership_regions(received, done, stable):
     """``(code, region)`` for the non-empty regions of ``received ∪ done ∪
     stable``, where *code* has bit 1 for received, 2 for done, 4 for stable."""
     rd = received & done
+    if not stable:  # the common case: three regions, cut in three passes
+        regions = ((1, received - done), (2, done - received), (3, rd))
+        return [(code, region) for code, region in regions if region]
     regions = (
         (1, received - done - stable),
         (2, done - received - stable),
@@ -757,62 +990,71 @@ def _encode_gossip(enc: _Encoder, message: GossipMessage) -> None:
         flags |= _G_ADVERT
     if message.sent_at is not None:
         flags |= _G_SENT_AT
-    enc.byte(flags)
+    out = enc.out
+    out.append(flags)
     if window is not None:
-        enc.u(window.open_message())
+        _append_varint(out, window.open_message())
     enc.ident(message.sender)
-    enc.u(message.epoch)
-    enc.u(message.stream)
+    _append_varint(out, message.epoch)
+    _append_varint(out, message.stream)
     if message.seqno is not None:
-        enc.u(message.seqno)
+        _append_varint(out, message.seqno)
     if message.ack is not None:
-        enc.u(message.ack)
-        enc.u(message.ack_epoch or 0)
-        enc.u(message.ack_stream or 0)
+        _append_varint(out, message.ack)
+        _append_varint(out, message.ack_epoch or 0)
+        _append_varint(out, message.ack_stream or 0)
 
-    # One union of descriptors with a membership byte each: the three sets
-    # overlap almost completely (done and stable are subsets of the sender's
-    # knowledge), so each descriptor is encoded exactly once.  The union is
-    # the concatenation of its disjoint membership regions, cut by set
-    # algebra that reuses the hashes the sets store.  A link frame writes
-    # the regions, and the labels, in the order they come: only a frame
-    # without a window is canonical (digests, the wire twin, the corpus),
-    # and it argsorts the union by id, each entry's code riding along.
+    # One union of descriptors, cut by set algebra (which reuses the hashes
+    # the sets store) into its disjoint membership regions: the three sets
+    # overlap almost completely, so each descriptor is encoded exactly once,
+    # and each region is a few columns under one code.  A link frame writes
+    # the regions, and the labels, in the order they come.  Only a frame
+    # without a window is canonical (digests, the wire twin, the corpus):
+    # it sorts each region and each label column by id, and its window is
+    # its own, the full forms it spells.
     regions = _membership_regions(message.received, message.done, message.stable)
+    codes = list(map(_FIRST, regions))
+    sizes = list(map(len, map(_SECOND, regions)))
     labels = message.labels
+    union: List[OperationDescriptor] = []
     if window is None:
-        ops: List[OperationDescriptor] = []
-        codes: List[int] = []
-        for code, region in regions:
-            ops.extend(region)
-            codes.extend([code] * len(region))
-        # Identifiers are tuples: ``(client, seqno)``, compared in C.
-        ids = [op.id for op in ops]
-        enc.u(len(ops))
-        for i in sorted(range(len(ops)), key=ids.__getitem__):
-            enc.operation(ops[i])
-            enc.byte(codes[i])
-        enc.u(len(labels))
-        for op_id in sorted(labels):
-            enc.op_id(op_id)
-            enc.label(labels[op_id])
+        bodies: List[bytes] = []
+        for _code, region in regions:
+            region = list(region)
+            spelled = list(map(_spell_descriptor, region))
+            # ``(client, seqno)`` tuples compared in C; an identifier spelled
+            # with two bodies is ordered by them.
+            order = sorted(range(len(region)), key=list(zip(map(_ID, region), spelled)).__getitem__)
+            union += map(region.__getitem__, order)
+            bodies += map(spelled.__getitem__, order)
+        # A payload of its own refers back to nothing: every entry is fresh.
+        enc.regions(codes, sizes, (), (), union, bodies)
+        position = dict(zip(map(_ID, union), range(len(union))))
+        ids = sorted(labels)
+        inside = list(map(position.__contains__, ids))
+        spelled_ids = list(compress(ids, inside))
+        enc.u(0)  # ... and no label it carries is unchanged
+        enc.label_columns(
+            list(map(position.__getitem__, spelled_ids)), list(map(labels.__getitem__, spelled_ids))
+        )
+        enc.label_rows(list(compress(ids, map(not_, inside))), labels)
     else:
-        enc.u(sum(len(region) for _code, region in regions))
-        for code, region in regions:
-            for op in region:
-                distance = window.refer(op)
-                enc.u(distance)
-                if not distance:
-                    enc.operation(op)
-                enc.byte(code)
-        enc.u(len(labels))
-        for op_id, label in labels.items():
-            head = window.refer_label(op_id, label)
-            enc.u(head)
-            if not head:
-                enc.op_id(op_id)
-            if not head & 1:
-                enc.label(label)
+        for _code, region in regions:
+            union += region
+        slots, known, fresh = window.refer(union)
+        descriptors = enc.descriptors
+        enc.regions(
+            codes, sizes, slots, known, fresh,
+            list(map(_spell_descriptor, fresh)) if descriptors is None or not fresh
+            else descriptors.bodies_of(fresh),
+        )
+        if labels:
+            kept, changed, sent, rows = window.refer_labels(labels)
+            enc.positions(kept)
+            enc.label_columns(changed, sent)
+            enc.label_rows(rows, labels)
+        else:
+            enc.out += _NO_LABELS
 
     if message.checkpoint is not None:
         enc.checkpoint(message.checkpoint)
@@ -1026,6 +1268,31 @@ class _Decoder:
         self.pos += n
         return chunk
 
+    def column(self, count: int) -> Tuple[int, ...]:
+        """One non-empty integer column of *count* entries (mirrors
+        :func:`_append_column`).  The width tag and the length are checked
+        before anything is allocated, so a hostile count costs nothing."""
+        data = self.data
+        pos = self.pos
+        if pos >= len(data):
+            raise FrameError("truncated column")
+        width = data[pos]
+        code = _COLUMN_CODES.get(width)
+        if code is None:
+            raise FrameError(f"column width tag {width} is not 1, 2, 4 or 8")
+        end = pos + 1 + count * width
+        if end > len(data):
+            raise FrameError(f"column of {count} entries runs past the end of the frame")
+        self.pos = end
+        return struct.unpack_from(f"<{count}{code}", data, pos + 1)
+
+    def refs(self, count: int, bound: int, what: str) -> Tuple[int, ...]:
+        """A column of *count* references, each below *bound*."""
+        refs = self.column(count)
+        if max(refs) >= bound:
+            raise FrameError(f"{what} {max(refs)} outside its {bound} entries")
+        return refs
+
     def text(self) -> str:
         """One self-contained length-prefixed utf-8 string (no table)."""
         return str(self.raw(self.u()), "utf-8")
@@ -1104,6 +1371,53 @@ class _Decoder:
         else:
             self.pos = end
         return op
+
+    def spellings(
+        self, count: int, base: int, names: List[str], starts: List[int], ends: List[int]
+    ) -> None:
+        """Read one region's *count* full forms (mirrors
+        :meth:`_Encoder.regions`): their clients go to *names*, and where each
+        body starts and ends, counted from *base*, to *starts* and *ends*,
+        for :meth:`resolve`."""
+        table = self.table
+        names += map(table.__getitem__, self.refs(count, len(table), "identifier reference"))
+        offsets = list(accumulate(self.column(count), initial=self.pos - base))
+        end = base + offsets[-1]
+        if end > len(self.data):
+            raise FrameError("descriptor bodies run past the end of the frame")
+        starts += offsets[:-1]
+        ends += offsets[1:]
+        self.pos = end
+
+    def resolve(
+        self, base: int, names: List[str], starts: List[int], ends: List[int]
+    ) -> List[OperationDescriptor]:
+        """The descriptors :meth:`spellings` read.  With a table, every
+        ``(client, body)`` is looked up in one batch and only the misses are
+        parsed, one by one (and filed); without one, each body is parsed
+        afresh."""
+        resume = self.pos
+        table = self.descriptors
+        if table is None:
+            ops = []
+            for client, start, end in zip(names, starts, ends):
+                self.pos = base + start
+                ops.append(self.descriptor_body(client, base + end))
+        else:
+            blob = bytes(self.data[base : base + ends[-1]])
+            bodies = list(map(blob.__getitem__, map(slice, starts, ends)))
+            keys = list(zip(names, bodies))
+            ops = table.find_all(keys)
+            for i in _where_none(ops):
+                # A body spelled twice in one payload is parsed once.
+                op = table.find(*keys[i])
+                if op is None:
+                    self.pos = base + starts[i]
+                    op = self.descriptor_body(names[i], base + ends[i])
+                    table.remember(op, bodies[i], self.operator_bytes)
+                ops[i] = op
+        self.pos = resume
+        return ops
 
     def descriptor_body(self, client: str, end: int) -> OperationDescriptor:
         """Parse one descriptor body in place (mirrors :func:`_spell_descriptor`);
@@ -1191,23 +1505,31 @@ def _decode_response(dec: _Decoder) -> ResponseMessage:
     return ResponseMessage(operation=operation, value=value, stale=bool(flags & 1), sender=sender)
 
 
-def _members(sets: List[FrozenSet[OperationDescriptor]], bit: int) -> FrozenSet[OperationDescriptor]:
-    """The union of the membership groups whose code carries *bit*."""
-    parts = [group for code, group in enumerate(sets) if code & bit and group]
+#: The set a payload with no group of some membership decodes it to.
+_NO_MEMBERS: FrozenSet[OperationDescriptor] = frozenset()
+
+
+def _members(
+    groups: List[Tuple[int, FrozenSet[OperationDescriptor]]], bit: int
+) -> FrozenSet[OperationDescriptor]:
+    """The union of the ``(code, group)`` groups whose code carries *bit*."""
+    parts = [group for code, group in groups if code & bit]
     if len(parts) == 1:
         return parts[0]
-    return frozenset().union(*parts)
+    return parts[0].union(*parts[1:]) if parts else _NO_MEMBERS
 
 
 def _decode_gossip(dec: _Decoder) -> GossipMessage:
     flags = dec.byte()
-    ops = last_labels = None
     if flags & _G_WINDOW:
         window = dec.window
         if window is None:
             raise FrameError("windowed gossip payload on a link without a window")
         window.forget(dec.u())
         ops, last_labels = window.ops, window.labels
+    else:
+        # A payload of its own: its window is the full forms it spells.
+        ops, last_labels = [], []
     sender = dec.ident()
     epoch = dec.u()
     stream = dec.u()
@@ -1218,52 +1540,72 @@ def _decode_gossip(dec: _Decoder) -> GossipMessage:
         ack_epoch = dec.u()
         ack_stream = dec.u()
 
-    # Entries grouped by membership code: each group is hashed once, and the
-    # three sets are unions of groups (which reuse the stored hashes).
-    groups: Tuple[List[OperationDescriptor], ...] = ([], [], [], [], [], [], [], [])
+    # The regions first, then one batched lookup of every full form in them.
+    regions: List[Tuple[int, Sequence[int], int]] = []
+    names: List[str] = []
+    starts: List[int] = []
+    ends: List[int] = []
+    base = dec.pos
+    code = 0
     for _ in range(dec.u()):
-        distance = dec.u() if ops is not None else 0
-        if distance:
-            # Back-reference: the object decoded at first sight, no parse.
-            if distance > len(ops):
-                raise FrameError(f"descriptor reference {distance} outside the window")
-            op = ops[-distance]
-        else:
-            op = dec.operation()
-            if ops is not None:
-                ops.append(op)
-                last_labels.append(None)
-        groups[dec.byte() & 7].append(op)
-    sets = [frozenset(group) for group in groups]
+        last, code = code, dec.byte()
+        if not last < code <= 7:
+            raise FrameError(f"membership code {code} after {last}")
+        count = dec.u()
+        refs = dec.column(count) if count else ()
+        count = dec.u()
+        if count:
+            dec.spellings(count, base, names, starts, ends)
+        regions.append((code, refs, count))
+    fresh = dec.resolve(base, names, starts, ends) if names else []
+    ops += fresh
+    last_labels += repeat(None, len(fresh))
+    # One group per membership code: each group is hashed once, and the
+    # three sets are unions of groups (which reuse the stored hashes).
+    groups: List[Tuple[int, FrozenSet[OperationDescriptor]]] = []
+    first = 0
+    for code, refs, count in regions:
+        if refs and max(refs) >= len(ops):
+            raise FrameError(f"descriptor position {max(refs)} outside the window")
+        # Back-references: the objects decoded at first sight, no parse.
+        group = list(map(ops.__getitem__, refs))
+        if count:
+            group += fresh[first : first + count]
+            first += count
+        groups.append((code, frozenset(group)))
 
     labels: Dict[OperationId, Label] = {}
+    count = dec.u()
+    if count:
+        # Unchanged: the very label object last sent for the entry.
+        positions = dec.refs(count, len(ops), "label position")
+        kept = list(map(last_labels.__getitem__, positions))
+        if None in kept:
+            raise FrameError("label marked unchanged for an entry that never had one")
+        labels.update(zip(map(_ID, map(ops.__getitem__, positions)), kept))
+    count = dec.u()
+    if count:
+        positions = dec.refs(count, len(ops), "label position")
+        lowest = dec.s()
+        ranks = map(add, dec.column(count), repeat(lowest))
+        table = dec.table
+        replicas = map(table.__getitem__, dec.refs(count, len(table), "identifier reference"))
+        sent = list(map(_new_tuple, repeat(Label), zip(ranks, replicas)))
+        _consume(map(last_labels.__setitem__, positions, sent))
+        labels.update(zip(map(_ID, map(ops.__getitem__, positions)), sent))
     for _ in range(dec.u()):
-        head = dec.u() if ops is not None else 0
-        if not head:
-            op_id = dec.op_id()
-            label = dec.label()
-        else:
-            distance = head >> 1
-            if not 0 < distance <= len(ops):
-                raise FrameError(f"label reference {distance} outside the window")
-            op_id = ops[-distance].id
-            if head & 1:
-                label = last_labels[-distance]
-                if label is None:
-                    raise FrameError("label marked unchanged for an entry that never had one")
-            else:
-                label = last_labels[-distance] = dec.label()
-        labels[op_id] = label
+        op_id = dec.op_id()
+        labels[op_id] = dec.label()
 
     checkpoint = dec.checkpoint() if flags & _G_CHECKPOINT else None
     advert = dec.advert() if flags & _G_ADVERT else None
     sent_at = struct.unpack(">d", dec.raw(8))[0] if flags & _G_SENT_AT else None
     return GossipMessage(
         sender=sender,
-        received=_members(sets, 1),
-        done=_members(sets, 2),
+        received=_members(groups, 1),
+        done=_members(groups, 2),
         labels=labels,
-        stable=_members(sets, 4),
+        stable=_members(groups, 4),
         epoch=epoch,
         stream=stream,
         seqno=seqno,

@@ -400,7 +400,7 @@ class TestVarints:
 
 
 # --------------------------------------------------------------------------- #
-# Stateless frames, pinned byte for byte (wire version 6)
+# Stateless frames, pinned byte for byte (wire version 7)
 # --------------------------------------------------------------------------- #
 
 
@@ -425,40 +425,45 @@ def every_kind():
     ]
 
 
-#: ``encode_frame(every_kind())`` under wire version 6: 385 bytes, as in
-#: version 5.  What differs from the version-5 bytes is the version byte (2)
-#: and the body of each descriptor with ``prev``, whose operator value now
-#: comes after the ``prev`` identifiers: the request's ``c0:1`` body (bytes
-#: 92–109) and the gossip's ``c1:3`` body, once in each gossip message
-#: (bytes 175–187 and 264–276).  Each body keeps its length and its leading
-#: seqno and head bytes, so nothing else moves.
-#: Version 5 in turn sent the transfer as one message: version 4's flags
-#: byte, sender epoch, chunk index and chunk count are gone (-4 bytes).
-#: Version 4 changed only the full form of the six descriptors against
-#: version 3: a body-length varint, a frame-independent body and ``prev``
-#: clients spelled inline.
-WIRE_V6_EVERY_KIND = bytes.fromhex(
-    "e50d0609026330027232027230026331027231103030303030303030303030303030303010616231"
+#: ``encode_frame(every_kind())`` under wire version 7: 409 bytes.  Only the
+#: two gossip payloads moved (88 -> 100 and 111 -> 123 bytes; every other
+#: payload keeps its bytes, and the version byte is 7).  Each gossip body is
+#: now columnar: its two descriptors sit in two membership regions (x1 in
+#: ``received`` only, x0 in all three sets), each region giving its code, an
+#: empty back-reference column and one full form as a client column, a
+#: body-length column and the body; the labels are one column group
+#: (positions, a rank base with offsets, replica references) behind an empty
+#: "unchanged" count and before an empty row count.  On two descriptors the
+#: column heads cost more than the per-entry membership bytes and label heads
+#: they replace; on a real payload they cost less.
+#: Version 6 moved the operator value of a descriptor with ``prev`` behind its
+#: ``prev`` identifiers; version 5 sent the transfer as one message; version 4
+#: changed only the full form of the six descriptors against version 3: a
+#: body-length varint, a frame-independent body and ``prev`` clients spelled
+#: inline.
+WIRE_V7_EVERY_KIND = bytes.fromhex(
+    "e50d0709026330027232027230026331027231103030303030303030303030303030303010616231"
     "32616231326162313261623132106566353665663536656635366566353610636433346364333463"
     "64333463643334061501001202050002036339080a050361646407010302240203000c02000a0503"
-    "6164640701030209020501610702000e020304030605016203020158032f0202010904010002000c"
-    "02000a05036164640701030207030d060300040a050472656164070001020002080203060a01030e"
-    "0112040200010203030202010102050300020302000400030a05017840290000000000006f033602"
-    "02010904010002000c02000a05036164640701030207030d060300040a0504726561640700010200"
-    "02080203060a01120272311061623132616231326162313261623132106364333463643334636433"
-    "34636433340202633001020302633102020101024029000000000000090401010206220206011a05"
-    "020107081204020001020303020201010201030a050178030e"
+    "6164640701030209020501610702000e020304030605016203020164032f02020109040100020100"
+    "010103010d060300040a05047265616407000700010100010c02000a050361646407010302000201"
+    "01000801000101020100030e0112040200010203030202010102050300020302000400030a050178"
+    "40290000000000007b033602020109040100020100010103010d060300040a050472656164070007"
+    "00010100010c02000a05036164640701030200020101000801000101020100120272311061623132"
+    "61623132616231326162313210636433346364333463643334636433340202633001020302633102"
+    "020101024029000000000000090401010206220206011a0502010708120402000102030302020101"
+    "0201030a050178030e"
 )
 
 
-def test_frame_without_a_window_is_the_pinned_wire_v6_fixture():
+def test_frame_without_a_window_is_the_pinned_wire_v7_fixture():
     # Everything digests, vectors and the wire twin see is encoded without a
     # window: the same layout as on a link, no table, canonical bytes.
-    assert WIRE_V6_EVERY_KIND[2] == WIRE_VERSION == 6
-    assert encode_frame(every_kind()) == WIRE_V6_EVERY_KIND
-    assert encode_frame(every_kind(), None) == WIRE_V6_EVERY_KIND
-    assert encode_frame_detailed(every_kind(), window=None)[0] == WIRE_V6_EVERY_KIND
-    assert decode_frame(WIRE_V6_EVERY_KIND)[0] == every_kind()[0]
+    assert WIRE_V7_EVERY_KIND[2] == WIRE_VERSION == 7
+    assert encode_frame(every_kind()) == WIRE_V7_EVERY_KIND
+    assert encode_frame(every_kind(), None) == WIRE_V7_EVERY_KIND
+    assert encode_frame_detailed(every_kind(), window=None)[0] == WIRE_V7_EVERY_KIND
+    assert decode_frame(WIRE_V7_EVERY_KIND)[0] == every_kind()[0]
 
 
 # --------------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ import dataclasses
 import gc
 import os
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -467,12 +468,22 @@ def frame_of(*payloads: bytes) -> bytes:
 
 
 #: A windowed gossip payload from ``r0`` up to its one first-sight
-#: descriptor's client reference (``c0``): kind, flags, drop, sender, epoch,
-#: stream, one descriptor, distance 0, client.
-HEAD = bytes([3, 64]) + b"\x00\x00\x00\x00" + b"\x01\x00" + b"\x01"
-#: ... and what follows the body: membership ``received``, no labels.
-TAIL = b"\x01" + b"\x00"
-HONEST = HEAD + encode_varint(len(FIRST_BODY)) + FIRST_BODY + TAIL
+#: descriptor's client reference column (``c0``), wire v7: kind, flags,
+#: drop, sender, epoch, stream; one region, membership ``received``, no
+#: back-references, one full form; the client column (width 1).
+HEAD = bytes([3, 64]) + b"\x00\x00\x00\x00" + b"\x01\x01" + b"\x00\x01" + b"\x01\x01"
+#: ... and what follows the body: no labels.
+TAIL = b"\x00\x00\x00"
+
+
+def length_column(length: int) -> bytes:
+    """A one-entry body-length column: the least width that holds it."""
+    widths = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    width, code = next((w, c) for w, c in widths if length < 1 << 8 * w)
+    return bytes([width]) + struct.pack("<" + code, length)
+
+
+HONEST = HEAD + length_column(len(FIRST_BODY)) + FIRST_BODY + TAIL
 #: A second message for a length to reach into: a request for the same.
 REQUEST = bytes([1, 1]) + encode_varint(len(FIRST_BODY)) + FIRST_BODY
 
@@ -482,23 +493,23 @@ def hostile_lengths():
     assert len(REQUEST) > 10
     return {
         "length past the end of the payload": frame_of(
-            HEAD + encode_varint(size + 10) + FIRST_BODY + TAIL, REQUEST
+            HEAD + length_column(size + 10) + FIRST_BODY + TAIL, REQUEST
         ),
         "length past the end of the frame": frame_of(
-            HEAD + encode_varint(1 << 40) + FIRST_BODY + TAIL
+            HEAD + length_column(1 << 40) + FIRST_BODY + TAIL
         ),
         # The declared bytes hold the body and one byte more.
         "body parses shorter than its length": frame_of(
-            HEAD + encode_varint(size + 1) + FIRST_BODY + b"\x00" + TAIL
+            HEAD + length_column(size + 1) + FIRST_BODY + b"\x00" + TAIL
         ),
         # The declared bytes stop one short of where the parse ends.
         "body parses longer than its length": frame_of(
-            HEAD + encode_varint(size - 1) + FIRST_BODY + TAIL
+            HEAD + length_column(size - 1) + FIRST_BODY + TAIL
         ),
         # Well-formed up to and including a body the receiver already holds
         # (a hit), and nothing behind it.
         "a hit, then the frame ends early": frame_of(
-            HEAD + encode_varint(size) + FIRST_BODY
+            HEAD + length_column(size) + FIRST_BODY
         ),
     }
 

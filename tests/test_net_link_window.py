@@ -11,8 +11,8 @@ Four things are pinned here:
   replica crash/recovery or a dropped connection the first frame on the new
   connection decodes against an *empty* window, and a link whose peer is
   unreachable has no window to advance.
-* **Hostile references** — a distance outside the window, an oversized
-  ``drop`` or "label unchanged" for an entry that never had one is a
+* **Hostile references** — a position at or past the window's end, an
+  oversized ``drop`` or "label unchanged" for an entry that never had one is a
   ``FrameError`` that costs the sender the connection and nothing else.
 * **Hostile bytes** — no mutation of any frame kind, windowed or not, gets
   anything but ``FrameError`` or a decoded message out of ``decode_frame``,
@@ -22,6 +22,7 @@ Four things are pinned here:
 import asyncio
 import dataclasses
 import random
+import struct
 import time
 
 import pytest
@@ -338,36 +339,84 @@ def windowed_gossip_frame(body: bytes) -> bytes:
     )
 
 
-#: ``add(1)`` by ``r0#1``, spelled in full (wire v4): client reference and
-#: body length, then the body — seqno, prev count << 1 | strict, operator value.
-FULL_DESCRIPTOR = bytes([0, 12]) + bytes([2, 0]) + bytes([10, 5, 3]) + b"add" + bytes([7, 1, 3, 2])
-#: drop, sender, epoch, stream; then the descriptor section; then the labels.
+def entries(*values: int, width: int = 1) -> bytes:
+    """A wire v7 integer column without its count: width tag, then values."""
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    return bytes([width]) + struct.pack(f"<{len(values)}{code}", *values)
+
+
+def column(*values: int, width: int = 1) -> bytes:
+    """The same column after its count."""
+    return encode_varint(len(values)) + entries(*values, width=width)
+
+
+#: The body of ``add(1)`` by ``r0#1`` (wire v4 on): seqno, prev count << 1 |
+#: strict, operator value.
+BODY = bytes([2, 0]) + bytes([10, 5, 3]) + b"add" + bytes([7, 1, 3, 2])
+#: That descriptor as the full forms of a region (wire v7): count, client
+#: reference column, body length column, the body.
+FULL_DESCRIPTOR = b"\x01" + entries(0) + entries(len(BODY)) + BODY
+#: drop, sender, epoch, stream; then the regions; then the labels.
 HEAD = b"\x00\x00\x00\x00"
+#: No back-references, no full forms.
+EMPTY = b"\x00"
+#: Labels: none unchanged, none changed, no rows.
+NO_LABELS = EMPTY * 3
 #: Further back than any window in these tests reaches.
-FAR = encode_varint(1 << 20)
+FAR = 1 << 20
 HOSTILE_REFERENCES = {
-    "reference beyond the window": HEAD + b"\x01" + FAR + b"\x01" + b"\x00",
-    "drop larger than the window": FAR + b"\x00\x00\x00" + b"\x00" + b"\x00",
-    "label reference beyond the window": (
-        HEAD + b"\x00" + b"\x01" + encode_varint(1 << 21) + b"\x02\x00"
+    # One region (code 1) whose back-reference column names a far position.
+    "reference beyond the window": (
+        HEAD + b"\x01" + b"\x01" + column(FAR, width=4) + EMPTY + NO_LABELS
     ),
-    "label reference of distance zero": HEAD + b"\x00" + b"\x01\x01",
-    # A valid first sight (distance 0, membership 1), then distance 1 + unchanged.
-    "label unchanged for an entry that never had one": (
-        HEAD + b"\x01\x00" + FULL_DESCRIPTOR + b"\x01" + b"\x01\x03"
+    "drop larger than the window": encode_varint(FAR) + b"\x00\x00\x00" + b"\x00" + NO_LABELS,
+    # One changed label at a far position: rank base 0, offset 2, replica r0.
+    "label reference beyond the window": (
+        HEAD + b"\x00" + EMPTY + column(FAR, width=4) + b"\x00" + entries(2) + entries(0) + EMPTY
+    ),
+    # The same entry at position 0, in a column whose width tag is 3.
+    "label positions of width 3": (
+        HEAD + b"\x00" + EMPTY + b"\x01\x03\x00\x00\x00" + b"\x00" + entries(2) + entries(0)
+        + EMPTY
     ),
 }
+
+
+def never_labelled(end: int) -> bytes:
+    """A valid first sight (region 1, one full form), then its position as
+    unchanged.  A position counts from the window's start: against a
+    receiving window of *end* entries, the first sight lands at *end*."""
+    width = 1 if end < 0x100 else 2
+    return (
+        HEAD + b"\x01" + b"\x01" + EMPTY + FULL_DESCRIPTOR + column(end, width=width)
+        + EMPTY + EMPTY
+    )
+
+
+HOSTILE_REFERENCES["label unchanged for an entry that never had one"] = never_labelled
+
+
+def hostile_reference(name: str, end: int = 0) -> bytes:
+    """The frame of hostile payload *name* for a receiving window of *end*
+    entries (only a position of the frame's own first sight depends on it)."""
+    body = HOSTILE_REFERENCES[name]
+    return windowed_gossip_frame(body(end) if callable(body) else body)
 
 
 def test_hostile_fixtures_differ_from_valid_in_the_reference_only():
     # The same layouts with honest references decode: the fixtures above are
     # rejected for the reference, not for a slip in the hand-built bytes.
     window = DescriptorWindow()
-    first = HEAD + b"\x01\x00" + FULL_DESCRIPTOR + b"\x01" + b"\x01\x02\x08\x00"
+    # Region 1: one full form; then its label changed to 4@r0.
+    first = (
+        HEAD + b"\x01" + b"\x01" + EMPTY + FULL_DESCRIPTOR
+        + EMPTY + column(0) + encode_varint(8) + entries(0) + entries(0) + EMPTY
+    )
     (message,) = decode_frame(windowed_gossip_frame(first), window)
     (op,) = message.received
     assert op.op == Operator("add", (1,)) and message.labels == {op.id: Label(4, "r0")}
-    again = HEAD + b"\x01\x01\x03" + b"\x01\x03"
+    # Region 3 by back-reference; the label unchanged.
+    again = HEAD + b"\x01" + b"\x03" + column(0) + EMPTY + column(0) + EMPTY + EMPTY
     (message,) = decode_frame(windowed_gossip_frame(again), window)
     assert message.received == message.done == {op} and next(iter(message.done)) is op
     assert message.labels == {op.id: Label(4, "r0")}
@@ -375,16 +424,31 @@ def test_hostile_fixtures_differ_from_valid_in_the_reference_only():
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_REFERENCES))
 def test_hostile_reference_is_a_frame_error(name):
-    frame = windowed_gossip_frame(HOSTILE_REFERENCES[name])
     with pytest.raises(FrameError):
-        decode_frame(frame, DescriptorWindow())
+        decode_frame(hostile_reference(name), DescriptorWindow())
+
+
+def test_label_unchanged_for_an_entry_that_never_had_one_is_a_frame_error():
+    # Against an empty window and behind one entry: either way the position
+    # is the frame's own first sight, refused for its missing label.
+    behind_one = DescriptorWindow()
+    first = HEAD + b"\x01" + b"\x01" + EMPTY + FULL_DESCRIPTOR + NO_LABELS
+    decode_frame(windowed_gossip_frame(first), behind_one)
+    for end, window in ((0, DescriptorWindow()), (1, behind_one)):
+        with pytest.raises(FrameError, match="never had one"):
+            decode_frame(
+                hostile_reference("label unchanged for an entry that never had one", end), window
+            )
 
 
 @pytest.mark.parametrize("transport", ["memory", "tcp"])
 @pytest.mark.parametrize("name", sorted(HOSTILE_REFERENCES))
 def test_hostile_reference_costs_the_connection_only(transport, name):
-    frame = windowed_gossip_frame(HOSTILE_REFERENCES[name])
-    asyncio.run(_after_hostile_replica_frame(transport, frame))
+    # Written raw right behind what r0 has gossiped on the link, so r1's
+    # window then holds exactly as many entries as r0's does now.
+    asyncio.run(_after_hostile_replica_frame(
+        transport, lambda link: hostile_reference(name, len(link.window.ops))
+    ))
 
 
 # --------------------------------------------------------------------------- #

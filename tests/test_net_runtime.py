@@ -655,7 +655,8 @@ class TestHostileFrames:
 async def _after_hostile_replica_frame(transport, frame):
     """Write *frame* raw on r0's connection to r1, as if r0's encoder had gone
     mad: r1 rejects it and drops the connection, r0's link re-dials onto a
-    fresh window, and nothing else notices."""
+    fresh window, and nothing else notices.  *frame* may also be a function
+    of r0's link to r1, called just before the write."""
     loop = asyncio.get_running_loop()
     leaked = []
     loop.set_exception_handler(lambda _loop, context: leaked.append(context))
@@ -668,6 +669,8 @@ async def _after_hostile_replica_frame(transport, frame):
 
         link = cluster._endpoints["r0"].links["r1"]
         old_window = link.window
+        if callable(frame):
+            frame = frame(link)
         link.conn.transport.write(_length_prefixed(frame))
         await asyncio.sleep(0.1)  # the reject, the close and a few gossip rounds
 

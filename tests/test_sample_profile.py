@@ -97,7 +97,7 @@ def test_lines_flag_prints_the_named_functions_line_by_line():
     }
     assert "src/repro/net/codec.py:_decode_gossip" in {row[1] for row in functions if row}
     rows = [re.fullmatch(r"    +[\d.]+ %  +\d+  +(\d+)  (.*)", line) for line in table]
-    assert any(row and "dec.operation()" in row[2] for row in rows)
+    assert any(row and "dec.resolve(" in row[2] for row in rows)
     assert all(row or function for row, function in zip(rows, functions))
 
 
